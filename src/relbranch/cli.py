@@ -6,7 +6,9 @@ table sweeps, with an optional CSV projection for tables.  Half-integers on
 the command line are exact fractions ("7/2"), never decimals, because parity
 validation must be exact.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.  A
+failing table row is named on stderr; a reader that closes stdout early
+(`| head`) ends the run quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import branching, hepattern, periods
@@ -160,14 +163,6 @@ _PERIOD_RULES = [
     "radial factor: half Beta identity with arguments ((alpha+1)/2, (beta-alpha)/2)",
     "angular factor: exact rational Jacobi pairing, nonzero iff 0 <= k <= n",
 ]
-_PERIOD_RULES_NUMERIC = [
-    _PERIOD_RULES[0],
-    "angular factor: numerical Jacobi pairing, vanishing judged at 1e-9 of the norm scale",
-]
-
-
-def _period_provenance(family: str) -> list[str]:
-    return _PERIOD_RULES if family == periods.COMPLEX else _PERIOD_RULES_NUMERIC
 
 
 def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> dict:
@@ -184,13 +179,11 @@ def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> d
         }
     if family == periods.QUATERNIONIC:
         quad = periods.quaternionic_period_quadrature(p, q, n, k, tol)
-        scale = periods.quaternionic_period_scale(p, q, n, k, tol)
         return {
             "family": family,
             "quadrature": quad.value,
             "quadrature_error": quad.abs_error_estimate,
-            "scale": scale,
-            "nonvanishing": abs(quad.value) > 1e-9 * scale,
+            "nonvanishing": periods.quaternionic_angular_exact(q, n, k) != 0,
         }
     raise ParamError(f"unsupported family {family!r} (choose complex or quaternionic)")
 
@@ -202,7 +195,7 @@ def cmd_period(args, out) -> int:
         "period",
         {"p": p, "q": q, "n": args.n, "k": args.k, "family": args.family, "tol": args.tol},
         result,
-        _period_provenance(args.family),
+        _PERIOD_RULES,
     )
     _emit(record, out)
     return EXIT_OK
@@ -216,6 +209,17 @@ def cmd_period(args, out) -> int:
 def _cap(count: int) -> None:
     if count > TABLE_CAP:
         raise CapExceededError(f"grid of {count} records exceeds the cap {TABLE_CAP}")
+
+
+def _row(kind: str, row: dict, compute, *args):
+    """compute(*args) for one table row; an error names the row, e.g.
+    'table period row n=26 k=0: ...', and keeps its type (so its exit code)."""
+    try:
+        return compute(*args)
+    except (ConvergenceError, ValueError) as exc:
+        where = " ".join(f"{key}={value}" for key, value in row.items())
+        exc.args = (f"table {kind} row {where}: {exc}",)
+        raise
 
 
 def _rows_branch(args):
@@ -239,9 +243,11 @@ def _rows_period(args):
     _cap(len(labels) * len(range(0, args.k_max + 1, 2)))
     for n in labels:
         for k in range(0, args.k_max + 1, 2):
-            result = _period_result(p, q, n, k, args.family, args.tol)
+            result = _row(
+                "period", {"n": n, "k": k}, _period_result, p, q, n, k, args.family, args.tol
+            )
             inputs = {"p": p, "q": q, "n": n, "k": k, "family": args.family}
-            yield _record("table.period", inputs, result, _period_provenance(args.family))
+            yield _record("table.period", inputs, result, _PERIOD_RULES)
 
 
 def _rows_exhaustion(args):
@@ -250,7 +256,7 @@ def _rows_exhaustion(args):
     lo, hi = _parse_range(args.ell, parse_end=int)
     _cap(max(hi - lo + 1, 0))
     for ell in range(lo, hi + 1):
-        report = branching.exhaustion_check(sig, ell)
+        report = _row("exhaustion", {"ell": ell}, branching.exhaustion_check, sig, ell)
         inputs = {"p": p, "q": q, "ell": ell}
         yield _record(
             "table.exhaustion",
@@ -277,7 +283,7 @@ def _rows_he(args):
     lo, hi = _parse_range(args.n, parse_end=int)
     _cap(max(hi - lo + 1, 0))
     for n in range(lo, hi + 1):
-        report = hepattern.u2n_case_report(n)
+        report = _row("he", {"n": n}, hepattern.u2n_case_report, n)
         yield _record(
             "table.he",
             {"n": n},
@@ -405,7 +411,16 @@ def main(argv: list[str] | None = None) -> int:
                 "he": [] if (args.big or args.small) else ["n"],
             }[args.kind]
             _require(args, needed)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): stop quietly, and point stdout
+        # at devnull so the interpreter's shutdown flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

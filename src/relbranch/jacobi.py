@@ -6,9 +6,15 @@ arithmetic under the normalization
     P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)),
 
 and stored as monomial coefficient vectors.  Exactness matters: the
-zero/nonzero dichotomy of the weighted inner products below is what drives
-every non-vanishing claim downstream, so those integrals are evaluated in
-rational arithmetic, never floating point.
+zero/nonzero dichotomy of the weighted pairings below is what drives every
+non-vanishing claim downstream, so those integrals are evaluated in rational
+arithmetic, never floating point.
+
+The pairings of a shifted polynomial against an unshifted one come in closed
+form from the connection formula (DLMF 18.18; Szego, Orthogonal Polynomials,
+ch. 4): each is a short sum of positive rationals, nonzero exactly when the
+second degree is at most the first.  The monomial expansion
+(weighted_inner_product) is kept as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -143,8 +149,20 @@ def integrate_with_weight(
 
 
 # ---------------------------------------------------------------------------
-# Connection formula and weighted inner products (beta = 0 families)
+# Connection formula and weighted pairings (integer alpha, beta >= 0)
 # ---------------------------------------------------------------------------
+
+
+def _connection_coeff(n: int, k: int, alpha: int, beta_param: int) -> Fraction:
+    """c_{n,k} in P_n^(alpha+1,beta) = sum_k c_{n,k} P_k^(alpha,beta):
+
+        (n+beta)! (2k+alpha+beta+1) (k+alpha+beta)! / ((n+alpha+beta+1)! (k+beta)!)
+    """
+    ab = alpha + beta_param
+    return Fraction(
+        factorial(n + beta_param) * (2 * k + ab + 1) * factorial(k + ab),
+        factorial(n + ab + 1) * factorial(k + beta_param),
+    )
 
 
 def connection_coeffs(n: int, alpha: int) -> tuple[Fraction, ...]:
@@ -156,27 +174,61 @@ def connection_coeffs(n: int, alpha: int) -> tuple[Fraction, ...]:
     _check_degree(n)
     if alpha < 0:
         raise ValueError("connection coefficients require integer alpha >= 0")
-    n_fact = factorial(n)
-    den = factorial(n + alpha + 1)
-    return tuple(
-        Fraction(n_fact * factorial(k + alpha) * (2 * k + alpha + 1), den * factorial(k))
-        for k in range(n + 1)
+    return tuple(_connection_coeff(n, k, alpha, 0) for k in range(n + 1))
+
+
+def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
+    """Exact norm of P_k^(alpha,beta) against the bare weight
+    (1-x)^alpha (1+x)^beta:
+
+        2^(alpha+beta+1) (k+alpha)! (k+beta)! / ((2k+alpha+beta+1) (k+alpha+beta)! k!)
+
+    which is 2^(alpha+1) / (2k+alpha+1) when beta = 0.
+    """
+    if alpha < 0 or beta_param < 0:
+        raise ValueError("requires integer alpha, beta >= 0")
+    ab = alpha + beta_param
+    return Fraction(
+        2 ** (ab + 1) * factorial(k + alpha) * factorial(k + beta_param),
+        (2 * k + ab + 1) * factorial(k + ab) * factorial(k),
     )
 
 
-def jacobi_norm_sq(k: int, alpha: int) -> Fraction:
-    """Exact norm of P_k^(alpha,0) against the bare weight (1-x)^alpha:
-    2^(alpha+1) / (2k+alpha+1)."""
-    if alpha < 0:
-        raise ValueError("requires integer alpha >= 0")
-    return Fraction(2 ** (alpha + 1), 2 * k + alpha + 1)
+def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> Fraction:
+    """Exact integral of P_n^(alpha+shift,beta) P_k^(alpha,beta)
+    (1-x)^alpha (1+x)^beta over [-1, 1], for shift 1 or 2.
+
+    Expanding P_n^(alpha+shift,beta) in the orthogonal P_j^(alpha,beta) by the
+    connection formula (applied twice for shift 2) leaves one term:
+    c_{n,k} h_k for shift 1 and sum_{j=k..n} c^(alpha+1)_{n,j} c^(alpha)_{j,k} h_k
+    for shift 2, with h_k the squared norm.  Every factor is positive, so the
+    pairing is nonzero exactly when k <= n.
+    """
+    _check_degree(n)
+    _check_degree(k)
+    if alpha < 0 or beta_param < 0:
+        raise ValueError("requires integer alpha, beta >= 0")
+    if shift not in (1, 2):
+        raise ValueError(f"shift must be 1 or 2, got {shift}")
+    if k > n:
+        return Fraction(0)
+    if shift == 1:
+        coeff = _connection_coeff(n, k, alpha, beta_param)
+    else:
+        coeff = sum(
+            _connection_coeff(n, j, alpha + 1, beta_param)
+            * _connection_coeff(j, k, alpha, beta_param)
+            for j in range(k, n + 1)
+        )
+    return coeff * jacobi_norm_sq(k, alpha, beta_param)
 
 
 def weighted_inner_product(m: int, k: int, alpha: int) -> Fraction:
     """Exact integral of P_m^(alpha+1,0) P_k^(alpha,0) (1-x)^alpha over [-1, 1].
 
     Computed by expanding the product and integrating monomials term by term;
-    nonzero exactly when 0 <= k <= m.
+    nonzero exactly when 0 <= k <= m.  This is the independent oracle for
+    jacobi_pairing and is on no production path.
     """
     if alpha < 0:
         raise ValueError("requires integer alpha >= 0")

@@ -10,12 +10,18 @@ Values are reported in the module normalization: the angular measure is the
 bare weight (1-x)^alpha (1+x)^beta dx on [-1, 1] with no constant.  The
 normalization scales values but cannot change which of them vanish, and the
 vanishing dichotomy is the contract used downstream.
+
+Both families have an exact angular pairing from the Jacobi connection
+formula (jacobi.jacobi_pairing), which decides vanishing.  The quadrature
+oracle is independent of it: it integrates float Horner evaluations of the
+exact polynomial coefficients, memoised once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import cosh, sqrt
 
 import numpy as np
@@ -23,9 +29,9 @@ import numpy as np
 from .jacobi import (
     integrate_with_weight,
     jacobi_eval,
+    jacobi_pairing,
     jacobi_poly,
     poly_mul,
-    weighted_inner_product,
 )
 from .specfun import (
     QuadratureResult,
@@ -196,7 +202,7 @@ def radial_cosh_power(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> in
 
 def period_angular_exact(q: int, n: int, k: int) -> Fraction:
     """Exact angular factor: int P_n^(q-1,0) P_k^(q-2,0) (1-x)^(q-2) dx."""
-    return weighted_inner_product(n, k, q - 2)
+    return jacobi_pairing(n, k, q - 2, 0, 1)
 
 
 def period_nonvanishing(p: int, q: int, n: int, k: int) -> bool:
@@ -213,50 +219,54 @@ def period_integral_closed(p: int, q: int, n: int, k: int) -> float:
     """Closed-form period integral: A(2p-1, 2q+n+k-1) times the exact angular
     factor.  Nonzero exactly when k <= n."""
     _check_period_args(p, q, n, k)
-    cosh_power = radial_cosh_power(p, q, n, k)
     # convergence: 2p - 2q - n - k < 0 is automatic for q > p
-    assert cosh_power == -(2 * q + n + k - 1)
-    radial = radial_integral_closed(2 * p - 1, -cosh_power)
+    radial = radial_integral_closed(2 * p - 1, -radial_cosh_power(p, q, n, k))
     return radial * float(period_angular_exact(q, n, k))
 
 
+@lru_cache(maxsize=None)
+def _quadrature_profile(
+    n: int, alpha: int, beta_param: int, weight_alpha: int, weight_beta: int
+) -> tuple[tuple[float, ...], float]:
+    """Float Horner coefficients (highest degree first) of P_n^(alpha,beta),
+    and its exact squared norm under the (weight_alpha, weight_beta) weight
+    as a float."""
+    coeffs = jacobi_poly(n, alpha, beta_param).coeffs
+    norm = integrate_with_weight(poly_mul(coeffs, coeffs), weight_alpha, weight_beta)
+    return tuple(float(c) for c in reversed(coeffs)), float(norm)
+
+
+def _angular_profiles(
+    big: tuple[int, int, int], small: tuple[int, int, int]
+) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """Horner coefficients of big = (n, alpha', beta) and small = (k, alpha,
+    beta), and the Cauchy-Schwarz scale sqrt(||P_n||^2 ||P_k||^2) of their
+    pairing under the small polynomial's own weight."""
+    big_horner, norm_big = _quadrature_profile(*big, *small[1:])
+    small_horner, norm_small = _quadrature_profile(*small, *small[1:])
+    return big_horner, small_horner, sqrt(norm_big * norm_small)
+
+
 def _angular_quadrature(
-    big_poly, small_poly, one_minus_exp: int, one_plus_exp: int, tol: float
-) -> tuple[QuadratureResult, float]:
-    """Quadrature of the angular pairing; returns the result and the
-    Cauchy-Schwarz scale sqrt(||P_n||^2 ||P_k||^2) used for its tolerance."""
-    norm_big = integrate_with_weight(
-        poly_mul(big_poly.coeffs, big_poly.coeffs), one_minus_exp, one_plus_exp
-    )
-    norm_small = integrate_with_weight(
-        poly_mul(small_poly.coeffs, small_poly.coeffs), one_minus_exp, one_plus_exp
-    )
-    scale = sqrt(float(norm_big) * float(norm_small))
+    big: tuple[int, int, int], small: tuple[int, int, int], tol: float
+) -> QuadratureResult:
+    """Quadrature of the angular pairing of big against small under the
+    (alpha, beta) weight, to tol times the Cauchy-Schwarz scale (at least 1)."""
+    one_minus_exp, one_plus_exp = small[1:]
+    big_horner, small_horner, scale = _angular_profiles(big, small)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        big = np.zeros_like(x)
-        for c in reversed(big_poly.coeffs):
-            big = big * x + float(c)
-        small = np.zeros_like(x)
-        for c in reversed(small_poly.coeffs):
-            small = small * x + float(c)
-        return big * small * (1.0 - x) ** one_minus_exp * (1.0 + x) ** one_plus_exp
+        return (
+            np.polyval(big_horner, x)
+            * np.polyval(small_horner, x)
+            * (1.0 - x) ** one_minus_exp
+            * (1.0 + x) ** one_plus_exp
+        )
 
-    result = adaptive_quadrature(integrand, -1.0, 1.0, tol * max(scale, 1.0))
-    return result, scale
+    return adaptive_quadrature(integrand, -1.0, 1.0, tol * max(scale, 1.0))
 
 
-def period_integral_quadrature(
-    p: int, q: int, n: int, k: int, tol: float = 1e-10
-) -> QuadratureResult:
-    """Independent two-factor quadrature oracle for the closed form."""
-    _check_period_args(p, q, n, k)
-    cosh_power = radial_cosh_power(p, q, n, k)
-    assert cosh_power == -(2 * q + n + k - 1)
-    radial = radial_integral_quadrature(2 * p - 1, -cosh_power, tol)
-    angular, _ = _angular_quadrature(
-        jacobi_poly(n, q - 1, 0), jacobi_poly(k, q - 2, 0), q - 2, 0, tol
-    )
+def _product_quadrature(radial: QuadratureResult, angular: QuadratureResult) -> QuadratureResult:
     value = radial.value * angular.value
     err = (
         radial.abs_error_estimate * abs(angular.value)
@@ -265,9 +275,28 @@ def period_integral_quadrature(
     return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
 
 
+def period_integral_quadrature(
+    p: int, q: int, n: int, k: int, tol: float = 1e-10
+) -> QuadratureResult:
+    """Independent two-factor quadrature oracle for the closed form."""
+    _check_period_args(p, q, n, k)
+    radial = radial_integral_quadrature(2 * p - 1, -radial_cosh_power(p, q, n, k), tol)
+    angular = _angular_quadrature((n, q - 1, 0), (k, q - 2, 0), tol)
+    return _product_quadrature(radial, angular)
+
+
 # ---------------------------------------------------------------------------
-# Quaternionic family (numerical only; no closed angular form is exposed)
+# Quaternionic family
 # ---------------------------------------------------------------------------
+
+
+def quaternionic_angular_exact(q: int, n: int, k: int) -> Fraction:
+    """Exact angular factor: int P_n^(2q-1,1) P_k^(2q-3,1) (1-x)^(2q-3) (1+x) dx.
+
+    Nonzero exactly when k <= n; this decides vanishing of the quaternionic
+    period integral, whose radial factor is positive.
+    """
+    return jacobi_pairing(n, k, 2 * q - 3, 1, 2)
 
 
 def quaternionic_period_quadrature(
@@ -276,30 +305,20 @@ def quaternionic_period_quadrature(
     """Quaternionic period integral by quadrature.
 
     Radial density cosh^(4q+3) sinh^(4p-1); angular pairing of P_n^(2q-1,1)
-    against P_k^(2q-3,1) under the (2q-3, 1) weight.  Empirically nonzero
-    exactly when k <= n.
+    against P_k^(2q-3,1) under the (2q-3, 1) weight.  Nonzero exactly when
+    k <= n (quaternionic_angular_exact).
     """
     _check_period_args(p, q, n, k)
-    cosh_power = radial_cosh_power(p, q, n, k, kind=QUATERNIONIC)
-    assert cosh_power == -(4 * q + n + k - 3)
-    radial = radial_integral_quadrature(4 * p - 1, -cosh_power, tol)
-    angular, _ = _angular_quadrature(
-        jacobi_poly(n, 2 * q - 1, 1), jacobi_poly(k, 2 * q - 3, 1), 2 * q - 3, 1, tol
+    radial = radial_integral_quadrature(
+        4 * p - 1, -radial_cosh_power(p, q, n, k, kind=QUATERNIONIC), tol
     )
-    value = radial.value * angular.value
-    err = (
-        radial.abs_error_estimate * abs(angular.value)
-        + angular.abs_error_estimate * abs(radial.value)
-    )
-    return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
+    angular = _angular_quadrature((n, 2 * q - 1, 1), (k, 2 * q - 3, 1), tol)
+    return _product_quadrature(radial, angular)
 
 
 def quaternionic_period_scale(p: int, q: int, n: int, k: int, tol: float = 1e-10) -> float:
-    """Magnitude scale (radial factor times angular norm product) against
-    which vanishing of the quaternionic period integral is judged."""
+    """Magnitude scale (radial factor times angular norm product) of the
+    quaternionic period integral, for judging a quadrature value against."""
     _check_period_args(p, q, n, k)
     radial = radial_integral_quadrature(4 * p - 1, 4 * q + n + k - 3, tol)
-    _, scale = _angular_quadrature(
-        jacobi_poly(n, 2 * q - 1, 1), jacobi_poly(k, 2 * q - 3, 1), 2 * q - 3, 1, tol
-    )
-    return radial.value * scale
+    return radial.value * _angular_profiles((n, 2 * q - 1, 1), (k, 2 * q - 3, 1))[2]

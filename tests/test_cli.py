@@ -213,3 +213,69 @@ def test_subprocess_invocations_byte_identical():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout  # nonempty
+
+
+def test_period_degree_cap_exit(capsys):
+    code, out, err = run_cli(capsys, "period", "--pq", "1,2", "--n", "66", "--k", "0")
+    assert code == 2
+    assert not out
+    assert "exceeds the exact-coefficient cap 64" in err
+
+
+def test_period_quaternionic_record_keys(capsys):
+    code, out, _ = run_cli(
+        capsys, "period", "--pq", "1,2", "--family", "quaternionic", "--n", "2", "--k", "4"
+    )
+    assert code == 0
+    (record,) = parse_records(out)
+    assert set(record["result"]) == {"family", "quadrature", "quadrature_error", "nonvanishing"}
+    assert record["result"]["nonvanishing"] is False
+
+
+def _explode_at(n_bad, k_bad, exc_type, real):
+    def patched(p, q, n, k, *args):
+        if (n, k) == (n_bad, k_bad):
+            raise exc_type("refinement budget exhausted")
+        return real(p, q, n, k, *args)
+
+    return patched
+
+
+def test_table_nonconvergence_names_row(capsys, monkeypatch):
+    real = cli.periods.period_integral_quadrature
+    monkeypatch.setattr(
+        cli.periods, "period_integral_quadrature", _explode_at(4, 2, ConvergenceError, real)
+    )
+    code, out, err = run_cli(capsys, "table", "period", "--pq", "1,2", "--n-max", "6")
+    assert code == 3
+    assert len(parse_records(out)) == 2 * 5 + 1  # rows n=0, n=2, then n=4 with k=0
+    assert err == "error: table period row n=4 k=2: refinement budget exhausted\n"
+
+
+def test_table_validation_error_names_row(capsys, monkeypatch):
+    real = cli.periods.quaternionic_period_quadrature
+    monkeypatch.setattr(
+        cli.periods, "quaternionic_period_quadrature", _explode_at(2, 0, ValueError, real)
+    )
+    code, _, err = run_cli(
+        capsys, "table", "period", "--pq", "1,2", "--family", "quaternionic", "--n-max", "2"
+    )
+    assert code == 2
+    assert err.startswith("error: table period row n=2 k=0: ")
+
+
+def test_broken_pipe_exits_quietly():
+    import subprocess
+    import sys
+
+    # about 0.3 MB of records: more than a pipe buffer holds
+    cmd = [
+        sys.executable, "-m", "relbranch.cli",
+        "table", "branch", "--pq", "4,5", "--a-range", "4..30", "--b-range", "7/2..59/2",
+    ]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""

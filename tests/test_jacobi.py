@@ -9,6 +9,7 @@ from relbranch.jacobi import (
     jacobi_eval,
     jacobi_eval_exact,
     jacobi_norm_sq,
+    jacobi_pairing,
     jacobi_poly,
     jacobi_recurrence_eval,
     normalization_at_one,
@@ -130,3 +131,51 @@ def test_integrate_with_weight_validation():
         integrate_with_weight([Fraction(1)], -1)
     with pytest.raises(ValueError):
         weighted_inner_product(1, 1, -1)
+
+
+def _expanded_pairing(n, k, alpha, beta, shift):
+    big = jacobi_poly(n, alpha + shift, beta).coeffs
+    small = jacobi_poly(k, alpha, beta).coeffs
+    return integrate_with_weight(poly_mul(big, small), alpha, beta)
+
+
+def test_norm_sq_general_beta_matches_expansion():
+    for alpha in range(0, 4):
+        for beta in (0, 1, 3):
+            for k in range(0, 7):
+                assert jacobi_norm_sq(k, alpha, beta) == _expanded_pairing(k, k, alpha, beta, 0)
+
+
+def test_jacobi_pairing_matches_expansion_small_grid():
+    for alpha in (0, 3):
+        for beta in (0, 1, 2):
+            for shift in (1, 2):
+                for n in range(0, 7):
+                    for k in range(0, 7):
+                        got = jacobi_pairing(n, k, alpha, beta, shift)
+                        assert got == _expanded_pairing(n, k, alpha, beta, shift), (
+                            n, k, alpha, beta, shift,
+                        )
+                        assert (got != 0) == (k <= n)
+
+
+def test_jacobi_pairing_shift_one_beta_zero_is_connection_times_norm():
+    for alpha in range(0, 7):
+        for n in range(0, 11):
+            cs = connection_coeffs(n, alpha)
+            for k in range(0, n + 1):
+                assert jacobi_pairing(n, k, alpha, 0, 1) == cs[k] * jacobi_norm_sq(k, alpha)
+
+
+def test_jacobi_pairing_validation():
+    with pytest.raises(ValueError, match="cap"):
+        jacobi_pairing(MAX_DEGREE + 2, 0, 0, 0, 1)
+    with pytest.raises(ValueError, match="cap"):
+        jacobi_pairing(0, MAX_DEGREE + 2, 0, 0, 1)
+    with pytest.raises(ValueError):
+        jacobi_pairing(2, 0, -1, 0, 1)
+    with pytest.raises(ValueError):
+        jacobi_pairing(2, 0, 0, -1, 1)
+    with pytest.raises(ValueError):
+        jacobi_pairing(2, 0, 0, 0, 3)
+    assert jacobi_pairing(MAX_DEGREE, MAX_DEGREE, 0, 0, 2) > 0

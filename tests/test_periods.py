@@ -2,8 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relbranch.jacobi import jacobi_eval, jacobi_poly, normalization_at_one
+from relbranch.jacobi import (
+    MAX_DEGREE,
+    integrate_with_weight,
+    jacobi_eval,
+    jacobi_poly,
+    normalization_at_one,
+    poly_mul,
+    weighted_inner_product,
+)
 from relbranch.periods import (
     COMPLEX,
     QUATERNIONIC,
@@ -17,6 +27,7 @@ from relbranch.periods import (
     period_integral_closed,
     period_integral_quadrature,
     period_nonvanishing,
+    quaternionic_angular_exact,
     quaternionic_family,
     quaternionic_period_quadrature,
     quaternionic_period_scale,
@@ -187,3 +198,62 @@ def test_radial_cosh_power_rejects_octonionic():
     with pytest.raises(UnsupportedFamilyError):
         radial_cosh_power(1, 2, 0, 0, kind="octonionic")
     assert COMPLEX == "complex"
+
+
+def test_radial_cosh_power_identities_full_label_range():
+    labels = range(0, MAX_DEGREE + 1, 2)
+    for q in range(2, 7):
+        for p in range(1, q):
+            for n in labels:
+                for k in labels:
+                    assert radial_cosh_power(p, q, n, k) == -(2 * q + n + k - 1)
+                    assert radial_cosh_power(p, q, n, k, kind=QUATERNIONIC) == -(
+                        4 * q + n + k - 3
+                    )
+
+
+def _quaternionic_expansion(q, n, k):
+    big = jacobi_poly(n, 2 * q - 1, 1).coeffs
+    small = jacobi_poly(k, 2 * q - 3, 1).coeffs
+    return integrate_with_weight(poly_mul(big, small), 2 * q - 3, 1)
+
+
+def test_angular_exact_matches_expansion_small_grid():
+    for q in (2, 3, 5):
+        for n in range(0, 9, 2):
+            for k in range(0, 9, 2):
+                assert period_angular_exact(q, n, k) == weighted_inner_product(n, k, q - 2)
+                assert quaternionic_angular_exact(q, n, k) == _quaternionic_expansion(q, n, k)
+
+
+even_label = st.integers(min_value=0, max_value=15).map(lambda half: 2 * half)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10), even_label, even_label)
+def test_complex_angular_exact_matches_expansion(alpha, n, k):
+    assert period_angular_exact(alpha + 2, n, k) == weighted_inner_product(n, k, alpha)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=2, max_value=6), even_label, even_label)
+def test_quaternionic_angular_exact_matches_expansion(q, n, k):
+    # Jacobi alpha = 2q - 3 stays within 1..9
+    assert quaternionic_angular_exact(q, n, k) == _quaternionic_expansion(q, n, k)
+
+
+def test_angular_exact_matches_expansion_at_degree_cap():
+    top = MAX_DEGREE
+    # (64, 2) at alpha = 18 is about 8e-17 of its Cauchy-Schwarz scale, yet nonzero
+    for n, k, alpha in [(top, 0, 30), (top, 2, 18), (top, top - 2, 0), (top - 2, top, 7)]:
+        assert period_angular_exact(alpha + 2, n, k) == weighted_inner_product(n, k, alpha)
+    for n, k, q in [(top, top, 2), (top, 0, 16), (top - 2, top, 5)]:
+        assert quaternionic_angular_exact(q, n, k) == _quaternionic_expansion(q, n, k)
+
+
+def test_angular_exact_dichotomy_to_degree_24():
+    for n in range(0, 25, 2):
+        for k in range(0, 25, 2):
+            for q in (2, 3, 5, 8):
+                assert (period_angular_exact(q, n, k) != 0) == (k <= n), (q, n, k)
+                assert (quaternionic_angular_exact(q, n, k) != 0) == (k <= n), (q, n, k)

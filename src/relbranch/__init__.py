@@ -30,8 +30,8 @@ from .hepattern import SignSeq, allowed_adjacent, enumerate_alignments, u2n_case
 from .jacobi import (
     JacobiPoly,
     connection_coeffs,
-    jacobi_eval,
     jacobi_poly,
+    jacobi_values,
     weighted_inner_product,
 )
 from .oracle import (

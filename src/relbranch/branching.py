@@ -317,12 +317,13 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     """Cross-check the relative spectrum along the two restriction sequences
     against the radial-label prediction.
 
-    First sequence: the lambda' = 0 terms of stage1 feed the next stage.  An
-    even label lambda'' has no relative member there; an odd label carries
-    the subgroup parameter b equal to whichever of (lambda''-1)/2 and
-    lambda''/2 has the subgroup parity (the label conventions at adjacent
-    levels differ by such shifts, and this is the unique assignment
-    compatible with a = ell/2 below).  Invalid candidates are discarded.
+    First sequence: the lambda' = 0 slice of stage1 (each term validated as
+    a StageParams) feeds the next stage.  An even label lambda'' has no
+    relative member there; an odd label carries the subgroup parameter b
+    equal to whichever of (lambda''-1)/2 and lambda''/2 has the subgroup
+    parity (the label conventions at adjacent levels differ by such shifts,
+    and this is the unique assignment compatible with a = ell/2 below).
+    Invalid candidates are discarded.
     Second sequence: the relative member of stage2 carries a = ell/2, and
     the subgroup parameters are all valid b with b < a.  The prediction
     lists b over even labels k up to the dictionary image of a.  All three
@@ -330,10 +331,8 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     """
     _check_ell(sig, ell)
     first = []
-    for sp in stage1_enumerate(sig, ell):
-        if sp.lambda_prime != 0:
-            continue
-        lam = int(sp.lambda_dprime)
+    for lam in range(2 - (ell - 1) % 2, ell, 2):
+        StageParams(ell, 0, HalfInt.from_int(lam))  # validated like every stage1 term
         if lam % 2 == 0:
             continue
         b = HalfInt(lam if (lam - sig.n) % 2 == 0 else lam - 1)

@@ -1,33 +1,38 @@
-"""Exact-rational Jacobi polynomials and their weighted pairings.
+"""Jacobi polynomials: one stable float evaluator and exact weighted pairings.
 
-Polynomials are generated by the three-term recurrence in Fraction
-arithmetic under the normalization
+Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)).
 
-    P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)),
+Float values come from the three-term recurrence (DLMF 18.9; Szego,
+Orthogonal Polynomials, ch. 4) over numpy arrays (jacobi_values); monomial
+coefficients reach 1e30 by degree 64 and cancel catastrophically in float.
 
-and stored as monomial coefficient vectors.  Exactness matters: the
-zero/nonzero dichotomy of the weighted pairings below is what drives every
-non-vanishing claim downstream, so those integrals are evaluated in rational
-arithmetic, never floating point.
+Pairings of a shifted polynomial against an unshifted one come in closed form
+from the connection formula (DLMF 18.18): P_n^(alpha+shift,beta) expands in
+the orthogonal P_j^(alpha,beta) with positive rational coefficients
+(connection_expansion), so each pairing is one coefficient times a squared
+norm, nonzero exactly when the second degree is at most the first.  This
+exact dichotomy drives every non-vanishing claim downstream.
 
-The pairings of a shifted polynomial against an unshifted one come in closed
-form from the connection formula (DLMF 18.18; Szego, Orthogonal Polynomials,
-ch. 4): each is a short sum of positive rationals, nonzero exactly when the
-second degree is at most the first.  The monomial expansion
-(weighted_inner_product) is kept as an independent oracle for tests.
+Exact monomial coefficients (jacobi_poly, jacobi_eval_exact) and the monomial
+expansion of a pairing (poly_mul, integrate_with_weight,
+weighted_inner_product) are on no production path: they are test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Sequence, Union
 
+import numpy as np
+
 Rational = Union[int, Fraction]
 
-# Coefficient growth is roughly factorial in the degree; beyond this cap the
-# exact vectors become unwieldy without any downstream use.
+# Exact coefficient growth is roughly factorial in the degree; beyond this cap
+# the rational vectors and connection sums become unwieldy without any
+# downstream use.
 MAX_DEGREE = 64
 
 
@@ -51,6 +56,15 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the exact-coefficient cap {MAX_DEGREE}")
 
 
+def _recurrence_step(m: int, al: Fraction, be: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (c2/c1, c3/c1, c4/c1) with P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1."""
+    c1 = 2 * m * (m + al + be) * (2 * m + al + be - 2)
+    c2 = (2 * m + al + be - 1) * (al * al - be * be)
+    c3 = (2 * m + al + be - 1) * (2 * m + al + be) * (2 * m + al + be - 2)
+    c4 = 2 * (m + al - 1) * (m + be - 1) * (2 * m + al + be)
+    return c2 / c1, c3 / c1, c4 / c1
+
+
 def jacobi_poly(n: int, alpha: Rational, beta_param: Rational = 0) -> JacobiPoly:
     """Exact P_n^(alpha,beta) via the three-term recurrence."""
     _check_degree(n)
@@ -61,12 +75,8 @@ def jacobi_poly(n: int, alpha: Rational, beta_param: Rational = 0) -> JacobiPoly
         return JacobiPoly(0, al, be, tuple(prev))
     cur = [Fraction(al - be, 2), Fraction(al + be + 2, 2)]
     for m in range(2, n + 1):
-        c1 = 2 * m * (m + al + be) * (2 * m + al + be - 2)
-        c2 = (2 * m + al + be - 1) * (al * al - be * be)
-        c3 = (2 * m + al + be - 1) * (2 * m + al + be) * (2 * m + al + be - 2)
-        c4 = 2 * (m + al - 1) * (m + be - 1) * (2 * m + al + be)
+        f2, f3, f4 = _recurrence_step(m, al, be)
         nxt = [Fraction(0)] * (m + 1)
-        f2, f3, f4 = c2 / c1, c3 / c1, c4 / c1
         for i, c in enumerate(cur):
             nxt[i] += f2 * c
             nxt[i + 1] += f3 * c
@@ -74,14 +84,6 @@ def jacobi_poly(n: int, alpha: Rational, beta_param: Rational = 0) -> JacobiPoly
             nxt[i] -= f4 * c
         prev, cur = cur, nxt
     return JacobiPoly(n, al, be, tuple(cur))
-
-
-def jacobi_eval(poly: JacobiPoly, x: float) -> float:
-    """Horner evaluation of the exact coefficients in floating point."""
-    acc = 0.0
-    for c in reversed(poly.coeffs):
-        acc = acc * x + float(c)
-    return acc
 
 
 def jacobi_eval_exact(poly: JacobiPoly, x: Rational) -> Fraction:
@@ -92,23 +94,29 @@ def jacobi_eval_exact(poly: JacobiPoly, x: Rational) -> Fraction:
     return acc
 
 
-def jacobi_recurrence_eval(n: int, alpha: Rational, beta_param: Rational, x: float) -> float:
-    """Direct floating-point recurrence evaluation (independent of the
-    coefficient route; used to cross-check jacobi_eval)."""
+@lru_cache(maxsize=None)
+def _recurrence_ratios(n: int, alpha: Rational, beta_param: Rational) -> np.ndarray:
+    """Read-only rows (c2/c1, c3/c1, c4/c1) of the steps to degrees 1..n,
+    each rounded once; with P_{-1} = 0 the first row is P_1 itself."""
+    al, be = Fraction(alpha), Fraction(beta_param)
+    rows = [((al - be) / 2, (al + be + 2) / 2, 0)]
+    rows += [_recurrence_step(m, al, be) for m in range(2, n + 1)]
+    table = np.array(rows[:n], dtype=float).reshape(-1, 3)
+    table.flags.writeable = False
+    return table
+
+
+def jacobi_values(n: int, alpha: Rational, beta_param: Rational, x):
+    """P_n^(alpha,beta)(x) in floating point by the three-term recurrence;
+    x is a float (a float is returned) or an array (same shape returned)."""
     _check_degree(n)
-    al = float(alpha)
-    be = float(beta_param)
-    prev = 1.0
-    if n == 0:
-        return prev
-    cur = (al - be) / 2.0 + (al + be + 2.0) / 2.0 * x
-    for m in range(2, n + 1):
-        c1 = 2 * m * (m + al + be) * (2 * m + al + be - 2)
-        c2 = (2 * m + al + be - 1) * (al * al - be * be)
-        c3 = (2 * m + al + be - 1) * (2 * m + al + be) * (2 * m + al + be - 2)
-        c4 = 2 * (m + al - 1) * (m + be - 1) * (2 * m + al + be)
-        prev, cur = cur, ((c2 + c3 * x) * cur - c4 * prev) / c1
-    return cur
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    prev, cur = np.zeros_like(flat), np.ones_like(flat)
+    f2, f3, f4 = _recurrence_ratios(n, alpha, beta_param).T
+    for linear, c in zip(f2[:, None] + f3[:, None] * flat, f4.tolist()):
+        prev, cur = cur, linear * cur - c * prev  # linear = c2/c1 + (c3/c1) x
+    return float(cur[0]) if xs.ndim == 0 else cur.reshape(xs.shape)
 
 
 def normalization_at_one(n: int, alpha: int) -> Fraction:
@@ -165,16 +173,34 @@ def _connection_coeff(n: int, k: int, alpha: int, beta_param: int) -> Fraction:
     )
 
 
-def connection_coeffs(n: int, alpha: int) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_n with P_n^(alpha+1,0) = sum_k c_k P_k^(alpha,0).
+@lru_cache(maxsize=None)
+def connection_expansion(n: int, alpha: int, beta_param: int, shift: int) -> tuple[Fraction, ...]:
+    """Coefficients d_0..d_n with P_n^(alpha+shift,beta) = sum_j d_j P_j^(alpha,beta).
 
-    c_k = n! (k+alpha)! (2k+alpha+1) / ((n+alpha+1)! k!); every coefficient is
-    a product of positive factors.
+    The connection formula lowers the first exponent by one; applying it
+    shift times gives sums of products of positive factors, so every d_j is
+    positive once shift >= 1.
     """
     _check_degree(n)
-    if alpha < 0:
-        raise ValueError("connection coefficients require integer alpha >= 0")
-    return tuple(_connection_coeff(n, k, alpha, 0) for k in range(n + 1))
+    if alpha < 0 or beta_param < 0 or shift < 0:
+        raise ValueError("requires integer alpha, beta, shift >= 0")
+    coeffs = (Fraction(0),) * n + (Fraction(1),)
+    for top in range(alpha + shift - 1, alpha - 1, -1):
+        coeffs = tuple(
+            sum(
+                coeffs[i] * _connection_coeff(i, j, top, beta_param)
+                for i in range(j, n + 1)
+                if coeffs[i]
+            )
+            for j in range(n + 1)
+        )
+    return coeffs
+
+
+def connection_coeffs(n: int, alpha: int) -> tuple[Fraction, ...]:
+    """c_0..c_n with P_n^(alpha+1,0) = sum_k c_k P_k^(alpha,0), the (beta = 0,
+    shift 1) expansion: c_k = n! (k+alpha)! (2k+alpha+1) / ((n+alpha+1)! k!)."""
+    return connection_expansion(n, alpha, 0, 1)
 
 
 def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
@@ -198,29 +224,17 @@ def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> F
     """Exact integral of P_n^(alpha+shift,beta) P_k^(alpha,beta)
     (1-x)^alpha (1+x)^beta over [-1, 1], for shift 1 or 2.
 
-    Expanding P_n^(alpha+shift,beta) in the orthogonal P_j^(alpha,beta) by the
-    connection formula (applied twice for shift 2) leaves one term:
-    c_{n,k} h_k for shift 1 and sum_{j=k..n} c^(alpha+1)_{n,j} c^(alpha)_{j,k} h_k
-    for shift 2, with h_k the squared norm.  Every factor is positive, so the
-    pairing is nonzero exactly when k <= n.
+    Orthogonality leaves one term of the connection expansion: d_k h_k, with
+    h_k the squared norm.  Both factors are positive, so the pairing is
+    nonzero exactly when k <= n.
     """
-    _check_degree(n)
     _check_degree(k)
-    if alpha < 0 or beta_param < 0:
-        raise ValueError("requires integer alpha, beta >= 0")
     if shift not in (1, 2):
         raise ValueError(f"shift must be 1 or 2, got {shift}")
+    expansion = connection_expansion(n, alpha, beta_param, shift)
     if k > n:
         return Fraction(0)
-    if shift == 1:
-        coeff = _connection_coeff(n, k, alpha, beta_param)
-    else:
-        coeff = sum(
-            _connection_coeff(n, j, alpha + 1, beta_param)
-            * _connection_coeff(j, k, alpha, beta_param)
-            for j in range(k, n + 1)
-        )
-    return coeff * jacobi_norm_sq(k, alpha, beta_param)
+    return expansion[k] * jacobi_norm_sq(k, alpha, beta_param)
 
 
 def weighted_inner_product(m: int, k: int, alpha: int) -> Fraction:

@@ -13,8 +13,8 @@ vanishing dichotomy is the contract used downstream.
 
 Both families have an exact angular pairing from the Jacobi connection
 formula (jacobi.jacobi_pairing), which decides vanishing.  The quadrature
-oracle is independent of it: it integrates float Horner evaluations of the
-exact polynomial coefficients, memoised once per process.
+oracle is independent of it: it integrates the float three-term recurrence
+(jacobi.jacobi_values) and reaches the full label range up to MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from math import cosh, sqrt
 
 import numpy as np
 
-from .jacobi import (
-    integrate_with_weight,
-    jacobi_eval,
-    jacobi_pairing,
-    jacobi_poly,
-    poly_mul,
-)
+from .jacobi import connection_expansion, jacobi_norm_sq, jacobi_pairing, jacobi_values
 from .specfun import (
     QuadratureResult,
     adaptive_quadrature,
@@ -172,8 +166,8 @@ def fj_eval(f: FJFunction, s: float, x: float) -> float:
     """
     if s < 0:
         raise ValueError("radial coordinate must be nonnegative")
-    poly = jacobi_poly(f.n, f.family.jacobi_alpha, f.family.jacobi_beta)
-    return cosh(s) ** (-f.spectral_exponent) * jacobi_eval(poly, x)
+    polynomial = jacobi_values(f.n, f.family.jacobi_alpha, f.family.jacobi_beta, x)
+    return cosh(s) ** (-f.spectral_exponent) * polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -225,44 +219,33 @@ def period_integral_closed(p: int, q: int, n: int, k: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _quadrature_profile(
-    n: int, alpha: int, beta_param: int, weight_alpha: int, weight_beta: int
-) -> tuple[tuple[float, ...], float]:
-    """Float Horner coefficients (highest degree first) of P_n^(alpha,beta),
-    and its exact squared norm under the (weight_alpha, weight_beta) weight
-    as a float."""
-    coeffs = jacobi_poly(n, alpha, beta_param).coeffs
-    norm = integrate_with_weight(poly_mul(coeffs, coeffs), weight_alpha, weight_beta)
-    return tuple(float(c) for c in reversed(coeffs)), float(norm)
+def _norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> float:
+    """Squared norm of P_n^(alpha+shift,beta) under the (alpha, beta) weight:
+    sum_j d_j^2 h_j over its connection expansion, rounded once."""
+    expansion = connection_expansion(n, alpha, beta_param, shift)
+    return float(sum(d * d * jacobi_norm_sq(j, alpha, beta_param) for j, d in enumerate(expansion)))
 
 
-def _angular_profiles(
-    big: tuple[int, int, int], small: tuple[int, int, int]
-) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """Horner coefficients of big = (n, alpha', beta) and small = (k, alpha,
-    beta), and the Cauchy-Schwarz scale sqrt(||P_n||^2 ||P_k||^2) of their
-    pairing under the small polynomial's own weight."""
-    big_horner, norm_big = _quadrature_profile(*big, *small[1:])
-    small_horner, norm_small = _quadrature_profile(*small, *small[1:])
-    return big_horner, small_horner, sqrt(norm_big * norm_small)
+def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> float:
+    """Cauchy-Schwarz bound sqrt(||P_n||^2 ||P_k||^2) on jacobi_pairing(n, k, ...)."""
+    return sqrt(_norm_sq(n, alpha, beta_param, shift) * _norm_sq(k, alpha, beta_param, 0))
 
 
 def _angular_quadrature(
-    big: tuple[int, int, int], small: tuple[int, int, int], tol: float
+    n: int, k: int, alpha: int, beta_param: int, shift: int, tol: float
 ) -> QuadratureResult:
-    """Quadrature of the angular pairing of big against small under the
-    (alpha, beta) weight, to tol times the Cauchy-Schwarz scale (at least 1)."""
-    one_minus_exp, one_plus_exp = small[1:]
-    big_horner, small_horner, scale = _angular_profiles(big, small)
+    """Quadrature of jacobi_pairing(n, k, alpha, beta, shift), to tol times
+    the Cauchy-Schwarz scale (at least 1)."""
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return (
-            np.polyval(big_horner, x)
-            * np.polyval(small_horner, x)
-            * (1.0 - x) ** one_minus_exp
-            * (1.0 + x) ** one_plus_exp
+            jacobi_values(n, alpha + shift, beta_param, x)
+            * jacobi_values(k, alpha, beta_param, x)
+            * (1.0 - x) ** alpha
+            * (1.0 + x) ** beta_param
         )
 
+    scale = _angular_scale(n, k, alpha, beta_param, shift)
     return adaptive_quadrature(integrand, -1.0, 1.0, tol * max(scale, 1.0))
 
 
@@ -281,7 +264,7 @@ def period_integral_quadrature(
     """Independent two-factor quadrature oracle for the closed form."""
     _check_period_args(p, q, n, k)
     radial = radial_integral_quadrature(2 * p - 1, -radial_cosh_power(p, q, n, k), tol)
-    angular = _angular_quadrature((n, q - 1, 0), (k, q - 2, 0), tol)
+    angular = _angular_quadrature(n, k, q - 2, 0, 1, tol)
     return _product_quadrature(radial, angular)
 
 
@@ -312,7 +295,7 @@ def quaternionic_period_quadrature(
     radial = radial_integral_quadrature(
         4 * p - 1, -radial_cosh_power(p, q, n, k, kind=QUATERNIONIC), tol
     )
-    angular = _angular_quadrature((n, 2 * q - 1, 1), (k, 2 * q - 3, 1), tol)
+    angular = _angular_quadrature(n, k, 2 * q - 3, 1, 2, tol)
     return _product_quadrature(radial, angular)
 
 
@@ -320,5 +303,7 @@ def quaternionic_period_scale(p: int, q: int, n: int, k: int, tol: float = 1e-10
     """Magnitude scale (radial factor times angular norm product) of the
     quaternionic period integral, for judging a quadrature value against."""
     _check_period_args(p, q, n, k)
-    radial = radial_integral_quadrature(4 * p - 1, 4 * q + n + k - 3, tol)
-    return radial.value * _angular_profiles((n, 2 * q - 1, 1), (k, 2 * q - 3, 1))[2]
+    radial = radial_integral_quadrature(
+        4 * p - 1, -radial_cosh_power(p, q, n, k, kind=QUATERNIONIC), tol
+    )
+    return radial.value * _angular_scale(n, k, 2 * q - 3, 1, 2)

@@ -23,8 +23,8 @@ from relbranch.halfint import HalfInt
 from relbranch.hepattern import enumerate_alignments, u1n_end_candidates, u2n_plus_sequence
 from relbranch.jacobi import (
     connection_coeffs,
-    jacobi_eval,
     jacobi_poly,
+    jacobi_values,
     normalization_at_one,
 )
 from relbranch.oracle import (
@@ -199,7 +199,7 @@ def test_criterion_08_su2_legendre():
         for n in range(0, 7):
             phi = su2_spherical_coefficient(n, thetas)
             phi0 = su2_spherical_coefficient(n, np.array([0.0]))[0]
-            reference = np.array([jacobi_eval(jacobi_poly(n, 0, 0), x) for x in xs])
+            reference = jacobi_values(n, 0, 0, xs)
             assert np.max(np.abs(phi / phi0 - reference)) <= 1e-10
         # degree 2: a single constant against 3 cos^2(2 theta) - 1
         phi = su2_spherical_coefficient(2, thetas)

@@ -344,6 +344,22 @@ def test_exhaustion_report_serializes():
     assert data["a"] == "6"
 
 
+def test_exhaustion_first_sequence_equals_filtered_stage1():
+    # reference: the full O(ell^2) stage1 enumeration, filtered to lambda' = 0
+    for sig in (Signature(3, 3), Signature(3, 4), Signature(4, 6)):
+        for ell in range(sig.n, 41):
+            want = []
+            for sp in stage1_enumerate(sig, ell):
+                lam = int(sp.lambda_dprime)
+                if sp.lambda_prime != 0 or lam % 2 == 0:
+                    continue
+                b = HalfInt(lam if (lam - sig.n) % 2 == 0 else lam - 1)
+                offset = b.twice - (sig.n - 2)
+                if offset >= 0 and offset % 2 == 0:
+                    want.append(b)
+            assert exhaustion_check(sig, ell).first_sequence == tuple(sorted(want)), (sig, ell)
+
+
 def test_stage_params_invariant_enforced():
     StageParams(10, 0, HalfInt.from_int(9))
     with pytest.raises(ValueError):

@@ -222,6 +222,15 @@ def test_period_degree_cap_exit(capsys):
     assert "exceeds the exact-coefficient cap 64" in err
 
 
+def test_table_period_reaches_past_degree_24(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "period", "--pq", "1,2", "--n-max", "28", "--k-max", "0"
+    )
+    assert (code, err) == (0, "")
+    records = parse_records(out)
+    assert [r["inputs"]["n"] for r in records] == list(range(0, 29, 2))
+
+
 def test_period_quaternionic_record_keys(capsys):
     code, out, _ = run_cli(
         capsys, "period", "--pq", "1,2", "--family", "quaternionic", "--n", "2", "--k", "4"

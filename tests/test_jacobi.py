@@ -1,17 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from relbranch.jacobi import (
     MAX_DEGREE,
     connection_coeffs,
+    connection_expansion,
     integrate_with_weight,
-    jacobi_eval,
     jacobi_eval_exact,
     jacobi_norm_sq,
     jacobi_pairing,
     jacobi_poly,
-    jacobi_recurrence_eval,
+    jacobi_values,
     normalization_at_one,
     poly_mul,
     weighted_inner_product,
@@ -44,18 +45,43 @@ def test_leading_coefficient_nonzero():
 
 
 def test_eval_examples():
-    assert jacobi_eval(jacobi_poly(0, 4, 1), 0.37) == 1.0
-    assert jacobi_eval(jacobi_poly(2, 0, 0), 0.0) == -0.5
-    assert jacobi_eval(jacobi_poly(1, 1, 0), 1.0) == 2.0  # Gamma(3)/(Gamma(2)Gamma(2))
+    assert jacobi_values(0, 4, 1, 0.37) == 1.0
+    assert jacobi_values(2, 0, 0, 0.0) == -0.5
+    assert jacobi_values(1, 1, 0, 1.0) == 2.0  # Gamma(3)/(Gamma(2)Gamma(2))
 
 
-def test_eval_matches_direct_recurrence():
+def test_values_array_shape_and_degree_cap():
+    xs = np.linspace(-1.0, 1.0, 7).reshape(7, 1)
+    assert jacobi_values(0, 3, 1, xs).shape == (7, 1)
+    pointwise = [jacobi_values(3, 2, 1, x) for x in xs[:, 0]]
+    assert np.array_equal(jacobi_values(3, 2, 1, xs[:, 0]), pointwise)
+    with pytest.raises(ValueError, match="cap"):
+        jacobi_values(MAX_DEGREE + 1, 0, 0, 0.0)
+    with pytest.raises(ValueError):
+        jacobi_values(-1, 0, 0, 0.0)
+
+
+def _exact_values(n, alpha, beta, xs):
+    poly = jacobi_poly(n, alpha, beta)
+    return np.array([float(jacobi_eval_exact(poly, Fraction(x))) for x in xs])
+
+
+def test_values_match_exact_horner():
     xs = [(-1.0 + 2.0 * i / 99.0) for i in range(100)]
     for n, alpha, beta in [(5, 0, 0), (8, 3, 0), (6, 2, 1), (4, 7, 3)]:
-        for x in xs:
-            via_coeffs = jacobi_eval(jacobi_poly(n, alpha, beta), x)
-            via_recurrence = jacobi_recurrence_eval(n, alpha, beta, x)
-            assert abs(via_coeffs - via_recurrence) <= 1e-12 * max(1.0, abs(via_recurrence))
+        reference = _exact_values(n, alpha, beta, xs)
+        got = jacobi_values(n, alpha, beta, np.array(xs))
+        assert np.all(np.abs(got - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+
+def test_values_match_exact_horner_at_degree_cap():
+    # float Horner on the monomial coefficients is off by up to 8.8e5 max|P| here
+    xs = np.linspace(-1.0, 1.0, 101)
+    for alpha, beta in [(0, 0), (30, 0), (1, 1), (125, 1)]:
+        reference = _exact_values(MAX_DEGREE, alpha, beta, xs)
+        got = jacobi_values(MAX_DEGREE, alpha, beta, xs)
+        bound = 1e-13 * np.max(np.abs(reference))
+        assert np.max(np.abs(got - reference)) <= bound, (alpha, beta)
 
 
 def test_eval_exact():
@@ -165,6 +191,31 @@ def test_jacobi_pairing_shift_one_beta_zero_is_connection_times_norm():
             cs = connection_coeffs(n, alpha)
             for k in range(0, n + 1):
                 assert jacobi_pairing(n, k, alpha, 0, 1) == cs[k] * jacobi_norm_sq(k, alpha)
+
+
+def test_connection_expansion_identity_exact():
+    for alpha, beta in [(0, 0), (2, 1), (3, 2)]:
+        for shift in (0, 1, 2, 3):
+            for n in range(0, 7):
+                ds = connection_expansion(n, alpha, beta, shift)
+                acc = [Fraction(0)] * (n + 1)
+                for j, d in enumerate(ds):
+                    for i, c in enumerate(jacobi_poly(j, alpha, beta).coeffs):
+                        acc[i] += d * c
+                assert tuple(acc) == jacobi_poly(n, alpha + shift, beta).coeffs
+                if shift:
+                    assert all(d > 0 for d in ds)
+
+
+def test_connection_expansion_validation():
+    with pytest.raises(ValueError, match="cap"):
+        connection_expansion(MAX_DEGREE + 1, 0, 0, 1)
+    with pytest.raises(ValueError):
+        connection_expansion(2, -1, 0, 1)
+    with pytest.raises(ValueError):
+        connection_expansion(2, 0, 0, -1)
+    with pytest.raises(ValueError):
+        connection_coeffs(2, -1)
 
 
 def test_jacobi_pairing_validation():

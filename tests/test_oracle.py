@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relbranch.jacobi import jacobi_eval, jacobi_poly
+from relbranch.jacobi import jacobi_values
 from relbranch.oracle import (
     GTBranchResult,
     compact_relative_mult,
@@ -112,8 +112,7 @@ def test_su2_matches_legendre():
     for n in range(0, 7):
         phi = su2_spherical_coefficient(n, thetas)
         phi0 = su2_spherical_coefficient(n, np.array([0.0]))[0]
-        legendre = jacobi_poly(n, 0, 0)
-        reference = np.array([jacobi_eval(legendre, x) for x in xs])
+        reference = jacobi_values(n, 0, 0, xs)
         assert np.max(np.abs(phi / phi0 - reference)) <= 1e-10
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from relbranch.jacobi import (
     MAX_DEGREE,
     integrate_with_weight,
-    jacobi_eval,
+    jacobi_eval_exact,
     jacobi_poly,
+    jacobi_values,
     normalization_at_one,
     poly_mul,
     weighted_inner_product,
@@ -33,6 +34,7 @@ from relbranch.periods import (
     quaternionic_period_scale,
     radial_cosh_power,
 )
+from relbranch.specfun import radial_integral_closed
 
 
 def test_complex_family_data():
@@ -90,9 +92,9 @@ def test_fj_eval_label_is_degree():
     # label n = 2 evaluates the degree-2 polynomial of the family
     fam = complex_family(1, 2)
     value = fj_eval(FJFunction(fam, 2), 1.0, 0.0)
-    expected = math.cosh(1.0) ** (-6) * jacobi_eval(jacobi_poly(2, 1, 0), 0.0)
+    expected = math.cosh(1.0) ** (-6) * float(jacobi_eval_exact(jacobi_poly(2, 1, 0), 0))
     assert value == pytest.approx(expected, rel=1e-14)
-    assert jacobi_eval(jacobi_poly(2, 1, 0), 0.0) == -0.5
+    assert jacobi_values(2, 1, 0, 0.0) == -0.5
 
 
 def test_fj_eval_decay_slope():
@@ -192,6 +194,33 @@ def test_quaternionic_dichotomy_small_grid():
             value = quaternionic_period_quadrature(1, 2, n, k, 1e-10).value
             scale = quaternionic_period_scale(1, 2, n, k)
             assert (abs(value) > 1e-9 * scale) == (k <= n), (n, k)
+
+
+def test_period_quadrature_matches_closed_to_degree_cap():
+    for p, q, n, k in [(1, 2, 26, 0), (1, 2, MAX_DEGREE, MAX_DEGREE), (3, 20, 14, 14)]:
+        closed = period_integral_closed(p, q, n, k)
+        quad = period_integral_quadrature(p, q, n, k, 1e-10)
+        assert quad.value == pytest.approx(closed, rel=1e-10), (p, q, n, k)
+
+
+def _quaternionic_closed(p, q, n, k):
+    radial = radial_integral_closed(4 * p - 1, -radial_cosh_power(p, q, n, k, kind=QUATERNIONIC))
+    return radial * float(quaternionic_angular_exact(q, n, k))
+
+
+def test_quaternionic_quadrature_converges_to_degree_cap():
+    for n, k in [(30, 30), (MAX_DEGREE, 0)]:
+        value = quaternionic_period_quadrature(2, 5, n, k, 1e-10).value
+        error = abs(value - _quaternionic_closed(2, 5, n, k))
+        assert error <= 1e-9 * quaternionic_period_scale(2, 5, n, k), (n, k)
+
+
+def test_quaternionic_quadrature_matches_closed_grid():
+    for n in range(0, 21, 2):
+        for k in range(0, n + 1, 2):
+            closed = _quaternionic_closed(2, 5, n, k)
+            quad = quaternionic_period_quadrature(2, 5, n, k, 1e-10)
+            assert quad.value == pytest.approx(closed, rel=1e-9), (n, k)
 
 
 def test_radial_cosh_power_rejects_octonionic():

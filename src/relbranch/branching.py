@@ -129,6 +129,26 @@ class GPSumResult:
     hypothesis_warning: str | None
 
 
+def _gp_sum(a, b, sig: Signature) -> tuple[GPSumResult, dict, dict]:
+    """gp_sum_dim's result, with the level-G parameters of a by side and the
+    hom_dim of each side pair in (+,+), (+,-), (-,+), (-,-) order; the four
+    parameters are built once."""
+    warning = None
+    if not (sig.p > 3 and sig.q > 3 and sig.p != sig.q):
+        warning = (
+            f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
+            "result computed anyway"
+        )
+    sides = (Side.PLUS, Side.MINUS)
+    params_G = {side: make_param(sig, side, GroupLevel.G, a) for side in sides}
+    params_Gp = {side: make_param(sig, side, GroupLevel.GPRIME, b) for side in sides}
+    dims = {(sG, sGp): hom_dim(params_G[sG], params_Gp[sGp]) for sG in sides for sGp in sides}
+    winners = [pair for pair, dim in dims.items() if dim == 1]
+    if len(winners) != 1:
+        raise AssertionError(f"expected exactly one contributing pair, got {winners}")
+    return GPSumResult(1, winners[0], warning), params_G, dims
+
+
 def gp_sum_dim(a, b, sig: Signature) -> GPSumResult:
     """Total multiplicity over the four side pairs, with its unique witness.
 
@@ -136,27 +156,7 @@ def gp_sum_dim(a, b, sig: Signature) -> GPSumResult:
     picked by the order of a and b.  Outside the hypothesis p, q > 3 and
     p != q the computation proceeds but is flagged.
     """
-    warning = None
-    if not (sig.p > 3 and sig.q > 3 and sig.p != sig.q):
-        warning = (
-            f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
-            "result computed anyway"
-        )
-    params_G = {
-        side: make_param(sig, side, GroupLevel.G, a) for side in (Side.PLUS, Side.MINUS)
-    }
-    params_Gp = {
-        side: make_param(sig, side, GroupLevel.GPRIME, b) for side in (Side.PLUS, Side.MINUS)
-    }
-    winners = [
-        (sG, sGp)
-        for sG in (Side.PLUS, Side.MINUS)
-        for sGp in (Side.PLUS, Side.MINUS)
-        if hom_dim(params_G[sG], params_Gp[sGp]) == 1
-    ]
-    if len(winners) != 1:
-        raise AssertionError(f"expected exactly one contributing pair, got {winners}")
-    return GPSumResult(1, winners[0], warning)
+    return _gp_sum(a, b, sig)[0]
 
 
 def pi_minus_summands(Pi: DiscreteSeriesParam, max_k: int) -> list[DiscreteSeriesParam]:
@@ -265,22 +265,12 @@ def stage1_enumerate(sig: Signature, ell: int) -> list[StageParams]:
     return out
 
 
-def stage2_enumerate(sig: Signature, ell: int, window: int | None = None) -> list[StagePair]:
-    """Integer pairs x + y = ell with |x - y| <= window (default: ell); the
-    relative flag is true exactly for x = y = ell/2, which requires ell even.
-    Only the relative member feeds the exhaustion pipeline, so the window
-    choice cannot affect it."""
+def stage2_enumerate(sig: Signature, ell: int) -> list[StagePair]:
+    """Integer pairs x + y = ell with x = 0..ell; the relative flag is true
+    exactly for x = y = ell/2, which requires ell even.  Only the relative
+    member feeds the exhaustion pipeline."""
     _check_ell(sig, ell)
-    if window is None:
-        window = ell
-    if window < 0:
-        raise ValueError("window must be nonnegative")
-    out = []
-    for x in range((ell - window + 1) // 2, (ell + window) // 2 + 1):
-        y = ell - x
-        if abs(x - y) <= window:
-            out.append(StagePair(x, y, x == y))
-    return out
+    return [StagePair(x, ell - x, 2 * x == ell) for x in range(ell + 1)]
 
 
 def _valid_subgroup_b(sig: Signature, b: HalfInt) -> bool:
@@ -382,21 +372,14 @@ def coupling_summary(a, b, sig: Signature) -> dict:
     pair, and the four hom dimensions for a valid (a, b) pair."""
     pattern = classify_interlacing(a, b)
     chars = pattern_characters(pattern)
-    gp = gp_sum_dim(a, b, sig)
-    dims = {}
-    for sG in (Side.PLUS, Side.MINUS):
-        Pi = make_param(sig, sG, GroupLevel.G, a)
-        for sGp in (Side.PLUS, Side.MINUS):
-            pi = make_param(sig, sGp, GroupLevel.GPRIME, b)
-            dims[f"({sG.value},{sGp.value})"] = hom_dim(Pi, pi)
-    winner_param = make_param(sig, gp.witness[0], GroupLevel.G, a)
+    gp, params_G, dims = _gp_sum(a, b, sig)
     return {
         "pattern": pattern.kind,
         "merged": [str(v) for v in pattern.merged],
         "characters": [str(c) for c in chars],
         "witness": f"({gp.witness[0].value},{gp.witness[1].value})",
-        "witness_character": str(epsilon_of(winner_param)),
-        "dims": dims,
+        "witness_character": str(epsilon_of(params_G[gp.witness[0]])),
+        "dims": {f"({sG.value},{sGp.value})": dim for (sG, sGp), dim in dims.items()},
         "total": sum(dims.values()),
         "hypothesis_warning": gp.hypothesis_warning,
     }

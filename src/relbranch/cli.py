@@ -166,26 +166,20 @@ _PERIOD_RULES = [
 
 
 def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> dict:
-    if family == periods.COMPLEX:
-        closed = periods.period_integral_closed(p, q, n, k)
-        quad = periods.period_integral_quadrature(p, q, n, k, tol)
-        return {
-            "family": family,
-            "closed": closed,
-            "quadrature": quad.value,
-            "quadrature_error": quad.abs_error_estimate,
-            "abs_difference": abs(closed - quad.value),
-            "nonvanishing": periods.period_nonvanishing(p, q, n, k),
-        }
-    if family == periods.QUATERNIONIC:
-        quad = periods.quaternionic_period_quadrature(p, q, n, k, tol)
-        return {
-            "family": family,
-            "quadrature": quad.value,
-            "quadrature_error": quad.abs_error_estimate,
-            "nonvanishing": periods.quaternionic_angular_exact(q, n, k) != 0,
-        }
-    raise ParamError(f"unsupported family {family!r} (choose complex or quaternionic)")
+    """One period record; only complex records carry the closed form and its
+    difference from the quadrature (a family outside the two with radial data
+    raises UnsupportedFamilyError)."""
+    closed = periods.period_integral_closed(p, q, n, k) if family == periods.COMPLEX else None
+    quad = periods.period_integral_quadrature(p, q, n, k, tol, kind=family)
+    result = {
+        "family": family,
+        "closed": closed,
+        "quadrature": quad.value,
+        "quadrature_error": quad.abs_error_estimate,
+        "abs_difference": None if closed is None else abs(closed - quad.value),
+        "nonvanishing": periods.period_nonvanishing(p, q, n, k, kind=family),
+    }
+    return {key: value for key, value in result.items() if value is not None}
 
 
 def cmd_period(args, out) -> int:

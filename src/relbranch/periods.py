@@ -11,9 +11,14 @@ bare weight (1-x)^alpha (1+x)^beta dx on [-1, 1] with no constant.  The
 normalization scales values but cannot change which of them vanish, and the
 vanishing dichotomy is the contract used downstream.
 
-Both families have an exact angular pairing from the Jacobi connection
-formula (jacobi.jacobi_pairing), which decides vanishing.  The quadrature
-oracle is independent of it: it integrates the float three-term recurrence
+The complex and the quaternionic family share one route; the kind= keyword
+picks the family, and SpaceFamily alone fixes its exponents.  The radial
+factor takes the density's sinh power and the total cosh decay; the angular
+factor pairs the big family's polynomial against the embedded family's
+(over (p, q-1)) under the embedded weight, shifted by the difference of the
+two alphas.  The exact pairing comes from the Jacobi connection formula
+(jacobi.jacobi_pairing) and decides vanishing.  The quadrature oracle is
+independent of it: it integrates the float three-term recurrence
 (jacobi.jacobi_values) and reaches the full label range up to MAX_DEGREE.
 """
 
@@ -52,8 +57,9 @@ class PreconditionError(ValueError):
 class SpaceFamily:
     """A rank-one family with its Jacobi exponents and radial density powers.
 
-    The octonionic family carries compact-picture spherical polynomials only;
-    it has no signature and no radial data.
+    The period functions below read every exponent from here.  The octonionic
+    family carries compact-picture spherical polynomials only; it has no
+    signature and no radial data.
     """
 
     field_kind: str
@@ -79,20 +85,20 @@ class SpaceFamily:
             )
 
     @property
-    def jacobi_alpha(self) -> Fraction:
+    def jacobi_alpha(self) -> int:
         if self.field_kind == COMPLEX:
-            return Fraction(self.q - 1)
+            return self.q - 1
         if self.field_kind == QUATERNIONIC:
-            return Fraction(2 * self.q - 1)
-        return Fraction(7)
+            return 2 * self.q - 1
+        return 7
 
     @property
-    def jacobi_beta(self) -> Fraction:
+    def jacobi_beta(self) -> int:
         if self.field_kind == COMPLEX:
-            return Fraction(0)
+            return 0
         if self.field_kind == QUATERNIONIC:
-            return Fraction(1)
-        return Fraction(3)
+            return 1
+        return 3
 
     @property
     def rho(self) -> Fraction:
@@ -171,7 +177,7 @@ def fj_eval(f: FJFunction, s: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Period integrals, complex family
+# Period integrals, one route for both families with radial data
 # ---------------------------------------------------------------------------
 
 
@@ -182,40 +188,58 @@ def _check_period_args(p: int, q: int, n: int, k: int) -> None:
         raise PreconditionError(f"labels must be even and nonnegative, got n={n}, k={k}")
 
 
+def _families(p: int, q: int, kind: str) -> tuple[SpaceFamily, SpaceFamily]:
+    """The family over (p, q) and the embedded one over (p, q - 1)."""
+    if kind not in (COMPLEX, QUATERNIONIC):
+        raise UnsupportedFamilyError(f"no radial pairing for {kind!r}")
+    return SpaceFamily(kind, p, q), SpaceFamily(kind, p, q - 1)
+
+
+def _angular_args(q: int, kind: str) -> tuple[int, int, int]:
+    """(alpha, beta, shift) of the angular pairing: the embedded family's
+    exponents, and the step in alpha up to the big family's."""
+    fam, sub = _families(1, q, kind)  # the Jacobi exponents do not depend on p
+    return sub.jacobi_alpha, sub.jacobi_beta, fam.jacobi_alpha - sub.jacobi_alpha
+
+
+def _radial_args(p: int, q: int, n: int, k: int, kind: str) -> tuple[int, int]:
+    """(alpha, beta) of the radial factor A(alpha, beta): the density's sinh
+    power and the total cosh decay."""
+    return _families(p, q, kind)[0].density_sinh_power, -radial_cosh_power(p, q, n, k, kind)
+
+
 def radial_cosh_power(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> int:
     """Total cosh exponent of the paired radial integrand, assembled from the
     two spectral exponents and the density."""
-    if kind == COMPLEX:
-        fam, sub = complex_family(p, q), complex_family(p, q - 1)
-    elif kind == QUATERNIONIC:
-        fam, sub = quaternionic_family(p, q), quaternionic_family(p, q - 1)
-    else:
-        raise UnsupportedFamilyError(f"no radial pairing for {kind!r}")
+    fam, sub = _families(p, q, kind)
     return -fam.spectral_exponent(n) - sub.spectral_exponent(k) + fam.density_cosh_power
 
 
-def period_angular_exact(q: int, n: int, k: int) -> Fraction:
-    """Exact angular factor: int P_n^(q-1,0) P_k^(q-2,0) (1-x)^(q-2) dx."""
-    return jacobi_pairing(n, k, q - 2, 0, 1)
+def period_angular_exact(q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
+    """Exact angular factor: int P_n^(alpha+shift,beta) P_k^(alpha,beta)
+    (1-x)^alpha (1+x)^beta dx, with P_n the big family's polynomial and
+    (alpha, beta) the embedded family's exponents.  Nonzero exactly when
+    k <= n."""
+    return jacobi_pairing(n, k, *_angular_args(q, kind))
 
 
-def period_nonvanishing(p: int, q: int, n: int, k: int) -> bool:
+def period_nonvanishing(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> bool:
     """True exactly when the period integral is nonzero, i.e. 0 <= k <= n.
 
     Decided by the exact rational angular factor; the radial factor is a
     convergent integral of a positive function and never vanishes.
     """
     _check_period_args(p, q, n, k)
-    return period_angular_exact(q, n, k) != 0
+    return period_angular_exact(q, n, k, kind) != 0
 
 
-def period_integral_closed(p: int, q: int, n: int, k: int) -> float:
-    """Closed-form period integral: A(2p-1, 2q+n+k-1) times the exact angular
-    factor.  Nonzero exactly when k <= n."""
+def period_integral_closed(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
+    """Closed-form period integral: the radial factor A(sinh power, cosh
+    decay) times the exact angular factor.  Nonzero exactly when k <= n."""
     _check_period_args(p, q, n, k)
-    # convergence: 2p - 2q - n - k < 0 is automatic for q > p
-    radial = radial_integral_closed(2 * p - 1, -radial_cosh_power(p, q, n, k))
-    return radial * float(period_angular_exact(q, n, k))
+    # convergence: the cosh decay exceeds the sinh power automatically for q > p
+    radial = radial_integral_closed(*_radial_args(p, q, n, k, kind))
+    return radial * float(period_angular_exact(q, n, k, kind))
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +273,15 @@ def _angular_quadrature(
     return adaptive_quadrature(integrand, -1.0, 1.0, tol * max(scale, 1.0))
 
 
-def _product_quadrature(radial: QuadratureResult, angular: QuadratureResult) -> QuadratureResult:
+def period_integral_quadrature(
+    p: int, q: int, n: int, k: int, tol: float = 1e-10, kind: str = COMPLEX
+) -> QuadratureResult:
+    """Independent two-factor quadrature oracle for the closed form: the
+    radial and the angular factor each by adaptive quadrature, with the
+    first-order error of their product."""
+    _check_period_args(p, q, n, k)
+    radial = radial_integral_quadrature(*_radial_args(p, q, n, k, kind), tol)
+    angular = _angular_quadrature(n, k, *_angular_args(q, kind), tol)
     value = radial.value * angular.value
     err = (
         radial.abs_error_estimate * abs(angular.value)
@@ -258,52 +290,9 @@ def _product_quadrature(radial: QuadratureResult, angular: QuadratureResult) -> 
     return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
 
 
-def period_integral_quadrature(
-    p: int, q: int, n: int, k: int, tol: float = 1e-10
-) -> QuadratureResult:
-    """Independent two-factor quadrature oracle for the closed form."""
+def period_scale(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
+    """Magnitude scale of the period integral (closed-form radial factor times
+    the angular Cauchy-Schwarz bound), for judging a quadrature value against."""
     _check_period_args(p, q, n, k)
-    radial = radial_integral_quadrature(2 * p - 1, -radial_cosh_power(p, q, n, k), tol)
-    angular = _angular_quadrature(n, k, q - 2, 0, 1, tol)
-    return _product_quadrature(radial, angular)
-
-
-# ---------------------------------------------------------------------------
-# Quaternionic family
-# ---------------------------------------------------------------------------
-
-
-def quaternionic_angular_exact(q: int, n: int, k: int) -> Fraction:
-    """Exact angular factor: int P_n^(2q-1,1) P_k^(2q-3,1) (1-x)^(2q-3) (1+x) dx.
-
-    Nonzero exactly when k <= n; this decides vanishing of the quaternionic
-    period integral, whose radial factor is positive.
-    """
-    return jacobi_pairing(n, k, 2 * q - 3, 1, 2)
-
-
-def quaternionic_period_quadrature(
-    p: int, q: int, n: int, k: int, tol: float = 1e-10
-) -> QuadratureResult:
-    """Quaternionic period integral by quadrature.
-
-    Radial density cosh^(4q+3) sinh^(4p-1); angular pairing of P_n^(2q-1,1)
-    against P_k^(2q-3,1) under the (2q-3, 1) weight.  Nonzero exactly when
-    k <= n (quaternionic_angular_exact).
-    """
-    _check_period_args(p, q, n, k)
-    radial = radial_integral_quadrature(
-        4 * p - 1, -radial_cosh_power(p, q, n, k, kind=QUATERNIONIC), tol
-    )
-    angular = _angular_quadrature(n, k, 2 * q - 3, 1, 2, tol)
-    return _product_quadrature(radial, angular)
-
-
-def quaternionic_period_scale(p: int, q: int, n: int, k: int, tol: float = 1e-10) -> float:
-    """Magnitude scale (radial factor times angular norm product) of the
-    quaternionic period integral, for judging a quadrature value against."""
-    _check_period_args(p, q, n, k)
-    radial = radial_integral_quadrature(
-        4 * p - 1, -radial_cosh_power(p, q, n, k, kind=QUATERNIONIC), tol
-    )
-    return radial.value * _angular_scale(n, k, 2 * q - 3, 1, 2)
+    radial = radial_integral_closed(*_radial_args(p, q, n, k, kind))
+    return radial * _angular_scale(n, k, *_angular_args(q, kind))

@@ -34,11 +34,11 @@ from relbranch.oracle import (
     un_branch_mult,
 )
 from relbranch.periods import (
+    QUATERNIONIC,
     period_integral_closed,
     period_integral_quadrature,
     period_nonvanishing,
-    quaternionic_period_quadrature,
-    quaternionic_period_scale,
+    period_scale,
 )
 from relbranch.reps import EPSILON_1, EPSILON_2, GroupLevel, Side, Signature, make_param
 from relbranch.specfun import radial_integral_quadrature
@@ -262,8 +262,8 @@ def test_criterion_12_quaternionic_periods():
         for p, q in ((1, 2), (1, 3)):
             for n in range(0, 7, 2):
                 for k in range(0, 7, 2):
-                    value = quaternionic_period_quadrature(p, q, n, k, 1e-10).value
-                    scale = quaternionic_period_scale(p, q, n, k)
+                    value = period_integral_quadrature(p, q, n, k, 1e-10, kind=QUATERNIONIC).value
+                    scale = period_scale(p, q, n, k, kind=QUATERNIONIC)
                     assert (abs(value) > 1e-9 * scale) == (k <= n), (p, q, n, k)
 
     _criterion(12, "quaternionic periods vanish exactly above the diagonal", 60.0, check)

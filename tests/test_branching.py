@@ -289,21 +289,11 @@ def test_stage2_relative_members():
     sig = Signature(3, 3)
     pairs = stage2_enumerate(sig, 10)
     assert all(isinstance(p, StagePair) for p in pairs)
+    assert [(p.x, p.y) for p in pairs] == [(x, 10 - x) for x in range(11)]
     assert all(p.x + p.y == 10 for p in pairs)
     relative = [p for p in pairs if p.relative]
     assert relative == [StagePair(5, 5, True)]
     assert not [p for p in stage2_enumerate(sig, 11) if p.relative]
-
-
-def test_stage2_window():
-    sig = Signature(3, 3)
-    assert len(stage2_enumerate(sig, 10, window=0)) == 1
-    wide = stage2_enumerate(sig, 10, window=4)
-    assert {(p.x, p.y) for p in wide} == {(x, 10 - x) for x in range(3, 8)}
-    # the relative member is window-independent
-    for window in (0, 2, 10, 50):
-        rel = [p for p in stage2_enumerate(sig, 10, window=window) if p.relative]
-        assert rel == [StagePair(5, 5, True)]
 
 
 def test_exhaustion_agreement_even_ell():

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 from relbranch import cli
 from relbranch.specfun import ConvergenceError
@@ -242,10 +245,10 @@ def test_period_quaternionic_record_keys(capsys):
 
 
 def _explode_at(n_bad, k_bad, exc_type, real):
-    def patched(p, q, n, k, *args):
+    def patched(p, q, n, k, *args, **kwargs):
         if (n, k) == (n_bad, k_bad):
             raise exc_type("refinement budget exhausted")
-        return real(p, q, n, k, *args)
+        return real(p, q, n, k, *args, **kwargs)
 
     return patched
 
@@ -262,9 +265,9 @@ def test_table_nonconvergence_names_row(capsys, monkeypatch):
 
 
 def test_table_validation_error_names_row(capsys, monkeypatch):
-    real = cli.periods.quaternionic_period_quadrature
+    real = cli.periods.period_integral_quadrature
     monkeypatch.setattr(
-        cli.periods, "quaternionic_period_quadrature", _explode_at(2, 0, ValueError, real)
+        cli.periods, "period_integral_quadrature", _explode_at(2, 0, ValueError, real)
     )
     code, _, err = run_cli(
         capsys, "table", "period", "--pq", "1,2", "--family", "quaternionic", "--n-max", "2"
@@ -288,3 +291,19 @@ def test_broken_pipe_exits_quietly():
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert err == b""
+
+
+def test_readme_commands_emit_records(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("relbranch ")
+    ]
+    assert commands
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        lines = out.splitlines()
+        assert lines and all(json.loads(line)["schema"] == cli.SCHEMA for line in lines), argv

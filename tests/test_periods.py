@@ -9,6 +9,7 @@ from relbranch.jacobi import (
     MAX_DEGREE,
     integrate_with_weight,
     jacobi_eval_exact,
+    jacobi_pairing,
     jacobi_poly,
     jacobi_values,
     normalization_at_one,
@@ -28,13 +29,11 @@ from relbranch.periods import (
     period_integral_closed,
     period_integral_quadrature,
     period_nonvanishing,
-    quaternionic_angular_exact,
+    period_scale,
     quaternionic_family,
-    quaternionic_period_quadrature,
-    quaternionic_period_scale,
     radial_cosh_power,
 )
-from relbranch.specfun import radial_integral_closed
+from relbranch.specfun import radial_integral_closed, radial_integral_quadrature
 
 
 def test_complex_family_data():
@@ -176,23 +175,23 @@ def test_period_quadrature_determinism():
 
 
 def test_quaternionic_base_cases():
-    r = quaternionic_period_quadrature(1, 2, 0, 0, 1e-10)
+    r = period_integral_quadrature(1, 2, 0, 0, 1e-10, kind=QUATERNIONIC)
     assert r.value > 0
-    r = quaternionic_period_quadrature(1, 2, 2, 0, 1e-10)
-    assert abs(r.value) > 1e-9 * quaternionic_period_scale(1, 2, 2, 0)
+    r = period_integral_quadrature(1, 2, 2, 0, 1e-10, kind=QUATERNIONIC)
+    assert abs(r.value) > 1e-9 * period_scale(1, 2, 2, 0, kind=QUATERNIONIC)
 
 
 def test_quaternionic_vanishing_above_diagonal():
-    scale = quaternionic_period_scale(1, 2, 0, 2)
-    r = quaternionic_period_quadrature(1, 2, 0, 2, 1e-10)
+    scale = period_scale(1, 2, 0, 2, kind=QUATERNIONIC)
+    r = period_integral_quadrature(1, 2, 0, 2, 1e-10, kind=QUATERNIONIC)
     assert abs(r.value) <= 1e-9 * scale
 
 
 def test_quaternionic_dichotomy_small_grid():
     for n in range(0, 5, 2):
         for k in range(0, 5, 2):
-            value = quaternionic_period_quadrature(1, 2, n, k, 1e-10).value
-            scale = quaternionic_period_scale(1, 2, n, k)
+            value = period_integral_quadrature(1, 2, n, k, 1e-10, kind=QUATERNIONIC).value
+            scale = period_scale(1, 2, n, k, kind=QUATERNIONIC)
             assert (abs(value) > 1e-9 * scale) == (k <= n), (n, k)
 
 
@@ -203,23 +202,18 @@ def test_period_quadrature_matches_closed_to_degree_cap():
         assert quad.value == pytest.approx(closed, rel=1e-10), (p, q, n, k)
 
 
-def _quaternionic_closed(p, q, n, k):
-    radial = radial_integral_closed(4 * p - 1, -radial_cosh_power(p, q, n, k, kind=QUATERNIONIC))
-    return radial * float(quaternionic_angular_exact(q, n, k))
-
-
 def test_quaternionic_quadrature_converges_to_degree_cap():
     for n, k in [(30, 30), (MAX_DEGREE, 0)]:
-        value = quaternionic_period_quadrature(2, 5, n, k, 1e-10).value
-        error = abs(value - _quaternionic_closed(2, 5, n, k))
-        assert error <= 1e-9 * quaternionic_period_scale(2, 5, n, k), (n, k)
+        value = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC).value
+        error = abs(value - period_integral_closed(2, 5, n, k, kind=QUATERNIONIC))
+        assert error <= 1e-9 * period_scale(2, 5, n, k, kind=QUATERNIONIC), (n, k)
 
 
 def test_quaternionic_quadrature_matches_closed_grid():
     for n in range(0, 21, 2):
         for k in range(0, n + 1, 2):
-            closed = _quaternionic_closed(2, 5, n, k)
-            quad = quaternionic_period_quadrature(2, 5, n, k, 1e-10)
+            closed = period_integral_closed(2, 5, n, k, kind=QUATERNIONIC)
+            quad = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC)
             assert quad.value == pytest.approx(closed, rel=1e-9), (n, k)
 
 
@@ -252,7 +246,8 @@ def test_angular_exact_matches_expansion_small_grid():
         for n in range(0, 9, 2):
             for k in range(0, 9, 2):
                 assert period_angular_exact(q, n, k) == weighted_inner_product(n, k, q - 2)
-                assert quaternionic_angular_exact(q, n, k) == _quaternionic_expansion(q, n, k)
+                quaternionic = period_angular_exact(q, n, k, kind=QUATERNIONIC)
+                assert quaternionic == _quaternionic_expansion(q, n, k)
 
 
 even_label = st.integers(min_value=0, max_value=15).map(lambda half: 2 * half)
@@ -268,7 +263,7 @@ def test_complex_angular_exact_matches_expansion(alpha, n, k):
 @given(st.integers(min_value=2, max_value=6), even_label, even_label)
 def test_quaternionic_angular_exact_matches_expansion(q, n, k):
     # Jacobi alpha = 2q - 3 stays within 1..9
-    assert quaternionic_angular_exact(q, n, k) == _quaternionic_expansion(q, n, k)
+    assert period_angular_exact(q, n, k, kind=QUATERNIONIC) == _quaternionic_expansion(q, n, k)
 
 
 def test_angular_exact_matches_expansion_at_degree_cap():
@@ -277,12 +272,67 @@ def test_angular_exact_matches_expansion_at_degree_cap():
     for n, k, alpha in [(top, 0, 30), (top, 2, 18), (top, top - 2, 0), (top - 2, top, 7)]:
         assert period_angular_exact(alpha + 2, n, k) == weighted_inner_product(n, k, alpha)
     for n, k, q in [(top, top, 2), (top, 0, 16), (top - 2, top, 5)]:
-        assert quaternionic_angular_exact(q, n, k) == _quaternionic_expansion(q, n, k)
+        assert period_angular_exact(q, n, k, kind=QUATERNIONIC) == _quaternionic_expansion(q, n, k)
 
 
 def test_angular_exact_dichotomy_to_degree_24():
     for n in range(0, 25, 2):
         for k in range(0, 25, 2):
             for q in (2, 3, 5, 8):
-                assert (period_angular_exact(q, n, k) != 0) == (k <= n), (q, n, k)
-                assert (quaternionic_angular_exact(q, n, k) != 0) == (k <= n), (q, n, k)
+                for kind in (COMPLEX, QUATERNIONIC):
+                    assert (period_angular_exact(q, n, k, kind) != 0) == (k <= n), (kind, q, n, k)
+
+
+# The exponents SpaceFamily fixes, written out per family: the radial sinh
+# power and cosh decay, and the angular (alpha, beta, shift).
+_FAMILY_LITERALS = {
+    COMPLEX: (
+        lambda p, q, n, k: (2 * p - 1, 2 * q + n + k - 1),
+        lambda q: (q - 2, 0, 1),
+    ),
+    QUATERNIONIC: (
+        lambda p, q, n, k: (4 * p - 1, 4 * q + n + k - 3),
+        lambda q: (2 * q - 3, 1, 2),
+    ),
+}
+
+
+def test_period_route_matches_family_literals():
+    labels = range(0, 17, 2)
+    for kind, (radial_args, angular_args) in _FAMILY_LITERALS.items():
+        for q in range(2, 9):
+            for n in labels:
+                for k in labels:
+                    exact = jacobi_pairing(n, k, *angular_args(q))
+                    assert period_angular_exact(q, n, k, kind=kind) == exact, (kind, q, n, k)
+                    for p in range(1, q):
+                        closed = radial_integral_closed(*radial_args(p, q, n, k)) * float(exact)
+                        got = period_integral_closed(p, q, n, k, kind=kind)
+                        assert got == closed, (kind, p, q, n, k)
+
+
+def test_period_scale_radial_factor_matches_quadrature():
+    # period_scale takes the closed-form radial factor; on the grids its 1e-9
+    # thresholds are used on, the radial quadrature agrees to 1e-10
+    labels = range(0, 7, 2)
+    cases = [(p, q, n, k) for p, q in ((1, 2), (1, 3)) for n in labels for k in labels]
+    cases += [(2, 5, 30, 30), (2, 5, MAX_DEGREE, 0)]
+    radial_args = _FAMILY_LITERALS[QUATERNIONIC][0]
+    for p, q, n, k in cases:
+        alpha, beta = radial_args(p, q, n, k)
+        quad = radial_integral_quadrature(alpha, beta, 1e-10).value
+        assert quad == pytest.approx(radial_integral_closed(alpha, beta), rel=1e-10), (p, q, n, k)
+
+
+def test_period_functions_reject_octonionic():
+    kind = "octonionic"
+    calls = [
+        lambda: period_angular_exact(2, 0, 0, kind=kind),
+        lambda: period_nonvanishing(1, 2, 0, 0, kind=kind),
+        lambda: period_integral_closed(1, 2, 0, 0, kind=kind),
+        lambda: period_integral_quadrature(1, 2, 0, 0, kind=kind),
+        lambda: period_scale(1, 2, 0, 0, kind=kind),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedFamilyError):
+            call()

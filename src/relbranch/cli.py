@@ -48,8 +48,7 @@ def _record(command: str, inputs: dict, result: dict, provenance: list[str]) -> 
 
 
 def _emit(record: dict, out) -> None:
-    json.dump(record, out, separators=(",", ":"))
-    out.write("\n")
+    out.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
@@ -264,13 +263,12 @@ def _rows_he(args):
     if args.big or args.small:
         if not (args.big and args.small):
             raise ParamError("--big and --small must be given together")
-        big = hepattern.SignSeq.from_string(args.big)
-        small = hepattern.SignSeq.from_string(args.small)
+        big, small = args.big.strip(), args.small.strip()
         found = hepattern.enumerate_alignments(big, small)
         yield _record(
             "table.he",
-            {"big": big.to_string(), "small": small.to_string()},
-            {"alignments": [a.to_string() for a in found], "count": len(found)},
+            {"big": big, "small": small},
+            {"alignments": found, "count": len(found)},
             ["order-preserving interleaving under the eight-pair adjacency rule"],
         )
         return

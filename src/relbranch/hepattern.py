@@ -1,11 +1,13 @@
 """Sign-sequence alignment under the adjacency rule.
 
-A big-group sequence uses plain signs + and -, a subgroup sequence uses
-circled signs (written P for circled plus, M for circled minus).  An
-alignment is an order-preserving interleaving of the two in which every
-adjacent pair of symbols belongs to the allowed set; enumeration is
-depth-first with the big sequence's symbol tried first at each step, so the
-output order is deterministic.
+Sign sequences are strings over the alphabet + - P M: a big-group sequence
+uses plain signs + and -, a subgroup sequence uses circled signs (written P
+for circled plus, M for circled minus).  An alignment is an order-preserving
+interleaving of the two in which every adjacent pair of symbols belongs to
+the allowed set.  Alignments are built by extending every prefix by one
+symbol per step, the big sequence's symbol before the small one's, so the
+output order is deterministic (that of a depth-first search trying big
+first).
 """
 
 from __future__ import annotations
@@ -35,76 +37,27 @@ ALLOWED_PAIRS = frozenset(
 )
 
 
-def allowed_adjacent(s1: str, s2: str) -> bool:
-    """Membership in the eight-pair allowed-adjacency set."""
-    return (s1, s2) in ALLOWED_PAIRS
-
-
-@dataclass(frozen=True)
-class SignSeq:
-    """An ordered sequence over the four-symbol alphabet."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        bad = [s for s in self.symbols if s not in ALPHABET]
-        if bad:
-            raise ValueError(f"unknown symbols {bad}; alphabet is +, -, P, M")
-
-    @classmethod
-    def from_string(cls, text: str) -> "SignSeq":
-        return cls(tuple(text.strip()))
-
-    def to_string(self) -> str:
-        return "".join(self.symbols)
-
-    @property
-    def is_plain(self) -> bool:
-        return all(s in PLAIN for s in self.symbols)
-
-    @property
-    def is_circled(self) -> bool:
-        return all(s in CIRCLED for s in self.symbols)
-
-    def erase(self, keep: frozenset[str]) -> "SignSeq":
-        return SignSeq(tuple(s for s in self.symbols if s in keep))
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __str__(self) -> str:
-        return self.to_string()
-
-
-def enumerate_alignments(big: SignSeq, small: SignSeq) -> list[SignSeq]:
+def enumerate_alignments(big: str, small: str) -> list[str]:
     """All order-preserving interleavings of big and small in which every
     adjacent pair is allowed."""
-    if not big.is_plain:
+    for seq in (big, small):
+        bad = [s for s in seq if s not in ALPHABET]
+        if bad:
+            raise ValueError(f"unknown symbols {bad}; alphabet is +, -, P, M")
+    if not PLAIN.issuperset(big):
         raise ValueError("big sequence must use plain signs + and - only")
-    if not small.is_circled:
+    if not CIRCLED.issuperset(small):
         raise ValueError("small sequence must use circled signs P and M only")
-    b, s = big.symbols, small.symbols
-    out: list[SignSeq] = []
-    acc: list[str] = []
-
-    def fits(sym: str) -> bool:
-        return not acc or allowed_adjacent(acc[-1], sym)
-
-    def rec(i: int, j: int) -> None:
-        if i == len(b) and j == len(s):
-            out.append(SignSeq(tuple(acc)))
-            return
-        if i < len(b) and fits(b[i]):
-            acc.append(b[i])
-            rec(i + 1, j)
-            acc.pop()
-        if j < len(s) and fits(s[j]):
-            acc.append(s[j])
-            rec(i, j + 1)
-            acc.pop()
-
-    rec(0, 0)
-    return out
+    # a state is (prefix, symbols of big used, symbols of small used)
+    states = [("", 0, 0)]
+    for _ in range(len(big) + len(small)):
+        states = [
+            (text + sym, i + di, j + dj)
+            for text, i, j in states
+            for sym, di, dj in ((big[i : i + 1], 1, 0), (small[j : j + 1], 0, 1))
+            if sym and (not text or (text[-1], sym) in ALLOWED_PAIRS)
+        ]
+    return [text for text, _, _ in states]
 
 
 # ---------------------------------------------------------------------------
@@ -112,27 +65,25 @@ def enumerate_alignments(big: SignSeq, small: SignSeq) -> list[SignSeq]:
 # ---------------------------------------------------------------------------
 
 
-def u2n_plus_sequence(n: int) -> SignSeq:
+def u2n_plus_sequence(n: int) -> str:
     """The big sequence (+, -, ..., -, +) of 2+n signs."""
-    return SignSeq((PLUS,) + (MINUS,) * n + (PLUS,))
+    return PLUS + MINUS * n + PLUS
 
 
-def u1n_end_candidates(n: int) -> tuple[SignSeq, SignSeq]:
+def u1n_end_candidates(n: int) -> tuple[str, str]:
     """The two subgroup candidates with the circled plus at an end: one
     circled plus followed by n circled minuses, and the reverse order.
     Candidates with an interior circled plus are excluded a priori (they
     correspond to neither the holomorphic nor the antiholomorphic family)."""
-    first = SignSeq((CIRCLED_PLUS,) + (CIRCLED_MINUS,) * n)
-    second = SignSeq((CIRCLED_MINUS,) * n + (CIRCLED_PLUS,))
-    return first, second
+    return CIRCLED_PLUS + CIRCLED_MINUS * n, CIRCLED_MINUS * n + CIRCLED_PLUS
 
 
 @dataclass(frozen=True)
 class U2nReport:
     n: int
-    big: SignSeq
-    candidates: tuple[SignSeq, SignSeq]
-    alignments: tuple[tuple[SignSeq, ...], tuple[SignSeq, ...]]
+    big: str
+    candidates: tuple[str, str]
+    alignments: tuple[tuple[str, ...], tuple[str, ...]]
     character_screen_applied: bool
     note: str
 
@@ -143,9 +94,9 @@ class U2nReport:
     def to_dict(self) -> dict:
         return {
             "n": self.n,
-            "big": self.big.to_string(),
-            "candidates": [c.to_string() for c in self.candidates],
-            "alignments": [[a.to_string() for a in group] for group in self.alignments],
+            "big": self.big,
+            "candidates": list(self.candidates),
+            "alignments": [list(group) for group in self.alignments],
             "total_alignments": self.total_alignments,
             "character_screen_applied": self.character_screen_applied,
             "note": self.note,

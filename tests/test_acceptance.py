@@ -251,8 +251,8 @@ def test_criterion_11_sign_alignments():
             got_first = enumerate_alignments(big, first)
             got_second = enumerate_alignments(big, second)
             assert len(got_first) == 1 and len(got_second) == 1
-            assert got_first[0].to_string() == "+P" + "M-" * n + "+"
-            assert got_second[0].to_string() == "+-" + "M-" * (n - 1) + "MP+"
+            assert got_first[0] == "+P" + "M-" * n + "+"
+            assert got_second[0] == "+-" + "M-" * (n - 1) + "MP+"
 
     _criterion(11, "exactly two alignments, matching the reference patterns", 5.0, check)
 

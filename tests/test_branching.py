@@ -350,6 +350,21 @@ def test_exhaustion_first_sequence_equals_filtered_stage1():
             assert exhaustion_check(sig, ell).first_sequence == tuple(sorted(want)), (sig, ell)
 
 
+def test_exhaustion_relative_member_equals_filtered_stage2():
+    # reference: the full stage2 enumeration, filtered to its relative member
+    for sig in (Signature(3, 3), Signature(3, 4), Signature(4, 6)):
+        for ell in range(sig.n, 41):
+            relative = [pair for pair in stage2_enumerate(sig, ell) if pair.relative]
+            report = exhaustion_check(sig, ell)
+            if relative:
+                (pair,) = relative
+                assert report.a == HalfInt.from_int(pair.x), (sig, ell)
+                assert report.second_sequence, (sig, ell)
+            else:
+                assert report.a is None, (sig, ell)
+                assert report.second_sequence == report.period_prediction == (), (sig, ell)
+
+
 def test_stage_params_invariant_enforced():
     StageParams(10, 0, HalfInt.from_int(9))
     with pytest.raises(ValueError):

@@ -150,6 +150,17 @@ def test_table_he_raw_sequences(capsys):
     assert record["result"]["alignments"] == ["+PM-M-+"]
 
 
+def test_table_he_rejects_bad_sequences(capsys):
+    cases = [
+        ("+x", "PM", "error: unknown symbols ['x']; alphabet is +, -, P, M\n"),
+        ("+P", "PM", "error: big sequence must use plain signs + and - only\n"),
+        ("+-", "P-", "error: small sequence must use circled signs P and M only\n"),
+    ]
+    for big, small, message in cases:
+        code, out, err = run_cli(capsys, "table", "he", "--big", big, "--small", small)
+        assert (code, out, err) == (cli.EXIT_VALIDATION, "", message), (big, small)
+
+
 def test_table_empty_grid(capsys):
     code, out, _ = run_cli(
         capsys, "table", "branch", "--pq", "4,5", "--a-range", "4..4", "--b-range", "9/2..7/2"

@@ -6,8 +6,6 @@ from relbranch.hepattern import (
     ALLOWED_PAIRS,
     CIRCLED,
     PLAIN,
-    SignSeq,
-    allowed_adjacent,
     enumerate_alignments,
     u1n_end_candidates,
     u2n_case_report,
@@ -15,34 +13,72 @@ from relbranch.hepattern import (
 )
 
 
+def _erase(merged, keep):
+    return "".join(s for s in merged if s in keep)
+
+
+def _count_alignments(big, small):
+    """Independent count of the alignments, by dynamic programming over
+    (symbols of big used, symbols of small used, last symbol).  Adjacent
+    symbols are allowed iff exactly one of their kind (plain or circled)
+    and their sign (+ and P plus, - and M minus) differs."""
+
+    def fits(last, sym):
+        if last is None:
+            return True
+        kind_differs = (last in "+-") != (sym in "+-")
+        sign_differs = (last in "+P") != (sym in "+P")
+        return kind_differs != sign_differs
+
+    lasts = (None, "+", "-", "P", "M")
+    ways = {(0, 0, None): 1}
+    for i in range(len(big) + 1):
+        for j in range(len(small) + 1):
+            for last in lasts:
+                count = ways.get((i, j, last), 0)
+                if not count:
+                    continue
+                for sym, key in ((big[i : i + 1], (i + 1, j)), (small[j : j + 1], (i, j + 1))):
+                    if sym and fits(last, sym):
+                        ways[(*key, sym)] = ways.get((*key, sym), 0) + count
+    return sum(ways.get((len(big), len(small), last), 0) for last in lasts)
+
+
 def test_allowed_adjacent_examples():
-    assert allowed_adjacent("+", "P")
-    assert allowed_adjacent("M", "P")
-    assert not allowed_adjacent("+", "+")
-    assert not allowed_adjacent("-", "-")
-    assert not allowed_adjacent("P", "-")
-    assert not allowed_adjacent("+", "M")
+    assert ("+", "P") in ALLOWED_PAIRS
+    assert ("M", "P") in ALLOWED_PAIRS
+    assert ("+", "+") not in ALLOWED_PAIRS
+    assert ("-", "-") not in ALLOWED_PAIRS
+    assert ("P", "-") not in ALLOWED_PAIRS
+    assert ("+", "M") not in ALLOWED_PAIRS
     assert len(ALLOWED_PAIRS) == 8
 
 
 def test_sign_seq_parsing():
-    seq = SignSeq.from_string("+--+")
-    assert seq.is_plain and not seq.is_circled
-    assert seq.to_string() == "+--+"
-    assert SignSeq.from_string("PMM").is_circled
-    with pytest.raises(ValueError):
-        SignSeq.from_string("+-x")
+    assert enumerate_alignments("+--+", "PMM") == ["+PM-M-+"]
+    assert enumerate_alignments("+-+", "") == ["+-+"]
+    assert enumerate_alignments("", "PMP") == ["PMP"]
+    with pytest.raises(ValueError, match="plain signs"):
+        enumerate_alignments("PMM", "")
+    with pytest.raises(ValueError, match="unknown symbols"):
+        enumerate_alignments("+-x", "")
 
 
 def test_enumerate_requires_disjoint_alphabets():
     with pytest.raises(ValueError):
-        enumerate_alignments(SignSeq.from_string("+P"), SignSeq.from_string("M"))
+        enumerate_alignments("+P", "M")
     with pytest.raises(ValueError):
-        enumerate_alignments(SignSeq.from_string("+-"), SignSeq.from_string("-"))
+        enumerate_alignments("+-", "-")
 
 
 def test_single_symbol_incompatible():
-    assert enumerate_alignments(SignSeq.from_string("+"), SignSeq.from_string("M")) == []
+    assert enumerate_alignments("+", "M") == []
+
+
+def test_count_oracle_matches_enumeration():
+    for k in range(8):
+        big, small = "+-" * k, "PM" * k
+        assert len(enumerate_alignments(big, small)) == _count_alignments(big, small), k
 
 
 def test_printed_patterns_reproduced():
@@ -51,15 +87,15 @@ def test_printed_patterns_reproduced():
         first, second = u1n_end_candidates(n)
         got_first = enumerate_alignments(big, first)
         got_second = enumerate_alignments(big, second)
-        assert [a.to_string() for a in got_first] == ["+P" + "M-" * n + "+"]
-        assert [a.to_string() for a in got_second] == ["+-" + "M-" * (n - 1) + "MP+"]
+        assert got_first == ["+P" + "M-" * n + "+"]
+        assert got_second == ["+-" + "M-" * (n - 1) + "MP+"]
 
 
 def test_u2n_report():
     report = u2n_case_report(4)
     assert report.total_alignments == 2
-    assert report.big.to_string() == "+----+"
-    assert [c.to_string() for c in report.candidates] == ["PMMMM", "MMMMP"]
+    assert report.big == "+----+"
+    assert list(report.candidates) == ["PMMMM", "MMMMP"]
     assert not report.character_screen_applied
     data = report.to_dict()
     assert data["total_alignments"] == 2
@@ -80,17 +116,17 @@ def test_outputs_satisfy_adjacency_and_order():
     big = u2n_plus_sequence(6)
     for candidate in u1n_end_candidates(6):
         for merged in enumerate_alignments(big, candidate):
-            for s1, s2 in zip(merged.symbols, merged.symbols[1:]):
-                assert allowed_adjacent(s1, s2)
-            assert merged.erase(PLAIN) == big
-            assert merged.erase(CIRCLED) == candidate
+            for s1, s2 in zip(merged, merged[1:]):
+                assert (s1, s2) in ALLOWED_PAIRS
+            assert _erase(merged, PLAIN) == big
+            assert _erase(merged, CIRCLED) == candidate
 
 
 @st.composite
 def _plain_and_circled(draw):
-    big = draw(st.lists(st.sampled_from("+-"), min_size=0, max_size=6))
-    small = draw(st.lists(st.sampled_from("PM"), min_size=0, max_size=6))
-    return SignSeq(tuple(big)), SignSeq(tuple(small))
+    big = draw(st.text(alphabet="+-", min_size=0, max_size=6))
+    small = draw(st.text(alphabet="PM", min_size=0, max_size=6))
+    return big, small
 
 
 @given(_plain_and_circled())
@@ -100,12 +136,13 @@ def test_alignment_properties_random(seqs):
     seen = set()
     for merged in merged_list:
         assert len(merged) == len(big) + len(small)
-        for s1, s2 in zip(merged.symbols, merged.symbols[1:]):
-            assert allowed_adjacent(s1, s2)
-        assert merged.erase(PLAIN) == big
-        assert merged.erase(CIRCLED) == small
-        seen.add(merged.symbols)
+        for s1, s2 in zip(merged, merged[1:]):
+            assert (s1, s2) in ALLOWED_PAIRS
+        assert _erase(merged, PLAIN) == big
+        assert _erase(merged, CIRCLED) == small
+        seen.add(merged)
     assert len(seen) == len(merged_list)  # no duplicates
+    assert len(merged_list) == _count_alignments(big, small)
 
 
 def test_enumeration_is_deterministic():

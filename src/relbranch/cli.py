@@ -354,11 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pq", required=True, help="signature with q > p > 0, e.g. 1,2")
     p.add_argument("--n", type=int, required=True, help="even label on the big space")
     p.add_argument("--k", type=int, required=True, help="even label on the subspace")
-    p.add_argument(
-        "--family",
-        choices=[periods.COMPLEX, periods.QUATERNIONIC],
-        default=periods.COMPLEX,
-    )
+    p.add_argument("--family", choices=periods.FIELD_KINDS, default=periods.COMPLEX)
     p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     p.set_defaults(func=cmd_period)
 
@@ -369,11 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--b-range", help="range lo..hi for b")
     t.add_argument("--n-max", type=int, default=8, help="even-label cap for period grids")
     t.add_argument("--k-max", type=int, default=8, help="even-label cap for period grids")
-    t.add_argument(
-        "--family",
-        choices=[periods.COMPLEX, periods.QUATERNIONIC],
-        default=periods.COMPLEX,
-    )
+    t.add_argument("--family", choices=periods.FIELD_KINDS, default=periods.COMPLEX)
     t.add_argument("--tol", type=float, default=1e-10)
     t.add_argument("--ell", help="range lo..hi for exhaustion sweeps, e.g. 8..16")
     t.add_argument("--n", help="range lo..hi for the alignment configuration, e.g. 4..10")

@@ -1,4 +1,5 @@
-"""Jacobi polynomials: one stable float evaluator and exact weighted pairings.
+"""Jacobi polynomials: one stable float evaluator, the exact connection
+expansion and exact weighted pairings.
 
 Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)).
 
@@ -13,18 +14,16 @@ the orthogonal P_j^(alpha,beta) with positive rational coefficients
 norm, nonzero exactly when the second degree is at most the first.  This
 exact dichotomy drives every non-vanishing claim downstream.
 
-Exact monomial coefficients (jacobi_poly, jacobi_eval_exact) and the monomial
-expansion of a pairing (poly_mul, integrate_with_weight,
-weighted_inner_product) are on no production path: they are test oracles.
+The exact monomial-coefficient oracle these are tested against lives in
+relbranch.oracle and shares no code with this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,19 +35,6 @@ Rational = Union[int, Fraction]
 MAX_DEGREE = 64
 
 
-@dataclass(frozen=True)
-class JacobiPoly:
-    """P_n^(alpha,beta) as exact monomial coefficients (ascending powers)."""
-
-    n: int
-    alpha: Fraction
-    beta_param: Fraction
-    coeffs: tuple[Fraction, ...]
-
-    def value_at_one(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
-
-
 def _check_degree(n: int) -> None:
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -56,52 +42,21 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"degree {n} exceeds the exact-coefficient cap {MAX_DEGREE}")
 
 
-def _recurrence_step(m: int, al: Fraction, be: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact (c2/c1, c3/c1, c4/c1) with P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1."""
-    c1 = 2 * m * (m + al + be) * (2 * m + al + be - 2)
-    c2 = (2 * m + al + be - 1) * (al * al - be * be)
-    c3 = (2 * m + al + be - 1) * (2 * m + al + be) * (2 * m + al + be - 2)
-    c4 = 2 * (m + al - 1) * (m + be - 1) * (2 * m + al + be)
-    return c2 / c1, c3 / c1, c4 / c1
-
-
-def jacobi_poly(n: int, alpha: Rational, beta_param: Rational = 0) -> JacobiPoly:
-    """Exact P_n^(alpha,beta) via the three-term recurrence."""
-    _check_degree(n)
-    al = Fraction(alpha)
-    be = Fraction(beta_param)
-    prev = [Fraction(1)]
-    if n == 0:
-        return JacobiPoly(0, al, be, tuple(prev))
-    cur = [Fraction(al - be, 2), Fraction(al + be + 2, 2)]
-    for m in range(2, n + 1):
-        f2, f3, f4 = _recurrence_step(m, al, be)
-        nxt = [Fraction(0)] * (m + 1)
-        for i, c in enumerate(cur):
-            nxt[i] += f2 * c
-            nxt[i + 1] += f3 * c
-        for i, c in enumerate(prev):
-            nxt[i] -= f4 * c
-        prev, cur = cur, nxt
-    return JacobiPoly(n, al, be, tuple(cur))
-
-
-def jacobi_eval_exact(poly: JacobiPoly, x: Rational) -> Fraction:
-    xf = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(poly.coeffs):
-        acc = acc * xf + c
-    return acc
-
-
 @lru_cache(maxsize=None)
-def _recurrence_ratios(n: int, alpha: Rational, beta_param: Rational) -> np.ndarray:
-    """Read-only rows (c2/c1, c3/c1, c4/c1) of the steps to degrees 1..n,
-    each rounded once; with P_{-1} = 0 the first row is P_1 itself."""
+def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> np.ndarray:
+    """Read-only rows (c2/c1, c3/c1, c4/c1) of the steps to degrees
+    1..MAX_DEGREE, where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1; each
+    ratio is exact and rounded once.  No row depends on the target degree, so
+    degree n reads the first n rows.  With P_{-1} = 0 the first row is P_1."""
     al, be = Fraction(alpha), Fraction(beta_param)
     rows = [((al - be) / 2, (al + be + 2) / 2, 0)]
-    rows += [_recurrence_step(m, al, be) for m in range(2, n + 1)]
-    table = np.array(rows[:n], dtype=float).reshape(-1, 3)
+    for m in range(2, MAX_DEGREE + 1):
+        c1 = 2 * m * (m + al + be) * (2 * m + al + be - 2)
+        c2 = (2 * m + al + be - 1) * (al * al - be * be)
+        c3 = (2 * m + al + be - 1) * (2 * m + al + be) * (2 * m + al + be - 2)
+        c4 = 2 * (m + al - 1) * (m + be - 1) * (2 * m + al + be)
+        rows.append((c2 / c1, c3 / c1, c4 / c1))
+    table = np.array(rows, dtype=float)
     table.flags.writeable = False
     return table
 
@@ -113,47 +68,10 @@ def jacobi_values(n: int, alpha: Rational, beta_param: Rational, x):
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     prev, cur = np.zeros_like(flat), np.ones_like(flat)
-    f2, f3, f4 = _recurrence_ratios(n, alpha, beta_param).T
+    f2, f3, f4 = _recurrence_ratios(alpha, beta_param)[:n].T
     for linear, c in zip(f2[:, None] + f3[:, None] * flat, f4.tolist()):
         prev, cur = cur, linear * cur - c * prev  # linear = c2/c1 + (c3/c1) x
     return float(cur[0]) if xs.ndim == 0 else cur.reshape(xs.shape)
-
-
-def normalization_at_one(n: int, alpha: int) -> Fraction:
-    """Gamma(n+alpha+1) / (n! Gamma(alpha+1)) for integer alpha >= 0."""
-    if alpha < 0:
-        raise ValueError("integer normalization requires alpha >= 0")
-    return Fraction(factorial(n + alpha), factorial(n) * factorial(alpha))
-
-
-# ---------------------------------------------------------------------------
-# Exact polynomial algebra helpers
-# ---------------------------------------------------------------------------
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def integrate_with_weight(
-    coeffs: Sequence[Fraction], one_minus_exp: int, one_plus_exp: int = 0
-) -> Fraction:
-    """Exact integral of p(x) (1-x)^a (1+x)^b over [-1, 1], integer a, b >= 0."""
-    if one_minus_exp < 0 or one_plus_exp < 0:
-        raise ValueError("weight exponents must be nonnegative integers")
-    weight = [Fraction(1)]
-    for _ in range(one_minus_exp):
-        weight = poly_mul(weight, [Fraction(1), Fraction(-1)])
-    for _ in range(one_plus_exp):
-        weight = poly_mul(weight, [Fraction(1), Fraction(1)])
-    full = poly_mul(list(coeffs), weight)
-    # odd monomials vanish by symmetry; int x^j over [-1,1] = 2/(j+1) for even j
-    return sum((c * Fraction(2, j + 1) for j, c in enumerate(full) if j % 2 == 0), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +115,6 @@ def connection_expansion(n: int, alpha: int, beta_param: int, shift: int) -> tup
     return coeffs
 
 
-def connection_coeffs(n: int, alpha: int) -> tuple[Fraction, ...]:
-    """c_0..c_n with P_n^(alpha+1,0) = sum_k c_k P_k^(alpha,0), the (beta = 0,
-    shift 1) expansion: c_k = n! (k+alpha)! (2k+alpha+1) / ((n+alpha+1)! k!)."""
-    return connection_expansion(n, alpha, 0, 1)
-
-
 def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
     """Exact norm of P_k^(alpha,beta) against the bare weight
     (1-x)^alpha (1+x)^beta:
@@ -235,17 +147,3 @@ def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> F
     if k > n:
         return Fraction(0)
     return expansion[k] * jacobi_norm_sq(k, alpha, beta_param)
-
-
-def weighted_inner_product(m: int, k: int, alpha: int) -> Fraction:
-    """Exact integral of P_m^(alpha+1,0) P_k^(alpha,0) (1-x)^alpha over [-1, 1].
-
-    Computed by expanding the product and integrating monomials term by term;
-    nonzero exactly when 0 <= k <= m.  This is the independent oracle for
-    jacobi_pairing and is on no production path.
-    """
-    if alpha < 0:
-        raise ValueError("requires integer alpha >= 0")
-    pm = jacobi_poly(m, alpha + 1, 0)
-    pk = jacobi_poly(k, alpha, 0)
-    return integrate_with_weight(poly_mul(pm.coeffs, pk.coeffs), alpha)

@@ -1,16 +1,19 @@
 """Independent ground-truth engines.
 
-Three cheap classical computations that the main predicates are tested
-against: the interlacing rule for restricting a unitary-group highest weight
-one rank down, detection of spherical highest weights, and the explicit
-rank-one matrix-coefficient model whose normalized values are Legendre
-polynomials.  None of these share code with the modules they check.
+Cheap classical computations that the main predicates are tested against:
+the interlacing rule for restricting a unitary-group highest weight one rank
+down, detection of spherical highest weights, the explicit rank-one
+matrix-coefficient model whose normalized values are Legendre polynomials,
+and exact Jacobi polynomials from their explicit sum (DLMF 18.5.7) with
+weighted pairings by monomial integration.  None of these share code with the
+modules they check, and no CLI path imports this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from math import comb, factorial
 from typing import Sequence
 
 import numpy as np
@@ -102,3 +105,63 @@ def su2_spherical_coefficient(n: int, theta_grid: Sequence[float]) -> np.ndarray
             poly = nxt
         out.ravel()[idx] = poly.get(n, 0.0) * norm_sq
     return out
+
+
+def _rising(a: Fraction, m: int) -> Fraction:
+    """The Pochhammer symbol (a)_m = a (a+1) ... (a+m-1)."""
+    out = Fraction(1)
+    for i in range(m):
+        out *= a + i
+    return out
+
+
+def jacobi_coeffs(
+    n: int, alpha: int | Fraction, beta_param: int | Fraction = 0
+) -> tuple[Fraction, ...]:
+    """Exact ascending monomial coefficients of P_n^(alpha,beta), from
+
+        sum_l (n+alpha+beta+1)_l (alpha+l+1)_(n-l) / (l! (n-l)!) ((x-1)/2)^l.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    al, be = Fraction(alpha), Fraction(beta_param)
+    coeffs = [Fraction(0)] * (n + 1)
+    for l in range(n + 1):
+        term = _rising(n + al + be + 1, l) * _rising(al + l + 1, n - l)
+        term /= factorial(l) * factorial(n - l) * 2**l
+        for i in range(l + 1):  # ((x-1)/2)^l = 2^-l sum_i C(l,i) (-1)^(l-i) x^i
+            coeffs[i] += term * (comb(l, i) * (-1) ** (l - i))
+    return tuple(coeffs)
+
+
+def _poly_mul(f: Sequence, g: Sequence) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def weighted_pairing(
+    f: Sequence[Fraction], g: Sequence[Fraction], alpha: int, beta_param: int = 0
+) -> Fraction:
+    """Exact integral of f(x) g(x) (1-x)^alpha (1+x)^beta over [-1, 1], for
+    ascending coefficient vectors f, g and integer alpha, beta >= 0."""
+    if alpha < 0 or beta_param < 0:
+        raise ValueError("weight exponents must be nonnegative integers")
+    weight = _poly_mul(
+        [comb(alpha, j) * (-1) ** j for j in range(alpha + 1)],
+        [comb(beta_param, j) for j in range(beta_param + 1)],
+    )
+    full = _poly_mul(_poly_mul(f, g), weight)
+    # odd monomials vanish by symmetry; int x^j over [-1,1] = 2/(j+1) for even j
+    return sum((c * Fraction(2, j + 1) for j, c in enumerate(full) if j % 2 == 0), Fraction(0))
+
+
+def normalization_at_one(n: int, alpha: int) -> Fraction:
+    """P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (n! Gamma(alpha+1)) for
+    integer alpha >= 0."""
+    if alpha < 0:
+        raise ValueError("integer normalization requires alpha >= 0")
+    return Fraction(factorial(n + alpha), factorial(n) * factorial(alpha))

@@ -1,25 +1,26 @@
-"""Rank-one spherical profiles and the cross-space period integrals.
+"""Cross-space period integrals on the complex and quaternionic rank-one families.
 
-A radial profile on a rank-one family is (cosh s)^(-E) times a Jacobi
-polynomial in the compact variable, where the decay exponent E is fixed by
-the family and the even label n.  Pairing a profile on the big space against
-one on the embedded smaller space and integrating against the radial density
-factorizes into a radial hyperbolic integral times an angular Jacobi pairing.
+On these families a spherical function with even label n is (cosh s)^(-E)
+times a Jacobi polynomial in the compact variable, where the decay exponent E
+is fixed by the family and n.  Pairing one on the big space against one on the
+embedded smaller space and integrating against the radial density factorizes
+into a radial hyperbolic integral times an angular Jacobi pairing.
 
 Values are reported in the module normalization: the angular measure is the
 bare weight (1-x)^alpha (1+x)^beta dx on [-1, 1] with no constant.  The
 normalization scales values but cannot change which of them vanish, and the
 vanishing dichotomy is the contract used downstream.
 
-The complex and the quaternionic family share one route; the kind= keyword
-picks the family, and SpaceFamily alone fixes its exponents.  The radial
-factor takes the density's sinh power and the total cosh decay; the angular
-factor pairs the big family's polynomial against the embedded family's
-(over (p, q-1)) under the embedded weight, shifted by the difference of the
-two alphas.  The exact pairing comes from the Jacobi connection formula
-(jacobi.jacobi_pairing) and decides vanishing.  The quadrature oracle is
-independent of it: it integrates the float three-term recurrence
-(jacobi.jacobi_values) and reaches the full label range up to MAX_DEGREE.
+The two families share one route; the kind= keyword picks the family (any
+other kind raises UnsupportedFamilyError), and SpaceFamily alone fixes its
+exponents.  The radial factor takes the density's sinh power and the total
+cosh decay; the angular factor pairs the big family's polynomial against the
+embedded family's (over (p, q-1)) under the embedded weight, shifted by the
+difference of the two alphas.  The exact pairing comes from the Jacobi
+connection formula (jacobi.jacobi_pairing) and decides vanishing.  The
+quadrature oracle is independent of it: it integrates the float three-term
+recurrence (jacobi.jacobi_values) and reaches the full label range up to
+MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import cosh, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -41,8 +42,7 @@ from .specfun import (
 
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
-OCTONIONIC = "octonionic"
-FIELD_KINDS = (COMPLEX, QUATERNIONIC, OCTONIONIC)
+FIELD_KINDS = (COMPLEX, QUATERNIONIC)
 
 
 class UnsupportedFamilyError(ValueError):
@@ -55,82 +55,42 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceFamily:
-    """A rank-one family with its Jacobi exponents and radial density powers.
+    """A rank-one family over the signature (p, q): its Jacobi exponents,
+    radial density powers and spectral decay exponent.
 
-    The period functions below read every exponent from here.  The octonionic
-    family carries compact-picture spherical polynomials only; it has no
-    signature and no radial data.
+    The period functions below read every exponent from here.
     """
 
     field_kind: str
-    p: int | None = None
-    q: int | None = None
+    p: int
+    q: int
 
     def __post_init__(self):
         if self.field_kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.field_kind!r}")
-        if self.field_kind == OCTONIONIC:
-            if self.p is not None or self.q is not None:
-                raise ValueError("the octonionic family carries no signature")
-        else:
-            if not (isinstance(self.p, int) and isinstance(self.q, int)):
-                raise ValueError("p and q must be integers")
-            if self.p < 1 or self.q < 1:
-                raise ValueError("p and q must be positive")
-
-    def _radial(self) -> None:
-        if self.field_kind == OCTONIONIC:
-            raise UnsupportedFamilyError(
-                "octonionic family exposes compact spherical polynomials only"
-            )
+        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+            raise ValueError("p and q must be integers")
+        if self.p < 1 or self.q < 1:
+            raise ValueError("p and q must be positive")
 
     @property
     def jacobi_alpha(self) -> int:
-        if self.field_kind == COMPLEX:
-            return self.q - 1
-        if self.field_kind == QUATERNIONIC:
-            return 2 * self.q - 1
-        return 7
+        return self.q - 1 if self.field_kind == COMPLEX else 2 * self.q - 1
 
     @property
     def jacobi_beta(self) -> int:
-        if self.field_kind == COMPLEX:
-            return 0
-        if self.field_kind == QUATERNIONIC:
-            return 1
-        return 3
-
-    @property
-    def rho(self) -> Fraction:
-        self._radial()
-        if self.field_kind == COMPLEX:
-            return Fraction(self.p + self.q)
-        return Fraction(2 * self.p + 2 * self.q + 1)
-
-    @property
-    def rho_t(self) -> Fraction:
-        self._radial()
-        if self.field_kind == COMPLEX:
-            return Fraction(self.q)
-        return Fraction(self.q + 1)
+        return 0 if self.field_kind == COMPLEX else 1
 
     @property
     def density_cosh_power(self) -> int:
-        self._radial()
-        if self.field_kind == COMPLEX:
-            return 2 * self.q - 1
-        return 4 * self.q + 3
+        return 2 * self.q - 1 if self.field_kind == COMPLEX else 4 * self.q + 3
 
     @property
     def density_sinh_power(self) -> int:
-        self._radial()
-        if self.field_kind == COMPLEX:
-            return 2 * self.p - 1
-        return 4 * self.p - 1
+        return 2 * self.p - 1 if self.field_kind == COMPLEX else 4 * self.p - 1
 
     def spectral_exponent(self, n: int) -> int:
         """The decay exponent E in (cosh s)^(-E) for even label n."""
-        self._radial()
         if self.field_kind == COMPLEX:
             return 2 * self.q + n  # i*lambda + rho with i*lambda = q - p + n
         return 4 * self.q + n + 2  # i*lambda = 2q - 2p + 1 + n
@@ -144,40 +104,8 @@ def quaternionic_family(p: int, q: int) -> SpaceFamily:
     return SpaceFamily(QUATERNIONIC, p, q)
 
 
-def octonionic_family() -> SpaceFamily:
-    return SpaceFamily(OCTONIONIC)
-
-
-@dataclass(frozen=True)
-class FJFunction:
-    """A labelled radial profile (cosh s)^(-E) P_n^(alpha,beta)(x)."""
-
-    family: SpaceFamily
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0 or self.n % 2 != 0:
-            raise ValueError(f"label must be an even nonnegative integer, got {self.n}")
-
-    @property
-    def spectral_exponent(self) -> int:
-        return self.family.spectral_exponent(self.n)
-
-
-def fj_eval(f: FJFunction, s: float, x: float) -> float:
-    """Evaluate the profile at radial coordinate s >= 0 and compact variable x.
-
-    The label is used directly as the polynomial degree, matching the period
-    integrand contract below.
-    """
-    if s < 0:
-        raise ValueError("radial coordinate must be nonnegative")
-    polynomial = jacobi_values(f.n, f.family.jacobi_alpha, f.family.jacobi_beta, x)
-    return cosh(s) ** (-f.spectral_exponent) * polynomial
-
-
 # ---------------------------------------------------------------------------
-# Period integrals, one route for both families with radial data
+# Period integrals, one route for both families
 # ---------------------------------------------------------------------------
 
 
@@ -190,7 +118,7 @@ def _check_period_args(p: int, q: int, n: int, k: int) -> None:
 
 def _families(p: int, q: int, kind: str) -> tuple[SpaceFamily, SpaceFamily]:
     """The family over (p, q) and the embedded one over (p, q - 1)."""
-    if kind not in (COMPLEX, QUATERNIONIC):
+    if kind not in FIELD_KINDS:
         raise UnsupportedFamilyError(f"no radial pairing for {kind!r}")
     return SpaceFamily(kind, p, q), SpaceFamily(kind, p, q - 1)
 

@@ -85,8 +85,8 @@ def adaptive_quadrature(
     break on the left endpoint and the final sum runs left to right, so
     results are bit-stable across runs.
     """
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be positive")
+    if not 0 < abs_tol < math.inf:
+        raise ValueError("abs_tol must be positive and finite")
     evaluations = 0
 
     def panel(lo: float, hi: float) -> float:
@@ -168,8 +168,8 @@ def radial_integral_quadrature(
     into u^alpha (1 - u^2)^((beta-alpha)/2 - 1), which has at worst algebraic
     endpoint behaviour under the convergence preconditions.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     _check_radial_convergence(alpha, beta_exp)
     s = (beta_exp - alpha) / 2.0
 

@@ -96,6 +96,19 @@ def test_period_precondition_exit(capsys):
     assert "q > p" in err
 
 
+def test_period_rejects_nonfinite_tol(capsys):
+    cases = [
+        ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "nan"),
+        ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "inf"),
+        ("table", "period", "--pq", "1,2", "--tol", "nan"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_VALIDATION and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "tol must be positive and finite" in err, (argv, err)
+
+
 def test_table_branch_triangle(capsys):
     code, out, _ = run_cli(
         capsys,

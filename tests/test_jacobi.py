@@ -1,52 +1,74 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from relbranch.jacobi import (
     MAX_DEGREE,
-    connection_coeffs,
     connection_expansion,
-    integrate_with_weight,
-    jacobi_eval_exact,
     jacobi_norm_sq,
     jacobi_pairing,
-    jacobi_poly,
     jacobi_values,
-    normalization_at_one,
-    poly_mul,
-    weighted_inner_product,
 )
+from relbranch.oracle import jacobi_coeffs, normalization_at_one, weighted_pairing
+
+# exact oracle polynomials, each built once
+_coeffs = lru_cache(maxsize=None)(jacobi_coeffs)
+
+
+def _eval_exact(coeffs, x):
+    """Exact Horner evaluation of ascending coefficients at a rational x."""
+    xf = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * xf + c
+    return acc
+
+
+def _inner_product(m, k, alpha):
+    """Exact integral of P_m^(alpha+1,0) P_k^(alpha,0) (1-x)^alpha over [-1, 1]."""
+    return weighted_pairing(_coeffs(m, alpha + 1), _coeffs(k, alpha), alpha)
 
 
 def test_degree_zero_is_constant_one():
     for alpha, beta in [(0, 0), (3, 1), (Fraction(5, 2), Fraction(1, 2)), (7, 3)]:
-        p = jacobi_poly(0, alpha, beta)
-        assert p.coeffs == (Fraction(1),)
+        assert jacobi_coeffs(0, alpha, beta) == (Fraction(1),)
 
 
 def test_legendre_degree_two():
-    p = jacobi_poly(2, 0, 0)
-    assert p.coeffs == (Fraction(-1, 2), Fraction(0), Fraction(3, 2))
+    assert jacobi_coeffs(2, 0, 0) == (Fraction(-1, 2), Fraction(0), Fraction(3, 2))
 
 
 def test_value_at_one_normalization():
     for n in range(0, 11):
         for alpha in range(0, 9):
             for beta in (0, 1, 3):
-                p = jacobi_poly(n, alpha, beta)
-                assert p.value_at_one() == normalization_at_one(n, alpha), (n, alpha, beta)
+                assert sum(jacobi_coeffs(n, alpha, beta)) == normalization_at_one(n, alpha), (
+                    n, alpha, beta,
+                )
+
+
+def test_values_at_one_match_normalization():
+    # the production recurrence at x = 1, against the exact normalization
+    for n in range(0, MAX_DEGREE + 1):
+        for alpha in [*range(0, 9), 30, 125]:
+            want = float(normalization_at_one(n, alpha))
+            for beta in (0, 1, 3):
+                got = jacobi_values(n, alpha, beta, 1.0)
+                assert abs(got - want) <= 1e-13 * want, (n, alpha, beta)
 
 
 def test_leading_coefficient_nonzero():
     for n in range(1, 13):
         for alpha, beta in [(0, 0), (2, 0), (3, 1), (7, 3)]:
-            assert jacobi_poly(n, alpha, beta).coeffs[-1] != 0
+            assert jacobi_coeffs(n, alpha, beta)[-1] != 0
 
 
 def test_eval_examples():
     assert jacobi_values(0, 4, 1, 0.37) == 1.0
     assert jacobi_values(2, 0, 0, 0.0) == -0.5
+    assert jacobi_values(2, 1, 0, 0.0) == -0.5
     assert jacobi_values(1, 1, 0, 1.0) == 2.0  # Gamma(3)/(Gamma(2)Gamma(2))
 
 
@@ -62,8 +84,8 @@ def test_values_array_shape_and_degree_cap():
 
 
 def _exact_values(n, alpha, beta, xs):
-    poly = jacobi_poly(n, alpha, beta)
-    return np.array([float(jacobi_eval_exact(poly, Fraction(x))) for x in xs])
+    coeffs = jacobi_coeffs(n, alpha, beta)
+    return np.array([float(_eval_exact(coeffs, Fraction(x))) for x in xs])
 
 
 def test_values_match_exact_horner():
@@ -85,31 +107,33 @@ def test_values_match_exact_horner_at_degree_cap():
 
 
 def test_eval_exact():
-    assert jacobi_eval_exact(jacobi_poly(2, 1, 0), 0) == Fraction(-1, 2)
-    assert jacobi_eval_exact(jacobi_poly(1, 1, 0), Fraction(1, 3)) == Fraction(1, 2) + Fraction(3, 2) / 3
+    assert _eval_exact(jacobi_coeffs(2, 1, 0), 0) == Fraction(-1, 2)
+    assert _eval_exact(jacobi_coeffs(1, 1, 0), Fraction(1, 3)) == Fraction(1, 2) + Fraction(3, 2) / 3
 
 
 def test_degree_cap():
     with pytest.raises(ValueError):
-        jacobi_poly(MAX_DEGREE + 1, 0, 0)
+        connection_expansion(MAX_DEGREE + 1, 0, 0, 0)
     with pytest.raises(ValueError):
-        jacobi_poly(-1, 0, 0)
+        connection_expansion(-1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        jacobi_coeffs(-1, 0, 0)
 
 
 def test_connection_base_cases():
-    assert connection_coeffs(0, 0) == (Fraction(1),)
-    assert connection_coeffs(0, 5) == (Fraction(1),)
-    assert connection_coeffs(1, 0) == (Fraction(1, 2), Fraction(3, 2))
+    assert connection_expansion(0, 0, 0, 1) == (Fraction(1),)
+    assert connection_expansion(0, 5, 0, 1) == (Fraction(1),)
+    assert connection_expansion(1, 0, 0, 1) == (Fraction(1, 2), Fraction(3, 2))
 
 
 def test_connection_identity_exact():
     for n in range(0, 13):
         for alpha in range(0, 9):
-            cs = connection_coeffs(n, alpha)
-            target = jacobi_poly(n, alpha + 1, 0).coeffs
+            cs = connection_expansion(n, alpha, 0, 1)
+            target = _coeffs(n, alpha + 1, 0)
             acc = [Fraction(0)] * (n + 1)
             for k, c in enumerate(cs):
-                for i, ci in enumerate(jacobi_poly(k, alpha, 0).coeffs):
+                for i, ci in enumerate(_coeffs(k, alpha, 0)):
                     acc[i] += c * ci
             assert tuple(acc) == target, (n, alpha)
 
@@ -117,21 +141,21 @@ def test_connection_identity_exact():
 def test_connection_positivity():
     for n in range(0, 13):
         for alpha in range(0, 9):
-            assert all(c > 0 for c in connection_coeffs(n, alpha))
+            assert all(c > 0 for c in connection_expansion(n, alpha, 0, 1))
 
 
 def test_weighted_inner_product_examples():
-    assert weighted_inner_product(0, 0, 0) == Fraction(2)
-    assert weighted_inner_product(2, 4, 1) == 0
-    assert weighted_inner_product(3, 5, 0) == 0
+    assert _inner_product(0, 0, 0) == Fraction(2)
+    assert _inner_product(2, 4, 1) == 0
+    assert _inner_product(3, 5, 0) == 0
 
 
 def test_weighted_inner_product_dichotomy_and_value():
     for alpha in range(0, 7):
         for m in range(0, 11):
-            cs = connection_coeffs(m, alpha)
+            cs = connection_expansion(m, alpha, 0, 1)
             for k in range(0, 11):
-                got = weighted_inner_product(m, k, alpha)
+                got = _inner_product(m, k, alpha)
                 if k > m:
                     assert got == 0, (m, k, alpha)
                 else:
@@ -142,10 +166,10 @@ def test_weighted_inner_product_dichotomy_and_value():
 def test_same_family_orthogonality():
     for alpha in (0, 1, 3):
         for m in range(0, 11):
-            pm = jacobi_poly(m, alpha, 0)
+            pm = _coeffs(m, alpha, 0)
             for k in range(0, 11):
-                pk = jacobi_poly(k, alpha, 0)
-                val = integrate_with_weight(poly_mul(pm.coeffs, pk.coeffs), alpha)
+                pk = _coeffs(k, alpha, 0)
+                val = weighted_pairing(pm, pk, alpha)
                 if m != k:
                     assert val == 0, (m, k, alpha)
                 else:
@@ -154,15 +178,13 @@ def test_same_family_orthogonality():
 
 def test_integrate_with_weight_validation():
     with pytest.raises(ValueError):
-        integrate_with_weight([Fraction(1)], -1)
+        weighted_pairing([Fraction(1)], [Fraction(1)], -1)
     with pytest.raises(ValueError):
-        weighted_inner_product(1, 1, -1)
+        weighted_pairing(jacobi_coeffs(1, 0), jacobi_coeffs(1, -1), -1)
 
 
 def _expanded_pairing(n, k, alpha, beta, shift):
-    big = jacobi_poly(n, alpha + shift, beta).coeffs
-    small = jacobi_poly(k, alpha, beta).coeffs
-    return integrate_with_weight(poly_mul(big, small), alpha, beta)
+    return weighted_pairing(_coeffs(n, alpha + shift, beta), _coeffs(k, alpha, beta), alpha, beta)
 
 
 def test_norm_sq_general_beta_matches_expansion():
@@ -188,7 +210,7 @@ def test_jacobi_pairing_matches_expansion_small_grid():
 def test_jacobi_pairing_shift_one_beta_zero_is_connection_times_norm():
     for alpha in range(0, 7):
         for n in range(0, 11):
-            cs = connection_coeffs(n, alpha)
+            cs = connection_expansion(n, alpha, 0, 1)
             for k in range(0, n + 1):
                 assert jacobi_pairing(n, k, alpha, 0, 1) == cs[k] * jacobi_norm_sq(k, alpha)
 
@@ -200,9 +222,9 @@ def test_connection_expansion_identity_exact():
                 ds = connection_expansion(n, alpha, beta, shift)
                 acc = [Fraction(0)] * (n + 1)
                 for j, d in enumerate(ds):
-                    for i, c in enumerate(jacobi_poly(j, alpha, beta).coeffs):
+                    for i, c in enumerate(_coeffs(j, alpha, beta)):
                         acc[i] += d * c
-                assert tuple(acc) == jacobi_poly(n, alpha + shift, beta).coeffs
+                assert tuple(acc) == _coeffs(n, alpha + shift, beta)
                 if shift:
                     assert all(d > 0 for d in ds)
 
@@ -214,8 +236,6 @@ def test_connection_expansion_validation():
         connection_expansion(2, -1, 0, 1)
     with pytest.raises(ValueError):
         connection_expansion(2, 0, 0, -1)
-    with pytest.raises(ValueError):
-        connection_coeffs(2, -1)
 
 
 def test_jacobi_pairing_validation():

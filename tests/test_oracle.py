@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from relbranch import oracle
 from relbranch.jacobi import jacobi_values
 from relbranch.oracle import (
     GTBranchResult,
@@ -119,3 +123,18 @@ def test_su2_matches_legendre():
 def test_su2_rejects_negative_degree():
     with pytest.raises(ValueError):
         su2_spherical_coefficient(-1, np.array([0.0]))
+
+
+def test_oracle_imports_nothing_from_jacobi():
+    # the exact Jacobi oracle must not share code with the module it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("." * node.level) + (node.module or "")
+            modules = [base] + [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in modules:
+            assert name.split(".")[-1] != "jacobi", ast.unparse(node)

@@ -1,30 +1,19 @@
-import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbranch.jacobi import (
-    MAX_DEGREE,
-    integrate_with_weight,
-    jacobi_eval_exact,
-    jacobi_pairing,
-    jacobi_poly,
-    jacobi_values,
-    normalization_at_one,
-    poly_mul,
-    weighted_inner_product,
-)
+from relbranch.jacobi import MAX_DEGREE, jacobi_pairing
+from relbranch.oracle import jacobi_coeffs, weighted_pairing
 from relbranch.periods import (
     COMPLEX,
     QUATERNIONIC,
-    FJFunction,
     PreconditionError,
+    SpaceFamily,
     UnsupportedFamilyError,
     complex_family,
-    fj_eval,
-    octonionic_family,
     period_angular_exact,
     period_integral_closed,
     period_integral_quadrature,
@@ -39,7 +28,6 @@ from relbranch.specfun import radial_integral_closed, radial_integral_quadrature
 def test_complex_family_data():
     fam = complex_family(1, 2)
     assert fam.jacobi_alpha == 1 and fam.jacobi_beta == 0
-    assert fam.rho == 3 and fam.rho_t == 2
     assert fam.density_cosh_power == 3 and fam.density_sinh_power == 1
     assert fam.spectral_exponent(0) == 4
     assert fam.spectral_exponent(2) == 6
@@ -48,23 +36,9 @@ def test_complex_family_data():
 def test_quaternionic_family_data():
     fam = quaternionic_family(1, 2)
     assert fam.jacobi_alpha == 3 and fam.jacobi_beta == 1
-    assert fam.rho == 7 and fam.rho_t == 3
     assert fam.density_cosh_power == 11 and fam.density_sinh_power == 3
     assert fam.spectral_exponent(0) == 10
     assert fam.spectral_exponent(4) == 14
-
-
-def test_octonionic_family_compact_only():
-    fam = octonionic_family()
-    assert fam.jacobi_alpha == 7 and fam.jacobi_beta == 3
-    with pytest.raises(UnsupportedFamilyError):
-        fam.rho
-    with pytest.raises(UnsupportedFamilyError):
-        fam.spectral_exponent(0)
-    with pytest.raises(UnsupportedFamilyError):
-        fj_eval(FJFunction(fam, 0), 1.0, 0.5)
-    # the compact spherical polynomials themselves are available
-    assert jacobi_poly(4, 7, 3).value_at_one() == normalization_at_one(4, 7)
 
 
 def test_family_validation():
@@ -72,37 +46,8 @@ def test_family_validation():
         complex_family(0, 2)
     with pytest.raises(ValueError):
         quaternionic_family(1, 0)
-
-
-def test_fj_label_must_be_even():
     with pytest.raises(ValueError):
-        FJFunction(complex_family(1, 2), 3)
-    with pytest.raises(ValueError):
-        FJFunction(complex_family(1, 2), -2)
-
-
-def test_fj_eval_trivial_cases():
-    fam = complex_family(1, 2)
-    assert fj_eval(FJFunction(fam, 0), 0.0, 1.0) == 1.0
-    assert fj_eval(FJFunction(fam, 0), 0.0, -0.3) == 1.0
-
-
-def test_fj_eval_label_is_degree():
-    # label n = 2 evaluates the degree-2 polynomial of the family
-    fam = complex_family(1, 2)
-    value = fj_eval(FJFunction(fam, 2), 1.0, 0.0)
-    expected = math.cosh(1.0) ** (-6) * float(jacobi_eval_exact(jacobi_poly(2, 1, 0), 0))
-    assert value == pytest.approx(expected, rel=1e-14)
-    assert jacobi_values(2, 1, 0, 0.0) == -0.5
-
-
-def test_fj_eval_decay_slope():
-    # log f(s) ~ -(2q+n) s for large s; slope between s=5 and s=10 within 1%
-    for p, q, n in [(1, 2, 0), (1, 2, 4), (2, 3, 2), (3, 4, 6)]:
-        f = FJFunction(complex_family(p, q), n)
-        lo, hi = 5.0, 10.0
-        slope = (math.log(fj_eval(f, hi, 1.0)) - math.log(fj_eval(f, lo, 1.0))) / (hi - lo)
-        assert abs(slope / (2 * q + n) + 1.0) <= 0.01
+        SpaceFamily("octonionic", 1, 2)
 
 
 def test_radial_exponent_bookkeeping():
@@ -235,17 +180,25 @@ def test_radial_cosh_power_identities_full_label_range():
                     )
 
 
+# exact oracle polynomials, each built once
+_coeffs = lru_cache(maxsize=None)(jacobi_coeffs)
+
+
+def _complex_expansion(n, k, alpha):
+    return weighted_pairing(_coeffs(n, alpha + 1), _coeffs(k, alpha), alpha)
+
+
 def _quaternionic_expansion(q, n, k):
-    big = jacobi_poly(n, 2 * q - 1, 1).coeffs
-    small = jacobi_poly(k, 2 * q - 3, 1).coeffs
-    return integrate_with_weight(poly_mul(big, small), 2 * q - 3, 1)
+    big = _coeffs(n, 2 * q - 1, 1)
+    small = _coeffs(k, 2 * q - 3, 1)
+    return weighted_pairing(big, small, 2 * q - 3, 1)
 
 
 def test_angular_exact_matches_expansion_small_grid():
     for q in (2, 3, 5):
         for n in range(0, 9, 2):
             for k in range(0, 9, 2):
-                assert period_angular_exact(q, n, k) == weighted_inner_product(n, k, q - 2)
+                assert period_angular_exact(q, n, k) == _complex_expansion(n, k, q - 2)
                 quaternionic = period_angular_exact(q, n, k, kind=QUATERNIONIC)
                 assert quaternionic == _quaternionic_expansion(q, n, k)
 
@@ -256,7 +209,7 @@ even_label = st.integers(min_value=0, max_value=15).map(lambda half: 2 * half)
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10), even_label, even_label)
 def test_complex_angular_exact_matches_expansion(alpha, n, k):
-    assert period_angular_exact(alpha + 2, n, k) == weighted_inner_product(n, k, alpha)
+    assert period_angular_exact(alpha + 2, n, k) == _complex_expansion(n, k, alpha)
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,7 +223,7 @@ def test_angular_exact_matches_expansion_at_degree_cap():
     top = MAX_DEGREE
     # (64, 2) at alpha = 18 is about 8e-17 of its Cauchy-Schwarz scale, yet nonzero
     for n, k, alpha in [(top, 0, 30), (top, 2, 18), (top, top - 2, 0), (top - 2, top, 7)]:
-        assert period_angular_exact(alpha + 2, n, k) == weighted_inner_product(n, k, alpha)
+        assert period_angular_exact(alpha + 2, n, k) == _complex_expansion(n, k, alpha)
     for n, k, q in [(top, top, 2), (top, 0, 16), (top - 2, top, 5)]:
         assert period_angular_exact(q, n, k, kind=QUATERNIONIC) == _quaternionic_expansion(q, n, k)
 

@@ -139,6 +139,14 @@ def test_quadrature_handles_mild_endpoint_singularity():
     assert r.value == pytest.approx(math.pi / 2, rel=1e-8)
 
 
+def test_quadrature_rejects_nonfinite_tolerance():
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            radial_integral_quadrature(1, 3, tol)
+        with pytest.raises(ValueError, match="positive and finite"):
+            adaptive_quadrature(np.cos, 0.0, 1.0, tol)
+
+
 def test_adaptive_quadrature_budget_exhaustion():
     def nasty(x):
         return np.abs(x - 1 / math.pi) ** (-0.9)

@@ -79,8 +79,7 @@ def _valid_params_in(sig: Signature, level: GroupLevel, side: Side, lo: HalfInt,
     a = bound if bound >= lo else bound + ((lo.twice - bound.twice + 1) // 2)
     out = []
     while a <= hi:
-        if a >= lo:
-            out.append(make_param(sig, side, level, a))
+        out.append(make_param(sig, side, level, a))
         a = a + 1
     return out
 
@@ -112,6 +111,7 @@ def cmd_branch(args, out) -> int:
     if args.pi_minus is not None:
         a = HalfInt.parse(args.pi_minus)
         Pi = make_param(sig, Side.MINUS, GroupLevel.G, a)
+        _cap(args.max_k + 1)
         summands = branching.pi_minus_summands(Pi, args.max_k)
         record = _record(
             "branch",

@@ -145,6 +145,4 @@ class HalfInt:
         return f"HalfInt({self.twice})"
 
 
-ZERO = HalfInt(0)
 HALF = HalfInt(1)
-ONE = HalfInt(2)

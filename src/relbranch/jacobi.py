@@ -1,5 +1,5 @@
 """Jacobi polynomials: one stable float evaluator, the exact connection
-expansion and exact weighted pairings.
+coefficients and exact weighted pairings.
 
 Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)).
 
@@ -8,11 +8,12 @@ Orthogonal Polynomials, ch. 4) over numpy arrays (jacobi_values); monomial
 coefficients reach 1e30 by degree 64 and cancel catastrophically in float.
 
 Pairings of a shifted polynomial against an unshifted one come in closed form
-from the connection formula (DLMF 18.18): P_n^(alpha+shift,beta) expands in
-the orthogonal P_j^(alpha,beta) with positive rational coefficients
-(connection_expansion), so each pairing is one coefficient times a squared
-norm, nonzero exactly when the second degree is at most the first.  This
-exact dichotomy drives every non-vanishing claim downstream.
+from the connection formula (DLMF 18.18(iv)): P_n^(alpha+shift,beta) expands
+in the orthogonal P_j^(alpha,beta) with positive rational coefficients, each
+one product of factorials (connection_coeff), so each pairing is one
+coefficient times a squared norm, nonzero exactly when the second degree is
+at most the first.  This exact dichotomy drives every non-vanishing claim
+downstream.
 
 The exact monomial-coefficient oracle these are tested against lives in
 relbranch.oracle and shares no code with this module.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Union
 
 import numpy as np
@@ -30,8 +31,7 @@ import numpy as np
 Rational = Union[int, Fraction]
 
 # Exact coefficient growth is roughly factorial in the degree; beyond this cap
-# the rational vectors and connection sums become unwieldy without any
-# downstream use.
+# the rationals become unwieldy without any downstream use.
 MAX_DEGREE = 64
 
 
@@ -79,40 +79,34 @@ def jacobi_values(n: int, alpha: Rational, beta_param: Rational, x):
 # ---------------------------------------------------------------------------
 
 
-def _connection_coeff(n: int, k: int, alpha: int, beta_param: int) -> Fraction:
-    """c_{n,k} in P_n^(alpha+1,beta) = sum_k c_{n,k} P_k^(alpha,beta):
+def connection_coeff(n: int, k: int, alpha: int, beta_param: int, shift: int) -> Fraction:
+    """d_k in P_n^(alpha+shift,beta) = sum_k d_k P_k^(alpha,beta), zero for k > n
+    (DLMF 18.18(iv); Askey, Orthogonal Polynomials and Special Functions,
+    Lecture 7).  With ab = alpha + beta:
 
-        (n+beta)! (2k+alpha+beta+1) (k+alpha+beta)! / ((n+alpha+beta+1)! (k+beta)!)
-    """
-    ab = alpha + beta_param
-    return Fraction(
-        factorial(n + beta_param) * (2 * k + ab + 1) * factorial(k + ab),
-        factorial(n + ab + 1) * factorial(k + beta_param),
-    )
+        (shift)_{n-k} / (n-k)!
+        * (n+beta)! (n+k+ab+shift)! (2k+ab+1) (k+ab)!
+        / ((n+ab+shift)! (k+beta)! (n+k+ab+1)!)
 
-
-@lru_cache(maxsize=None)
-def connection_expansion(n: int, alpha: int, beta_param: int, shift: int) -> tuple[Fraction, ...]:
-    """Coefficients d_0..d_n with P_n^(alpha+shift,beta) = sum_j d_j P_j^(alpha,beta).
-
-    The connection formula lowers the first exponent by one; applying it
-    shift times gives sums of products of positive factors, so every d_j is
-    positive once shift >= 1.
+    Every factor is positive once shift >= 1; shift 0 gives the identity.
     """
     _check_degree(n)
     if alpha < 0 or beta_param < 0 or shift < 0:
         raise ValueError("requires integer alpha, beta, shift >= 0")
-    coeffs = (Fraction(0),) * n + (Fraction(1),)
-    for top in range(alpha + shift - 1, alpha - 1, -1):
-        coeffs = tuple(
-            sum(
-                coeffs[i] * _connection_coeff(i, j, top, beta_param)
-                for i in range(j, n + 1)
-                if coeffs[i]
-            )
-            for j in range(n + 1)
-        )
-    return coeffs
+    if k < 0:
+        raise ValueError(f"degree must be nonnegative, got {k}")
+    if k > n:
+        return Fraction(0)
+    ab = alpha + beta_param
+    rising = prod(range(shift, shift + n - k)) // factorial(n - k)  # (shift)_{n-k} / (n-k)!
+    return Fraction(
+        rising
+        * factorial(n + beta_param)
+        * factorial(n + k + ab + shift)
+        * (2 * k + ab + 1)
+        * factorial(k + ab),
+        factorial(n + ab + shift) * factorial(k + beta_param) * factorial(n + k + ab + 1),
+    )
 
 
 def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
@@ -143,7 +137,4 @@ def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> F
     _check_degree(k)
     if shift not in (1, 2):
         raise ValueError(f"shift must be 1 or 2, got {shift}")
-    expansion = connection_expansion(n, alpha, beta_param, shift)
-    if k > n:
-        return Fraction(0)
-    return expansion[k] * jacobi_norm_sq(k, alpha, beta_param)
+    return connection_coeff(n, k, alpha, beta_param, shift) * jacobi_norm_sq(k, alpha, beta_param)

@@ -16,11 +16,13 @@ other kind raises UnsupportedFamilyError), and SpaceFamily alone fixes its
 exponents.  The radial factor takes the density's sinh power and the total
 cosh decay; the angular factor pairs the big family's polynomial against the
 embedded family's (over (p, q-1)) under the embedded weight, shifted by the
-difference of the two alphas.  The exact pairing comes from the Jacobi
-connection formula (jacobi.jacobi_pairing) and decides vanishing.  The
-quadrature oracle is independent of it: it integrates the float three-term
-recurrence (jacobi.jacobi_values) and reaches the full label range up to
-MAX_DEGREE.
+difference of the two alphas.  The exact pairing is one closed-form
+connection coefficient times a squared norm (jacobi.jacobi_pairing) and
+decides vanishing.  The quadrature oracle is independent of it: it integrates
+the float three-term recurrence (jacobi.jacobi_values) and reaches the full
+label range up to MAX_DEGREE; only its tolerance scale, a Cauchy-Schwarz
+bound, reads the squared norm of the shifted polynomial from the same
+coefficients (jacobi.connection_coeff).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import sqrt
 
 import numpy as np
 
-from .jacobi import connection_expansion, jacobi_norm_sq, jacobi_pairing, jacobi_values
+from .jacobi import connection_coeff, jacobi_norm_sq, jacobi_pairing, jacobi_values
 from .specfun import (
     QuadratureResult,
     adaptive_quadrature,
@@ -94,14 +96,6 @@ class SpaceFamily:
         if self.field_kind == COMPLEX:
             return 2 * self.q + n  # i*lambda + rho with i*lambda = q - p + n
         return 4 * self.q + n + 2  # i*lambda = 2q - 2p + 1 + n
-
-
-def complex_family(p: int, q: int) -> SpaceFamily:
-    return SpaceFamily(COMPLEX, p, q)
-
-
-def quaternionic_family(p: int, q: int) -> SpaceFamily:
-    return SpaceFamily(QUATERNIONIC, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +167,20 @@ def period_integral_closed(p: int, q: int, n: int, k: int, kind: str = COMPLEX) 
 @lru_cache(maxsize=None)
 def _norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> float:
     """Squared norm of P_n^(alpha+shift,beta) under the (alpha, beta) weight:
-    sum_j d_j^2 h_j over its connection expansion, rounded once."""
-    expansion = connection_expansion(n, alpha, beta_param, shift)
-    return float(sum(d * d * jacobi_norm_sq(j, alpha, beta_param) for j, d in enumerate(expansion)))
+    sum_j d_j^2 h_j over its connection coefficients d_j, rounded once."""
+    return float(
+        sum(
+            connection_coeff(n, j, alpha, beta_param, shift) ** 2
+            * jacobi_norm_sq(j, alpha, beta_param)
+            for j in range(n + 1)
+        )
+    )
 
 
 def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> float:
     """Cauchy-Schwarz bound sqrt(||P_n||^2 ||P_k||^2) on jacobi_pairing(n, k, ...)."""
-    return sqrt(_norm_sq(n, alpha, beta_param, shift) * _norm_sq(k, alpha, beta_param, 0))
+    small = float(jacobi_norm_sq(k, alpha, beta_param))
+    return sqrt(_norm_sq(n, alpha, beta_param, shift) * small)
 
 
 def _angular_quadrature(

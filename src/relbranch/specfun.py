@@ -68,14 +68,11 @@ def beta(x: float, y: float) -> float:
 
 GAUSS_ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+MAX_PANELS = 4096
 
 
 def adaptive_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float,
-    max_panels: int = 4096,
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, abs_tol: float
 ) -> QuadratureResult:
     """Integrate a vectorized integrand over [a, b] to an absolute tolerance.
 
@@ -113,9 +110,9 @@ def adaptive_quadrature(
             raise ConvergenceError(
                 f"quadrature on [{a}, {b}] stalled at error {err_total:.3g} > {abs_tol:.3g}"
             )
-        if panels >= max_panels:
+        if panels >= MAX_PANELS:
             raise ConvergenceError(
-                f"quadrature on [{a}, {b}] did not converge within {max_panels} panels"
+                f"quadrature on [{a}, {b}] did not converge within {MAX_PANELS} panels"
             )
         worst = heapq.heappop(live)
         neg_err, lo, hi, left, right = worst
@@ -159,9 +156,7 @@ def radial_integral_closed(alpha: float, beta_exp: float) -> float:
     return 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)
 
 
-def radial_integral_quadrature(
-    alpha: float, beta_exp: float, tol: float, max_panels: int = 4096
-) -> QuadratureResult:
+def radial_integral_quadrature(alpha: float, beta_exp: float, tol: float) -> QuadratureResult:
     """A(alpha, beta) by adaptive quadrature, independent of the closed form.
 
     Substituting u = tanh t maps [0, inf) to [0, 1) and turns the integrand
@@ -179,7 +174,7 @@ def radial_integral_quadrature(
     # one coarse panel fixes the absolute-tolerance scale
     coarse = 0.5 * float(np.dot(_WEIGHTS, integrand(0.5 + 0.5 * _NODES)))
     abs_tol = tol * max(1.0, abs(coarse))
-    result = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol, max_panels=max_panels)
+    result = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
     return QuadratureResult(
         result.value, result.abs_error_estimate, result.evaluations + GAUSS_ORDER
     )

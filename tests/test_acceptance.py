@@ -21,7 +21,7 @@ from relbranch.branching import (
 )
 from relbranch.halfint import HalfInt
 from relbranch.hepattern import enumerate_alignments, u1n_end_candidates, u2n_plus_sequence
-from relbranch.jacobi import connection_expansion, jacobi_values
+from relbranch.jacobi import connection_coeff, jacobi_values
 from relbranch.oracle import (
     compact_relative_mult,
     jacobi_coeffs,
@@ -72,7 +72,7 @@ def test_criterion_02_connection_identity():
     def check():
         for n in range(0, 13):
             for alpha in range(0, 9):
-                coeffs = connection_expansion(n, alpha, 0, 1)
+                coeffs = tuple(connection_coeff(n, j, alpha, 0, 1) for j in range(n + 1))
                 acc = [0] * (n + 1)
                 for k, c in enumerate(coeffs):
                     for i, ci in enumerate(jacobi_coeffs(k, alpha, 0)):

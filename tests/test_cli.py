@@ -57,6 +57,19 @@ def test_branch_validation_exit_code(capsys):
     assert "parity" in err
 
 
+def test_branch_pi_minus_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "branch", "--pq", "3,3", "--pi-minus", "5/2", "--max-k", "10000"
+    )
+    assert code == 2
+    assert not out
+    assert err == "error: grid of 10001 records exceeds the cap 10000\n"
+    code, out, err = run_cli(capsys, "branch", "--pq", "3,3", "--pi-minus", "5/2", "--max-k", "-1")
+    assert code == 2
+    assert not out
+    assert err == "error: max_k must be nonnegative\n"
+
+
 def test_branch_requires_a_and_b(capsys):
     code, _, err = run_cli(capsys, "branch", "--pq", "3,3", "--plus-a", "7/2")
     assert code == 2
@@ -317,17 +330,57 @@ def test_broken_pipe_exits_quietly():
     assert err == b""
 
 
-def test_readme_commands_emit_records(capsys):
+def _readme_commands():
+    """The argv of every `relbranch ...` line in the README's bash blocks."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    commands = [
+    return [
         shlex.split(line)[1:]
         for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
         for line in block.splitlines()
         if line.startswith("relbranch ")
     ]
+
+
+def test_readme_commands_emit_records(capsys):
+    commands = _readme_commands()
     assert commands
     for argv in commands:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         lines = out.splitlines()
         assert lines and all(json.loads(line)["schema"] == cli.SCHEMA for line in lines), argv
+
+
+# Runs argv lists through cli.main in one interpreter and reports, as JSON,
+# each (exit code, stdout, stderr) and whether the test oracle was imported.
+_CHILD = """
+import contextlib, io, json, sys
+from relbranch import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+loaded = "relbranch.oracle" in sys.modules
+json.dump({"optimize": sys.flags.optimize, "oracle": loaded, "results": results}, sys.stdout)
+"""
+
+
+def test_readme_commands_under_python_O(capsys):
+    # no result may rest on an assert statement, and the CLI never imports the oracle
+    import subprocess
+    import sys
+
+    commands = _readme_commands()
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CHILD, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert report["optimize"] == 1
+    assert report["oracle"] is False
+    assert len(report["results"]) == len(commands)
+    for argv, (code, out, err) in zip(commands, report["results"]):
+        assert (code, err) == (0, ""), argv
+        assert out == run_cli(capsys, *argv)[1], argv

@@ -1,12 +1,13 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
 
 from relbranch.jacobi import (
     MAX_DEGREE,
-    connection_expansion,
+    connection_coeff,
     jacobi_norm_sq,
     jacobi_pairing,
     jacobi_values,
@@ -15,6 +16,11 @@ from relbranch.oracle import jacobi_coeffs, normalization_at_one, weighted_pairi
 
 # exact oracle polynomials, each built once
 _coeffs = lru_cache(maxsize=None)(jacobi_coeffs)
+
+
+def _expansion(n, alpha, beta, shift):
+    """d_0..d_n with P_n^(alpha+shift,beta) = sum_j d_j P_j^(alpha,beta)."""
+    return tuple(connection_coeff(n, j, alpha, beta, shift) for j in range(n + 1))
 
 
 def _eval_exact(coeffs, x):
@@ -113,23 +119,23 @@ def test_eval_exact():
 
 def test_degree_cap():
     with pytest.raises(ValueError):
-        connection_expansion(MAX_DEGREE + 1, 0, 0, 0)
+        _expansion(MAX_DEGREE + 1, 0, 0, 0)
     with pytest.raises(ValueError):
-        connection_expansion(-1, 0, 0, 0)
+        connection_coeff(-1, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         jacobi_coeffs(-1, 0, 0)
 
 
 def test_connection_base_cases():
-    assert connection_expansion(0, 0, 0, 1) == (Fraction(1),)
-    assert connection_expansion(0, 5, 0, 1) == (Fraction(1),)
-    assert connection_expansion(1, 0, 0, 1) == (Fraction(1, 2), Fraction(3, 2))
+    assert _expansion(0, 0, 0, 1) == (Fraction(1),)
+    assert _expansion(0, 5, 0, 1) == (Fraction(1),)
+    assert _expansion(1, 0, 0, 1) == (Fraction(1, 2), Fraction(3, 2))
 
 
 def test_connection_identity_exact():
     for n in range(0, 13):
         for alpha in range(0, 9):
-            cs = connection_expansion(n, alpha, 0, 1)
+            cs = _expansion(n, alpha, 0, 1)
             target = _coeffs(n, alpha + 1, 0)
             acc = [Fraction(0)] * (n + 1)
             for k, c in enumerate(cs):
@@ -141,7 +147,7 @@ def test_connection_identity_exact():
 def test_connection_positivity():
     for n in range(0, 13):
         for alpha in range(0, 9):
-            assert all(c > 0 for c in connection_expansion(n, alpha, 0, 1))
+            assert all(c > 0 for c in _expansion(n, alpha, 0, 1))
 
 
 def test_weighted_inner_product_examples():
@@ -153,7 +159,7 @@ def test_weighted_inner_product_examples():
 def test_weighted_inner_product_dichotomy_and_value():
     for alpha in range(0, 7):
         for m in range(0, 11):
-            cs = connection_expansion(m, alpha, 0, 1)
+            cs = _expansion(m, alpha, 0, 1)
             for k in range(0, 11):
                 got = _inner_product(m, k, alpha)
                 if k > m:
@@ -210,7 +216,7 @@ def test_jacobi_pairing_matches_expansion_small_grid():
 def test_jacobi_pairing_shift_one_beta_zero_is_connection_times_norm():
     for alpha in range(0, 7):
         for n in range(0, 11):
-            cs = connection_expansion(n, alpha, 0, 1)
+            cs = _expansion(n, alpha, 0, 1)
             for k in range(0, n + 1):
                 assert jacobi_pairing(n, k, alpha, 0, 1) == cs[k] * jacobi_norm_sq(k, alpha)
 
@@ -219,7 +225,7 @@ def test_connection_expansion_identity_exact():
     for alpha, beta in [(0, 0), (2, 1), (3, 2)]:
         for shift in (0, 1, 2, 3):
             for n in range(0, 7):
-                ds = connection_expansion(n, alpha, beta, shift)
+                ds = _expansion(n, alpha, beta, shift)
                 acc = [Fraction(0)] * (n + 1)
                 for j, d in enumerate(ds):
                     for i, c in enumerate(_coeffs(j, alpha, beta)):
@@ -229,13 +235,35 @@ def test_connection_expansion_identity_exact():
                     assert all(d > 0 for d in ds)
 
 
+def test_connection_coeff_endpoint_identities_to_degree_cap():
+    # P_j^(alpha,beta)(1) = C(j+alpha, j) and P_j^(alpha,beta)(-1) = (-1)^j C(j+beta, j),
+    # so the expansion must reproduce P_n^(alpha+shift,beta) at both endpoints
+    for n in [*range(0, 13), 24, 40, MAX_DEGREE]:
+        for alpha in (0, 1, 3, 7, 18, 125):
+            for beta in (0, 1, 3):
+                for shift in (1, 2, 3):
+                    case = (n, alpha, beta, shift)
+                    ds = _expansion(n, alpha, beta, shift)
+                    assert all(d > 0 for d in ds), case
+                    at_one = sum(d * comb(j + alpha, j) for j, d in enumerate(ds))
+                    assert at_one == comb(n + alpha + shift, n), case
+                    at_minus_one = sum(d * (-1) ** j * comb(j + beta, j) for j, d in enumerate(ds))
+                    assert at_minus_one == (-1) ** n * comb(n + beta, n), case
+
+
 def test_connection_expansion_validation():
     with pytest.raises(ValueError, match="cap"):
-        connection_expansion(MAX_DEGREE + 1, 0, 0, 1)
+        _expansion(MAX_DEGREE + 1, 0, 0, 1)
     with pytest.raises(ValueError):
-        connection_expansion(2, -1, 0, 1)
+        _expansion(2, -1, 0, 1)
     with pytest.raises(ValueError):
-        connection_expansion(2, 0, 0, -1)
+        _expansion(2, 0, 0, -1)
+
+
+def test_connection_coeff_rejects_negative_degree():
+    # with beta >= 1 every factorial of the formula is defined at k = -1
+    with pytest.raises(ValueError, match="nonnegative"):
+        connection_coeff(2, -1, 1, 1, 1)
 
 
 def test_jacobi_pairing_validation():

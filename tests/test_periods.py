@@ -13,20 +13,18 @@ from relbranch.periods import (
     PreconditionError,
     SpaceFamily,
     UnsupportedFamilyError,
-    complex_family,
     period_angular_exact,
     period_integral_closed,
     period_integral_quadrature,
     period_nonvanishing,
     period_scale,
-    quaternionic_family,
     radial_cosh_power,
 )
 from relbranch.specfun import radial_integral_closed, radial_integral_quadrature
 
 
 def test_complex_family_data():
-    fam = complex_family(1, 2)
+    fam = SpaceFamily(COMPLEX, 1, 2)
     assert fam.jacobi_alpha == 1 and fam.jacobi_beta == 0
     assert fam.density_cosh_power == 3 and fam.density_sinh_power == 1
     assert fam.spectral_exponent(0) == 4
@@ -34,7 +32,7 @@ def test_complex_family_data():
 
 
 def test_quaternionic_family_data():
-    fam = quaternionic_family(1, 2)
+    fam = SpaceFamily(QUATERNIONIC, 1, 2)
     assert fam.jacobi_alpha == 3 and fam.jacobi_beta == 1
     assert fam.density_cosh_power == 11 and fam.density_sinh_power == 3
     assert fam.spectral_exponent(0) == 10
@@ -43,9 +41,9 @@ def test_quaternionic_family_data():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        complex_family(0, 2)
+        SpaceFamily(COMPLEX, 0, 2)
     with pytest.raises(ValueError):
-        quaternionic_family(1, 0)
+        SpaceFamily(QUATERNIONIC, 1, 0)
     with pytest.raises(ValueError):
         SpaceFamily("octonionic", 1, 2)
 

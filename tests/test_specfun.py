@@ -135,7 +135,7 @@ def test_quadrature_determinism():
 def test_quadrature_handles_mild_endpoint_singularity():
     # (beta - alpha)/2 = 1/2 gives a (1-u^2)^(-1/2) endpoint in the
     # substituted integrand; A(0, 1) = int sech t dt = pi/2
-    r = radial_integral_quadrature(0, 1, 1e-9, max_panels=20000)
+    r = radial_integral_quadrature(0, 1, 1e-9)
     assert r.value == pytest.approx(math.pi / 2, rel=1e-8)
 
 
@@ -152,7 +152,7 @@ def test_adaptive_quadrature_budget_exhaustion():
         return np.abs(x - 1 / math.pi) ** (-0.9)
 
     with pytest.raises(ConvergenceError):
-        adaptive_quadrature(nasty, 0.0, 1.0, 1e-14, max_panels=8)
+        adaptive_quadrature(nasty, 0.0, 1.0, 1e-14)
 
 
 def test_beta_argument_evidence_table():

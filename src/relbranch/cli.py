@@ -111,7 +111,8 @@ def cmd_branch(args, out) -> int:
     if args.pi_minus is not None:
         a = HalfInt.parse(args.pi_minus)
         Pi = make_param(sig, Side.MINUS, GroupLevel.G, a)
-        _cap(args.max_k + 1)
+        if args.max_k + 1 > TABLE_CAP:
+            raise CapExceededError(f"{args.max_k + 1} summands exceed the cap {TABLE_CAP}")
         summands = branching.pi_minus_summands(Pi, args.max_k)
         record = _record(
             "branch",

@@ -6,6 +6,9 @@ Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+
 Float values come from the three-term recurrence (DLMF 18.9; Szego,
 Orthogonal Polynomials, ch. 4) over numpy arrays (jacobi_values); monomial
 coefficients reach 1e30 by degree 64 and cancel catastrophically in float.
+numpy is imported inside the two float kernels (_recurrence_ratios and
+jacobi_values), not with this module, so the exact functions below never
+load it.
 
 Pairings of a shifted polynomial against an unshifted one come in closed form
 from the connection formula (DLMF 18.18(iv)): P_n^(alpha+shift,beta) expands
@@ -24,9 +27,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Rational = Union[int, Fraction]
 
@@ -48,6 +52,8 @@ def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> np.ndarray:
     1..MAX_DEGREE, where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1; each
     ratio is exact and rounded once.  No row depends on the target degree, so
     degree n reads the first n rows.  With P_{-1} = 0 the first row is P_1."""
+    import numpy as np
+
     al, be = Fraction(alpha), Fraction(beta_param)
     rows = [((al - be) / 2, (al + be + 2) / 2, 0)]
     for m in range(2, MAX_DEGREE + 1):
@@ -64,6 +70,8 @@ def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> np.ndarray:
 def jacobi_values(n: int, alpha: Rational, beta_param: Rational, x):
     """P_n^(alpha,beta)(x) in floating point by the three-term recurrence;
     x is a float (a float is returned) or an array (same shape returned)."""
+    import numpy as np
+
     _check_degree(n)
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)

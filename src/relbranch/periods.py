@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .jacobi import connection_coeff, jacobi_norm_sq, jacobi_pairing, jacobi_values
 from .specfun import (
@@ -41,6 +40,9 @@ from .specfun import (
     radial_integral_closed,
     radial_integral_quadrature,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"

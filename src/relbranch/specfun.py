@@ -11,6 +11,10 @@ quadrature.  The closed form uses the Beta arguments ((alpha+1)/2,
 oracle on integer pairs (the alternative first argument (alpha-1)/2 is
 divergent at alpha=1 and disagrees everywhere else; see
 docs/radial_integral_calibration.md for the evidence table).
+
+numpy is imported on first use, not with this module: _gauss_rule builds the
+Gauss-Legendre rule the first time a panel is integrated, so a caller that
+never integrates (the exact branching commands of the CLI) never loads it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DomainError(ValueError):
@@ -67,8 +73,24 @@ def beta(x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 GAUSS_ORDER = 16
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 MAX_PANELS = 4096
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1]."""
+    import numpy as np
+
+    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+
+def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """One Gauss-Legendre panel: the integral of f over [lo, hi]."""
+    nodes, weights = _gauss_rule()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    # ndarray.dot is numpy.dot, reached without importing numpy on each panel
+    return half * float(weights.dot(f(mid + half * nodes)))
 
 
 def adaptive_quadrature(
@@ -88,11 +110,8 @@ def adaptive_quadrature(
 
     def panel(lo: float, hi: float) -> float:
         nonlocal evaluations
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xs = mid + half * _NODES
-        evaluations += xs.size
-        return half * float(np.dot(_WEIGHTS, f(xs)))
+        evaluations += GAUSS_ORDER
+        return _gauss_panel(f, lo, hi)
 
     def node(lo: float, hi: float, coarse: float) -> tuple:
         mid = 0.5 * (lo + hi)
@@ -172,7 +191,7 @@ def radial_integral_quadrature(alpha: float, beta_exp: float, tol: float) -> Qua
         return u**alpha * (1.0 - u * u) ** (s - 1.0)
 
     # one coarse panel fixes the absolute-tolerance scale
-    coarse = 0.5 * float(np.dot(_WEIGHTS, integrand(0.5 + 0.5 * _NODES)))
+    coarse = _gauss_panel(integrand, 0.0, 1.0)
     abs_tol = tol * max(1.0, abs(coarse))
     result = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
     return QuadratureResult(

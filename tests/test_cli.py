@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -63,7 +64,7 @@ def test_branch_pi_minus_cap(capsys):
     )
     assert code == 2
     assert not out
-    assert err == "error: grid of 10001 records exceeds the cap 10000\n"
+    assert err == "error: 10001 summands exceed the cap 10000\n"
     code, out, err = run_cli(capsys, "branch", "--pq", "3,3", "--pi-minus", "5/2", "--max-k", "-1")
     assert code == 2
     assert not out
@@ -352,18 +353,26 @@ def test_readme_commands_emit_records(capsys):
 
 
 # Runs argv lists through cli.main in one interpreter and reports, as JSON,
-# each (exit code, stdout, stderr) and whether the test oracle was imported.
+# each (exit code, stdout, stderr), whether the test oracle was imported, and
+# the relbranch modules and numpy loaded after the import and after each run.
 _CHILD = """
 import contextlib, io, json, sys
 from relbranch import cli
-results = []
+cli.build_parser()
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("relbranch."))
+
+results, modules = [], [loaded()]
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     results.append([code, out.getvalue(), err.getvalue()])
-loaded = "relbranch.oracle" in sys.modules
-json.dump({"optimize": sys.flags.optimize, "oracle": loaded, "results": results}, sys.stdout)
+    modules.append(loaded())
+oracle = "relbranch.oracle" in sys.modules
+report = {"optimize": sys.flags.optimize, "oracle": oracle, "modules": modules, "results": results}
+json.dump(report, sys.stdout)
 """
 
 
@@ -382,5 +391,48 @@ def test_readme_commands_under_python_O(capsys):
     assert report["oracle"] is False
     assert len(report["results"]) == len(commands)
     for argv, (code, out, err) in zip(commands, report["results"]):
+        assert (code, err) == (0, ""), argv
+        assert out == run_cli(capsys, *argv)[1], argv
+
+
+def _traced_layers():
+    """The layer names the benchmark tracer looks up in sys.modules: the keys
+    of ENTRY_POINTS in perfbench/spans.py, parsed rather than imported."""
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "ENTRY_POINTS"
+        ]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError(f"no ENTRY_POINTS in {spans}")
+
+
+def test_exact_commands_never_import_numpy(capsys):
+    # every layer module loads with the CLI, but only quadrature loads numpy
+    import subprocess
+    import sys
+
+    layers = _traced_layers()
+    assert {"periods", "jacobi", "specfun"} <= layers
+    required = {f"relbranch.{layer}" for layer in layers}
+    exact = [
+        ["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2"],
+        ["table", "exhaustion", "--pq", "3,3", "--ell", "8..10"],
+        ["table", "he", "--n", "4..5"],
+        ["table", "branch", "--pq", "4,5", "--a-range", "4..5", "--b-range", "7/2..9/2"],
+    ]
+    period = ["period", "--pq", "1,2", "--n", "4", "--k", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(exact + [period])],
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout)
+    *exact_modules, period_modules = report["modules"]
+    for argv, modules in zip([["import"]] + exact, exact_modules):
+        assert "numpy" not in modules, argv
+        assert required <= set(modules), argv
+    assert "numpy" in period_modules
+    assert len(report["results"]) == len(exact) + 1
+    for argv, (code, out, err) in zip(exact + [period], report["results"]):
         assert (code, err) == (0, ""), argv
         assert out == run_cli(capsys, *argv)[1], argv

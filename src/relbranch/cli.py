@@ -27,6 +27,7 @@ from .specfun import ConvergenceError
 
 SCHEMA = "relbranch.record.v1"
 TABLE_CAP = 10000
+ALIGNMENT_CAP = 1_000_000
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -265,7 +266,7 @@ def _rows_he(args):
         if not (args.big and args.small):
             raise ParamError("--big and --small must be given together")
         big, small = args.big.strip(), args.small.strip()
-        found = hepattern.enumerate_alignments(big, small)
+        found = hepattern.enumerate_alignments(big, small, cap=ALIGNMENT_CAP)
         yield _record(
             "table.he",
             {"big": big, "small": small},

@@ -4,10 +4,12 @@ Sign sequences are strings over the alphabet + - P M: a big-group sequence
 uses plain signs + and -, a subgroup sequence uses circled signs (written P
 for circled plus, M for circled minus).  An alignment is an order-preserving
 interleaving of the two in which every adjacent pair of symbols belongs to
-the allowed set.  Alignments are built by extending every prefix by one
-symbol per step, the big sequence's symbol before the small one's, so the
-output order is deterministic (that of a depth-first search trying big
-first).
+the allowed set.  Alignments are built backwards from shared suffixes: a
+forward pass over the states (symbols of big used, symbols of small used,
+last symbol) counts the paths without building strings, and a backward
+pass lists each state's completions from those of the next level.  The
+output order is deterministic: that of a depth-first search trying the big
+sequence's symbol before the small one's.
 """
 
 from __future__ import annotations
@@ -37,9 +39,20 @@ ALLOWED_PAIRS = frozenset(
 )
 
 
-def enumerate_alignments(big: str, small: str) -> list[str]:
+def enumerate_alignments(big: str, small: str, cap: int | None = None) -> list[str]:
     """All order-preserving interleavings of big and small in which every
-    adjacent pair is allowed."""
+    adjacent pair is allowed, in depth-first order trying big's next symbol
+    before small's.
+
+    A state is (symbols of big used, symbols of small used, last symbol).
+    A forward pass collects the states reachable after each number of
+    symbols with their path counts and allowed moves, and builds no
+    strings.  The path counts give the number of alignments first: if it
+    exceeds ``cap``, ValueError is raised before any alignment is built.  A
+    backward pass then lists each state's completions from those of the
+    next level only, so a suffix is built once however many prefixes share
+    it, and at most two levels of strings are held at a time.
+    """
     for seq in (big, small):
         bad = [s for s in seq if s not in ALPHABET]
         if bad:
@@ -48,16 +61,30 @@ def enumerate_alignments(big: str, small: str) -> list[str]:
         raise ValueError("big sequence must use plain signs + and - only")
     if not CIRCLED.issuperset(small):
         raise ValueError("small sequence must use circled signs P and M only")
-    # a state is (prefix, symbols of big used, symbols of small used)
-    states = [("", 0, 0)]
+    ways = {(0, 0, ""): 1}
+    levels = []  # per level: each reachable state -> its moves (symbol, next state)
     for _ in range(len(big) + len(small)):
-        states = [
-            (text + sym, i + di, j + dj)
-            for text, i, j in states
-            for sym, di, dj in ((big[i : i + 1], 1, 0), (small[j : j + 1], 0, 1))
-            if sym and (not text or (text[-1], sym) in ALLOWED_PAIRS)
-        ]
-    return [text for text, _, _ in states]
+        level, next_ways = {}, {}
+        for state, count in ways.items():
+            i, j, last = state
+            moves = level[state] = []
+            for sym, (ni, nj) in ((big[i : i + 1], (i + 1, j)), (small[j : j + 1], (i, j + 1))):
+                if sym and (not last or (last, sym) in ALLOWED_PAIRS):
+                    after = (ni, nj, sym)
+                    moves.append((sym, after))
+                    next_ways[after] = next_ways.get(after, 0) + count
+        levels.append(level)
+        ways = next_ways
+    total = sum(ways.values())
+    if cap is not None and total > cap:
+        raise ValueError(f"{total} alignments exceed the cap {cap}")
+    tails = dict.fromkeys(ways, [""])
+    for level in reversed(levels):
+        tails = {
+            state: [sym + tail for sym, after in moves for tail in tails[after]]
+            for state, moves in level.items()
+        }
+    return tails[(0, 0, "")]
 
 
 # ---------------------------------------------------------------------------

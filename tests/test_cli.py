@@ -188,6 +188,34 @@ def test_table_he_rejects_bad_sequences(capsys):
         assert (code, out, err) == (cli.EXIT_VALIDATION, "", message), (big, small)
 
 
+def test_table_he_alignment_cap(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "he", "--big", "+-" * 12, "--small", "PM" * 12)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == f"error: 2704156 alignments exceed the cap {cli.ALIGNMENT_CAP}\n"
+    assert cli.ALIGNMENT_CAP == 1_000_000
+    assert elapsed < 1.0  # counted without building a single alignment
+
+
+def test_table_he_benchmark_invocation_bytes():
+    # the exact bytes of the alignment invocation of the `enumeration` workload
+    import hashlib
+    import subprocess
+    import sys
+
+    cmd = [
+        sys.executable, "-m", "relbranch.cli",
+        "table", "he", "--big", "+-" * 9, "--small", "PM" * 9,
+    ]
+    proc = subprocess.run(cmd, capture_output=True, check=True)
+    assert proc.stderr == b""
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == "e68fb975c94b479dec26484309baaf9ea047771fe80196e62aa40676425dc6ef"
+
+
 def test_table_empty_grid(capsys):
     code, out, _ = run_cli(
         capsys, "table", "branch", "--pq", "4,5", "--a-range", "4..4", "--b-range", "9/2..7/2"

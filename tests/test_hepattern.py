@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +19,23 @@ from relbranch.hepattern import (
 
 def _erase(merged, keep):
     return "".join(s for s in merged if s in keep)
+
+
+def _reference_alignments(big, small):
+    """Independent list of the alignments in the intended order: choose the
+    positions of big's symbols among all positions; lexicographic order of
+    those position tuples is the depth-first order that tries big first."""
+    length = len(big) + len(small)
+    found = []
+    for positions in itertools.combinations(range(length), len(big)):
+        chosen = set(positions)
+        big_symbols, small_symbols = iter(big), iter(small)
+        merged = "".join(
+            next(big_symbols) if k in chosen else next(small_symbols) for k in range(length)
+        )
+        if all(pair in ALLOWED_PAIRS for pair in zip(merged, merged[1:])):
+            found.append(merged)
+    return found
 
 
 def _count_alignments(big, small):
@@ -81,6 +102,36 @@ def test_count_oracle_matches_enumeration():
         assert len(enumerate_alignments(big, small)) == _count_alignments(big, small), k
 
 
+def test_order_matches_reference_exhaustively():
+    def words(alphabet):
+        for length in range(6):
+            for letters in itertools.product(alphabet, repeat=length):
+                yield "".join(letters)
+
+    smalls = list(words("PM"))
+    for big in words("+-"):
+        for small in smalls:
+            expected = _reference_alignments(big, small)
+            assert enumerate_alignments(big, small) == expected, (big, small)
+
+
+def test_alternating_count_is_central_binomial():
+    for k in range(10):
+        found = enumerate_alignments("+-" * k, "PM" * k)
+        assert len(found) == math.comb(2 * k, k), k
+    assert len(found) == 48620
+    assert found[0] == "+-+-+-+-+-+-+-+-+PMPMPMPMPMPMPMPMPM-"
+    assert found[-1] == "PMPMPMPMPMPMPMPMP+-+-+-+-+-+-+-+-+-M"
+    digest = hashlib.sha256("\n".join(found).encode()).hexdigest()
+    assert digest == "e3449cd3e3ad4c0f20e018ee3063d10b633de9221d26fd39a78f3e298f59e866"
+
+
+def test_cap_refuses_only_larger_counts():
+    assert len(enumerate_alignments("+-" * 3, "PM" * 3, cap=20)) == 20
+    with pytest.raises(ValueError, match="^20 alignments exceed the cap 19$"):
+        enumerate_alignments("+-" * 3, "PM" * 3, cap=19)
+
+
 def test_printed_patterns_reproduced():
     for n in range(4, 11):
         big = u2n_plus_sequence(n)
@@ -143,6 +194,7 @@ def test_alignment_properties_random(seqs):
         seen.add(merged)
     assert len(seen) == len(merged_list)  # no duplicates
     assert len(merged_list) == _count_alignments(big, small)
+    assert merged_list == _reference_alignments(big, small)
 
 
 def test_enumeration_is_deterministic():

@@ -4,11 +4,9 @@ coefficients and exact weighted pairings.
 Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)).
 
 Float values come from the three-term recurrence (DLMF 18.9; Szego,
-Orthogonal Polynomials, ch. 4) over numpy arrays (jacobi_values); monomial
-coefficients reach 1e30 by degree 64 and cancel catastrophically in float.
-numpy is imported inside the two float kernels (_recurrence_ratios and
-jacobi_values), not with this module, so the exact functions below never
-load it.
+Orthogonal Polynomials, ch. 4) in pure Python (jacobi_values), over a float
+or a sequence of floats; monomial coefficients reach 1e30 by degree 64 and
+cancel catastrophically in float.  No part of this module loads numpy.
 
 Pairings of a shifted polynomial against an unshifted one come in closed form
 from the connection formula (DLMF 18.18(iv)): P_n^(alpha+shift,beta) expands
@@ -27,10 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -47,13 +42,11 @@ def _check_degree(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> np.ndarray:
-    """Read-only rows (c2/c1, c3/c1, c4/c1) of the steps to degrees
-    1..MAX_DEGREE, where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1; each
-    ratio is exact and rounded once.  No row depends on the target degree, so
-    degree n reads the first n rows.  With P_{-1} = 0 the first row is P_1."""
-    import numpy as np
-
+def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> tuple[tuple[float, ...], ...]:
+    """Rows (c2/c1, c3/c1, c4/c1) of the steps to degrees 1..MAX_DEGREE,
+    where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1; each ratio is exact
+    and rounded once.  No row depends on the target degree, so degree n reads
+    the first n rows.  With P_{-1} = 0 the first row is P_1."""
     al, be = Fraction(alpha), Fraction(beta_param)
     rows = [((al - be) / 2, (al + be + 2) / 2, 0)]
     for m in range(2, MAX_DEGREE + 1):
@@ -62,24 +55,23 @@ def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> np.ndarray:
         c3 = (2 * m + al + be - 1) * (2 * m + al + be) * (2 * m + al + be - 2)
         c4 = 2 * (m + al - 1) * (m + be - 1) * (2 * m + al + be)
         rows.append((c2 / c1, c3 / c1, c4 / c1))
-    table = np.array(rows, dtype=float)
-    table.flags.writeable = False
-    return table
+    return tuple(tuple(map(float, row)) for row in rows)
 
 
 def jacobi_values(n: int, alpha: Rational, beta_param: Rational, x):
     """P_n^(alpha,beta)(x) in floating point by the three-term recurrence;
-    x is a float (a float is returned) or an array (same shape returned)."""
-    import numpy as np
-
+    x is a float (a float is returned) or a sequence of floats (a list of
+    the values at each is returned)."""
     _check_degree(n)
-    xs = np.asarray(x, dtype=float)
-    flat = xs.reshape(-1)
-    prev, cur = np.zeros_like(flat), np.ones_like(flat)
-    f2, f3, f4 = _recurrence_ratios(alpha, beta_param)[:n].T
-    for linear, c in zip(f2[:, None] + f3[:, None] * flat, f4.tolist()):
-        prev, cur = cur, linear * cur - c * prev  # linear = c2/c1 + (c3/c1) x
-    return float(cur[0]) if xs.ndim == 0 else cur.reshape(xs.shape)
+    steps = _recurrence_ratios(alpha, beta_param)[:n]
+    scalar = isinstance(x, (int, float))
+    values = []
+    for point in map(float, [x] if scalar else x):
+        prev, cur = 0.0, 1.0
+        for c2, c3, c4 in steps:
+            prev, cur = cur, (c2 + c3 * point) * cur - c4 * prev
+        values.append(cur)
+    return values[0] if scalar else values
 
 
 # ---------------------------------------------------------------------------

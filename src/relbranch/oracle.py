@@ -4,21 +4,28 @@ Cheap classical computations that the main predicates are tested against:
 the interlacing rule for restricting a unitary-group highest weight one rank
 down, detection of spherical highest weights, the explicit rank-one
 matrix-coefficient model whose normalized values are Legendre polynomials,
-and exact Jacobi polynomials from their explicit sum (DLMF 18.5.7) with
-weighted pairings by monomial integration.  None of these share code with the
-modules they check, and no CLI path imports this module.
+exact Jacobi polynomials from their explicit sum (DLMF 18.5.7) with weighted
+pairings by monomial integration, and an adaptive Gauss-Legendre quadrature
+of the radial integral for any real exponents, which builds the Beta-argument
+calibration table of docs/radial_integral_calibration.md.  None of these
+share code with the modules they check, and no CLI path imports this module,
+the only one that needs numpy.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .reps import HighestWeight
+from .specfun import ConvergenceError, QuadratureResult, _check_radial_convergence, beta
 
 
 @dataclass(frozen=True)
@@ -165,3 +172,146 @@ def normalization_at_one(n: int, alpha: int) -> Fraction:
     if alpha < 0:
         raise ValueError("integer normalization requires alpha >= 0")
     return Fraction(factorial(n + alpha), factorial(n) * factorial(alpha))
+
+
+# ---------------------------------------------------------------------------
+# Adaptive quadrature and the Beta-argument calibration
+# ---------------------------------------------------------------------------
+
+GAUSS_ORDER = 16
+MAX_PANELS = 4096
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+
+def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """One Gauss-Legendre panel: the integral of f over [lo, hi]."""
+    nodes, weights = _gauss_rule()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return half * float(weights.dot(f(mid + half * nodes)))
+
+
+def adaptive_quadrature(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, abs_tol: float
+) -> QuadratureResult:
+    """Integrate a vectorized integrand over [a, b] to an absolute tolerance.
+
+    Fixed-order Gauss-Legendre panels, bisected greedily: the interval with
+    the largest error estimate (whole-panel value against the sum of its two
+    halves) is refined until the total estimate meets the tolerance.  Ties
+    break on the left endpoint and the final sum runs left to right, so
+    results are bit-stable across runs.
+    """
+    if not 0 < abs_tol < math.inf:
+        raise ValueError("abs_tol must be positive and finite")
+    evaluations = 0
+
+    def panel(lo: float, hi: float) -> float:
+        nonlocal evaluations
+        evaluations += GAUSS_ORDER
+        return _gauss_panel(f, lo, hi)
+
+    def node(lo: float, hi: float, coarse: float) -> tuple:
+        mid = 0.5 * (lo + hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
+        return (-abs(left + right - coarse), lo, hi, left, right)
+
+    width_floor = 1e-14 * (b - a)
+    live = [node(a, b, panel(a, b))]
+    done: list[tuple] = []
+    err_total = -live[0][0]
+    panels = 1
+    while err_total > abs_tol:
+        if not live:
+            raise ConvergenceError(
+                f"quadrature on [{a}, {b}] stalled at error {err_total:.3g} > {abs_tol:.3g}"
+            )
+        if panels >= MAX_PANELS:
+            raise ConvergenceError(
+                f"quadrature on [{a}, {b}] did not converge within {MAX_PANELS} panels"
+            )
+        worst = heapq.heappop(live)
+        neg_err, lo, hi, left, right = worst
+        if (hi - lo) <= width_floor:
+            done.append(worst)  # cannot usefully refine further
+            continue
+        mid = 0.5 * (lo + hi)
+        child_l = node(lo, mid, left)
+        child_r = node(mid, hi, right)
+        heapq.heappush(live, child_l)
+        heapq.heappush(live, child_r)
+        err_total += neg_err - child_l[0] - child_r[0]
+        panels += 2
+    pieces = sorted(live + done, key=lambda item: item[1])
+    total = 0.0
+    err = 0.0
+    for neg_err, _, _, left, right in pieces:
+        total += left + right
+        err += -neg_err
+    return QuadratureResult(total, err, evaluations)
+
+
+def radial_integral_quadrature(alpha: float, beta_exp: float, tol: float) -> QuadratureResult:
+    """A(alpha, beta) by adaptive quadrature, independent of the closed form.
+
+    Substituting u = tanh t maps [0, inf) to [0, 1) and turns the integrand
+    into u^alpha (1 - u^2)^((beta-alpha)/2 - 1), which has at worst algebraic
+    endpoint behaviour under the convergence preconditions.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    _check_radial_convergence(alpha, beta_exp)
+    s = (beta_exp - alpha) / 2.0
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return u**alpha * (1.0 - u * u) ** (s - 1.0)
+
+    # one coarse panel fixes the absolute-tolerance scale
+    coarse = _gauss_panel(integrand, 0.0, 1.0)
+    abs_tol = tol * max(1.0, abs(coarse))
+    result = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
+    return QuadratureResult(
+        result.value, result.abs_error_estimate, result.evaluations + GAUSS_ORDER
+    )
+
+
+DEFAULT_CALIBRATION_PAIRS = ((1, 3), (3, 7), (1, 5), (2, 6), (5, 9), (3, 9), (7, 13))
+
+
+def beta_argument_evidence(
+    pairs: Sequence[tuple[int, int]] = DEFAULT_CALIBRATION_PAIRS, tol: float = 1e-12
+) -> list[dict]:
+    """Evidence table for the Beta-argument calibration of the closed form.
+
+    For each (alpha, beta) pair the quadrature value is compared against both
+    candidate first Beta arguments, (alpha+1)/2 and (alpha-1)/2.  The shipped
+    closed form is the (alpha+1)/2 variant; this table is regenerated by the
+    test suite and committed under docs/.
+    """
+    rows = []
+    for alpha, beta_exp in pairs:
+        quad = radial_integral_quadrature(alpha, beta_exp, tol)
+        chosen = 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)
+        if alpha - 1.0 > 0:
+            rejected = 0.5 * beta((alpha - 1.0) / 2.0, (beta_exp - alpha) / 2.0)
+            rejected_note = f"{rejected:.12g}"
+        else:
+            rejected_note = "divergent (nonpositive argument)"
+        rows.append(
+            {
+                "alpha": alpha,
+                "beta": beta_exp,
+                "quadrature": quad.value,
+                "quadrature_error": quad.abs_error_estimate,
+                "variant_plus": chosen,
+                "variant_minus": rejected_note,
+                "relative_difference": abs(chosen - quad.value) / abs(quad.value),
+            }
+        )
+    return rows

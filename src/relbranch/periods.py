@@ -18,11 +18,15 @@ cosh decay; the angular factor pairs the big family's polynomial against the
 embedded family's (over (p, q-1)) under the embedded weight, shifted by the
 difference of the two alphas.  The exact pairing is one closed-form
 connection coefficient times a squared norm (jacobi.jacobi_pairing) and
-decides vanishing.  The quadrature oracle is independent of it: it integrates
-the float three-term recurrence (jacobi.jacobi_values) and reaches the full
-label range up to MAX_DEGREE; only its tolerance scale, a Cauchy-Schwarz
-bound, reads the squared norm of the shifted polynomial from the same
-coefficients (jacobi.connection_coeff).
+decides vanishing.  The quadrature oracle is independent of it and of the
+Beta closed form.  On the period route both factors are polynomials: the
+radial one after v = tanh^2 t, the angular one as the product of the float
+three-term recurrence values (jacobi.jacobi_values) and the weight.  So one
+Gauss-Legendre rule per factor, with degree // 2 + 1 nodes, is exact up to
+roundoff (specfun.gauss_legendre_quadrature), and it reaches the full label
+range up to MAX_DEGREE.  Only the angular scale, a Cauchy-Schwarz bound that
+gates the tolerance and floors the roundoff bound, reads the squared norm of
+the shifted polynomial from the same coefficients (jacobi.connection_coeff).
 """
 
 from __future__ import annotations
@@ -30,19 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
-from typing import TYPE_CHECKING
+from math import inf, sqrt
 
 from .jacobi import connection_coeff, jacobi_norm_sq, jacobi_pairing, jacobi_values
 from .specfun import (
+    ConvergenceError,
     QuadratureResult,
-    adaptive_quadrature,
+    gauss_legendre_quadrature,
     radial_integral_closed,
-    radial_integral_quadrature,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
@@ -185,38 +185,79 @@ def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> f
     return sqrt(_norm_sq(n, alpha, beta_param, shift) * small)
 
 
+def _gated(result: QuadratureResult, scale: float, tol: float, factor: str) -> QuadratureResult:
+    """result, once its bound is within tol times the scale (at least 1)."""
+    if not result.abs_error_estimate <= tol * max(scale, 1.0):
+        raise ConvergenceError(
+            f"{factor} quadrature bound {result.abs_error_estimate:.3g} exceeds "
+            f"tol {tol:.3g} times max(1, scale {scale:.3g})"
+        )
+    return result
+
+
+def _radial_quadrature(alpha: int, beta_exp: int, tol: float) -> QuadratureResult:
+    """A(alpha, beta) for odd alpha and even beta - alpha, to tol times its
+    size (at least 1).  After v = tanh^2 t it is the integral over [0, 1] of
+    the polynomial (1/2) v^h (1-v)^(s-1), with h = (alpha-1)/2 and
+    s = (beta-alpha)/2, of degree h + s - 1."""
+    h, s = (alpha - 1) // 2, (beta_exp - alpha) // 2
+
+    def integrand(xs):  # v = (1+x)/2 maps [-1, 1] onto [0, 1], dv = dx/2
+        return [0.25 * ((1.0 + x) / 2) ** h * ((1.0 - x) / 2) ** (s - 1) for x in xs]
+
+    result = gauss_legendre_quadrature(integrand, h + s - 1)
+    return _gated(result, abs(result.value), tol, "radial")
+
+
 def _angular_quadrature(
     n: int, k: int, alpha: int, beta_param: int, shift: int, tol: float
 ) -> QuadratureResult:
-    """Quadrature of jacobi_pairing(n, k, alpha, beta, shift), to tol times
-    the Cauchy-Schwarz scale (at least 1)."""
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return (
-            jacobi_values(n, alpha + shift, beta_param, x)
-            * jacobi_values(k, alpha, beta_param, x)
-            * (1.0 - x) ** alpha
-            * (1.0 + x) ** beta_param
-        )
-
+    """jacobi_pairing(n, k, alpha, beta, shift) by quadrature of the float
+    recurrence values, to tol times the Cauchy-Schwarz scale (at least 1); the
+    integrand has degree n + k + alpha + beta, and the scale also floors the
+    roundoff bound, since all node values are roundoff when the nodes are the
+    zeros of P_k (alpha = beta = 0, k = n + 2)."""
     scale = _angular_scale(n, k, alpha, beta_param, shift)
-    return adaptive_quadrature(integrand, -1.0, 1.0, tol * max(scale, 1.0))
+    if not scale < inf:
+        raise ConvergenceError(f"angular Cauchy-Schwarz scale {scale} is not finite")
+
+    def integrand(xs):
+        big = jacobi_values(n, alpha + shift, beta_param, xs)
+        small = jacobi_values(k, alpha, beta_param, xs)
+        return [
+            u * v * (1.0 - x) ** alpha * (1.0 + x) ** beta_param
+            for u, v, x in zip(big, small, xs)
+        ]
+
+    result = gauss_legendre_quadrature(integrand, n + k + alpha + beta_param, scale)
+    return _gated(result, scale, tol, "angular")
 
 
 def period_integral_quadrature(
     p: int, q: int, n: int, k: int, tol: float = 1e-10, kind: str = COMPLEX
 ) -> QuadratureResult:
     """Independent two-factor quadrature oracle for the closed form: the
-    radial and the angular factor each by adaptive quadrature, with the
-    first-order error of their product."""
+    radial and the angular factor each by one degree-exact Gauss-Legendre
+    rule, with the first-order error of their product.
+
+    Raises ConvergenceError when a factor's roundoff bound exceeds tol times
+    its scale, or when a value, bound or scale is not finite (overflow
+    included)."""
     _check_period_args(p, q, n, k)
-    radial = radial_integral_quadrature(*_radial_args(p, q, n, k, kind), tol)
-    angular = _angular_quadrature(n, k, *_angular_args(q, kind), tol)
+    if not 0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
+    try:
+        radial = _radial_quadrature(*_radial_args(p, q, n, k, kind), tol)
+        angular = _angular_quadrature(n, k, *_angular_args(q, kind), tol)
+    except OverflowError as exc:
+        raise ConvergenceError(f"quadrature overflowed: {exc}") from exc
     value = radial.value * angular.value
     err = (
         radial.abs_error_estimate * abs(angular.value)
         + angular.abs_error_estimate * abs(radial.value)
     )
+    if not (abs(value) < inf and err < inf):
+        raise ConvergenceError(f"period quadrature {value} (bound {err}) is not finite")
     return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
 
 

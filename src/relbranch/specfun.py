@@ -1,32 +1,33 @@
-"""Log-gamma, Beta, and the radial hyperbolic integral with a quadrature oracle.
+"""Log-gamma, Beta, the radial hyperbolic integral in closed form, and
+degree-exact Gauss-Legendre quadrature.
 
 The radial integral is
 
     A(alpha, beta) = integral_0^inf (sinh t)^alpha (cosh t)^(-beta) dt,
 
-convergent for alpha > -1 and beta > alpha.  Two independent routes are
-provided: a closed Beta-function form and an adaptive Gauss-Legendre
-quadrature.  The closed form uses the Beta arguments ((alpha+1)/2,
-(beta-alpha)/2); this argument choice was calibrated against the quadrature
-oracle on integer pairs (the alternative first argument (alpha-1)/2 is
-divergent at alpha=1 and disagrees everywhere else; see
-docs/radial_integral_calibration.md for the evidence table).
+convergent for alpha > -1 and beta > alpha.  Its closed form uses the Beta
+arguments ((alpha+1)/2, (beta-alpha)/2); this argument choice was calibrated
+against an independent adaptive quadrature on integer pairs (the alternative
+first argument (alpha-1)/2 is divergent at alpha=1 and disagrees everywhere
+else; see docs/radial_integral_calibration.md for the evidence table, built
+by relbranch.oracle).
 
-numpy is imported on first use, not with this module: _gauss_rule builds the
-Gauss-Legendre rule the first time a panel is integrated, so a caller that
-never integrates (the exact branching commands of the CLI) never loads it.
+The quadrature here integrates polynomials only: the m-point Gauss-Legendre
+rule is exact to degree 2m - 1 (DLMF 3.5(v)), so a polynomial of known
+degree needs one rule and leaves only roundoff, which the returned bound
+covers.  The rule is built in pure Python, so no part of this module loads
+numpy.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
-if TYPE_CHECKING:
-    import numpy as np
+EPS = sys.float_info.epsilon
 
 
 class DomainError(ValueError):
@@ -38,7 +39,8 @@ class DivergenceError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive refinement budget exhausted before reaching tolerance."""
+    """A quadrature result is not finite, or its error bound exceeds the
+    tolerance."""
 
 
 @dataclass(frozen=True)
@@ -69,89 +71,68 @@ def beta(x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature engine
+# Degree-exact Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-GAUSS_ORDER = 16
-MAX_PANELS = 4096
+
+def _legendre_and_derivative(m: int, x: float) -> tuple[float, float]:
+    """P_m(x) and P_m'(x) for |x| < 1, by the three-term recurrence."""
+    prev, cur = 1.0, x
+    for j in range(2, m + 1):
+        prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+    return cur, m * (x * cur - prev) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1]."""
-    import numpy as np
+def gauss_legendre(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (ascending) and weights of the m-point Gauss-Legendre rule on
+    [-1, 1], exact for polynomials of degree up to 2m - 1.
 
-    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
-
-
-def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """One Gauss-Legendre panel: the integral of f over [lo, hi]."""
-    nodes, weights = _gauss_rule()
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    # ndarray.dot is numpy.dot, reached without importing numpy on each panel
-    return half * float(weights.dot(f(mid + half * nodes)))
-
-
-def adaptive_quadrature(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, abs_tol: float
-) -> QuadratureResult:
-    """Integrate a vectorized integrand over [a, b] to an absolute tolerance.
-
-    Fixed-order Gauss-Legendre panels, bisected greedily: the interval with
-    the largest error estimate (whole-panel value against the sum of its two
-    halves) is refined until the total estimate meets the tolerance.  Ties
-    break on the left endpoint and the final sum runs left to right, so
-    results are bit-stable across runs.
+    Each positive node is found by Newton's method on P_m from Tricomi's
+    estimate (1 - 1/(8m^2) + 1/(8m^3)) cos(pi (i + 3/4) / (m + 1/2)),
+    stopping once the step is below 1e-15; its weight is
+    2 / ((1 - x^2) P_m'(x)^2), and the negative half mirrors the positive
+    one, so the rule is exactly symmetric.  The cost is O(m^2) per rule.
     """
-    if not 0 < abs_tol < math.inf:
-        raise ValueError("abs_tol must be positive and finite")
-    evaluations = 0
+    nodes, weights = [0.0] * m, [0.0] * m
+    shrink = 1.0 - (1.0 - 1.0 / m) / (8.0 * m * m)
+    for i in range(m // 2):
+        x = shrink * math.cos(math.pi * (i + 0.75) / (m + 0.5))
+        step = 1.0
+        while abs(step) > 1e-15:
+            value, slope = _legendre_and_derivative(m, x)
+            step = value / slope
+            x -= step
+        slope = _legendre_and_derivative(m, x)[1]
+        nodes[i], nodes[m - 1 - i] = -x, x
+        weights[i] = weights[m - 1 - i] = 2.0 / ((1.0 - x * x) * slope * slope)
+    if m % 2:
+        slope = _legendre_and_derivative(m, 0.0)[1]
+        weights[m // 2] = 2.0 / (slope * slope)
+    return tuple(nodes), tuple(weights)
 
-    def panel(lo: float, hi: float) -> float:
-        nonlocal evaluations
-        evaluations += GAUSS_ORDER
-        return _gauss_panel(f, lo, hi)
 
-    def node(lo: float, hi: float, coarse: float) -> tuple:
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        return (-abs(left + right - coarse), lo, hi, left, right)
+def gauss_legendre_quadrature(
+    f: Callable[[Sequence[float]], Sequence[float]], degree: int, floor: float = 0.0
+) -> QuadratureResult:
+    """Integral over [-1, 1] of f, a polynomial of degree at most `degree`,
+    by the m-point rule with m = degree // 2 + 1; f maps the sequence of
+    nodes to the sequence of its values there.
 
-    width_floor = 1e-14 * (b - a)
-    live = [node(a, b, panel(a, b))]
-    done: list[tuple] = []
-    err_total = -live[0][0]
-    panels = 1
-    while err_total > abs_tol:
-        if not live:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] stalled at error {err_total:.3g} > {abs_tol:.3g}"
-            )
-        if panels >= MAX_PANELS:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] did not converge within {MAX_PANELS} panels"
-            )
-        worst = heapq.heappop(live)
-        neg_err, lo, hi, left, right = worst
-        if (hi - lo) <= width_floor:
-            done.append(worst)  # cannot usefully refine further
-            continue
-        mid = 0.5 * (lo + hi)
-        child_l = node(lo, mid, left)
-        child_r = node(mid, hi, right)
-        heapq.heappush(live, child_l)
-        heapq.heappush(live, child_r)
-        err_total += neg_err - child_l[0] - child_r[0]
-        panels += 2
-    pieces = sorted(live + done, key=lambda item: item[1])
-    total = 0.0
-    err = 0.0
-    for neg_err, _, _, left, right in pieces:
-        total += left + right
-        err += -neg_err
-    return QuadratureResult(total, err, evaluations)
+    The value is the correctly rounded sum (math.fsum) of the node terms
+    w f(x).  The error bound is 16 (m + degree) eps max(sum |w f(x)|, floor):
+    the roundoff of terms of that size.  `floor` is the caller's scale of
+    the integrand, for integrals whose node values are all roundoff, as when
+    the nodes are the zeros of a factor of f.  A term, sum or bound that is
+    not finite raises ConvergenceError.
+    """
+    m = degree // 2 + 1
+    nodes, weights = gauss_legendre(m)
+    terms = [w * y for w, y in zip(weights, f(nodes))]
+    bound = 16 * (m + degree) * EPS * max(sum(map(abs, terms)), floor)
+    if not bound < math.inf:  # also false for nan
+        raise ConvergenceError(f"quadrature of degree {degree}: terms are not finite")
+    return QuadratureResult(math.fsum(terms), bound, m)
 
 
 # ---------------------------------------------------------------------------
@@ -173,63 +154,3 @@ def radial_integral_closed(alpha: float, beta_exp: float) -> float:
     """A(alpha, beta) in closed form: (1/2) B((alpha+1)/2, (beta-alpha)/2)."""
     _check_radial_convergence(alpha, beta_exp)
     return 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)
-
-
-def radial_integral_quadrature(alpha: float, beta_exp: float, tol: float) -> QuadratureResult:
-    """A(alpha, beta) by adaptive quadrature, independent of the closed form.
-
-    Substituting u = tanh t maps [0, inf) to [0, 1) and turns the integrand
-    into u^alpha (1 - u^2)^((beta-alpha)/2 - 1), which has at worst algebraic
-    endpoint behaviour under the convergence preconditions.
-    """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    _check_radial_convergence(alpha, beta_exp)
-    s = (beta_exp - alpha) / 2.0
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return u**alpha * (1.0 - u * u) ** (s - 1.0)
-
-    # one coarse panel fixes the absolute-tolerance scale
-    coarse = _gauss_panel(integrand, 0.0, 1.0)
-    abs_tol = tol * max(1.0, abs(coarse))
-    result = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
-    return QuadratureResult(
-        result.value, result.abs_error_estimate, result.evaluations + GAUSS_ORDER
-    )
-
-
-DEFAULT_CALIBRATION_PAIRS = ((1, 3), (3, 7), (1, 5), (2, 6), (5, 9), (3, 9), (7, 13))
-
-
-def beta_argument_evidence(
-    pairs: Sequence[tuple[int, int]] = DEFAULT_CALIBRATION_PAIRS, tol: float = 1e-12
-) -> list[dict]:
-    """Evidence table for the Beta-argument calibration of the closed form.
-
-    For each (alpha, beta) pair the quadrature value is compared against both
-    candidate first Beta arguments, (alpha+1)/2 and (alpha-1)/2.  The shipped
-    closed form is the (alpha+1)/2 variant; this table is regenerated by the
-    test suite and committed under docs/.
-    """
-    rows = []
-    for alpha, beta_exp in pairs:
-        quad = radial_integral_quadrature(alpha, beta_exp, tol)
-        chosen = 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)
-        if alpha - 1.0 > 0:
-            rejected = 0.5 * beta((alpha - 1.0) / 2.0, (beta_exp - alpha) / 2.0)
-            rejected_note = f"{rejected:.12g}"
-        else:
-            rejected_note = "divergent (nonpositive argument)"
-        rows.append(
-            {
-                "alpha": alpha,
-                "beta": beta_exp,
-                "quadrature": quad.value,
-                "quadrature_error": quad.abs_error_estimate,
-                "variant_plus": chosen,
-                "variant_minus": rejected_note,
-                "relative_difference": abs(chosen - quad.value) / abs(quad.value),
-            }
-        )
-    return rows

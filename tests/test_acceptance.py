@@ -26,6 +26,7 @@ from relbranch.oracle import (
     compact_relative_mult,
     jacobi_coeffs,
     normalization_at_one,
+    radial_integral_quadrature,
     spherical_weight,
     su2_spherical_coefficient,
     un_branch_mult,
@@ -38,7 +39,6 @@ from relbranch.periods import (
     period_scale,
 )
 from relbranch.reps import EPSILON_1, EPSILON_2, GroupLevel, Side, Signature, make_param
-from relbranch.specfun import radial_integral_quadrature
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

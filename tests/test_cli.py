@@ -114,6 +114,7 @@ def test_period_rejects_nonfinite_tol(capsys):
     cases = [
         ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "nan"),
         ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "inf"),
+        ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "0"),
         ("table", "period", "--pq", "1,2", "--tol", "nan"),
     ]
     for argv in cases:
@@ -216,6 +217,23 @@ def test_table_he_benchmark_invocation_bytes():
     assert digest == "e68fb975c94b479dec26484309baaf9ea047771fe80196e62aa40676425dc6ef"
 
 
+def test_table_period_benchmark_invocation_bytes():
+    # the exact bytes of the `period-complex` workload's invocation: the
+    # quadrature sums with math.fsum and calls no BLAS kernel
+    import hashlib
+    import subprocess
+    import sys
+
+    cmd = [
+        sys.executable, "-m", "relbranch.cli",
+        "table", "period", "--pq", "1,2", "--n-max", "24", "--k-max", "24",
+    ]
+    proc = subprocess.run(cmd, capture_output=True, check=True)
+    assert proc.stderr == b""
+    digest = hashlib.sha256(proc.stdout).hexdigest()
+    assert digest == "35973933f66c476d8cbc2cb7f4f071fb63ae3046cd98fee722c5ee8aac42f25c"
+
+
 def test_table_empty_grid(capsys):
     code, out, _ = run_cli(
         capsys, "table", "branch", "--pq", "4,5", "--a-range", "4..4", "--b-range", "9/2..7/2"
@@ -268,6 +286,24 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "period", "--pq", "1,2", "--n", "0", "--k", "0")
     assert code == 3
     assert "budget" in err
+
+
+def test_period_quadrature_failures_exit_3(capsys):
+    # a bound above tol times the scale; a scale that overflows to inf (it
+    # was reported as the validation error "abs_tol must be positive"); an
+    # OverflowError inside the oracle
+    quaternionic = ("--family", "quaternionic", "--n", "0", "--k", "0")
+    cases = [
+        (("period", "--pq", "1,2", "--n", "4", "--k", "2", "--tol", "1e-20"), "exceeds tol"),
+        (("period", "--pq", "1,600", "--n", "64", "--k", "64"), "not finite"),
+        (("table", "period", "--pq", "1,600", "--n-max", "2", "--k-max", "0"), "not finite"),
+        (("period", "--pq", "1,600", *quaternionic), "overflowed"),
+    ]
+    for argv, reason in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_NONCONVERGENCE, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert reason in err, (argv, err)
 
 
 def test_subprocess_invocations_byte_identical():
@@ -436,31 +472,31 @@ def _traced_layers():
 
 
 def test_exact_commands_never_import_numpy(capsys):
-    # every layer module loads with the CLI, but only quadrature loads numpy
+    # every layer module loads with the CLI, and no command loads numpy,
+    # the period commands and their quadrature included
     import subprocess
     import sys
 
     layers = _traced_layers()
     assert {"periods", "jacobi", "specfun"} <= layers
     required = {f"relbranch.{layer}" for layer in layers}
-    exact = [
+    commands = [
         ["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2"],
         ["table", "exhaustion", "--pq", "3,3", "--ell", "8..10"],
         ["table", "he", "--n", "4..5"],
         ["table", "branch", "--pq", "4,5", "--a-range", "4..5", "--b-range", "7/2..9/2"],
+        ["period", "--pq", "1,2", "--n", "4", "--k", "2"],
+        ["table", "period", "--pq", "2,5", "--family", "quaternionic", "--n-max", "4"],
     ]
-    period = ["period", "--pq", "1,2", "--n", "4", "--k", "2"]
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(exact + [period])],
+        [sys.executable, "-c", _CHILD, json.dumps(commands)],
         capture_output=True, text=True, check=True,
     )
     report = json.loads(proc.stdout)
-    *exact_modules, period_modules = report["modules"]
-    for argv, modules in zip([["import"]] + exact, exact_modules):
+    for argv, modules in zip([["import"]] + commands, report["modules"]):
         assert "numpy" not in modules, argv
         assert required <= set(modules), argv
-    assert "numpy" in period_modules
-    assert len(report["results"]) == len(exact) + 1
-    for argv, (code, out, err) in zip(exact + [period], report["results"]):
+    assert len(report["results"]) == len(commands)
+    for argv, (code, out, err) in zip(commands, report["results"]):
         assert (code, err) == (0, ""), argv
         assert out == run_cli(capsys, *argv)[1], argv

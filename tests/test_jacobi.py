@@ -79,10 +79,15 @@ def test_eval_examples():
 
 
 def test_values_array_shape_and_degree_cap():
-    xs = np.linspace(-1.0, 1.0, 7).reshape(7, 1)
-    assert jacobi_values(0, 3, 1, xs).shape == (7, 1)
-    pointwise = [jacobi_values(3, 2, 1, x) for x in xs[:, 0]]
-    assert np.array_equal(jacobi_values(3, 2, 1, xs[:, 0]), pointwise)
+    # a float gives a float, a sequence of floats the list of values at each
+    xs = [-1.0 + i / 3.0 for i in range(7)]
+    assert jacobi_values(0, 3, 1, xs) == [1.0] * 7
+    pointwise = [jacobi_values(3, 2, 1, x) for x in xs]
+    assert all(type(value) is float for value in pointwise)
+    assert jacobi_values(3, 2, 1, xs) == pointwise
+    assert jacobi_values(3, 2, 1, tuple(xs)) == pointwise
+    assert jacobi_values(3, 2, 1, np.array(xs)) == pointwise
+    assert jacobi_values(3, 2, 1, []) == []
     with pytest.raises(ValueError, match="cap"):
         jacobi_values(MAX_DEGREE + 1, 0, 0, 0.0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,8 @@ from relbranch.periods import (
     period_scale,
     radial_cosh_power,
 )
-from relbranch.specfun import radial_integral_closed, radial_integral_quadrature
+from relbranch.oracle import radial_integral_quadrature
+from relbranch.specfun import radial_integral_closed
 
 
 def test_complex_family_data():
@@ -260,6 +262,30 @@ def test_period_route_matches_family_literals():
                         closed = radial_integral_closed(*radial_args(p, q, n, k)) * float(exact)
                         got = period_integral_closed(p, q, n, k, kind=kind)
                         assert got == closed, (kind, p, q, n, k)
+
+
+def _exact_period(p, q, n, k, kind):
+    """The exact period: the radial factor A = (a-1)! (b-1)! / (2 (a+b-1)!)
+    with a = (alpha+1)/2, b = (beta-alpha)/2 (DLMF 5.12.1), times the pairing."""
+    radial_args, angular_args = _FAMILY_LITERALS[kind]
+    alpha, beta = radial_args(p, q, n, k)
+    a, b = (alpha + 1) // 2, (beta - alpha) // 2
+    radial = Fraction(factorial(a - 1) * factorial(b - 1), 2 * factorial(a + b - 1))
+    return radial * jacobi_pairing(n, k, *angular_args(q))
+
+
+def test_period_quadrature_error_bounds_exact_error_to_degree_cap():
+    # every record of the full 64 grids, which hold both benchmark grids
+    # ((1,2) complex to 24, (2,5) quaternionic to 20); at (1,2) the records
+    # with k = n + 2 put the nodes on the zeros of P_k, so that every node
+    # value is roundoff and only the scale floor bounds the error
+    labels = range(0, MAX_DEGREE + 1, 2)
+    for p, q, kind in [(1, 2, COMPLEX), (3, 20, COMPLEX), (2, 5, QUATERNIONIC)]:
+        for n in labels:
+            for k in labels:
+                quad = period_integral_quadrature(p, q, n, k, kind=kind)
+                error = abs(Fraction(quad.value) - _exact_period(p, q, n, k, kind))
+                assert error <= Fraction(quad.abs_error_estimate), (p, q, kind, n, k)
 
 
 def test_period_scale_radial_factor_matches_quadrature():

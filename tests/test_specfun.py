@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relbranch.oracle import adaptive_quadrature, beta_argument_evidence, radial_integral_quadrature
 from relbranch.specfun import (
+    EPS,
     ConvergenceError,
     DivergenceError,
     DomainError,
     QuadratureResult,
-    adaptive_quadrature,
     beta,
-    beta_argument_evidence,
+    gauss_legendre,
+    gauss_legendre_quadrature,
     log_gamma,
     radial_integral_closed,
-    radial_integral_quadrature,
 )
 
 # ln(sqrt(pi)) to 16 significant digits, from Gamma(1/2) = sqrt(pi)
@@ -79,6 +80,43 @@ def test_quadrature_result_invariants():
         QuadratureResult(1.0, -1e-3, 10)
     with pytest.raises(ValueError):
         QuadratureResult(1.0, 0.0, 0)
+
+
+def test_gauss_legendre_rule_symmetry_and_moments():
+    # sum w x^(2j) = 2/(2j+1) for j < m: the rule is exact to degree 2m - 1
+    for m in [*range(1, 101), 128, 200, 263, 300]:
+        nodes, weights = gauss_legendre(m)
+        assert len(nodes) == len(weights) == m
+        assert list(nodes) == sorted(nodes) and all(-1.0 < x < 1.0 for x in nodes)
+        assert nodes == tuple(-x for x in reversed(nodes)) and weights == weights[::-1]
+        assert abs(math.fsum(weights) - 2.0) <= 100 * EPS, m
+        x, w = np.array(nodes), np.array(weights)
+        powers = x[None, :] ** (2 * np.arange(m))[:, None]
+        moments = (powers * w).sum(axis=1)
+        exact = 2.0 / (2 * np.arange(m) + 1)
+        assert np.max(np.abs(moments - exact)) <= 300 * EPS, m
+
+
+def test_gauss_legendre_matches_numpy_leggauss():
+    for m in [*range(1, 65), 83, 128, 263, 300]:
+        nodes, weights = gauss_legendre(m)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
+        assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-15, m
+        assert np.max(np.abs(np.array(weights) / ref_weights - 1.0)) <= 1e-9, m
+
+
+def test_gauss_legendre_quadrature_bound_and_failures():
+    # int_{-1}^{1} (1 + x)^d dx = 2^(d+1) / (d+1), with the rule of d // 2 + 1 nodes
+    for degree in range(0, 130):
+        result = gauss_legendre_quadrature(lambda xs: [(1.0 + x) ** degree for x in xs], degree)
+        assert result.evaluations == degree // 2 + 1
+        assert abs(result.value - 2.0 ** (degree + 1) / (degree + 1)) <= result.abs_error_estimate
+    # every node value is zero: the floor is the whole bound
+    zero = gauss_legendre_quadrature(lambda xs: [0.0] * len(xs), 4, floor=2.0)
+    assert (zero.value, zero.abs_error_estimate) == (0.0, 16 * (3 + 4) * EPS * 2.0)
+    for values in ([math.inf, 0.0], [math.nan, 0.0], [1e308, 1e308]):  # 2 nodes at degree 2
+        with pytest.raises(ConvergenceError, match="not finite"):
+            gauss_legendre_quadrature(lambda xs, values=values: values, 2)
 
 
 def test_radial_closed_antiderivative_cases():

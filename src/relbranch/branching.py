@@ -236,16 +236,6 @@ class StageParams:
             )
 
 
-@dataclass(frozen=True)
-class StagePair:
-    """One term of the second-stage restriction: characters (x, y) with
-    x + y = ell; the relative flag marks the x = y = ell/2 member."""
-
-    x: int
-    y: int
-    relative: bool
-
-
 def _check_ell(sig: Signature, ell: int) -> None:
     if ell <= sig.n - 1:
         raise ValueError(f"need ell > {sig.n - 1} for {sig}, got {ell}")
@@ -263,15 +253,6 @@ def stage1_enumerate(sig: Signature, ell: int) -> list[StageParams]:
         for lam_pp in range(2 - (top % 2), top + 1, 2):
             out.append(StageParams(ell, lam_p, HalfInt.from_int(lam_pp)))
     return out
-
-
-def stage2_enumerate(sig: Signature, ell: int) -> list[StagePair]:
-    """Integer pairs x + y = ell with x = 0..ell; the relative flag is true
-    exactly for x = y = ell/2, which requires ell even.  Only the relative
-    member feeds the exhaustion pipeline, which reads it off the parity of
-    ell; the full list is the reference the tests compare against."""
-    _check_ell(sig, ell)
-    return [StagePair(x, ell - x, 2 * x == ell) for x in range(ell + 1)]
 
 
 def _valid_subgroup_b(sig: Signature, b: HalfInt) -> bool:
@@ -315,10 +296,12 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     parity (the label conventions at adjacent levels differ by such shifts,
     and this is the unique assignment compatible with a = ell/2 below).
     Invalid candidates are discarded.
-    Second sequence: the relative member of stage2 carries a = ell/2, and
-    the subgroup parameters are all valid b with b < a.  The prediction
-    lists b over even labels k up to the dictionary image of a.  All three
-    sets must coincide.
+    Second sequence: of the second stage's splittings ell = x + y into
+    integers, only the relative member x = y = ell/2 (ell even) feeds on;
+    it carries a = ell/2, and the subgroup parameters are all valid b with
+    b < a.  The tests enumerate the whole second stage as the reference.
+    The prediction lists b over even labels k up to the dictionary image of
+    a.  All three sets must coincide.
     """
     _check_ell(sig, ell)
     first = []
@@ -330,7 +313,7 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
         if _valid_subgroup_b(sig, b):
             first.append(b)
     first = sorted(first)
-    if ell % 2 == 0:  # stage2's relative member x = y = ell/2
+    if ell % 2 == 0:  # the second stage's relative member x = y = ell/2
         a = HalfInt(ell)  # ell/2
         second = []
         b = HalfInt(sig.n - 2)

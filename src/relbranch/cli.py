@@ -167,20 +167,19 @@ _PERIOD_RULES = [
 
 
 def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> dict:
-    """One period record; only complex records carry the closed form and its
-    difference from the quadrature (a family outside the two with radial data
-    raises UnsupportedFamilyError)."""
-    closed = periods.period_integral_closed(p, q, n, k) if family == periods.COMPLEX else None
+    """One period record: the closed form, the quadrature, their difference
+    and the vanishing flag (a family outside the two with radial data raises
+    UnsupportedFamilyError)."""
+    closed = periods.period_integral_closed(p, q, n, k, kind=family)
     quad = periods.period_integral_quadrature(p, q, n, k, tol, kind=family)
-    result = {
+    return {
         "family": family,
         "closed": closed,
         "quadrature": quad.value,
         "quadrature_error": quad.abs_error_estimate,
-        "abs_difference": None if closed is None else abs(closed - quad.value),
+        "abs_difference": abs(closed - quad.value),
         "nonvanishing": periods.period_nonvanishing(p, q, n, k, kind=family),
     }
-    return {key: value for key, value in result.items() if value is not None}
 
 
 def cmd_period(args, out) -> int:

@@ -5,11 +5,12 @@ the interlacing rule for restricting a unitary-group highest weight one rank
 down, detection of spherical highest weights, the explicit rank-one
 matrix-coefficient model whose normalized values are Legendre polynomials,
 exact Jacobi polynomials from their explicit sum (DLMF 18.5.7) with weighted
-pairings by monomial integration, and an adaptive Gauss-Legendre quadrature
-of the radial integral for any real exponents, which builds the Beta-argument
-calibration table of docs/radial_integral_calibration.md.  None of these
-share code with the modules they check, and no CLI path imports this module,
-the only one that needs numpy.
+pairings by monomial integration, and the float Beta form of the radial
+integral for real exponents (via log_gamma) with an adaptive quadrature on
+specfun's Gauss-Legendre rule, which build the Beta-argument calibration
+table of docs/radial_integral_calibration.md.  None of these share code with
+the modules they check, and no CLI path imports this module, the only one
+that needs numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .reps import HighestWeight
-from .specfun import ConvergenceError, QuadratureResult, _check_radial_convergence, beta
+from .specfun import ConvergenceError, QuadratureResult, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,47 @@ def normalization_at_one(n: int, alpha: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature and the Beta-argument calibration
+# The Beta-argument calibration: the float closed form and adaptive quadrature
 # ---------------------------------------------------------------------------
+
+
+class DomainError(ValueError):
+    """Argument outside the function's domain."""
+
+
+class DivergenceError(ValueError):
+    """The requested integral does not converge."""
+
+
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0."""
+    if not x > 0:
+        raise DomainError(f"log_gamma requires x > 0, got {x}")
+    return math.lgamma(x)
+
+
+def beta(x: float, y: float) -> float:
+    """Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), via log_gamma."""
+    if not (x > 0 and y > 0):
+        raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
+    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+
+
+def _check_radial_convergence(alpha: float, beta_exp: float) -> None:
+    if not alpha > -1:
+        raise DivergenceError(f"radial integral diverges at 0: need alpha > -1, got {alpha}")
+    if not beta_exp - alpha > 0:
+        raise DivergenceError(
+            f"radial integral diverges at infinity: need beta - alpha > 0, "
+            f"got beta - alpha = {beta_exp - alpha}"
+        )
+
+
+def radial_integral_closed(alpha: float, beta_exp: float) -> float:
+    """A(alpha, beta) in closed form: (1/2) B((alpha+1)/2, (beta-alpha)/2)."""
+    _check_radial_convergence(alpha, beta_exp)
+    return 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)
+
 
 GAUSS_ORDER = 16
 MAX_PANELS = 4096
@@ -185,15 +225,17 @@ MAX_PANELS = 4096
 @lru_cache(maxsize=None)
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    nodes, weights = gauss_legendre(GAUSS_ORDER)
+    return np.array(nodes), np.array(weights)
 
 
 def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """One Gauss-Legendre panel: the integral of f over [lo, hi]."""
+    """One Gauss-Legendre panel: the integral of f over [lo, hi], its node
+    terms summed with math.fsum."""
     nodes, weights = _gauss_rule()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * float(weights.dot(f(mid + half * nodes)))
+    return half * math.fsum(weights * f(mid + half * nodes))
 
 
 def adaptive_quadrature(
@@ -297,7 +339,7 @@ def beta_argument_evidence(
     rows = []
     for alpha, beta_exp in pairs:
         quad = radial_integral_quadrature(alpha, beta_exp, tol)
-        chosen = 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)
+        chosen = radial_integral_closed(alpha, beta_exp)
         if alpha - 1.0 > 0:
             rejected = 0.5 * beta((alpha - 1.0) / 2.0, (beta_exp - alpha) / 2.0)
             rejected_note = f"{rejected:.12g}"

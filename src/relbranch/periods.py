@@ -18,9 +18,11 @@ cosh decay; the angular factor pairs the big family's polynomial against the
 embedded family's (over (p, q-1)) under the embedded weight, shifted by the
 difference of the two alphas.  The exact pairing is one closed-form
 connection coefficient times a squared norm (jacobi.jacobi_pairing) and
-decides vanishing.  The quadrature oracle is independent of it and of the
-Beta closed form.  On the period route both factors are polynomials: the
-radial one after v = tanh^2 t, the angular one as the product of the float
+decides vanishing; the radial factor is rational too
+(specfun.radial_integral_exact), so the period is one exact Fraction, rounded
+once for the closed value.  The quadrature oracle is independent of both
+exact factors.  On the period route both factors are polynomials: the radial
+one after v = tanh^2 t, the angular one as the product of the float
 three-term recurrence values (jacobi.jacobi_values) and the weight.  So one
 Gauss-Legendre rule per factor, with degree // 2 + 1 nodes, is exact up to
 roundoff (specfun.gauss_legendre_quadrature), and it reaches the full label
@@ -37,12 +39,8 @@ from functools import lru_cache
 from math import inf, sqrt
 
 from .jacobi import connection_coeff, jacobi_norm_sq, jacobi_pairing, jacobi_values
-from .specfun import (
-    ConvergenceError,
-    QuadratureResult,
-    gauss_legendre_quadrature,
-    radial_integral_closed,
-)
+from .specfun import ConvergenceError, QuadratureResult, gauss_legendre_quadrature
+from .specfun import radial_integral_exact
 
 COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
@@ -157,13 +155,22 @@ def period_nonvanishing(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> 
     return period_angular_exact(q, n, k, kind) != 0
 
 
-def period_integral_closed(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
-    """Closed-form period integral: the radial factor A(sinh power, cosh
+def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
+    """Exact period integral: the rational radial factor A(sinh power, cosh
     decay) times the exact angular factor.  Nonzero exactly when k <= n."""
     _check_period_args(p, q, n, k)
     # convergence: the cosh decay exceeds the sinh power automatically for q > p
-    radial = radial_integral_closed(*_radial_args(p, q, n, k, kind))
-    return radial * float(period_angular_exact(q, n, k, kind))
+    radial = radial_integral_exact(*_radial_args(p, q, n, k, kind))
+    return radial * period_angular_exact(q, n, k, kind)
+
+
+def period_integral_closed(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
+    """The exact period integral, correctly rounded to a float.  Raises
+    ConvergenceError when it is too large for a float."""
+    try:
+        return float(period_integral_exact(p, q, n, k, kind))
+    except OverflowError as exc:
+        raise ConvergenceError(f"closed form overflowed: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -262,8 +269,8 @@ def period_integral_quadrature(
 
 
 def period_scale(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
-    """Magnitude scale of the period integral (closed-form radial factor times
-    the angular Cauchy-Schwarz bound), for judging a quadrature value against."""
+    """Magnitude scale of the period integral (exact radial factor times the
+    angular Cauchy-Schwarz bound), for judging a quadrature value against."""
     _check_period_args(p, q, n, k)
-    radial = radial_integral_closed(*_radial_args(p, q, n, k, kind))
+    radial = float(radial_integral_exact(*_radial_args(p, q, n, k, kind)))
     return radial * _angular_scale(n, k, *_angular_args(q, kind))

@@ -1,22 +1,20 @@
-"""Log-gamma, Beta, the radial hyperbolic integral in closed form, and
-degree-exact Gauss-Legendre quadrature.
+"""The radial hyperbolic integral in exact closed form, and degree-exact
+Gauss-Legendre quadrature.
 
 The radial integral is
 
     A(alpha, beta) = integral_0^inf (sinh t)^alpha (cosh t)^(-beta) dt,
 
-convergent for alpha > -1 and beta > alpha.  Its closed form uses the Beta
-arguments ((alpha+1)/2, (beta-alpha)/2); this argument choice was calibrated
-against an independent adaptive quadrature on integer pairs (the alternative
-first argument (alpha-1)/2 is divergent at alpha=1 and disagrees everywhere
-else; see docs/radial_integral_calibration.md for the evidence table, built
-by relbranch.oracle).
+convergent for alpha > -1 and beta > alpha.  It equals
+(1/2) B((alpha+1)/2, (beta-alpha)/2); this argument choice was calibrated
+against an independent adaptive quadrature on integer pairs (see
+docs/radial_integral_calibration.md, built by relbranch.oracle).  On the
+period route both Beta arguments are positive integers, so A is rational.
 
 The quadrature here integrates polynomials only: the m-point Gauss-Legendre
 rule is exact to degree 2m - 1 (DLMF 3.5(v)), so a polynomial of known
 degree needs one rule and leaves only roundoff, which the returned bound
-covers.  The rule is built in pure Python, so no part of this module loads
-numpy.
+covers.  Both are pure Python, so no part of this module loads numpy.
 """
 
 from __future__ import annotations
@@ -24,18 +22,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
 EPS = sys.float_info.epsilon
-
-
-class DomainError(ValueError):
-    """Argument outside the function's domain."""
-
-
-class DivergenceError(ValueError):
-    """The requested integral does not converge."""
 
 
 class ConvergenceError(RuntimeError):
@@ -56,18 +47,16 @@ class QuadratureResult:
             raise ValueError("evaluations must be >= 1")
 
 
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), via log_gamma."""
-    if not (x > 0 and y > 0):
-        raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+def radial_integral_exact(alpha: int, beta_exp: int) -> Fraction:
+    """A(alpha, beta) = (1/2) B(a, b) = (a-1)! (b-1)! / (2 (a+b-1)!) exactly,
+    with a = (alpha+1)/2 and b = (beta-alpha)/2 (DLMF 5.12.1); raises
+    ValueError unless a and b are positive integers."""
+    ints = isinstance(alpha, int) and isinstance(beta_exp, int)
+    if not (ints and alpha > 0 and alpha % 2 and beta_exp > alpha and (beta_exp - alpha) % 2 == 0):
+        raise ValueError(f"A({alpha}, {beta_exp}): Beta arguments must be positive integers")
+    a, b = (alpha + 1) // 2, (beta_exp - alpha) // 2
+    f = math.factorial
+    return Fraction(f(a - 1) * f(b - 1), 2 * f(a + b - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -133,24 +122,3 @@ def gauss_legendre_quadrature(
     if not bound < math.inf:  # also false for nan
         raise ConvergenceError(f"quadrature of degree {degree}: terms are not finite")
     return QuadratureResult(math.fsum(terms), bound, m)
-
-
-# ---------------------------------------------------------------------------
-# Radial hyperbolic integral
-# ---------------------------------------------------------------------------
-
-
-def _check_radial_convergence(alpha: float, beta_exp: float) -> None:
-    if not alpha > -1:
-        raise DivergenceError(f"radial integral diverges at 0: need alpha > -1, got {alpha}")
-    if not beta_exp - alpha > 0:
-        raise DivergenceError(
-            f"radial integral diverges at infinity: need beta - alpha > 0, "
-            f"got beta - alpha = {beta_exp - alpha}"
-        )
-
-
-def radial_integral_closed(alpha: float, beta_exp: float) -> float:
-    """A(alpha, beta) in closed form: (1/2) B((alpha+1)/2, (beta-alpha)/2)."""
-    _check_radial_convergence(alpha, beta_exp)
-    return 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)

@@ -105,7 +105,7 @@ def test_criterion_04_beta_argument_calibration():
     def check():
         pairs = [(1, 3), (3, 7), (1, 5), (2, 6), (5, 9)]
         exact = {(1, 3): 0.5, (3, 7): 1.0 / 12.0}
-        from relbranch.specfun import radial_integral_closed
+        from relbranch.oracle import radial_integral_closed
 
         for alpha, beta_exp in pairs:
             closed = radial_integral_closed(alpha, beta_exp)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import pytest
 
 from relbranch.branching import (
@@ -5,7 +7,6 @@ from relbranch.branching import (
     P1,
     P2,
     SignatureMismatchError,
-    StagePair,
     StageParams,
     TieError,
     a_to_fj_label,
@@ -20,7 +21,6 @@ from relbranch.branching import (
     pattern_characters,
     pi_minus_summands,
     stage1_enumerate,
-    stage2_enumerate,
 )
 from relbranch.halfint import HALF, HalfInt
 from relbranch.periods import period_nonvanishing
@@ -283,6 +283,25 @@ def test_stage1_list_grows_with_ell():
 def test_stage1_range_error():
     with pytest.raises(ValueError):
         stage1_enumerate(Signature(3, 3), 5)
+
+
+@dataclass(frozen=True)
+class StagePair:
+    """One term of the second-stage restriction: characters (x, y) with
+    x + y = ell; the relative flag marks the x = y = ell/2 member."""
+
+    x: int
+    y: int
+    relative: bool
+
+
+def stage2_enumerate(sig, ell):
+    """Integer pairs x + y = ell with x = 0..ell; the relative flag is true
+    exactly for x = y = ell/2, which requires ell even.  exhaustion_check
+    reads its relative member off the parity of ell; this full list is the
+    reference it is compared against."""
+    assert ell > sig.n - 1, (sig, ell)
+    return [StagePair(x, ell - x, 2 * x == ell) for x in range(ell + 1)]
 
 
 def test_stage2_relative_members():

@@ -219,7 +219,8 @@ def test_table_he_benchmark_invocation_bytes():
 
 def test_table_period_benchmark_invocation_bytes():
     # the exact bytes of the `period-complex` workload's invocation: the
-    # quadrature sums with math.fsum and calls no BLAS kernel
+    # closed value is the exact period rounded once, and the quadrature sums
+    # with math.fsum and calls no BLAS kernel
     import hashlib
     import subprocess
     import sys
@@ -231,7 +232,7 @@ def test_table_period_benchmark_invocation_bytes():
     proc = subprocess.run(cmd, capture_output=True, check=True)
     assert proc.stderr == b""
     digest = hashlib.sha256(proc.stdout).hexdigest()
-    assert digest == "35973933f66c476d8cbc2cb7f4f071fb63ae3046cd98fee722c5ee8aac42f25c"
+    assert digest == "d5d194afb1ea67e6e7bd72282edbcf0f6e88df2dca6489c14acb26159262e299"
 
 
 def test_table_empty_grid(capsys):
@@ -291,13 +292,18 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
 def test_period_quadrature_failures_exit_3(capsys):
     # a bound above tol times the scale; a scale that overflows to inf (it
     # was reported as the validation error "abs_tol must be positive"); an
-    # OverflowError inside the oracle
+    # OverflowError inside the oracle or in rounding the exact closed form
     quaternionic = ("--family", "quaternionic", "--n", "0", "--k", "0")
     cases = [
         (("period", "--pq", "1,2", "--n", "4", "--k", "2", "--tol", "1e-20"), "exceeds tol"),
         (("period", "--pq", "1,600", "--n", "64", "--k", "64"), "not finite"),
         (("table", "period", "--pq", "1,600", "--n-max", "2", "--k-max", "0"), "not finite"),
         (("period", "--pq", "1,600", *quaternionic), "overflowed"),
+        (("period", "--pq", "1,1100", "--n", "0", "--k", "0"), "closed form overflowed"),
+        (
+            ("table", "period", "--pq", "1,1100", "--n-max", "0", "--k-max", "0"),
+            "closed form overflowed",
+        ),
     ]
     for argv, reason in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -342,7 +348,9 @@ def test_period_quaternionic_record_keys(capsys):
     )
     assert code == 0
     (record,) = parse_records(out)
-    assert set(record["result"]) == {"family", "quadrature", "quadrature_error", "nonvanishing"}
+    assert list(record["result"]) == [
+        "family", "closed", "quadrature", "quadrature_error", "abs_difference", "nonvanishing"
+    ]
     assert record["result"]["nonvanishing"] is False
 
 

@@ -138,3 +138,16 @@ def test_oracle_imports_nothing_from_jacobi():
             continue
         for name in modules:
             assert name.split(".")[-1] != "jacobi", ast.unparse(node)
+
+
+def test_only_the_oracle_references_lgamma():
+    # the float log-gamma route is calibration evidence, never a result
+    package = Path(oracle.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            assert "lgamma" not in names, (path.name, ast.unparse(node))

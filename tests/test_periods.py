@@ -16,13 +16,13 @@ from relbranch.periods import (
     UnsupportedFamilyError,
     period_angular_exact,
     period_integral_closed,
+    period_integral_exact,
     period_integral_quadrature,
     period_nonvanishing,
     period_scale,
     radial_cosh_power,
 )
-from relbranch.oracle import radial_integral_quadrature
-from relbranch.specfun import radial_integral_closed
+from relbranch.oracle import radial_integral_closed, radial_integral_quadrature
 
 
 def test_complex_family_data():
@@ -252,16 +252,15 @@ _FAMILY_LITERALS = {
 
 def test_period_route_matches_family_literals():
     labels = range(0, 17, 2)
-    for kind, (radial_args, angular_args) in _FAMILY_LITERALS.items():
+    for kind, (_, angular_args) in _FAMILY_LITERALS.items():
         for q in range(2, 9):
             for n in labels:
                 for k in labels:
                     exact = jacobi_pairing(n, k, *angular_args(q))
                     assert period_angular_exact(q, n, k, kind=kind) == exact, (kind, q, n, k)
                     for p in range(1, q):
-                        closed = radial_integral_closed(*radial_args(p, q, n, k)) * float(exact)
                         got = period_integral_closed(p, q, n, k, kind=kind)
-                        assert got == closed, (kind, p, q, n, k)
+                        assert got == float(_exact_period(p, q, n, k, kind)), (kind, p, q, n, k)
 
 
 def _exact_period(p, q, n, k, kind):
@@ -272,6 +271,17 @@ def _exact_period(p, q, n, k, kind):
     a, b = (alpha + 1) // 2, (beta - alpha) // 2
     radial = Fraction(factorial(a - 1) * factorial(b - 1), 2 * factorial(a + b - 1))
     return radial * jacobi_pairing(n, k, *angular_args(q))
+
+
+def test_period_exact_and_closed_match_literals_to_degree_cap():
+    # the closed value is the exact period rounded once, on both families
+    labels = range(0, MAX_DEGREE + 1, 2)
+    for p, q, kind in [(1, 2, COMPLEX), (3, 20, COMPLEX), (2, 5, QUATERNIONIC)]:
+        for n in labels:
+            for k in labels:
+                exact = period_integral_exact(p, q, n, k, kind=kind)
+                assert exact == _exact_period(p, q, n, k, kind), (p, q, kind, n, k)
+                assert period_integral_closed(p, q, n, k, kind=kind) == float(exact)
 
 
 def test_period_quadrature_error_bounds_exact_error_to_degree_cap():

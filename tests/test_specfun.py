@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -6,18 +7,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relbranch.oracle import adaptive_quadrature, beta_argument_evidence, radial_integral_quadrature
+from relbranch.oracle import (
+    DivergenceError,
+    DomainError,
+    adaptive_quadrature,
+    beta,
+    beta_argument_evidence,
+    log_gamma,
+    radial_integral_closed,
+    radial_integral_quadrature,
+)
 from relbranch.specfun import (
     EPS,
     ConvergenceError,
-    DivergenceError,
-    DomainError,
     QuadratureResult,
-    beta,
     gauss_legendre,
     gauss_legendre_quadrature,
-    log_gamma,
-    radial_integral_closed,
+    radial_integral_exact,
 )
 
 # ln(sqrt(pi)) to 16 significant digits, from Gamma(1/2) = sqrt(pi)
@@ -124,6 +130,20 @@ def test_radial_closed_antiderivative_cases():
     assert radial_integral_closed(1, 3) == pytest.approx(0.5, rel=1e-13)
     # w = cosh t: A(3,7) = int_1^inf (w^-5 - w^-7) dw = 1/4 - 1/6 = 1/12
     assert radial_integral_closed(3, 7) == pytest.approx(1.0 / 12.0, rel=1e-13)
+
+
+def test_radial_exact_values_domain_and_float_form():
+    assert radial_integral_exact(1, 3) == Fraction(1, 2)
+    assert radial_integral_exact(3, 7) == Fraction(1, 12)
+    # Beta arguments that are not positive integers
+    for alpha, beta_exp in [(2, 6), (1, 4), (1, 1), (-1, 3), (1.0, 3)]:
+        with pytest.raises(ValueError):
+            radial_integral_exact(alpha, beta_exp)
+    for alpha in range(1, 20, 2):
+        for gap in range(2, 21, 2):
+            exact = float(radial_integral_exact(alpha, alpha + gap))
+            closed = radial_integral_closed(alpha, alpha + gap)
+            assert abs(closed - exact) <= 1e-13 * exact, (alpha, gap)
 
 
 def test_radial_closed_divergence():

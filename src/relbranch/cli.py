@@ -68,12 +68,6 @@ def _parse_range(text: str, parse_end=HalfInt.parse) -> tuple:
         raise ParamError(f"expected a range 'lo..hi', got {text!r}") from None
 
 
-def _signature(p: int, q: int) -> Signature:
-    # the CLI permits any positive signature; validity of parameters is
-    # still enforced exactly by make_param
-    return Signature(p, q, relaxed=True)
-
-
 def _valid_params_in(sig: Signature, level: GroupLevel, side: Side, lo: HalfInt, hi: HalfInt):
     """Valid parameters with lo <= a <= hi, ascending."""
     bound = HalfInt(sig.n - (1 if level is GroupLevel.G else 2))
@@ -97,7 +91,7 @@ _BRANCH_RULES = [
 
 def cmd_branch(args, out) -> int:
     p, q = _parse_pq(args.pq)
-    sig = _signature(p, q)
+    sig = Signature(p, q)
     if args.gp is not None:
         a, b = (HalfInt.parse(v) for v in args.gp)
         summary = branching.coupling_summary(a, b, sig)
@@ -167,10 +161,11 @@ _PERIOD_RULES = [
 
 
 def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> dict:
-    """One period record: the closed form, the quadrature, their difference
-    and the vanishing flag (a family outside the two with radial data raises
-    UnsupportedFamilyError)."""
-    closed = periods.period_integral_closed(p, q, n, k, kind=family)
+    """One period record from one exact period: the closed form (that value
+    rounded once), the quadrature, their difference and the vanishing flag
+    (exact, since the radial factor is positive)."""
+    exact = periods.period_integral_exact(p, q, n, k, kind=family)
+    closed = periods.closed_value(exact)
     quad = periods.period_integral_quadrature(p, q, n, k, tol, kind=family)
     return {
         "family": family,
@@ -178,12 +173,13 @@ def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> d
         "quadrature": quad.value,
         "quadrature_error": quad.abs_error_estimate,
         "abs_difference": abs(closed - quad.value),
-        "nonvanishing": periods.period_nonvanishing(p, q, n, k, kind=family),
+        "nonvanishing": exact != 0,
     }
 
 
 def cmd_period(args, out) -> int:
     p, q = _parse_pq(args.pq)
+    periods.check_tol(args.tol)
     result = _period_result(p, q, args.n, args.k, args.family, args.tol)
     record = _record(
         "period",
@@ -218,7 +214,7 @@ def _row(kind: str, row: dict, compute, *args):
 
 def _rows_branch(args):
     p, q = _parse_pq(args.pq)
-    sig = _signature(p, q)
+    sig = Signature(p, q)
     a_lo, a_hi = _parse_range(args.a_range)
     b_lo, b_hi = _parse_range(args.b_range)
     a_params = _valid_params_in(sig, GroupLevel.G, Side.PLUS, a_lo, a_hi)
@@ -233,6 +229,7 @@ def _rows_branch(args):
 
 def _rows_period(args):
     p, q = _parse_pq(args.pq)
+    periods.check_tol(args.tol)
     labels = range(0, args.n_max + 1, 2)
     _cap(len(labels) * len(range(0, args.k_max + 1, 2)))
     for n in labels:
@@ -246,7 +243,7 @@ def _rows_period(args):
 
 def _rows_exhaustion(args):
     p, q = _parse_pq(args.pq)
-    sig = _signature(p, q)
+    sig = Signature(p, q)
     lo, hi = _parse_range(args.ell, parse_end=int)
     _cap(max(hi - lo + 1, 0))
     for ell in range(lo, hi + 1):

@@ -11,29 +11,29 @@ bare weight (1-x)^alpha (1+x)^beta dx on [-1, 1] with no constant.  The
 normalization scales values but cannot change which of them vanish, and the
 vanishing dichotomy is the contract used downstream.
 
-The two families share one route; the kind= keyword picks the family (any
-other kind raises UnsupportedFamilyError), and SpaceFamily alone fixes its
-exponents.  The radial factor takes the density's sinh power and the total
-cosh decay; the angular factor pairs the big family's polynomial against the
-embedded family's (over (p, q-1)) under the embedded weight, shifted by the
-difference of the two alphas.  The exact pairing is one closed-form
-connection coefficient times a squared norm (jacobi.jacobi_pairing) and
-decides vanishing; the radial factor is rational too
-(specfun.radial_integral_exact), so the period is one exact Fraction, rounded
-once for the closed value.  The quadrature oracle is independent of both
-exact factors.  On the period route both factors are polynomials: the radial
-one after v = tanh^2 t, the angular one as the product of the float
-three-term recurrence values (jacobi.jacobi_values) and the weight.  So one
-Gauss-Legendre rule per factor, with degree // 2 + 1 nodes, is exact up to
-roundoff (specfun.gauss_legendre_quadrature), and it reaches the full label
-range up to MAX_DEGREE.  Only the angular scale, a Cauchy-Schwarz bound that
-gates the tolerance and floors the roundoff bound, reads the squared norm of
-the shifted polynomial from the same coefficients (jacobi.connection_coeff).
+The two families share one route; the kind= keyword picks the family, and
+one table (_EXPONENTS) holds the five integers each family feeds it (any
+other kind raises ValueError).  The radial factor takes the density's sinh
+power and the total cosh decay; the angular factor pairs the big family's
+polynomial against the embedded family's (over (p, q-1)) under the embedded
+weight, shifted by the difference of the two alphas.  The exact pairing is
+one closed-form connection coefficient times a squared norm
+(jacobi.jacobi_pairing) and decides vanishing; the radial factor is rational
+too (specfun.radial_integral_exact), so the period is one exact Fraction,
+rounded once for the closed value (closed_value).  The quadrature oracle is
+independent of both exact factors.  On the period route both factors are
+polynomials: the radial one after v = tanh^2 t, the angular one as the
+product of the float three-term recurrence values (jacobi.jacobi_values) and
+the weight.  So one Gauss-Legendre rule per factor, with degree // 2 + 1
+nodes, is exact up to roundoff (specfun.gauss_legendre_quadrature), and it
+reaches the full label range up to MAX_DEGREE.  Only the angular scale, a
+Cauchy-Schwarz bound that gates the tolerance and floors the roundoff bound,
+reads the squared norm of the shifted polynomial from the same coefficients
+(jacobi.connection_coeff).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, sqrt
@@ -46,95 +46,46 @@ COMPLEX = "complex"
 QUATERNIONIC = "quaternionic"
 FIELD_KINDS = (COMPLEX, QUATERNIONIC)
 
-
-class UnsupportedFamilyError(ValueError):
-    """Operation not available for this family (no radial data)."""
+# Per family: the radial factor's (sinh power, cosh decay) over (p, q) with
+# labels n, k, and the angular pairing's (alpha, beta, shift) over q.  The
+# sinh power is the density's; the decay is E(n) + E'(k) minus the density's
+# cosh power c, with E the big family's spectral exponent and E' the embedded
+# family's (over q - 1): complex E = 2q + n (i*lambda = q - p + n), c = 2q - 1;
+# quaternionic E = 4q + n + 2 (i*lambda = 2q - 2p + 1 + n), c = 4q + 3.  The
+# angular (alpha, beta) is the embedded family's Jacobi pair, (q - 2, 0) and
+# (2q - 3, 1), and the shift steps alpha up to the big family's, q - 1 and 2q - 1.
+_EXPONENTS = {
+    COMPLEX: (lambda p, q, n, k: (2 * p - 1, 2 * q + n + k - 1), lambda q: (q - 2, 0, 1)),
+    QUATERNIONIC: (lambda p, q, n, k: (4 * p - 1, 4 * q + n + k - 3), lambda q: (2 * q - 3, 1, 2)),
+}
 
 
 class PreconditionError(ValueError):
     """Period-integral arguments outside the supported range."""
 
 
-@dataclass(frozen=True)
-class SpaceFamily:
-    """A rank-one family over the signature (p, q): its Jacobi exponents,
-    radial density powers and spectral decay exponent.
-
-    The period functions below read every exponent from here.
-    """
-
-    field_kind: str
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.field_kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {self.field_kind!r}")
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
-            raise ValueError("p and q must be integers")
-        if self.p < 1 or self.q < 1:
-            raise ValueError("p and q must be positive")
-
-    @property
-    def jacobi_alpha(self) -> int:
-        return self.q - 1 if self.field_kind == COMPLEX else 2 * self.q - 1
-
-    @property
-    def jacobi_beta(self) -> int:
-        return 0 if self.field_kind == COMPLEX else 1
-
-    @property
-    def density_cosh_power(self) -> int:
-        return 2 * self.q - 1 if self.field_kind == COMPLEX else 4 * self.q + 3
-
-    @property
-    def density_sinh_power(self) -> int:
-        return 2 * self.p - 1 if self.field_kind == COMPLEX else 4 * self.p - 1
-
-    def spectral_exponent(self, n: int) -> int:
-        """The decay exponent E in (cosh s)^(-E) for even label n."""
-        if self.field_kind == COMPLEX:
-            return 2 * self.q + n  # i*lambda + rho with i*lambda = q - p + n
-        return 4 * self.q + n + 2  # i*lambda = 2q - 2p + 1 + n
+def _exponents(kind: str):
+    """The (radial, angular) exponent maps of family kind."""
+    if kind not in _EXPONENTS:
+        raise ValueError(f"unknown family {kind!r}")
+    return _EXPONENTS[kind]
 
 
-# ---------------------------------------------------------------------------
-# Period integrals, one route for both families
-# ---------------------------------------------------------------------------
-
-
-def _check_period_args(p: int, q: int, n: int, k: int) -> None:
+def _period_args(p: int, q: int, n: int, k: int, kind: str):
+    """The radial (sinh power, cosh decay) and angular (alpha, beta, shift)
+    of one period, once its arguments are checked."""
     if not (isinstance(p, int) and isinstance(q, int) and q > p > 0):
         raise PreconditionError(f"need integer signature with q > p > 0, got ({p}, {q})")
     if n < 0 or k < 0 or n % 2 or k % 2:
         raise PreconditionError(f"labels must be even and nonnegative, got n={n}, k={k}")
+    radial, angular = _exponents(kind)
+    return radial(p, q, n, k), angular(q)
 
 
-def _families(p: int, q: int, kind: str) -> tuple[SpaceFamily, SpaceFamily]:
-    """The family over (p, q) and the embedded one over (p, q - 1)."""
-    if kind not in FIELD_KINDS:
-        raise UnsupportedFamilyError(f"no radial pairing for {kind!r}")
-    return SpaceFamily(kind, p, q), SpaceFamily(kind, p, q - 1)
-
-
-def _angular_args(q: int, kind: str) -> tuple[int, int, int]:
-    """(alpha, beta, shift) of the angular pairing: the embedded family's
-    exponents, and the step in alpha up to the big family's."""
-    fam, sub = _families(1, q, kind)  # the Jacobi exponents do not depend on p
-    return sub.jacobi_alpha, sub.jacobi_beta, fam.jacobi_alpha - sub.jacobi_alpha
-
-
-def _radial_args(p: int, q: int, n: int, k: int, kind: str) -> tuple[int, int]:
-    """(alpha, beta) of the radial factor A(alpha, beta): the density's sinh
-    power and the total cosh decay."""
-    return _families(p, q, kind)[0].density_sinh_power, -radial_cosh_power(p, q, n, k, kind)
-
-
-def radial_cosh_power(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> int:
-    """Total cosh exponent of the paired radial integrand, assembled from the
-    two spectral exponents and the density."""
-    fam, sub = _families(p, q, kind)
-    return -fam.spectral_exponent(n) - sub.spectral_exponent(k) + fam.density_cosh_power
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless the quadrature tolerance is positive and finite."""
+    if not 0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
 
 
 def period_angular_exact(q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
@@ -142,7 +93,7 @@ def period_angular_exact(q: int, n: int, k: int, kind: str = COMPLEX) -> Fractio
     (1-x)^alpha (1+x)^beta dx, with P_n the big family's polynomial and
     (alpha, beta) the embedded family's exponents.  Nonzero exactly when
     k <= n."""
-    return jacobi_pairing(n, k, *_angular_args(q, kind))
+    return jacobi_pairing(n, k, *_exponents(kind)[1](q))
 
 
 def period_nonvanishing(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> bool:
@@ -151,26 +102,30 @@ def period_nonvanishing(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> 
     Decided by the exact rational angular factor; the radial factor is a
     convergent integral of a positive function and never vanishes.
     """
-    _check_period_args(p, q, n, k)
-    return period_angular_exact(q, n, k, kind) != 0
+    _, angular = _period_args(p, q, n, k, kind)
+    return jacobi_pairing(n, k, *angular) != 0
 
 
 def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
     """Exact period integral: the rational radial factor A(sinh power, cosh
     decay) times the exact angular factor.  Nonzero exactly when k <= n."""
-    _check_period_args(p, q, n, k)
+    radial, angular = _period_args(p, q, n, k, kind)
     # convergence: the cosh decay exceeds the sinh power automatically for q > p
-    radial = radial_integral_exact(*_radial_args(p, q, n, k, kind))
-    return radial * period_angular_exact(q, n, k, kind)
+    return radial_integral_exact(*radial) * jacobi_pairing(n, k, *angular)
+
+
+def closed_value(exact: Fraction) -> float:
+    """An exact period correctly rounded to a float.  Raises ConvergenceError
+    when it is too large for a float."""
+    try:
+        return float(exact)
+    except OverflowError as exc:
+        raise ConvergenceError(f"closed form overflowed: {exc}") from exc
 
 
 def period_integral_closed(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
-    """The exact period integral, correctly rounded to a float.  Raises
-    ConvergenceError when it is too large for a float."""
-    try:
-        return float(period_integral_exact(p, q, n, k, kind))
-    except OverflowError as exc:
-        raise ConvergenceError(f"closed form overflowed: {exc}") from exc
+    """The exact period integral, correctly rounded to a float (closed_value)."""
+    return closed_value(period_integral_exact(p, q, n, k, kind))
 
 
 @lru_cache(maxsize=None)
@@ -250,12 +205,11 @@ def period_integral_quadrature(
     Raises ConvergenceError when a factor's roundoff bound exceeds tol times
     its scale, or when a value, bound or scale is not finite (overflow
     included)."""
-    _check_period_args(p, q, n, k)
-    if not 0 < tol < inf:
-        raise ValueError("tol must be positive and finite")
+    radial_args, angular_args = _period_args(p, q, n, k, kind)
+    check_tol(tol)
     try:
-        radial = _radial_quadrature(*_radial_args(p, q, n, k, kind), tol)
-        angular = _angular_quadrature(n, k, *_angular_args(q, kind), tol)
+        radial = _radial_quadrature(*radial_args, tol)
+        angular = _angular_quadrature(n, k, *angular_args, tol)
     except OverflowError as exc:
         raise ConvergenceError(f"quadrature overflowed: {exc}") from exc
     value = radial.value * angular.value
@@ -271,6 +225,5 @@ def period_integral_quadrature(
 def period_scale(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
     """Magnitude scale of the period integral (exact radial factor times the
     angular Cauchy-Schwarz bound), for judging a quadrature value against."""
-    _check_period_args(p, q, n, k)
-    radial = float(radial_integral_exact(*_radial_args(p, q, n, k, kind)))
-    return radial * _angular_scale(n, k, *_angular_args(q, kind))
+    radial, angular = _period_args(p, q, n, k, kind)
+    return float(radial_integral_exact(*radial)) * _angular_scale(n, k, *angular)

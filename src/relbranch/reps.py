@@ -17,7 +17,7 @@ errors name the violated clause.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .halfint import HalfInt
@@ -47,22 +47,14 @@ class GroupLevel(Enum):
 
 @dataclass(frozen=True)
 class Signature:
-    """A signature (p, q).  Defaults require p >= 3 and q >= 3; smaller
-    signatures (needed by low-rank worked examples) must opt in with
-    relaxed=True."""
+    """A signature (p, q) with p, q >= 1."""
 
     p: int
     q: int
-    relaxed: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ParamError(f"signature entries must be positive, got ({self.p}, {self.q})")
-        if not self.relaxed and (self.p < 3 or self.q < 3):
-            raise ParamError(
-                f"signature ({self.p}, {self.q}) requires p >= 3 and q >= 3; "
-                "pass relaxed=True to permit smaller values"
-            )
 
     @property
     def n(self) -> int:
@@ -236,12 +228,12 @@ def format_param(param: DiscreteSeriesParam) -> str:
     return f"U({param.sig.p},{param.sig.q}){prime}{param.side.value}a={param.a}"
 
 
-def parse_param(text: str, relaxed: bool = False) -> DiscreteSeriesParam:
+def parse_param(text: str) -> DiscreteSeriesParam:
     """Inverse of format_param; validates the result."""
     m = _PARAM_RE.match(text.strip())
     if not m:
         raise ParamError(f"cannot parse parameter from {text!r}")
-    sig = Signature(int(m.group("p")), int(m.group("q")), relaxed=relaxed)
+    sig = Signature(int(m.group("p")), int(m.group("q")))
     level = GroupLevel.GPRIME if m.group("prime") else GroupLevel.G
     side = Side.PLUS if m.group("side") == "+" else Side.MINUS
     return make_param(sig, side, level, HalfInt.parse(m.group("a")))

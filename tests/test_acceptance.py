@@ -162,7 +162,7 @@ def test_criterion_06_period_branching_agreement():
     def check():
         for p in range(1, 4):
             for q in range(p + 1, 5):
-                sig = Signature(p, q + 1, relaxed=True)
+                sig = Signature(p, q + 1)
                 for n in range(0, 13, 2):
                     Pi = make_param(sig, Side.PLUS, GroupLevel.G, fj_label_to_a(sig, n))
                     for k in range(0, 13, 2):

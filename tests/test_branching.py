@@ -218,7 +218,7 @@ def test_fj_label_examples():
 
 
 def test_fj_label_roundtrip_and_order():
-    for sig in (Signature(3, 3), Signature(3, 4), Signature(2, 3, relaxed=True)):
+    for sig in (Signature(3, 3), Signature(3, 4), Signature(2, 3)):
         for n in range(0, 21, 2):
             assert a_to_fj_label(sig, fj_label_to_a(sig, n)) == n
             for k in range(0, 21, 2):
@@ -238,7 +238,7 @@ def test_fj_label_validation():
 def test_period_branching_agreement():
     # radial labels and parameters name the same coupling set
     for p, q in [(1, 2), (2, 3), (3, 4)]:
-        sig = Signature(p, q + 1, relaxed=True)
+        sig = Signature(p, q + 1)
         for n in range(0, 13, 2):
             a = fj_label_to_a(sig, n)
             Pi = make_param(sig, Side.PLUS, GroupLevel.G, a)

@@ -116,12 +116,32 @@ def test_period_rejects_nonfinite_tol(capsys):
         ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "inf"),
         ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "0"),
         ("table", "period", "--pq", "1,2", "--tol", "nan"),
+        # the tolerance is checked before any record, so a closed form that
+        # would overflow cannot turn the validation error into exit 3
+        ("period", "--pq", "1,1100", "--n", "0", "--k", "0", "--tol", "nan"),
+        ("table", "period", "--pq", "1,1100", "--n-max", "0", "--k-max", "0", "--tol", "nan"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)
         assert code == cli.EXIT_VALIDATION and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "tol must be positive and finite" in err, (argv, err)
+
+
+def test_period_record_evaluates_the_exact_pairing_once(capsys, monkeypatch):
+    # closed and nonvanishing both read one exact period per record
+    calls = []
+    real = cli.periods.jacobi_pairing
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli.periods, "jacobi_pairing", counted)
+    argv = ("table", "period", "--pq", "1,2", "--n-max", "24", "--k-max", "24")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(parse_records(out)) == len(calls) == 169
 
 
 def test_table_branch_triangle(capsys):
@@ -218,21 +238,28 @@ def test_table_he_benchmark_invocation_bytes():
 
 
 def test_table_period_benchmark_invocation_bytes():
-    # the exact bytes of the `period-complex` workload's invocation: the
-    # closed value is the exact period rounded once, and the quadrature sums
-    # with math.fsum and calls no BLAS kernel
+    # the exact bytes of the `period-complex` and `period-quaternionic`
+    # workloads' invocations: the closed value is the exact period rounded
+    # once, and the quadrature sums with math.fsum and calls no BLAS kernel
     import hashlib
     import subprocess
     import sys
 
-    cmd = [
-        sys.executable, "-m", "relbranch.cli",
-        "table", "period", "--pq", "1,2", "--n-max", "24", "--k-max", "24",
+    pins = [
+        (
+            ("--pq", "1,2", "--n-max", "24", "--k-max", "24"),
+            "d5d194afb1ea67e6e7bd72282edbcf0f6e88df2dca6489c14acb26159262e299",
+        ),
+        (
+            ("--pq", "2,5", "--family", "quaternionic", "--n-max", "20", "--k-max", "20"),
+            "696313645a7df4d83ac1dcba12e95fee29ff2719f08fc16d51540f5bd54859d3",
+        ),
     ]
-    proc = subprocess.run(cmd, capture_output=True, check=True)
-    assert proc.stderr == b""
-    digest = hashlib.sha256(proc.stdout).hexdigest()
-    assert digest == "d5d194afb1ea67e6e7bd72282edbcf0f6e88df2dca6489c14acb26159262e299"
+    for args, expected in pins:
+        cmd = [sys.executable, "-m", "relbranch.cli", "table", "period", *args]
+        proc = subprocess.run(cmd, capture_output=True, check=True)
+        assert proc.stderr == b"", args
+        assert hashlib.sha256(proc.stdout).hexdigest() == expected, args
 
 
 def test_table_empty_grid(capsys):

@@ -12,52 +12,14 @@ from relbranch.periods import (
     COMPLEX,
     QUATERNIONIC,
     PreconditionError,
-    SpaceFamily,
-    UnsupportedFamilyError,
     period_angular_exact,
     period_integral_closed,
     period_integral_exact,
     period_integral_quadrature,
     period_nonvanishing,
     period_scale,
-    radial_cosh_power,
 )
 from relbranch.oracle import radial_integral_closed, radial_integral_quadrature
-
-
-def test_complex_family_data():
-    fam = SpaceFamily(COMPLEX, 1, 2)
-    assert fam.jacobi_alpha == 1 and fam.jacobi_beta == 0
-    assert fam.density_cosh_power == 3 and fam.density_sinh_power == 1
-    assert fam.spectral_exponent(0) == 4
-    assert fam.spectral_exponent(2) == 6
-
-
-def test_quaternionic_family_data():
-    fam = SpaceFamily(QUATERNIONIC, 1, 2)
-    assert fam.jacobi_alpha == 3 and fam.jacobi_beta == 1
-    assert fam.density_cosh_power == 11 and fam.density_sinh_power == 3
-    assert fam.spectral_exponent(0) == 10
-    assert fam.spectral_exponent(4) == 14
-
-
-def test_family_validation():
-    with pytest.raises(ValueError):
-        SpaceFamily(COMPLEX, 0, 2)
-    with pytest.raises(ValueError):
-        SpaceFamily(QUATERNIONIC, 1, 0)
-    with pytest.raises(ValueError):
-        SpaceFamily("octonionic", 1, 2)
-
-
-def test_radial_exponent_bookkeeping():
-    for p, q in [(1, 2), (2, 3), (3, 4), (1, 4)]:
-        for n in range(0, 9, 2):
-            for k in range(0, 9, 2):
-                assert radial_cosh_power(p, q, n, k) == -(2 * q + n + k - 1)
-                assert radial_cosh_power(p, q, n, k, kind=QUATERNIONIC) == -(
-                    4 * q + n + k - 3
-                )
 
 
 def test_period_preconditions():
@@ -162,24 +124,6 @@ def test_quaternionic_quadrature_matches_closed_grid():
             assert quad.value == pytest.approx(closed, rel=1e-9), (n, k)
 
 
-def test_radial_cosh_power_rejects_octonionic():
-    with pytest.raises(UnsupportedFamilyError):
-        radial_cosh_power(1, 2, 0, 0, kind="octonionic")
-    assert COMPLEX == "complex"
-
-
-def test_radial_cosh_power_identities_full_label_range():
-    labels = range(0, MAX_DEGREE + 1, 2)
-    for q in range(2, 7):
-        for p in range(1, q):
-            for n in labels:
-                for k in labels:
-                    assert radial_cosh_power(p, q, n, k) == -(2 * q + n + k - 1)
-                    assert radial_cosh_power(p, q, n, k, kind=QUATERNIONIC) == -(
-                        4 * q + n + k - 3
-                    )
-
-
 # exact oracle polynomials, each built once
 _coeffs = lru_cache(maxsize=None)(jacobi_coeffs)
 
@@ -236,8 +180,8 @@ def test_angular_exact_dichotomy_to_degree_24():
                     assert (period_angular_exact(q, n, k, kind) != 0) == (k <= n), (kind, q, n, k)
 
 
-# The exponents SpaceFamily fixes, written out per family: the radial sinh
-# power and cosh decay, and the angular (alpha, beta, shift).
+# The exponents of each family, written out apart from periods: the radial
+# sinh power and cosh decay, and the angular (alpha, beta, shift).
 _FAMILY_LITERALS = {
     COMPLEX: (
         lambda p, q, n, k: (2 * p - 1, 2 * q + n + k - 1),
@@ -321,5 +265,5 @@ def test_period_functions_reject_octonionic():
         lambda: period_scale(1, 2, 0, 0, kind=kind),
     ]
     for call in calls:
-        with pytest.raises(UnsupportedFamilyError):
+        with pytest.raises(ValueError, match="octonionic"):
             call()

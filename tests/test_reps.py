@@ -39,12 +39,10 @@ def valid_level_G_params(sig, count=4):
 
 def test_signature_assumption():
     Signature(3, 3)
+    Signature(2, 5)
+    Signature(1, 2)
     with pytest.raises(ParamError):
-        Signature(2, 5)
-    Signature(2, 5, relaxed=True)
-    Signature(1, 2, relaxed=True)
-    with pytest.raises(ParamError):
-        Signature(0, 3, relaxed=True)
+        Signature(0, 3)
 
 
 def test_make_param_examples():

@@ -6,7 +6,10 @@ table sweeps, with an optional CSV projection for tables.  Half-integers on
 the command line are exact fractions ("7/2"), never decimals, because parity
 validation must be exact.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.  A
+Each table kind is its own subcommand and takes only the options its sweep
+reads; an option shared by several commands is defined once, in a parent
+parser.  Exit codes: 0 success, 2 validation error or argparse usage error
+(a missing, unknown or conflicting option), 3 numerical non-convergence.  A
 failing table row is named on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 """
@@ -68,15 +71,11 @@ def _parse_range(text: str, parse_end=HalfInt.parse) -> tuple:
         raise ParamError(f"expected a range 'lo..hi', got {text!r}") from None
 
 
-def _valid_params_in(sig: Signature, level: GroupLevel, side: Side, lo: HalfInt, hi: HalfInt):
-    """Valid parameters with lo <= a <= hi, ascending."""
-    bound = HalfInt(sig.n - (1 if level is GroupLevel.G else 2))
-    a = bound if bound >= lo else bound + ((lo.twice - bound.twice + 1) // 2)
-    out = []
-    while a <= hi:
-        out.append(make_param(sig, side, level, a))
-        a = a + 1
-    return out
+def _valid_twice_in(sig: Signature, level: GroupLevel, lo: HalfInt, hi: HalfInt) -> range:
+    """2a for the valid parameters with lo <= a <= hi, ascending: a steps by 1
+    from the good-range bound, so they are counted without building any."""
+    bound = sig.n - (1 if level is GroupLevel.G else 2)  # twice the bound
+    return range(bound + 2 * max(0, (lo.twice - bound + 1) // 2), hi.twice + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +89,10 @@ _BRANCH_RULES = [
 
 
 def cmd_branch(args, out) -> int:
+    # the parser admits one a-side mode and at most one b-side option
+    single = args.plus_a is not None or args.minus_a is not None
+    if single != (args.plus_b is not None or args.minus_b is not None):
+        raise ParamError("give --plus-b/--minus-b exactly with --plus-a/--minus-a")
     p, q = _parse_pq(args.pq)
     sig = Signature(p, q)
     if args.gp is not None:
@@ -122,14 +125,6 @@ def cmd_branch(args, out) -> int:
         _emit(record, out)
         return EXIT_OK
     # single hom-dim query
-    if args.plus_a is not None and args.minus_a is not None:
-        raise ParamError("give exactly one of --plus-a / --minus-a")
-    if args.plus_b is not None and args.minus_b is not None:
-        raise ParamError("give exactly one of --plus-b / --minus-b")
-    if args.plus_a is None and args.minus_a is None:
-        raise ParamError("branch needs --plus-a/--minus-a (or --gp / --pi-minus)")
-    if args.plus_b is None and args.minus_b is None:
-        raise ParamError("branch needs --plus-b/--minus-b (or --gp / --pi-minus)")
     side_G = Side.PLUS if args.plus_a is not None else Side.MINUS
     side_Gp = Side.PLUS if args.plus_b is not None else Side.MINUS
     a = HalfInt.parse(args.plus_a if args.plus_a is not None else args.minus_a)
@@ -217,9 +212,11 @@ def _rows_branch(args):
     sig = Signature(p, q)
     a_lo, a_hi = _parse_range(args.a_range)
     b_lo, b_hi = _parse_range(args.b_range)
-    a_params = _valid_params_in(sig, GroupLevel.G, Side.PLUS, a_lo, a_hi)
-    b_params = _valid_params_in(sig, GroupLevel.GPRIME, Side.PLUS, b_lo, b_hi)
-    _cap(len(a_params) * len(b_params))
+    a_twice = _valid_twice_in(sig, GroupLevel.G, a_lo, a_hi)
+    b_twice = _valid_twice_in(sig, GroupLevel.GPRIME, b_lo, b_hi)
+    _cap(len(a_twice) * len(b_twice))
+    a_params = [make_param(sig, Side.PLUS, GroupLevel.G, HalfInt(t)) for t in a_twice]
+    b_params = [make_param(sig, Side.PLUS, GroupLevel.GPRIME, HalfInt(t)) for t in b_twice]
     for Pa in a_params:
         for Pb in b_params:
             summary = branching.coupling_summary(Pa.a, Pb.a, sig)
@@ -258,9 +255,9 @@ def _rows_exhaustion(args):
 
 
 def _rows_he(args):
-    if args.big or args.small:
-        if not (args.big and args.small):
-            raise ParamError("--big and --small must be given together")
+    if (args.big is None) != (args.small is None):
+        raise ParamError("--big and --small must be given together")
+    if args.big is not None:
         big, small = args.big.strip(), args.small.strip()
         found = hepattern.enumerate_alignments(big, small, cap=ALIGNMENT_CAP)
         yield _record(
@@ -295,12 +292,7 @@ def _flatten(record: dict) -> dict:
 
 
 def cmd_table(args, out) -> int:
-    rows = {
-        "branch": _rows_branch,
-        "period": _rows_period,
-        "exhaustion": _rows_exhaustion,
-        "he": _rows_he,
-    }[args.kind](args)
+    rows = args.rows(args)
     if args.csv:
         records = list(rows)
         if not records:
@@ -337,62 +329,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    b = sub.add_parser("branch", help="coupling dimensions and packet sums")
-    b.add_argument("--pq", required=True, help="signature, e.g. 3,3")
-    b.add_argument("--plus-a", help="plus-side parameter a (level G)")
-    b.add_argument("--minus-a", help="minus-side parameter a (level G)")
-    b.add_argument("--plus-b", help="plus-side parameter b (subgroup level)")
-    b.add_argument("--minus-b", help="minus-side parameter b (subgroup level)")
-    b.add_argument("--gp", nargs=2, metavar=("A", "B"), help="packet-sum query for (a, b)")
-    b.add_argument("--pi-minus", metavar="A", help="enumerate minus-side summands of a")
+    # options read by several commands, each defined once
+    pq = argparse.ArgumentParser(add_help=False)
+    pq.add_argument("--pq", required=True, help="signature p,q, e.g. 3,3 (periods need q > p > 0)")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", choices=periods.FIELD_KINDS, default=periods.COMPLEX)
+    family.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    as_csv = argparse.ArgumentParser(add_help=False)
+    as_csv.add_argument("--csv", action="store_true", help="CSV projection instead of JSON lines")
+
+    b = sub.add_parser("branch", parents=[pq], help="coupling dimensions and packet sums")
+    a_side = b.add_mutually_exclusive_group(required=True)
+    a_side.add_argument("--plus-a", help="plus-side parameter a (level G)")
+    a_side.add_argument("--minus-a", help="minus-side parameter a (level G)")
+    a_side.add_argument("--gp", nargs=2, metavar=("A", "B"), help="packet-sum query for (a, b)")
+    a_side.add_argument("--pi-minus", metavar="A", help="enumerate minus-side summands of a")
+    b_side = b.add_mutually_exclusive_group()
+    b_side.add_argument("--plus-b", help="plus-side parameter b (subgroup level)")
+    b_side.add_argument("--minus-b", help="minus-side parameter b (subgroup level)")
     b.add_argument("--max-k", type=int, default=10, help="summand cutoff (default 10)")
     b.set_defaults(func=cmd_branch)
 
-    p = sub.add_parser("period", help="period integral, closed form vs quadrature")
-    p.add_argument("--pq", required=True, help="signature with q > p > 0, e.g. 1,2")
+    p = sub.add_parser(
+        "period", parents=[pq, family], help="period integral, closed form vs quadrature"
+    )
     p.add_argument("--n", type=int, required=True, help="even label on the big space")
     p.add_argument("--k", type=int, required=True, help="even label on the subspace")
-    p.add_argument("--family", choices=periods.FIELD_KINDS, default=periods.COMPLEX)
-    p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     p.set_defaults(func=cmd_period)
 
     t = sub.add_parser("table", help="grid sweeps, one record per line")
-    t.add_argument("kind", choices=["branch", "period", "exhaustion", "he"])
-    t.add_argument("--pq", help="signature, e.g. 4,5")
-    t.add_argument("--a-range", help="range lo..hi for a, e.g. 9/2..17/2")
-    t.add_argument("--b-range", help="range lo..hi for b")
-    t.add_argument("--n-max", type=int, default=8, help="even-label cap for period grids")
-    t.add_argument("--k-max", type=int, default=8, help="even-label cap for period grids")
-    t.add_argument("--family", choices=periods.FIELD_KINDS, default=periods.COMPLEX)
-    t.add_argument("--tol", type=float, default=1e-10)
-    t.add_argument("--ell", help="range lo..hi for exhaustion sweeps, e.g. 8..16")
-    t.add_argument("--n", help="range lo..hi for the alignment configuration, e.g. 4..10")
-    t.add_argument("--big", help="raw plain sign sequence, e.g. +--+")
-    t.add_argument("--small", help="raw circled sign sequence, e.g. PMM")
-    t.add_argument("--csv", action="store_true", help="CSV projection instead of JSON lines")
     t.set_defaults(func=cmd_table)
+    kinds = t.add_subparsers(dest="kind", required=True)
+
+    k = kinds.add_parser("branch", parents=[pq, as_csv], help="coupling grid over a and b")
+    k.add_argument("--a-range", required=True, help="range lo..hi for a, e.g. 9/2..17/2")
+    k.add_argument("--b-range", required=True, help="range lo..hi for b")
+    k.set_defaults(rows=_rows_branch)
+
+    k = kinds.add_parser("period", parents=[pq, family, as_csv], help="period grid over n, k")
+    k.add_argument("--n-max", type=int, default=8, help="even-label cap for n (default 8)")
+    k.add_argument("--k-max", type=int, default=8, help="even-label cap for k (default 8)")
+    k.set_defaults(rows=_rows_period)
+
+    k = kinds.add_parser("exhaustion", parents=[pq, as_csv], help="exhaustion cross-check")
+    k.add_argument("--ell", required=True, help="range lo..hi of radial labels, e.g. 8..16")
+    k.set_defaults(rows=_rows_exhaustion)
+
+    k = kinds.add_parser("he", parents=[as_csv], help="sign-sequence alignments")
+    mode = k.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--n", help="range lo..hi for the U(2,n) configuration, e.g. 4..10")
+    mode.add_argument("--big", help="raw plain sign sequence, e.g. +--+ (with --small)")
+    k.add_argument("--small", help="raw circled sign sequence, e.g. PMM")
+    k.set_defaults(rows=_rows_he)
 
     return parser
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise ParamError(f"table {args.kind} requires --" + ", --".join(missing))
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "table":
-            needed = {
-                "branch": ["pq", "a-range", "b-range"],
-                "period": ["pq"],
-                "exhaustion": ["pq", "ell"],
-                "he": [] if (args.big or args.small) else ["n"],
-            }[args.kind]
-            _require(args, needed)
         code = args.func(args, sys.stdout)
         sys.stdout.flush()
         return code

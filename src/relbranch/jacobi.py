@@ -14,7 +14,9 @@ in the orthogonal P_j^(alpha,beta) with positive rational coefficients, each
 one product of factorials (connection_coeff), so each pairing is one
 coefficient times a squared norm, nonzero exactly when the second degree is
 at most the first.  This exact dichotomy drives every non-vanishing claim
-downstream.
+downstream.  The squared norm of a shifted polynomial under the unshifted
+weight is one closed form too (jacobi_shifted_norm_sq), not a sum over the
+expansion.
 
 The exact monomial-coefficient oracle these are tested against lives in
 relbranch.oracle and shares no code with this module.
@@ -124,6 +126,26 @@ def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
         2 ** (ab + 1) * factorial(k + alpha) * factorial(k + beta_param),
         (2 * k + ab + 1) * factorial(k + ab) * factorial(k),
     )
+
+
+def jacobi_shifted_norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> Fraction:
+    """Exact squared norm of P_n^(alpha+shift,beta) against the unshifted
+    weight (1-x)^alpha (1+x)^beta, for shift 1 or 2: the sum of d_j^2 h_j over
+    its connection coefficients d_j and the norms h_j, in closed form.  With
+    a = alpha + shift, b = beta and N = 2^(a+b) (n+a)! (n+b)! / (n! (n+a+b)!),
+    it is N / a for shift 1 and N (2n(n+a+b+1) + (a+b)(a+1)) / (2 (a-1) a (a+1))
+    for shift 2.
+    """
+    _check_degree(n)
+    if alpha < 0 or beta_param < 0 or shift not in (1, 2):
+        raise ValueError(f"requires integer alpha, beta >= 0 and shift 1 or 2, got {shift}")
+    a, ab = alpha + shift, alpha + shift + beta_param
+    norm = Fraction(
+        2**ab * factorial(n + a) * factorial(n + beta_param), factorial(n) * factorial(n + ab)
+    )
+    if shift == 1:
+        return norm / a
+    return norm * (2 * n * (n + ab + 1) + ab * (a + 1)) / (2 * (a - 1) * a * (a + 1))
 
 
 def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> Fraction:

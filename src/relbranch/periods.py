@@ -28,17 +28,16 @@ the weight.  So one Gauss-Legendre rule per factor, with degree // 2 + 1
 nodes, is exact up to roundoff (specfun.gauss_legendre_quadrature), and it
 reaches the full label range up to MAX_DEGREE.  Only the angular scale, a
 Cauchy-Schwarz bound that gates the tolerance and floors the roundoff bound,
-reads the squared norm of the shifted polynomial from the same coefficients
-(jacobi.connection_coeff).
+reads the two squared norms, each one exact closed form
+(jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq) rounded once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import inf, sqrt
 
-from .jacobi import connection_coeff, jacobi_norm_sq, jacobi_pairing, jacobi_values
+from .jacobi import jacobi_norm_sq, jacobi_pairing, jacobi_shifted_norm_sq, jacobi_values
 from .specfun import ConvergenceError, QuadratureResult, gauss_legendre_quadrature
 from .specfun import radial_integral_exact
 
@@ -128,23 +127,11 @@ def period_integral_closed(p: int, q: int, n: int, k: int, kind: str = COMPLEX) 
     return closed_value(period_integral_exact(p, q, n, k, kind))
 
 
-@lru_cache(maxsize=None)
-def _norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> float:
-    """Squared norm of P_n^(alpha+shift,beta) under the (alpha, beta) weight:
-    sum_j d_j^2 h_j over its connection coefficients d_j, rounded once."""
-    return float(
-        sum(
-            connection_coeff(n, j, alpha, beta_param, shift) ** 2
-            * jacobi_norm_sq(j, alpha, beta_param)
-            for j in range(n + 1)
-        )
-    )
-
-
 def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> float:
-    """Cauchy-Schwarz bound sqrt(||P_n||^2 ||P_k||^2) on jacobi_pairing(n, k, ...)."""
-    small = float(jacobi_norm_sq(k, alpha, beta_param))
-    return sqrt(_norm_sq(n, alpha, beta_param, shift) * small)
+    """Cauchy-Schwarz bound sqrt(||P_n||^2 ||P_k||^2) on jacobi_pairing(n, k, ...),
+    each squared norm exact and rounded once."""
+    big = float(jacobi_shifted_norm_sq(n, alpha, beta_param, shift))
+    return sqrt(big * float(jacobi_norm_sq(k, alpha, beta_param)))
 
 
 def _gated(result: QuadratureResult, scale: float, tol: float, factor: str) -> QuadratureResult:

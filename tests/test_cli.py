@@ -1,8 +1,13 @@
+import argparse
 import ast
+import inspect
 import json
 import re
 import shlex
+import textwrap
 from pathlib import Path
+
+import pytest
 
 from relbranch import cli
 from relbranch.specfun import ConvergenceError
@@ -12,6 +17,15 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_usage(capsys, *argv):
+    """run_cli, where an argparse usage error (SystemExit) gives the exit code."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def parse_records(out):
@@ -271,9 +285,101 @@ def test_table_empty_grid(capsys):
 
 
 def test_table_missing_required(capsys):
-    code, _, err = run_cli(capsys, "table", "exhaustion", "--pq", "3,3")
+    code, _, err = run_cli_usage(capsys, "table", "exhaustion", "--pq", "3,3")
     assert code == 2
     assert "--ell" in err
+
+
+# The options each table kind reads, with a valid value, and a valid
+# invocation of each kind.
+_OPTION_VALUES = {
+    "--pq": "4,5", "--a-range": "4..5", "--b-range": "7/2..9/2",
+    "--n-max": "4", "--k-max": "4", "--family": "quaternionic", "--tol": "1e-8",
+    "--ell": "8..9", "--n": "4..5", "--big": "+-", "--small": "PM", "--csv": None,
+}
+_TABLE_OPTIONS = {
+    "branch": {"--pq", "--a-range", "--b-range", "--csv"},
+    "period": {"--pq", "--n-max", "--k-max", "--family", "--tol", "--csv"},
+    "exhaustion": {"--pq", "--ell", "--csv"},
+    "he": {"--n", "--big", "--small", "--csv"},
+}
+_TABLE_BASE = {
+    "branch": ["--pq", "4,5", "--a-range", "4..5", "--b-range", "7/2..9/2"],
+    "period": ["--pq", "1,2", "--n-max", "0", "--k-max", "0"],
+    "exhaustion": ["--pq", "3,3", "--ell", "8..8"],
+    "he": ["--n", "4..4"],
+}
+# `--n` on `table period` is argparse's prefix of `--n-max`, so it is read
+_FOREIGN = [
+    (kind, option)
+    for kind, own in _TABLE_OPTIONS.items()
+    for option in sorted(set(_OPTION_VALUES) - own)
+    if (kind, option) != ("period", "--n")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["table", kind, *_TABLE_BASE[kind], option]
+            + ([] if _OPTION_VALUES[option] is None else [_OPTION_VALUES[option]]),
+            "unrecognized arguments",
+            id=f"table-{kind}{option}",
+        )
+        for kind, option in _FOREIGN
+    ]
+    + [
+        pytest.param(
+            ["branch", "--pq", "3,3", *mix], message, id=f"branch{mix[0]}{mix[-2]}"
+        )
+        for mix, message in [
+            (["--gp", "9/2", "3", "--plus-a", "7/2"], "not allowed"),
+            (["--gp", "9/2", "3", "--plus-b", "2"], "plus-b"),
+            (["--pi-minus", "5/2", "--plus-b", "2"], "plus-b"),
+        ]
+    ],
+)
+def test_commands_reject_options_they_do_not_read(capsys, argv, message):
+    # each was accepted and ignored, with exit code 0, while all table kinds
+    # shared one parser and branch checked its modes by hand
+    code, out, err = run_cli_usage(capsys, *argv)
+    assert (code, out) == (cli.EXIT_VALIDATION, ""), argv
+    assert message in err, (argv, err)
+
+
+def _leaf_parsers():
+    """(name, parser, function reading its args) for each command: branch,
+    period and each table kind."""
+
+    def choices(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    top = choices(cli.build_parser())
+    yield from ((name, top[name], top[name].get_default("func")) for name in ("branch", "period"))
+    for kind, parser in choices(top["table"]).items():
+        yield f"table {kind}", parser, parser.get_default("rows")
+
+
+def test_each_command_defines_exactly_the_options_it_reads():
+    # an option the command's function never reads would be accepted and ignored
+    plumbing = {"help", "func", "rows", "kind", "subcommand", "csv"}
+    leaves = list(_leaf_parsers())
+    assert [name for name, _, _ in leaves] == [
+        "branch", "period", "table branch", "table period", "table exhaustion", "table he"
+    ]
+    for name, parser, function in leaves:
+        dests = {action.dest for action in parser._actions} - plumbing
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        assert dests == read, (name, function.__name__)
 
 
 def test_table_cap(capsys):
@@ -282,6 +388,44 @@ def test_table_cap(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_table_branch_counts_params_before_building_any(capsys, monkeypatch):
+    # the cap sees the grid's size before a single parameter is built
+    calls = []
+    real = cli.make_param
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "make_param", counted)
+    argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..20004", "--b-range", "7/2..9/2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, calls) == (cli.EXIT_VALIDATION, "", [])
+    assert err == "error: grid of 40002 records exceeds the cap 10000\n"
+    argv = ("table", "branch", "--pq", "4,5", "--a-range", "3..6", "--b-range", "3/2..9/2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(parse_records(out)) == 3 * 2 and len(calls) == 3 + 2
+
+
+def test_valid_parameter_range_matches_validation():
+    # the counted range of 2a is exactly the values that make_param accepts
+    for p, q in [(1, 2), (3, 3), (4, 5)]:
+        sig = cli.Signature(p, q)
+        for level in cli.GroupLevel:
+            for lo in range(-4, 16):
+                for hi in range(lo - 2, 20):
+                    got = cli._valid_twice_in(sig, level, cli.HalfInt(lo), cli.HalfInt(hi))
+                    want = []
+                    for twice in range(lo, hi + 1):
+                        try:
+                            cli.make_param(sig, cli.Side.PLUS, level, cli.HalfInt(twice))
+                        except cli.ParamError:
+                            continue
+                        want.append(twice)
+                    assert list(got) == want, (p, q, level, lo, hi)
 
 
 def test_table_csv_projection(capsys):

@@ -10,6 +10,7 @@ from relbranch.jacobi import (
     connection_coeff,
     jacobi_norm_sq,
     jacobi_pairing,
+    jacobi_shifted_norm_sq,
     jacobi_values,
 )
 from relbranch.oracle import jacobi_coeffs, normalization_at_one, weighted_pairing
@@ -203,6 +204,37 @@ def test_norm_sq_general_beta_matches_expansion():
         for beta in (0, 1, 3):
             for k in range(0, 7):
                 assert jacobi_norm_sq(k, alpha, beta) == _expanded_pairing(k, k, alpha, beta, 0)
+
+
+def test_shifted_norm_sq_closed_form_to_degree_cap():
+    # against sum_j d_j^2 h_j over the connection expansion, for every degree
+    # up to the cap and the alphas of both families' angular pairings
+    for shift in (1, 2):
+        for beta in (0, 1):
+            for alpha in (0, 3, 18, 125):
+                for n in range(0, MAX_DEGREE + 1):
+                    expanded = sum(
+                        d * d * jacobi_norm_sq(j, alpha, beta)
+                        for j, d in enumerate(_expansion(n, alpha, beta, shift))
+                    )
+                    assert jacobi_shifted_norm_sq(n, alpha, beta, shift) == expanded, (
+                        n, alpha, beta, shift,
+                    )
+
+
+def test_shifted_norm_sq_matches_oracle_and_validates():
+    for shift in (1, 2):
+        for alpha, beta in [(0, 0), (2, 1), (3, 0), (1, 3)]:
+            for n in range(0, 7):
+                big = _coeffs(n, alpha + shift, beta)
+                want = weighted_pairing(big, big, alpha, beta)
+                assert jacobi_shifted_norm_sq(n, alpha, beta, shift) == want, (n, alpha, shift)
+    with pytest.raises(ValueError, match="cap"):
+        jacobi_shifted_norm_sq(MAX_DEGREE + 1, 0, 0, 1)
+    with pytest.raises(ValueError, match="shift"):
+        jacobi_shifted_norm_sq(2, 0, 0, 3)
+    with pytest.raises(ValueError):
+        jacobi_shifted_norm_sq(2, -1, 0, 1)
 
 
 def test_jacobi_pairing_matches_expansion_small_grid():

@@ -129,24 +129,42 @@ class GPSumResult:
     hypothesis_warning: str | None
 
 
-def _gp_sum(a, b, sig: Signature) -> tuple[GPSumResult, dict, dict]:
-    """gp_sum_dim's result, with the level-G parameters of a by side and the
-    hom_dim of each side pair in (+,+), (+,-), (-,+), (-,-) order; the four
-    parameters are built once."""
+# The four side pairs (level G, subgroup level) in (+,+), (+,-), (-,+), (-,-)
+# order, and their record labels.
+_SIDES = (Side.PLUS, Side.MINUS)
+_SIDE_PAIRS = tuple((sG, sGp) for sG in _SIDES for sGp in _SIDES)
+_PAIR_LABELS = tuple(f"({sG.value},{sGp.value})" for sG, sGp in _SIDE_PAIRS)
+
+ParamPair = tuple[DiscreteSeriesParam, DiscreteSeriesParam]
+
+
+def param_pair(sig: Signature, level: GroupLevel, a) -> ParamPair:
+    """The validated (plus, minus) parameters of a at one level; a grid
+    builds one pair per value and reuses it for every row."""
+    return make_param(sig, Side.PLUS, level, a), make_param(sig, Side.MINUS, level, a)
+
+
+def _gp_sum(params_G: ParamPair, params_Gp: ParamPair) -> tuple[GPSumResult, int, tuple]:
+    """gp_sum_dim's result from the (plus, minus) pairs of a (level G) and b
+    (subgroup level), with the index of its witness in _SIDE_PAIRS and the
+    hom_dim of each side pair in that order."""
+    for plus, minus in (params_G, params_Gp):
+        if plus.side is not Side.PLUS or minus.side is not Side.MINUS or plus.a != minus.a:
+            raise ParamError("expected the (plus, minus) pair of one value, as param_pair builds")
+    sig = params_G[0].sig
     warning = None
     if not (sig.p > 3 and sig.q > 3 and sig.p != sig.q):
         warning = (
             f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
             "result computed anyway"
         )
-    sides = (Side.PLUS, Side.MINUS)
-    params_G = {side: make_param(sig, side, GroupLevel.G, a) for side in sides}
-    params_Gp = {side: make_param(sig, side, GroupLevel.GPRIME, b) for side in sides}
-    dims = {(sG, sGp): hom_dim(params_G[sG], params_Gp[sGp]) for sG in sides for sGp in sides}
-    winners = [pair for pair, dim in dims.items() if dim == 1]
+    dims = tuple(hom_dim(Pi, pi) for Pi in params_G for pi in params_Gp)
+    winners = [i for i, dim in enumerate(dims) if dim == 1]
     if len(winners) != 1:
-        raise AssertionError(f"expected exactly one contributing pair, got {winners}")
-    return GPSumResult(1, winners[0], warning), params_G, dims
+        raise AssertionError(
+            f"expected exactly one contributing pair, got {[_SIDE_PAIRS[i] for i in winners]}"
+        )
+    return GPSumResult(1, _SIDE_PAIRS[winners[0]], warning), winners[0], dims
 
 
 def gp_sum_dim(a, b, sig: Signature) -> GPSumResult:
@@ -156,7 +174,7 @@ def gp_sum_dim(a, b, sig: Signature) -> GPSumResult:
     picked by the order of a and b.  Outside the hypothesis p, q > 3 and
     p != q the computation proceeds but is flagged.
     """
-    return _gp_sum(a, b, sig)[0]
+    return _gp_sum(param_pair(sig, GroupLevel.G, a), param_pair(sig, GroupLevel.GPRIME, b))[0]
 
 
 def pi_minus_summands(Pi: DiscreteSeriesParam, max_k: int) -> list[DiscreteSeriesParam]:
@@ -350,19 +368,20 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
 # ---------------------------------------------------------------------------
 
 
-def coupling_summary(a, b, sig: Signature) -> dict:
+def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
     """One record combining the pattern, its characters, the witnessing side
-    pair, and the four hom dimensions for a valid (a, b) pair."""
-    pattern = classify_interlacing(a, b)
+    pair, and the four hom dimensions, from the validated (plus, minus)
+    pairs of a (level G) and b (subgroup level) that param_pair builds."""
+    pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
     chars = pattern_characters(pattern)
-    gp, params_G, dims = _gp_sum(a, b, sig)
+    gp, witness, dims = _gp_sum(params_G, params_Gp)
     return {
         "pattern": pattern.kind,
         "merged": [str(v) for v in pattern.merged],
         "characters": [str(c) for c in chars],
-        "witness": f"({gp.witness[0].value},{gp.witness[1].value})",
-        "witness_character": str(epsilon_of(params_G[gp.witness[0]])),
-        "dims": {f"({sG.value},{sGp.value})": dim for (sG, sGp), dim in dims.items()},
-        "total": sum(dims.values()),
+        "witness": _PAIR_LABELS[witness],
+        "witness_character": str(epsilon_of(params_G[witness // 2])),  # its level-G side
+        "dims": dict(zip(_PAIR_LABELS, dims)),
+        "total": sum(dims),
         "hypothesis_warning": gp.hypothesis_warning,
     }

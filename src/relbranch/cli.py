@@ -9,7 +9,8 @@ validation must be exact.
 Each table kind is its own subcommand and takes only the options its sweep
 reads; an option shared by several commands is defined once, in a parent
 parser.  Exit codes: 0 success, 2 validation error or argparse usage error
-(a missing, unknown or conflicting option), 3 numerical non-convergence.  A
+(a missing, unknown or conflicting option, reported with the usage line of
+the command given it), 3 numerical non-convergence.  A
 failing table row is named on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 """
@@ -30,6 +31,7 @@ from .specfun import ConvergenceError
 
 SCHEMA = "relbranch.record.v1"
 TABLE_CAP = 10000
+DEFAULT_MAX_K = 10
 ALIGNMENT_CAP = 1_000_000
 
 EXIT_OK = 0
@@ -93,11 +95,16 @@ def cmd_branch(args, out) -> int:
     single = args.plus_a is not None or args.minus_a is not None
     if single != (args.plus_b is not None or args.minus_b is not None):
         raise ParamError("give --plus-b/--minus-b exactly with --plus-a/--minus-a")
+    if args.max_k is not None and args.pi_minus is None:
+        raise ParamError("--max-k applies only with --pi-minus")
     p, q = _parse_pq(args.pq)
     sig = Signature(p, q)
     if args.gp is not None:
         a, b = (HalfInt.parse(v) for v in args.gp)
-        summary = branching.coupling_summary(a, b, sig)
+        summary = branching.coupling_summary(
+            branching.param_pair(sig, GroupLevel.G, a),
+            branching.param_pair(sig, GroupLevel.GPRIME, b),
+        )
         record = _record(
             "branch",
             {"p": p, "q": q, "mode": "packet-sum", "a": str(a), "b": str(b)},
@@ -109,12 +116,13 @@ def cmd_branch(args, out) -> int:
     if args.pi_minus is not None:
         a = HalfInt.parse(args.pi_minus)
         Pi = make_param(sig, Side.MINUS, GroupLevel.G, a)
-        if args.max_k + 1 > TABLE_CAP:
-            raise CapExceededError(f"{args.max_k + 1} summands exceed the cap {TABLE_CAP}")
-        summands = branching.pi_minus_summands(Pi, args.max_k)
+        max_k = DEFAULT_MAX_K if args.max_k is None else args.max_k
+        if max_k + 1 > TABLE_CAP:
+            raise CapExceededError(f"{max_k + 1} summands exceed the cap {TABLE_CAP}")
+        summands = branching.pi_minus_summands(Pi, max_k)
         record = _record(
             "branch",
-            {"p": p, "q": q, "mode": "pi-minus-summands", "a": str(a), "max_k": args.max_k},
+            {"p": p, "q": q, "mode": "pi-minus-summands", "a": str(a), "max_k": max_k},
             {
                 "summands": [str(s.a) for s in summands],
                 "count": len(summands),
@@ -215,12 +223,13 @@ def _rows_branch(args):
     a_twice = _valid_twice_in(sig, GroupLevel.G, a_lo, a_hi)
     b_twice = _valid_twice_in(sig, GroupLevel.GPRIME, b_lo, b_hi)
     _cap(len(a_twice) * len(b_twice))
-    a_params = [make_param(sig, Side.PLUS, GroupLevel.G, HalfInt(t)) for t in a_twice]
-    b_params = [make_param(sig, Side.PLUS, GroupLevel.GPRIME, HalfInt(t)) for t in b_twice]
-    for Pa in a_params:
-        for Pb in b_params:
-            summary = branching.coupling_summary(Pa.a, Pb.a, sig)
-            inputs = {"p": p, "q": q, "a": str(Pa.a), "b": str(Pb.a)}
+    # each value's (plus, minus) parameters are built once and serve every row
+    a_pairs = [branching.param_pair(sig, GroupLevel.G, HalfInt(t)) for t in a_twice]
+    b_pairs = [branching.param_pair(sig, GroupLevel.GPRIME, HalfInt(t)) for t in b_twice]
+    for Pa in a_pairs:
+        for Pb in b_pairs:
+            summary = branching.coupling_summary(Pa, Pb)
+            inputs = {"p": p, "q": q, "a": str(Pa[0].a), "b": str(Pb[0].a)}
             yield _record("table.branch", inputs, summary, _BRANCH_RULES)
 
 
@@ -347,15 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     b_side = b.add_mutually_exclusive_group()
     b_side.add_argument("--plus-b", help="plus-side parameter b (subgroup level)")
     b_side.add_argument("--minus-b", help="minus-side parameter b (subgroup level)")
-    b.add_argument("--max-k", type=int, default=10, help="summand cutoff (default 10)")
-    b.set_defaults(func=cmd_branch)
+    b.add_argument(
+        "--max-k", type=int, help=f"summand cutoff, with --pi-minus only (default {DEFAULT_MAX_K})"
+    )
+    b.set_defaults(func=cmd_branch, parser=b)
 
     p = sub.add_parser(
         "period", parents=[pq, family], help="period integral, closed form vs quadrature"
     )
     p.add_argument("--n", type=int, required=True, help="even label on the big space")
     p.add_argument("--k", type=int, required=True, help="even label on the subspace")
-    p.set_defaults(func=cmd_period)
+    p.set_defaults(func=cmd_period, parser=p)
 
     t = sub.add_parser("table", help="grid sweeps, one record per line")
     t.set_defaults(func=cmd_table)
@@ -364,29 +375,33 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("branch", parents=[pq, as_csv], help="coupling grid over a and b")
     k.add_argument("--a-range", required=True, help="range lo..hi for a, e.g. 9/2..17/2")
     k.add_argument("--b-range", required=True, help="range lo..hi for b")
-    k.set_defaults(rows=_rows_branch)
+    k.set_defaults(rows=_rows_branch, parser=k)
 
     k = kinds.add_parser("period", parents=[pq, family, as_csv], help="period grid over n, k")
     k.add_argument("--n-max", type=int, default=8, help="even-label cap for n (default 8)")
     k.add_argument("--k-max", type=int, default=8, help="even-label cap for k (default 8)")
-    k.set_defaults(rows=_rows_period)
+    k.set_defaults(rows=_rows_period, parser=k)
 
     k = kinds.add_parser("exhaustion", parents=[pq, as_csv], help="exhaustion cross-check")
     k.add_argument("--ell", required=True, help="range lo..hi of radial labels, e.g. 8..16")
-    k.set_defaults(rows=_rows_exhaustion)
+    k.set_defaults(rows=_rows_exhaustion, parser=k)
 
     k = kinds.add_parser("he", parents=[as_csv], help="sign-sequence alignments")
     mode = k.add_mutually_exclusive_group(required=True)
     mode.add_argument("--n", help="range lo..hi for the U(2,n) configuration, e.g. 4..10")
     mode.add_argument("--big", help="raw plain sign sequence, e.g. +--+ (with --small)")
     k.add_argument("--small", help="raw circled sign sequence, e.g. PMM")
-    k.set_defaults(rows=_rows_he)
+    k.set_defaults(rows=_rows_he, parser=k)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # an unknown option is reported by the command that was given it, with
+    # that command's usage line: every command parser sets `parser` to itself
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()

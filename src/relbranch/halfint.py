@@ -8,10 +8,8 @@ checks and comparisons exact; floats never enter validation paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 
 
-@total_ordering
 class HalfInt:
     """A number n/2 with n an integer, stored as ``twice = n``."""
 
@@ -125,11 +123,31 @@ class HalfInt:
             return NotImplemented
         return self.twice == t
 
+    # each order operator compares twice the values directly, with no derived
+    # wrappers in between: the branching grids make tens of thousands of calls
     def __lt__(self, other) -> bool:
         t = self._twice_of(other)
         if t is NotImplemented:
             return NotImplemented
         return self.twice < t
+
+    def __le__(self, other) -> bool:
+        t = self._twice_of(other)
+        if t is NotImplemented:
+            return NotImplemented
+        return self.twice <= t
+
+    def __gt__(self, other) -> bool:
+        t = self._twice_of(other)
+        if t is NotImplemented:
+            return NotImplemented
+        return self.twice > t
+
+    def __ge__(self, other) -> bool:
+        t = self._twice_of(other)
+        if t is NotImplemented:
+            return NotImplemented
+        return self.twice >= t
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())

@@ -18,6 +18,7 @@ from relbranch.branching import (
     fj_label_to_b,
     gp_sum_dim,
     hom_dim,
+    param_pair,
     pattern_characters,
     pi_minus_summands,
     stage1_enumerate,
@@ -150,11 +151,71 @@ def test_character_coherence():
 
 
 def test_coupling_summary_record():
-    summary = coupling_summary(h("9/2"), 3, Signature(3, 3))
+    sig = Signature(3, 3)
+    summary = coupling_summary(
+        param_pair(sig, GroupLevel.G, h("9/2")), param_pair(sig, GroupLevel.GPRIME, 3)
+    )
     assert summary["total"] == 1
     assert summary["witness"] == "(+,+)"
     assert summary["dims"]["(+,+)"] == 1
     assert summary["pattern"] == P1
+
+
+def _reference_summary(a, b, sig):
+    """coupling_summary along the route that builds four fresh parameters
+    per (a, b) and keys the hom dimensions by side pair."""
+    pattern = classify_interlacing(a, b)
+    sides = (Side.PLUS, Side.MINUS)
+    params_G = {side: make_param(sig, side, GroupLevel.G, a) for side in sides}
+    params_Gp = {side: make_param(sig, side, GroupLevel.GPRIME, b) for side in sides}
+    dims = {(sG, sGp): hom_dim(params_G[sG], params_Gp[sGp]) for sG in sides for sGp in sides}
+    (witness,) = [pair for pair, dim in dims.items() if dim == 1]
+    warning = None
+    if not (sig.p > 3 and sig.q > 3 and sig.p != sig.q):
+        warning = (
+            f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
+            "result computed anyway"
+        )
+    return {
+        "pattern": pattern.kind,
+        "merged": [str(v) for v in pattern.merged],
+        "characters": [str(c) for c in pattern_characters(pattern)],
+        "witness": f"({witness[0].value},{witness[1].value})",
+        "witness_character": str(epsilon_of(params_G[witness[0]])),
+        "dims": {f"({sG.value},{sGp.value})": dim for (sG, sGp), dim in dims.items()},
+        "total": sum(dims.values()),
+        "hypothesis_warning": warning,
+    }
+
+
+def test_coupling_summary_on_prebuilt_pairs_matches_fresh_parameters():
+    # the same record, key order included, whether the four parameters are
+    # built per row or once per grid value
+    for sig in (Signature(4, 5), Signature(4, 6), Signature(3, 3)):
+        a_pairs = {a: param_pair(sig, GroupLevel.G, a) for a, _ in rb_pairs(sig, 12, 1)}
+        b_pairs = {b: param_pair(sig, GroupLevel.GPRIME, b) for _, b in rb_pairs(sig, 1, 12)}
+        for a, Pa in a_pairs.items():
+            for b, Pb in b_pairs.items():
+                got = coupling_summary(Pa, Pb)
+                want = _reference_summary(a, b, sig)
+                assert list(got.items()) == list(want.items()), (sig, str(a), str(b))
+                assert list(got["dims"]) == list(want["dims"])
+
+
+def test_param_pair_and_its_contract():
+    sig = Signature(4, 5)
+    plus, minus = param_pair(sig, GroupLevel.G, 4)
+    assert (plus.side, minus.side, plus.a, minus.a) == (Side.PLUS, Side.MINUS, 4, 4)
+    assert plus.level is minus.level is GroupLevel.G
+    with pytest.raises(ParamError, match="parity"):
+        param_pair(sig, GroupLevel.GPRIME, 4)
+    # pairs that param_pair cannot build are refused, not mislabelled
+    Pb = param_pair(sig, GroupLevel.GPRIME, h("9/2"))
+    for bad in [(minus, plus), (plus, param_pair(sig, GroupLevel.G, 5)[1])]:
+        with pytest.raises(ParamError, match="plus, minus"):
+            coupling_summary(bad, Pb)
+        with pytest.raises(ParamError, match="plus, minus"):
+            coupling_summary(Pb, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,23 @@ def test_branch_pi_minus_cap(capsys):
     assert err == "error: max_k must be nonnegative\n"
 
 
+def test_branch_max_k_only_with_pi_minus(capsys):
+    # --max-k defaults to 10 under --pi-minus and is refused in every other mode
+    code, out, _ = run_cli(capsys, "branch", "--pq", "3,3", "--pi-minus", "5/2")
+    assert code == 0
+    (record,) = parse_records(out)
+    assert record["inputs"]["max_k"] == 10 and record["result"]["count"] == 11
+    assert out == run_cli(
+        capsys, "branch", "--pq", "3,3", "--pi-minus", "5/2", "--max-k", "10"
+    )[1]
+    for mode in (["--gp", "9/2", "3"], ["--plus-a", "7/2", "--plus-b", "2"],
+                 ["--minus-a", "7/2", "--minus-b", "2"]):
+        for value in ("4", "10"):
+            code, out, err = run_cli(capsys, "branch", "--pq", "3,3", *mode, "--max-k", value)
+            assert (code, out) == (cli.EXIT_VALIDATION, ""), mode
+            assert err == "error: --max-k applies only with --pi-minus\n"
+
+
 def test_branch_requires_a_and_b(capsys):
     code, _, err = run_cli(capsys, "branch", "--pq", "3,3", "--plus-a", "7/2")
     assert code == 2
@@ -276,6 +293,34 @@ def test_table_period_benchmark_invocation_bytes():
         assert hashlib.sha256(proc.stdout).hexdigest() == expected, args
 
 
+def test_table_enumeration_benchmark_invocation_bytes():
+    # the exact bytes of the exhaustion and branch-grid invocations of the
+    # `enumeration` workload, under two hash seeds: no record depends on
+    # set or dict iteration order
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    pins = [
+        (
+            ("exhaustion", "--pq", "3,3", "--ell", "8..140"),
+            "42dabbc2c305964406570c5100a7212bcaf0a6c2db9ff40ff36b51a837f941b8",
+        ),
+        (
+            ("branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2"),
+            "e7a321f6ad0c31250a496168457ed2da0eaa69385f4f1c01dd88110ace7f678c",
+        ),
+    ]
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        for args, expected in pins:
+            cmd = [sys.executable, "-m", "relbranch.cli", "table", *args]
+            proc = subprocess.run(cmd, capture_output=True, check=True, env=env)
+            assert proc.stderr == b"", (seed, args)
+            assert hashlib.sha256(proc.stdout).hexdigest() == expected, (seed, args)
+
+
 def test_table_empty_grid(capsys):
     code, out, _ = run_cli(
         capsys, "table", "branch", "--pq", "4,5", "--a-range", "4..4", "--b-range", "9/2..7/2"
@@ -348,6 +393,27 @@ def test_commands_reject_options_they_do_not_read(capsys, argv, message):
     assert message in err, (argv, err)
 
 
+@pytest.mark.parametrize(
+    "argv, prog, unknown",
+    [
+        (
+            ["table", "exhaustion", "--pq", "3,3", "--ell", "8..9", "--family", "quaternionic"],
+            "relbranch table exhaustion",
+            "--family quaternionic",
+        ),
+        (["branch", "--pq", "3,3", "--gp", "9/2", "3", "--bogus"], "relbranch branch", "--bogus"),
+        (["period", "--pq", "1,2", "--n", "4", "--k", "2", "--csv"], "relbranch period", "--csv"),
+        (["table", "he", "--n", "4..4", "--pq", "4,5"], "relbranch table he", "--pq 4,5"),
+    ],
+)
+def test_unknown_option_gets_the_command_usage_line(capsys, argv, prog, unknown):
+    # not the root's `usage: relbranch [-h] {branch,period,table} ...`
+    code, out, err = run_cli_usage(capsys, *argv)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.startswith(f"usage: {prog} [-h] "), err
+    assert err.endswith(f"\n{prog}: error: unrecognized arguments: {unknown}\n"), err
+
+
 def _leaf_parsers():
     """(name, parser, function reading its args) for each command: branch,
     period and each table kind."""
@@ -390,8 +456,9 @@ def test_table_cap(capsys):
     assert "cap" in err
 
 
-def test_table_branch_counts_params_before_building_any(capsys, monkeypatch):
-    # the cap sees the grid's size before a single parameter is built
+def _count_make_param(monkeypatch):
+    """Count make_param calls from cli and from branching, where the grid's
+    parameter pairs are built."""
     calls = []
     real = cli.make_param
 
@@ -400,6 +467,13 @@ def test_table_branch_counts_params_before_building_any(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(cli, "make_param", counted)
+    monkeypatch.setattr(cli.branching, "make_param", counted)
+    return calls
+
+
+def test_table_branch_counts_params_before_building_any(capsys, monkeypatch):
+    # the cap sees the grid's size before a single parameter is built
+    calls = _count_make_param(monkeypatch)
     argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..20004", "--b-range", "7/2..9/2")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, calls) == (cli.EXIT_VALIDATION, "", [])
@@ -407,7 +481,20 @@ def test_table_branch_counts_params_before_building_any(capsys, monkeypatch):
     argv = ("table", "branch", "--pq", "4,5", "--a-range", "3..6", "--b-range", "3/2..9/2")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(parse_records(out)) == 3 * 2 and len(calls) == 3 + 2
+    # a (plus, minus) pair per grid value, none per row
+    assert len(parse_records(out)) == 3 * 2 and len(calls) == 2 * (3 + 2)
+
+
+def test_table_branch_builds_each_parameter_once_per_grid(capsys, monkeypatch):
+    # the `enumeration` workload's grid: 57 values of a, 58 of b, 3,306 rows
+    calls = _count_make_param(monkeypatch)
+    argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(parse_records(out)) == 57 * 58
+    assert len(calls) == 2 * (57 + 58)
+    assert len(set(calls)) == len(calls)
+    sides = [(sig, level, a) for sig, _, level, a in calls]
+    assert sides[0::2] == sides[1::2]
 
 
 def test_valid_parameter_range_matches_validation():

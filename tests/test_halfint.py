@@ -1,10 +1,16 @@
+import ast
+import inspect
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relbranch import halfint
 from relbranch.halfint import HalfInt
+
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
 
 
 def test_construction_and_views():
@@ -80,3 +86,39 @@ def test_arithmetic_matches_fractions(t1, t2):
     assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
     assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
     assert (a < b) == (a.as_fraction() < b.as_fraction())
+
+
+def test_order_operators_match_fractions():
+    # HalfInt against HalfInt and against int, on either side of the operator
+    def exact(v):
+        return v.as_fraction() if isinstance(v, HalfInt) else Fraction(v)
+
+    operands = [HalfInt(t) for t in range(-7, 8)] + list(range(-4, 5))
+    for op in ORDER:
+        for x in operands:
+            for y in operands:
+                if isinstance(x, HalfInt) or isinstance(y, HalfInt):
+                    assert op(x, y) is op(exact(x), exact(y)), (op.__name__, x, y)
+    assert 2 < HalfInt(5) and 3 >= HalfInt(5) and not 2 >= HalfInt(5)
+
+
+def test_order_operators_reject_floats_and_strings():
+    for op in ORDER:
+        for other in (2.5, 2.0, "5/2"):
+            with pytest.raises(TypeError):
+                op(HalfInt(5), other)
+            with pytest.raises(TypeError):
+                op(other, HalfInt(5))
+
+
+def test_order_operators_are_defined_directly():
+    # no functools.total_ordering wrappers between a comparison and `twice`
+    tree = ast.parse(inspect.getsource(halfint))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "total_ordering" not in names
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(HalfInt, name).__module__ == halfint.__name__, name
+        assert getattr(HalfInt, name).__qualname__ == f"HalfInt.{name}", name

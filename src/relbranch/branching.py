@@ -10,8 +10,9 @@ stage enumerations) so the routes can be checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .frozen import Frozen
 from .halfint import HALF, HalfInt
 from .reps import (
     DiscreteSeriesParam,
@@ -41,8 +42,7 @@ P1 = "P1"
 P2 = "P2"
 
 
-@dataclass(frozen=True)
-class InterlacingPattern:
+class InterlacingPattern(NamedTuple):
     """The decreasing arrangement of (a, -a, b, -b): P1 = (a, b, -b, -a)
     when a > b, P2 = (b, a, -a, -b) when b > a."""
 
@@ -122,8 +122,7 @@ def hom_dim(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> int:
     return 1 if pi.a > Pi.a else 0
 
 
-@dataclass(frozen=True)
-class GPSumResult:
+class GPSumResult(NamedTuple):
     dim: int
     witness: tuple[Side, Side]
     hypothesis_warning: str | None
@@ -233,14 +232,17 @@ def b_to_fj_label(sig: Signature, b) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageParams:
+class StageParams(Frozen):
     """One term of the first-stage restriction: an orthogonal-group label ell
-    split as ell - lambda' - lambda'' - 1 in 2N."""
+    split as ell - lambda' - lambda'' - 1 in 2N.  Every construction checks
+    the split through ``self.__post_init__``, so a class-level hook on it
+    sees each term built."""
 
-    ell: int
-    lambda_prime: int
-    lambda_dprime: HalfInt
+    __slots__ = ("ell", "lambda_prime", "lambda_dprime")
+
+    def __init__(self, ell: int, lambda_prime: int, lambda_dprime: HalfInt):
+        super().__init__(ell, lambda_prime, lambda_dprime)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.lambda_prime < 0:
@@ -278,8 +280,7 @@ def _valid_subgroup_b(sig: Signature, b: HalfInt) -> bool:
     return offset >= 0 and offset % 2 == 0
 
 
-@dataclass(frozen=True)
-class ExhaustionReport:
+class ExhaustionReport(NamedTuple):
     sig: Signature
     ell: int
     a: HalfInt | None

@@ -10,7 +10,7 @@ Each table kind is its own subcommand and takes only the options its sweep
 reads; an option shared by several commands is defined once, in a parent
 parser.  Exit codes: 0 success, 2 validation error or argparse usage error
 (a missing, unknown or conflicting option, reported with the usage line of
-the command given it), 3 numerical non-convergence.  A
+the parser given it), 3 numerical non-convergence.  A
 failing table row is named on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 """
@@ -18,8 +18,6 @@ failing table row is named on stderr; a reader that closes stdout early
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -303,6 +301,9 @@ def _flatten(record: dict) -> dict:
 def cmd_table(args, out) -> int:
     rows = args.rows(args)
     if args.csv:
+        import csv  # only the CSV projection reads these two
+        import io
+
         records = list(rows)
         if not records:
             return EXIT_OK
@@ -323,8 +324,21 @@ def cmd_table(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports the unknown options it was given itself, with
+    its own usage line: argparse would hand a command's unknown options back
+    to the parser above it, mixed with that parser's own.  add_subparsers
+    builds command parsers of its parser's class, so every level is one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relbranch",
         description=(
             "Relative branching laws for rank-one unitary families: coupling "
@@ -359,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--max-k", type=int, help=f"summand cutoff, with --pi-minus only (default {DEFAULT_MAX_K})"
     )
-    b.set_defaults(func=cmd_branch, parser=b)
+    b.set_defaults(func=cmd_branch)
 
     p = sub.add_parser(
         "period", parents=[pq, family], help="period integral, closed form vs quadrature"
     )
     p.add_argument("--n", type=int, required=True, help="even label on the big space")
     p.add_argument("--k", type=int, required=True, help="even label on the subspace")
-    p.set_defaults(func=cmd_period, parser=p)
+    p.set_defaults(func=cmd_period)
 
     t = sub.add_parser("table", help="grid sweeps, one record per line")
     t.set_defaults(func=cmd_table)
@@ -375,33 +389,29 @@ def build_parser() -> argparse.ArgumentParser:
     k = kinds.add_parser("branch", parents=[pq, as_csv], help="coupling grid over a and b")
     k.add_argument("--a-range", required=True, help="range lo..hi for a, e.g. 9/2..17/2")
     k.add_argument("--b-range", required=True, help="range lo..hi for b")
-    k.set_defaults(rows=_rows_branch, parser=k)
+    k.set_defaults(rows=_rows_branch)
 
     k = kinds.add_parser("period", parents=[pq, family, as_csv], help="period grid over n, k")
     k.add_argument("--n-max", type=int, default=8, help="even-label cap for n (default 8)")
     k.add_argument("--k-max", type=int, default=8, help="even-label cap for k (default 8)")
-    k.set_defaults(rows=_rows_period, parser=k)
+    k.set_defaults(rows=_rows_period)
 
     k = kinds.add_parser("exhaustion", parents=[pq, as_csv], help="exhaustion cross-check")
     k.add_argument("--ell", required=True, help="range lo..hi of radial labels, e.g. 8..16")
-    k.set_defaults(rows=_rows_exhaustion, parser=k)
+    k.set_defaults(rows=_rows_exhaustion)
 
     k = kinds.add_parser("he", parents=[as_csv], help="sign-sequence alignments")
     mode = k.add_mutually_exclusive_group(required=True)
     mode.add_argument("--n", help="range lo..hi for the U(2,n) configuration, e.g. 4..10")
     mode.add_argument("--big", help="raw plain sign sequence, e.g. +--+ (with --small)")
     k.add_argument("--small", help="raw circled sign sequence, e.g. PMM")
-    k.set_defaults(rows=_rows_he, parser=k)
+    k.set_defaults(rows=_rows_he)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # an unknown option is reported by the command that was given it, with
-    # that command's usage line: every command parser sets `parser` to itself
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()

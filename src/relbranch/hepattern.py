@@ -14,7 +14,7 @@ sequence's symbol before the small one's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PLUS = "+"
 MINUS = "-"
@@ -105,8 +105,7 @@ def u1n_end_candidates(n: int) -> tuple[str, str]:
     return CIRCLED_PLUS + CIRCLED_MINUS * n, CIRCLED_MINUS * n + CIRCLED_PLUS
 
 
-@dataclass(frozen=True)
-class U2nReport:
+class U2nReport(NamedTuple):
     n: int
     big: str
     candidates: tuple[str, str]

@@ -48,8 +48,13 @@ def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> tuple[tuple[flo
     """Rows (c2/c1, c3/c1, c4/c1) of the steps to degrees 1..MAX_DEGREE,
     where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1; each ratio is exact
     and rounded once.  No row depends on the target degree, so degree n reads
-    the first n rows.  With P_{-1} = 0 the first row is P_1."""
-    al, be = Fraction(alpha), Fraction(beta_param)
+    the first n rows.  With P_{-1} = 0 the first row is P_1.
+
+    Integer alpha and beta stay ints: then every c_i is an int, and int / int
+    is the correctly rounded quotient, so the ratio is the exact rational
+    rounded once with no Fraction built (the same float that rounding the
+    Fraction gives).  Any other alpha or beta is lifted to a Fraction."""
+    al, be = (x if isinstance(x, int) else Fraction(x) for x in (alpha, beta_param))
     rows = [((al - be) / 2, (al + be + 2) / 2, 0)]
     for m in range(2, MAX_DEGREE + 1):
         c1 = 2 * m * (m + al + be) * (2 * m + al + be - 2)

@@ -17,9 +17,10 @@ errors name the violated clause.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
+from .frozen import Frozen
 from .halfint import HalfInt
 
 
@@ -45,16 +46,15 @@ class GroupLevel(Enum):
     GPRIME = "G'"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """A signature (p, q) with p, q >= 1."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ParamError(f"signature entries must be positive, got ({self.p}, {self.q})")
+    def __init__(self, p: int, q: int):
+        if p < 1 or q < 1:
+            raise ParamError(f"signature entries must be positive, got ({p}, {q})")
+        super().__init__(p, q)
 
     @property
     def n(self) -> int:
@@ -64,16 +64,15 @@ class Signature:
         return f"U({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class EpsilonCharacter:
+class EpsilonCharacter(Frozen):
     """A character of Z2 x Z2 recorded by its signs on the two generators."""
 
-    on_E1: int
-    on_E2: int
+    __slots__ = ("on_E1", "on_E2")
 
-    def __post_init__(self):
-        if self.on_E1 not in (1, -1) or self.on_E2 not in (1, -1):
+    def __init__(self, on_E1: int, on_E2: int):
+        if on_E1 not in (1, -1) or on_E2 not in (1, -1):
             raise ValueError("character values must be +1 or -1")
+        super().__init__(on_E1, on_E2)
 
     def __str__(self) -> str:
         return f"({self.on_E1:+d},{self.on_E2:+d})"
@@ -83,14 +82,14 @@ EPSILON_1 = EpsilonCharacter(1, -1)
 EPSILON_2 = EpsilonCharacter(-1, 1)
 
 
-@dataclass(frozen=True)
-class HighestWeight:
+class HighestWeight(Frozen):
     """A weakly decreasing weight vector with exact entries."""
 
-    entries: tuple[HalfInt, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        for a, b in zip(self.entries, self.entries[1:]):
+    def __init__(self, entries: tuple[HalfInt, ...]):
+        super().__init__(entries)
+        for a, b in zip(entries, entries[1:]):
             if a < b:
                 raise ValueError(f"weight entries must be weakly decreasing: {self}")
 
@@ -111,8 +110,7 @@ class HighestWeight:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class DiscreteSeriesParam:
+class DiscreteSeriesParam(NamedTuple):
     sig: Signature
     side: Side
     level: GroupLevel

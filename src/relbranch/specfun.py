@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
+
+from .frozen import Frozen
 
 EPS = sys.float_info.epsilon
 
@@ -34,17 +35,15 @@ class ConvergenceError(RuntimeError):
     tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+class QuadratureResult(Frozen):
+    __slots__ = ("value", "abs_error_estimate", "evaluations")
 
-    def __post_init__(self):
-        if self.abs_error_estimate < 0:
+    def __init__(self, value: float, abs_error_estimate: float, evaluations: int):
+        if abs_error_estimate < 0:
             raise ValueError("abs_error_estimate must be >= 0")
-        if self.evaluations < 1:
+        if evaluations < 1:
             raise ValueError("evaluations must be >= 1")
+        super().__init__(value, abs_error_estimate, evaluations)
 
 
 def radial_integral_exact(alpha: int, beta_exp: int) -> Fraction:

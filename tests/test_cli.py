@@ -404,10 +404,15 @@ def test_commands_reject_options_they_do_not_read(capsys, argv, message):
         (["branch", "--pq", "3,3", "--gp", "9/2", "3", "--bogus"], "relbranch branch", "--bogus"),
         (["period", "--pq", "1,2", "--n", "4", "--k", "2", "--csv"], "relbranch period", "--csv"),
         (["table", "he", "--n", "4..4", "--pq", "4,5"], "relbranch table he", "--pq 4,5"),
+        (["--bogus", "branch", "--pq", "3,3", "--gp", "9/2", "3"], "relbranch", "--bogus"),
+        (["table", "--bogus", "exhaustion", "--pq", "3,3", "--ell", "8..9"], "relbranch table",
+         "--bogus"),
     ],
 )
 def test_unknown_option_gets_the_command_usage_line(capsys, argv, prog, unknown):
-    # not the root's `usage: relbranch [-h] {branch,period,table} ...`
+    # the usage line of the parser given the option: a command's unknown
+    # option is not the root's, and one given before the command is not the
+    # command's
     code, out, err = run_cli_usage(capsys, *argv)
     assert (code, out) == (cli.EXIT_VALIDATION, "")
     assert err.startswith(f"usage: {prog} [-h] "), err
@@ -684,14 +689,17 @@ def test_readme_commands_emit_records(capsys):
 
 # Runs argv lists through cli.main in one interpreter and reports, as JSON,
 # each (exit code, stdout, stderr), whether the test oracle was imported, and
-# the relbranch modules and numpy loaded after the import and after each run.
+# the relbranch modules, numpy and the stdlib modules the CLI path leaves
+# out (dataclasses, inspect, and csv but under --csv) loaded after the import
+# and after each run.
 _CHILD = """
 import contextlib, io, json, sys
 from relbranch import cli
 cli.build_parser()
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("relbranch."))
+    watched = ("numpy", "dataclasses", "inspect", "csv")
+    return sorted(m for m in sys.modules if m in watched or m.startswith("relbranch."))
 
 results, modules = [], [loaded()]
 for argv in json.loads(sys.argv[1]):
@@ -739,7 +747,8 @@ def _traced_layers():
 
 def test_exact_commands_never_import_numpy(capsys):
     # every layer module loads with the CLI, and no command loads numpy,
-    # the period commands and their quadrature included
+    # the period commands and their quadrature included; nor does any load
+    # dataclasses or inspect, and only the --csv run, the last, loads csv
     import subprocess
     import sys
 
@@ -753,15 +762,18 @@ def test_exact_commands_never_import_numpy(capsys):
         ["table", "branch", "--pq", "4,5", "--a-range", "4..5", "--b-range", "7/2..9/2"],
         ["period", "--pq", "1,2", "--n", "4", "--k", "2"],
         ["table", "period", "--pq", "2,5", "--family", "quaternionic", "--n-max", "4"],
+        ["table", "exhaustion", "--pq", "3,3", "--ell", "8..10", "--csv"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(commands)],
         capture_output=True, text=True, check=True,
     )
     report = json.loads(proc.stdout)
+    assert len(report["modules"]) == len(commands) + 1
     for argv, modules in zip([["import"]] + commands, report["modules"]):
-        assert "numpy" not in modules, argv
+        assert not {"numpy", "dataclasses", "inspect"} & set(modules), argv
         assert required <= set(modules), argv
+        assert ("csv" in modules) == ("--csv" in argv), argv
     assert len(report["results"]) == len(commands)
     for argv, (code, out, err) in zip(commands, report["results"]):
         assert (code, err) == (0, ""), argv

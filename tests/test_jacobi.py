@@ -7,6 +7,7 @@ import pytest
 
 from relbranch.jacobi import (
     MAX_DEGREE,
+    _recurrence_ratios,
     connection_coeff,
     jacobi_norm_sq,
     jacobi_pairing,
@@ -315,3 +316,28 @@ def test_jacobi_pairing_validation():
     with pytest.raises(ValueError):
         jacobi_pairing(2, 0, 0, 0, 3)
     assert jacobi_pairing(MAX_DEGREE, MAX_DEGREE, 0, 0, 2) > 0
+
+
+def _fraction_ratios(alpha, beta):
+    """The rows of _recurrence_ratios, each ratio an exact Fraction rounded
+    once by float()."""
+    rows = [(Fraction(alpha - beta, 2), Fraction(alpha + beta + 2, 2), Fraction(0))]
+    for m in range(2, MAX_DEGREE + 1):
+        s = 2 * m + alpha + beta
+        c1 = 2 * m * (m + alpha + beta) * (s - 2)
+        c2 = (s - 1) * (alpha * alpha - beta * beta)
+        c3 = (s - 1) * s * (s - 2)
+        c4 = 2 * (m + alpha - 1) * (m + beta - 1) * s
+        rows.append(tuple(Fraction(c) / c1 for c in (c2, c3, c4)))
+    return tuple(tuple(float(r) for r in row) for row in rows)
+
+
+def test_recurrence_ratios_are_the_exact_ratios_rounded_once():
+    # integer alpha and beta are divided as ints, a Fraction alpha as a
+    # Fraction; either way each entry is the float nearest the exact ratio
+    pairs = [(alpha, beta) for alpha in range(0, 1100, 7) for beta in range(4)]
+    for alpha, beta in pairs + [(Fraction(7, 2), 1), (Fraction(-1, 3), Fraction(5, 2))]:
+        rows = _recurrence_ratios(alpha, beta)
+        assert len(rows) == MAX_DEGREE
+        assert all(type(r) is float for row in rows for r in row), (alpha, beta)
+        assert rows == _fraction_ratios(alpha, beta), (alpha, beta)

@@ -211,22 +211,6 @@ def fj_label_to_b(sig: Signature, k: int) -> HalfInt:
     return HalfInt(k + sig.n - 2)
 
 
-def a_to_fj_label(sig: Signature, a) -> int:
-    """Inverse of fj_label_to_a."""
-    n = HalfInt.coerce(a).twice - (sig.n - 1)
-    if n < 0 or n % 2:
-        raise ValueError(f"a = {a} is not in the image of the label dictionary for {sig}")
-    return n
-
-
-def b_to_fj_label(sig: Signature, b) -> int:
-    """Inverse of fj_label_to_b."""
-    k = HalfInt.coerce(b).twice - (sig.n - 2)
-    if k < 0 or k % 2:
-        raise ValueError(f"b = {b} is not in the image of the label dictionary for {sig}")
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Stage enumerations and the exhaustion cross-check
 # ---------------------------------------------------------------------------
@@ -254,25 +238,6 @@ class StageParams(Frozen):
             raise ValueError(
                 f"ell - lambda' - lambda'' - 1 = {gap} is not a nonnegative even integer"
             )
-
-
-def _check_ell(sig: Signature, ell: int) -> None:
-    if ell <= sig.n - 1:
-        raise ValueError(f"need ell > {sig.n - 1} for {sig}, got {ell}")
-
-
-def stage1_enumerate(sig: Signature, ell: int) -> list[StageParams]:
-    """All (lambda', lambda'') with lambda' in Z>=0, lambda'' in Z>0 and
-    ell - lambda' - lambda'' - 1 in 2N.  The list is finite; ordering is
-    lambda' ascending, then lambda'' ascending."""
-    _check_ell(sig, ell)
-    out = []
-    for lam_p in range(0, ell):
-        # lambda'' ranges over ell - lam' - 1, ell - lam' - 3, ... down to >= 1
-        top = ell - lam_p - 1
-        for lam_pp in range(2 - (top % 2), top + 1, 2):
-            out.append(StageParams(ell, lam_p, HalfInt.from_int(lam_pp)))
-    return out
 
 
 def _valid_subgroup_b(sig: Signature, b: HalfInt) -> bool:
@@ -308,24 +273,26 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     """Cross-check the relative spectrum along the two restriction sequences
     against the radial-label prediction.
 
-    First sequence: the lambda' = 0 slice of stage1 (each term validated as
-    a StageParams) feeds the next stage.  An even label lambda'' has no
-    relative member there; an odd label carries the subgroup parameter b
-    equal to whichever of (lambda''-1)/2 and lambda''/2 has the subgroup
-    parity (the label conventions at adjacent levels differ by such shifts,
-    and this is the unique assignment compatible with a = ell/2 below).
+    First sequence: the lambda' = 0 slice of the first stage (each term
+    validated as a StageParams) feeds the next stage.  An even label
+    lambda'' has no relative member there; an odd label carries the
+    subgroup parameter b equal to whichever of (lambda''-1)/2 and lambda''/2
+    has the subgroup parity (the label conventions at adjacent levels differ
+    by such shifts, and this is the unique assignment compatible with
+    a = ell/2 below).
     Invalid candidates are discarded.
     Second sequence: of the second stage's splittings ell = x + y into
     integers, only the relative member x = y = ell/2 (ell even) feeds on;
     it carries a = ell/2, and the subgroup parameters are all valid b with
-    b < a.  The tests enumerate the whole second stage as the reference.
+    b < a.  The tests enumerate both whole stages as the reference.
     The prediction lists b over even labels k up to the dictionary image of
     a.  All three sets must coincide.
     """
-    _check_ell(sig, ell)
+    if ell <= sig.n - 1:
+        raise ValueError(f"need ell > {sig.n - 1} for {sig}, got {ell}")
     first = []
     for lam in range(2 - (ell - 1) % 2, ell, 2):
-        StageParams(ell, 0, HalfInt.from_int(lam))  # validated like every stage1 term
+        StageParams(ell, 0, HalfInt.from_int(lam))  # validated like every first-stage term
         if lam % 2 == 0:
             continue
         b = HalfInt(lam if (lam - sig.n) % 2 == 0 else lam - 1)

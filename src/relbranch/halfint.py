@@ -23,6 +23,11 @@ class HalfInt:
     def __setattr__(self, name, value):
         raise AttributeError("HalfInt is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: the default restores
+        # the slot through the __setattr__ above
+        return HalfInt, (self.twice,)
+
     # -- construction ----------------------------------------------------
 
     @classmethod

@@ -6,7 +6,7 @@ Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+
 Float values come from the three-term recurrence (DLMF 18.9; Szego,
 Orthogonal Polynomials, ch. 4) in pure Python (jacobi_values), over a float
 or a sequence of floats; monomial coefficients reach 1e30 by degree 64 and
-cancel catastrophically in float.  No part of this module loads numpy.
+cancel catastrophically in float.
 
 Pairings of a shifted polynomial against an unshifted one come in closed form
 from the connection formula (DLMF 18.18(iv)): P_n^(alpha+shift,beta) expands

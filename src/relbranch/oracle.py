@@ -10,27 +10,23 @@ integral for real exponents (via log_gamma) with an adaptive quadrature on
 specfun's Gauss-Legendre rule, which build the Beta-argument calibration
 table of docs/radial_integral_calibration.md.  None of these share code with
 the modules they check, and no CLI path imports this module, the only one
-that needs numpy.
+that uses ``lgamma``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 from .reps import HighestWeight
 from .specfun import ConvergenceError, QuadratureResult, gauss_legendre
 
 
-@dataclass(frozen=True)
-class GTBranchResult:
+class GTBranchResult(NamedTuple):
     """Restriction multiplicity together with the inequalities that decided it."""
 
     multiplicity: int
@@ -85,7 +81,7 @@ def spherical_weight(a: int, n: int) -> HighestWeight:
     return HighestWeight.of(a, *([0] * (n - 2)), -a)
 
 
-def su2_spherical_coefficient(n: int, theta_grid: Sequence[float]) -> np.ndarray:
+def su2_spherical_coefficient(n: int, theta_grid: Sequence[float]) -> list[float]:
     """Matrix coefficient of the middle monomial under rotations.
 
     On degree-2n homogeneous polynomials in (z, w), the rotation by theta
@@ -93,15 +89,14 @@ def su2_spherical_coefficient(n: int, theta_grid: Sequence[float]) -> np.ndarray
     raising that to the n-th power and pairing with z^n w^n under the
     invariant inner product (monomial squared norms j!(m-j)!/m!) gives the
     coefficient.  Normalized to 1 at theta = 0 it equals the Legendre
-    polynomial of degree n in cos(2 theta).
+    polynomial of degree n in cos(2 theta).  One value per theta, as a list.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    thetas = np.asarray(theta_grid, dtype=float)
     norm_sq = factorial(n) ** 2 / factorial(2 * n)
-    out = np.empty_like(thetas)
-    for idx, theta in enumerate(thetas.ravel()):
-        c, s = np.cos(theta), np.sin(theta)
+    out = []
+    for theta in theta_grid:
+        c, s = math.cos(theta), math.sin(theta)
         action = ((0, c * s), (1, c * c - s * s), (2, -c * s))  # w-degree shift, coeff
         # expand the n-th power, tracking coefficients by w-degree
         poly = {0: 1.0}
@@ -111,7 +106,7 @@ def su2_spherical_coefficient(n: int, theta_grid: Sequence[float]) -> np.ndarray
                 for shift, factor in action:
                     nxt[deg + shift] = nxt.get(deg + shift, 0.0) + coeff * factor
             poly = nxt
-        out.ravel()[idx] = poly.get(n, 0.0) * norm_sq
+        out.append(poly.get(n, 0.0) * norm_sq)
     return out
 
 
@@ -223,25 +218,23 @@ MAX_PANELS = 4096
 
 
 @lru_cache(maxsize=None)
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1]."""
-    nodes, weights = gauss_legendre(GAUSS_ORDER)
-    return np.array(nodes), np.array(weights)
+def _gauss_rule() -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1]."""
+    return tuple(zip(*gauss_legendre(GAUSS_ORDER)))
 
 
-def _gauss_panel(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+def _gauss_panel(f: Callable[[float], float], lo: float, hi: float) -> float:
     """One Gauss-Legendre panel: the integral of f over [lo, hi], its node
     terms summed with math.fsum."""
-    nodes, weights = _gauss_rule()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * math.fsum(weights * f(mid + half * nodes))
+    return half * math.fsum(w * f(mid + half * x) for x, w in _gauss_rule())
 
 
 def adaptive_quadrature(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, abs_tol: float
+    f: Callable[[float], float], a: float, b: float, abs_tol: float
 ) -> QuadratureResult:
-    """Integrate a vectorized integrand over [a, b] to an absolute tolerance.
+    """Integrate a float integrand over [a, b] to an absolute tolerance.
 
     Fixed-order Gauss-Legendre panels, bisected greedily: the interval with
     the largest error estimate (whole-panel value against the sum of its two
@@ -311,7 +304,7 @@ def radial_integral_quadrature(alpha: float, beta_exp: float, tol: float) -> Qua
     _check_radial_convergence(alpha, beta_exp)
     s = (beta_exp - alpha) / 2.0
 
-    def integrand(u: np.ndarray) -> np.ndarray:
+    def integrand(u: float) -> float:
         return u**alpha * (1.0 - u * u) ** (s - 1.0)
 
     # one coarse panel fixes the absolute-tolerance scale

@@ -16,7 +16,6 @@ errors name the violated clause.
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 from typing import NamedTuple
 
@@ -214,24 +213,9 @@ def center_lift_check(param: DiscreteSeriesParam) -> bool:
 # Canonical text form
 # ---------------------------------------------------------------------------
 
-_PARAM_RE = re.compile(
-    r"^U\((?P<p>\d+),(?P<q>\d+)\)(?P<prime>')?(?P<side>[+-])a=(?P<a>-?\d+(?:/2)?)$"
-)
-
 
 def format_param(param: DiscreteSeriesParam) -> str:
     """Canonical form ``U(p,q)[+|-]a=<rational>``, with a prime marking the
     subgroup level: ``U(3,3)'+a=2``."""
     prime = "'" if param.level is GroupLevel.GPRIME else ""
     return f"U({param.sig.p},{param.sig.q}){prime}{param.side.value}a={param.a}"
-
-
-def parse_param(text: str) -> DiscreteSeriesParam:
-    """Inverse of format_param; validates the result."""
-    m = _PARAM_RE.match(text.strip())
-    if not m:
-        raise ParamError(f"cannot parse parameter from {text!r}")
-    sig = Signature(int(m.group("p")), int(m.group("q")))
-    level = GroupLevel.GPRIME if m.group("prime") else GroupLevel.G
-    side = Side.PLUS if m.group("side") == "+" else Side.MINUS
-    return make_param(sig, side, level, HalfInt.parse(m.group("a")))

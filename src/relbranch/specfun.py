@@ -14,7 +14,7 @@ period route both Beta arguments are positive integers, so A is rational.
 The quadrature here integrates polynomials only: the m-point Gauss-Legendre
 rule is exact to degree 2m - 1 (DLMF 3.5(v)), so a polynomial of known
 degree needs one rule and leaves only roundoff, which the returned bound
-covers.  Both are pure Python, so no part of this module loads numpy.
+covers.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ lines, or execute this file directly (``python tests/test_acceptance.py``)
 for a standalone report.
 """
 
+import math
 import time
 from pathlib import Path
-
-import numpy as np
 
 from relbranch.branching import (
     classify_interlacing,
@@ -191,19 +190,18 @@ def test_criterion_07_compact_oracle_equivalence():
 
 def test_criterion_08_su2_legendre():
     def check():
-        thetas = np.linspace(0.0, np.pi, 181)
-        xs = np.cos(2.0 * thetas)
+        thetas = [math.pi * i / 180 for i in range(181)]
+        xs = [math.cos(2.0 * t) for t in thetas]
         for n in range(0, 7):
             phi = su2_spherical_coefficient(n, thetas)
-            phi0 = su2_spherical_coefficient(n, np.array([0.0]))[0]
+            phi0 = su2_spherical_coefficient(n, [0.0])[0]
             reference = jacobi_values(n, 0, 0, xs)
-            assert np.max(np.abs(phi / phi0 - reference)) <= 1e-10
+            assert max(abs(v / phi0 - r) for v, r in zip(phi, reference, strict=True)) <= 1e-10
         # degree 2: a single constant against 3 cos^2(2 theta) - 1
         phi = su2_spherical_coefficient(2, thetas)
-        shape = 3.0 * np.cos(2.0 * thetas) ** 2 - 1.0
-        mask = np.abs(shape) > 1e-8
-        ratios = phi[mask] / shape[mask]
-        assert np.ptp(ratios) <= 1e-12
+        shape = [3.0 * math.cos(2.0 * t) ** 2 - 1.0 for t in thetas]
+        ratios = [v / s for v, s in zip(phi, shape, strict=True) if abs(s) > 1e-8]
+        assert max(ratios) - min(ratios) <= 1e-12
 
     _criterion(8, "rank-one matrix coefficients reproduce Legendre values", 1.0, check)
 

@@ -9,8 +9,6 @@ from relbranch.branching import (
     SignatureMismatchError,
     StageParams,
     TieError,
-    a_to_fj_label,
-    b_to_fj_label,
     classify_interlacing,
     coupling_summary,
     exhaustion_check,
@@ -21,7 +19,6 @@ from relbranch.branching import (
     param_pair,
     pattern_characters,
     pi_minus_summands,
-    stage1_enumerate,
 )
 from relbranch.halfint import HALF, HalfInt
 from relbranch.periods import period_nonvanishing
@@ -269,6 +266,22 @@ def test_pi_minus_summands_validation():
 # ---------------------------------------------------------------------------
 
 
+def a_to_fj_label(sig, a):
+    """Inverse of fj_label_to_a."""
+    n = HalfInt.coerce(a).twice - (sig.n - 1)
+    if n < 0 or n % 2:
+        raise ValueError(f"a = {a} is not in the image of the label dictionary for {sig}")
+    return n
+
+
+def b_to_fj_label(sig, b):
+    """Inverse of fj_label_to_b."""
+    k = HalfInt.coerce(b).twice - (sig.n - 2)
+    if k < 0 or k % 2:
+        raise ValueError(f"b = {b} is not in the image of the label dictionary for {sig}")
+    return k
+
+
 def test_fj_label_examples():
     sig = Signature(3, 3)
     assert fj_label_to_a(sig, 0) == h("5/2")  # good-range boundary
@@ -312,6 +325,23 @@ def test_period_branching_agreement():
 # ---------------------------------------------------------------------------
 # stage enumerations and exhaustion
 # ---------------------------------------------------------------------------
+
+
+def stage1_enumerate(sig, ell):
+    """All (lambda', lambda'') with lambda' in Z>=0, lambda'' in Z>0 and
+    ell - lambda' - lambda'' - 1 in 2N.  The list is finite; ordering is
+    lambda' ascending, then lambda'' ascending.  exhaustion_check builds
+    only its lambda' = 0 slice; this full list is the reference it is
+    compared against."""
+    if ell <= sig.n - 1:
+        raise ValueError(f"need ell > {sig.n - 1} for {sig}, got {ell}")
+    out = []
+    for lam_p in range(0, ell):
+        # lambda'' ranges over ell - lam' - 1, ell - lam' - 3, ... down to >= 1
+        top = ell - lam_p - 1
+        for lam_pp in range(2 - (top % 2), top + 1, 2):
+            out.append(StageParams(ell, lam_p, HalfInt.from_int(lam_pp)))
+    return out
 
 
 def test_stage1_membership_and_finiteness():

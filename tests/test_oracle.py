@@ -1,13 +1,20 @@
 import ast
+import contextlib
+import io
+import json
+import math
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from relbranch import oracle
 from relbranch.jacobi import jacobi_values
 from relbranch.oracle import (
     GTBranchResult,
+    beta_argument_evidence,
     compact_relative_mult,
     is_spherical,
     spherical_weight,
@@ -94,35 +101,34 @@ def test_spherical_truth_table():
             assert un_branch_mult(lam, mu).multiplicity == (1 if a >= b else 0)
 
 
+THETAS = [math.pi * i / 180 for i in range(181)]
+
+
 def test_su2_constant_case():
-    thetas = np.linspace(0.0, np.pi, 181)
-    phi = su2_spherical_coefficient(0, thetas)
-    assert np.all(phi == 1.0)
+    phi = su2_spherical_coefficient(0, THETAS)
+    assert phi == [1.0] * len(THETAS)
 
 
 def test_su2_degree_two_shape():
     # proportional to 3 cos^2(2 theta) - 1 with a single constant
-    thetas = np.linspace(0.0, np.pi, 181)
-    phi = su2_spherical_coefficient(2, thetas)
-    shape = 3.0 * np.cos(2 * thetas) ** 2 - 1.0
-    ratios = phi / shape
-    finite = np.isfinite(ratios) & (np.abs(shape) > 1e-8)
-    assert np.ptp(ratios[finite]) <= 1e-12
+    phi = su2_spherical_coefficient(2, THETAS)
+    shape = [3.0 * math.cos(2 * t) ** 2 - 1.0 for t in THETAS]
+    ratios = [v / s for v, s in zip(phi, shape, strict=True) if abs(s) > 1e-8]
+    assert max(ratios) - min(ratios) <= 1e-12
 
 
 def test_su2_matches_legendre():
-    thetas = np.linspace(0.0, np.pi, 181)
-    xs = np.cos(2.0 * thetas)
+    xs = [math.cos(2.0 * t) for t in THETAS]
     for n in range(0, 7):
-        phi = su2_spherical_coefficient(n, thetas)
-        phi0 = su2_spherical_coefficient(n, np.array([0.0]))[0]
+        phi = su2_spherical_coefficient(n, THETAS)
+        phi0 = su2_spherical_coefficient(n, [0.0])[0]
         reference = jacobi_values(n, 0, 0, xs)
-        assert np.max(np.abs(phi / phi0 - reference)) <= 1e-10
+        assert max(abs(v / phi0 - r) for v, r in zip(phi, reference, strict=True)) <= 1e-10
 
 
 def test_su2_rejects_negative_degree():
     with pytest.raises(ValueError):
-        su2_spherical_coefficient(-1, np.array([0.0]))
+        su2_spherical_coefficient(-1, [0.0])
 
 
 def test_oracle_imports_nothing_from_jacobi():
@@ -151,3 +157,49 @@ def test_only_the_oracle_references_lgamma():
             if isinstance(node, ast.ImportFrom):
                 names += [alias.name for alias in node.names]
             assert "lgamma" not in names, (path.name, ast.unparse(node))
+
+
+def test_no_module_imports_numpy_or_dataclasses():
+    # the package is stdlib only, and its records are NamedTuples or Frozen
+    package = Path(oracle.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert not roots & {"numpy", "dataclasses"}, (path.name, ast.unparse(node))
+
+
+# Imports the oracle with numpy blocked, so any import of it fails, and
+# reports the calibration table and two matrix-coefficient values as JSON.
+_NO_NUMPY_CHILD = """
+import json, sys
+sys.modules["numpy"] = None
+from relbranch.oracle import beta_argument_evidence, su2_spherical_coefficient
+json.dump([beta_argument_evidence(), su2_spherical_coefficient(2, [0.0, 0.5])], sys.stdout)
+"""
+
+
+def test_oracle_runs_with_numpy_blocked():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_CHILD], capture_output=True, text=True, check=True
+    )
+    evidence, values = json.loads(proc.stdout)
+    assert evidence == beta_argument_evidence()
+    assert values == su2_spherical_coefficient(2, [0.0, 0.5])
+
+
+def test_calibration_doc_table_regenerates_byte_for_byte():
+    # run the doc's own regeneration snippet and compare its lines with the table
+    doc = Path(__file__).resolve().parent.parent / "docs" / "radial_integral_calibration.md"
+    text = doc.read_text()
+    (snippet,) = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, str(doc), "exec"), {})
+    rows = [line for line in text.splitlines() if line.startswith("| A(")]
+    assert len(rows) == len(oracle.DEFAULT_CALIBRATION_PAIRS)
+    assert out.getvalue().splitlines() == rows

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from relbranch.halfint import HalfInt
@@ -20,12 +22,27 @@ from relbranch.reps import (
     infinitesimal_character,
     make_param,
     minimal_k_type,
-    parse_param,
 )
 
 
 def h(text):
     return HalfInt.parse(text)
+
+
+_PARAM_RE = re.compile(
+    r"^U\((?P<p>\d+),(?P<q>\d+)\)(?P<prime>')?(?P<side>[+-])a=(?P<a>-?\d+(?:/2)?)$"
+)
+
+
+def parse_param(text):
+    """Inverse of format_param; validates the result."""
+    m = _PARAM_RE.match(text.strip())
+    if not m:
+        raise ParamError(f"cannot parse parameter from {text!r}")
+    sig = Signature(int(m.group("p")), int(m.group("q")))
+    level = GroupLevel.GPRIME if m.group("prime") else GroupLevel.G
+    side = Side.PLUS if m.group("side") == "+" else Side.MINUS
+    return make_param(sig, side, level, HalfInt.parse(m.group("a")))
 
 
 def valid_level_G_params(sig, count=4):

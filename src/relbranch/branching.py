@@ -5,7 +5,9 @@ The core rule is an order comparison: a same-side pair (+,+) couples exactly
 when a > b, a same-side pair (-,-) exactly when b > a, and mixed sides never
 couple.  Everything else in this module is bookkeeping that re-derives the
 same answer along independent routes (pattern characters, radial labels,
-stage enumerations) so the routes can be checked against each other.
+stage enumerations) so the routes can be checked against each other.  One
+function, coupling_summary, sums a packet over the four side pairs, and the
+good-range bound is read from reps.bound_twice.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .reps import (
     ParamError,
     Side,
     Signature,
+    bound_twice,
     epsilon_of,
     make_param,
 )
@@ -122,17 +125,10 @@ def hom_dim(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> int:
     return 1 if pi.a > Pi.a else 0
 
 
-class GPSumResult(NamedTuple):
-    dim: int
-    witness: tuple[Side, Side]
-    hypothesis_warning: str | None
-
-
 # The four side pairs (level G, subgroup level) in (+,+), (+,-), (-,+), (-,-)
-# order, and their record labels.
+# order, as record labels.
 _SIDES = (Side.PLUS, Side.MINUS)
-_SIDE_PAIRS = tuple((sG, sGp) for sG in _SIDES for sGp in _SIDES)
-_PAIR_LABELS = tuple(f"({sG.value},{sGp.value})" for sG, sGp in _SIDE_PAIRS)
+_PAIR_LABELS = tuple(f"({sG.value},{sGp.value})" for sG in _SIDES for sGp in _SIDES)
 
 ParamPair = tuple[DiscreteSeriesParam, DiscreteSeriesParam]
 
@@ -143,10 +139,13 @@ def param_pair(sig: Signature, level: GroupLevel, a) -> ParamPair:
     return make_param(sig, Side.PLUS, level, a), make_param(sig, Side.MINUS, level, a)
 
 
-def _gp_sum(params_G: ParamPair, params_Gp: ParamPair) -> tuple[GPSumResult, int, tuple]:
-    """gp_sum_dim's result from the (plus, minus) pairs of a (level G) and b
-    (subgroup level), with the index of its witness in _SIDE_PAIRS and the
-    hom_dim of each side pair in that order."""
+def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
+    """The packet-sum record of a (level G) and b (subgroup level), from the
+    (plus, minus) pairs that param_pair builds: the interlacing pattern, its
+    characters, the hom dimension of each side pair, their total, and the
+    witness, the one same-side pair that contributes for a valid (a, b).
+    Outside the hypothesis p, q > 3 and p != q it is computed but flagged."""
+    pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
     for plus, minus in (params_G, params_Gp):
         if plus.side is not Side.PLUS or minus.side is not Side.MINUS or plus.a != minus.a:
             raise ParamError("expected the (plus, minus) pair of one value, as param_pair builds")
@@ -157,23 +156,23 @@ def _gp_sum(params_G: ParamPair, params_Gp: ParamPair) -> tuple[GPSumResult, int
             f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
             "result computed anyway"
         )
-    dims = tuple(hom_dim(Pi, pi) for Pi in params_G for pi in params_Gp)
+    dims = [hom_dim(Pi, pi) for Pi in params_G for pi in params_Gp]
     winners = [i for i, dim in enumerate(dims) if dim == 1]
     if len(winners) != 1:
         raise AssertionError(
-            f"expected exactly one contributing pair, got {[_SIDE_PAIRS[i] for i in winners]}"
+            f"expected exactly one contributing pair, got {[_PAIR_LABELS[i] for i in winners]}"
         )
-    return GPSumResult(1, _SIDE_PAIRS[winners[0]], warning), winners[0], dims
-
-
-def gp_sum_dim(a, b, sig: Signature) -> GPSumResult:
-    """Total multiplicity over the four side pairs, with its unique witness.
-
-    For a valid (a, b) pair exactly one same-side combination contributes,
-    picked by the order of a and b.  Outside the hypothesis p, q > 3 and
-    p != q the computation proceeds but is flagged.
-    """
-    return _gp_sum(param_pair(sig, GroupLevel.G, a), param_pair(sig, GroupLevel.GPRIME, b))[0]
+    (witness,) = winners
+    return {
+        "pattern": pattern.kind,
+        "merged": [str(v) for v in pattern.merged],
+        "characters": [str(c) for c in pattern_characters(pattern)],
+        "witness": _PAIR_LABELS[witness],
+        "witness_character": str(epsilon_of(params_G[witness // 2])),  # its level-G side
+        "dims": dict(zip(_PAIR_LABELS, dims)),
+        "total": sum(dims),
+        "hypothesis_warning": warning,
+    }
 
 
 def pi_minus_summands(Pi: DiscreteSeriesParam, max_k: int) -> list[DiscreteSeriesParam]:
@@ -201,14 +200,14 @@ def fj_label_to_a(sig: Signature, n: int) -> HalfInt:
     """Level-G parameter a = n/2 + (p+q-1)/2 for an even radial label n."""
     if n < 0 or n % 2:
         raise ValueError(f"label must be even and nonnegative, got {n}")
-    return HalfInt(n + sig.n - 1)
+    return HalfInt(n + bound_twice(sig, GroupLevel.G))
 
 
 def fj_label_to_b(sig: Signature, k: int) -> HalfInt:
     """Subgroup-level parameter b = k/2 + (p+q-2)/2 for an even label k."""
     if k < 0 or k % 2:
         raise ValueError(f"label must be even and nonnegative, got {k}")
-    return HalfInt(k + sig.n - 2)
+    return HalfInt(k + bound_twice(sig, GroupLevel.GPRIME))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +237,6 @@ class StageParams(Frozen):
             raise ValueError(
                 f"ell - lambda' - lambda'' - 1 = {gap} is not a nonnegative even integer"
             )
-
-
-def _valid_subgroup_b(sig: Signature, b: HalfInt) -> bool:
-    offset = b.twice - (sig.n - 2)
-    return offset >= 0 and offset % 2 == 0
 
 
 class ExhaustionReport(NamedTuple):
@@ -288,25 +282,22 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     The prediction lists b over even labels k up to the dictionary image of
     a.  All three sets must coincide.
     """
-    if ell <= sig.n - 1:
-        raise ValueError(f"need ell > {sig.n - 1} for {sig}, got {ell}")
+    top, sub = bound_twice(sig, GroupLevel.G), bound_twice(sig, GroupLevel.GPRIME)
+    if ell <= top:
+        raise ValueError(f"need ell > {top} for {sig}, got {ell}")
     first = []
     for lam in range(2 - (ell - 1) % 2, ell, 2):
         StageParams(ell, 0, HalfInt.from_int(lam))  # validated like every first-stage term
         if lam % 2 == 0:
             continue
-        b = HalfInt(lam if (lam - sig.n) % 2 == 0 else lam - 1)
-        if _valid_subgroup_b(sig, b):
-            first.append(b)
+        twice = lam if (lam - sub) % 2 == 0 else lam - 1  # 2b has the subgroup parity
+        if twice >= sub:
+            first.append(HalfInt(twice))
     first = sorted(first)
     if ell % 2 == 0:  # the second stage's relative member x = y = ell/2
         a = HalfInt(ell)  # ell/2
-        second = []
-        b = HalfInt(sig.n - 2)
-        while b < a:
-            second.append(b)
-            b = b + 1
-        label_cap = a.twice - (sig.n - 1)
+        second = [HalfInt(twice) for twice in range(sub, a.twice, 2)]
+        label_cap = a.twice - top
         period = sorted(fj_label_to_b(sig, k) for k in range(0, max(label_cap, -1) + 1, 2))
     else:
         a = None
@@ -329,27 +320,3 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
         not mismatches,
         tuple(mismatches),
     )
-
-
-# ---------------------------------------------------------------------------
-# Coherence helper tying patterns, characters and hom dimensions together
-# ---------------------------------------------------------------------------
-
-
-def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
-    """One record combining the pattern, its characters, the witnessing side
-    pair, and the four hom dimensions, from the validated (plus, minus)
-    pairs of a (level G) and b (subgroup level) that param_pair builds."""
-    pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
-    chars = pattern_characters(pattern)
-    gp, witness, dims = _gp_sum(params_G, params_Gp)
-    return {
-        "pattern": pattern.kind,
-        "merged": [str(v) for v in pattern.merged],
-        "characters": [str(c) for c in chars],
-        "witness": _PAIR_LABELS[witness],
-        "witness_character": str(epsilon_of(params_G[witness // 2])),  # its level-G side
-        "dims": dict(zip(_PAIR_LABELS, dims)),
-        "total": sum(dims),
-        "hypothesis_warning": gp.hypothesis_warning,
-    }

@@ -10,8 +10,8 @@ Each table kind is its own subcommand and takes only the options its sweep
 reads; an option shared by several commands is defined once, in a parent
 parser.  Exit codes: 0 success, 2 validation error or argparse usage error
 (a missing, unknown or conflicting option, reported with the usage line of
-the parser given it), 3 numerical non-convergence.  A
-failing table row is named on stderr; a reader that closes stdout early
+the parser given it), 3 numerical non-convergence.  Every
+table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 """
 
@@ -24,7 +24,7 @@ import sys
 
 from . import branching, hepattern, periods
 from .halfint import HalfInt
-from .reps import GroupLevel, ParamError, Side, Signature, make_param
+from .reps import GroupLevel, ParamError, Side, Signature, make_param, valid_twice
 from .specfun import ConvergenceError
 
 SCHEMA = "relbranch.record.v1"
@@ -69,13 +69,6 @@ def _parse_range(text: str, parse_end=HalfInt.parse) -> tuple:
         return parse_end(lo_str), parse_end(hi_str)
     except ValueError:
         raise ParamError(f"expected a range 'lo..hi', got {text!r}") from None
-
-
-def _valid_twice_in(sig: Signature, level: GroupLevel, lo: HalfInt, hi: HalfInt) -> range:
-    """2a for the valid parameters with lo <= a <= hi, ascending: a steps by 1
-    from the good-range bound, so they are counted without building any."""
-    bound = sig.n - (1 if level is GroupLevel.G else 2)  # twice the bound
-    return range(bound + 2 * max(0, (lo.twice - bound + 1) // 2), hi.twice + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +211,17 @@ def _rows_branch(args):
     sig = Signature(p, q)
     a_lo, a_hi = _parse_range(args.a_range)
     b_lo, b_hi = _parse_range(args.b_range)
-    a_twice = _valid_twice_in(sig, GroupLevel.G, a_lo, a_hi)
-    b_twice = _valid_twice_in(sig, GroupLevel.GPRIME, b_lo, b_hi)
+    a_twice = valid_twice(sig, GroupLevel.G, a_lo, a_hi)
+    b_twice = valid_twice(sig, GroupLevel.GPRIME, b_lo, b_hi)
     _cap(len(a_twice) * len(b_twice))
     # each value's (plus, minus) parameters are built once and serve every row
     a_pairs = [branching.param_pair(sig, GroupLevel.G, HalfInt(t)) for t in a_twice]
     b_pairs = [branching.param_pair(sig, GroupLevel.GPRIME, HalfInt(t)) for t in b_twice]
     for Pa in a_pairs:
         for Pb in b_pairs:
-            summary = branching.coupling_summary(Pa, Pb)
-            inputs = {"p": p, "q": q, "a": str(Pa[0].a), "b": str(Pb[0].a)}
-            yield _record("table.branch", inputs, summary, _BRANCH_RULES)
+            a, b = str(Pa[0].a), str(Pb[0].a)
+            summary = _row("branch", {"a": a, "b": b}, branching.coupling_summary, Pa, Pb)
+            yield _record("table.branch", {"p": p, "q": q, "a": a, "b": b}, summary, _BRANCH_RULES)
 
 
 def _rows_period(args):

@@ -19,8 +19,10 @@ polynomial against the embedded family's (over (p, q-1)) under the embedded
 weight, shifted by the difference of the two alphas.  The exact pairing is
 one closed-form connection coefficient times a squared norm
 (jacobi.jacobi_pairing) and decides vanishing; the radial factor is rational
-too (specfun.radial_integral_exact), so the period is one exact Fraction,
-rounded once for the closed value (closed_value).  The quadrature oracle is
+too (specfun.radial_integral_exact), so the period is one exact Fraction
+(period_integral_exact), zero exactly when the period vanishes and rounded
+once for the closed value (closed_value); a label above MAX_DEGREE is
+refused before either factor is built.  The quadrature oracle is
 independent of both exact factors.  On the period route both factors are
 polynomials: the radial one after v = tanh^2 t, the angular one as the
 product of the float three-term recurrence values (jacobi.jacobi_values) and
@@ -37,7 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, sqrt
 
-from .jacobi import jacobi_norm_sq, jacobi_pairing, jacobi_shifted_norm_sq, jacobi_values
+from .jacobi import _check_degree, jacobi_norm_sq, jacobi_pairing, jacobi_shifted_norm_sq
+from .jacobi import jacobi_values
 from .specfun import ConvergenceError, QuadratureResult, gauss_legendre_quadrature
 from .specfun import radial_integral_exact
 
@@ -63,21 +66,19 @@ class PreconditionError(ValueError):
     """Period-integral arguments outside the supported range."""
 
 
-def _exponents(kind: str):
-    """The (radial, angular) exponent maps of family kind."""
-    if kind not in _EXPONENTS:
-        raise ValueError(f"unknown family {kind!r}")
-    return _EXPONENTS[kind]
-
-
 def _period_args(p: int, q: int, n: int, k: int, kind: str):
     """The radial (sinh power, cosh decay) and angular (alpha, beta, shift)
-    of one period, once its arguments are checked."""
+    of one period, once its arguments are checked; labels above MAX_DEGREE
+    are refused here, since the radial factor has no cap of its own."""
     if not (isinstance(p, int) and isinstance(q, int) and q > p > 0):
         raise PreconditionError(f"need integer signature with q > p > 0, got ({p}, {q})")
     if n < 0 or k < 0 or n % 2 or k % 2:
         raise PreconditionError(f"labels must be even and nonnegative, got n={n}, k={k}")
-    radial, angular = _exponents(kind)
+    if kind not in _EXPONENTS:
+        raise ValueError(f"unknown family {kind!r}")
+    _check_degree(k)  # k before n, as jacobi_pairing checks them
+    _check_degree(n)
+    radial, angular = _EXPONENTS[kind]
     return radial(p, q, n, k), angular(q)
 
 
@@ -87,27 +88,15 @@ def check_tol(tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-def period_angular_exact(q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
-    """Exact angular factor: int P_n^(alpha+shift,beta) P_k^(alpha,beta)
-    (1-x)^alpha (1+x)^beta dx, with P_n the big family's polynomial and
-    (alpha, beta) the embedded family's exponents.  Nonzero exactly when
-    k <= n."""
-    return jacobi_pairing(n, k, *_exponents(kind)[1](q))
-
-
-def period_nonvanishing(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> bool:
-    """True exactly when the period integral is nonzero, i.e. 0 <= k <= n.
-
-    Decided by the exact rational angular factor; the radial factor is a
-    convergent integral of a positive function and never vanishes.
-    """
-    _, angular = _period_args(p, q, n, k, kind)
-    return jacobi_pairing(n, k, *angular) != 0
-
-
 def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
     """Exact period integral: the rational radial factor A(sinh power, cosh
-    decay) times the exact angular factor.  Nonzero exactly when k <= n."""
+    decay) times the exact angular factor, int P_n^(alpha+shift,beta)
+    P_k^(alpha,beta) (1-x)^alpha (1+x)^beta dx with P_n the big family's
+    polynomial and (alpha, beta) the embedded family's exponents.
+
+    Nonzero exactly when k <= n: the radial factor is a convergent integral
+    of a positive function, and the angular pairing vanishes exactly when
+    k > n."""
     radial, angular = _period_args(p, q, n, k, kind)
     # convergence: the cosh decay exceeds the sinh power automatically for q > p
     return radial_integral_exact(*radial) * jacobi_pairing(n, k, *angular)
@@ -120,11 +109,6 @@ def closed_value(exact: Fraction) -> float:
         return float(exact)
     except OverflowError as exc:
         raise ConvergenceError(f"closed form overflowed: {exc}") from exc
-
-
-def period_integral_closed(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
-    """The exact period integral, correctly rounded to a float (closed_value)."""
-    return closed_value(period_integral_exact(p, q, n, k, kind))
 
 
 def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> float:

@@ -11,7 +11,8 @@ means two things, checked in this order:
 
 Given parity, the good-range offset is automatically an integer, so range
 reduces to a lower bound; the two checks are still reported separately so
-errors name the violated clause.
+errors name the violated clause.  Only this module works out the bound;
+every other reads it from bound_twice, or valid_twice for a range of a.
 """
 
 from __future__ import annotations
@@ -117,30 +118,42 @@ class DiscreteSeriesParam(NamedTuple):
 
     @property
     def good_range_bound(self) -> HalfInt:
-        shift = 1 if self.level is GroupLevel.G else 2
-        return HalfInt(self.sig.n - shift)
+        return HalfInt(bound_twice(self.sig, self.level))
 
     def __str__(self) -> str:
         return format_param(self)
 
 
+def bound_twice(sig: Signature, level: GroupLevel) -> int:
+    """Twice the good-range bound: p+q-1 at level G, p+q-2 at the subgroup
+    level.  A valid 2a has its parity and is at least it."""
+    return sig.n - (1 if level is GroupLevel.G else 2)
+
+
+def valid_twice(sig: Signature, level: GroupLevel, lo: HalfInt, hi: HalfInt) -> range:
+    """2a for the valid parameters with lo <= a <= hi, ascending: a steps by 1
+    from the good-range bound, so they are counted without building any."""
+    bound = bound_twice(sig, level)
+    return range(bound + 2 * max(0, (lo.twice - bound + 1) // 2), hi.twice + 1, 2)
+
+
 def make_param(sig: Signature, side: Side, level: GroupLevel, a) -> DiscreteSeriesParam:
     """Validate and build a parameter; errors name the violated clause."""
     a = HalfInt.coerce(a)
-    param = DiscreteSeriesParam(sig, side, level, a)
-    # 2a must have the parity of p+q-1 at level G, of p+q at the subgroup level
-    want_odd = (sig.n - (1 if level is GroupLevel.G else 2)) % 2 == 1
+    bound = bound_twice(sig, level)
+    # 2a must have the parity of twice the bound
+    want_odd = bound % 2 == 1
     if (a.twice % 2 == 1) != want_odd:
         raise ParityError(
             f"parity: 2a must be {'odd' if want_odd else 'even'} for {sig} at level "
             f"{level.value}, got a = {a}"
         )
-    if a < param.good_range_bound:
+    if a.twice < bound:
         raise GoodRangeError(
-            f"good range: need a >= {param.good_range_bound} for {sig} at level "
+            f"good range: need a >= {HalfInt(bound)} for {sig} at level "
             f"{level.value}, got a = {a}"
         )
-    return param
+    return DiscreteSeriesParam(sig, side, level, a)
 
 
 def a_zero(param: DiscreteSeriesParam) -> HalfInt:

@@ -32,9 +32,9 @@ from relbranch.oracle import (
 )
 from relbranch.periods import (
     QUATERNIONIC,
-    period_integral_closed,
+    closed_value,
+    period_integral_exact,
     period_integral_quadrature,
-    period_nonvanishing,
     period_scale,
 )
 from relbranch.reps import EPSILON_1, EPSILON_2, GroupLevel, Side, Signature, make_param
@@ -87,14 +87,14 @@ def test_criterion_03_period_dichotomy():
             for q in range(p + 1, 5):
                 for n in range(0, 9, 2):
                     for k in range(0, 9, 2):
-                        closed = period_integral_closed(p, q, n, k)
+                        closed = closed_value(period_integral_exact(p, q, n, k))
                         quad = period_integral_quadrature(p, q, n, k, 1e-10)
                         if closed == 0.0:
                             assert abs(quad.value) <= 1e-8
                         else:
                             assert abs(closed - quad.value) <= 1e-8 * abs(closed)
                         assert (closed != 0.0) == (0 <= k <= n)
-                        assert period_nonvanishing(p, q, n, k) == (0 <= k <= n)
+                        assert (period_integral_exact(p, q, n, k) != 0) == (0 <= k <= n)
 
     _criterion(3, "period integral: closed form vs quadrature, vanishing iff k > n",
                120.0, check)
@@ -169,7 +169,7 @@ def test_criterion_06_period_branching_agreement():
                             sig, Side.PLUS, GroupLevel.GPRIME, fj_label_to_b(sig, k)
                         )
                         assert hom_dim(Pi, pi) == (
-                            1 if period_nonvanishing(p, q, n, k) else 0
+                            1 if period_integral_exact(p, q, n, k) != 0 else 0
                         )
 
     _criterion(6, "label dictionary aligns period vanishing with coupling", 10.0, check)

@@ -14,14 +14,13 @@ from relbranch.branching import (
     exhaustion_check,
     fj_label_to_a,
     fj_label_to_b,
-    gp_sum_dim,
     hom_dim,
     param_pair,
     pattern_characters,
     pi_minus_summands,
 )
 from relbranch.halfint import HALF, HalfInt
-from relbranch.periods import period_nonvanishing
+from relbranch.periods import period_integral_exact
 from relbranch.reps import (
     EPSILON_1,
     EPSILON_2,
@@ -108,19 +107,26 @@ def test_hom_dim_signature_and_level_checks():
         hom_dim(Pi, Pi)
 
 
+def packet_sum(a, b, sig):
+    """The coupling_summary record of a (level G) and b (subgroup level)."""
+    return coupling_summary(
+        param_pair(sig, GroupLevel.G, a), param_pair(sig, GroupLevel.GPRIME, b)
+    )
+
+
 def test_gp_sum_examples():
-    res = gp_sum_dim(h("11/2"), 4, Signature(4, 6))
-    assert res.dim == 1 and res.witness == (Side.PLUS, Side.PLUS)
-    assert res.hypothesis_warning is None
-    res = gp_sum_dim(h("9/2"), 5, Signature(4, 6))
-    assert res.witness == (Side.MINUS, Side.MINUS)
-    res = gp_sum_dim(h("9/2"), 3, Signature(3, 3))
-    assert res.dim == 1 and res.hypothesis_warning is not None
-    res = gp_sum_dim(4, h("9/2"), Signature(4, 5))
-    assert res.witness == (Side.MINUS, Side.MINUS)
-    assert res.hypothesis_warning is None  # (4,5) satisfies p, q > 3 and p != q
-    res = gp_sum_dim(h("9/2"), 4, Signature(4, 4))
-    assert res.hypothesis_warning is not None  # p = q is outside the hypothesis
+    res = packet_sum(h("11/2"), 4, Signature(4, 6))
+    assert res["total"] == 1 and res["witness"] == "(+,+)"
+    assert res["hypothesis_warning"] is None
+    res = packet_sum(h("9/2"), 5, Signature(4, 6))
+    assert res["witness"] == "(-,-)"
+    res = packet_sum(h("9/2"), 3, Signature(3, 3))
+    assert res["total"] == 1 and res["hypothesis_warning"] is not None
+    res = packet_sum(4, h("9/2"), Signature(4, 5))
+    assert res["witness"] == "(-,-)"
+    assert res["hypothesis_warning"] is None  # (4,5) satisfies p, q > 3 and p != q
+    res = packet_sum(h("9/2"), 4, Signature(4, 4))
+    assert res["hypothesis_warning"] is not None  # p = q is outside the hypothesis
 
 
 def test_four_pair_sum_is_one():
@@ -141,9 +147,9 @@ def test_character_coherence():
     for sig in (Signature(4, 5), Signature(4, 6)):
         for a, b in rb_pairs(sig):
             pat_chars = pattern_characters(classify_interlacing(a, b))
-            res = gp_sum_dim(a, b, sig)
-            Pi = make_param(sig, res.witness[0], GroupLevel.G, a)
-            pi = make_param(sig, res.witness[1], GroupLevel.GPRIME, b)
+            side_G, side_Gp = packet_sum(a, b, sig)["witness"][1:-1].split(",")
+            Pi = make_param(sig, Side(side_G), GroupLevel.G, a)
+            pi = make_param(sig, Side(side_Gp), GroupLevel.GPRIME, b)
             assert pat_chars == (epsilon_of(Pi), epsilon_of(pi))
 
 
@@ -319,7 +325,7 @@ def test_period_branching_agreement():
             for k in range(0, 13, 2):
                 b = fj_label_to_b(sig, k)
                 pi = make_param(sig, Side.PLUS, GroupLevel.GPRIME, b)
-                assert hom_dim(Pi, pi) == (1 if period_nonvanishing(p, q, n, k) else 0)
+                assert hom_dim(Pi, pi) == (1 if period_integral_exact(p, q, n, k) != 0 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from relbranch import cli
+from relbranch.reps import valid_twice
 from relbranch.specfun import ConvergenceError
 
 
@@ -509,7 +510,7 @@ def test_valid_parameter_range_matches_validation():
         for level in cli.GroupLevel:
             for lo in range(-4, 16):
                 for hi in range(lo - 2, 20):
-                    got = cli._valid_twice_in(sig, level, cli.HalfInt(lo), cli.HalfInt(hi))
+                    got = valid_twice(sig, level, cli.HalfInt(lo), cli.HalfInt(hi))
                     want = []
                     for twice in range(lo, hi + 1):
                         try:
@@ -528,6 +529,26 @@ def test_table_csv_projection(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("command,in.p,in.q,in.ell")
     assert len(lines) == 4
+
+
+def test_table_csv_bytes(capsys):
+    # the exact bytes of a branch-grid and a period-grid CSV projection
+    import hashlib
+
+    pins = [
+        (
+            ("branch", "--pq", "4,6", "--a-range", "9/2..12", "--b-range", "4..12"),
+            "f0ce3ec7ee34943135045eeb53610f410944eefa9f5617ea8280aa60487edee6",
+        ),
+        (
+            ("period", "--pq", "1,2", "--n-max", "8", "--k-max", "8"),
+            "6b7d98781dea30f84f96d340ab7ca55bfa895e2a99b86626620c1dde09d9aead",
+        ),
+    ]
+    for args, expected in pins:
+        code, out, err = run_cli(capsys, "table", *args, "--csv")
+        assert (code, err) == (0, ""), args
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, args
 
 
 def test_records_reparse_and_determinism(capsys):
@@ -596,6 +617,22 @@ def test_period_degree_cap_exit(capsys):
     assert "exceeds the exact-coefficient cap 64" in err
 
 
+def test_label_above_cap_is_refused_before_any_factor(capsys, monkeypatch):
+    # neither the radial factor, whose cost grows with the label, nor a
+    # quadrature rule is built for a label above MAX_DEGREE
+    def refuse(*args, **kwargs):
+        raise AssertionError("a factor was built for a label above the cap")
+
+    monkeypatch.setattr(cli.periods, "radial_integral_exact", refuse)
+    monkeypatch.setattr(cli.periods, "gauss_legendre_quadrature", refuse)
+    line = "error: degree 2000000 exceeds the exact-coefficient cap 64\n"
+    for labels in (("--n", "2000000", "--k", "0"), ("--n", "0", "--k", "2000000")):
+        code, out, err = run_cli(capsys, "period", "--pq", "1,2", *labels)
+        assert (code, out, err) == (cli.EXIT_VALIDATION, "", line), labels
+    with pytest.raises(ValueError, match="^degree 2000000 exceeds the exact-coefficient cap 64$"):
+        cli.periods.period_integral_quadrature(1, 2, 0, 2_000_000)
+
+
 def test_table_period_reaches_past_degree_24(capsys):
     code, out, err = run_cli(
         capsys, "table", "period", "--pq", "1,2", "--n-max", "28", "--k-max", "0"
@@ -635,6 +672,17 @@ def test_table_nonconvergence_names_row(capsys, monkeypatch):
     assert code == 3
     assert len(parse_records(out)) == 2 * 5 + 1  # rows n=0, n=2, then n=4 with k=0
     assert err == "error: table period row n=4 k=2: refinement budget exhausted\n"
+
+
+def test_table_branch_names_failing_row(capsys):
+    # b = 0 is a valid subgroup parameter at (1,1), but interlacing needs b > 0
+    argv = ("table", "branch", "--pq", "1,1", "--a-range", "0..3", "--b-range", "0..3")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == (
+        "error: table branch row a=1/2 b=0: "
+        "interlacing is defined for positive parameters, got (1/2, 0)\n"
+    )
 
 
 def test_table_validation_error_names_row(capsys, monkeypatch):

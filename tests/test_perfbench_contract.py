@@ -1,0 +1,103 @@
+"""What the benchmark in perfbench/ reads of the package.
+
+The benchmark scripts are parsed, never imported: a name they take from
+relbranch, the period call of their reach_label metric, and the class-level
+hook through which they count StageParams must keep working, so that a
+deletion that would break a benchmark run fails here first."""
+
+import ast
+from math import isfinite
+from pathlib import Path
+
+from relbranch import branching, periods
+from relbranch.halfint import HalfInt
+from relbranch.jacobi import MAX_DEGREE
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tree(name):
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def _relbranch_names(tree):
+    """The (module, name) pairs a tree takes from relbranch: each
+    ``from relbranch.m import name``, and each ``alias.name`` read off a
+    module bound by ``from relbranch import m`` or ``import relbranch.m as
+    alias``."""
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "relbranch":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("relbranch."):
+            names.update((node.module[len("relbranch."):], a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("relbranch.") and a.asname:
+                    modules[a.asname] = a.name[len("relbranch."):]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def _setup_code(tree):
+    """The code of run.py's SETUP_CODE, which its setup probe runs."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [
+            "SETUP_CODE"
+        ]:
+            return ast.parse(ast.literal_eval(node.value))
+    raise AssertionError("no SETUP_CODE in run.py")
+
+
+def test_every_relbranch_name_the_benchmark_reads_exists():
+    import importlib
+
+    run = _tree("run.py")
+    names = _relbranch_names(run) | _relbranch_names(_setup_code(run))
+    assert {
+        ("cli", "main"),
+        ("cli", "build_parser"),
+        ("jacobi", "MAX_DEGREE"),
+        ("specfun", "ConvergenceError"),
+        ("periods", "period_integral_quadrature"),
+    } <= names
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(f"relbranch.{module}"), name), (module, name)
+
+
+def test_reach_label_call_runs_with_defaults():
+    # reach_label calls period_integral_quadrature(1, 2, n, n), with the
+    # default tol and kind, for every even n up to MAX_DEGREE
+    (call,) = [
+        node
+        for node in ast.walk(_tree("run.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "period_integral_quadrature"
+    ]
+    args = [ast.unparse(arg) for arg in call.args]
+    assert (args, call.keywords) == (["1", "2", "n", "n"], [])
+    for n in range(0, MAX_DEGREE + 1, 2):
+        result = periods.period_integral_quadrature(1, 2, n, n)
+        assert isfinite(result.value) and isfinite(result.abs_error_estimate), n
+
+
+def test_stage_params_hook_is_called_on_every_construction(monkeypatch):
+    # spans.py counts StageParams by rebinding the class's __post_init__
+    spans = _tree("spans.py")
+    strings = {n.value for n in ast.walk(spans) if isinstance(n, ast.Constant)}
+    attrs = {n.attr for n in ast.walk(spans) if isinstance(n, ast.Attribute)}
+    assert "StageParams" in strings and "__post_init__" in attrs
+    seen = []
+    real = branching.StageParams.__post_init__
+
+    def counted(sp):
+        real(sp)
+        seen.append(sp)
+
+    monkeypatch.setattr(branching.StageParams, "__post_init__", counted)
+    built = [branching.StageParams(8, 0, HalfInt(6)), branching.StageParams(9, 2, HalfInt(4))]
+    assert seen == built

@@ -12,41 +12,59 @@ from relbranch.periods import (
     COMPLEX,
     QUATERNIONIC,
     PreconditionError,
-    period_angular_exact,
-    period_integral_closed,
+    _period_args,
+    closed_value,
     period_integral_exact,
     period_integral_quadrature,
-    period_nonvanishing,
     period_scale,
 )
 from relbranch.oracle import radial_integral_closed, radial_integral_quadrature
 
+# The exponents of each family, written out apart from periods: the radial
+# sinh power and cosh decay, and the angular (alpha, beta, shift).
+_FAMILY_LITERALS = {
+    COMPLEX: (
+        lambda p, q, n, k: (2 * p - 1, 2 * q + n + k - 1),
+        lambda q: (q - 2, 0, 1),
+    ),
+    QUATERNIONIC: (
+        lambda p, q, n, k: (4 * p - 1, 4 * q + n + k - 3),
+        lambda q: (2 * q - 3, 1, 2),
+    ),
+}
+
+
+def _angular_exact(q, n, k, kind=COMPLEX):
+    """The exact angular factor of a period: the Jacobi pairing at the
+    family's literal angular exponents.  Nonzero exactly when k <= n."""
+    return jacobi_pairing(n, k, *_FAMILY_LITERALS[kind][1](q))
+
 
 def test_period_preconditions():
     with pytest.raises(PreconditionError):
-        period_integral_closed(2, 2, 0, 0)
+        closed_value(period_integral_exact(2, 2, 0, 0))
     with pytest.raises(PreconditionError):
-        period_integral_closed(2, 1, 0, 0)
+        closed_value(period_integral_exact(2, 1, 0, 0))
     with pytest.raises(PreconditionError):
-        period_integral_closed(1, 2, 1, 0)
+        closed_value(period_integral_exact(1, 2, 1, 0))
     with pytest.raises(PreconditionError):
-        period_nonvanishing(1, 2, 0, -2)
+        period_integral_exact(1, 2, 0, -2)
 
 
 def test_period_closed_base_case():
     # A(1,3) * int 1 d(mu) = (1/2) * 2 = 1 in the module normalization
-    assert period_integral_closed(1, 2, 0, 0) == pytest.approx(1.0, rel=1e-13)
+    assert closed_value(period_integral_exact(1, 2, 0, 0)) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_period_closed_vanishing_case():
-    assert period_integral_closed(1, 2, 0, 2) == 0.0
-    assert period_angular_exact(2, 0, 2) == Fraction(0)
+    assert closed_value(period_integral_exact(1, 2, 0, 2)) == 0.0
+    assert _angular_exact(2, 0, 2) == Fraction(0)
 
 
 def test_period_nonvanishing_examples():
-    assert period_nonvanishing(1, 2, 4, 2)
-    assert not period_nonvanishing(1, 2, 2, 4)
-    assert period_nonvanishing(1, 2, 0, 0)
+    assert period_integral_exact(1, 2, 4, 2) != 0
+    assert not period_integral_exact(1, 2, 2, 4) != 0
+    assert period_integral_exact(1, 2, 0, 0) != 0
 
 
 def test_period_quadrature_examples():
@@ -54,13 +72,13 @@ def test_period_quadrature_examples():
     assert abs(r.value - 1.0) <= 1e-10
     r = period_integral_quadrature(1, 2, 2, 4, 1e-10)
     assert abs(r.value) <= 1e-10
-    closed = period_integral_closed(2, 3, 2, 2)
+    closed = closed_value(period_integral_exact(2, 3, 2, 2))
     r = period_integral_quadrature(2, 3, 2, 2, 1e-10)
     assert r.value == pytest.approx(closed, rel=1e-10)
 
 
 def test_period_closed_vs_quadrature_spot():
-    closed = period_integral_closed(2, 3, 4, 2)
+    closed = closed_value(period_integral_exact(2, 3, 4, 2))
     quad = period_integral_quadrature(2, 3, 4, 2, 1e-10)
     assert closed != 0
     assert abs(closed - quad.value) <= 1e-8 * abs(closed)
@@ -70,9 +88,9 @@ def test_period_dichotomy_small_grid():
     for p, q in [(1, 2), (2, 3)]:
         for n in range(0, 7, 2):
             for k in range(0, 7, 2):
-                closed = period_integral_closed(p, q, n, k)
+                closed = closed_value(period_integral_exact(p, q, n, k))
                 assert (closed != 0) == (k <= n)
-                assert period_nonvanishing(p, q, n, k) == (k <= n)
+                assert (period_integral_exact(p, q, n, k) != 0) == (k <= n)
 
 
 def test_period_quadrature_determinism():
@@ -104,7 +122,7 @@ def test_quaternionic_dichotomy_small_grid():
 
 def test_period_quadrature_matches_closed_to_degree_cap():
     for p, q, n, k in [(1, 2, 26, 0), (1, 2, MAX_DEGREE, MAX_DEGREE), (3, 20, 14, 14)]:
-        closed = period_integral_closed(p, q, n, k)
+        closed = closed_value(period_integral_exact(p, q, n, k))
         quad = period_integral_quadrature(p, q, n, k, 1e-10)
         assert quad.value == pytest.approx(closed, rel=1e-10), (p, q, n, k)
 
@@ -112,14 +130,14 @@ def test_period_quadrature_matches_closed_to_degree_cap():
 def test_quaternionic_quadrature_converges_to_degree_cap():
     for n, k in [(30, 30), (MAX_DEGREE, 0)]:
         value = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC).value
-        error = abs(value - period_integral_closed(2, 5, n, k, kind=QUATERNIONIC))
+        error = abs(value - closed_value(period_integral_exact(2, 5, n, k, kind=QUATERNIONIC)))
         assert error <= 1e-9 * period_scale(2, 5, n, k, kind=QUATERNIONIC), (n, k)
 
 
 def test_quaternionic_quadrature_matches_closed_grid():
     for n in range(0, 21, 2):
         for k in range(0, n + 1, 2):
-            closed = period_integral_closed(2, 5, n, k, kind=QUATERNIONIC)
+            closed = closed_value(period_integral_exact(2, 5, n, k, kind=QUATERNIONIC))
             quad = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC)
             assert quad.value == pytest.approx(closed, rel=1e-9), (n, k)
 
@@ -142,8 +160,8 @@ def test_angular_exact_matches_expansion_small_grid():
     for q in (2, 3, 5):
         for n in range(0, 9, 2):
             for k in range(0, 9, 2):
-                assert period_angular_exact(q, n, k) == _complex_expansion(n, k, q - 2)
-                quaternionic = period_angular_exact(q, n, k, kind=QUATERNIONIC)
+                assert _angular_exact(q, n, k) == _complex_expansion(n, k, q - 2)
+                quaternionic = _angular_exact(q, n, k, kind=QUATERNIONIC)
                 assert quaternionic == _quaternionic_expansion(q, n, k)
 
 
@@ -153,23 +171,23 @@ even_label = st.integers(min_value=0, max_value=15).map(lambda half: 2 * half)
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10), even_label, even_label)
 def test_complex_angular_exact_matches_expansion(alpha, n, k):
-    assert period_angular_exact(alpha + 2, n, k) == _complex_expansion(n, k, alpha)
+    assert _angular_exact(alpha + 2, n, k) == _complex_expansion(n, k, alpha)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=2, max_value=6), even_label, even_label)
 def test_quaternionic_angular_exact_matches_expansion(q, n, k):
     # Jacobi alpha = 2q - 3 stays within 1..9
-    assert period_angular_exact(q, n, k, kind=QUATERNIONIC) == _quaternionic_expansion(q, n, k)
+    assert _angular_exact(q, n, k, kind=QUATERNIONIC) == _quaternionic_expansion(q, n, k)
 
 
 def test_angular_exact_matches_expansion_at_degree_cap():
     top = MAX_DEGREE
     # (64, 2) at alpha = 18 is about 8e-17 of its Cauchy-Schwarz scale, yet nonzero
     for n, k, alpha in [(top, 0, 30), (top, 2, 18), (top, top - 2, 0), (top - 2, top, 7)]:
-        assert period_angular_exact(alpha + 2, n, k) == _complex_expansion(n, k, alpha)
+        assert _angular_exact(alpha + 2, n, k) == _complex_expansion(n, k, alpha)
     for n, k, q in [(top, top, 2), (top, 0, 16), (top - 2, top, 5)]:
-        assert period_angular_exact(q, n, k, kind=QUATERNIONIC) == _quaternionic_expansion(q, n, k)
+        assert _angular_exact(q, n, k, kind=QUATERNIONIC) == _quaternionic_expansion(q, n, k)
 
 
 def test_angular_exact_dichotomy_to_degree_24():
@@ -177,33 +195,19 @@ def test_angular_exact_dichotomy_to_degree_24():
         for k in range(0, 25, 2):
             for q in (2, 3, 5, 8):
                 for kind in (COMPLEX, QUATERNIONIC):
-                    assert (period_angular_exact(q, n, k, kind) != 0) == (k <= n), (kind, q, n, k)
-
-
-# The exponents of each family, written out apart from periods: the radial
-# sinh power and cosh decay, and the angular (alpha, beta, shift).
-_FAMILY_LITERALS = {
-    COMPLEX: (
-        lambda p, q, n, k: (2 * p - 1, 2 * q + n + k - 1),
-        lambda q: (q - 2, 0, 1),
-    ),
-    QUATERNIONIC: (
-        lambda p, q, n, k: (4 * p - 1, 4 * q + n + k - 3),
-        lambda q: (2 * q - 3, 1, 2),
-    ),
-}
+                    assert (_angular_exact(q, n, k, kind) != 0) == (k <= n), (kind, q, n, k)
 
 
 def test_period_route_matches_family_literals():
     labels = range(0, 17, 2)
-    for kind, (_, angular_args) in _FAMILY_LITERALS.items():
+    for kind, (radial_args, angular_args) in _FAMILY_LITERALS.items():
         for q in range(2, 9):
             for n in labels:
                 for k in labels:
-                    exact = jacobi_pairing(n, k, *angular_args(q))
-                    assert period_angular_exact(q, n, k, kind=kind) == exact, (kind, q, n, k)
                     for p in range(1, q):
-                        got = period_integral_closed(p, q, n, k, kind=kind)
+                        args = (radial_args(p, q, n, k), angular_args(q))
+                        assert _period_args(p, q, n, k, kind) == args, (kind, p, q, n, k)
+                        got = closed_value(period_integral_exact(p, q, n, k, kind=kind))
                         assert got == float(_exact_period(p, q, n, k, kind)), (kind, p, q, n, k)
 
 
@@ -225,7 +229,7 @@ def test_period_exact_and_closed_match_literals_to_degree_cap():
             for k in labels:
                 exact = period_integral_exact(p, q, n, k, kind=kind)
                 assert exact == _exact_period(p, q, n, k, kind), (p, q, kind, n, k)
-                assert period_integral_closed(p, q, n, k, kind=kind) == float(exact)
+                assert closed_value(exact) == float(exact)
 
 
 def test_period_quadrature_error_bounds_exact_error_to_degree_cap():
@@ -258,9 +262,7 @@ def test_period_scale_radial_factor_matches_quadrature():
 def test_period_functions_reject_octonionic():
     kind = "octonionic"
     calls = [
-        lambda: period_angular_exact(2, 0, 0, kind=kind),
-        lambda: period_nonvanishing(1, 2, 0, 0, kind=kind),
-        lambda: period_integral_closed(1, 2, 0, 0, kind=kind),
+        lambda: period_integral_exact(1, 2, 0, 0, kind=kind),
         lambda: period_integral_quadrature(1, 2, 0, 0, kind=kind),
         lambda: period_scale(1, 2, 0, 0, kind=kind),
     ]

@@ -12,7 +12,6 @@ from relbranch.branching import (
     StageParams,
     classify_interlacing,
     exhaustion_check,
-    gp_sum_dim,
 )
 from relbranch.halfint import HalfInt
 from relbranch.hepattern import u2n_case_report
@@ -42,9 +41,6 @@ RECORDS = {
     ),
     "InterlacingPattern": (
         lambda: classify_interlacing("9/2", 3), classify_interlacing(3, "9/2"), "kind"
-    ),
-    "GPSumResult": (
-        lambda: gp_sum_dim("9/2", 3, Signature(3, 3)), gp_sum_dim("7/2", 4, SIG), "dim"
     ),
     "StageParams": (lambda: StageParams(8, 0, HalfInt(6)), StageParams(8, 0, HalfInt(10)), "ell"),
     "ExhaustionReport": (

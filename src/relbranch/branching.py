@@ -64,13 +64,22 @@ class InterlacingPattern(NamedTuple):
 def classify_interlacing(a, b) -> InterlacingPattern:
     a = HalfInt.coerce(a)
     b = HalfInt.coerce(b)
-    if a <= HalfInt(0) or b <= HalfInt(0):
+    ta, tb = a.twice, b.twice
+    if ta <= 0 or tb <= 0:
         raise ValueError(f"interlacing is defined for positive parameters, got ({a}, {b})")
-    if a == b:
+    if ta == tb:
         raise TieError(f"a = b = {a}: no interlacing pattern (parity rules this out)")
-    if a > b:
-        return InterlacingPattern(P1, (a, b, -b, -a))
-    return InterlacingPattern(P2, (b, a, -a, -b))
+    neg_a, neg_b = HalfInt(-ta), HalfInt(-tb)
+    if ta > tb:
+        return InterlacingPattern(P1, (a, b, neg_b, neg_a))
+    return InterlacingPattern(P2, (b, a, neg_a, neg_b))
+
+
+# The four characters of Z2 x Z2, keyed by the parities of the exponents of
+# -1 on (E1, E2): no row builds a character.
+_CHARACTERS = {
+    (e1, e2): EpsilonCharacter(1 - 2 * e1, 1 - 2 * e2) for e1 in (0, 1) for e2 in (0, 1)
+}
 
 
 def pattern_characters(pat: InterlacingPattern) -> tuple[EpsilonCharacter, EpsilonCharacter]:
@@ -79,26 +88,14 @@ def pattern_characters(pat: InterlacingPattern) -> tuple[EpsilonCharacter, Epsil
     With a-entries (a, -a) indexed by i and b-entries (b, -b) indexed by j,
     the first character takes E_i to (-1)^(i+1+#{b-entries > a_i}) and the
     second takes E_j to (-1)^(j+#{a-entries > b_j}).  P1 yields the pair
-    (eps1, eps1), P2 the pair (eps2, eps2).
+    (eps1, eps1), P2 the pair (eps2, eps2).  Entries are compared as twice
+    their values.
     """
-    a_entries = (pat.a, -pat.a)
-    b_entries = (pat.b, -pat.b)
-
-    def sign(exponent: int) -> int:
-        return -1 if exponent % 2 else 1
-
-    first = tuple(
-        sign(i + 1 + sum(1 for y in b_entries if y > x))
-        for i, x in enumerate(a_entries, start=1)
-    )
-    second = tuple(
-        sign(j + sum(1 for x in a_entries if x > y))
-        for j, y in enumerate(b_entries, start=1)
-    )
-    return (
-        EpsilonCharacter(first[0], first[1]),
-        EpsilonCharacter(second[0], second[1]),
-    )
+    a1, b1 = pat.a.twice, pat.b.twice  # twice the entries a_1 = a and b_1 = b
+    a2, b2 = -a1, -b1  # a_2 = -a and b_2 = -b
+    first = ((1 + 1 + (b1 > a1) + (b2 > a1)) % 2, (2 + 1 + (b1 > a2) + (b2 > a2)) % 2)
+    second = ((1 + (a1 > b1) + (a2 > b1)) % 2, (2 + (a1 > b2) + (a2 > b2)) % 2)
+    return _CHARACTERS[first], _CHARACTERS[second]
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +118,8 @@ def hom_dim(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> int:
     if Pi.side is not pi.side:
         return 0
     if Pi.side is Side.PLUS:
-        return 1 if Pi.a > pi.a else 0
-    return 1 if pi.a > Pi.a else 0
+        return 1 if Pi.a.twice > pi.a.twice else 0
+    return 1 if pi.a.twice > Pi.a.twice else 0
 
 
 # The four side pairs (level G, subgroup level) in (+,+), (+,-), (-,+), (-,-)
@@ -147,7 +144,11 @@ def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
     Outside the hypothesis p, q > 3 and p != q it is computed but flagged."""
     pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
     for plus, minus in (params_G, params_Gp):
-        if plus.side is not Side.PLUS or minus.side is not Side.MINUS or plus.a != minus.a:
+        if (
+            plus.side is not Side.PLUS
+            or minus.side is not Side.MINUS
+            or plus.a.twice != minus.a.twice
+        ):
             raise ParamError("expected the (plus, minus) pair of one value, as param_pair builds")
     sig = params_G[0].sig
     warning = None
@@ -159,7 +160,7 @@ def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
     dims = [hom_dim(Pi, pi) for Pi in params_G for pi in params_Gp]
     winners = [i for i, dim in enumerate(dims) if dim == 1]
     if len(winners) != 1:
-        raise AssertionError(
+        raise ValueError(
             f"expected exactly one contributing pair, got {[_PAIR_LABELS[i] for i in winners]}"
         )
     (witness,) = winners
@@ -230,12 +231,14 @@ class StageParams(Frozen):
     def __post_init__(self):
         if self.lambda_prime < 0:
             raise ValueError("lambda' must be nonnegative")
-        if not self.lambda_dprime > HalfInt(0):
+        dprime_twice = self.lambda_dprime.twice
+        if dprime_twice <= 0:
             raise ValueError("lambda'' must be positive")
-        gap = HalfInt.from_int(self.ell - self.lambda_prime - 1) - self.lambda_dprime
-        if gap < HalfInt(0) or gap.twice % 4 != 0:
+        gap_twice = 2 * (self.ell - self.lambda_prime - 1) - dprime_twice
+        if gap_twice < 0 or gap_twice % 4 != 0:
             raise ValueError(
-                f"ell - lambda' - lambda'' - 1 = {gap} is not a nonnegative even integer"
+                f"ell - lambda' - lambda'' - 1 = {HalfInt(gap_twice)} "
+                "is not a nonnegative even integer"
             )
 
 
@@ -285,20 +288,20 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     top, sub = bound_twice(sig, GroupLevel.G), bound_twice(sig, GroupLevel.GPRIME)
     if ell <= top:
         raise ValueError(f"need ell > {top} for {sig}, got {ell}")
-    first = []
+    first_twice = []
     for lam in range(2 - (ell - 1) % 2, ell, 2):
         StageParams(ell, 0, HalfInt.from_int(lam))  # validated like every first-stage term
         if lam % 2 == 0:
             continue
         twice = lam if (lam - sub) % 2 == 0 else lam - 1  # 2b has the subgroup parity
         if twice >= sub:
-            first.append(HalfInt(twice))
-    first = sorted(first)
+            first_twice.append(twice)
+    first = [HalfInt(twice) for twice in sorted(first_twice)]
     if ell % 2 == 0:  # the second stage's relative member x = y = ell/2
         a = HalfInt(ell)  # ell/2
-        second = [HalfInt(twice) for twice in range(sub, a.twice, 2)]
-        label_cap = a.twice - top
-        period = sorted(fj_label_to_b(sig, k) for k in range(0, max(label_cap, -1) + 1, 2))
+        second = [HalfInt(twice) for twice in range(sub, ell, 2)]
+        # ascending, since fj_label_to_b is increasing in k
+        period = [fj_label_to_b(sig, k) for k in range(0, max(ell - top, -1) + 1, 2)]
     else:
         a = None
         second = []

@@ -51,8 +51,12 @@ def _record(command: str, inputs: dict, result: dict, provenance: list[str]) -> 
     }
 
 
+# one encoder for every record: json.dumps with separators builds a new one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(record: dict, out) -> None:
-    out.write(json.dumps(record, separators=(",", ":")) + "\n")
+    out.write(_ENCODER.encode(record) + "\n")
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
@@ -214,12 +218,14 @@ def _rows_branch(args):
     a_twice = valid_twice(sig, GroupLevel.G, a_lo, a_hi)
     b_twice = valid_twice(sig, GroupLevel.GPRIME, b_lo, b_hi)
     _cap(len(a_twice) * len(b_twice))
-    # each value's (plus, minus) parameters are built once and serve every row
+    # each value's (plus, minus) parameters and its string are built once
+    # and serve every row
     a_pairs = [branching.param_pair(sig, GroupLevel.G, HalfInt(t)) for t in a_twice]
     b_pairs = [branching.param_pair(sig, GroupLevel.GPRIME, HalfInt(t)) for t in b_twice]
+    b_strs = [str(Pb[0].a) for Pb in b_pairs]
     for Pa in a_pairs:
-        for Pb in b_pairs:
-            a, b = str(Pa[0].a), str(Pb[0].a)
+        a = str(Pa[0].a)
+        for b, Pb in zip(b_strs, b_pairs):
             summary = _row("branch", {"a": a, "b": b}, branching.coupling_summary, Pa, Pb)
             yield _record("table.branch", {"p": p, "q": q, "a": a, "b": b}, summary, _BRANCH_RULES)
 
@@ -285,7 +291,7 @@ def _flatten(record: dict) -> dict:
         flat[f"in.{key}"] = value
     for key, value in record["result"].items():
         if isinstance(value, (list, dict)):
-            flat[f"out.{key}"] = json.dumps(value, separators=(",", ":"))
+            flat[f"out.{key}"] = _ENCODER.encode(value)
         else:
             flat[f"out.{key}"] = value
     return flat

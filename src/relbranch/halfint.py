@@ -129,7 +129,8 @@ class HalfInt:
         return self.twice == t
 
     # each order operator compares twice the values directly, with no derived
-    # wrappers in between: the branching grids make tens of thousands of calls
+    # wrappers in between (the per-row checks of the enumeration commands
+    # compare ``.twice`` themselves and make no operator calls)
     def __lt__(self, other) -> bool:
         t = self._twice_of(other)
         if t is NotImplemented:
@@ -160,9 +161,10 @@ class HalfInt:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_integer:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        twice = self.twice
+        if twice % 2 == 0:
+            return str(twice // 2)
+        return f"{twice}/2"
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"

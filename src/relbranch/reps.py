@@ -126,8 +126,21 @@ class DiscreteSeriesParam(NamedTuple):
 
 def bound_twice(sig: Signature, level: GroupLevel) -> int:
     """Twice the good-range bound: p+q-1 at level G, p+q-2 at the subgroup
-    level.  A valid 2a has its parity and is at least it."""
-    return sig.n - (1 if level is GroupLevel.G else 2)
+    level.  A valid 2a has its parity and is at least it.
+
+    U(1,1) has no subgroup level: there the bound would admit b = 0, which
+    no interlacing pattern (and so no branch query) accepts.  Every path to
+    a subgroup-level parameter or range reads the bound here, so each one
+    refuses U(1,1) with the same message.
+    """
+    if level is GroupLevel.G:
+        return sig.n - 1
+    if sig.n == 2:
+        raise GoodRangeError(
+            f"{sig} has no subgroup-level parameters: the good range would admit "
+            "b = 0, and branching needs b > 0"
+        )
+    return sig.n - 2
 
 
 def valid_twice(sig: Signature, level: GroupLevel, lo: HalfInt, hi: HalfInt) -> range:

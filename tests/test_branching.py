@@ -1,4 +1,6 @@
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +71,45 @@ def test_pattern_characters_dictionary():
         chars = pattern_characters(pat)
         expected = (EPSILON_1, EPSILON_1) if pat.kind == P1 else (EPSILON_2, EPSILON_2)
         assert chars == expected
+
+
+def test_classify_error_text():
+    message = "interlacing is defined for positive parameters, got (0, 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify_interlacing(0, 3)
+    message = "interlacing is defined for positive parameters, got (7/2, -1/2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify_interlacing(h("7/2"), h("-1/2"))
+    message = "a = b = 7/2: no interlacing pattern (parity rules this out)"
+    with pytest.raises(TieError, match=f"^{re.escape(message)}$"):
+        classify_interlacing(h("7/2"), h("7/2"))
+
+
+def _reference_characters(a: Fraction, b: Fraction):
+    """The character pair of pattern_characters, counted over Fraction
+    entries: E_i goes to (-1)^(i+1+#{b-entries > a_i}) on the first
+    character and E_j to (-1)^(j+#{a-entries > b_j}) on the second."""
+    a_entries, b_entries = (a, -a), (b, -b)
+    first = [
+        (-1) ** (i + 1 + sum(1 for y in b_entries if y > x))
+        for i, x in enumerate(a_entries, start=1)
+    ]
+    second = [
+        (-1) ** (j + sum(1 for x in a_entries if x > y))
+        for j, y in enumerate(b_entries, start=1)
+    ]
+    return tuple(first), tuple(second)
+
+
+def test_pattern_characters_match_fraction_reference():
+    # every pair of distinct positive half-integers with 2a, 2b <= 200
+    for ta in range(1, 201):
+        for tb in range(1, 201):
+            if ta == tb:
+                continue
+            first, second = pattern_characters(classify_interlacing(HalfInt(ta), HalfInt(tb)))
+            got = ((first.on_E1, first.on_E2), (second.on_E1, second.on_E2))
+            assert got == _reference_characters(Fraction(ta, 2), Fraction(tb, 2)), (ta, tb)
 
 
 def test_pattern_characters_counts_explicitly():
@@ -483,11 +524,16 @@ def test_exhaustion_relative_member_equals_filtered_stage2():
 
 def test_stage_params_invariant_enforced():
     StageParams(10, 0, HalfInt.from_int(9))
-    with pytest.raises(ValueError):
+    gap = "ell - lambda' - lambda'' - 1 = {} is not a nonnegative even integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(gap.format(1))}$"):
         StageParams(10, 0, HalfInt.from_int(8))  # gap is odd
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(gap.format(-2))}$"):
         StageParams(10, 0, HalfInt.from_int(11))  # gap is negative
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(gap.format('3/2'))}$"):
+        StageParams(10, 0, h("15/2"))  # gap is not an integer
+    with pytest.raises(ValueError, match="^lambda' must be nonnegative$"):
         StageParams(10, -1, HalfInt.from_int(9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lambda'' must be positive$"):
         StageParams(10, 0, HalfInt.from_int(0))
+    with pytest.raises(ValueError, match="^lambda'' must be positive$"):
+        StageParams(10, 0, h("-1/2"))

@@ -503,6 +503,35 @@ def test_table_branch_builds_each_parameter_once_per_grid(capsys, monkeypatch):
     assert sides[0::2] == sides[1::2]
 
 
+def test_table_branch_runs_every_check_per_row(capsys, monkeypatch):
+    # the benchmark grid's 3,306 rows: each row classifies, reads the
+    # characters and the witness character once, and takes four hom dimensions
+    counts = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("classify_interlacing", "pattern_characters", "epsilon_of", "hom_dim"):
+        counting(cli.branching, name)
+    argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2")
+    code, out, _ = run_cli(capsys, *argv)
+    rows = 57 * 58
+    assert code == 0 and len(parse_records(out)) == rows
+    assert counts == {
+        "classify_interlacing": rows,
+        "pattern_characters": rows,
+        "epsilon_of": rows,
+        "hom_dim": 4 * rows,
+    }
+
+
 def test_valid_parameter_range_matches_validation():
     # the counted range of 2a is exactly the values that make_param accepts
     for p, q in [(1, 2), (3, 3), (4, 5)]:
@@ -674,14 +703,51 @@ def test_table_nonconvergence_names_row(capsys, monkeypatch):
     assert err == "error: table period row n=4 k=2: refinement budget exhausted\n"
 
 
-def test_table_branch_names_failing_row(capsys):
-    # b = 0 is a valid subgroup parameter at (1,1), but interlacing needs b > 0
-    argv = ("table", "branch", "--pq", "1,1", "--a-range", "0..3", "--b-range", "0..3")
+def test_table_branch_names_failing_row(capsys, monkeypatch):
+    # a hom_dim that couples one row's mixed-side pairs breaks the
+    # exactly-one-witness check there: the rows before it are emitted, and
+    # the run exits 2 naming that row
+    real = cli.branching.hom_dim
+
+    def couples_mixed_sides(Pi, pi):
+        if (str(Pi.a), str(pi.a)) == ("5", "7/2") and Pi.side is not pi.side:
+            return 1
+        return real(Pi, pi)
+
+    monkeypatch.setattr(cli.branching, "hom_dim", couples_mixed_sides)
+    argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..5", "--b-range", "7/2..9/2")
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert code == cli.EXIT_VALIDATION
+    assert [(r["inputs"]["a"], r["inputs"]["b"]) for r in parse_records(out)] == [
+        ("4", "7/2"), ("4", "9/2")
+    ]
     assert err == (
-        "error: table branch row a=1/2 b=0: "
-        "interlacing is defined for positive parameters, got (1/2, 0)\n"
+        "error: table branch row a=5 b=7/2: "
+        "expected exactly one contributing pair, got ['(+,+)', '(+,-)', '(-,+)']\n"
+    )
+
+
+def test_subgroup_level_of_u11_is_refused(capsys):
+    # the good range at U(1,1)'s subgroup level would admit only b >= 0, and
+    # interlacing needs b > 0: every command that reaches it exits 2 on one message
+    message = (
+        "U(1,1) has no subgroup-level parameters: the good range would admit "
+        "b = 0, and branching needs b > 0\n"
+    )
+    cases = [
+        (("branch", "--pq", "1,1", "--gp", "1/2", "0"), ""),
+        (("branch", "--pq", "1,1", "--plus-a", "1/2", "--plus-b", "1"), ""),
+        (("branch", "--pq", "1,1", "--pi-minus", "1/2"), ""),
+        (("table", "branch", "--pq", "1,1", "--a-range", "0..3", "--b-range", "0..3"), ""),
+        (("table", "exhaustion", "--pq", "1,1", "--ell", "2..2"), "table exhaustion row ell=2: "),
+    ]
+    for argv, where in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (cli.EXIT_VALIDATION, "", f"error: {where}{message}"), argv
+    # the level-G parameters of U(1,1) are unaffected
+    sig = cli.Signature(1, 1)
+    assert str(cli.make_param(sig, cli.Side.PLUS, cli.GroupLevel.G, cli.HalfInt(1))) == (
+        "U(1,1)+a=1/2"
     )
 
 

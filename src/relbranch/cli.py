@@ -2,9 +2,10 @@
 
 Every computation is exposed with machine-readable output: one JSON record
 (schema relbranch.record.v1) per result on stdout, or one record per line for
-table sweeps, with an optional CSV projection for tables.  Half-integers on
-the command line are exact fractions ("7/2"), never decimals, because parity
-validation must be exact.
+table sweeps, with an optional CSV projection for tables.  A half-integer
+on the command line is any exact literal whose value is a half-integer
+("7/2", "3.5", "-3"), parsed exactly because parity validation must be
+exact; it is printed as a fraction ("7/2").
 
 Each table kind is its own subcommand and takes only the options its sweep
 reads; an option shared by several commands is defined once, in a parent
@@ -24,6 +25,7 @@ import sys
 
 from . import branching, hepattern, periods
 from .halfint import HalfInt
+from .jacobi import _check_degree
 from .reps import GroupLevel, ParamError, Side, Signature, make_param, valid_twice
 from .specfun import ConvergenceError
 
@@ -233,10 +235,13 @@ def _rows_branch(args):
 def _rows_period(args):
     p, q = _parse_pq(args.pq)
     periods.check_tol(args.tol)
-    labels = range(0, args.n_max + 1, 2)
-    _cap(len(labels) * len(range(0, args.k_max + 1, 2)))
-    for n in labels:
-        for k in range(0, args.k_max + 1, 2):
+    ns, ks = range(0, args.n_max + 1, 2), range(0, args.k_max + 1, 2)
+    _cap(len(ns) * len(ks))
+    if ns and ks:  # refuse a label above the cap before the first record, k first
+        _check_degree(ks[-1])
+        _check_degree(ns[-1])
+    for n in ns:
+        for k in ks:
             result = _row(
                 "period", {"n": n, "k": k}, _period_result, p, q, n, k, args.family, args.tol
             )

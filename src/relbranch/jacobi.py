@@ -4,9 +4,9 @@ coefficients and exact weighted pairings.
 Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)).
 
 Float values come from the three-term recurrence (DLMF 18.9; Szego,
-Orthogonal Polynomials, ch. 4) in pure Python (jacobi_values), over a float
-or a sequence of floats; monomial coefficients reach 1e30 by degree 64 and
-cancel catastrophically in float.
+Orthogonal Polynomials, ch. 4) in pure Python (jacobi_values), at each node
+of a sequence, for integer alpha and beta; monomial coefficients reach 1e30
+by degree 64 and cancel catastrophically in float.
 
 Pairings of a shifted polynomial against an unshifted one come in closed form
 from the connection formula (DLMF 18.18(iv)): P_n^(alpha+shift,beta) expands
@@ -27,9 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Union
-
-Rational = Union[int, Fraction]
+from typing import Sequence
 
 # Exact coefficient growth is roughly factorial in the degree; beyond this cap
 # the rationals become unwieldy without any downstream use.
@@ -44,41 +42,36 @@ def _check_degree(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _recurrence_ratios(alpha: Rational, beta_param: Rational) -> tuple[tuple[float, ...], ...]:
+def _recurrence_ratios(al: int, be: int) -> tuple[tuple[float, float, float], ...]:
     """Rows (c2/c1, c3/c1, c4/c1) of the steps to degrees 1..MAX_DEGREE,
-    where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1; each ratio is exact
-    and rounded once.  No row depends on the target degree, so degree n reads
-    the first n rows.  With P_{-1} = 0 the first row is P_1.
+    where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1, for the integer
+    exponents al = alpha and be = beta.  No row depends on the target degree,
+    so degree n reads the first n rows.  With P_{-1} = 0 the first row is P_1.
 
-    Integer alpha and beta stay ints: then every c_i is an int, and int / int
-    is the correctly rounded quotient, so the ratio is the exact rational
-    rounded once with no Fraction built (the same float that rounding the
-    Fraction gives).  Any other alpha or beta is lifted to a Fraction."""
-    al, be = (x if isinstance(x, int) else Fraction(x) for x in (alpha, beta_param))
-    rows = [((al - be) / 2, (al + be + 2) / 2, 0)]
+    Every c_i is an int, and int / int is the correctly rounded quotient, so
+    each ratio is the exact rational rounded once with no Fraction built."""
+    rows = [((al - be) / 2, (al + be + 2) / 2, 0.0)]
     for m in range(2, MAX_DEGREE + 1):
         c1 = 2 * m * (m + al + be) * (2 * m + al + be - 2)
         c2 = (2 * m + al + be - 1) * (al * al - be * be)
         c3 = (2 * m + al + be - 1) * (2 * m + al + be) * (2 * m + al + be - 2)
         c4 = 2 * (m + al - 1) * (m + be - 1) * (2 * m + al + be)
         rows.append((c2 / c1, c3 / c1, c4 / c1))
-    return tuple(tuple(map(float, row)) for row in rows)
+    return tuple(rows)
 
 
-def jacobi_values(n: int, alpha: Rational, beta_param: Rational, x):
-    """P_n^(alpha,beta)(x) in floating point by the three-term recurrence;
-    x is a float (a float is returned) or a sequence of floats (a list of
-    the values at each is returned)."""
+def jacobi_values(n: int, alpha: int, beta_param: int, xs: Sequence[float]) -> list[float]:
+    """P_n^(alpha,beta) at each node of xs, for integer alpha and beta, in
+    floating point by the three-term recurrence."""
     _check_degree(n)
     steps = _recurrence_ratios(alpha, beta_param)[:n]
-    scalar = isinstance(x, (int, float))
     values = []
-    for point in map(float, [x] if scalar else x):
+    for x in xs:
         prev, cur = 0.0, 1.0
         for c2, c3, c4 in steps:
-            prev, cur = cur, (c2 + c3 * point) * cur - c4 * prev
+            prev, cur = cur, (c2 + c3 * x) * cur - c4 * prev
         values.append(cur)
-    return values[0] if scalar else values
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,16 @@ once for the closed value (closed_value); a label above MAX_DEGREE is
 refused before either factor is built.  The quadrature oracle is
 independent of both exact factors.  On the period route both factors are
 polynomials: the radial one after v = tanh^2 t, the angular one as the
-product of the float three-term recurrence values (jacobi.jacobi_values) and
-the weight.  So one Gauss-Legendre rule per factor, with degree // 2 + 1
-nodes, is exact up to roundoff (specfun.gauss_legendre_quadrature), and it
-reaches the full label range up to MAX_DEGREE.  Only the angular scale, a
-Cauchy-Schwarz bound that gates the tolerance and floors the roundoff bound,
-reads the two squared norms, each one exact closed form
-(jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq) rounded once.
+product of the float three-term recurrence values at the rule's nodes
+(jacobi.jacobi_values) and the weight.  So one Gauss-Legendre rule per
+factor, with degree // 2 + 1 nodes, is exact up to roundoff
+(specfun.gauss_legendre_quadrature), and it reaches the full label range up
+to MAX_DEGREE.  The result carries its own roundoff bound, which is what a
+quadrature value is judged against; vanishing is read from the exact route
+only.  Only the angular scale, a Cauchy-Schwarz bound that gates the
+tolerance and floors the roundoff bound, reads the two squared norms, each
+one exact closed form (jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq)
+rounded once.
 """
 
 from __future__ import annotations
@@ -191,10 +194,3 @@ def period_integral_quadrature(
     if not (abs(value) < inf and err < inf):
         raise ConvergenceError(f"period quadrature {value} (bound {err}) is not finite")
     return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
-
-
-def period_scale(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> float:
-    """Magnitude scale of the period integral (exact radial factor times the
-    angular Cauchy-Schwarz bound), for judging a quadrature value against."""
-    radial, angular = _period_args(p, q, n, k, kind)
-    return float(radial_integral_exact(*radial)) * _angular_scale(n, k, *angular)

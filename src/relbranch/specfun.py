@@ -14,7 +14,9 @@ period route both Beta arguments are positive integers, so A is rational.
 The quadrature here integrates polynomials only: the m-point Gauss-Legendre
 rule is exact to degree 2m - 1 (DLMF 3.5(v)), so a polynomial of known
 degree needs one rule and leaves only roundoff, which the returned bound
-covers.
+covers.  A QuadratureResult is a plain record of the value, that bound and
+the number of integrand evaluations; its constructors build the last two
+from sums of absolute values and node counts, so it checks none.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
-
-from .frozen import Frozen
+from typing import Callable, NamedTuple, Sequence
 
 EPS = sys.float_info.epsilon
 
@@ -35,15 +35,10 @@ class ConvergenceError(RuntimeError):
     tolerance."""
 
 
-class QuadratureResult(Frozen):
-    __slots__ = ("value", "abs_error_estimate", "evaluations")
-
-    def __init__(self, value: float, abs_error_estimate: float, evaluations: int):
-        if abs_error_estimate < 0:
-            raise ValueError("abs_error_estimate must be >= 0")
-        if evaluations < 1:
-            raise ValueError("evaluations must be >= 1")
-        super().__init__(value, abs_error_estimate, evaluations)
+class QuadratureResult(NamedTuple):
+    value: float
+    abs_error_estimate: float
+    evaluations: int
 
 
 def radial_integral_exact(alpha: int, beta_exp: int) -> Fraction:
@@ -113,11 +108,18 @@ def gauss_legendre_quadrature(
     the integrand, for integrals whose node values are all roundoff, as when
     the nodes are the zeros of a factor of f.  A term, sum or bound that is
     not finite raises ConvergenceError.
+
+    sum |w f(x)| is added left to right, not by the builtin sum, which
+    compensates float sums from Python 3.12 on, so the bound's bytes are the
+    same on every supported Python.
     """
     m = degree // 2 + 1
     nodes, weights = gauss_legendre(m)
     terms = [w * y for w, y in zip(weights, f(nodes))]
-    bound = 16 * (m + degree) * EPS * max(sum(map(abs, terms)), floor)
+    size = 0
+    for term in terms:
+        size += abs(term)
+    bound = 16 * (m + degree) * EPS * max(size, floor)
     if not bound < math.inf:  # also false for nan
         raise ConvergenceError(f"quadrature of degree {degree}: terms are not finite")
     return QuadratureResult(math.fsum(terms), bound, m)

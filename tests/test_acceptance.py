@@ -35,7 +35,6 @@ from relbranch.periods import (
     closed_value,
     period_integral_exact,
     period_integral_quadrature,
-    period_scale,
 )
 from relbranch.reps import EPSILON_1, EPSILON_2, GroupLevel, Side, Signature, make_param
 
@@ -257,9 +256,8 @@ def test_criterion_12_quaternionic_periods():
         for p, q in ((1, 2), (1, 3)):
             for n in range(0, 7, 2):
                 for k in range(0, 7, 2):
-                    value = period_integral_quadrature(p, q, n, k, 1e-10, kind=QUATERNIONIC).value
-                    scale = period_scale(p, q, n, k, kind=QUATERNIONIC)
-                    assert (abs(value) > 1e-9 * scale) == (k <= n), (p, q, n, k)
+                    r = period_integral_quadrature(p, q, n, k, 1e-10, kind=QUATERNIONIC)
+                    assert (abs(r.value) > r.abs_error_estimate) == (k <= n), (p, q, n, k)
 
     _criterion(12, "quaternionic periods vanish exactly above the diagonal", 60.0, check)
 

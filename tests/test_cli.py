@@ -66,6 +66,18 @@ def test_branch_pi_minus(capsys):
     assert record["result"]["all_hom_dim_one"] is True
 
 
+def test_half_integer_is_any_exact_literal(capsys):
+    # parsing is exact: a decimal literal whose value is a half-integer is the
+    # same input as its fraction, and the record prints the fraction
+    argv = ("branch", "--pq", "3,3", "--plus-b", "2", "--plus-a")
+    code, out, err = run_cli(capsys, *argv, "3.5")
+    assert (code, out, err) == run_cli(capsys, *argv, "7/2")
+    assert (code, err) == (0, "") and '"a":"7/2"' in out
+    code, out, err = run_cli(capsys, *argv, "0.3")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == "error: cannot parse half-integer from '0.3': 3/10 is not a half-integer\n"
+
+
 def test_branch_validation_exit_code(capsys):
     code, out, err = run_cli(capsys, "branch", "--pq", "3,3", "--plus-a", "2", "--plus-b", "2")
     assert code == 2
@@ -669,6 +681,27 @@ def test_table_period_reaches_past_degree_24(capsys):
     assert (code, err) == (0, "")
     records = parse_records(out)
     assert [r["inputs"]["n"] for r in records] == list(range(0, 29, 2))
+
+
+def test_table_period_refuses_label_above_cap_before_any_record(capsys):
+    # the grid's largest k, then its largest n, is checked before the first
+    # record, in the order `period` checks one record's labels
+    line = "error: degree {} exceeds the exact-coefficient cap 64\n"
+    cases = [("66", "0", 66), ("0", "66", 66), ("70", "66", 66), ("67", "64", 66)]
+    for n_max, k_max, degree in cases:
+        for family in ("complex", "quaternionic"):
+            argv = ("--pq", "1,2", "--n-max", n_max, "--k-max", k_max, "--family", family)
+            got = run_cli(capsys, "table", "period", *argv)
+            assert got == (cli.EXIT_VALIDATION, "", line.format(degree)), argv
+    code, out, err = run_cli(
+        capsys, "table", "period", "--pq", "1,2", "--n-max", "65", "--k-max", "0"
+    )
+    assert (code, err) == (0, "")
+    assert [r["inputs"]["n"] for r in parse_records(out)] == list(range(0, 65, 2))
+    # a signature error still names its row
+    code, out, err = run_cli(capsys, "table", "period", "--pq", "2,2", "--n-max", "4")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err.startswith("error: table period row n=0 k=0: need integer signature")
 
 
 def test_period_quaternionic_record_keys(capsys):

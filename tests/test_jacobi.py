@@ -63,7 +63,7 @@ def test_values_at_one_match_normalization():
         for alpha in [*range(0, 9), 30, 125]:
             want = float(normalization_at_one(n, alpha))
             for beta in (0, 1, 3):
-                got = jacobi_values(n, alpha, beta, 1.0)
+                [got] = jacobi_values(n, alpha, beta, [1.0])
                 assert abs(got - want) <= 1e-13 * want, (n, alpha, beta)
 
 
@@ -74,26 +74,26 @@ def test_leading_coefficient_nonzero():
 
 
 def test_eval_examples():
-    assert jacobi_values(0, 4, 1, 0.37) == 1.0
-    assert jacobi_values(2, 0, 0, 0.0) == -0.5
-    assert jacobi_values(2, 1, 0, 0.0) == -0.5
-    assert jacobi_values(1, 1, 0, 1.0) == 2.0  # Gamma(3)/(Gamma(2)Gamma(2))
+    assert jacobi_values(0, 4, 1, [0.37]) == [1.0]
+    assert jacobi_values(2, 0, 0, [0.0]) == [-0.5]
+    assert jacobi_values(2, 1, 0, [0.0]) == [-0.5]
+    assert jacobi_values(1, 1, 0, [1.0]) == [2.0]  # Gamma(3)/(Gamma(2)Gamma(2))
 
 
 def test_values_array_shape_and_degree_cap():
-    # a float gives a float, a sequence of floats the list of values at each
+    # any sequence of floats gives the list of values at each, node by node
     xs = [-1.0 + i / 3.0 for i in range(7)]
     assert jacobi_values(0, 3, 1, xs) == [1.0] * 7
-    pointwise = [jacobi_values(3, 2, 1, x) for x in xs]
+    pointwise = [value for x in xs for value in jacobi_values(3, 2, 1, [x])]
     assert all(type(value) is float for value in pointwise)
     assert jacobi_values(3, 2, 1, xs) == pointwise
     assert jacobi_values(3, 2, 1, tuple(xs)) == pointwise
     assert jacobi_values(3, 2, 1, array("d", xs)) == pointwise
     assert jacobi_values(3, 2, 1, []) == []
     with pytest.raises(ValueError, match="cap"):
-        jacobi_values(MAX_DEGREE + 1, 0, 0, 0.0)
+        jacobi_values(MAX_DEGREE + 1, 0, 0, [0.0])
     with pytest.raises(ValueError):
-        jacobi_values(-1, 0, 0, 0.0)
+        jacobi_values(-1, 0, 0, [0.0])
 
 
 def _exact_values(n, alpha, beta, xs):
@@ -335,10 +335,10 @@ def _fraction_ratios(alpha, beta):
 
 
 def test_recurrence_ratios_are_the_exact_ratios_rounded_once():
-    # integer alpha and beta are divided as ints, a Fraction alpha as a
-    # Fraction; either way each entry is the float nearest the exact ratio
+    # integer alpha and beta are divided as ints, and each entry is the
+    # float nearest the exact ratio
     pairs = [(alpha, beta) for alpha in range(0, 1100, 7) for beta in range(4)]
-    for alpha, beta in pairs + [(Fraction(7, 2), 1), (Fraction(-1, 3), Fraction(5, 2))]:
+    for alpha, beta in pairs:
         rows = _recurrence_ratios(alpha, beta)
         assert len(rows) == MAX_DEGREE
         assert all(type(r) is float for row in rows for r in row), (alpha, beta)

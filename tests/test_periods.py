@@ -16,7 +16,6 @@ from relbranch.periods import (
     closed_value,
     period_integral_exact,
     period_integral_quadrature,
-    period_scale,
 )
 from relbranch.oracle import radial_integral_closed, radial_integral_quadrature
 
@@ -103,21 +102,20 @@ def test_quaternionic_base_cases():
     r = period_integral_quadrature(1, 2, 0, 0, 1e-10, kind=QUATERNIONIC)
     assert r.value > 0
     r = period_integral_quadrature(1, 2, 2, 0, 1e-10, kind=QUATERNIONIC)
-    assert abs(r.value) > 1e-9 * period_scale(1, 2, 2, 0, kind=QUATERNIONIC)
+    assert abs(r.value) > r.abs_error_estimate
 
 
 def test_quaternionic_vanishing_above_diagonal():
-    scale = period_scale(1, 2, 0, 2, kind=QUATERNIONIC)
     r = period_integral_quadrature(1, 2, 0, 2, 1e-10, kind=QUATERNIONIC)
-    assert abs(r.value) <= 1e-9 * scale
+    assert abs(r.value) <= r.abs_error_estimate
 
 
 def test_quaternionic_dichotomy_small_grid():
+    # the quadrature is judged by its own roundoff bound, not a threshold
     for n in range(0, 5, 2):
         for k in range(0, 5, 2):
-            value = period_integral_quadrature(1, 2, n, k, 1e-10, kind=QUATERNIONIC).value
-            scale = period_scale(1, 2, n, k, kind=QUATERNIONIC)
-            assert (abs(value) > 1e-9 * scale) == (k <= n), (n, k)
+            r = period_integral_quadrature(1, 2, n, k, 1e-10, kind=QUATERNIONIC)
+            assert (abs(r.value) > r.abs_error_estimate) == (k <= n), (n, k)
 
 
 def test_period_quadrature_matches_closed_to_degree_cap():
@@ -129,9 +127,9 @@ def test_period_quadrature_matches_closed_to_degree_cap():
 
 def test_quaternionic_quadrature_converges_to_degree_cap():
     for n, k in [(30, 30), (MAX_DEGREE, 0)]:
-        value = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC).value
-        error = abs(value - closed_value(period_integral_exact(2, 5, n, k, kind=QUATERNIONIC)))
-        assert error <= 1e-9 * period_scale(2, 5, n, k, kind=QUATERNIONIC), (n, k)
+        r = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC)
+        error = abs(r.value - closed_value(period_integral_exact(2, 5, n, k, kind=QUATERNIONIC)))
+        assert error <= r.abs_error_estimate, (n, k)
 
 
 def test_quaternionic_quadrature_matches_closed_grid():
@@ -246,9 +244,10 @@ def test_period_quadrature_error_bounds_exact_error_to_degree_cap():
                 assert error <= Fraction(quad.abs_error_estimate), (p, q, kind, n, k)
 
 
-def test_period_scale_radial_factor_matches_quadrature():
-    # period_scale takes the closed-form radial factor; on the grids its 1e-9
-    # thresholds are used on, the radial quadrature agrees to 1e-10
+def test_oracle_radial_quadrature_matches_closed_form():
+    # the oracle's adaptive radial quadrature against its float Beta form, at
+    # the quaternionic radial exponents of the periods that criterion 12 and
+    # the degree-cap tests above integrate
     labels = range(0, 7, 2)
     cases = [(p, q, n, k) for p, q in ((1, 2), (1, 3)) for n in labels for k in labels]
     cases += [(2, 5, 30, 30), (2, 5, MAX_DEGREE, 0)]
@@ -264,7 +263,6 @@ def test_period_functions_reject_octonionic():
     calls = [
         lambda: period_integral_exact(1, 2, 0, 0, kind=kind),
         lambda: period_integral_quadrature(1, 2, 0, 0, kind=kind),
-        lambda: period_scale(1, 2, 0, 0, kind=kind),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="octonionic"):

@@ -19,7 +19,6 @@ from relbranch.oracle import (
 from relbranch.specfun import (
     EPS,
     ConvergenceError,
-    QuadratureResult,
     gauss_legendre,
     gauss_legendre_quadrature,
     radial_integral_exact,
@@ -78,13 +77,6 @@ def test_beta_symmetry(x, y):
 def test_beta_right_unit():
     for x in [0.25, 0.5, 1.0, 3.0, 7.5, 40.0, 123.0]:
         assert abs(beta(x, 1.0) - 1.0 / x) <= 1e-13 / x
-
-
-def test_quadrature_result_invariants():
-    with pytest.raises(ValueError):
-        QuadratureResult(1.0, -1e-3, 10)
-    with pytest.raises(ValueError):
-        QuadratureResult(1.0, 0.0, 0)
 
 
 def test_gauss_legendre_rule_symmetry_and_moments():

@@ -116,8 +116,6 @@ def test_repr_names_the_fields():
             ValueError,
             "ell - lambda' - lambda'' - 1 = 5 is not a nonnegative even integer",
         ),
-        (lambda: QuadratureResult(1.0, -1e-3, 1), ValueError, "abs_error_estimate must be >= 0"),
-        (lambda: QuadratureResult(1.0, 0.0, 0), ValueError, "evaluations must be >= 1"),
     ],
 )
 def test_construction_errors(build, error, message):

@@ -4,12 +4,9 @@ Sign sequences are strings over the alphabet + - P M: a big-group sequence
 uses plain signs + and -, a subgroup sequence uses circled signs (written P
 for circled plus, M for circled minus).  An alignment is an order-preserving
 interleaving of the two in which every adjacent pair of symbols belongs to
-the allowed set.  Alignments are built backwards from shared suffixes: a
-forward pass over the states (symbols of big used, symbols of small used,
-last symbol) counts the paths without building strings, and a backward
-pass lists each state's completions from those of the next level.  The
-output order is deterministic: that of a depth-first search trying the big
-sequence's symbol before the small one's.
+the allowed set.  Alignments meet in the middle: each is one shared prefix
+plus one shared suffix, and the output order is that of a depth-first
+search trying the big sequence's symbol before the small one's.
 """
 
 from __future__ import annotations
@@ -39,30 +36,10 @@ ALLOWED_PAIRS = frozenset(
 )
 
 
-def enumerate_alignments(big: str, small: str, cap: int | None = None) -> list[str]:
-    """All order-preserving interleavings of big and small in which every
-    adjacent pair is allowed, in depth-first order trying big's next symbol
-    before small's.
-
-    A state is (symbols of big used, symbols of small used, last symbol).
-    A forward pass collects the states reachable after each number of
-    symbols with their path counts and allowed moves, and builds no
-    strings.  The path counts give the number of alignments first: if it
-    exceeds ``cap``, ValueError is raised before any alignment is built.  A
-    backward pass then lists each state's completions from those of the
-    next level only, so a suffix is built once however many prefixes share
-    it, and at most two levels of strings are held at a time.
-    """
-    for seq in (big, small):
-        bad = [s for s in seq if s not in ALPHABET]
-        if bad:
-            raise ValueError(f"unknown symbols {bad}; alphabet is +, -, P, M")
-    if not PLAIN.issuperset(big):
-        raise ValueError("big sequence must use plain signs + and - only")
-    if not CIRCLED.issuperset(small):
-        raise ValueError("small sequence must use circled signs P and M only")
+def _levels(big: str, small: str):
+    """Per number of symbols placed: the reachable states' path counts, and
+    their moves (symbol, next state), none from the last level."""
     ways = {(0, 0, ""): 1}
-    levels = []  # per level: each reachable state -> its moves (symbol, next state)
     for _ in range(len(big) + len(small)):
         level, next_ways = {}, {}
         for state, count in ways.items():
@@ -73,18 +50,52 @@ def enumerate_alignments(big: str, small: str, cap: int | None = None) -> list[s
                     after = (ni, nj, sym)
                     moves.append((sym, after))
                     next_ways[after] = next_ways.get(after, 0) + count
-        levels.append(level)
+        yield ways, level
         ways = next_ways
+    yield ways, dict.fromkeys(ways, ())
+
+
+def enumerate_alignments(big: str, small: str, cap: int | None = None) -> list[str]:
+    """All order-preserving interleavings of big and small in which every
+    adjacent pair is allowed, in depth-first order trying big's next symbol
+    before small's.
+
+    A state is (symbols of big used, symbols of small used, last symbol).
+    The paths are counted first, one level of states at a time, so an
+    over-cap input raises ValueError before any move is stored.  Then
+    each state from the end back to the middle level lists its suffixes,
+    each state from there back to the start its (prefix, middle state)
+    pairs, and each alignment is one prefix + suffix: at most two levels of
+    strings are held at a time besides the middle level's suffixes.
+    """
+    for seq in (big, small):
+        bad = [s for s in seq if s not in ALPHABET]
+        if bad:
+            raise ValueError(f"unknown symbols {bad}; alphabet is +, -, P, M")
+    if not PLAIN.issuperset(big):
+        raise ValueError("big sequence must use plain signs + and - only")
+    if not CIRCLED.issuperset(small):
+        raise ValueError("small sequence must use circled signs P and M only")
+    for ways, _ in _levels(big, small):
+        pass
     total = sum(ways.values())
     if cap is not None and total > cap:
         raise ValueError(f"{total} alignments exceed the cap {cap}")
-    tails = dict.fromkeys(ways, [""])
-    for level in reversed(levels):
+    levels = [level for _, level in _levels(big, small)]
+    middle = len(levels) // 2
+    tails = dict.fromkeys(levels[-1], [""])
+    for level in reversed(levels[middle:-1]):
         tails = {
             state: [sym + tail for sym, after in moves for tail in tails[after]]
             for state, moves in level.items()
         }
-    return tails[(0, 0, "")]
+    heads = {state: [("", state)] if tail else [] for state, tail in tails.items()}
+    for level in reversed(levels[:middle]):
+        heads = {
+            state: [(sym + head, mid) for sym, after in moves for head, mid in heads[after]]
+            for state, moves in level.items()
+        }
+    return [head + tail for head, mid in heads[(0, 0, "")] for tail in tails[mid]]
 
 
 # ---------------------------------------------------------------------------

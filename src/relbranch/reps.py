@@ -75,9 +75,11 @@ class EpsilonCharacter(Frozen):
         super().__init__(on_E1, on_E2)
 
     def __str__(self) -> str:
-        return f"({self.on_E1:+d},{self.on_E2:+d})"
+        return _EPSILON_TEXTS[self.on_E1, self.on_E2]
 
 
+# validation admits only the four sign pairs, so their texts are built once
+_EPSILON_TEXTS = {(e1, e2): f"({e1:+d},{e2:+d})" for e1 in (1, -1) for e2 in (1, -1)}
 EPSILON_1 = EpsilonCharacter(1, -1)
 EPSILON_2 = EpsilonCharacter(-1, 1)
 

@@ -266,19 +266,32 @@ def test_table_he_alignment_cap(capsys):
 
 
 def test_table_he_benchmark_invocation_bytes():
-    # the exact bytes of the alignment invocation of the `enumeration` workload
+    # the exact bytes of the alignment invocation of the `enumeration`
+    # workload, of the README's U(2,n) path, and of an odd-length input (39
+    # symbols, 92,378 alignments) whose prefix and suffix halves differ
     import hashlib
     import subprocess
     import sys
 
-    cmd = [
-        sys.executable, "-m", "relbranch.cli",
-        "table", "he", "--big", "+-" * 9, "--small", "PM" * 9,
+    pins = [
+        (
+            ("--big", "+-" * 9, "--small", "PM" * 9),
+            "e68fb975c94b479dec26484309baaf9ea047771fe80196e62aa40676425dc6ef",
+        ),
+        (
+            ("--n", "4..10"),
+            "f90ea10ce37e6907bfb6a627fe6694bce32a3cbdf0e70cf70912d7f0ace47b5c",
+        ),
+        (
+            ("--big", "+-" * 10, "--small", "PM" * 9 + "P"),
+            "5dd2230d9eb6cc8f9fe82a30a63dc4266defdbe9c7abf1cb7549226989296514",
+        ),
     ]
-    proc = subprocess.run(cmd, capture_output=True, check=True)
-    assert proc.stderr == b""
-    digest = hashlib.sha256(proc.stdout).hexdigest()
-    assert digest == "e68fb975c94b479dec26484309baaf9ea047771fe80196e62aa40676425dc6ef"
+    for args, expected in pins:
+        cmd = [sys.executable, "-m", "relbranch.cli", "table", "he", *args]
+        proc = subprocess.run(cmd, capture_output=True, check=True)
+        assert proc.stderr == b"", args
+        assert hashlib.sha256(proc.stdout).hexdigest() == expected, args
 
 
 def test_table_period_benchmark_invocation_bytes():

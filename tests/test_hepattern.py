@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -130,6 +132,36 @@ def test_cap_refuses_only_larger_counts():
     assert len(enumerate_alignments("+-" * 3, "PM" * 3, cap=20)) == 20
     with pytest.raises(ValueError, match="^20 alignments exceed the cap 19$"):
         enumerate_alignments("+-" * 3, "PM" * 3, cap=19)
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_over_cap_input_refused_in_bounded_memory():
+    # the paths are counted one level at a time, and no move is stored for
+    # an input whose alignments exceed the cap
+    def refused():
+        with pytest.raises(ValueError, match="alignments exceed the cap 10$"):
+            enumerate_alignments("+-" * 100, "PM" * 100, cap=10)
+
+    _, peak = _traced_peak(refused)
+    assert peak < 2**20
+
+
+def test_alignment_memory_stays_near_output_size():
+    # prefixes and suffixes meet at the middle level, so building the list
+    # holds little besides the list itself
+    found, peak = _traced_peak(lambda: enumerate_alignments("+-" * 9, "PM" * 9))
+    size = sys.getsizeof(found) + sum(sys.getsizeof(s) for s in found)
+    assert len(found) == 48620
+    assert peak <= 1.3 * size, (peak, size)
 
 
 def test_printed_patterns_reproduced():

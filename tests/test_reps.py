@@ -167,6 +167,8 @@ def test_epsilon_of():
 
 
 def test_epsilon_character_validation():
+    texts = [str(EpsilonCharacter(e1, e2)) for e1 in (1, -1) for e2 in (1, -1)]
+    assert texts == ["(+1,+1)", "(+1,-1)", "(-1,+1)", "(-1,-1)"]
     with pytest.raises(ValueError):
         EpsilonCharacter(0, 1)
 

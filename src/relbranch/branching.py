@@ -164,9 +164,12 @@ def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
             f"expected exactly one contributing pair, got {[_PAIR_LABELS[i] for i in winners]}"
         )
     (witness,) = winners
+    # a, b > 0 (classify_interlacing refused the rest), so -a reads "-" + a
+    a, b = str(pattern.a), str(pattern.b)
+    merged = [a, b, "-" + b, "-" + a] if pattern.kind == P1 else [b, a, "-" + a, "-" + b]
     return {
         "pattern": pattern.kind,
-        "merged": [str(v) for v in pattern.merged],
+        "merged": merged,
         "characters": [str(c) for c in pattern_characters(pattern)],
         "witness": _PAIR_LABELS[witness],
         "witness_character": str(epsilon_of(params_G[witness // 2])),  # its level-G side

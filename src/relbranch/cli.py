@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import branching, hepattern, periods
 from .halfint import HalfInt
@@ -33,6 +34,7 @@ SCHEMA = "relbranch.record.v1"
 TABLE_CAP = 10000
 DEFAULT_MAX_K = 10
 ALIGNMENT_CAP = 1_000_000
+ALIGNMENT_BATCH = 4096  # alignments encoded per write of a table he record
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,7 +60,25 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _emit(record: dict, out) -> None:
-    out.write(_ENCODER.encode(record) + "\n")
+    """Write one record as one line.  A record whose alignments are a lazy
+    hepattern.Alignments is written as it is built: its text around an
+    empty list, and the list between, one encoded batch of alignments at a
+    time, so neither the alignments nor the line are ever held whole."""
+    result = record["result"]
+    found = result.get("alignments")
+    if not isinstance(found, hepattern.Alignments):
+        out.write(_ENCODER.encode(record) + "\n")
+        return
+    # the key occurs once: the inputs are sign strings over + - P M
+    text = _ENCODER.encode({**record, "result": {**result, "alignments": []}})
+    before, opening, after = text.partition('"alignments":[')
+    out.write(before + opening)
+    items = iter(found)
+    separator = ""
+    while batch := list(islice(items, ALIGNMENT_BATCH)):
+        out.write(separator + _ENCODER.encode(batch)[1:-1])
+        separator = ","
+    out.write(after + "\n")
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
@@ -295,6 +315,8 @@ def _flatten(record: dict) -> dict:
     for key, value in record["inputs"].items():
         flat[f"in.{key}"] = value
     for key, value in record["result"].items():
+        if isinstance(value, hepattern.Alignments):
+            value = list(value)  # a CSV cell is one string
         if isinstance(value, (list, dict)):
             flat[f"out.{key}"] = _ENCODER.encode(value)
         else:

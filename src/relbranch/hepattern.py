@@ -6,12 +6,14 @@ for circled plus, M for circled minus).  An alignment is an order-preserving
 interleaving of the two in which every adjacent pair of symbols belongs to
 the allowed set.  Alignments meet in the middle: each is one shared prefix
 plus one shared suffix, and the output order is that of a depth-first
-search trying the big sequence's symbol before the small one's.
+search trying the big sequence's symbol before the small one's.  They are
+counted when asked for and built one at a time as they are read, so a
+caller that writes them out never holds them all.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 PLUS = "+"
 MINUS = "-"
@@ -55,18 +57,54 @@ def _levels(big: str, small: str):
     yield ways, dict.fromkeys(ways, ())
 
 
-def enumerate_alignments(big: str, small: str, cap: int | None = None) -> list[str]:
+class Alignments:
+    """The alignments of big against small in depth-first, big-first order,
+    read lazily: len() is their count, and each iteration builds the
+    meet-in-the-middle tables again and yields one prefix + suffix at a
+    time."""
+
+    __slots__ = ("big", "small", "_count")
+
+    def __init__(self, big: str, small: str, count: int) -> None:
+        self.big, self.small, self._count = big, small, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[str]:
+        levels = [level for _, level in _levels(self.big, self.small)]
+        middle = len(levels) // 2
+        tails = dict.fromkeys(levels[-1], [""])
+        for level in reversed(levels[middle:-1]):
+            tails = {
+                state: [sym + tail for sym, after in moves for tail in tails[after]]
+                for state, moves in level.items()
+            }
+        heads = {state: [("", state)] if tail else [] for state, tail in tails.items()}
+        for level in reversed(levels[:middle]):
+            heads = {
+                state: [(sym + head, mid) for sym, after in moves for head, mid in heads[after]]
+                for state, moves in level.items()
+            }
+        del levels  # only the two tables are held while alignments are yielded
+        for head, mid in heads[(0, 0, "")]:
+            for tail in tails[mid]:
+                yield head + tail
+
+
+def enumerate_alignments(big: str, small: str, cap: int | None = None) -> Alignments:
     """All order-preserving interleavings of big and small in which every
     adjacent pair is allowed, in depth-first order trying big's next symbol
-    before small's.
+    before small's, as a sized lazy Alignments.
 
     A state is (symbols of big used, symbols of small used, last symbol).
-    The paths are counted first, one level of states at a time, so an
-    over-cap input raises ValueError before any move is stored.  Then
-    each state from the end back to the middle level lists its suffixes,
-    each state from there back to the start its (prefix, middle state)
-    pairs, and each alignment is one prefix + suffix: at most two levels of
-    strings are held at a time besides the middle level's suffixes.
+    The alphabets are checked and the paths counted here, one level of
+    states at a time, so a bad or over-cap input raises ValueError before
+    any move is stored or any alignment built.  Iterating the result then
+    builds, for each state from the end back to the middle level, its
+    suffixes, and for each state from there back to the start its (prefix,
+    middle state) pairs; those two tables are what is held, and each
+    alignment is one prefix + suffix, yielded as it is built.
     """
     for seq in (big, small):
         bad = [s for s in seq if s not in ALPHABET]
@@ -81,21 +119,7 @@ def enumerate_alignments(big: str, small: str, cap: int | None = None) -> list[s
     total = sum(ways.values())
     if cap is not None and total > cap:
         raise ValueError(f"{total} alignments exceed the cap {cap}")
-    levels = [level for _, level in _levels(big, small)]
-    middle = len(levels) // 2
-    tails = dict.fromkeys(levels[-1], [""])
-    for level in reversed(levels[middle:-1]):
-        tails = {
-            state: [sym + tail for sym, after in moves for tail in tails[after]]
-            for state, moves in level.items()
-        }
-    heads = {state: [("", state)] if tail else [] for state, tail in tails.items()}
-    for level in reversed(levels[:middle]):
-        heads = {
-            state: [(sym + head, mid) for sym, after in moves for head, mid in heads[after]]
-            for state, moves in level.items()
-        }
-    return [head + tail for head, mid in heads[(0, 0, "")] for tail in tails[mid]]
+    return Alignments(big, small, total)
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,8 @@ def test_criterion_11_sign_alignments():
         for n in range(4, 11):
             big = u2n_plus_sequence(n)
             first, second = u1n_end_candidates(n)
-            got_first = enumerate_alignments(big, first)
-            got_second = enumerate_alignments(big, second)
+            got_first = list(enumerate_alignments(big, first))
+            got_second = list(enumerate_alignments(big, second))
             assert len(got_first) == 1 and len(got_second) == 1
             assert got_first[0] == "+P" + "M-" * n + "+"
             assert got_second[0] == "+-" + "M-" * (n - 1) + "MP+"

@@ -265,10 +265,40 @@ def test_table_he_alignment_cap(capsys):
     assert elapsed < 1.0  # counted without building a single alignment
 
 
+def test_table_he_record_is_written_as_it_is_built():
+    # the 184,756 alignments of (+-)^10 against (PM)^10 are 7.9 MB of output;
+    # written to a sink that keeps nothing, the run holds the meet-in-the-middle
+    # tables and one batch, not the alignments or the record's text
+    import contextlib
+    import tracemalloc
+
+    class Sink:
+        written = 0
+
+        def write(self, text):
+            Sink.written += len(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    argv = ["table", "he", "--big", "+-" * 10, "--small", "PM" * 10]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Sink()):
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, Sink.written) == (0, 7_944_757)
+    assert peak < 3 * 2**20, peak
+
+
 def test_table_he_benchmark_invocation_bytes():
     # the exact bytes of the alignment invocation of the `enumeration`
-    # workload, of the README's U(2,n) path, and of an odd-length input (39
-    # symbols, 92,378 alignments) whose prefix and suffix halves differ
+    # workload, of the README's U(2,n) path, of an odd-length input (39
+    # symbols, 92,378 alignments) whose prefix and suffix halves differ, and
+    # of the benchmark input's CSV projection
     import hashlib
     import subprocess
     import sys
@@ -285,6 +315,10 @@ def test_table_he_benchmark_invocation_bytes():
         (
             ("--big", "+-" * 10, "--small", "PM" * 9 + "P"),
             "5dd2230d9eb6cc8f9fe82a30a63dc4266defdbe9c7abf1cb7549226989296514",
+        ),
+        (
+            ("--big", "+-" * 9, "--small", "PM" * 9, "--csv"),
+            "db38f8cb8787cafad1d7185c2d2ceb0d9ccd21dcfba7d9d6c84b88d02bf60b2c",
         ),
     ]
     for args, expected in pins:
@@ -809,21 +843,31 @@ def test_table_validation_error_names_row(capsys, monkeypatch):
     assert err.startswith("error: table period row n=2 k=0: ")
 
 
-def test_broken_pipe_exits_quietly():
+def _read_then_close(args, size):
+    """Run relbranch with args, read size bytes of its stdout and close the
+    pipe; the exit code and stderr of the run."""
     import subprocess
     import sys
 
-    # about 0.3 MB of records: more than a pipe buffer holds
-    cmd = [
-        sys.executable, "-m", "relbranch.cli",
-        "table", "branch", "--pq", "4,5", "--a-range", "4..30", "--b-range", "7/2..59/2",
-    ]
+    cmd = [sys.executable, "-m", "relbranch.cli", *args]
     with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline().startswith(b"{")
+        first = proc.stdout.read(size)
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0
-    assert err == b""
+    assert first.startswith(b'{"schema":'), first
+    return proc.returncode, err
+
+
+def test_broken_pipe_exits_quietly():
+    # about 0.3 MB of records: more than a pipe buffer holds
+    args = ["table", "branch", "--pq", "4,5", "--a-range", "4..30", "--b-range", "7/2..59/2"]
+    assert _read_then_close(args, 64) == (0, b"")
+
+
+def test_broken_pipe_inside_a_streamed_record_exits_quietly():
+    # one 7.9 MB record, written in batches: the reader leaves mid-record
+    args = ["table", "he", "--big", "+-" * 10, "--small", "PM" * 10]
+    assert _read_then_close(args, 64) == (0, b"")
 
 
 def _readme_commands():

@@ -78,9 +78,9 @@ def test_allowed_adjacent_examples():
 
 
 def test_sign_seq_parsing():
-    assert enumerate_alignments("+--+", "PMM") == ["+PM-M-+"]
-    assert enumerate_alignments("+-+", "") == ["+-+"]
-    assert enumerate_alignments("", "PMP") == ["PMP"]
+    assert list(enumerate_alignments("+--+", "PMM")) == ["+PM-M-+"]
+    assert list(enumerate_alignments("+-+", "")) == ["+-+"]
+    assert list(enumerate_alignments("", "PMP")) == ["PMP"]
     with pytest.raises(ValueError, match="plain signs"):
         enumerate_alignments("PMM", "")
     with pytest.raises(ValueError, match="unknown symbols"):
@@ -95,7 +95,8 @@ def test_enumerate_requires_disjoint_alphabets():
 
 
 def test_single_symbol_incompatible():
-    assert enumerate_alignments("+", "M") == []
+    found = enumerate_alignments("+", "M")
+    assert (len(found), list(found)) == (0, [])
 
 
 def test_count_oracle_matches_enumeration():
@@ -114,12 +115,12 @@ def test_order_matches_reference_exhaustively():
     for big in words("+-"):
         for small in smalls:
             expected = _reference_alignments(big, small)
-            assert enumerate_alignments(big, small) == expected, (big, small)
+            assert list(enumerate_alignments(big, small)) == expected, (big, small)
 
 
 def test_alternating_count_is_central_binomial():
     for k in range(10):
-        found = enumerate_alignments("+-" * k, "PM" * k)
+        found = list(enumerate_alignments("+-" * k, "PM" * k))
         assert len(found) == math.comb(2 * k, k), k
     assert len(found) == 48620
     assert found[0] == "+-+-+-+-+-+-+-+-+PMPMPMPMPMPMPMPMPM-"
@@ -156,9 +157,9 @@ def test_over_cap_input_refused_in_bounded_memory():
 
 
 def test_alignment_memory_stays_near_output_size():
-    # prefixes and suffixes meet at the middle level, so building the list
-    # holds little besides the list itself
-    found, peak = _traced_peak(lambda: enumerate_alignments("+-" * 9, "PM" * 9))
+    # prefixes and suffixes meet at the middle level, so listing the
+    # alignments holds little besides the list itself
+    found, peak = _traced_peak(lambda: list(enumerate_alignments("+-" * 9, "PM" * 9)))
     size = sys.getsizeof(found) + sum(sys.getsizeof(s) for s in found)
     assert len(found) == 48620
     assert peak <= 1.3 * size, (peak, size)
@@ -168,8 +169,8 @@ def test_printed_patterns_reproduced():
     for n in range(4, 11):
         big = u2n_plus_sequence(n)
         first, second = u1n_end_candidates(n)
-        got_first = enumerate_alignments(big, first)
-        got_second = enumerate_alignments(big, second)
+        got_first = list(enumerate_alignments(big, first))
+        got_second = list(enumerate_alignments(big, second))
         assert got_first == ["+P" + "M-" * n + "+"]
         assert got_second == ["+-" + "M-" * (n - 1) + "MP+"]
 
@@ -215,7 +216,9 @@ def _plain_and_circled(draw):
 @given(_plain_and_circled())
 def test_alignment_properties_random(seqs):
     big, small = seqs
-    merged_list = enumerate_alignments(big, small)
+    found = enumerate_alignments(big, small)
+    merged_list = list(found)
+    assert list(found) == merged_list  # each iteration builds the same list
     seen = set()
     for merged in merged_list:
         assert len(merged) == len(big) + len(small)
@@ -225,11 +228,11 @@ def test_alignment_properties_random(seqs):
         assert _erase(merged, CIRCLED) == small
         seen.add(merged)
     assert len(seen) == len(merged_list)  # no duplicates
-    assert len(merged_list) == _count_alignments(big, small)
+    assert len(found) == len(merged_list) == _count_alignments(big, small)
     assert merged_list == _reference_alignments(big, small)
 
 
 def test_enumeration_is_deterministic():
     big = u2n_plus_sequence(5)
     small, _ = u1n_end_candidates(5)
-    assert enumerate_alignments(big, small) == enumerate_alignments(big, small)
+    assert list(enumerate_alignments(big, small)) == list(enumerate_alignments(big, small))

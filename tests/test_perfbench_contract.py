@@ -1,15 +1,16 @@
 """What the benchmark in perfbench/ reads of the package.
 
 The benchmark scripts are parsed, never imported: a name they take from
-relbranch, the period call of their reach_label metric, and the class-level
-hook through which they count StageParams must keep working, so that a
-deletion that would break a benchmark run fails here first."""
+relbranch, the period call of their reach_label metric, the class-level
+hook through which they count StageParams and the len() through which they
+count alignments must keep working, so that a deletion that would break a
+benchmark run fails here first."""
 
 import ast
 from math import isfinite
 from pathlib import Path
 
-from relbranch import branching, periods
+from relbranch import branching, hepattern, periods
 from relbranch.halfint import HalfInt
 from relbranch.jacobi import MAX_DEGREE
 
@@ -101,3 +102,27 @@ def test_stage_params_hook_is_called_on_every_construction(monkeypatch):
     monkeypatch.setattr(branching.StageParams, "__post_init__", counted)
     built = [branching.StageParams(8, 0, HalfInt(6)), branching.StageParams(9, 2, HalfInt(4))]
     assert seen == built
+
+
+def test_alignment_observer_reads_the_count_by_len():
+    # spans.py counts alignments as len() of enumerate_alignments' result,
+    # which is lazy: its len() must be the number of alignments it yields
+    (branch,) = [
+        node
+        for node in ast.walk(_tree("spans.py"))
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and any(
+            isinstance(c, ast.Constant) and c.value == "hepattern.enumerate_alignments"
+            for c in node.test.comparators
+        )
+    ]
+    calls = [
+        ast.unparse(node)
+        for stmt in branch.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+    ]
+    assert "len(result)" in calls
+    found = hepattern.enumerate_alignments("+-" * 3, "PM" * 3)
+    assert len(found) == sum(1 for _ in found) == 20

@@ -327,18 +327,17 @@ def _flatten(record: dict) -> dict:
 def cmd_table(args, out) -> int:
     rows = args.rows(args)
     if args.csv:
-        import csv  # only the CSV projection reads these two
-        import io
+        import csv  # only the CSV projection reads it
 
-        records = list(rows)
-        if not records:
-            return EXIT_OK
-        flat = [_flatten(r) for r in records]
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(flat[0].keys()))
-        writer.writeheader()
-        writer.writerows(flat)
-        out.write(buffer.getvalue())
+        # the header comes from the first record, and each row is written as
+        # it arrives, as a JSON line would be
+        writer = None
+        for record in rows:
+            flat = _flatten(record)
+            if writer is None:
+                writer = csv.DictWriter(out, fieldnames=list(flat))
+                writer.writeheader()
+            writer.writerow(flat)
         return EXIT_OK
     for record in rows:
         _emit(record, out)

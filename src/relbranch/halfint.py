@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .frozen import Frozen
 
-class HalfInt:
-    """A number n/2 with n an integer, stored as ``twice = n``."""
+
+class HalfInt(Frozen):
+    """A number n/2 with n an integer, stored as ``twice = n``; it compares,
+    hashes and prints as a number, not as a ``Frozen`` record."""
 
     __slots__ = ("twice",)
 
@@ -19,14 +22,6 @@ class HalfInt:
         if not isinstance(twice, int):
             raise TypeError(f"twice must be an int, got {type(twice).__name__}")
         object.__setattr__(self, "twice", twice)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HalfInt is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__: the default restores
-        # the slot through the __setattr__ above
-        return HalfInt, (self.twice,)
 
     # -- construction ----------------------------------------------------
 

@@ -9,8 +9,10 @@ pairings by monomial integration, and the float Beta form of the radial
 integral for real exponents (via log_gamma) with an adaptive quadrature on
 specfun's Gauss-Legendre rule, which build the Beta-argument calibration
 table of docs/radial_integral_calibration.md.  None of these share code with
-the modules they check, and no CLI path imports this module, the only one
-that uses ``lgamma``.
+the modules they check: the highest weights the interlacing rule takes are
+defined here, on the value bases ``Frozen`` and ``HalfInt``, and nothing is
+imported from ``reps`` or ``jacobi``.  No CLI path imports this module, the
+only one that uses ``lgamma``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,37 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, NamedTuple, Sequence
 
-from .reps import HighestWeight
+from .frozen import Frozen
+from .halfint import HalfInt
 from .specfun import ConvergenceError, QuadratureResult, gauss_legendre
+
+
+class HighestWeight(Frozen):
+    """A weakly decreasing weight vector with exact entries."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[HalfInt, ...]):
+        super().__init__(entries)
+        for a, b in zip(entries, entries[1:]):
+            if a < b:
+                raise ValueError(f"weight entries must be weakly decreasing: {self}")
+
+    @classmethod
+    def of(cls, *values) -> "HighestWeight":
+        return cls(tuple(HalfInt.coerce(v) for v in values))
+
+    def entry_sum(self) -> HalfInt:
+        total = HalfInt(0)
+        for e in self.entries:
+            total = total + e
+        return total
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __str__(self) -> str:
+        return "(" + ",".join(str(e) for e in self.entries) + ")"
 
 
 class GTBranchResult(NamedTuple):

@@ -13,6 +13,9 @@ Given parity, the good-range offset is automatically an integer, so range
 reduces to a lower bound; the two checks are still reported separately so
 errors name the violated clause.  Only this module works out the bound;
 every other reads it from bound_twice, or valid_twice for a range of a.
+
+The commands read all of this module.  The minimal K-type checks, which
+none reads, live beside their tests in tests/test_reps.py.
 """
 
 from __future__ import annotations
@@ -84,43 +87,11 @@ EPSILON_1 = EpsilonCharacter(1, -1)
 EPSILON_2 = EpsilonCharacter(-1, 1)
 
 
-class HighestWeight(Frozen):
-    """A weakly decreasing weight vector with exact entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[HalfInt, ...]):
-        super().__init__(entries)
-        for a, b in zip(entries, entries[1:]):
-            if a < b:
-                raise ValueError(f"weight entries must be weakly decreasing: {self}")
-
-    @classmethod
-    def of(cls, *values) -> "HighestWeight":
-        return cls(tuple(HalfInt.coerce(v) for v in values))
-
-    def entry_sum(self) -> HalfInt:
-        total = HalfInt(0)
-        for e in self.entries:
-            total = total + e
-        return total
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
-
-
 class DiscreteSeriesParam(NamedTuple):
     sig: Signature
     side: Side
     level: GroupLevel
     a: HalfInt
-
-    @property
-    def good_range_bound(self) -> HalfInt:
-        return HalfInt(bound_twice(self.sig, self.level))
 
     def __str__(self) -> str:
         return format_param(self)
@@ -171,70 +142,10 @@ def make_param(sig: Signature, side: Side, level: GroupLevel, a) -> DiscreteSeri
     return DiscreteSeriesParam(sig, side, level, a)
 
 
-def a_zero(param: DiscreteSeriesParam) -> HalfInt:
-    """The good-range offset a - (p+q-1)/2, a natural number at level G."""
-    if param.level is not GroupLevel.G:
-        raise ParamError("a_zero is defined for level-G parameters")
-    return param.a - param.good_range_bound
-
-
-def minimal_k_type(param: DiscreteSeriesParam) -> tuple[HighestWeight, HighestWeight]:
-    """Highest weights of the minimal K-type, as (U(p)-factor, U(q)-factor).
-
-    The plus side is trivial on the U(q) factor with U(p)-weight
-    (a0+q, 0, ..., 0, -a0-q); the minus side mirrors it with p and q swapped.
-    """
-    if param.level is not GroupLevel.G:
-        raise ParamError("minimal_k_type is defined for level-G parameters")
-    p, q = param.sig.p, param.sig.q
-    a0 = a_zero(param)
-    zero = HalfInt(0)
-
-    def spiked(length: int, top: HalfInt) -> HighestWeight:
-        if length < 2:
-            raise ParamError(f"nontrivial factor needs rank >= 2, got {length}")
-        return HighestWeight((top,) + (zero,) * (length - 2) + (-top,))
-
-    def trivial(length: int) -> HighestWeight:
-        return HighestWeight((zero,) * length)
-
-    if param.side is Side.PLUS:
-        return spiked(p, a0 + q), trivial(q)
-    return trivial(p), spiked(q, a0 + p)
-
-
-def infinitesimal_character(param: DiscreteSeriesParam) -> tuple[HalfInt, ...]:
-    """(a, middle string, -a) with the middle the unit-step string of length
-    p+q-2 centered at zero, endpoints +-(p+q-3)/2.  Entries are pairwise
-    distinct for every valid parameter."""
-    if param.level is not GroupLevel.G:
-        raise ParamError("infinitesimal_character is defined for level-G parameters")
-    n = param.sig.n
-    top = HalfInt(n - 3)  # (p+q-3)/2
-    middle = [top - j for j in range(n - 2)]
-    entries = (param.a, *middle, -param.a)
-    if len(set(e.twice for e in entries)) != len(entries):
-        raise ParamError(f"singular infinitesimal character for a = {param.a}")
-    return entries
-
-
 def epsilon_of(param: DiscreteSeriesParam) -> EpsilonCharacter:
     """The packet character attached to the side: plus -> (+1,-1),
     minus -> (-1,+1)."""
     return EPSILON_1 if param.side is Side.PLUS else EPSILON_2
-
-
-def center_acts_trivially(weight_p: HighestWeight, weight_q: HighestWeight) -> bool:
-    """The center acts by the total weight sum; trivial action means the
-    entries of both factors sum to zero, which is what lets the
-    special-unitary picture extend to the full unitary group."""
-    return (weight_p.entry_sum() + weight_q.entry_sum()) == HalfInt(0)
-
-
-def center_lift_check(param: DiscreteSeriesParam) -> bool:
-    """True iff the minimal K-type is trivial on the center."""
-    wp, wq = minimal_k_type(param)
-    return center_acts_trivially(wp, wq)
 
 
 # ---------------------------------------------------------------------------

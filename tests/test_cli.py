@@ -265,10 +265,9 @@ def test_table_he_alignment_cap(capsys):
     assert elapsed < 1.0  # counted without building a single alignment
 
 
-def test_table_he_record_is_written_as_it_is_built():
-    # the 184,756 alignments of (+-)^10 against (PM)^10 are 7.9 MB of output;
-    # written to a sink that keeps nothing, the run holds the meet-in-the-middle
-    # tables and one batch, not the alignments or the record's text
+def run_to_sink(*argv):
+    """Run the CLI with a stdout that keeps nothing: (exit code, characters
+    written, tracemalloc peak in bytes)."""
     import contextlib
     import tracemalloc
 
@@ -282,15 +281,22 @@ def test_table_he_record_is_written_as_it_is_built():
         def flush(self):
             pass
 
-    argv = ["table", "he", "--big", "+-" * 10, "--small", "PM" * 10]
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(Sink()):
-            code = cli.main(argv)
+            code = cli.main(list(argv))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, Sink.written) == (0, 7_944_757)
+    return code, Sink.written, peak
+
+
+def test_table_he_record_is_written_as_it_is_built():
+    # the 184,756 alignments of (+-)^10 against (PM)^10 are 7.9 MB of output;
+    # written to a sink that keeps nothing, the run holds the meet-in-the-middle
+    # tables and one batch, not the alignments or the record's text
+    code, written, peak = run_to_sink("table", "he", "--big", "+-" * 10, "--small", "PM" * 10)
+    assert (code, written) == (0, 7_944_757)
     assert peak < 3 * 2**20, peak
 
 
@@ -639,6 +645,15 @@ def test_table_csv_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, args
 
 
+def test_table_csv_is_written_row_by_row():
+    # the benchmark's 3,249-row branch grid, written to a sink that keeps
+    # nothing, holds one row at a time, not the records or the CSV text
+    argv = ("--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2", "--csv")
+    code, written, peak = run_to_sink("table", "branch", *argv)
+    assert (code, written) == (0, 556_046)
+    assert peak < 2**20, peak
+
+
 def test_records_reparse_and_determinism(capsys):
     args = ("table", "period", "--pq", "1,2", "--n-max", "4", "--k-max", "4")
     code, first, _ = run_cli(capsys, *args)
@@ -783,10 +798,11 @@ def test_table_nonconvergence_names_row(capsys, monkeypatch):
     assert err == "error: table period row n=4 k=2: refinement budget exhausted\n"
 
 
-def test_table_branch_names_failing_row(capsys, monkeypatch):
+@pytest.mark.parametrize("form", ["json", "csv"])
+def test_table_branch_names_failing_row(capsys, monkeypatch, form):
     # a hom_dim that couples one row's mixed-side pairs breaks the
-    # exactly-one-witness check there: the rows before it are emitted, and
-    # the run exits 2 naming that row
+    # exactly-one-witness check there: the rows before it are emitted (in
+    # CSV after the header), and the run exits 2 naming that row
     real = cli.branching.hom_dim
 
     def couples_mixed_sides(Pi, pi):
@@ -796,11 +812,15 @@ def test_table_branch_names_failing_row(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.branching, "hom_dim", couples_mixed_sides)
     argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..5", "--b-range", "7/2..9/2")
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, *(["--csv"] if form == "csv" else []))
     assert code == cli.EXIT_VALIDATION
-    assert [(r["inputs"]["a"], r["inputs"]["b"]) for r in parse_records(out)] == [
-        ("4", "7/2"), ("4", "9/2")
-    ]
+    if form == "csv":
+        header, *lines = out.splitlines()
+        assert header.startswith("command,in.p,in.q,in.a,in.b,out.")
+        rows = [tuple(line.split(",")[3:5]) for line in lines]
+    else:
+        rows = [(r["inputs"]["a"], r["inputs"]["b"]) for r in parse_records(out)]
+    assert rows == [("4", "7/2"), ("4", "9/2")]
     assert err == (
         "error: table branch row a=5 b=7/2: "
         "expected exactly one contributing pair, got ['(+,+)', '(+,-)', '(-,+)']\n"

@@ -14,6 +14,7 @@ from relbranch import oracle
 from relbranch.jacobi import jacobi_values
 from relbranch.oracle import (
     GTBranchResult,
+    HighestWeight,
     beta_argument_evidence,
     compact_relative_mult,
     is_spherical,
@@ -21,7 +22,6 @@ from relbranch.oracle import (
     su2_spherical_coefficient,
     un_branch_mult,
 )
-from relbranch.reps import HighestWeight
 
 
 def test_un_branch_examples():
@@ -132,7 +132,8 @@ def test_su2_rejects_negative_degree():
 
 
 def test_oracle_imports_nothing_from_jacobi():
-    # the exact Jacobi oracle must not share code with the module it checks
+    # the oracles must not share code with the modules they check: the exact
+    # Jacobi oracle with jacobi, the Gelfand-Tsetlin rule with reps
     tree = ast.parse(Path(oracle.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -143,7 +144,7 @@ def test_oracle_imports_nothing_from_jacobi():
         else:
             continue
         for name in modules:
-            assert name.split(".")[-1] != "jacobi", ast.unparse(node)
+            assert name.split(".")[-1] not in ("jacobi", "reps"), ast.unparse(node)
 
 
 def test_only_the_oracle_references_lgamma():

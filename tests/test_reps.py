@@ -3,25 +3,22 @@ import re
 import pytest
 
 from relbranch.halfint import HalfInt
+from relbranch.oracle import HighestWeight
 from relbranch.reps import (
     EPSILON_1,
     EPSILON_2,
+    DiscreteSeriesParam,
     EpsilonCharacter,
     GoodRangeError,
     GroupLevel,
-    HighestWeight,
     ParamError,
     ParityError,
     Side,
     Signature,
-    a_zero,
-    center_acts_trivially,
-    center_lift_check,
+    bound_twice,
     epsilon_of,
     format_param,
-    infinitesimal_character,
     make_param,
-    minimal_k_type,
 )
 
 
@@ -43,6 +40,71 @@ def parse_param(text):
     level = GroupLevel.GPRIME if m.group("prime") else GroupLevel.G
     side = Side.PLUS if m.group("side") == "+" else Side.MINUS
     return make_param(sig, side, level, HalfInt.parse(m.group("a")))
+
+
+# The minimal K-type, infinitesimal character and center-lift check of a
+# level-G parameter: background that no command reads, kept here as the
+# reference the assertions below pin.
+
+
+def a_zero(param: DiscreteSeriesParam) -> HalfInt:
+    """The good-range offset a - (p+q-1)/2, a natural number at level G."""
+    if param.level is not GroupLevel.G:
+        raise ParamError("a_zero is defined for level-G parameters")
+    return param.a - HalfInt(bound_twice(param.sig, param.level))
+
+
+def minimal_k_type(param: DiscreteSeriesParam) -> tuple[HighestWeight, HighestWeight]:
+    """Highest weights of the minimal K-type, as (U(p)-factor, U(q)-factor).
+
+    The plus side is trivial on the U(q) factor with U(p)-weight
+    (a0+q, 0, ..., 0, -a0-q); the minus side mirrors it with p and q swapped.
+    """
+    if param.level is not GroupLevel.G:
+        raise ParamError("minimal_k_type is defined for level-G parameters")
+    p, q = param.sig.p, param.sig.q
+    a0 = a_zero(param)
+    zero = HalfInt(0)
+
+    def spiked(length: int, top: HalfInt) -> HighestWeight:
+        if length < 2:
+            raise ParamError(f"nontrivial factor needs rank >= 2, got {length}")
+        return HighestWeight((top,) + (zero,) * (length - 2) + (-top,))
+
+    def trivial(length: int) -> HighestWeight:
+        return HighestWeight((zero,) * length)
+
+    if param.side is Side.PLUS:
+        return spiked(p, a0 + q), trivial(q)
+    return trivial(p), spiked(q, a0 + p)
+
+
+def infinitesimal_character(param: DiscreteSeriesParam) -> tuple[HalfInt, ...]:
+    """(a, middle string, -a) with the middle the unit-step string of length
+    p+q-2 centered at zero, endpoints +-(p+q-3)/2.  Entries are pairwise
+    distinct for every valid parameter."""
+    if param.level is not GroupLevel.G:
+        raise ParamError("infinitesimal_character is defined for level-G parameters")
+    n = param.sig.n
+    top = HalfInt(n - 3)  # (p+q-3)/2
+    middle = [top - j for j in range(n - 2)]
+    entries = (param.a, *middle, -param.a)
+    if len(set(e.twice for e in entries)) != len(entries):
+        raise ParamError(f"singular infinitesimal character for a = {param.a}")
+    return entries
+
+
+def center_acts_trivially(weight_p: HighestWeight, weight_q: HighestWeight) -> bool:
+    """The center acts by the total weight sum; trivial action means the
+    entries of both factors sum to zero, which is what lets the
+    special-unitary picture extend to the full unitary group."""
+    return (weight_p.entry_sum() + weight_q.entry_sum()) == HalfInt(0)
+
+
+def center_lift_check(param: DiscreteSeriesParam) -> bool:
+    """True iff the minimal K-type is trivial on the center."""
+    wp, wq = minimal_k_type(param)
+    return center_acts_trivially(wp, wq)
 
 
 def valid_level_G_params(sig, count=4):

@@ -180,13 +180,16 @@ _PERIOD_RULES = [
 ]
 
 
-def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> dict:
+def _period_result(
+    p: int, q: int, n: int, k: int, family: str, tol: float, shared: periods.SharedFactors
+) -> dict:
     """One period record from one exact period: the closed form (that value
     rounded once), the quadrature, their difference and the vanishing flag
-    (exact, since the radial factor is positive)."""
-    exact = periods.period_integral_exact(p, q, n, k, kind=family)
+    (exact, since the radial factor is positive).  shared holds the factors
+    the record's grid builds once."""
+    exact = periods.period_integral_exact(p, q, n, k, kind=family, shared=shared)
     closed = periods.closed_value(exact)
-    quad = periods.period_integral_quadrature(p, q, n, k, tol, kind=family)
+    quad = periods.period_integral_quadrature(p, q, n, k, tol, kind=family, shared=shared)
     return {
         "family": family,
         "closed": closed,
@@ -200,7 +203,8 @@ def _period_result(p: int, q: int, n: int, k: int, family: str, tol: float) -> d
 def cmd_period(args, out) -> int:
     p, q = _parse_pq(args.pq)
     periods.check_tol(args.tol)
-    result = _period_result(p, q, args.n, args.k, args.family, args.tol)
+    shared = periods.SharedFactors()
+    result = _period_result(p, q, args.n, args.k, args.family, args.tol, shared)
     record = _record(
         "period",
         {"p": p, "q": q, "n": args.n, "k": args.k, "family": args.family, "tol": args.tol},
@@ -260,11 +264,11 @@ def _rows_period(args):
     if ns and ks:  # refuse a label above the cap before the first record, k first
         _check_degree(ks[-1])
         _check_degree(ns[-1])
+    shared = periods.SharedFactors()  # the grid's sweeps and radial factors, built once
     for n in ns:
         for k in ks:
-            result = _row(
-                "period", {"n": n, "k": k}, _period_result, p, q, n, k, args.family, args.tol
-            )
+            row = {"n": n, "k": k}
+            result = _row("period", row, _period_result, p, q, n, k, args.family, args.tol, shared)
             inputs = {"p": p, "q": q, "n": n, "k": k, "family": args.family}
             yield _record("table.period", inputs, result, _PERIOD_RULES)
 

@@ -4,9 +4,11 @@ coefficients and exact weighted pairings.
 Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)).
 
 Float values come from the three-term recurrence (DLMF 18.9; Szego,
-Orthogonal Polynomials, ch. 4) in pure Python (jacobi_values), at each node
-of a sequence, for integer alpha and beta; monomial coefficients reach 1e30
-by degree 64 and cancel catastrophically in float.
+Orthogonal Polynomials, ch. 4) in pure Python, for integer alpha and beta:
+one sweep at each node of a sequence gives every degree at once, one
+array('d') row per degree (jacobi_rows), and a caller that keeps the rows
+extends the same sweep when it asks for a higher degree; monomial
+coefficients reach 1e30 by degree 64 and cancel catastrophically in float.
 
 Pairings of a shifted polynomial against an unshifted one come in closed form
 from the connection formula (DLMF 18.18(iv)): P_n^(alpha+shift,beta) expands
@@ -16,7 +18,8 @@ coefficient times a squared norm, nonzero exactly when the second degree is
 at most the first.  This exact dichotomy drives every non-vanishing claim
 downstream.  The squared norm of a shifted polynomial under the unshifted
 weight is one closed form too (jacobi_shifted_norm_sq), not a sum over the
-expansion.
+expansion.  Both squared norms are pure functions of small integers, so each
+is built once per argument tuple and kept.
 
 The exact monomial-coefficient oracle these are tested against lives in
 relbranch.oracle and shares no code with this module.
@@ -24,6 +27,7 @@ relbranch.oracle and shares no code with this module.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -43,10 +47,11 @@ def _check_degree(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _recurrence_ratios(al: int, be: int) -> tuple[tuple[float, float, float], ...]:
-    """Rows (c2/c1, c3/c1, c4/c1) of the steps to degrees 1..MAX_DEGREE,
+    """The ratios (c2/c1, c3/c1, c4/c1) of the steps to degrees 1..MAX_DEGREE,
     where P_m = ((c2 + c3 x) P_{m-1} - c4 P_{m-2}) / c1, for the integer
-    exponents al = alpha and be = beta.  No row depends on the target degree,
-    so degree n reads the first n rows.  With P_{-1} = 0 the first row is P_1.
+    exponents al = alpha and be = beta.  No step depends on the target
+    degree, so degree n takes the first n steps.  With P_{-1} = 0 the first
+    step gives P_1.
 
     Every c_i is an int, and int / int is the correctly rounded quotient, so
     each ratio is the exact rational rounded once with no Fraction built."""
@@ -60,18 +65,34 @@ def _recurrence_ratios(al: int, be: int) -> tuple[tuple[float, float, float], ..
     return tuple(rows)
 
 
-def jacobi_values(n: int, alpha: int, beta_param: int, xs: Sequence[float]) -> list[float]:
-    """P_n^(alpha,beta) at each node of xs, for integer alpha and beta, in
-    floating point by the three-term recurrence."""
+def jacobi_rows(
+    n: int, alpha: int, beta_param: int, xs: Sequence[float], rows: list[array] | None = None
+) -> list[array]:
+    """The rows of one three-term recurrence sweep of P^(alpha,beta) at the
+    nodes xs, for integer alpha and beta, in floating point: row j is an
+    array('d') of P_j at each node, and rows 0..n at least are returned.
+
+    rows, when given, is an earlier sweep of the same exponents at the same
+    nodes.  It is extended in place, each new row built once from the two
+    below it, and returned, so a caller that keeps it sweeps each node set
+    only as far as the highest degree it asks for.  A node runs the same
+    operations whether the sweep stops at n or goes on, so row n holds the
+    same floats however far the sweep reached."""
     _check_degree(n)
-    steps = _recurrence_ratios(alpha, beta_param)[:n]
-    values = []
-    for x in xs:
-        prev, cur = 0.0, 1.0
-        for c2, c3, c4 in steps:
-            prev, cur = cur, (c2 + c3 * x) * cur - c4 * prev
-        values.append(cur)
-    return values
+    if rows is None:
+        rows = []
+    if not rows:
+        rows.append(array("d", [1.0]) * len(xs))
+    start = len(rows)
+    if start <= n:
+        # each row is built as a list from the two below it, which iterate
+        # faster than arrays, and kept as an array
+        cur = rows[-1].tolist()
+        prev = rows[-2].tolist() if start > 1 else [0.0] * len(xs)  # P_{-1} = 0
+        for c2, c3, c4 in _recurrence_ratios(alpha, beta_param)[start - 1 : n]:
+            prev, cur = cur, [(c2 + c3 * x) * u - c4 * v for x, u, v in zip(xs, cur, prev)]
+            rows.append(array("d", cur))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +130,7 @@ def connection_coeff(n: int, k: int, alpha: int, beta_param: int, shift: int) ->
     )
 
 
+@lru_cache(maxsize=None)
 def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
     """Exact norm of P_k^(alpha,beta) against the bare weight
     (1-x)^alpha (1+x)^beta:
@@ -126,6 +148,7 @@ def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def jacobi_shifted_norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> Fraction:
     """Exact squared norm of P_n^(alpha+shift,beta) against the unshifted
     weight (1-x)^alpha (1+x)^beta, for shift 1 or 2: the sum of d_j^2 h_j over

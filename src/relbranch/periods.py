@@ -26,8 +26,8 @@ refused before either factor is built.  The quadrature oracle is
 independent of both exact factors.  On the period route both factors are
 polynomials: the radial one after v = tanh^2 t, the angular one as the
 product of the float three-term recurrence values at the rule's nodes
-(jacobi.jacobi_values) and the weight.  So one Gauss-Legendre rule per
-factor, with degree // 2 + 1 nodes, is exact up to roundoff
+(rows n and k of jacobi.jacobi_rows) and the weight.  So one Gauss-Legendre
+rule per factor, with degree // 2 + 1 nodes, is exact up to roundoff
 (specfun.gauss_legendre_quadrature), and it reaches the full label range up
 to MAX_DEGREE.  The result carries its own roundoff bound, which is what a
 quadrature value is judged against; vanishing is read from the exact route
@@ -35,15 +35,24 @@ only.  Only the angular scale, a Cauchy-Schwarz bound that gates the
 tolerance and floors the roundoff bound, reads the two squared norms, each
 one exact closed form (jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq)
 rounded once.
+
+Records of one grid share inputs, and a SharedFactors table, passed as
+shared=, builds each once: every record with the same n + k has the same
+rule and the same two radial factors, so each (rule, alpha, beta) is one
+recurrence sweep, extended only as far as a record asks, and each n + k one
+exact and one quadrature radial factor.  A record's floats are the same with
+or without the table, and each record still builds its own exact pairing
+and gates its own factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, sqrt
+from typing import Sequence
 
-from .jacobi import _check_degree, jacobi_norm_sq, jacobi_pairing, jacobi_shifted_norm_sq
-from .jacobi import jacobi_values
+from .jacobi import _check_degree, jacobi_norm_sq, jacobi_pairing, jacobi_rows
+from .jacobi import jacobi_shifted_norm_sq
 from .specfun import ConvergenceError, QuadratureResult, gauss_legendre_quadrature
 from .specfun import radial_integral_exact
 
@@ -69,6 +78,31 @@ class PreconditionError(ValueError):
     """Period-integral arguments outside the supported range."""
 
 
+class SharedFactors:
+    """The inputs that the records of one period grid share, each built
+    once: the Jacobi sweep of each (rule, alpha, beta), extended only as far
+    as a record asks, and each radial factor, exact and by quadrature, which
+    depends on n + k only.  One `table period` run owns one, and a period
+    computed alone gets its own, so nothing outlives the grid it serves."""
+
+    def __init__(self) -> None:
+        self._sweeps: dict = {}
+        self._factors: dict = {}
+
+    def jacobi_row(self, n: int, alpha: int, beta_param: int, nodes) -> Sequence[float]:
+        """P_n^(alpha,beta) at the nodes of one Gauss-Legendre rule, which
+        their count names: row n of that rule's sweep."""
+        rows = self._sweeps.setdefault((len(nodes), alpha, beta_param), [])
+        return jacobi_rows(n, alpha, beta_param, nodes, rows)[n]
+
+    def factor(self, build, *args):
+        """build(*args), built the first time build is asked for args."""
+        key = (build, args)
+        if key not in self._factors:
+            self._factors[key] = build(*args)
+        return self._factors[key]
+
+
 def _period_args(p: int, q: int, n: int, k: int, kind: str):
     """The radial (sinh power, cosh decay) and angular (alpha, beta, shift)
     of one period, once its arguments are checked; labels above MAX_DEGREE
@@ -91,7 +125,9 @@ def check_tol(tol: float) -> None:
         raise ValueError("tol must be positive and finite")
 
 
-def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
+def period_integral_exact(
+    p: int, q: int, n: int, k: int, kind: str = COMPLEX, *, shared: SharedFactors | None = None
+) -> Fraction:
     """Exact period integral: the rational radial factor A(sinh power, cosh
     decay) times the exact angular factor, int P_n^(alpha+shift,beta)
     P_k^(alpha,beta) (1-x)^alpha (1+x)^beta dx with P_n the big family's
@@ -99,10 +135,11 @@ def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -
 
     Nonzero exactly when k <= n: the radial factor is a convergent integral
     of a positive function, and the angular pairing vanishes exactly when
-    k > n."""
+    k > n.  shared, when given, holds the grid's radial factors."""
     radial, angular = _period_args(p, q, n, k, kind)
+    shared = SharedFactors() if shared is None else shared
     # convergence: the cosh decay exceeds the sinh power automatically for q > p
-    return radial_integral_exact(*radial) * jacobi_pairing(n, k, *angular)
+    return shared.factor(radial_integral_exact, *radial) * jacobi_pairing(n, k, *angular)
 
 
 def closed_value(exact: Fraction) -> float:
@@ -131,22 +168,21 @@ def _gated(result: QuadratureResult, scale: float, tol: float, factor: str) -> Q
     return result
 
 
-def _radial_quadrature(alpha: int, beta_exp: int, tol: float) -> QuadratureResult:
-    """A(alpha, beta) for odd alpha and even beta - alpha, to tol times its
-    size (at least 1).  After v = tanh^2 t it is the integral over [0, 1] of
-    the polynomial (1/2) v^h (1-v)^(s-1), with h = (alpha-1)/2 and
-    s = (beta-alpha)/2, of degree h + s - 1."""
+def _radial_quadrature(alpha: int, beta_exp: int) -> QuadratureResult:
+    """A(alpha, beta) for odd alpha and even beta - alpha, not yet gated.
+    After v = tanh^2 t it is the integral over [0, 1] of the polynomial
+    (1/2) v^h (1-v)^(s-1), with h = (alpha-1)/2 and s = (beta-alpha)/2, of
+    degree h + s - 1."""
     h, s = (alpha - 1) // 2, (beta_exp - alpha) // 2
 
     def integrand(xs):  # v = (1+x)/2 maps [-1, 1] onto [0, 1], dv = dx/2
         return [0.25 * ((1.0 + x) / 2) ** h * ((1.0 - x) / 2) ** (s - 1) for x in xs]
 
-    result = gauss_legendre_quadrature(integrand, h + s - 1)
-    return _gated(result, abs(result.value), tol, "radial")
+    return gauss_legendre_quadrature(integrand, h + s - 1)
 
 
 def _angular_quadrature(
-    n: int, k: int, alpha: int, beta_param: int, shift: int, tol: float
+    n: int, k: int, alpha: int, beta_param: int, shift: int, tol: float, shared: SharedFactors
 ) -> QuadratureResult:
     """jacobi_pairing(n, k, alpha, beta, shift) by quadrature of the float
     recurrence values, to tol times the Cauchy-Schwarz scale (at least 1); the
@@ -158,8 +194,8 @@ def _angular_quadrature(
         raise ConvergenceError(f"angular Cauchy-Schwarz scale {scale} is not finite")
 
     def integrand(xs):
-        big = jacobi_values(n, alpha + shift, beta_param, xs)
-        small = jacobi_values(k, alpha, beta_param, xs)
+        big = shared.jacobi_row(n, alpha + shift, beta_param, xs)
+        small = shared.jacobi_row(k, alpha, beta_param, xs)
         return [
             u * v * (1.0 - x) ** alpha * (1.0 + x) ** beta_param
             for u, v, x in zip(big, small, xs)
@@ -170,7 +206,14 @@ def _angular_quadrature(
 
 
 def period_integral_quadrature(
-    p: int, q: int, n: int, k: int, tol: float = 1e-10, kind: str = COMPLEX
+    p: int,
+    q: int,
+    n: int,
+    k: int,
+    tol: float = 1e-10,
+    kind: str = COMPLEX,
+    *,
+    shared: SharedFactors | None = None,
 ) -> QuadratureResult:
     """Independent two-factor quadrature oracle for the closed form: the
     radial and the angular factor each by one degree-exact Gauss-Legendre
@@ -178,12 +221,15 @@ def period_integral_quadrature(
 
     Raises ConvergenceError when a factor's roundoff bound exceeds tol times
     its scale, or when a value, bound or scale is not finite (overflow
-    included)."""
+    included).  shared, when given, holds the grid's sweeps and radial
+    factors; each record gates its own."""
     radial_args, angular_args = _period_args(p, q, n, k, kind)
     check_tol(tol)
+    shared = SharedFactors() if shared is None else shared
     try:
-        radial = _radial_quadrature(*radial_args, tol)
-        angular = _angular_quadrature(n, k, *angular_args, tol)
+        radial = shared.factor(_radial_quadrature, *radial_args)
+        radial = _gated(radial, abs(radial.value), tol, "radial")
+        angular = _angular_quadrature(n, k, *angular_args, tol, shared)
     except OverflowError as exc:
         raise ConvergenceError(f"quadrature overflowed: {exc}") from exc
     value = radial.value * angular.value

@@ -20,7 +20,7 @@ from relbranch.branching import (
 )
 from relbranch.halfint import HalfInt
 from relbranch.hepattern import enumerate_alignments, u1n_end_candidates, u2n_plus_sequence
-from relbranch.jacobi import connection_coeff, jacobi_values
+from relbranch.jacobi import connection_coeff, jacobi_rows
 from relbranch.oracle import (
     compact_relative_mult,
     jacobi_coeffs,
@@ -194,7 +194,7 @@ def test_criterion_08_su2_legendre():
         for n in range(0, 7):
             phi = su2_spherical_coefficient(n, thetas)
             phi0 = su2_spherical_coefficient(n, [0.0])[0]
-            reference = jacobi_values(n, 0, 0, xs)
+            reference = jacobi_rows(n, 0, 0, xs)[n]
             assert max(abs(v / phi0 - r) for v, r in zip(phi, reference, strict=True)) <= 1e-10
         # degree 2: a single constant against 3 cos^2(2 theta) - 1
         phi = su2_spherical_coefficient(2, thetas)

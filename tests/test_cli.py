@@ -188,6 +188,55 @@ def test_period_record_evaluates_the_exact_pairing_once(capsys, monkeypatch):
     assert len(parse_records(out)) == len(calls) == 169
 
 
+# the benchmark's period grids, with their record count and distinct n + k
+_BENCHMARK_PERIOD_GRIDS = [
+    (("--pq", "1,2", "--n-max", "24", "--k-max", "24"), 169, 25),
+    (("--pq", "2,5", "--family", "quaternionic", "--n-max", "20", "--k-max", "20"), 121, 21),
+]
+
+
+@pytest.mark.parametrize("argv, records, sums", _BENCHMARK_PERIOD_GRIDS)
+def test_table_period_sweeps_each_rule_once(capsys, monkeypatch, argv, records, sums):
+    # records with the same n + k share one rule, and a record reads two
+    # exponent pairs there: each (rule, alpha, beta) is one sweep, built row
+    # by row from row 0 with no row built twice, and only as far as the
+    # highest degree a record reads from it
+    sweeps, built, top = {}, {}, {}
+    real = cli.periods.jacobi_rows
+
+    def counted(n, alpha, beta, xs, rows):
+        key = (len(xs), alpha, beta)
+        assert sweeps.setdefault(key, rows) is rows, key
+        before = len(rows)
+        real(n, alpha, beta, xs, rows)
+        built.setdefault(key, []).extend(range(before, len(rows)))
+        top[key] = max(top.get(key, 0), n)
+        return rows
+
+    monkeypatch.setattr(cli.periods, "jacobi_rows", counted)
+    code, out, _ = run_cli(capsys, "table", "period", *argv)
+    assert (code, len(parse_records(out))) == (0, records)
+    assert len(sweeps) == 2 * sums
+    assert built == {key: list(range(degree + 1)) for key, degree in top.items()}
+
+
+@pytest.mark.parametrize("argv, records, sums", _BENCHMARK_PERIOD_GRIDS)
+def test_table_period_builds_each_radial_factor_once(capsys, monkeypatch, argv, records, sums):
+    # both radial factors, exact and by quadrature, depend on n + k only
+    built = []
+    for name in ("radial_integral_exact", "_radial_quadrature"):
+
+        def counted(*args, name=name, real=getattr(cli.periods, name)):
+            built.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(cli.periods, name, counted)
+    code, out, _ = run_cli(capsys, "table", "period", *argv)
+    assert (code, len(parse_records(out))) == (0, records)
+    assert len(set(built)) == len(built) == 2 * sums
+    assert sum(name == "radial_integral_exact" for name, _ in built) == sums
+
+
 def test_table_branch_triangle(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -357,6 +406,52 @@ def test_table_period_benchmark_invocation_bytes():
         proc = subprocess.run(cmd, capture_output=True, check=True)
         assert proc.stderr == b"", args
         assert hashlib.sha256(proc.stdout).hexdigest() == expected, args
+
+
+def test_table_period_full_label_range_bytes():
+    # the exact bytes of four grids over every label up to MAX_DEGREE, where
+    # records share rules, sweeps and radial factors most; hashed in process
+    import contextlib
+    import hashlib
+
+    class HashSink:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+
+        def write(self, text):
+            self.digest.update(text.encode())
+            return len(text)
+
+        def flush(self):
+            pass
+
+    pins = [
+        (("--pq", "1,2"), "2c0230fe90d60674f09ba8b654056f930e47cfa6f5cfff547a45b035145158b9"),
+        (("--pq", "3,20"), "a92bce62721d6b0b08186c51da94480db8402621b5aedadc2854bb9d124794e2"),
+        (
+            ("--pq", "2,5", "--family", "quaternionic"),
+            "b1ed1e44d81455b941ce7956739b09c514f5b04e86ca6d69938d54673701ad14",
+        ),
+        (
+            ("--pq", "3,20", "--family", "quaternionic"),
+            "4be4cbc27e94c6bd918a86eaca57e6d987b7209cc859c0a984b6bff86682b829",
+        ),
+    ]
+    for args, expected in pins:
+        sink = HashSink()
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["table", "period", *args, "--n-max", "64", "--k-max", "64"])
+        assert code == 0, args
+        assert sink.digest.hexdigest() == expected, args
+
+
+def test_table_period_sweeps_are_held_as_arrays():
+    # the (3,20) quaternionic grid to MAX_DEGREE keeps 6,338 rows of up to 84
+    # nodes: about 3.3 MiB as array('d') rows, about 12 MiB as float lists
+    argv = ("--pq", "3,20", "--family", "quaternionic", "--n-max", "64", "--k-max", "64")
+    code, written, peak = run_to_sink("table", "period", *argv)
+    assert (code, written) == (0, 524_753)
+    assert peak < 6 * 2**20, peak
 
 
 def test_table_enumeration_benchmark_invocation_bytes():

@@ -11,8 +11,8 @@ from relbranch.jacobi import (
     connection_coeff,
     jacobi_norm_sq,
     jacobi_pairing,
+    jacobi_rows,
     jacobi_shifted_norm_sq,
-    jacobi_values,
 )
 from relbranch.oracle import jacobi_coeffs, normalization_at_one, weighted_pairing
 
@@ -58,12 +58,14 @@ def test_value_at_one_normalization():
 
 
 def test_values_at_one_match_normalization():
-    # the production recurrence at x = 1, against the exact normalization
-    for n in range(0, MAX_DEGREE + 1):
-        for alpha in [*range(0, 9), 30, 125]:
-            want = float(normalization_at_one(n, alpha))
-            for beta in (0, 1, 3):
-                [got] = jacobi_values(n, alpha, beta, [1.0])
+    # the production recurrence at x = 1, against the exact normalization:
+    # one sweep per (alpha, beta), read at every degree
+    for alpha in [*range(0, 9), 30, 125]:
+        for beta in (0, 1, 3):
+            rows = jacobi_rows(MAX_DEGREE, alpha, beta, [1.0])
+            for n in range(0, MAX_DEGREE + 1):
+                want = float(normalization_at_one(n, alpha))
+                [got] = rows[n]
                 assert abs(got - want) <= 1e-13 * want, (n, alpha, beta)
 
 
@@ -74,26 +76,45 @@ def test_leading_coefficient_nonzero():
 
 
 def test_eval_examples():
-    assert jacobi_values(0, 4, 1, [0.37]) == [1.0]
-    assert jacobi_values(2, 0, 0, [0.0]) == [-0.5]
-    assert jacobi_values(2, 1, 0, [0.0]) == [-0.5]
-    assert jacobi_values(1, 1, 0, [1.0]) == [2.0]  # Gamma(3)/(Gamma(2)Gamma(2))
+    assert jacobi_rows(0, 4, 1, [0.37])[0] == array("d", [1.0])
+    assert jacobi_rows(2, 0, 0, [0.0])[2] == array("d", [-0.5])
+    assert jacobi_rows(2, 1, 0, [0.0])[2] == array("d", [-0.5])
+    assert jacobi_rows(1, 1, 0, [1.0])[1] == array("d", [2.0])  # Gamma(3)/(Gamma(2)Gamma(2))
 
 
 def test_values_array_shape_and_degree_cap():
-    # any sequence of floats gives the list of values at each, node by node
+    # any sequence of floats gives one array('d') row per degree 0..n, each
+    # holding the value at every node, node by node
     xs = [-1.0 + i / 3.0 for i in range(7)]
-    assert jacobi_values(0, 3, 1, xs) == [1.0] * 7
-    pointwise = [value for x in xs for value in jacobi_values(3, 2, 1, [x])]
+    assert jacobi_rows(0, 3, 1, xs) == [array("d", [1.0] * 7)]
+    rows = jacobi_rows(3, 2, 1, xs)
+    assert len(rows) == 4
+    assert all(type(row) is array and row.typecode == "d" for row in rows)
+    pointwise = [value for x in xs for value in jacobi_rows(3, 2, 1, [x])[3]]
     assert all(type(value) is float for value in pointwise)
-    assert jacobi_values(3, 2, 1, xs) == pointwise
-    assert jacobi_values(3, 2, 1, tuple(xs)) == pointwise
-    assert jacobi_values(3, 2, 1, array("d", xs)) == pointwise
-    assert jacobi_values(3, 2, 1, []) == []
+    assert rows[3] == array("d", pointwise)
+    assert jacobi_rows(3, 2, 1, tuple(xs))[3] == array("d", pointwise)
+    assert jacobi_rows(3, 2, 1, array("d", xs))[3] == array("d", pointwise)
+    assert jacobi_rows(3, 2, 1, [])[3] == array("d")
     with pytest.raises(ValueError, match="cap"):
-        jacobi_values(MAX_DEGREE + 1, 0, 0, [0.0])
+        jacobi_rows(MAX_DEGREE + 1, 0, 0, [0.0])
     with pytest.raises(ValueError):
-        jacobi_values(-1, 0, 0, [0.0])
+        jacobi_rows(-1, 0, 0, [0.0])
+
+
+def test_rows_extend_a_kept_sweep_in_place():
+    # a kept sweep grows only when a higher degree is asked for, each new
+    # row from the two below it, and holds the floats of one sweep to the top
+    xs = [-1.0 + i / 5.0 for i in range(11)]
+    whole = jacobi_rows(MAX_DEGREE, 7, 1, xs)
+    kept, top = [], -1
+    for n in (0, 1, 4, 2, 5, 3, 40, MAX_DEGREE, 10):
+        assert jacobi_rows(n, 7, 1, xs, kept) is kept
+        top = max(top, n)
+        assert len(kept) == top + 1, n
+    assert kept == whole
+    short = jacobi_rows(6, 7, 1, xs, [])
+    assert len(short) == 7 and short == whole[:7]
 
 
 def _exact_values(n, alpha, beta, xs):
@@ -105,7 +126,7 @@ def test_values_match_exact_horner():
     xs = [(-1.0 + 2.0 * i / 99.0) for i in range(100)]
     for n, alpha, beta in [(5, 0, 0), (8, 3, 0), (6, 2, 1), (4, 7, 3)]:
         reference = _exact_values(n, alpha, beta, xs)
-        got = jacobi_values(n, alpha, beta, xs)
+        got = jacobi_rows(n, alpha, beta, xs)[n]
         assert all(
             abs(g - r) <= 1e-12 * max(1.0, abs(r)) for g, r in zip(got, reference, strict=True)
         )
@@ -116,7 +137,7 @@ def test_values_match_exact_horner_at_degree_cap():
     xs = [-1.0 + i / 50 for i in range(101)]
     for alpha, beta in [(0, 0), (30, 0), (1, 1), (125, 1)]:
         reference = _exact_values(MAX_DEGREE, alpha, beta, xs)
-        got = jacobi_values(MAX_DEGREE, alpha, beta, xs)
+        got = jacobi_rows(MAX_DEGREE, alpha, beta, xs)[MAX_DEGREE]
         bound = 1e-13 * max(map(abs, reference))
         assert max(abs(g - r) for g, r in zip(got, reference, strict=True)) <= bound, (alpha, beta)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from relbranch import oracle
-from relbranch.jacobi import jacobi_values
+from relbranch.jacobi import jacobi_rows
 from relbranch.oracle import (
     GTBranchResult,
     HighestWeight,
@@ -122,7 +122,7 @@ def test_su2_matches_legendre():
     for n in range(0, 7):
         phi = su2_spherical_coefficient(n, THETAS)
         phi0 = su2_spherical_coefficient(n, [0.0])[0]
-        reference = jacobi_values(n, 0, 0, xs)
+        reference = jacobi_rows(n, 0, 0, xs)[n]
         assert max(abs(v / phi0 - r) for v, r in zip(phi, reference, strict=True)) <= 1e-10
 
 

@@ -12,6 +12,7 @@ from relbranch.periods import (
     COMPLEX,
     QUATERNIONIC,
     PreconditionError,
+    SharedFactors,
     _period_args,
     closed_value,
     period_integral_exact,
@@ -234,12 +235,14 @@ def test_period_quadrature_error_bounds_exact_error_to_degree_cap():
     # every record of the full 64 grids, which hold both benchmark grids
     # ((1,2) complex to 24, (2,5) quaternionic to 20); at (1,2) the records
     # with k = n + 2 put the nodes on the zeros of P_k, so that every node
-    # value is roundoff and only the scale floor bounds the error
+    # value is roundoff and only the scale floor bounds the error; each grid
+    # shares one table of sweeps and radial factors, as `table period` does
     labels = range(0, MAX_DEGREE + 1, 2)
     for p, q, kind in [(1, 2, COMPLEX), (3, 20, COMPLEX), (2, 5, QUATERNIONIC)]:
+        shared = SharedFactors()
         for n in labels:
             for k in labels:
-                quad = period_integral_quadrature(p, q, n, k, kind=kind)
+                quad = period_integral_quadrature(p, q, n, k, kind=kind, shared=shared)
                 error = abs(Fraction(quad.value) - _exact_period(p, q, n, k, kind))
                 assert error <= Fraction(quad.abs_error_estimate), (p, q, kind, n, k)
 

@@ -14,6 +14,10 @@ parser.  Exit codes: 0 success, 2 validation error or argparse usage error
 the parser given it), 3 numerical non-convergence.  Every
 table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
+
+A `table branch` grid encodes its record text once, with a slot for each
+per-row value, and writes each row as that text filled with the row's own
+values, each encoded alone: the bytes a full encoding of the row would give.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import json
 import os
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import branching, hepattern, periods
 from .halfint import HalfInt
@@ -34,7 +39,7 @@ SCHEMA = "relbranch.record.v1"
 TABLE_CAP = 10000
 DEFAULT_MAX_K = 10
 ALIGNMENT_CAP = 1_000_000
-ALIGNMENT_BATCH = 4096  # alignments encoded per write of a table he record
+ALIGNMENT_BATCH = 4096  # alignments joined per write of a table he record
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -59,11 +64,55 @@ def _record(command: str, inputs: dict, result: dict, provenance: list[str]) -> 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
+# stands for one per-row value in a record skeleton: its encoded form,
+# "\u0000", occurs in no constant text of a record
+_SLOT = "\0"
+
+
+def _slotted(value):
+    """value with every leaf (string, number, null) replaced by _SLOT."""
+    if isinstance(value, dict):
+        return {key: _slotted(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_slotted(item) for item in value]
+    return _SLOT
+
+
+def _skeleton(record: dict) -> str:
+    """_ENCODER's line for a record whose per-row values are _SLOT, as a
+    %-format: each slot a %s, every % of the constant text doubled."""
+    text = _ENCODER.encode(record).replace("%", "%%")
+    return text.replace(_ENCODER.encode(_SLOT), "%s") + "\n"
+
+
+class _FilledRecord(dict):
+    """A record of a grid whose records differ only in their per-row
+    values.  Its line is the grid's skeleton, encoded once, filled with the
+    record's own per-row values, each encoded alone by values(), which a
+    subclass defines."""
+
+    __slots__ = ("skeleton",)
+
+    def line(self) -> str:
+        return self.skeleton % self.values()
+
+
+def _quoted(alignments) -> str:
+    """The JSON items of nonempty alignments, joined as they are:
+    enumerate_alignments admits only the alphabet + - P M, which never
+    needs escaping."""
+    return '"' + '","'.join(alignments) + '"'
+
+
 def _emit(record: dict, out) -> None:
-    """Write one record as one line.  A record whose alignments are a lazy
-    hepattern.Alignments is written as it is built: its text around an
-    empty list, and the list between, one encoded batch of alignments at a
-    time, so neither the alignments nor the line are ever held whole."""
+    """Write one record as one line.  A _FilledRecord fills its grid's
+    skeleton.  A record whose alignments are a lazy hepattern.Alignments is
+    written as it is built: its text around an empty list, and the list
+    between, one batch of alignments at a time, so neither the alignments
+    nor the line are ever held whole."""
+    if isinstance(record, _FilledRecord):
+        out.write(record.line())
+        return
     result = record["result"]
     found = result.get("alignments")
     if not isinstance(found, hepattern.Alignments):
@@ -76,7 +125,7 @@ def _emit(record: dict, out) -> None:
     items = iter(found)
     separator = ""
     while batch := list(islice(items, ALIGNMENT_BATCH)):
-        out.write(separator + _ENCODER.encode(batch)[1:-1])
+        out.write(separator + _quoted(batch))
         separator = ","
     out.write(after + "\n")
 
@@ -236,6 +285,31 @@ def _row(kind: str, row: dict, compute, *args):
         raise
 
 
+class _BranchRecord(_FilledRecord):
+    """A `table branch` record; its grid's first row gives the skeleton."""
+
+    __slots__ = ()
+
+    def values(self) -> tuple:
+        """The per-row values, in the order of the skeleton's slots, as
+        JSON: strings through the encoder's own escaping, integers as they
+        print, None as null."""
+        inputs, result = self["inputs"], self["result"]
+        warning = result["hypothesis_warning"]
+        return (
+            _json_str(inputs["a"]),
+            _json_str(inputs["b"]),
+            _json_str(result["pattern"]),
+            *map(_json_str, result["merged"]),
+            *map(_json_str, result["characters"]),
+            _json_str(result["witness"]),
+            _json_str(result["witness_character"]),
+            *result["dims"].values(),
+            result["total"],
+            "null" if warning is None else _json_str(warning),
+        )
+
+
 def _rows_branch(args):
     p, q = _parse_pq(args.pq)
     sig = Signature(p, q)
@@ -249,11 +323,21 @@ def _rows_branch(args):
     a_pairs = [branching.param_pair(sig, GroupLevel.G, HalfInt(t)) for t in a_twice]
     b_pairs = [branching.param_pair(sig, GroupLevel.GPRIME, HalfInt(t)) for t in b_twice]
     b_strs = [str(Pb[0].a) for Pb in b_pairs]
+    skeleton = None
     for Pa in a_pairs:
         a = str(Pa[0].a)
         for b, Pb in zip(b_strs, b_pairs):
             summary = _row("branch", {"a": a, "b": b}, branching.coupling_summary, Pa, Pb)
-            yield _record("table.branch", {"p": p, "q": q, "a": a, "b": b}, summary, _BRANCH_RULES)
+            if skeleton is None:  # the first row's keys are every row's
+                inputs = {"p": p, "q": q, "a": _SLOT, "b": _SLOT}
+                skeleton = _skeleton(
+                    _record("table.branch", inputs, _slotted(summary), _BRANCH_RULES)
+                )
+            record = _BranchRecord(
+                _record("table.branch", {"p": p, "q": q, "a": a, "b": b}, summary, _BRANCH_RULES)
+            )
+            record.skeleton = skeleton
+            yield record
 
 
 def _rows_period(args):
@@ -319,9 +403,9 @@ def _flatten(record: dict) -> dict:
     for key, value in record["inputs"].items():
         flat[f"in.{key}"] = value
     for key, value in record["result"].items():
-        if isinstance(value, hepattern.Alignments):
-            value = list(value)  # a CSV cell is one string
-        if isinstance(value, (list, dict)):
+        if isinstance(value, hepattern.Alignments):  # a CSV cell is one string
+            flat[f"out.{key}"] = f"[{_quoted(value)}]" if len(value) else "[]"
+        elif isinstance(value, (list, dict)):
             flat[f"out.{key}"] = _ENCODER.encode(value)
         else:
             flat[f"out.{key}"] = value

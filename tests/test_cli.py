@@ -8,6 +8,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from relbranch import cli
 from relbranch.reps import valid_twice
@@ -261,6 +263,32 @@ def test_table_branch_triangle(capsys):
         assert record["result"]["dims"]["(-,+)"] == 0
 
 
+_TEMPLATE_GRIDS = [
+    # the benchmark's signature, and two outside the hypothesis, whose rows
+    # carry a hypothesis_warning; each grid has P1 and P2 rows
+    ("--pq", "4,5", "--a-range", "4..8", "--b-range", "7/2..15/2"),
+    ("--pq", "3,3", "--a-range", "5/2..15/2", "--b-range", "2..8"),
+    ("--pq", "4,4", "--a-range", "7/2..15/2", "--b-range", "3..8"),
+]
+
+
+@pytest.mark.parametrize("argv", _TEMPLATE_GRIDS)
+def test_table_branch_lines_match_the_generic_encoder(capsys, argv):
+    # a branch grid fills one pre-encoded record text per row; every line
+    # must be what the generic encoder writes for that row's record
+    code, out, err = run_cli(capsys, "table", "branch", *argv)
+    assert (code, err) == (0, "")
+    args = cli.build_parser().parse_args(["table", "branch", *argv])
+    records = list(args.rows(args))
+    lines = out.splitlines()
+    assert len(lines) == len(records) > 0
+    for line, record in zip(lines, records):
+        assert line == cli._ENCODER.encode(dict(record)), record["inputs"]
+    assert {r["result"]["pattern"] for r in records} == {"P1", "P2"}
+    warned = {r["result"]["hypothesis_warning"] is not None for r in records}
+    assert warned == ({False} if argv[1] == "4,5" else {True})
+
+
 def eval_half(text):
     if "/" in text:
         num, den = text.split("/")
@@ -383,6 +411,35 @@ def test_table_he_benchmark_invocation_bytes():
         assert hashlib.sha256(proc.stdout).hexdigest() == expected, args
 
 
+@given(
+    st.text(alphabet="+-", min_size=0, max_size=6),
+    st.text(alphabet="PM", min_size=0, max_size=6),
+)
+@example("+-" * 3, "PM" * 3)  # 20 alignments, ten batches
+def test_table_he_joined_alignments_match_the_generic_encoder(big, small):
+    # the alignments are joined without escaping, in batches (of two here);
+    # the JSON line and the CSV cell must be what the generic encoder writes
+    # for the listed alignments.  The command runs past argparse, which
+    # reads --big=-- as an empty list before Python 3.13.
+    import csv
+    import io
+    from unittest import mock
+
+    def run(as_csv):
+        args = argparse.Namespace(big=big, small=small, n=None, csv=as_csv, rows=cli._rows_he)
+        out = io.StringIO()
+        with mock.patch.object(cli, "ALIGNMENT_BATCH", 2):
+            assert cli.cmd_table(args, out) == 0
+        return out.getvalue()
+
+    (record,) = cli._rows_he(argparse.Namespace(big=big, small=small))
+    found = list(record["result"]["alignments"])
+    listed = {**record, "result": {**record["result"], "alignments": found}}
+    assert run(False) == cli._ENCODER.encode(listed) + "\n"
+    (row,) = csv.DictReader(io.StringIO(run(True)))
+    assert row["out.alignments"] == cli._ENCODER.encode(found)
+
+
 def test_table_period_benchmark_invocation_bytes():
     # the exact bytes of the `period-complex` and `period-quaternionic`
     # workloads' invocations: the closed value is the exact period rounded
@@ -445,13 +502,26 @@ def test_table_period_full_label_range_bytes():
         assert sink.digest.hexdigest() == expected, args
 
 
-def test_table_period_sweeps_are_held_as_arrays():
-    # the (3,20) quaternionic grid to MAX_DEGREE keeps 6,338 rows of up to 84
-    # nodes: about 3.3 MiB as array('d') rows, about 12 MiB as float lists
-    argv = ("--pq", "3,20", "--family", "quaternionic", "--n-max", "64", "--k-max", "64")
-    code, written, peak = run_to_sink("table", "period", *argv)
-    assert (code, written) == (0, 524_753)
-    assert peak < 6 * 2**20, peak
+def test_table_period_sweeps_are_held_as_arrays(capsys, monkeypatch):
+    # every row a grid keeps is an array('d'), a quarter of the memory of a
+    # list of floats: the (3,20) quaternionic grid to MAX_DEGREE keeps 6,338
+    # rows of up to 84 nodes, about 3.3 MiB as arrays and 12 MiB as lists
+    from array import array
+
+    kept = []
+    real = cli.periods.jacobi_rows
+
+    def keeping(n, alpha, beta, xs, rows):
+        kept.append(rows)
+        return real(n, alpha, beta, xs, rows)
+
+    monkeypatch.setattr(cli.periods, "jacobi_rows", keeping)
+    argv = ("--pq", "2,5", "--family", "quaternionic", "--n-max", "20", "--k-max", "20")
+    code, out, _ = run_cli(capsys, "table", "period", *argv)
+    assert (code, len(parse_records(out))) == (0, 121)
+    rows = {id(row): row for sweep in kept for row in sweep}.values()
+    assert len(rows) > 100
+    assert all(type(row) is array and row.typecode == "d" for row in rows)
 
 
 def test_table_enumeration_benchmark_invocation_bytes():

@@ -18,28 +18,57 @@ table kind names a failing row on stderr; a reader that closes stdout early
 A `table branch` grid encodes its record text once, with a slot for each
 per-row value, and writes each row as that text filled with the row's own
 values, each encoded alone: the bytes a full encoding of the row would give.
+
+A command loads only the layer modules it reaches.  Each layer is
+registered in sys.modules at import, through importlib.util.LazyLoader, and
+its body runs on the first attribute access: building the parser runs none,
+the period commands never run branching, reps, halfint or hepattern, and
+`table he --big/--small` runs only hepattern.  The layers are registered
+rather than imported inside the functions that use them because a tool that
+instruments them from outside (perfbench/spans.py) looks each one up in
+sys.modules before any command has run.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import branching, hepattern, periods
-from .halfint import HalfInt
-from .jacobi import _check_degree
-from .reps import GroupLevel, ParamError, Side, Signature, make_param, valid_twice
-from .specfun import ConvergenceError
+
+def _lazy(name: str):
+    """The layer module relbranch.<name>, registered in sys.modules (and on
+    the package) whose body runs on its first attribute access
+    (importlib.util.LazyLoader); a module already imported is returned as
+    it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+branching, halfint, hepattern, jacobi, periods, reps, specfun = map(
+    _lazy, ("branching", "halfint", "hepattern", "jacobi", "periods", "reps", "specfun")
+)
 
 SCHEMA = "relbranch.record.v1"
 TABLE_CAP = 10000
 DEFAULT_MAX_K = 10
 ALIGNMENT_CAP = 1_000_000
 ALIGNMENT_BATCH = 4096  # alignments joined per write of a table he record
+# periods.FIELD_KINDS, the default first, spelled out so that building the
+# parser loads no layer module
+FAMILIES = ("complex", "quaternionic")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -115,7 +144,8 @@ def _emit(record: dict, out) -> None:
         return
     result = record["result"]
     found = result.get("alignments")
-    if not isinstance(found, hepattern.Alignments):
+    # only a table he record has alignments, so no other command loads hepattern
+    if found is None or not isinstance(found, hepattern.Alignments):
         out.write(_ENCODER.encode(record) + "\n")
         return
     # the key occurs once: the inputs are sign strings over + - P M
@@ -135,15 +165,15 @@ def _parse_pq(text: str) -> tuple[int, int]:
         p_str, q_str = text.split(",")
         return int(p_str), int(q_str)
     except ValueError:
-        raise ParamError(f"--pq expects 'p,q' with integers, got {text!r}") from None
+        raise reps.ParamError(f"--pq expects 'p,q' with integers, got {text!r}") from None
 
 
-def _parse_range(text: str, parse_end=HalfInt.parse) -> tuple:
+def _parse_range(text: str, parse_end) -> tuple:
     try:
         lo_str, hi_str = text.split("..")
         return parse_end(lo_str), parse_end(hi_str)
     except ValueError:
-        raise ParamError(f"expected a range 'lo..hi', got {text!r}") from None
+        raise reps.ParamError(f"expected a range 'lo..hi', got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +190,16 @@ def cmd_branch(args, out) -> int:
     # the parser admits one a-side mode and at most one b-side option
     single = args.plus_a is not None or args.minus_a is not None
     if single != (args.plus_b is not None or args.minus_b is not None):
-        raise ParamError("give --plus-b/--minus-b exactly with --plus-a/--minus-a")
+        raise reps.ParamError("give --plus-b/--minus-b exactly with --plus-a/--minus-a")
     if args.max_k is not None and args.pi_minus is None:
-        raise ParamError("--max-k applies only with --pi-minus")
+        raise reps.ParamError("--max-k applies only with --pi-minus")
     p, q = _parse_pq(args.pq)
-    sig = Signature(p, q)
+    sig = reps.Signature(p, q)
     if args.gp is not None:
-        a, b = (HalfInt.parse(v) for v in args.gp)
+        a, b = (halfint.HalfInt.parse(v) for v in args.gp)
         summary = branching.coupling_summary(
-            branching.param_pair(sig, GroupLevel.G, a),
-            branching.param_pair(sig, GroupLevel.GPRIME, b),
+            branching.param_pair(sig, reps.GroupLevel.G, a),
+            branching.param_pair(sig, reps.GroupLevel.GPRIME, b),
         )
         record = _record(
             "branch",
@@ -180,8 +210,8 @@ def cmd_branch(args, out) -> int:
         _emit(record, out)
         return EXIT_OK
     if args.pi_minus is not None:
-        a = HalfInt.parse(args.pi_minus)
-        Pi = make_param(sig, Side.MINUS, GroupLevel.G, a)
+        a = halfint.HalfInt.parse(args.pi_minus)
+        Pi = reps.make_param(sig, reps.Side.MINUS, reps.GroupLevel.G, a)
         max_k = DEFAULT_MAX_K if args.max_k is None else args.max_k
         if max_k + 1 > TABLE_CAP:
             raise CapExceededError(f"{max_k + 1} summands exceed the cap {TABLE_CAP}")
@@ -199,12 +229,12 @@ def cmd_branch(args, out) -> int:
         _emit(record, out)
         return EXIT_OK
     # single hom-dim query
-    side_G = Side.PLUS if args.plus_a is not None else Side.MINUS
-    side_Gp = Side.PLUS if args.plus_b is not None else Side.MINUS
-    a = HalfInt.parse(args.plus_a if args.plus_a is not None else args.minus_a)
-    b = HalfInt.parse(args.plus_b if args.plus_b is not None else args.minus_b)
-    Pi = make_param(sig, side_G, GroupLevel.G, a)
-    pi = make_param(sig, side_Gp, GroupLevel.GPRIME, b)
+    side_G = reps.Side.PLUS if args.plus_a is not None else reps.Side.MINUS
+    side_Gp = reps.Side.PLUS if args.plus_b is not None else reps.Side.MINUS
+    a = halfint.HalfInt.parse(args.plus_a if args.plus_a is not None else args.minus_a)
+    b = halfint.HalfInt.parse(args.plus_b if args.plus_b is not None else args.minus_b)
+    Pi = reps.make_param(sig, side_G, reps.GroupLevel.G, a)
+    pi = reps.make_param(sig, side_Gp, reps.GroupLevel.GPRIME, b)
     dim = branching.hom_dim(Pi, pi)
     pattern = branching.classify_interlacing(a, b)
     result = {
@@ -269,6 +299,12 @@ def cmd_period(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _size(values: range) -> int:
+    """len(values), by arithmetic on its ends: len() refuses a length
+    beyond sys.maxsize, which a huge range endpoint gives."""
+    return max(0, -((values.start - values.stop) // values.step))
+
+
 def _cap(count: int) -> None:
     if count > TABLE_CAP:
         raise CapExceededError(f"grid of {count} records exceeds the cap {TABLE_CAP}")
@@ -279,7 +315,7 @@ def _row(kind: str, row: dict, compute, *args):
     'table period row n=26 k=0: ...', and keeps its type (so its exit code)."""
     try:
         return compute(*args)
-    except (ConvergenceError, ValueError) as exc:
+    except (specfun.ConvergenceError, ValueError) as exc:
         where = " ".join(f"{key}={value}" for key, value in row.items())
         exc.args = (f"table {kind} row {where}: {exc}",)
         raise
@@ -312,16 +348,20 @@ class _BranchRecord(_FilledRecord):
 
 def _rows_branch(args):
     p, q = _parse_pq(args.pq)
-    sig = Signature(p, q)
-    a_lo, a_hi = _parse_range(args.a_range)
-    b_lo, b_hi = _parse_range(args.b_range)
-    a_twice = valid_twice(sig, GroupLevel.G, a_lo, a_hi)
-    b_twice = valid_twice(sig, GroupLevel.GPRIME, b_lo, b_hi)
-    _cap(len(a_twice) * len(b_twice))
+    sig = reps.Signature(p, q)
+    G, GPRIME, HalfInt = reps.GroupLevel.G, reps.GroupLevel.GPRIME, halfint.HalfInt
+    a_lo, a_hi = _parse_range(args.a_range, HalfInt.parse)
+    b_lo, b_hi = _parse_range(args.b_range, HalfInt.parse)
+    a_twice = reps.valid_twice(sig, G, a_lo, a_hi)
+    b_twice = reps.valid_twice(sig, GPRIME, b_lo, b_hi)
+    count = _size(a_twice) * _size(b_twice)
+    _cap(count)
+    if not count:  # the other range may still be too long to build
+        return
     # each value's (plus, minus) parameters and its string are built once
     # and serve every row
-    a_pairs = [branching.param_pair(sig, GroupLevel.G, HalfInt(t)) for t in a_twice]
-    b_pairs = [branching.param_pair(sig, GroupLevel.GPRIME, HalfInt(t)) for t in b_twice]
+    a_pairs = [branching.param_pair(sig, G, HalfInt(t)) for t in a_twice]
+    b_pairs = [branching.param_pair(sig, GPRIME, HalfInt(t)) for t in b_twice]
     b_strs = [str(Pb[0].a) for Pb in b_pairs]
     skeleton = None
     for Pa in a_pairs:
@@ -346,8 +386,8 @@ def _rows_period(args):
     ns, ks = range(0, args.n_max + 1, 2), range(0, args.k_max + 1, 2)
     _cap(len(ns) * len(ks))
     if ns and ks:  # refuse a label above the cap before the first record, k first
-        _check_degree(ks[-1])
-        _check_degree(ns[-1])
+        jacobi._check_degree(ks[-1])
+        jacobi._check_degree(ns[-1])
     shared = periods.SharedFactors()  # the grid's sweeps and radial factors, built once
     for n in ns:
         for k in ks:
@@ -359,8 +399,8 @@ def _rows_period(args):
 
 def _rows_exhaustion(args):
     p, q = _parse_pq(args.pq)
-    sig = Signature(p, q)
-    lo, hi = _parse_range(args.ell, parse_end=int)
+    sig = reps.Signature(p, q)
+    lo, hi = _parse_range(args.ell, int)
     _cap(max(hi - lo + 1, 0))
     for ell in range(lo, hi + 1):
         report = _row("exhaustion", {"ell": ell}, branching.exhaustion_check, sig, ell)
@@ -375,7 +415,7 @@ def _rows_exhaustion(args):
 
 def _rows_he(args):
     if (args.big is None) != (args.small is None):
-        raise ParamError("--big and --small must be given together")
+        raise reps.ParamError("--big and --small must be given together")
     if args.big is not None:
         big, small = args.big.strip(), args.small.strip()
         found = hepattern.enumerate_alignments(big, small, cap=ALIGNMENT_CAP)
@@ -386,7 +426,7 @@ def _rows_he(args):
             ["order-preserving interleaving under the eight-pair adjacency rule"],
         )
         return
-    lo, hi = _parse_range(args.n, parse_end=int)
+    lo, hi = _parse_range(args.n, int)
     _cap(max(hi - lo + 1, 0))
     for n in range(lo, hi + 1):
         report = _row("he", {"n": n}, hepattern.u2n_case_report, n)
@@ -403,7 +443,7 @@ def _flatten(record: dict) -> dict:
     for key, value in record["inputs"].items():
         flat[f"in.{key}"] = value
     for key, value in record["result"].items():
-        if isinstance(value, hepattern.Alignments):  # a CSV cell is one string
+        if key == "alignments" and isinstance(value, hepattern.Alignments):  # one CSV cell
             flat[f"out.{key}"] = f"[{_quoted(value)}]" if len(value) else "[]"
         elif isinstance(value, (list, dict)):
             flat[f"out.{key}"] = _ENCODER.encode(value)
@@ -441,12 +481,19 @@ class _Parser(argparse.ArgumentParser):
     """A parser that reports the unknown options it was given itself, with
     its own usage line: argparse would hand a command's unknown options back
     to the parser above it, mixed with that parser's own.  add_subparsers
-    builds command parsers of its parser's class, so every level is one."""
+    builds command parsers of its parser's class, so every level is one.
+
+    It also refuses an option value of exactly `--` (`--pq=--`), which no
+    option reads: argparse before 3.13 drops that `--` and stores an empty
+    list where one value is expected, and 3.13 stores the string."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, unknown = super().parse_known_args(args, namespace)
         if unknown:
             self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        for action in self._actions:
+            if action.nargs is None and getattr(namespace, action.dest, None) in ([], "--"):
+                self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
         return namespace, unknown
 
 
@@ -469,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq = argparse.ArgumentParser(add_help=False)
     pq.add_argument("--pq", required=True, help="signature p,q, e.g. 3,3 (periods need q > p > 0)")
     family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", choices=periods.FIELD_KINDS, default=periods.COMPLEX)
+    family.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
     family.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
     as_csv = argparse.ArgumentParser(add_help=False)
     as_csv.add_argument("--csv", action="store_true", help="CSV projection instead of JSON lines")
@@ -536,12 +583,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (ParamError, ValueError) as exc:
+    except ValueError as exc:  # reps.ParamError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except specfun.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -39,10 +39,10 @@ rounded once.
 Records of one grid share inputs, and a SharedFactors table, passed as
 shared=, builds each once: every record with the same n + k has the same
 rule and the same two radial factors, so each (rule, alpha, beta) is one
-recurrence sweep, extended only as far as a record asks, and each n + k one
-exact and one quadrature radial factor.  A record's floats are the same with
-or without the table, and each record still builds its own exact pairing
-and gates its own factors.
+recurrence sweep, extended only as far as a record asks, and one row of node
+weights, and each n + k one exact and one quadrature radial factor.  A
+record's floats are the same with or without the table, and each record
+still builds its own exact pairing and gates its own factors.
 """
 
 from __future__ import annotations
@@ -81,9 +81,10 @@ class PreconditionError(ValueError):
 class SharedFactors:
     """The inputs that the records of one period grid share, each built
     once: the Jacobi sweep of each (rule, alpha, beta), extended only as far
-    as a record asks, and each radial factor, exact and by quadrature, which
-    depends on n + k only.  One `table period` run owns one, and a period
-    computed alone gets its own, so nothing outlives the grid it serves."""
+    as a record asks, the angular weight at that rule's nodes, and each
+    radial factor, exact and by quadrature, which depends on n + k only.  One
+    `table period` run owns one, and a period computed alone gets its own, so
+    nothing outlives the grid it serves."""
 
     def __init__(self) -> None:
         self._sweeps: dict = {}
@@ -181,6 +182,11 @@ def _radial_quadrature(alpha: int, beta_exp: int) -> QuadratureResult:
     return gauss_legendre_quadrature(integrand, h + s - 1)
 
 
+def _node_weights(nodes: Sequence[float], alpha: int, beta_param: int) -> list:
+    """The pair ((1 - x)^alpha, (1 + x)^beta) at each node."""
+    return [((1.0 - x) ** alpha, (1.0 + x) ** beta_param) for x in nodes]
+
+
 def _angular_quadrature(
     n: int, k: int, alpha: int, beta_param: int, shift: int, tol: float, shared: SharedFactors
 ) -> QuadratureResult:
@@ -196,10 +202,9 @@ def _angular_quadrature(
     def integrand(xs):
         big = shared.jacobi_row(n, alpha + shift, beta_param, xs)
         small = shared.jacobi_row(k, alpha, beta_param, xs)
-        return [
-            u * v * (1.0 - x) ** alpha * (1.0 + x) ** beta_param
-            for u, v, x in zip(big, small, xs)
-        ]
+        weights = shared.factor(_node_weights, xs, alpha, beta_param)
+        # the order of u * v * (1 - x)^alpha * (1 + x)^beta, so each term keeps its bits
+        return [u * v * wa * wb for u, v, (wa, wb) in zip(big, small, weights)]
 
     result = gauss_legendre_quadrature(integrand, n + k + alpha + beta_param, scale)
     return _gated(result, scale, tol, "angular")

@@ -12,7 +12,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relbranch import cli
-from relbranch.reps import valid_twice
+from relbranch.halfint import HalfInt
+from relbranch.reps import GroupLevel, ParamError, Side, Signature, make_param, valid_twice
 from relbranch.specfun import ConvergenceError
 
 
@@ -237,6 +238,23 @@ def test_table_period_builds_each_radial_factor_once(capsys, monkeypatch, argv, 
     assert (code, len(parse_records(out))) == (0, records)
     assert len(set(built)) == len(built) == 2 * sums
     assert sum(name == "radial_integral_exact" for name, _ in built) == sums
+
+
+@pytest.mark.parametrize("argv, records, sums", _BENCHMARK_PERIOD_GRIDS)
+def test_table_period_weighs_each_rule_once(capsys, monkeypatch, argv, records, sums):
+    # a grid has one angular (alpha, beta), so one row of node weights per
+    # rule, that is per n + k
+    built = []
+    real = cli.periods._node_weights
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli.periods, "_node_weights", counted)
+    code, out, _ = run_cli(capsys, "table", "period", *argv)
+    assert (code, len(parse_records(out))) == (0, records)
+    assert len(set(built)) == len(built) == sums
 
 
 def test_table_branch_triangle(capsys):
@@ -693,16 +711,15 @@ def test_table_cap(capsys):
 
 
 def _count_make_param(monkeypatch):
-    """Count make_param calls from cli and from branching, where the grid's
-    parameter pairs are built."""
+    """Count make_param calls from cli (through reps) and from branching,
+    where the grid's parameter pairs are built."""
     calls = []
-    real = cli.make_param
 
     def counted(*args):
         calls.append(args)
-        return real(*args)
+        return make_param(*args)
 
-    monkeypatch.setattr(cli, "make_param", counted)
+    monkeypatch.setattr(cli.reps, "make_param", counted)
     monkeypatch.setattr(cli.branching, "make_param", counted)
     return calls
 
@@ -765,16 +782,16 @@ def test_table_branch_runs_every_check_per_row(capsys, monkeypatch):
 def test_valid_parameter_range_matches_validation():
     # the counted range of 2a is exactly the values that make_param accepts
     for p, q in [(1, 2), (3, 3), (4, 5)]:
-        sig = cli.Signature(p, q)
-        for level in cli.GroupLevel:
+        sig = Signature(p, q)
+        for level in GroupLevel:
             for lo in range(-4, 16):
                 for hi in range(lo - 2, 20):
-                    got = valid_twice(sig, level, cli.HalfInt(lo), cli.HalfInt(hi))
+                    got = valid_twice(sig, level, HalfInt(lo), HalfInt(hi))
                     want = []
                     for twice in range(lo, hi + 1):
                         try:
-                            cli.make_param(sig, cli.Side.PLUS, level, cli.HalfInt(twice))
-                        except cli.ParamError:
+                            make_param(sig, Side.PLUS, level, HalfInt(twice))
+                        except ParamError:
                             continue
                         want.append(twice)
                     assert list(got) == want, (p, q, level, lo, hi)
@@ -1010,8 +1027,8 @@ def test_subgroup_level_of_u11_is_refused(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (cli.EXIT_VALIDATION, "", f"error: {where}{message}"), argv
     # the level-G parameters of U(1,1) are unaffected
-    sig = cli.Signature(1, 1)
-    assert str(cli.make_param(sig, cli.Side.PLUS, cli.GroupLevel.G, cli.HalfInt(1))) == (
+    sig = Signature(1, 1)
+    assert str(make_param(sig, Side.PLUS, GroupLevel.G, HalfInt(1))) == (
         "U(1,1)+a=1/2"
     )
 
@@ -1135,7 +1152,8 @@ def _traced_layers():
 
 
 def test_exact_commands_never_import_numpy(capsys):
-    # every layer module loads with the CLI, and no command loads numpy,
+    # every layer module is in sys.modules with the CLI (registered lazily,
+    # see test_commands_load_only_the_layers_they_reach), and no command loads numpy,
     # the period commands and their quadrature included; nor does any load
     # dataclasses or inspect, and only the --csv run, the last, loads csv
     import subprocess
@@ -1167,3 +1185,116 @@ def test_exact_commands_never_import_numpy(capsys):
     for argv, (code, out, err) in zip(commands, report["results"]):
         assert (code, err) == (0, ""), argv
         assert out == run_cli(capsys, *argv)[1], argv
+
+
+# Prints, after `from relbranch import cli` and build_parser() and then after
+# cli.main(argv), the modules of a watched set that have run: a module that
+# cli registered lazily is in sys.modules from the start, but is a plain
+# ModuleType only once its body has run, and type() does not run it.
+_LOADS_CHILD = """
+import contextlib, io, json, sys, types
+from relbranch import cli
+watched = json.loads(sys.argv[1])
+
+def loaded():
+    return sorted(m for m in watched if type(sys.modules.get(m)) is types.ModuleType)
+
+cli.build_parser()
+before = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[2]))
+json.dump([before, code, loaded()], sys.stdout)
+"""
+
+
+def _loads(argv, watched):
+    """(modules of watched run after building the parser, exit code, modules
+    run after argv), in a fresh interpreter."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS_CHILD, json.dumps(watched), json.dumps(argv)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_commands_load_only_the_layers_they_reach():
+    layers = [
+        f"relbranch.{name}"
+        for name in ("branching", "frozen", "halfint", "hepattern", "jacobi", "periods", "reps",
+                     "specfun")
+    ]
+    watched = layers + ["fractions"]
+    # building the parser runs no layer module
+    before, code, after = _loads(["period", "--pq", "1,2", "--n", "4", "--k", "2"], watched)
+    assert before == [] and code == 0
+    # the period route never reaches the branching, parameter or alignment layers
+    for argv in (
+        ["period", "--pq", "1,2", "--n", "4", "--k", "2"],
+        ["table", "period", "--pq", "1,2", "--n-max", "4", "--k-max", "4"],
+        ["table", "period", "--pq", "2,5", "--family", "quaternionic", "--csv"],
+    ):
+        before, code, after = _loads(argv, watched)
+        assert (before, code) == ([], 0), argv
+        assert {"relbranch.periods", "relbranch.jacobi", "relbranch.specfun"} <= set(after)
+        assert not {
+            "relbranch.branching", "relbranch.reps", "relbranch.halfint", "relbranch.frozen",
+            "relbranch.hepattern",
+        } & set(after), argv
+    # table he --big/--small reaches only hepattern
+    for argv in (
+        ["table", "he", "--big", "+-+-", "--small", "PMPM"],
+        ["table", "he", "--big", "+-+-", "--small", "PMPM", "--csv"],
+    ):
+        assert _loads(argv, watched) == [[], 0, ["relbranch.hepattern"]], argv
+
+
+def test_family_names_are_the_period_kinds(capsys):
+    # build_parser spells the families out so that it loads no periods module
+    from relbranch import periods
+
+    assert cli.FAMILIES == periods.FIELD_KINDS and cli.FAMILIES[0] == periods.COMPLEX
+    parser = cli.build_parser()
+    args = parser.parse_args(["period", "--pq", "1,2", "--n", "0", "--k", "0"])
+    assert args.family == periods.COMPLEX
+    for kind in periods.FIELD_KINDS:
+        argv = ["table", "period", "--pq", "1,2", "--family", kind]
+        assert parser.parse_args(argv).family == kind
+
+
+def test_option_value_double_dash_is_a_usage_error():
+    # argparse before 3.13 drops the `--` of `--pq=--` and stores [], 3.13
+    # keeps it: on every Python it is refused by the parser given it
+    import subprocess
+    import sys
+
+    cases = [
+        (["table", "he", "--big=--", "--small=PM"], "table he", "--big"),
+        (["table", "branch", "--pq=--", "--a-range", "1..2", "--b-range", "1..2"],
+         "table branch", "--pq"),
+        (["period", "--pq=--", "--n", "0", "--k", "0"], "period", "--pq"),
+        (["table", "exhaustion", "--pq", "3,3", "--ell=--"], "table exhaustion", "--ell"),
+        (["branch", "--pq", "3,3", "--plus-a=--", "--plus-b", "2"], "branch", "--plus-a"),
+        (["table", "period", "--pq", "1,2", "--n-max=--"], "table period", "--n-max"),
+    ]
+    for argv, parser, option in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "relbranch.cli", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, ""), argv
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.stderr.startswith(f"usage: relbranch {parser} "), argv
+        assert f"relbranch {parser}: error: argument {option}" in proc.stderr, argv
+
+
+def test_table_branch_sizes_a_huge_range_by_its_ends(capsys):
+    # len() of a range longer than sys.maxsize raises OverflowError
+    argv = ("table", "branch", "--pq", "3,3", "--a-range", "9/2..1e400", "--b-range", "1..2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert re.fullmatch(r"error: grid of \d{400} records exceeds the cap 10000\n", err)
+    # an empty range makes an empty grid, whatever the length of the other
+    argv = ("table", "branch", "--pq", "3,3", "--a-range", "9/2..1e400", "--b-range", "0..0")
+    assert run_cli(capsys, *argv) == (0, "", "")

@@ -1,10 +1,12 @@
 """What the benchmark in perfbench/ reads of the package.
 
-The benchmark scripts are parsed, never imported: a name they take from
-relbranch, the period call of their reach_label metric, the class-level
-hook through which they count StageParams and the len() through which they
-count alignments must keep working, so that a deletion that would break a
-benchmark run fails here first."""
+The benchmark scripts are parsed, never imported into the test process: a
+name they take from relbranch, the period call of their reach_label metric,
+the class-level hook through which they count StageParams and the len()
+through which they count alignments must keep working, so that a deletion
+that would break a benchmark run fails here first.  One test runs the span
+tracer in a child process, on layers that the CLI registered but no command
+has loaded yet."""
 
 import ast
 from math import isfinite
@@ -126,3 +128,37 @@ def test_alignment_observer_reads_the_count_by_len():
     assert "len(result)" in calls
     found = hepattern.enumerate_alignments("+-" * 3, "PM" * 3)
     assert len(found) == sum(1 for _ in found) == 20
+
+
+# After cli.main runs an `enumeration` command that reaches only hepattern,
+# the tracer installs on every layer, the lazily registered ones included,
+# wraps the period entry point, and uninstall restores it.
+_TRACER_CHILD = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, sys.argv[1])
+import spans
+from relbranch import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["table", "he", "--big", "+-+-", "--small", "PMPM"])
+periods = sys.modules["relbranch.periods"]
+loaded = type(periods) is types.ModuleType
+tracer = spans.Tracer()
+tracer.install()
+wrapped = periods.period_integral_quadrature
+tracer.uninstall()
+restored = periods.period_integral_quadrature is getattr(wrapped, "__wrapped__", None)
+json.dump([code, loaded, wrapped.__name__, restored], sys.stdout)
+"""
+
+
+def test_tracer_installs_on_lazily_registered_layers():
+    import json
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACER_CHILD, str(PERFBENCH)],
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(proc.stdout) == [0, False, "period_integral_quadrature", True]

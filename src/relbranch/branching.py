@@ -6,7 +6,8 @@ when a > b, a same-side pair (-,-) exactly when b > a, and mixed sides never
 couple.  Everything else in this module is bookkeeping that re-derives the
 same answer along independent routes (pattern characters, radial labels,
 stage enumerations) so the routes can be checked against each other.  One
-function, coupling_summary, sums a packet over the four side pairs, and the
+function, coupling_check, runs every check of a packet sum over the four
+side pairs, and coupling_summary renders what it returns as a record; the
 good-range bound is read from reps.bound_twice.
 """
 
@@ -29,6 +30,12 @@ from .reps import (
 )
 
 
+# The enum members that per-row checks read, bound once: before Python 3.12
+# EnumType defines __getattr__, so each read of Side.PLUS takes about 0.1 us.
+_G, _GPRIME = GroupLevel.G, GroupLevel.GPRIME
+_PLUS, _MINUS = Side.PLUS, Side.MINUS
+
+
 class TieError(ValueError):
     """a = b cannot be classified (and cannot occur for valid pairs)."""
 
@@ -46,19 +53,17 @@ P2 = "P2"
 
 
 class InterlacingPattern(NamedTuple):
-    """The decreasing arrangement of (a, -a, b, -b): P1 = (a, b, -b, -a)
-    when a > b, P2 = (b, a, -a, -b) when b > a."""
+    """The decreasing arrangement of (a, -a, b, -b) for positive a != b:
+    P1 = (a, b, -b, -a) when a > b, P2 = (b, a, -a, -b) when b > a."""
 
     kind: str
-    merged: tuple[HalfInt, HalfInt, HalfInt, HalfInt]
+    a: HalfInt
+    b: HalfInt
 
     @property
-    def a(self) -> HalfInt:
-        return self.merged[0] if self.kind == P1 else self.merged[1]
-
-    @property
-    def b(self) -> HalfInt:
-        return self.merged[1] if self.kind == P1 else self.merged[0]
+    def merged(self) -> tuple[HalfInt, HalfInt, HalfInt, HalfInt]:
+        a, b = self.a, self.b
+        return (a, b, -b, -a) if self.kind == P1 else (b, a, -a, -b)
 
 
 def classify_interlacing(a, b) -> InterlacingPattern:
@@ -69,10 +74,7 @@ def classify_interlacing(a, b) -> InterlacingPattern:
         raise ValueError(f"interlacing is defined for positive parameters, got ({a}, {b})")
     if ta == tb:
         raise TieError(f"a = b = {a}: no interlacing pattern (parity rules this out)")
-    neg_a, neg_b = HalfInt(-ta), HalfInt(-tb)
-    if ta > tb:
-        return InterlacingPattern(P1, (a, b, neg_b, neg_a))
-    return InterlacingPattern(P2, (b, a, neg_a, neg_b))
+    return InterlacingPattern(P1 if ta > tb else P2, a, b)
 
 
 # The four characters of Z2 x Z2, keyed by the parities of the exponents of
@@ -109,15 +111,16 @@ def hom_dim(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> int:
     Same-side (+,+) couples iff a > b; same-side (-,-) couples iff b > a;
     mixed sides never couple.  Multiplicities are 0 or 1.
     """
-    if Pi.level is not GroupLevel.G or pi.level is not GroupLevel.GPRIME:
+    if Pi.level is not _G or pi.level is not _GPRIME:
         raise SignatureMismatchError("hom_dim expects a level-G and a subgroup-level parameter")
-    if (Pi.sig.p, Pi.sig.q) != (pi.sig.p, pi.sig.q):
+    # a grid's parameters share one Signature, so identity settles most calls
+    if Pi.sig is not pi.sig and (Pi.sig.p, Pi.sig.q) != (pi.sig.p, pi.sig.q):
         raise SignatureMismatchError(
             f"parameters live over different signatures: {Pi.sig} vs {pi.sig}"
         )
     if Pi.side is not pi.side:
         return 0
-    if Pi.side is Side.PLUS:
+    if Pi.side is _PLUS:
         return 1 if Pi.a.twice > pi.a.twice else 0
     return 1 if pi.a.twice > Pi.a.twice else 0
 
@@ -125,7 +128,7 @@ def hom_dim(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> int:
 # The four side pairs (level G, subgroup level) in (+,+), (+,-), (-,+), (-,-)
 # order, as record labels.
 _SIDES = (Side.PLUS, Side.MINUS)
-_PAIR_LABELS = tuple(f"({sG.value},{sGp.value})" for sG in _SIDES for sGp in _SIDES)
+PAIR_LABELS = tuple(f"({sG.value},{sGp.value})" for sG in _SIDES for sGp in _SIDES)
 
 ParamPair = tuple[DiscreteSeriesParam, DiscreteSeriesParam]
 
@@ -136,46 +139,71 @@ def param_pair(sig: Signature, level: GroupLevel, a) -> ParamPair:
     return make_param(sig, Side.PLUS, level, a), make_param(sig, Side.MINUS, level, a)
 
 
-def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
-    """The packet-sum record of a (level G) and b (subgroup level), from the
-    (plus, minus) pairs that param_pair builds: the interlacing pattern, its
-    characters, the hom dimension of each side pair, their total, and the
-    witness, the one same-side pair that contributes for a valid (a, b).
-    Outside the hypothesis p, q > 3 and p != q it is computed but flagged."""
+def hypothesis_warning(sig: Signature) -> str | None:
+    """The warning a packet-sum record carries outside the hypothesis
+    p, q > 3 and p != q, else None."""
+    if sig.p > 3 and sig.q > 3 and sig.p != sig.q:
+        return None
+    return (
+        f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
+        "result computed anyway"
+    )
+
+
+def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
+    """Every check of the packet sum of a (level G) and b (subgroup level),
+    from the (plus, minus) pairs that param_pair builds: the interlacing
+    pattern, the pairs' contract, the hom dimension of each side pair and
+    the one same-side pair that contributes for a valid (a, b).  Returns
+    (pattern, its character pair, the four dims in PAIR_LABELS order, the
+    witness's index there, the witness's level-G character)."""
     pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
     for plus, minus in (params_G, params_Gp):
         if (
-            plus.side is not Side.PLUS
-            or minus.side is not Side.MINUS
+            plus.side is not _PLUS
+            or minus.side is not _MINUS
             or plus.a.twice != minus.a.twice
         ):
             raise ParamError("expected the (plus, minus) pair of one value, as param_pair builds")
-    sig = params_G[0].sig
-    warning = None
-    if not (sig.p > 3 and sig.q > 3 and sig.p != sig.q):
-        warning = (
-            f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
-            "result computed anyway"
-        )
-    dims = [hom_dim(Pi, pi) for Pi in params_G for pi in params_Gp]
-    winners = [i for i, dim in enumerate(dims) if dim == 1]
-    if len(winners) != 1:
-        raise ValueError(
-            f"expected exactly one contributing pair, got {[_PAIR_LABELS[i] for i in winners]}"
-        )
-    (witness,) = winners
+    G_plus, G_minus = params_G
+    Gp_plus, Gp_minus = params_Gp
+    dims = (
+        hom_dim(G_plus, Gp_plus),
+        hom_dim(G_plus, Gp_minus),
+        hom_dim(G_minus, Gp_plus),
+        hom_dim(G_minus, Gp_minus),
+    )
+    if dims.count(1) != 1:
+        winners = [label for label, dim in zip(PAIR_LABELS, dims) if dim == 1]
+        raise ValueError(f"expected exactly one contributing pair, got {winners}")
+    witness = dims.index(1)
+    return (
+        pattern,
+        pattern_characters(pattern),
+        dims,
+        witness,
+        epsilon_of(params_G[witness // 2]),  # its level-G side
+    )
+
+
+def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
+    """The packet-sum record of a (level G) and b (subgroup level) from
+    coupling_check's values: the interlacing pattern, its characters, the
+    hom dimension of each side pair, their total, and the witness.  Outside
+    the hypothesis p, q > 3 and p != q it is computed but flagged."""
+    pattern, characters, dims, witness, witness_character = coupling_check(params_G, params_Gp)
     # a, b > 0 (classify_interlacing refused the rest), so -a reads "-" + a
     a, b = str(pattern.a), str(pattern.b)
     merged = [a, b, "-" + b, "-" + a] if pattern.kind == P1 else [b, a, "-" + a, "-" + b]
     return {
         "pattern": pattern.kind,
         "merged": merged,
-        "characters": [str(c) for c in pattern_characters(pattern)],
-        "witness": _PAIR_LABELS[witness],
-        "witness_character": str(epsilon_of(params_G[witness // 2])),  # its level-G side
-        "dims": dict(zip(_PAIR_LABELS, dims)),
+        "characters": [str(c) for c in characters],
+        "witness": PAIR_LABELS[witness],
+        "witness_character": str(witness_character),
+        "dims": dict(zip(PAIR_LABELS, dims)),
         "total": sum(dims),
-        "hypothesis_warning": warning,
+        "hypothesis_warning": hypothesis_warning(params_G[0].sig),
     }
 
 
@@ -211,12 +239,28 @@ def fj_label_to_b(sig: Signature, k: int) -> HalfInt:
     """Subgroup-level parameter b = k/2 + (p+q-2)/2 for an even label k."""
     if k < 0 or k % 2:
         raise ValueError(f"label must be even and nonnegative, got {k}")
-    return HalfInt(k + bound_twice(sig, GroupLevel.GPRIME))
+    return HalfInt(k + bound_twice(sig, _GPRIME))
 
 
 # ---------------------------------------------------------------------------
 # Stage enumerations and the exhaustion cross-check
 # ---------------------------------------------------------------------------
+
+# The largest ell that exhaustion_check takes.  A row's work and its record
+# grow linearly in ell (ell/2 validated first-stage terms, sequences of about
+# ell/2 values), so the cap bounds one row of `table exhaustion` as
+# jacobi.MAX_DEGREE bounds a period record: a row at the cap takes a few
+# milliseconds and writes about 10 kB, and a whole table (at most MAX_ELL
+# rows) under a second and 3 MB.
+MAX_ELL = 1024
+
+
+def check_ell(ell: int) -> None:
+    if ell > MAX_ELL:
+        raise ValueError(f"ell = {ell} exceeds the per-row cap MAX_ELL = {MAX_ELL}")
+
+
+_set = object.__setattr__  # Frozen's own __setattr__ refuses every write
 
 
 class StageParams(Frozen):
@@ -228,7 +272,9 @@ class StageParams(Frozen):
     __slots__ = ("ell", "lambda_prime", "lambda_dprime")
 
     def __init__(self, ell: int, lambda_prime: int, lambda_dprime: HalfInt):
-        super().__init__(ell, lambda_prime, lambda_dprime)
+        _set(self, "ell", ell)
+        _set(self, "lambda_prime", lambda_prime)
+        _set(self, "lambda_dprime", lambda_dprime)
         self.__post_init__()
 
     def __post_init__(self):
@@ -256,13 +302,17 @@ class ExhaustionReport(NamedTuple):
     mismatches: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        first = [str(b) for b in self.first_sequence]
+        # on an agreeing row exhaustion_check passes one tuple for both
+        # sequences, which compares equal at once and is rendered once
+        same = self.second_sequence == self.first_sequence
         return {
             "p": self.sig.p,
             "q": self.sig.q,
             "ell": self.ell,
             "a": str(self.a) if self.a is not None else None,
-            "first_sequence": [str(b) for b in self.first_sequence],
-            "second_sequence": [str(b) for b in self.second_sequence],
+            "first_sequence": first,
+            "second_sequence": first if same else [str(b) for b in self.second_sequence],
             "period_prediction": [str(b) for b in self.period_prediction],
             "agreement": self.agreement,
             "mismatches": list(self.mismatches),
@@ -288,41 +338,38 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     The prediction lists b over even labels k up to the dictionary image of
     a.  All three sets must coincide.
     """
-    top, sub = bound_twice(sig, GroupLevel.G), bound_twice(sig, GroupLevel.GPRIME)
+    top, sub = bound_twice(sig, _G), bound_twice(sig, _GPRIME)
     if ell <= top:
         raise ValueError(f"need ell > {top} for {sig}, got {ell}")
+    check_ell(ell)
+    # the three sequences are compared as twice their values, and their
+    # HalfInts are built for the report only
     first_twice = []
     for lam in range(2 - (ell - 1) % 2, ell, 2):
-        StageParams(ell, 0, HalfInt.from_int(lam))  # validated like every first-stage term
+        StageParams(ell, 0, HalfInt(2 * lam))  # validated like every first-stage term
         if lam % 2 == 0:
             continue
         twice = lam if (lam - sub) % 2 == 0 else lam - 1  # 2b has the subgroup parity
         if twice >= sub:
             first_twice.append(twice)
-    first = [HalfInt(twice) for twice in sorted(first_twice)]
+    first_twice.sort()
     if ell % 2 == 0:  # the second stage's relative member x = y = ell/2
         a = HalfInt(ell)  # ell/2
-        second = [HalfInt(twice) for twice in range(sub, ell, 2)]
+        second_twice = list(range(sub, ell, 2))
         # ascending, since fj_label_to_b is increasing in k
-        period = [fj_label_to_b(sig, k) for k in range(0, max(ell - top, -1) + 1, 2)]
+        period = tuple(fj_label_to_b(sig, k) for k in range(0, max(ell - top, -1) + 1, 2))
     else:
         a = None
-        second = []
-        period = []
+        second_twice = []
+        period = ()
+    period_twice = [b.twice for b in period]
+    first = tuple(map(HalfInt, first_twice))
+    second = first if second_twice == first_twice else tuple(map(HalfInt, second_twice))
     mismatches = []
-    if first != second:
+    if first_twice != second_twice:
         mismatches.append(f"first vs second: {list(map(str, first))} != {list(map(str, second))}")
-    if second != period:
+    if second_twice != period_twice:
         mismatches.append(
             f"second vs period: {list(map(str, second))} != {list(map(str, period))}"
         )
-    return ExhaustionReport(
-        sig,
-        ell,
-        a,
-        tuple(first),
-        tuple(second),
-        tuple(period),
-        not mismatches,
-        tuple(mismatches),
-    )
+    return ExhaustionReport(sig, ell, a, first, second, period, not mismatches, tuple(mismatches))

@@ -15,9 +15,12 @@ the parser given it), 3 numerical non-convergence.  Every
 table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 
-A `table branch` grid encodes its record text once, with a slot for each
-per-row value, and writes each row as that text filled with the row's own
-values, each encoded alone: the bytes a full encoding of the row would give.
+A `table branch` grid writes its first row as the record that
+branching.coupling_summary gives, and takes from it the record text with a
+slot for each per-row value.  Each later row runs only the row's checks,
+branching.coupling_check, and fills that text with texts picked by what they
+return, each encoded once per grid: the bytes a full encoding of the row's
+record would give.  Its CSV projection reads each line back as a record.
 
 A command loads only the layer modules it reaches.  Each layer is
 registered in sys.modules at import, through importlib.util.LazyLoader, and
@@ -114,18 +117,6 @@ def _skeleton(record: dict) -> str:
     return text.replace(_ENCODER.encode(_SLOT), "%s") + "\n"
 
 
-class _FilledRecord(dict):
-    """A record of a grid whose records differ only in their per-row
-    values.  Its line is the grid's skeleton, encoded once, filled with the
-    record's own per-row values, each encoded alone by values(), which a
-    subclass defines."""
-
-    __slots__ = ("skeleton",)
-
-    def line(self) -> str:
-        return self.skeleton % self.values()
-
-
 def _quoted(alignments) -> str:
     """The JSON items of nonempty alignments, joined as they are:
     enumerate_alignments admits only the alphabet + - P M, which never
@@ -133,14 +124,15 @@ def _quoted(alignments) -> str:
     return '"' + '","'.join(alignments) + '"'
 
 
-def _emit(record: dict, out) -> None:
-    """Write one record as one line.  A _FilledRecord fills its grid's
-    skeleton.  A record whose alignments are a lazy hepattern.Alignments is
-    written as it is built: its text around an empty list, and the list
-    between, one batch of alignments at a time, so neither the alignments
-    nor the line are ever held whole."""
-    if isinstance(record, _FilledRecord):
-        out.write(record.line())
+def _emit(record, out) -> None:
+    """Write one record as one line; a record a grid has already encoded
+    (a str, newline included) is written as it is.  A record whose
+    alignments are a lazy hepattern.Alignments is written as it is built:
+    its text around an empty list, and the list between, one batch of
+    alignments at a time, so neither the alignments nor the line are ever
+    held whole."""
+    if isinstance(record, str):
+        out.write(record)
         return
     result = record["result"]
     found = result.get("alignments")
@@ -306,8 +298,9 @@ def _size(values: range) -> int:
 
 
 def _cap(count: int) -> None:
-    if count > TABLE_CAP:
-        raise CapExceededError(f"grid of {count} records exceeds the cap {TABLE_CAP}")
+    if count > TABLE_CAP:  # a count of hundreds of digits is not printed
+        size = count if count <= 10**18 else "more than 10^18"
+        raise CapExceededError(f"grid of {size} records exceeds the cap {TABLE_CAP}")
 
 
 def _row(kind: str, row: dict, compute, *args):
@@ -321,29 +314,12 @@ def _row(kind: str, row: dict, compute, *args):
         raise
 
 
-class _BranchRecord(_FilledRecord):
-    """A `table branch` record; its grid's first row gives the skeleton."""
-
-    __slots__ = ()
-
-    def values(self) -> tuple:
-        """The per-row values, in the order of the skeleton's slots, as
-        JSON: strings through the encoder's own escaping, integers as they
-        print, None as null."""
-        inputs, result = self["inputs"], self["result"]
-        warning = result["hypothesis_warning"]
-        return (
-            _json_str(inputs["a"]),
-            _json_str(inputs["b"]),
-            _json_str(result["pattern"]),
-            *map(_json_str, result["merged"]),
-            *map(_json_str, result["characters"]),
-            _json_str(result["witness"]),
-            _json_str(result["witness_character"]),
-            *result["dims"].values(),
-            result["total"],
-            "null" if warning is None else _json_str(warning),
-        )
+def _branch_value(sig, level, twice: int) -> tuple:
+    """One grid value 2a = twice: its text, that text and its negative
+    encoded as JSON strings, and its (plus, minus) parameters."""
+    value = halfint.HalfInt(twice)
+    text = str(value)
+    return text, _json_str(text), _json_str("-" + text), branching.param_pair(sig, level, value)
 
 
 def _rows_branch(args):
@@ -358,26 +334,44 @@ def _rows_branch(args):
     _cap(count)
     if not count:  # the other range may still be too long to build
         return
-    # each value's (plus, minus) parameters and its string are built once
-    # and serve every row
-    a_pairs = [branching.param_pair(sig, G, HalfInt(t)) for t in a_twice]
-    b_pairs = [branching.param_pair(sig, GPRIME, HalfInt(t)) for t in b_twice]
-    b_strs = [str(Pb[0].a) for Pb in b_pairs]
+    # each grid value, and each text a row can hold, is built and encoded
+    # once and serves every row
+    a_values = [_branch_value(sig, G, twice) for twice in a_twice]
+    b_values = [_branch_value(sig, GPRIME, twice) for twice in b_twice]
+    P1 = branching.P1
+    kinds = {kind: _json_str(kind) for kind in (P1, branching.P2)}
+    pairs = [_json_str(label) for label in branching.PAIR_LABELS]
+    characters = {
+        (e1, e2): _json_str(str(reps.EpsilonCharacter(e1, e2))) for e1 in (1, -1) for e2 in (1, -1)
+    }
+    warning = branching.hypothesis_warning(sig)
+    warning = "null" if warning is None else _json_str(warning)
+    check = branching.coupling_check
     skeleton = None
-    for Pa in a_pairs:
-        a = str(Pa[0].a)
-        for b, Pb in zip(b_strs, b_pairs):
-            summary = _row("branch", {"a": a, "b": b}, branching.coupling_summary, Pa, Pb)
-            if skeleton is None:  # the first row's keys are every row's
-                inputs = {"p": p, "q": q, "a": _SLOT, "b": _SLOT}
-                skeleton = _skeleton(
-                    _record("table.branch", inputs, _slotted(summary), _BRANCH_RULES)
+    try:
+        for a, ja, jna, Pa in a_values:
+            for b, jb, jnb, Pb in b_values:
+                if skeleton is None:
+                    # the first row is a record, and gives the grid's
+                    # skeleton: that record with a slot for each per-row value
+                    summary = branching.coupling_summary(Pa, Pb)
+                    inputs = {"p": p, "q": q, "a": _SLOT, "b": _SLOT}
+                    skeleton = _skeleton(
+                        _record("table.branch", inputs, _slotted(summary), _BRANCH_RULES)
+                    )
+                    inputs = {"p": p, "q": q, "a": a, "b": b}
+                    yield _record("table.branch", inputs, summary, _BRANCH_RULES)
+                    continue
+                pattern, (first, second), dims, witness, mark = check(Pa, Pb)
+                merged = (ja, jb, jnb, jna) if pattern.kind == P1 else (jb, ja, jna, jnb)
+                yield skeleton % (
+                    ja, jb, kinds[pattern.kind], *merged,
+                    characters[first.on_E1, first.on_E2], characters[second.on_E1, second.on_E2],
+                    pairs[witness], characters[mark.on_E1, mark.on_E2], *dims, sum(dims), warning,
                 )
-            record = _BranchRecord(
-                _record("table.branch", {"p": p, "q": q, "a": a, "b": b}, summary, _BRANCH_RULES)
-            )
-            record.skeleton = skeleton
-            yield record
+    except ValueError as exc:
+        exc.args = (f"table branch row a={a} b={b}: {exc}",)
+        raise
 
 
 def _rows_period(args):
@@ -402,6 +396,8 @@ def _rows_exhaustion(args):
     sig = reps.Signature(p, q)
     lo, hi = _parse_range(args.ell, int)
     _cap(max(hi - lo + 1, 0))
+    if lo <= hi:  # refuse an ell above the cap before the first row
+        branching.check_ell(hi)
     for ell in range(lo, hi + 1):
         report = _row("exhaustion", {"ell": ell}, branching.exhaustion_check, sig, ell)
         inputs = {"p": p, "q": q, "ell": ell}
@@ -438,7 +434,9 @@ def _rows_he(args):
         )
 
 
-def _flatten(record: dict) -> dict:
+def _flatten(record) -> dict:
+    if isinstance(record, str):  # a line a grid filled
+        record = json.loads(record)
     flat: dict = {"command": record["command"]}
     for key, value in record["inputs"].items():
         flat[f"in.{key}"] = value

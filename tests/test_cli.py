@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relbranch import cli
+from relbranch.branching import coupling_summary, param_pair
 from relbranch.halfint import HalfInt
 from relbranch.reps import GroupLevel, ParamError, Side, Signature, make_param, valid_twice
 from relbranch.specfun import ConvergenceError
@@ -290,21 +291,73 @@ _TEMPLATE_GRIDS = [
 ]
 
 
+def _branch_grid_records(argv):
+    """The records of the `table branch` grid that argv names, built here
+    from coupling_summary of each (a, b) of the grid, a rows, b columns."""
+    options = dict(zip(argv[0::2], argv[1::2]))
+    p, q = map(int, options["--pq"].split(","))
+    sig = Signature(p, q)
+    a_lo, a_hi = map(HalfInt.parse, options["--a-range"].split(".."))
+    b_lo, b_hi = map(HalfInt.parse, options["--b-range"].split(".."))
+    records = []
+    for a_twice in valid_twice(sig, GroupLevel.G, a_lo, a_hi):
+        for b_twice in valid_twice(sig, GroupLevel.GPRIME, b_lo, b_hi):
+            a, b = HalfInt(a_twice), HalfInt(b_twice)
+            summary = coupling_summary(
+                param_pair(sig, GroupLevel.G, a), param_pair(sig, GroupLevel.GPRIME, b)
+            )
+            records.append(
+                {
+                    "schema": "relbranch.record.v1",
+                    "command": "table.branch",
+                    "inputs": {"p": p, "q": q, "a": str(a), "b": str(b)},
+                    "result": summary,
+                    "provenance": cli._BRANCH_RULES,
+                }
+            )
+    return records
+
+
 @pytest.mark.parametrize("argv", _TEMPLATE_GRIDS)
 def test_table_branch_lines_match_the_generic_encoder(capsys, argv):
     # a branch grid fills one pre-encoded record text per row; every line
-    # must be what the generic encoder writes for that row's record
+    # must be what the generic encoder writes for the record that
+    # coupling_summary gives that row
     code, out, err = run_cli(capsys, "table", "branch", *argv)
     assert (code, err) == (0, "")
-    args = cli.build_parser().parse_args(["table", "branch", *argv])
-    records = list(args.rows(args))
+    records = _branch_grid_records(argv)
     lines = out.splitlines()
     assert len(lines) == len(records) > 0
     for line, record in zip(lines, records):
-        assert line == cli._ENCODER.encode(dict(record)), record["inputs"]
+        assert line == cli._ENCODER.encode(record), record["inputs"]
     assert {r["result"]["pattern"] for r in records} == {"P1", "P2"}
     warned = {r["result"]["hypothesis_warning"] is not None for r in records}
     assert warned == ({False} if argv[1] == "4,5" else {True})
+
+
+@pytest.mark.parametrize("argv", _TEMPLATE_GRIDS)
+def test_table_branch_csv_is_the_projection_of_each_row(capsys, argv):
+    # the CSV projection, built here row by row from coupling_summary: a
+    # list or dict cell is its compact JSON, None an empty cell
+    import csv
+    import io
+
+    code, out, err = run_cli(capsys, "table", "branch", *argv, "--csv")
+    assert (code, err) == (0, "")
+    want = io.StringIO()
+    writer = None
+    for record in _branch_grid_records(argv):
+        flat = {"command": record["command"]}
+        flat.update((f"in.{key}", value) for key, value in record["inputs"].items())
+        for key, value in record["result"].items():
+            if isinstance(value, (list, dict)):
+                value = json.dumps(value, separators=(",", ":"))
+            flat[f"out.{key}"] = value
+        if writer is None:
+            writer = csv.DictWriter(want, fieldnames=list(flat))
+            writer.writeheader()
+        writer.writerow(flat)
+    assert out == want.getvalue()
 
 
 def eval_half(text):
@@ -320,6 +373,49 @@ def test_table_exhaustion_all_agree(capsys):
     records = parse_records(out)
     assert len(records) == 9
     assert all(r["result"]["agreement"] for r in records)
+
+
+def test_table_exhaustion_reports_a_disagreeing_prediction(capsys, monkeypatch):
+    # a label dictionary one label step off: the sequences are compared as
+    # twice their values, and the report prints them as HalfInts, in the
+    # text the comparison of HalfInts printed
+    real = cli.branching.fj_label_to_b
+    monkeypatch.setattr(cli.branching, "fj_label_to_b", lambda sig, k: real(sig, k + 2))
+    code, out, err = run_cli(capsys, "table", "exhaustion", "--pq", "3,3", "--ell", "8..10")
+    assert (code, err) == (0, "")
+    got = [(r["inputs"]["ell"], r["result"]) for r in parse_records(out)]
+    assert [(ell, result["agreement"], result["mismatches"]) for ell, result in got] == [
+        (8, False, ["second vs period: ['2', '3'] != ['3', '4']"]),
+        (9, True, []),
+        (10, False, ["second vs period: ['2', '3', '4'] != ['3', '4', '5']"]),
+    ]
+    assert got[0][1]["period_prediction"] == ["3", "4"]
+    assert got[2][1]["first_sequence"] == got[2][1]["second_sequence"] == ["2", "3", "4"]
+
+
+@pytest.mark.parametrize("ell", ["1000000..1000000", "100000000000..100000000001"])
+def test_table_exhaustion_refuses_ell_above_the_cap(ell):
+    # each row's work grows with ell: an end above MAX_ELL exits 2 before
+    # any row runs (the first took 5.1 s and 278 MB uncapped)
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-m", "relbranch.cli", "table", "exhaustion", "--pq", "3,3"]
+    proc = subprocess.run([*cmd, "--ell", ell], capture_output=True, text=True, timeout=10)
+    end = ell.split("..")[1]
+    message = f"error: ell = {end} exceeds the per-row cap MAX_ELL = {cli.branching.MAX_ELL}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_VALIDATION, "", message)
+
+
+def test_table_exhaustion_reaches_the_cap(capsys):
+    cap = cli.branching.MAX_ELL
+    argv = ("table", "exhaustion", "--pq", "3,3", "--ell", f"{cap - 1}..{cap}")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert [r["result"]["agreement"] for r in parse_records(out)] == [True, True]
+    code, out, err = run_cli(capsys, *argv[:-1], f"{cap - 1}..{cap + 1}")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == f"error: ell = {cap + 1} exceeds the per-row cap MAX_ELL = {cap}\n"
 
 
 def test_table_he_range(capsys):
@@ -731,6 +827,14 @@ def test_table_branch_counts_params_before_building_any(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, calls) == (cli.EXIT_VALIDATION, "", [])
     assert err == "error: grid of 40002 records exceeds the cap 10000\n"
+    # a count is printed up to 10^18 (10^9 values of a and of b), and
+    # summarised above it
+    sizes = [("2000000005/2", "1000000000000000000"), ("2000000007/2", "more than 10^18")]
+    for b_hi, size in sizes:
+        argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..1000000003", "--b-range")
+        code, out, err = run_cli(capsys, *argv, f"7/2..{b_hi}")
+        assert (code, out, calls) == (cli.EXIT_VALIDATION, "", [])
+        assert err == f"error: grid of {size} records exceeds the cap 10000\n"
     argv = ("table", "branch", "--pq", "4,5", "--a-range", "3..6", "--b-range", "3/2..9/2")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -1282,8 +1386,11 @@ def test_table_branch_sizes_a_huge_range_by_its_ends(capsys):
     # len() of a range longer than sys.maxsize raises OverflowError
     argv = ("table", "branch", "--pq", "3,3", "--a-range", "9/2..1e400", "--b-range", "1..2")
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (cli.EXIT_VALIDATION, "")
-    assert re.fullmatch(r"error: grid of \d{400} records exceeds the cap 10000\n", err)
+    assert (code, out, err) == (
+        cli.EXIT_VALIDATION,
+        "",
+        "error: grid of more than 10^18 records exceeds the cap 10000\n",
+    )
     # an empty range makes an empty grid, whatever the length of the other
     argv = ("table", "branch", "--pq", "3,3", "--a-range", "9/2..1e400", "--b-range", "0..0")
     assert run_cli(capsys, *argv) == (0, "", "")

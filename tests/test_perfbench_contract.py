@@ -162,3 +162,41 @@ def test_tracer_installs_on_lazily_registered_layers():
         capture_output=True, text=True, check=True,
     )
     assert json.loads(proc.stdout) == [0, False, "period_integral_quadrature", True]
+
+
+# Entry points that spans.py still names but that no longer exist where it
+# looks: the tracer skips them silently, so their counters read 0.  Any
+# other name that stops resolving (a rename or a move) fails here first.
+_STALE_ENTRY_POINTS = {
+    ("branching", "gp_sum_dim"),
+    ("branching", "stage1_enumerate"),
+    ("branching", "stage2_enumerate"),
+    ("periods", "period_integral_closed"),
+    ("periods", "period_nonvanishing"),
+    ("periods", "period_angular_exact"),
+    ("periods", "quaternionic_period_quadrature"),
+    ("periods", "quaternionic_period_scale"),
+    ("jacobi", "jacobi_poly"),
+    ("jacobi", "poly_mul"),
+    ("jacobi", "integrate_with_weight"),
+    ("jacobi", "weighted_inner_product"),
+    ("specfun", "adaptive_quadrature"),
+    ("specfun", "radial_integral_quadrature"),
+    ("specfun", "radial_integral_closed"),
+}
+
+
+def test_every_traced_entry_point_resolves_or_is_known_stale():
+    import importlib
+
+    (entry_points,) = [
+        ast.literal_eval(node.value)
+        for node in _tree("spans.py").body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"]
+    ]
+    named = {(layer, name) for layer, names in entry_points.items() for name in names}
+    assert _STALE_ENTRY_POINTS <= named
+    for layer, name in sorted(named):
+        found = callable(getattr(importlib.import_module(f"relbranch.{layer}"), name, None))
+        assert found == ((layer, name) not in _STALE_ENTRY_POINTS), (layer, name)

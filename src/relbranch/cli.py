@@ -291,6 +291,10 @@ def cmd_period(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+_EXHAUSTION_RULES = ["two-stage restriction sequences against the radial-label prediction"]
+_HE_RULES = ["order-preserving interleaving under the eight-pair adjacency rule"]
+
+
 def _size(values: range) -> int:
     """len(values), by arithmetic on its ends: len() refuses a length
     beyond sys.maxsize, which a huge range endpoint gives."""
@@ -401,12 +405,7 @@ def _rows_exhaustion(args):
     for ell in range(lo, hi + 1):
         report = _row("exhaustion", {"ell": ell}, branching.exhaustion_check, sig, ell)
         inputs = {"p": p, "q": q, "ell": ell}
-        yield _record(
-            "table.exhaustion",
-            inputs,
-            report.to_dict(),
-            ["two-stage restriction sequences against the radial-label prediction"],
-        )
+        yield _record("table.exhaustion", inputs, report.to_dict(), _EXHAUSTION_RULES)
 
 
 def _rows_he(args):
@@ -415,23 +414,14 @@ def _rows_he(args):
     if args.big is not None:
         big, small = args.big.strip(), args.small.strip()
         found = hepattern.enumerate_alignments(big, small, cap=ALIGNMENT_CAP)
-        yield _record(
-            "table.he",
-            {"big": big, "small": small},
-            {"alignments": found, "count": len(found)},
-            ["order-preserving interleaving under the eight-pair adjacency rule"],
-        )
+        result = {"alignments": found, "count": len(found)}
+        yield _record("table.he", {"big": big, "small": small}, result, _HE_RULES)
         return
     lo, hi = _parse_range(args.n, int)
     _cap(max(hi - lo + 1, 0))
     for n in range(lo, hi + 1):
         report = _row("he", {"n": n}, hepattern.u2n_case_report, n)
-        yield _record(
-            "table.he",
-            {"n": n},
-            report.to_dict(),
-            ["order-preserving interleaving under the eight-pair adjacency rule"],
-        )
+        yield _record("table.he", {"n": n}, report.to_dict(), _HE_RULES)
 
 
 def _flatten(record) -> dict:

@@ -117,8 +117,9 @@ def enumerate_alignments(big: str, small: str, cap: int | None = None) -> Alignm
     for ways, _ in _levels(big, small):
         pass
     total = sum(ways.values())
-    if cap is not None and total > cap:
-        raise ValueError(f"{total} alignments exceed the cap {cap}")
+    if cap is not None and total > cap:  # a count of hundreds of digits is not printed
+        size = total if total <= 10**18 else "more than 10^18"
+        raise ValueError(f"{size} alignments exceed the cap {cap}")
     return Alignments(big, small, total)
 
 

@@ -5,28 +5,24 @@ the interlacing rule for restricting a unitary-group highest weight one rank
 down, detection of spherical highest weights, the explicit rank-one
 matrix-coefficient model whose normalized values are Legendre polynomials,
 exact Jacobi polynomials from their explicit sum (DLMF 18.5.7) with weighted
-pairings by monomial integration, and the float Beta form of the radial
-integral for real exponents (via log_gamma) with an adaptive quadrature on
-specfun's Gauss-Legendre rule, which build the Beta-argument calibration
-table of docs/radial_integral_calibration.md.  None of these share code with
-the modules they check: the highest weights the interlacing rule takes are
+pairings by monomial integration, and the radial integral as an exact sum
+of monomial integrals, which builds the Beta-argument calibration table of
+docs/radial_integral_calibration.md.  None of these share code with the
+modules they check: the highest weights the interlacing rule takes are
 defined here, on the value bases ``Frozen`` and ``HalfInt``, and nothing is
-imported from ``reps`` or ``jacobi``.  No CLI path imports this module, the
-only one that uses ``lgamma``.
+imported from ``reps``, ``jacobi`` or ``specfun``.  No CLI path imports
+this module.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .frozen import Frozen
 from .halfint import HalfInt
-from .specfun import ConvergenceError, QuadratureResult, gauss_legendre
 
 
 class HighestWeight(Frozen):
@@ -202,182 +198,55 @@ def normalization_at_one(n: int, alpha: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The Beta-argument calibration: the float closed form and adaptive quadrature
+# The radial integral, exactly, and the Beta-argument calibration
 # ---------------------------------------------------------------------------
 
 
-class DomainError(ValueError):
-    """Argument outside the function's domain."""
+def radial_integral_monomial(alpha: int, beta_exp: int) -> Fraction:
+    """A(alpha, beta) = integral_0^inf (sinh t)^alpha (cosh t)^(-beta) dt,
+    exactly, without the Beta identity: u = tanh t gives
+    integral_0^1 u^alpha (1 - u^2)^(s-1) du with s = (beta - alpha)/2, and
+    integrating the binomial expansion term by term gives
+    sum_j C(s-1, j) (-1)^j / (alpha + 2j + 1).  Raises ValueError unless
+    alpha is an integer >= 0 and beta - alpha an even integer > 0."""
+    ints = isinstance(alpha, int) and isinstance(beta_exp, int)
+    if not (ints and alpha >= 0 and beta_exp > alpha and (beta_exp - alpha) % 2 == 0):
+        raise ValueError(f"A({alpha}, {beta_exp}): need integer alpha >= 0, even beta - alpha > 0")
+    s = (beta_exp - alpha) // 2
+    terms = (Fraction(comb(s - 1, j) * (-1) ** j, alpha + 2 * j + 1) for j in range(s))
+    return sum(terms, Fraction(0))
 
 
-class DivergenceError(ValueError):
-    """The requested integral does not converge."""
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def beta(x: float, y: float) -> float:
-    """Beta function B(x, y) = Gamma(x)Gamma(y)/Gamma(x+y), via log_gamma."""
-    if not (x > 0 and y > 0):
-        raise DomainError(f"beta requires positive arguments, got ({x}, {y})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
-
-
-def _check_radial_convergence(alpha: float, beta_exp: float) -> None:
-    if not alpha > -1:
-        raise DivergenceError(f"radial integral diverges at 0: need alpha > -1, got {alpha}")
-    if not beta_exp - alpha > 0:
-        raise DivergenceError(
-            f"radial integral diverges at infinity: need beta - alpha > 0, "
-            f"got beta - alpha = {beta_exp - alpha}"
-        )
-
-
-def radial_integral_closed(alpha: float, beta_exp: float) -> float:
-    """A(alpha, beta) in closed form: (1/2) B((alpha+1)/2, (beta-alpha)/2)."""
-    _check_radial_convergence(alpha, beta_exp)
-    return 0.5 * beta((alpha + 1.0) / 2.0, (beta_exp - alpha) / 2.0)
-
-
-GAUSS_ORDER = 16
-MAX_PANELS = 4096
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule() -> tuple[tuple[float, float], ...]:
-    """(node, weight) pairs of the GAUSS_ORDER-point Gauss-Legendre rule on [-1, 1]."""
-    return tuple(zip(*gauss_legendre(GAUSS_ORDER)))
-
-
-def _gauss_panel(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """One Gauss-Legendre panel: the integral of f over [lo, hi], its node
-    terms summed with math.fsum."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * math.fsum(w * f(mid + half * x) for x, w in _gauss_rule())
-
-
-def adaptive_quadrature(
-    f: Callable[[float], float], a: float, b: float, abs_tol: float
-) -> QuadratureResult:
-    """Integrate a float integrand over [a, b] to an absolute tolerance.
-
-    Fixed-order Gauss-Legendre panels, bisected greedily: the interval with
-    the largest error estimate (whole-panel value against the sum of its two
-    halves) is refined until the total estimate meets the tolerance.  Ties
-    break on the left endpoint and the final sum runs left to right, so
-    results are bit-stable across runs.
-    """
-    if not 0 < abs_tol < math.inf:
-        raise ValueError("abs_tol must be positive and finite")
-    evaluations = 0
-
-    def panel(lo: float, hi: float) -> float:
-        nonlocal evaluations
-        evaluations += GAUSS_ORDER
-        return _gauss_panel(f, lo, hi)
-
-    def node(lo: float, hi: float, coarse: float) -> tuple:
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        return (-abs(left + right - coarse), lo, hi, left, right)
-
-    width_floor = 1e-14 * (b - a)
-    live = [node(a, b, panel(a, b))]
-    done: list[tuple] = []
-    err_total = -live[0][0]
-    panels = 1
-    while err_total > abs_tol:
-        if not live:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] stalled at error {err_total:.3g} > {abs_tol:.3g}"
-            )
-        if panels >= MAX_PANELS:
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] did not converge within {MAX_PANELS} panels"
-            )
-        worst = heapq.heappop(live)
-        neg_err, lo, hi, left, right = worst
-        if (hi - lo) <= width_floor:
-            done.append(worst)  # cannot usefully refine further
-            continue
-        mid = 0.5 * (lo + hi)
-        child_l = node(lo, mid, left)
-        child_r = node(mid, hi, right)
-        heapq.heappush(live, child_l)
-        heapq.heappush(live, child_r)
-        err_total += neg_err - child_l[0] - child_r[0]
-        panels += 2
-    pieces = sorted(live + done, key=lambda item: item[1])
-    total = 0.0
-    err = 0.0
-    for neg_err, _, _, left, right in pieces:
-        total += left + right
-        err += -neg_err
-    return QuadratureResult(total, err, evaluations)
-
-
-def radial_integral_quadrature(alpha: float, beta_exp: float, tol: float) -> QuadratureResult:
-    """A(alpha, beta) by adaptive quadrature, independent of the closed form.
-
-    Substituting u = tanh t maps [0, inf) to [0, 1) and turns the integrand
-    into u^alpha (1 - u^2)^((beta-alpha)/2 - 1), which has at worst algebraic
-    endpoint behaviour under the convergence preconditions.
-    """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    _check_radial_convergence(alpha, beta_exp)
-    s = (beta_exp - alpha) / 2.0
-
-    def integrand(u: float) -> float:
-        return u**alpha * (1.0 - u * u) ** (s - 1.0)
-
-    # one coarse panel fixes the absolute-tolerance scale
-    coarse = _gauss_panel(integrand, 0.0, 1.0)
-    abs_tol = tol * max(1.0, abs(coarse))
-    result = adaptive_quadrature(integrand, 0.0, 1.0, abs_tol)
-    return QuadratureResult(
-        result.value, result.abs_error_estimate, result.evaluations + GAUSS_ORDER
-    )
+def _half_beta(x: Fraction, s: int) -> Fraction:
+    """(1/2) B(x, s) = (s-1)! / (2 (x)_s) for rational x > 0 and integer s >= 1."""
+    return factorial(s - 1) / (2 * _rising(x, s))
 
 
 DEFAULT_CALIBRATION_PAIRS = ((1, 3), (3, 7), (1, 5), (2, 6), (5, 9), (3, 9), (7, 13))
 
 
 def beta_argument_evidence(
-    pairs: Sequence[tuple[int, int]] = DEFAULT_CALIBRATION_PAIRS, tol: float = 1e-12
+    pairs: Sequence[tuple[int, int]] = DEFAULT_CALIBRATION_PAIRS,
 ) -> list[dict]:
-    """Evidence table for the Beta-argument calibration of the closed form.
+    """Evidence table for the first Beta argument of the radial closed form.
 
-    For each (alpha, beta) pair the quadrature value is compared against both
-    candidate first Beta arguments, (alpha+1)/2 and (alpha-1)/2.  The shipped
-    closed form is the (alpha+1)/2 variant; this table is regenerated by the
-    test suite and committed under docs/.
+    For each (alpha, beta) pair: the oracle value and the half Beta values
+    at the two candidate first arguments, (alpha+1)/2 (shipped) and
+    (alpha-1)/2 ("divergent" where not positive), with second argument
+    (beta-alpha)/2, all exact, as Fraction text.  The table is committed
+    under docs/ and regenerated by the test suite.
     """
     rows = []
     for alpha, beta_exp in pairs:
-        quad = radial_integral_quadrature(alpha, beta_exp, tol)
-        chosen = radial_integral_closed(alpha, beta_exp)
-        if alpha - 1.0 > 0:
-            rejected = 0.5 * beta((alpha - 1.0) / 2.0, (beta_exp - alpha) / 2.0)
-            rejected_note = f"{rejected:.12g}"
-        else:
-            rejected_note = "divergent (nonpositive argument)"
+        s, minus = (beta_exp - alpha) // 2, Fraction(alpha - 1, 2)
+        rejected = str(_half_beta(minus, s)) if minus > 0 else "divergent (nonpositive argument)"
         rows.append(
             {
                 "alpha": alpha,
                 "beta": beta_exp,
-                "quadrature": quad.value,
-                "quadrature_error": quad.abs_error_estimate,
-                "variant_plus": chosen,
-                "variant_minus": rejected_note,
-                "relative_difference": abs(chosen - quad.value) / abs(quad.value),
+                "oracle": str(radial_integral_monomial(alpha, beta_exp)),
+                "variant_plus": str(_half_beta(Fraction(alpha + 1, 2), s)),
+                "variant_minus": rejected,
             }
         )
     return rows

@@ -7,7 +7,8 @@ The radial integral is
 
 convergent for alpha > -1 and beta > alpha.  It equals
 (1/2) B((alpha+1)/2, (beta-alpha)/2); this argument choice was calibrated
-against an independent adaptive quadrature on integer pairs (see
+against an independent exact oracle, the term-by-term integral of the
+binomial expansion after u = tanh t, on integer pairs (see
 docs/radial_integral_calibration.md, built by relbranch.oracle).  On the
 period route both Beta arguments are positive integers, so A is rational.
 

@@ -7,6 +7,7 @@ for a standalone report.
 
 import math
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from relbranch.branching import (
@@ -22,10 +23,10 @@ from relbranch.halfint import HalfInt
 from relbranch.hepattern import enumerate_alignments, u1n_end_candidates, u2n_plus_sequence
 from relbranch.jacobi import connection_coeff, jacobi_rows
 from relbranch.oracle import (
+    beta_argument_evidence,
     compact_relative_mult,
     jacobi_coeffs,
     normalization_at_one,
-    radial_integral_quadrature,
     spherical_weight,
     su2_spherical_coefficient,
     un_branch_mult,
@@ -37,6 +38,7 @@ from relbranch.periods import (
     period_integral_quadrature,
 )
 from relbranch.reps import EPSILON_1, EPSILON_2, GroupLevel, Side, Signature, make_param
+from relbranch.specfun import radial_integral_exact
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,15 +104,16 @@ def test_criterion_03_period_dichotomy():
 def test_criterion_04_beta_argument_calibration():
     def check():
         pairs = [(1, 3), (3, 7), (1, 5), (2, 6), (5, 9)]
-        exact = {(1, 3): 0.5, (3, 7): 1.0 / 12.0}
-        from relbranch.oracle import radial_integral_closed
-
-        for alpha, beta_exp in pairs:
-            closed = radial_integral_closed(alpha, beta_exp)
-            quad = radial_integral_quadrature(alpha, beta_exp, 1e-12)
-            assert abs(closed - quad.value) <= 1e-10 * abs(quad.value)
+        exact = {(1, 3): Fraction(1, 2), (3, 7): Fraction(1, 12)}
+        for row in beta_argument_evidence(pairs):
+            alpha, beta_exp = row["alpha"], row["beta"]
+            # the (alpha+1)/2 half Beta value equals the exact oracle
+            closed = Fraction(row["variant_plus"])
+            assert closed == Fraction(row["oracle"])
+            if alpha % 2:  # and so does the period route's factorial form
+                assert radial_integral_exact(alpha, beta_exp) == closed
             if (alpha, beta_exp) in exact:
-                assert abs(closed - exact[alpha, beta_exp]) <= 1e-12
+                assert closed == exact[alpha, beta_exp]
         doc = REPO_ROOT / "docs" / "radial_integral_calibration.md"
         assert doc.exists(), "calibration evidence table is not committed"
         text = doc.read_text()

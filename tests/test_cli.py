@@ -456,6 +456,23 @@ def test_table_he_alignment_cap(capsys):
     assert elapsed < 1.0  # counted without building a single alignment
 
 
+def test_table_he_refuses_a_huge_count_without_printing_it():
+    # (+-)^200 against (PM)^200 has a count of about 120 digits; above 10^18
+    # the refusal says "more than 10^18", as a grid over the table cap does
+    import subprocess
+    import sys
+
+    argv = ["table", "he", "--big", "+-" * 200, "--small", "PM" * 200]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relbranch.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        f"error: more than 10^18 alignments exceed the cap {cli.ALIGNMENT_CAP}\n"
+    )
+
+
 def run_to_sink(*argv):
     """Run the CLI with a stdout that keeps nothing: (exit code, characters
     written, tracemalloc peak in bytes)."""

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbranch.jacobi import MAX_DEGREE, jacobi_pairing
-from relbranch.oracle import jacobi_coeffs, weighted_pairing
+from relbranch.oracle import jacobi_coeffs, radial_integral_monomial, weighted_pairing
 from relbranch.periods import (
     COMPLEX,
     QUATERNIONIC,
@@ -18,7 +18,7 @@ from relbranch.periods import (
     period_integral_exact,
     period_integral_quadrature,
 )
-from relbranch.oracle import radial_integral_closed, radial_integral_quadrature
+from relbranch.specfun import radial_integral_exact
 
 # The exponents of each family, written out apart from periods: the radial
 # sinh power and cosh decay, and the angular (alpha, beta, shift).
@@ -220,6 +220,29 @@ def _exact_period(p, q, n, k, kind):
     return radial * jacobi_pairing(n, k, *angular_args(q))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([COMPLEX, QUATERNIONIC]),
+    st.integers(min_value=2, max_value=20).flatmap(
+        lambda q: st.tuples(st.integers(min_value=1, max_value=q - 1), st.just(q))
+    ),
+    st.integers(min_value=0, max_value=16).map(lambda half: 2 * half),
+    st.integers(min_value=0, max_value=16).map(lambda half: 2 * half),
+)
+def test_period_exact_matches_the_oracle_product(kind, pq, n, k):
+    # both factors from the oracle alone: the radial integral term by term,
+    # the angular pairing from explicit-sum Jacobi coefficients by monomial
+    # integration; no production formula enters
+    p, q = pq
+    radial_args, angular_args = _FAMILY_LITERALS[kind]
+    alpha, beta, shift = angular_args(q)
+    angular = weighted_pairing(
+        jacobi_coeffs(n, alpha + shift, beta), jacobi_coeffs(k, alpha, beta), alpha, beta
+    )
+    want = radial_integral_monomial(*radial_args(p, q, n, k)) * angular
+    assert period_integral_exact(p, q, n, k, kind=kind) == want
+
+
 def test_period_exact_and_closed_match_literals_to_degree_cap():
     # the closed value is the exact period rounded once, on both families
     labels = range(0, MAX_DEGREE + 1, 2)
@@ -248,17 +271,17 @@ def test_period_quadrature_error_bounds_exact_error_to_degree_cap():
 
 
 def test_oracle_radial_quadrature_matches_closed_form():
-    # the oracle's adaptive radial quadrature against its float Beta form, at
-    # the quaternionic radial exponents of the periods that criterion 12 and
-    # the degree-cap tests above integrate
+    # the oracle's term-by-term radial integral against the factorial form
+    # of the period route, exactly, at the quaternionic radial exponents of
+    # the periods that criterion 12 and the degree-cap tests above integrate
     labels = range(0, 7, 2)
     cases = [(p, q, n, k) for p, q in ((1, 2), (1, 3)) for n in labels for k in labels]
     cases += [(2, 5, 30, 30), (2, 5, MAX_DEGREE, 0)]
     radial_args = _FAMILY_LITERALS[QUATERNIONIC][0]
     for p, q, n, k in cases:
         alpha, beta = radial_args(p, q, n, k)
-        quad = radial_integral_quadrature(alpha, beta, 1e-10).value
-        assert quad == pytest.approx(radial_integral_closed(alpha, beta), rel=1e-10), (p, q, n, k)
+        exact = radial_integral_exact(alpha, beta)
+        assert radial_integral_monomial(alpha, beta) == exact, (p, q, n, k)
 
 
 def test_period_functions_reject_octonionic():

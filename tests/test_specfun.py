@@ -1,21 +1,9 @@
 import math
 from fractions import Fraction
-from math import factorial
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from relbranch.oracle import (
-    DivergenceError,
-    DomainError,
-    adaptive_quadrature,
-    beta,
-    beta_argument_evidence,
-    log_gamma,
-    radial_integral_closed,
-    radial_integral_quadrature,
-)
+from relbranch.oracle import beta_argument_evidence, radial_integral_monomial
 from relbranch.specfun import (
     EPS,
     ConvergenceError,
@@ -23,60 +11,6 @@ from relbranch.specfun import (
     gauss_legendre_quadrature,
     radial_integral_exact,
 )
-
-# ln(sqrt(pi)) to 16 significant digits, from Gamma(1/2) = sqrt(pi)
-LN_SQRT_PI = 0.5723649429247001
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(LN_SQRT_PI, rel=1e-14)
-
-
-def test_log_gamma_against_exact_factorials():
-    # Gamma(n) = (n-1)! exactly; covers the full x <= 200 accuracy window
-    for n in range(2, 171):
-        assert log_gamma(float(n)) == pytest.approx(math.log(factorial(n - 1)), rel=1e-13)
-    # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
-    for n in range(0, 100):
-        exact = math.log(factorial(2 * n)) + LN_SQRT_PI - n * math.log(4.0) - math.log(
-            factorial(n)
-        )
-        assert log_gamma(n + 0.5) == pytest.approx(exact, rel=1e-13)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-1.5)
-
-
-def test_beta_values():
-    assert beta(1, 1) == pytest.approx(1.0, rel=1e-14)
-    assert beta(1, 2) == pytest.approx(0.5, rel=1e-14)
-    assert beta(2, 2) == pytest.approx(1.0 / 6.0, rel=1e-14)
-
-
-def test_beta_domain():
-    with pytest.raises(DomainError):
-        beta(0, 1)
-    with pytest.raises(DomainError):
-        beta(1, -2)
-
-
-@given(
-    st.floats(min_value=0.1, max_value=50, allow_nan=False),
-    st.floats(min_value=0.1, max_value=50, allow_nan=False),
-)
-def test_beta_symmetry(x, y):
-    assert beta(x, y) == pytest.approx(beta(y, x), rel=1e-12)
-
-
-def test_beta_right_unit():
-    for x in [0.25, 0.5, 1.0, 3.0, 7.5, 40.0, 123.0]:
-        assert abs(beta(x, 1.0) - 1.0 / x) <= 1e-13 / x
 
 
 def test_gauss_legendre_rule_symmetry_and_moments():
@@ -119,96 +53,47 @@ def test_gauss_legendre_quadrature_bound_and_failures():
             gauss_legendre_quadrature(lambda xs, values=values: values, 2)
 
 
+# The radial integral by its two exact routes: the factorial form of the
+# Beta identity (specfun), and the oracle's term-by-term integral of
+# u^alpha (1 - u^2)^(s-1) after u = tanh t, s = (beta - alpha)/2.
+
+
 def test_radial_closed_antiderivative_cases():
     # d/dt [-cosh^-2 t / 2] = sinh cosh^-3  =>  A(1,3) = 1/2
-    assert radial_integral_closed(1, 3) == pytest.approx(0.5, rel=1e-13)
     # w = cosh t: A(3,7) = int_1^inf (w^-5 - w^-7) dw = 1/4 - 1/6 = 1/12
-    assert radial_integral_closed(3, 7) == pytest.approx(1.0 / 12.0, rel=1e-13)
+    for route in (radial_integral_exact, radial_integral_monomial):
+        assert route(1, 3) == Fraction(1, 2)
+        assert route(3, 7) == Fraction(1, 12)
 
 
-def test_radial_exact_values_domain_and_float_form():
-    assert radial_integral_exact(1, 3) == Fraction(1, 2)
-    assert radial_integral_exact(3, 7) == Fraction(1, 12)
+def test_radial_exact_values_domain_and_monomial_oracle():
     # Beta arguments that are not positive integers
     for alpha, beta_exp in [(2, 6), (1, 4), (1, 1), (-1, 3), (1.0, 3)]:
         with pytest.raises(ValueError):
             radial_integral_exact(alpha, beta_exp)
-    for alpha in range(1, 20, 2):
-        for gap in range(2, 21, 2):
-            exact = float(radial_integral_exact(alpha, alpha + gap))
-            closed = radial_integral_closed(alpha, alpha + gap)
-            assert abs(closed - exact) <= 1e-13 * exact, (alpha, gap)
+    # the oracle also takes even alpha, where the first Beta argument is a half-integer
+    assert radial_integral_monomial(2, 6) == Fraction(2, 15)
+    assert radial_integral_monomial(0, 2) == 1  # int sech^2 t dt
+    for alpha in range(1, 80, 2):
+        for gap in range(2, 80, 2):
+            exact = radial_integral_exact(alpha, alpha + gap)
+            assert radial_integral_monomial(alpha, alpha + gap) == exact, (alpha, gap)
 
 
 def test_radial_closed_divergence():
-    with pytest.raises(DivergenceError):
-        radial_integral_closed(-1.0, 3.0)
-    with pytest.raises(DivergenceError):
-        radial_integral_closed(2.0, 2.0)
-
-
-def test_radial_quadrature_known_values():
-    r = radial_integral_quadrature(1, 3, 1e-12)
-    assert abs(r.value - 0.5) <= 1e-12
-    assert r.evaluations >= 1
-    r = radial_integral_quadrature(3, 7, 1e-12)
-    assert abs(r.value - 1.0 / 12.0) <= 1e-12
-
-
-def test_radial_quadrature_divergence():
-    with pytest.raises(DivergenceError):
-        radial_integral_quadrature(0.5, 0.4, 1e-8)
-    with pytest.raises(ValueError):
-        radial_integral_quadrature(1, 3, 0.0)
-
-
-def test_radial_quadrature_first_example_pair():
-    # the (2p-1, 2q+n+k-1) pair at (p,q,n,k) = (1,2,0,0) is (1,3)
-    closed = radial_integral_closed(1, 3)
-    quad = radial_integral_quadrature(1, 3, 1e-12)
-    assert abs(closed - quad.value) <= 1e-10 * abs(closed)
-
-
-def test_closed_vs_quadrature_grid():
-    for alpha in range(1, 10):
-        for gap in range(2, 11, 2):
-            beta_exp = alpha + gap
-            closed = radial_integral_closed(alpha, beta_exp)
-            quad = radial_integral_quadrature(alpha, beta_exp, 1e-12)
-            assert abs(closed - quad.value) <= 1e-9 * abs(closed), (alpha, beta_exp)
-
-
-def test_quadrature_determinism():
-    a = radial_integral_quadrature(2.5, 7.25, 1e-12)
-    b = radial_integral_quadrature(2.5, 7.25, 1e-12)
-    assert a == b
-
-
-def test_quadrature_handles_mild_endpoint_singularity():
-    # (beta - alpha)/2 = 1/2 gives a (1-u^2)^(-1/2) endpoint in the
-    # substituted integrand; A(0, 1) = int sech t dt = pi/2
-    r = radial_integral_quadrature(0, 1, 1e-9)
-    assert r.value == pytest.approx(math.pi / 2, rel=1e-8)
-
-
-def test_quadrature_rejects_nonfinite_tolerance():
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            radial_integral_quadrature(1, 3, tol)
-        with pytest.raises(ValueError, match="positive and finite"):
-            adaptive_quadrature(math.cos, 0.0, 1.0, tol)
-
-
-def test_adaptive_quadrature_budget_exhaustion():
-    def nasty(x):
-        return abs(x - 1 / math.pi) ** (-0.9)
-
-    with pytest.raises(ConvergenceError):
-        adaptive_quadrature(nasty, 0.0, 1.0, 1e-14)
+    # divergent at 0 (alpha <= -1) or at infinity (beta <= alpha), or outside
+    # the oracle's integer domain: a real exponent or an odd gap
+    for alpha, beta_exp in [(-1, 3), (2, 2), (3, 1), (2.5, 7.25), (0, 1), (1, 3.0)]:
+        with pytest.raises(ValueError):
+            radial_integral_monomial(alpha, beta_exp)
 
 
 def test_beta_argument_evidence_table():
     rows = beta_argument_evidence()
     assert {(r["alpha"], r["beta"]) for r in rows} >= {(1, 3), (3, 7)}
     for row in rows:
-        assert row["relative_difference"] <= 1e-10
+        assert row["variant_plus"] == row["oracle"]
+        assert row["variant_minus"] != row["oracle"]
+    by_pair = {(r["alpha"], r["beta"]): r for r in rows}
+    assert (by_pair[2, 6]["oracle"], by_pair[2, 6]["variant_minus"]) == ("2/15", "2/3")
+    assert by_pair[1, 3]["variant_minus"] == "divergent (nonpositive argument)"

@@ -4,6 +4,13 @@ from fractions import Fraction
 import pytest
 
 from relbranch.oracle import beta_argument_evidence, radial_integral_monomial
+from relbranch.periods import (
+    COMPLEX,
+    PreconditionError,
+    _period_args,
+    _radial_quadrature,
+    period_integral_quadrature,
+)
 from relbranch.specfun import (
     EPS,
     ConvergenceError,
@@ -53,9 +60,14 @@ def test_gauss_legendre_quadrature_bound_and_failures():
             gauss_legendre_quadrature(lambda xs, values=values: values, 2)
 
 
-# The radial integral by its two exact routes: the factorial form of the
-# Beta identity (specfun), and the oracle's term-by-term integral of
-# u^alpha (1 - u^2)^(s-1) after u = tanh t, s = (beta - alpha)/2.
+# The radial integral by three routes: the factorial form of the Beta
+# identity (specfun), the oracle's term-by-term integral of
+# u^alpha (1 - u^2)^(s-1) after u = tanh t, s = (beta - alpha)/2, and the
+# period route's float quadrature of the same polynomial after v = tanh^2 t.
+
+
+def _within_bound(result, exact: Fraction) -> bool:
+    return abs(Fraction(result.value) - exact) <= Fraction(result.abs_error_estimate)
 
 
 def test_radial_closed_antiderivative_cases():
@@ -66,7 +78,7 @@ def test_radial_closed_antiderivative_cases():
         assert route(3, 7) == Fraction(1, 12)
 
 
-def test_radial_exact_values_domain_and_monomial_oracle():
+def test_radial_exact_values_domain_and_float_form():
     # Beta arguments that are not positive integers
     for alpha, beta_exp in [(2, 6), (1, 4), (1, 1), (-1, 3), (1.0, 3)]:
         with pytest.raises(ValueError):
@@ -74,10 +86,11 @@ def test_radial_exact_values_domain_and_monomial_oracle():
     # the oracle also takes even alpha, where the first Beta argument is a half-integer
     assert radial_integral_monomial(2, 6) == Fraction(2, 15)
     assert radial_integral_monomial(0, 2) == 1  # int sech^2 t dt
-    for alpha in range(1, 80, 2):
-        for gap in range(2, 80, 2):
+    # the float form: the quadrature value is within its bound of the exact one
+    for alpha in range(1, 20, 2):
+        for gap in range(2, 21, 2):
             exact = radial_integral_exact(alpha, alpha + gap)
-            assert radial_integral_monomial(alpha, alpha + gap) == exact, (alpha, gap)
+            assert _within_bound(_radial_quadrature(alpha, alpha + gap), exact), (alpha, gap)
 
 
 def test_radial_closed_divergence():
@@ -86,6 +99,52 @@ def test_radial_closed_divergence():
     for alpha, beta_exp in [(-1, 3), (2, 2), (3, 1), (2.5, 7.25), (0, 1), (1, 3.0)]:
         with pytest.raises(ValueError):
             radial_integral_monomial(alpha, beta_exp)
+
+
+def test_radial_quadrature_known_values():
+    r = _radial_quadrature(1, 3)
+    assert abs(r.value - 0.5) <= 1e-12 and _within_bound(r, Fraction(1, 2))
+    assert r.evaluations >= 1
+    r = _radial_quadrature(3, 7)
+    assert abs(r.value - 1.0 / 12.0) <= 1e-12 and _within_bound(r, Fraction(1, 12))
+
+
+def test_radial_quadrature_divergence():
+    # the quadrature is reached only through a period, whose signature check
+    # q > p keeps the radial pair convergent; a nonpositive tolerance is refused
+    with pytest.raises(PreconditionError):
+        period_integral_quadrature(2, 2, 0, 0)
+    with pytest.raises(PreconditionError):
+        period_integral_quadrature(0, 2, 0, 0)
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            period_integral_quadrature(1, 3, 0, 0, tol)
+
+
+def test_radial_quadrature_first_example_pair():
+    # the (2p-1, 2q+n+k-1) pair at (p,q,n,k) = (1,2,0,0) is (1,3)
+    radial_args, _ = _period_args(1, 2, 0, 0, COMPLEX)
+    assert radial_args == (1, 3)
+    closed = radial_integral_exact(*radial_args)
+    assert radial_integral_monomial(*radial_args) == closed
+    quad = _radial_quadrature(*radial_args)
+    assert abs(Fraction(quad.value) - closed) <= Fraction(1, 10**10) * closed
+    assert _within_bound(quad, closed)
+
+
+def test_closed_vs_quadrature_grid():
+    # the oracle equals the factorial form exactly on odd alpha < 80, even gap < 80
+    for alpha in range(1, 80, 2):
+        for gap in range(2, 80, 2):
+            exact = radial_integral_exact(alpha, alpha + gap)
+            assert radial_integral_monomial(alpha, alpha + gap) == exact, (alpha, gap)
+    # and the float quadrature is within its bound and 1e-9 relative of it
+    for alpha in range(1, 10, 2):
+        for gap in range(2, 11, 2):
+            exact = radial_integral_exact(alpha, alpha + gap)
+            quad = _radial_quadrature(alpha, alpha + gap)
+            assert _within_bound(quad, exact), (alpha, gap)
+            assert abs(quad.value - float(exact)) <= 1e-9 * float(exact), (alpha, gap)
 
 
 def test_beta_argument_evidence_table():

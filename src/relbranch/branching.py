@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .frozen import Frozen
 from .halfint import HALF, HalfInt
 from .reps import (
     DiscreteSeriesParam,
@@ -247,7 +246,7 @@ def fj_label_to_b(sig: Signature, k: int) -> HalfInt:
 # ---------------------------------------------------------------------------
 
 # The largest ell that exhaustion_check takes.  A row's work and its record
-# grow linearly in ell (ell/2 validated first-stage terms, sequences of about
+# grow linearly in ell (a slice of ell/2 first-stage terms, sequences of about
 # ell/2 values), so the cap bounds one row of `table exhaustion` as
 # jacobi.MAX_DEGREE bounds a period record: a row at the cap takes a few
 # milliseconds and writes about 10 kB, and a whole table (at most MAX_ELL
@@ -258,37 +257,6 @@ MAX_ELL = 1024
 def check_ell(ell: int) -> None:
     if ell > MAX_ELL:
         raise ValueError(f"ell = {ell} exceeds the per-row cap MAX_ELL = {MAX_ELL}")
-
-
-_set = object.__setattr__  # Frozen's own __setattr__ refuses every write
-
-
-class StageParams(Frozen):
-    """One term of the first-stage restriction: an orthogonal-group label ell
-    split as ell - lambda' - lambda'' - 1 in 2N.  Every construction checks
-    the split through ``self.__post_init__``, so a class-level hook on it
-    sees each term built."""
-
-    __slots__ = ("ell", "lambda_prime", "lambda_dprime")
-
-    def __init__(self, ell: int, lambda_prime: int, lambda_dprime: HalfInt):
-        _set(self, "ell", ell)
-        _set(self, "lambda_prime", lambda_prime)
-        _set(self, "lambda_dprime", lambda_dprime)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.lambda_prime < 0:
-            raise ValueError("lambda' must be nonnegative")
-        dprime_twice = self.lambda_dprime.twice
-        if dprime_twice <= 0:
-            raise ValueError("lambda'' must be positive")
-        gap_twice = 2 * (self.ell - self.lambda_prime - 1) - dprime_twice
-        if gap_twice < 0 or gap_twice % 4 != 0:
-            raise ValueError(
-                f"ell - lambda' - lambda'' - 1 = {HalfInt(gap_twice)} "
-                "is not a nonnegative even integer"
-            )
 
 
 class ExhaustionReport(NamedTuple):
@@ -302,17 +270,13 @@ class ExhaustionReport(NamedTuple):
     mismatches: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        first = [str(b) for b in self.first_sequence]
-        # on an agreeing row exhaustion_check passes one tuple for both
-        # sequences, which compares equal at once and is rendered once
-        same = self.second_sequence == self.first_sequence
         return {
             "p": self.sig.p,
             "q": self.sig.q,
             "ell": self.ell,
             "a": str(self.a) if self.a is not None else None,
-            "first_sequence": first,
-            "second_sequence": first if same else [str(b) for b in self.second_sequence],
+            "first_sequence": [str(b) for b in self.first_sequence],
+            "second_sequence": [str(b) for b in self.second_sequence],
             "period_prediction": [str(b) for b in self.period_prediction],
             "agreement": self.agreement,
             "mismatches": list(self.mismatches),
@@ -323,9 +287,9 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     """Cross-check the relative spectrum along the two restriction sequences
     against the radial-label prediction.
 
-    First sequence: the lambda' = 0 slice of the first stage (each term
-    validated as a StageParams) feeds the next stage.  An even label
-    lambda'' has no relative member there; an odd label carries the
+    First sequence: the lambda' = 0 slice of the first stage, the lambda''
+    of ell's opposite parity in 1..ell-1, feeds the next stage.  An even
+    label lambda'' has no relative member there; an odd label carries the
     subgroup parameter b equal to whichever of (lambda''-1)/2 and lambda''/2
     has the subgroup parity (the label conventions at adjacent levels differ
     by such shifts, and this is the unique assignment compatible with
@@ -346,7 +310,6 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     # HalfInts are built for the report only
     first_twice = []
     for lam in range(2 - (ell - 1) % 2, ell, 2):
-        StageParams(ell, 0, HalfInt(2 * lam))  # validated like every first-stage term
         if lam % 2 == 0:
             continue
         twice = lam if (lam - sub) % 2 == 0 else lam - 1  # 2b has the subgroup parity
@@ -364,7 +327,7 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
         period = ()
     period_twice = [b.twice for b in period]
     first = tuple(map(HalfInt, first_twice))
-    second = first if second_twice == first_twice else tuple(map(HalfInt, second_twice))
+    second = tuple(map(HalfInt, second_twice))
     mismatches = []
     if first_twice != second_twice:
         mismatches.append(f"first vs second: {list(map(str, first))} != {list(map(str, second))}")

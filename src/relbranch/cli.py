@@ -161,11 +161,12 @@ def _parse_pq(text: str) -> tuple[int, int]:
 
 
 def _parse_range(text: str, parse_end) -> tuple:
-    try:
-        lo_str, hi_str = text.split("..")
-        return parse_end(lo_str), parse_end(hi_str)
-    except ValueError:
-        raise reps.ParamError(f"expected a range 'lo..hi', got {text!r}") from None
+    """(lo, hi) from 'lo..hi'; an endpoint that does not parse raises
+    parse_end's own error, which names that endpoint."""
+    ends = text.split("..")
+    if len(ends) != 2:
+        raise reps.ParamError(f"expected a range 'lo..hi', got {text!r}")
+    return parse_end(ends[0]), parse_end(ends[1])
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +385,8 @@ def _rows_period(args):
     ns, ks = range(0, args.n_max + 1, 2), range(0, args.k_max + 1, 2)
     _cap(len(ns) * len(ks))
     if ns and ks:  # refuse a label above the cap before the first record, k first
-        jacobi._check_degree(ks[-1])
-        jacobi._check_degree(ns[-1])
+        jacobi.check_degree(ks[-1])
+        jacobi.check_degree(ns[-1])
     shared = periods.SharedFactors()  # the grid's sweeps and radial factors, built once
     for n in ns:
         for k in ks:
@@ -419,6 +420,8 @@ def _rows_he(args):
         return
     lo, hi = _parse_range(args.n, int)
     _cap(max(hi - lo + 1, 0))
+    if lo <= hi:  # refuse an n above the cap before the first row
+        hepattern.check_u2n(hi)
     for n in range(lo, hi + 1):
         report = _row("he", {"n": n}, hepattern.u2n_case_report, n)
         yield _record("table.he", {"n": n}, report.to_dict(), _HE_RULES)

@@ -165,6 +165,20 @@ class U2nReport(NamedTuple):
         }
 
 
+# The largest n that u2n_case_report takes.  A row's work and its record
+# grow linearly in n (sequences of 2+n and 1+n signs, two alignments of
+# 2n+3 symbols), so the cap bounds one row of `table he --n` as
+# branching.MAX_ELL bounds an exhaustion row: a row at the cap takes about
+# 10 ms and writes about 2 kB, and a whole table (at most MAX_U2N rows)
+# about a second and 0.34 MB.
+MAX_U2N = 256
+
+
+def check_u2n(n: int) -> None:
+    if n > MAX_U2N:
+        raise ValueError(f"n = {n} exceeds the per-row cap MAX_U2N = {MAX_U2N}")
+
+
 def u2n_case_report(n: int) -> U2nReport:
     """Enumerate alignments of the U(2,n) big sequence against the two
     end-circled-plus subgroup candidates.
@@ -175,6 +189,7 @@ def u2n_case_report(n: int) -> U2nReport:
     """
     if n < 4:
         raise ValueError("the configuration is set up for n >= 4")
+    check_u2n(n)
     big = u2n_plus_sequence(n)
     candidates = u1n_end_candidates(n)
     alignments = tuple(tuple(enumerate_alignments(big, c)) for c in candidates)

@@ -38,7 +38,7 @@ from typing import Sequence
 MAX_DEGREE = 64
 
 
-def _check_degree(n: int) -> None:
+def check_degree(n: int) -> None:
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if n > MAX_DEGREE:
@@ -78,7 +78,7 @@ def jacobi_rows(
     only as far as the highest degree it asks for.  A node runs the same
     operations whether the sweep stops at n or goes on, so row n holds the
     same floats however far the sweep reached."""
-    _check_degree(n)
+    check_degree(n)
     if rows is None:
         rows = []
     if not rows:
@@ -111,7 +111,7 @@ def connection_coeff(n: int, k: int, alpha: int, beta_param: int, shift: int) ->
 
     Every factor is positive once shift >= 1; shift 0 gives the identity.
     """
-    _check_degree(n)
+    check_degree(n)
     if alpha < 0 or beta_param < 0 or shift < 0:
         raise ValueError("requires integer alpha, beta, shift >= 0")
     if k < 0:
@@ -157,7 +157,7 @@ def jacobi_shifted_norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> F
     it is N / a for shift 1 and N (2n(n+a+b+1) + (a+b)(a+1)) / (2 (a-1) a (a+1))
     for shift 2.
     """
-    _check_degree(n)
+    check_degree(n)
     if alpha < 0 or beta_param < 0 or shift not in (1, 2):
         raise ValueError(f"requires integer alpha, beta >= 0 and shift 1 or 2, got {shift}")
     a, ab = alpha + shift, alpha + shift + beta_param
@@ -177,7 +177,7 @@ def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> F
     h_k the squared norm.  Both factors are positive, so the pairing is
     nonzero exactly when k <= n.
     """
-    _check_degree(k)
+    check_degree(k)
     if shift not in (1, 2):
         raise ValueError(f"shift must be 1 or 2, got {shift}")
     return connection_coeff(n, k, alpha, beta_param, shift) * jacobi_norm_sq(k, alpha, beta_param)

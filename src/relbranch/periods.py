@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import inf, sqrt
 from typing import Sequence
 
-from .jacobi import _check_degree, jacobi_norm_sq, jacobi_pairing, jacobi_rows
+from .jacobi import check_degree, jacobi_norm_sq, jacobi_pairing, jacobi_rows
 from .jacobi import jacobi_shifted_norm_sq
 from .specfun import ConvergenceError, QuadratureResult, gauss_legendre_quadrature
 from .specfun import radial_integral_exact
@@ -114,8 +114,8 @@ def _period_args(p: int, q: int, n: int, k: int, kind: str):
         raise PreconditionError(f"labels must be even and nonnegative, got n={n}, k={k}")
     if kind not in _EXPONENTS:
         raise ValueError(f"unknown family {kind!r}")
-    _check_degree(k)  # k before n, as jacobi_pairing checks them
-    _check_degree(n)
+    check_degree(k)  # k before n, as jacobi_pairing checks them
+    check_degree(n)
     radial, angular = _EXPONENTS[kind]
     return radial(p, q, n, k), angular(q)
 

@@ -9,7 +9,6 @@ from relbranch.branching import (
     P1,
     P2,
     SignatureMismatchError,
-    StageParams,
     TieError,
     classify_interlacing,
     coupling_summary,
@@ -374,6 +373,29 @@ def test_period_branching_agreement():
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StageParams:
+    """One term of the first-stage restriction: an orthogonal-group label ell
+    split as ell - lambda' - lambda'' - 1 in 2N, checked on construction."""
+
+    ell: int
+    lambda_prime: int
+    lambda_dprime: HalfInt
+
+    def __post_init__(self):
+        if self.lambda_prime < 0:
+            raise ValueError("lambda' must be nonnegative")
+        dprime_twice = self.lambda_dprime.twice
+        if dprime_twice <= 0:
+            raise ValueError("lambda'' must be positive")
+        gap_twice = 2 * (self.ell - self.lambda_prime - 1) - dprime_twice
+        if gap_twice < 0 or gap_twice % 4 != 0:
+            raise ValueError(
+                f"ell - lambda' - lambda'' - 1 = {HalfInt(gap_twice)} "
+                "is not a nonnegative even integer"
+            )
+
+
 def stage1_enumerate(sig, ell):
     """All (lambda', lambda'') with lambda' in Z>=0, lambda'' in Z>0 and
     ell - lambda' - lambda'' - 1 in 2N.  The list is finite; ordering is
@@ -491,20 +513,39 @@ def test_exhaustion_report_serializes():
     assert data["a"] == "6"
 
 
+def stage1_slice(ell):
+    """The lambda' = 0 terms of the first stage, found by trying every
+    lambda'' in 1..ell-1 against the StageParams split: O(ell), and
+    independent of the parity step exhaustion_check takes."""
+    terms = []
+    for lam in range(1, ell):
+        try:
+            terms.append(StageParams(ell, 0, HalfInt.from_int(lam)))
+        except ValueError:
+            continue
+    return terms
+
+
 def test_exhaustion_first_sequence_equals_filtered_stage1():
-    # reference: the full O(ell^2) stage1 enumeration, filtered to lambda' = 0
-    for sig in (Signature(3, 3), Signature(3, 4), Signature(4, 6)):
-        for ell in range(sig.n, 41):
-            want = []
-            for sp in stage1_enumerate(sig, ell):
-                lam = int(sp.lambda_dprime)
-                if sp.lambda_prime != 0 or lam % 2 == 0:
-                    continue
-                b = HalfInt(lam if (lam - sig.n) % 2 == 0 else lam - 1)
-                offset = b.twice - (sig.n - 2)
-                if offset >= 0 and offset % 2 == 0:
-                    want.append(b)
-            assert exhaustion_check(sig, ell).first_sequence == tuple(sorted(want)), (sig, ell)
+    # reference: the full O(ell^2) stage1 enumeration up to ell = 40, and the
+    # O(ell) slice over the benchmark's range, each filtered to lambda' = 0
+    cases = [
+        (sig, ell, stage1_enumerate)
+        for sig in (Signature(3, 3), Signature(3, 4), Signature(4, 6))
+        for ell in range(sig.n, 41)
+    ]
+    cases += [(Signature(3, 3), ell, lambda sig, ell: stage1_slice(ell)) for ell in range(8, 141)]
+    for sig, ell, terms in cases:
+        want = []
+        for sp in terms(sig, ell):
+            lam = int(sp.lambda_dprime)
+            if sp.lambda_prime != 0 or lam % 2 == 0:
+                continue
+            b = HalfInt(lam if (lam - sig.n) % 2 == 0 else lam - 1)
+            offset = b.twice - (sig.n - 2)
+            if offset >= 0 and offset % 2 == 0:
+                want.append(b)
+        assert exhaustion_check(sig, ell).first_sequence == tuple(sorted(want)), (sig, ell)
 
 
 def test_exhaustion_relative_member_equals_filtered_stage2():

@@ -426,6 +426,62 @@ def test_table_he_range(capsys):
     assert all(r["result"]["total_alignments"] == 2 for r in records)
 
 
+@pytest.mark.parametrize("n", ["4..257", "100000000..100000000"])
+def test_table_he_refuses_n_above_the_cap(n):
+    # each row's work grows with n: an end above MAX_U2N exits 2 before any
+    # row runs (4..4000 ran for minutes uncapped)
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-m", "relbranch.cli", "table", "he", "--n", n]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
+    end = n.split("..")[1]
+    message = f"error: n = {end} exceeds the per-row cap MAX_U2N = {cli.hepattern.MAX_U2N}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_VALIDATION, "", message)
+
+
+def test_table_he_reaches_the_cap():
+    import subprocess
+    import sys
+
+    cap = cli.hepattern.MAX_U2N
+    cmd = [sys.executable, "-m", "relbranch.cli", "table", "he", "--n", f"{cap - 1}..{cap}"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [r["inputs"]["n"] for r in parse_records(proc.stdout)] == [cap - 1, cap]
+    with pytest.raises(ValueError, match=f"^n = {cap + 1} exceeds the per-row cap"):
+        cli.hepattern.u2n_case_report(cap + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a well-formed range with a bad endpoint: the endpoint's own error
+        (
+            ("branch", "--pq", "3,3", "--a-range", "9/2..1/3", "--b-range", "1..2"),
+            "cannot parse half-integer from '1/3': 1/3 is not a half-integer",
+        ),
+        (
+            ("branch", "--pq", "3,3", "--a-range", "9/2..0.3", "--b-range", "1..2"),
+            "cannot parse half-integer from '0.3': 3/10 is not a half-integer",
+        ),
+        (
+            ("exhaustion", "--pq", "3,3", "--ell", "8..x"),
+            "invalid literal for int() with base 10: 'x'",
+        ),
+        # a missing or extra '..' is a form error
+        (
+            ("branch", "--pq", "3,3", "--a-range", "9/2", "--b-range", "1..2"),
+            "expected a range 'lo..hi', got '9/2'",
+        ),
+        (("he", "--n", "4..5..6"), "expected a range 'lo..hi', got '4..5..6'"),
+    ],
+)
+def test_table_range_errors_name_what_is_wrong(capsys, argv, message):
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert (code, out, err) == (cli.EXIT_VALIDATION, "", f"error: {message}\n")
+
+
 def test_table_he_raw_sequences(capsys):
     code, out, _ = run_cli(capsys, "table", "he", "--big", "+--+", "--small", "PMM")
     assert code == 0

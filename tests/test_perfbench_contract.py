@@ -1,19 +1,17 @@
 """What the benchmark in perfbench/ reads of the package.
 
 The benchmark scripts are parsed, never imported into the test process: a
-name they take from relbranch, the period call of their reach_label metric,
-the class-level hook through which they count StageParams and the len()
-through which they count alignments must keep working, so that a deletion
-that would break a benchmark run fails here first.  One test runs the span
-tracer in a child process, on layers that the CLI registered but no command
-has loaded yet."""
+name they take from relbranch, the period call of their reach_label metric
+and the len() through which they count alignments must keep working, so
+that a deletion that would break a benchmark run fails here first.  One test
+runs the span tracer in a child process, on layers that the CLI registered
+but no command has loaded yet, and then traces a command under it."""
 
 import ast
 from math import isfinite
 from pathlib import Path
 
-from relbranch import branching, hepattern, periods
-from relbranch.halfint import HalfInt
+from relbranch import hepattern, periods
 from relbranch.jacobi import MAX_DEGREE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -88,24 +86,6 @@ def test_reach_label_call_runs_with_defaults():
         assert isfinite(result.value) and isfinite(result.abs_error_estimate), n
 
 
-def test_stage_params_hook_is_called_on_every_construction(monkeypatch):
-    # spans.py counts StageParams by rebinding the class's __post_init__
-    spans = _tree("spans.py")
-    strings = {n.value for n in ast.walk(spans) if isinstance(n, ast.Constant)}
-    attrs = {n.attr for n in ast.walk(spans) if isinstance(n, ast.Attribute)}
-    assert "StageParams" in strings and "__post_init__" in attrs
-    seen = []
-    real = branching.StageParams.__post_init__
-
-    def counted(sp):
-        real(sp)
-        seen.append(sp)
-
-    monkeypatch.setattr(branching.StageParams, "__post_init__", counted)
-    built = [branching.StageParams(8, 0, HalfInt(6)), branching.StageParams(9, 2, HalfInt(4))]
-    assert seen == built
-
-
 def test_alignment_observer_reads_the_count_by_len():
     # spans.py counts alignments as len() of enumerate_alignments' result,
     # which is lazy: its len() must be the number of alignments it yields
@@ -132,7 +112,9 @@ def test_alignment_observer_reads_the_count_by_len():
 
 # After cli.main runs an `enumeration` command that reaches only hepattern,
 # the tracer installs on every layer, the lazily registered ones included,
-# wraps the period entry point, and uninstall restores it.
+# and wraps the period entry point.  A `table exhaustion` run under it exits
+# 0 and builds no first-stage term for the stage counters to count, and
+# uninstall restores every wrapped function.
 _TRACER_CHILD = """
 import contextlib, io, json, sys, types
 sys.path.insert(0, sys.argv[1])
@@ -142,13 +124,19 @@ from relbranch import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["table", "he", "--big", "+-+-", "--small", "PMPM"])
 periods = sys.modules["relbranch.periods"]
+branching = sys.modules["relbranch.branching"]
 loaded = type(periods) is types.ModuleType
 tracer = spans.Tracer()
 tracer.install()
-wrapped = periods.period_integral_quadrature
+wrapped = [periods.period_integral_quadrature, branching.exhaustion_check, cli.main]
+with contextlib.redirect_stdout(io.StringIO()):
+    traced = cli.main(["table", "exhaustion", "--pq", "3,3", "--ell", "8..10"])
 tracer.uninstall()
-restored = periods.period_integral_quadrature is getattr(wrapped, "__wrapped__", None)
-json.dump([code, loaded, wrapped.__name__, restored], sys.stdout)
+now = [periods.period_integral_quadrature, branching.exhaustion_check, cli.main]
+restored = [fn is getattr(w, "__wrapped__", None) for fn, w in zip(now, wrapped)]
+stage = [tracer.counters["stage1_built"], tracer.counters["stage1_kept"]]
+checks = tracer.calls["branching.exhaustion_check"]
+json.dump([code, loaded, wrapped[0].__name__, traced, checks, stage, restored], sys.stdout)
 """
 
 
@@ -161,7 +149,9 @@ def test_tracer_installs_on_lazily_registered_layers():
         [sys.executable, "-c", _TRACER_CHILD, str(PERFBENCH)],
         capture_output=True, text=True, check=True,
     )
-    assert json.loads(proc.stdout) == [0, False, "period_integral_quadrature", True]
+    assert json.loads(proc.stdout) == [
+        0, False, "period_integral_quadrature", 0, 3, [0, 0], [True, True, True]
+    ]
 
 
 # Entry points that spans.py still names but that no longer exist where it

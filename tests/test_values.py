@@ -7,12 +7,7 @@ import pickle
 
 import pytest
 
-from relbranch import branching
-from relbranch.branching import (
-    StageParams,
-    classify_interlacing,
-    exhaustion_check,
-)
+from relbranch.branching import classify_interlacing, exhaustion_check
 from relbranch.halfint import HalfInt
 from relbranch.hepattern import u2n_case_report
 from relbranch.oracle import HighestWeight
@@ -43,7 +38,6 @@ RECORDS = {
     "InterlacingPattern": (
         lambda: classify_interlacing("9/2", 3), classify_interlacing(3, "9/2"), "kind"
     ),
-    "StageParams": (lambda: StageParams(8, 0, HalfInt(6)), StageParams(8, 0, HalfInt(10)), "ell"),
     "ExhaustionReport": (
         lambda: exhaustion_check(Signature(3, 3), 8), exhaustion_check(SIG, 10), "agreement"
     ),
@@ -93,9 +87,6 @@ def test_repr_names_the_fields():
     assert repr(QuadratureResult(0.5, 0.0, 3)) == (
         "QuadratureResult(value=0.5, abs_error_estimate=0.0, evaluations=3)"
     )
-    assert repr(StageParams(8, 0, HalfInt(6))) == (
-        "StageParams(ell=8, lambda_prime=0, lambda_dprime=HalfInt(6))"
-    )
 
 
 @pytest.mark.parametrize(
@@ -110,13 +101,6 @@ def test_repr_names_the_fields():
             ValueError,
             "weight entries must be weakly decreasing: (0,1)",
         ),
-        (lambda: StageParams(8, -1, HalfInt(2)), ValueError, "lambda' must be nonnegative"),
-        (lambda: StageParams(8, 0, HalfInt(0)), ValueError, "lambda'' must be positive"),
-        (
-            lambda: StageParams(8, 0, HalfInt.from_int(2)),
-            ValueError,
-            "ell - lambda' - lambda'' - 1 = 5 is not a nonnegative even integer",
-        ),
     ],
 )
 def test_construction_errors(build, error, message):
@@ -125,19 +109,3 @@ def test_construction_errors(build, error, message):
     assert type(info.value) is error
     assert str(info.value) == message
 
-
-def test_stage_params_hook_sees_every_term_exhaustion_check_builds(monkeypatch):
-    # the benchmark tracer counts terms by patching __post_init__ on the class
-    seen = []
-    check = StageParams.__post_init__
-
-    def counted(term):
-        check(term)
-        seen.append((term.ell, term.lambda_prime, term.lambda_dprime))
-
-    monkeypatch.setattr(branching.StageParams, "__post_init__", counted)
-    for ell in range(8, 21):
-        seen.clear()
-        exhaustion_check(SIG, ell)
-        lambdas = range(2 - (ell - 1) % 2, ell, 2)
-        assert seen == [(ell, 0, HalfInt.from_int(lam)) for lam in lambdas], ell

@@ -1,8 +1,9 @@
 """What the benchmark in perfbench/ reads of the package.
 
 The benchmark scripts are parsed, never imported into the test process: a
-name they take from relbranch, the period call of their reach_label metric
-and the len() through which they count alignments must keep working, so
+name they take from relbranch, the period call of their reach_label metric,
+the class-level hook through which they count StageParams and the len()
+through which they count alignments must keep working, so
 that a deletion that would break a benchmark run fails here first.  One test
 runs the span tracer in a child process, on layers that the CLI registered
 but no command has loaded yet, and then traces a command under it."""
@@ -12,6 +13,7 @@ from math import isfinite
 from pathlib import Path
 
 from relbranch import hepattern, periods
+from relbranch.halfint import HalfInt
 from relbranch.jacobi import MAX_DEGREE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -84,6 +86,29 @@ def test_reach_label_call_runs_with_defaults():
     for n in range(0, MAX_DEGREE + 1, 2):
         result = periods.period_integral_quadrature(1, 2, n, n)
         assert isfinite(result.value) and isfinite(result.abs_error_estimate), n
+
+
+def test_stage_params_hook_is_called_on_every_construction(monkeypatch):
+    # spans.py counts StageParams by rebinding the class's __post_init__ and
+    # reading lambda_prime off each term; the package builds none, so the
+    # hook is driven here on the frozen dataclass the stage tests build
+    from test_branching import StageParams
+
+    spans = _tree("spans.py")
+    strings = {n.value for n in ast.walk(spans) if isinstance(n, ast.Constant)}
+    attrs = {n.attr for n in ast.walk(spans) if isinstance(n, ast.Attribute)}
+    assert "StageParams" in strings and {"__post_init__", "lambda_prime"} <= attrs
+    seen = []
+    real = StageParams.__post_init__
+
+    def counted(sp):
+        real(sp)
+        seen.append(sp)
+
+    monkeypatch.setattr(StageParams, "__post_init__", counted)
+    built = [StageParams(8, 0, HalfInt(6)), StageParams(9, 2, HalfInt(4))]
+    assert seen == built
+    assert [sp.lambda_prime == 0 for sp in seen] == [True, False]
 
 
 def test_alignment_observer_reads_the_count_by_len():

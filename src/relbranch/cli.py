@@ -383,10 +383,11 @@ def _rows_period(args):
     p, q = _parse_pq(args.pq)
     periods.check_tol(args.tol)
     ns, ks = range(0, args.n_max + 1, 2), range(0, args.k_max + 1, 2)
-    _cap(len(ns) * len(ks))
-    if ns and ks:  # refuse a label above the cap before the first record, k first
-        jacobi.check_degree(ks[-1])
-        jacobi.check_degree(ns[-1])
+    _cap(_size(ns) * _size(ks))
+    if not (ns and ks):  # the other range may still be too long to step through
+        return
+    jacobi.check_degree(ks[-1])  # refuse a label above the cap before the first record, k first
+    jacobi.check_degree(ns[-1])
     shared = periods.SharedFactors()  # the grid's sweeps and radial factors, built once
     for n in ns:
         for k in ks:

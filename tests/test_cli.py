@@ -564,40 +564,6 @@ def test_table_he_record_is_written_as_it_is_built():
     assert peak < 3 * 2**20, peak
 
 
-def test_table_he_benchmark_invocation_bytes():
-    # the exact bytes of the alignment invocation of the `enumeration`
-    # workload, of the README's U(2,n) path, of an odd-length input (39
-    # symbols, 92,378 alignments) whose prefix and suffix halves differ, and
-    # of the benchmark input's CSV projection
-    import hashlib
-    import subprocess
-    import sys
-
-    pins = [
-        (
-            ("--big", "+-" * 9, "--small", "PM" * 9),
-            "e68fb975c94b479dec26484309baaf9ea047771fe80196e62aa40676425dc6ef",
-        ),
-        (
-            ("--n", "4..10"),
-            "f90ea10ce37e6907bfb6a627fe6694bce32a3cbdf0e70cf70912d7f0ace47b5c",
-        ),
-        (
-            ("--big", "+-" * 10, "--small", "PM" * 9 + "P"),
-            "5dd2230d9eb6cc8f9fe82a30a63dc4266defdbe9c7abf1cb7549226989296514",
-        ),
-        (
-            ("--big", "+-" * 9, "--small", "PM" * 9, "--csv"),
-            "db38f8cb8787cafad1d7185c2d2ceb0d9ccd21dcfba7d9d6c84b88d02bf60b2c",
-        ),
-    ]
-    for args, expected in pins:
-        cmd = [sys.executable, "-m", "relbranch.cli", "table", "he", *args]
-        proc = subprocess.run(cmd, capture_output=True, check=True)
-        assert proc.stderr == b"", args
-        assert hashlib.sha256(proc.stdout).hexdigest() == expected, args
-
-
 @given(
     st.text(alphabet="+-", min_size=0, max_size=6),
     st.text(alphabet="PM", min_size=0, max_size=6),
@@ -627,68 +593,6 @@ def test_table_he_joined_alignments_match_the_generic_encoder(big, small):
     assert row["out.alignments"] == cli._ENCODER.encode(found)
 
 
-def test_table_period_benchmark_invocation_bytes():
-    # the exact bytes of the `period-complex` and `period-quaternionic`
-    # workloads' invocations: the closed value is the exact period rounded
-    # once, and the quadrature sums with math.fsum and calls no BLAS kernel
-    import hashlib
-    import subprocess
-    import sys
-
-    pins = [
-        (
-            ("--pq", "1,2", "--n-max", "24", "--k-max", "24"),
-            "d5d194afb1ea67e6e7bd72282edbcf0f6e88df2dca6489c14acb26159262e299",
-        ),
-        (
-            ("--pq", "2,5", "--family", "quaternionic", "--n-max", "20", "--k-max", "20"),
-            "696313645a7df4d83ac1dcba12e95fee29ff2719f08fc16d51540f5bd54859d3",
-        ),
-    ]
-    for args, expected in pins:
-        cmd = [sys.executable, "-m", "relbranch.cli", "table", "period", *args]
-        proc = subprocess.run(cmd, capture_output=True, check=True)
-        assert proc.stderr == b"", args
-        assert hashlib.sha256(proc.stdout).hexdigest() == expected, args
-
-
-def test_table_period_full_label_range_bytes():
-    # the exact bytes of four grids over every label up to MAX_DEGREE, where
-    # records share rules, sweeps and radial factors most; hashed in process
-    import contextlib
-    import hashlib
-
-    class HashSink:
-        def __init__(self):
-            self.digest = hashlib.sha256()
-
-        def write(self, text):
-            self.digest.update(text.encode())
-            return len(text)
-
-        def flush(self):
-            pass
-
-    pins = [
-        (("--pq", "1,2"), "2c0230fe90d60674f09ba8b654056f930e47cfa6f5cfff547a45b035145158b9"),
-        (("--pq", "3,20"), "a92bce62721d6b0b08186c51da94480db8402621b5aedadc2854bb9d124794e2"),
-        (
-            ("--pq", "2,5", "--family", "quaternionic"),
-            "b1ed1e44d81455b941ce7956739b09c514f5b04e86ca6d69938d54673701ad14",
-        ),
-        (
-            ("--pq", "3,20", "--family", "quaternionic"),
-            "4be4cbc27e94c6bd918a86eaca57e6d987b7209cc859c0a984b6bff86682b829",
-        ),
-    ]
-    for args, expected in pins:
-        sink = HashSink()
-        with contextlib.redirect_stdout(sink):
-            code = cli.main(["table", "period", *args, "--n-max", "64", "--k-max", "64"])
-        assert code == 0, args
-        assert sink.digest.hexdigest() == expected, args
-
-
 def test_table_period_sweeps_are_held_as_arrays(capsys, monkeypatch):
     # every row a grid keeps is an array('d'), a quarter of the memory of a
     # list of floats: the (3,20) quaternionic grid to MAX_DEGREE keeps 6,338
@@ -709,34 +613,6 @@ def test_table_period_sweeps_are_held_as_arrays(capsys, monkeypatch):
     rows = {id(row): row for sweep in kept for row in sweep}.values()
     assert len(rows) > 100
     assert all(type(row) is array and row.typecode == "d" for row in rows)
-
-
-def test_table_enumeration_benchmark_invocation_bytes():
-    # the exact bytes of the exhaustion and branch-grid invocations of the
-    # `enumeration` workload, under two hash seeds: no record depends on
-    # set or dict iteration order
-    import hashlib
-    import os
-    import subprocess
-    import sys
-
-    pins = [
-        (
-            ("exhaustion", "--pq", "3,3", "--ell", "8..140"),
-            "42dabbc2c305964406570c5100a7212bcaf0a6c2db9ff40ff36b51a837f941b8",
-        ),
-        (
-            ("branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2"),
-            "e7a321f6ad0c31250a496168457ed2da0eaa69385f4f1c01dd88110ace7f678c",
-        ),
-    ]
-    for seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": seed}
-        for args, expected in pins:
-            cmd = [sys.executable, "-m", "relbranch.cli", "table", *args]
-            proc = subprocess.run(cmd, capture_output=True, check=True, env=env)
-            assert proc.stderr == b"", (seed, args)
-            assert hashlib.sha256(proc.stdout).hexdigest() == expected, (seed, args)
 
 
 def test_table_empty_grid(capsys):
@@ -984,26 +860,6 @@ def test_table_csv_projection(capsys):
     assert len(lines) == 4
 
 
-def test_table_csv_bytes(capsys):
-    # the exact bytes of a branch-grid and a period-grid CSV projection
-    import hashlib
-
-    pins = [
-        (
-            ("branch", "--pq", "4,6", "--a-range", "9/2..12", "--b-range", "4..12"),
-            "f0ce3ec7ee34943135045eeb53610f410944eefa9f5617ea8280aa60487edee6",
-        ),
-        (
-            ("period", "--pq", "1,2", "--n-max", "8", "--k-max", "8"),
-            "6b7d98781dea30f84f96d340ab7ca55bfa895e2a99b86626620c1dde09d9aead",
-        ),
-    ]
-    for args, expected in pins:
-        code, out, err = run_cli(capsys, "table", *args, "--csv")
-        assert (code, err) == (0, ""), args
-        assert hashlib.sha256(out.encode()).hexdigest() == expected, args
-
-
 def test_table_csv_is_written_row_by_row():
     # the benchmark's 3,249-row branch grid, written to a sink that keeps
     # nothing, holds one row at a time, not the records or the CSV text
@@ -1056,20 +912,6 @@ def test_period_quadrature_failures_exit_3(capsys):
         assert (code, out) == (cli.EXIT_NONCONVERGENCE, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert reason in err, (argv, err)
-
-
-def test_subprocess_invocations_byte_identical():
-    import subprocess
-    import sys
-
-    cmd = [
-        sys.executable, "-m", "relbranch.cli",
-        "table", "period", "--pq", "1,3", "--n-max", "4", "--k-max", "4",
-    ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
-    assert first.stdout == second.stdout
-    assert first.stdout  # nonempty
 
 
 def test_period_degree_cap_exit(capsys):
@@ -1270,48 +1112,90 @@ def test_readme_commands_emit_records(capsys):
         assert lines and all(json.loads(line)["schema"] == cli.SCHEMA for line in lines), argv
 
 
-# Runs argv lists through cli.main in one interpreter and reports, as JSON,
-# each (exit code, stdout, stderr), whether the test oracle was imported, and
-# the relbranch modules, numpy and the stdlib modules the CLI path leaves
-# out (dataclasses, inspect, and csv but under --csv) loaded after the import
-# and after each run.
+def test_every_readme_command_is_pinned():
+    # a new README example needs a row in tests/pins.py
+    import pins
+
+    pinned = [shlex.split(line)[1:] for line, _ in pins.ROWS]
+    assert [shlex.join(argv) for argv in _readme_commands() if argv not in pinned] == []
+
+
+def test_pinned_bytes():
+    # every row of tests/pins.py, run by its script in two interpreters at
+    # once, under hash seeds 0 and 1: no record depends on set or dict
+    # iteration order
+    import os
+    import subprocess
+    import sys
+
+    import pins
+
+    children = [
+        (seed, subprocess.Popen(
+            [sys.executable, pins.__file__],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ))
+        for seed in ("0", "1")
+    ]
+    expected = [f"PASS {line}" for line, _ in pins.ROWS]
+    for seed, child in children:
+        out, err = child.communicate(timeout=120)
+        lines = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert (lines, err, child.returncode) == (expected, "", 0), (seed, failed)
+
+
+# Runs each argv list of its JSON argument through cli.main in one
+# interpreter, after `from relbranch import cli` and build_parser(), and
+# prints a JSON report: sys.flags.optimize, and before any command and after
+# each one the relbranch modules and watched stdlib modules in sys.modules
+# ("present"), those of them whose body has run ("ran": a module cli
+# registered lazily is in sys.modules from the start, but is a plain
+# ModuleType only once its body has run, and type() does not run it) and,
+# after a command, its [exit code, stdout, stderr] ("result").
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from relbranch import cli
 cli.build_parser()
+watched = ("numpy", "dataclasses", "inspect", "csv", "fractions")
 
-def loaded():
-    watched = ("numpy", "dataclasses", "inspect", "csv")
-    return sorted(m for m in sys.modules if m in watched or m.startswith("relbranch."))
+def modules():
+    present = sorted(m for m in sys.modules if m in watched or m.startswith("relbranch."))
+    return {"present": present, "ran": [m for m in present if type(sys.modules[m]) is types.ModuleType]}
 
-results, modules = [], [loaded()]
+steps = [modules()]
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    results.append([code, out.getvalue(), err.getvalue()])
-    modules.append(loaded())
-oracle = "relbranch.oracle" in sys.modules
-report = {"optimize": sys.flags.optimize, "oracle": oracle, "modules": modules, "results": results}
-json.dump(report, sys.stdout)
+    steps.append({**modules(), "result": [code, out.getvalue(), err.getvalue()]})
+json.dump({"optimize": sys.flags.optimize, "steps": steps}, sys.stdout)
 """
+
+
+def _child(commands, *flags):
+    """The report of _CHILD run on commands in a fresh interpreter started
+    with flags."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _CHILD, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def test_readme_commands_under_python_O(capsys):
     # no result may rest on an assert statement, and the CLI never imports the oracle
-    import subprocess
-    import sys
-
     commands = _readme_commands()
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CHILD, json.dumps(commands)],
-        capture_output=True, text=True, check=True,
-    )
-    report = json.loads(proc.stdout)
+    report = _child(commands, "-O")
     assert report["optimize"] == 1
-    assert report["oracle"] is False
-    assert len(report["results"]) == len(commands)
-    for argv, (code, out, err) in zip(commands, report["results"]):
+    assert "relbranch.oracle" not in report["steps"][-1]["present"]
+    results = [step["result"] for step in report["steps"][1:]]
+    assert len(results) == len(commands)
+    for argv, (code, out, err) in zip(commands, results):
         assert (code, err) == (0, ""), argv
         assert out == run_cli(capsys, *argv)[1], argv
 
@@ -1333,9 +1217,6 @@ def test_exact_commands_never_import_numpy(capsys):
     # see test_commands_load_only_the_layers_they_reach), and no command loads numpy,
     # the period commands and their quadrature included; nor does any load
     # dataclasses or inspect, and only the --csv run, the last, loads csv
-    import subprocess
-    import sys
-
     layers = _traced_layers()
     assert {"periods", "jacobi", "specfun"} <= layers
     required = {f"relbranch.{layer}" for layer in layers}
@@ -1348,53 +1229,17 @@ def test_exact_commands_never_import_numpy(capsys):
         ["table", "period", "--pq", "2,5", "--family", "quaternionic", "--n-max", "4"],
         ["table", "exhaustion", "--pq", "3,3", "--ell", "8..10", "--csv"],
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(commands)],
-        capture_output=True, text=True, check=True,
-    )
-    report = json.loads(proc.stdout)
-    assert len(report["modules"]) == len(commands) + 1
-    for argv, modules in zip([["import"]] + commands, report["modules"]):
-        assert not {"numpy", "dataclasses", "inspect"} & set(modules), argv
-        assert required <= set(modules), argv
+    steps = _child(commands)["steps"]
+    assert len(steps) == len(commands) + 1
+    for argv, step in zip([["import"]] + commands, steps):
+        modules = set(step["present"])
+        assert not {"numpy", "dataclasses", "inspect"} & modules, argv
+        assert required <= modules, argv
         assert ("csv" in modules) == ("--csv" in argv), argv
-    assert len(report["results"]) == len(commands)
-    for argv, (code, out, err) in zip(commands, report["results"]):
+    for argv, step in zip(commands, steps[1:]):
+        code, out, err = step["result"]
         assert (code, err) == (0, ""), argv
         assert out == run_cli(capsys, *argv)[1], argv
-
-
-# Prints, after `from relbranch import cli` and build_parser() and then after
-# cli.main(argv), the modules of a watched set that have run: a module that
-# cli registered lazily is in sys.modules from the start, but is a plain
-# ModuleType only once its body has run, and type() does not run it.
-_LOADS_CHILD = """
-import contextlib, io, json, sys, types
-from relbranch import cli
-watched = json.loads(sys.argv[1])
-
-def loaded():
-    return sorted(m for m in watched if type(sys.modules.get(m)) is types.ModuleType)
-
-cli.build_parser()
-before = loaded()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(json.loads(sys.argv[2]))
-json.dump([before, code, loaded()], sys.stdout)
-"""
-
-
-def _loads(argv, watched):
-    """(modules of watched run after building the parser, exit code, modules
-    run after argv), in a fresh interpreter."""
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADS_CHILD, json.dumps(watched), json.dumps(argv)],
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout)
 
 
 def test_commands_load_only_the_layers_they_reach():
@@ -1414,7 +1259,9 @@ def test_commands_load_only_the_layers_they_reach():
         (["table", "he", "--big", "+-+-", "--small", "PMPM"], ["relbranch.hepattern"]),
         (["table", "he", "--big", "+-+-", "--small", "PMPM", "--csv"], ["relbranch.hepattern"]),
     ):
-        assert _loads(argv, watched) == [[], 0, loaded], argv
+        before, after = _child([argv])["steps"]
+        ran = [[m for m in step["ran"] if m in watched] for step in (before, after)]
+        assert (ran, after["result"][0]) == ([[], loaded], 0), argv
 
 
 def test_family_names_are_the_period_kinds(capsys):
@@ -1467,3 +1314,24 @@ def test_table_branch_sizes_a_huge_range_by_its_ends(capsys):
     # an empty range makes an empty grid, whatever the length of the other
     argv = ("table", "branch", "--pq", "3,3", "--a-range", "9/2..1e400", "--b-range", "0..0")
     assert run_cli(capsys, *argv) == (0, "", "")
+
+
+def test_table_period_sizes_a_huge_label_range_by_its_ends():
+    # len() of a label range longer than sys.maxsize raised OverflowError, a
+    # traceback with exit code 1
+    import subprocess
+    import sys
+
+    huge = "99999999999999999999"
+    table = [sys.executable, "-m", "relbranch.cli", "table", "period", "--pq", "1,2"]
+    for labels in (["--n-max", huge, "--k-max", "0"], ["--n-max", "0", "--k-max", huge]):
+        proc = subprocess.run([*table, *labels], capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            cli.EXIT_VALIDATION,
+            "",
+            "error: grid of more than 10^18 records exceeds the cap 10000\n",
+        ), labels
+    # an empty range makes an empty grid, whatever the length of the other
+    for labels in (["--n-max", huge, "--k-max", "-1"], ["--n-max", "-1", "--k-max", huge]):
+        proc = subprocess.run([*table, *labels], capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), labels

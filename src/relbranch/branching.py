@@ -7,8 +7,10 @@ couple.  Everything else in this module is bookkeeping that re-derives the
 same answer along independent routes (pattern characters, radial labels,
 stage enumerations) so the routes can be checked against each other.  One
 function, coupling_check, runs every check of a packet sum over the four
-side pairs, and coupling_summary renders what it returns as a record; the
-good-range bound is read from reps.bound_twice.
+side pairs and returns plain values; one renderer, coupling_record, turns
+them into the packet-sum record, with a and b as given texts, and
+coupling_summary is the two in a row.  The good-range bound is read from
+reps.bound_twice.
 """
 
 from __future__ import annotations
@@ -59,10 +61,14 @@ class InterlacingPattern(NamedTuple):
     a: HalfInt
     b: HalfInt
 
-    @property
-    def merged(self) -> tuple[HalfInt, HalfInt, HalfInt, HalfInt]:
-        a, b = self.a, self.b
-        return (a, b, -b, -a) if self.kind == P1 else (b, a, -a, -b)
+
+def merged_texts(kind: str, a_text: str, b_text: str) -> list[str]:
+    """The merged order of a pattern of this kind, P1 = (a, b, -b, -a) or
+    P2 = (b, a, -a, -b), written from the texts of a and b: both are
+    positive, so -a reads "-" + a."""
+    if kind == P1:
+        return [a_text, b_text, "-" + b_text, "-" + a_text]
+    return [b_text, a_text, "-" + a_text, "-" + b_text]
 
 
 def classify_interlacing(a, b) -> InterlacingPattern:
@@ -155,7 +161,9 @@ def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
     pattern, the pairs' contract, the hom dimension of each side pair and
     the one same-side pair that contributes for a valid (a, b).  Returns
     (pattern, its character pair, the four dims in PAIR_LABELS order, the
-    witness's index there, the witness's level-G character)."""
+    witness's index there, the witness's level-G character), each character
+    as its sign pair (on_E1, on_E2): all but the pattern hashes as plain
+    ints."""
     pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
     for plus, minus in (params_G, params_Gp):
         if (
@@ -176,34 +184,45 @@ def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
         winners = [label for label, dim in zip(PAIR_LABELS, dims) if dim == 1]
         raise ValueError(f"expected exactly one contributing pair, got {winners}")
     witness = dims.index(1)
+    first, second = pattern_characters(pattern)
+    mark = epsilon_of(params_G[witness // 2])  # its level-G side
     return (
         pattern,
-        pattern_characters(pattern),
+        ((first.on_E1, first.on_E2), (second.on_E1, second.on_E2)),
         dims,
         witness,
-        epsilon_of(params_G[witness // 2]),  # its level-G side
+        (mark.on_E1, mark.on_E2),
     )
 
 
-def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
-    """The packet-sum record of a (level G) and b (subgroup level) from
-    coupling_check's values: the interlacing pattern, its characters, the
-    hom dimension of each side pair, their total, and the witness.  Outside
-    the hypothesis p, q > 3 and p != q it is computed but flagged."""
-    pattern, characters, dims, witness, witness_character = coupling_check(params_G, params_Gp)
-    # a, b > 0 (classify_interlacing refused the rest), so -a reads "-" + a
-    a, b = str(pattern.a), str(pattern.b)
-    merged = [a, b, "-" + b, "-" + a] if pattern.kind == P1 else [b, a, "-" + a, "-" + b]
+def coupling_record(values: tuple, a_text: str, b_text: str, warning: str | None) -> dict:
+    """The packet-sum record of coupling_check's values, with a and b
+    written as a_text and b_text: the interlacing pattern, its characters,
+    the hom dimension of each side pair, their total, the witness and the
+    hypothesis warning.  The one place that fixes the record's fields and
+    their order."""
+    pattern, characters, dims, witness, witness_character = values
     return {
         "pattern": pattern.kind,
-        "merged": merged,
-        "characters": [str(c) for c in characters],
+        "merged": merged_texts(pattern.kind, a_text, b_text),
+        "characters": [str(EpsilonCharacter(*signs)) for signs in characters],
         "witness": PAIR_LABELS[witness],
-        "witness_character": str(witness_character),
+        "witness_character": str(EpsilonCharacter(*witness_character)),
         "dims": dict(zip(PAIR_LABELS, dims)),
         "total": sum(dims),
-        "hypothesis_warning": hypothesis_warning(params_G[0].sig),
+        "hypothesis_warning": warning,
     }
+
+
+def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
+    """The packet-sum record of a (level G) and b (subgroup level).  Outside
+    the hypothesis p, q > 3 and p != q it is computed but flagged."""
+    return coupling_record(
+        coupling_check(params_G, params_Gp),
+        str(params_G[0].a),
+        str(params_Gp[0].a),
+        hypothesis_warning(params_G[0].sig),
+    )
 
 
 def pi_minus_summands(Pi: DiscreteSeriesParam, max_k: int) -> list[DiscreteSeriesParam]:

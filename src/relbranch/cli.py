@@ -15,12 +15,13 @@ the parser given it), 3 numerical non-convergence.  Every
 table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 
-A `table branch` grid writes its first row as the record that
-branching.coupling_summary gives, and takes from it the record text with a
-slot for each per-row value.  Each later row runs only the row's checks,
-branching.coupling_check, and fills that text with texts picked by what they
-return, each encoded once per grid: the bytes a full encoding of the row's
-record would give.  Its CSV projection reads each line back as a record.
+Each row of a `table branch` grid runs every check of its (a, b),
+branching.coupling_check, and looks what they return up in a table that
+lives for the grid.  A result not seen before is rendered once, by
+branching.coupling_record with a slot for a and one for b, and encoded once
+into a record text; the row fills in only its a and b.  So a line holds the
+bytes a full encoding of the row's record would give, and the CLI knows none
+of the record's fields.  Its CSV projection reads each line back as a record.
 
 A command loads only the layer modules it reaches.  Each layer is
 registered in sys.modules at import, through importlib.util.LazyLoader, and
@@ -40,7 +41,6 @@ import json
 import os
 import sys
 from itertools import islice
-from json.encoder import encode_basestring_ascii as _json_str
 
 
 def _lazy(name: str):
@@ -96,25 +96,12 @@ def _record(command: str, inputs: dict, result: dict, provenance: list[str]) -> 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-# stands for one per-row value in a record skeleton: its encoded form,
-# "\u0000", occurs in no constant text of a record
-_SLOT = "\0"
-
-
-def _slotted(value):
-    """value with every leaf (string, number, null) replaced by _SLOT."""
-    if isinstance(value, dict):
-        return {key: _slotted(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_slotted(item) for item in value]
-    return _SLOT
-
-
 def _skeleton(record: dict) -> str:
-    """_ENCODER's line for a record whose per-row values are _SLOT, as a
-    %-format: each slot a %s, every % of the constant text doubled."""
+    """_ENCODER's line for a record whose a is written "\\0" and b "\\1", as a
+    %-format: their encoded forms, which no constant text of a record holds,
+    become %(a)s and %(b)s, and every other % is doubled."""
     text = _ENCODER.encode(record).replace("%", "%%")
-    return text.replace(_ENCODER.encode(_SLOT), "%s") + "\n"
+    return text.replace("\\u0000", "%(a)s").replace("\\u0001", "%(b)s") + "\n"
 
 
 def _quoted(alignments) -> str:
@@ -125,11 +112,11 @@ def _quoted(alignments) -> str:
 
 
 def _emit(record, out) -> None:
-    """Write one record as one line; a record a grid has already encoded
-    (a str, newline included) is written as it is.  A record whose
-    alignments are a lazy hepattern.Alignments is written as it is built:
-    its text around an empty list, and the list between, one batch of
-    alignments at a time, so neither the alignments nor the line are ever
+    """Write one record as one line; a `table branch` line, which its grid
+    has already encoded (a str, newline included), is written as it is.  A
+    record whose alignments are a lazy hepattern.Alignments is written as it
+    is built: its text around an empty list, and the list between, one batch
+    of alignments at a time, so neither the alignments nor the line are ever
     held whole."""
     if isinstance(record, str):
         out.write(record)
@@ -236,7 +223,7 @@ def cmd_branch(args, out) -> int:
         "Pi": str(Pi),
         "pi": str(pi),
         "pattern": pattern.kind,
-        "merged": [str(v) for v in pattern.merged],
+        "merged": branching.merged_texts(pattern.kind, str(a), str(b)),
     }
     _emit(_record("branch", {"p": p, "q": q, "a": str(a), "b": str(b)}, result, _BRANCH_RULES), out)
     return EXIT_OK
@@ -319,14 +306,6 @@ def _row(kind: str, row: dict, compute, *args):
         raise
 
 
-def _branch_value(sig, level, twice: int) -> tuple:
-    """One grid value 2a = twice: its text, that text and its negative
-    encoded as JSON strings, and its (plus, minus) parameters."""
-    value = halfint.HalfInt(twice)
-    text = str(value)
-    return text, _json_str(text), _json_str("-" + text), branching.param_pair(sig, level, value)
-
-
 def _rows_branch(args):
     p, q = _parse_pq(args.pq)
     sig = reps.Signature(p, q)
@@ -339,41 +318,25 @@ def _rows_branch(args):
     _cap(count)
     if not count:  # the other range may still be too long to build
         return
-    # each grid value, and each text a row can hold, is built and encoded
-    # once and serves every row
-    a_values = [_branch_value(sig, G, twice) for twice in a_twice]
-    b_values = [_branch_value(sig, GPRIME, twice) for twice in b_twice]
-    P1 = branching.P1
-    kinds = {kind: _json_str(kind) for kind in (P1, branching.P2)}
-    pairs = [_json_str(label) for label in branching.PAIR_LABELS]
-    characters = {
-        (e1, e2): _json_str(str(reps.EpsilonCharacter(e1, e2))) for e1 in (1, -1) for e2 in (1, -1)
-    }
+    # each grid value's text and (plus, minus) parameters are built once
+    # and serve every row
+    a_values = [(str(a), branching.param_pair(sig, G, a)) for a in map(HalfInt, a_twice)]
+    b_values = [(str(b), branching.param_pair(sig, GPRIME, b)) for b in map(HalfInt, b_twice)]
     warning = branching.hypothesis_warning(sig)
-    warning = "null" if warning is None else _json_str(warning)
     check = branching.coupling_check
-    skeleton = None
+    texts = {}  # a record text per check result, keyed by plain values
     try:
-        for a, ja, jna, Pa in a_values:
-            for b, jb, jnb, Pb in b_values:
-                if skeleton is None:
-                    # the first row is a record, and gives the grid's
-                    # skeleton: that record with a slot for each per-row value
-                    summary = branching.coupling_summary(Pa, Pb)
-                    inputs = {"p": p, "q": q, "a": _SLOT, "b": _SLOT}
-                    skeleton = _skeleton(
-                        _record("table.branch", inputs, _slotted(summary), _BRANCH_RULES)
-                    )
-                    inputs = {"p": p, "q": q, "a": a, "b": b}
-                    yield _record("table.branch", inputs, summary, _BRANCH_RULES)
-                    continue
-                pattern, (first, second), dims, witness, mark = check(Pa, Pb)
-                merged = (ja, jb, jnb, jna) if pattern.kind == P1 else (jb, ja, jna, jnb)
-                yield skeleton % (
-                    ja, jb, kinds[pattern.kind], *merged,
-                    characters[first.on_E1, first.on_E2], characters[second.on_E1, second.on_E2],
-                    pairs[witness], characters[mark.on_E1, mark.on_E2], *dims, sum(dims), warning,
-                )
+        for a, Pa in a_values:
+            for b, Pb in b_values:
+                values = check(Pa, Pb)
+                key = (values[0].kind, *values[1:])
+                text = texts.get(key)
+                if text is None:  # a and b go in as the slots _skeleton names
+                    result = branching.coupling_record(values, "\0", "\1", warning)
+                    inputs = {"p": p, "q": q, "a": "\0", "b": "\1"}
+                    text = _skeleton(_record("table.branch", inputs, result, _BRANCH_RULES))
+                    texts[key] = text
+                yield text % {"a": a, "b": b}
     except ValueError as exc:
         exc.args = (f"table branch row a={a} b={b}: {exc}",)
         raise

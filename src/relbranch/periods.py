@@ -136,11 +136,17 @@ def period_integral_exact(
 
     Nonzero exactly when k <= n: the radial factor is a convergent integral
     of a positive function, and the angular pairing vanishes exactly when
-    k > n.  shared, when given, holds the grid's radial factors."""
+    k > n.  shared, when given, holds the grid's radial factors.  Raises
+    PreconditionError when q is so large that a factorial argument passes
+    sys.maxsize."""
     radial, angular = _period_args(p, q, n, k, kind)
     shared = SharedFactors() if shared is None else shared
     # convergence: the cosh decay exceeds the sinh power automatically for q > p
-    return shared.factor(radial_integral_exact, *radial) * jacobi_pairing(n, k, *angular)
+    try:
+        return shared.factor(radial_integral_exact, *radial) * jacobi_pairing(n, k, *angular)
+    except OverflowError as exc:
+        message = f"signature ({p}, {q}) is too large for exact factorials: {exc}"
+        raise PreconditionError(message) from exc
 
 
 def closed_value(exact: Fraction) -> float:

@@ -16,6 +16,7 @@ from relbranch.branching import (
     fj_label_to_a,
     fj_label_to_b,
     hom_dim,
+    merged_texts,
     param_pair,
     pattern_characters,
     pi_minus_summands,
@@ -57,11 +58,11 @@ def test_classify_examples():
         classify_interlacing(-1, 2)
 
 
-def test_pattern_merged_tuples():
+def test_pattern_merged_texts():
     pat = classify_interlacing(h("7/2"), 2)
-    assert pat.merged == (h("7/2"), h("2"), h("-2"), h("-7/2"))
+    assert merged_texts(pat.kind, "7/2", "2") == ["7/2", "2", "-2", "-7/2"]
     pat = classify_interlacing(h("5/2"), 3)
-    assert pat.merged == (h("3"), h("5/2"), h("-5/2"), h("-3"))
+    assert merged_texts(pat.kind, "5/2", "3") == ["3", "5/2", "-5/2", "-3"]
 
 
 def test_pattern_characters_dictionary():
@@ -219,9 +220,10 @@ def _reference_summary(a, b, sig):
             f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
             "result computed anyway"
         )
+    merged = (a, b, -b, -a) if pattern.kind == P1 else (b, a, -a, -b)
     return {
         "pattern": pattern.kind,
-        "merged": [str(v) for v in pattern.merged],
+        "merged": [str(v) for v in merged],
         "characters": [str(c) for c in pattern_characters(pattern)],
         "witness": f"({witness[0].value},{witness[1].value})",
         "witness_character": str(epsilon_of(params_G[witness[0]])),

@@ -158,6 +158,24 @@ def test_period_precondition_exit(capsys):
     assert "q > p" in err
 
 
+@pytest.mark.parametrize("family", cli.FAMILIES)
+@pytest.mark.parametrize("command", [("period", "--n", "0", "--k", "0"), ("table", "period")])
+def test_period_of_a_huge_q_exits_2(command, family):
+    # at q = 10^20 a factorial argument passes sys.maxsize at once: the run
+    # exits 2 naming the signature, with no traceback.  A q between about
+    # 10^6 and 2^63 is never run here: it computes factorials for minutes.
+    import subprocess
+    import sys
+
+    q = 10**20
+    argv = [*command, "--pq", f"1,{q}", "--family", family]
+    cmd = [sys.executable, "-m", "relbranch.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert f"signature (1, {q}) is too large for exact factorials" in proc.stderr
+
+
 def test_period_rejects_nonfinite_tol(capsys):
     cases = [
         ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "nan"),
@@ -830,6 +848,29 @@ def test_table_branch_runs_every_check_per_row(capsys, monkeypatch):
         "epsilon_of": rows,
         "hom_dim": 4 * rows,
     }
+
+
+def test_table_branch_renders_each_distinct_result_once(capsys, monkeypatch):
+    # the benchmark grid's 3,306 rows run every check, but hold two distinct
+    # check results, P1 and P2: each is rendered once, and every row fills
+    # in only its a and b
+    counts = {"coupling_check": 0, "coupling_record": 0}
+
+    def counting(name):
+        real = getattr(cli.branching, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cli.branching, name, counted)
+
+    counting("coupling_check")
+    counting("coupling_record")
+    argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(parse_records(out)) == 57 * 58
+    assert counts == {"coupling_check": 57 * 58, "coupling_record": 2}
 
 
 def test_valid_parameter_range_matches_validation():

@@ -5,12 +5,13 @@ The core rule is an order comparison: a same-side pair (+,+) couples exactly
 when a > b, a same-side pair (-,-) exactly when b > a, and mixed sides never
 couple.  Everything else in this module is bookkeeping that re-derives the
 same answer along independent routes (pattern characters, radial labels,
-stage enumerations) so the routes can be checked against each other.  One
-function, coupling_check, runs every check of a packet sum over the four
-side pairs and returns plain values; one renderer, coupling_record, turns
-them into the packet-sum record, with a and b as given texts, and
-coupling_summary is the two in a row.  The good-range bound is read from
-reps.bound_twice.
+stage enumerations) so the routes can be checked against each other.  A
+character is its sign pair (on_E1, on_E2), written by reps.CHARACTER_TEXTS.
+One function, coupling_check, runs every check of a packet sum over the
+four side pairs and returns plain data (strs and ints in tuples); one
+renderer, coupling_record, turns it into the packet-sum record, with a and
+b as given texts, and coupling_summary is the two in a row.  The good-range
+bound is read from reps.bound_twice.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import NamedTuple
 
 from .halfint import HALF, HalfInt
 from .reps import (
+    CHARACTER_TEXTS,
     DiscreteSeriesParam,
-    EpsilonCharacter,
     GroupLevel,
     ParamError,
     Side,
@@ -82,15 +83,14 @@ def classify_interlacing(a, b) -> InterlacingPattern:
     return InterlacingPattern(P1 if ta > tb else P2, a, b)
 
 
-# The four characters of Z2 x Z2, keyed by the parities of the exponents of
-# -1 on (E1, E2): no row builds a character.
-_CHARACTERS = {
-    (e1, e2): EpsilonCharacter(1 - 2 * e1, 1 - 2 * e2) for e1 in (0, 1) for e2 in (0, 1)
-}
+# The sign pairs of the four characters of Z2 x Z2, keyed by the parities of
+# the exponents of -1 on (E1, E2).
+_CHARACTERS = {(e1, e2): (1 - 2 * e1, 1 - 2 * e2) for e1 in (0, 1) for e2 in (0, 1)}
 
 
-def pattern_characters(pat: InterlacingPattern) -> tuple[EpsilonCharacter, EpsilonCharacter]:
-    """The character pair read off a pattern by counting majorizations.
+def pattern_characters(pat: InterlacingPattern) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The character pair read off a pattern by counting majorizations, each
+    as its sign pair (on_E1, on_E2).
 
     With a-entries (a, -a) indexed by i and b-entries (b, -b) indexed by j,
     the first character takes E_i to (-1)^(i+1+#{b-entries > a_i}) and the
@@ -160,10 +160,10 @@ def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
     from the (plus, minus) pairs that param_pair builds: the interlacing
     pattern, the pairs' contract, the hom dimension of each side pair and
     the one same-side pair that contributes for a valid (a, b).  Returns
-    (pattern, its character pair, the four dims in PAIR_LABELS order, the
-    witness's index there, the witness's level-G character), each character
-    as its sign pair (on_E1, on_E2): all but the pattern hashes as plain
-    ints."""
+    (the pattern's kind, its character pair, the four dims in PAIR_LABELS
+    order, the witness's index there, the witness's level-G character), each
+    character as its sign pair: plain strs and ints in tuples, which a grid
+    keys its texts on as they are."""
     pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
     for plus, minus in (params_G, params_Gp):
         if (
@@ -184,14 +184,12 @@ def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
         winners = [label for label, dim in zip(PAIR_LABELS, dims) if dim == 1]
         raise ValueError(f"expected exactly one contributing pair, got {winners}")
     witness = dims.index(1)
-    first, second = pattern_characters(pattern)
-    mark = epsilon_of(params_G[witness // 2])  # its level-G side
     return (
-        pattern,
-        ((first.on_E1, first.on_E2), (second.on_E1, second.on_E2)),
+        pattern.kind,
+        pattern_characters(pattern),
         dims,
         witness,
-        (mark.on_E1, mark.on_E2),
+        epsilon_of(params_G[witness // 2]),  # its level-G side
     )
 
 
@@ -201,13 +199,13 @@ def coupling_record(values: tuple, a_text: str, b_text: str, warning: str | None
     the hom dimension of each side pair, their total, the witness and the
     hypothesis warning.  The one place that fixes the record's fields and
     their order."""
-    pattern, characters, dims, witness, witness_character = values
+    kind, characters, dims, witness, witness_character = values
     return {
-        "pattern": pattern.kind,
-        "merged": merged_texts(pattern.kind, a_text, b_text),
-        "characters": [str(EpsilonCharacter(*signs)) for signs in characters],
+        "pattern": kind,
+        "merged": merged_texts(kind, a_text, b_text),
+        "characters": [CHARACTER_TEXTS[signs] for signs in characters],
         "witness": PAIR_LABELS[witness],
-        "witness_character": str(EpsilonCharacter(*witness_character)),
+        "witness_character": CHARACTER_TEXTS[witness_character],
         "dims": dict(zip(PAIR_LABELS, dims)),
         "total": sum(dims),
         "hypothesis_warning": warning,

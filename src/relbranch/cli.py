@@ -3,9 +3,11 @@
 Every computation is exposed with machine-readable output: one JSON record
 (schema relbranch.record.v1) per result on stdout, or one record per line for
 table sweeps, with an optional CSV projection for tables.  A half-integer
-on the command line is any exact literal whose value is a half-integer
-("7/2", "3.5", "-3"), parsed exactly because parity validation must be
-exact; it is printed as a fraction ("7/2").
+on the command line is an exact literal whose value is a half-integer: an
+optional sign, then digits with an optional /denominator ("7/2", "-3") or a
+decimal with an optional exponent ("3.5", "35e-1"), with no "_" and no space
+inside on any Python.  It is parsed exactly because parity validation must
+be exact, and printed as a fraction ("7/2").
 
 Each table kind is its own subcommand and takes only the options its sweep
 reads; an option shared by several commands is defined once, in a parent
@@ -16,12 +18,13 @@ table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 
 Each row of a `table branch` grid runs every check of its (a, b),
-branching.coupling_check, and looks what they return up in a table that
-lives for the grid.  A result not seen before is rendered once, by
-branching.coupling_record with a slot for a and one for b, and encoded once
-into a record text; the row fills in only its a and b.  So a line holds the
-bytes a full encoding of the row's record would give, and the CLI knows none
-of the record's fields.  Its CSV projection reads each line back as a record.
+branching.coupling_check, and looks the plain data they return up, as it
+is, in a table that lives for the grid.  A result not seen before is
+rendered once, by branching.coupling_record with a slot for a and one for
+b, and encoded once into a record text; the row fills in only its a and b.
+So a line holds the bytes a full encoding of the row's record would give,
+and the CLI knows none of the record's fields.  Its CSV projection reads
+each line back as a record.
 
 A command loads only the layer modules it reaches.  Each layer is
 registered in sys.modules at import, through importlib.util.LazyLoader, and
@@ -324,18 +327,17 @@ def _rows_branch(args):
     b_values = [(str(b), branching.param_pair(sig, GPRIME, b)) for b in map(HalfInt, b_twice)]
     warning = branching.hypothesis_warning(sig)
     check = branching.coupling_check
-    texts = {}  # a record text per check result, keyed by plain values
+    texts = {}  # a record text per check result
     try:
         for a, Pa in a_values:
             for b, Pb in b_values:
                 values = check(Pa, Pb)
-                key = (values[0].kind, *values[1:])
-                text = texts.get(key)
+                text = texts.get(values)
                 if text is None:  # a and b go in as the slots _skeleton names
                     result = branching.coupling_record(values, "\0", "\1", warning)
                     inputs = {"p": p, "q": q, "a": "\0", "b": "\1"}
                     text = _skeleton(_record("table.branch", inputs, result, _BRANCH_RULES))
-                    texts[key] = text
+                    texts[values] = text
                 yield text % {"a": a, "b": b}
     except ValueError as exc:
         exc.args = (f"table branch row a={a} b={b}: {exc}",)

@@ -38,9 +38,15 @@ class HalfInt(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        """Parse an exact string form such as ``"7/2"`` or ``"-3"``."""
+        """Parse an exact literal: an optional sign, then digits with an
+        optional ``/denominator`` (``"7/2"``, ``"-3"``) or a decimal with an
+        optional exponent (``"3.5"``).  ``_`` (which Fraction takes from 3.11)
+        and inner spaces (from 3.12) are refused, so every Python agrees."""
         try:
-            return cls.from_fraction(Fraction(text.strip()))
+            literal = text.strip()
+            if "_" in literal or any(map(str.isspace, literal)):
+                raise ValueError(f"Invalid literal for Fraction: {literal!r}")
+            return cls.from_fraction(Fraction(literal))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse half-integer from {text!r}: {exc}") from None
 

@@ -14,6 +14,10 @@ reduces to a lower bound; the two checks are still reported separately so
 errors name the violated clause.  Only this module works out the bound;
 every other reads it from bound_twice, or valid_twice for a range of a.
 
+A packet character, a character of Z2 x Z2, is its sign pair
+(on_E1, on_E2) on the two generators: epsilon_of gives the one attached to a
+side, and CHARACTER_TEXTS writes the text of each.
+
 The commands read all of this module.  The minimal K-type checks, which
 none reads, live beside their tests in tests/test_reps.py.
 """
@@ -72,24 +76,10 @@ class Signature(Frozen):
         return f"U({self.p},{self.q})"
 
 
-class EpsilonCharacter(Frozen):
-    """A character of Z2 x Z2 recorded by its signs on the two generators."""
-
-    __slots__ = ("on_E1", "on_E2")
-
-    def __init__(self, on_E1: int, on_E2: int):
-        if on_E1 not in (1, -1) or on_E2 not in (1, -1):
-            raise ValueError("character values must be +1 or -1")
-        super().__init__(on_E1, on_E2)
-
-    def __str__(self) -> str:
-        return _EPSILON_TEXTS[self.on_E1, self.on_E2]
-
-
-# validation admits only the four sign pairs, so their texts are built once
-_EPSILON_TEXTS = {(e1, e2): f"({e1:+d},{e2:+d})" for e1 in (1, -1) for e2 in (1, -1)}
-EPSILON_1 = EpsilonCharacter(1, -1)
-EPSILON_2 = EpsilonCharacter(-1, 1)
+# the text of each of the four characters, the one place a character is written
+CHARACTER_TEXTS = {(e1, e2): f"({e1:+d},{e2:+d})" for e1 in (1, -1) for e2 in (1, -1)}
+EPSILON_1 = (1, -1)
+EPSILON_2 = (-1, 1)
 
 
 class DiscreteSeriesParam(NamedTuple):
@@ -147,9 +137,9 @@ def make_param(sig: Signature, side: Side, level: GroupLevel, a) -> DiscreteSeri
     return DiscreteSeriesParam(sig, side, level, a)
 
 
-def epsilon_of(param: DiscreteSeriesParam) -> EpsilonCharacter:
-    """The packet character attached to the side: plus -> (+1,-1),
-    minus -> (-1,+1)."""
+def epsilon_of(param: DiscreteSeriesParam) -> tuple[int, int]:
+    """The sign pair of the packet character attached to the side:
+    plus -> (+1,-1), minus -> (-1,+1)."""
     return EPSILON_1 if param.side is _PLUS else EPSILON_2
 
 

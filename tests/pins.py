@@ -1,10 +1,11 @@
 """The pinned bytes of relbranch commands: one row per command line, with the
 sha256 of what it writes to stdout.  Each command exits 0 and writes nothing
-to stderr.
+to stderr.  A second table, REFUSALS, pins commands that must be refused:
+each exits 2, writes nothing to stdout and exactly its row's text to stderr.
 
-Run as a script, it runs every row through ``relbranch.cli.main`` in the
-interpreter that runs it, prints one PASS or FAIL line per row and exits 1 if
-any row fails; it takes no arguments:
+Run as a script, it runs every row of both tables through
+``relbranch.cli.main`` in the interpreter that runs it, prints one PASS or
+FAIL line per row and exits 1 if any row fails; it takes no arguments:
 
     PYTHONPATH=src python3.10 tests/pins.py
 
@@ -132,26 +133,56 @@ ROWS = [
         "relbranch table period --pq 1,2 --n-max 8 --k-max 8 --csv",
         "6b7d98781dea30f84f96d340ab7ca55bfa895e2a99b86626620c1dde09d9aead",
     ),
+    # a branch grid outside the hypothesis p, q > 3 and p != q, whose 81
+    # records all carry the warning, as JSON lines and as CSV
+    (
+        "relbranch table branch --pq 3,3 --a-range 5/2..21/2 --b-range 2..10",
+        "1229a8972f8ab07236ff8822115505d2a0afe133ce3af1509c9d9a919cefb556",
+    ),
+    (
+        "relbranch table branch --pq 3,3 --a-range 5/2..21/2 --b-range 2..10 --csv",
+        "9b6cb63e8f17c5f262d919a199e9ff6a848d748a93a60ab8c6a1ec104b2ee234",
+    ),
+]
+
+# Half-integer literals that some Python's Fraction reads and another
+# refuses: "_" between digits (3.11 on) and spaces around "/" (3.12 on).
+REFUSALS = [
+    (
+        "relbranch branch --pq 3,3 --plus-a 1_1/2 --plus-b 2",
+        "error: cannot parse half-integer from '1_1/2': Invalid literal for Fraction: '1_1/2'\n",
+    ),
+    (
+        'relbranch branch --pq 3,3 --plus-a "7 / 2" --plus-b 2',
+        "error: cannot parse half-integer from '7 / 2': Invalid literal for Fraction: '7 / 2'\n",
+    ),
+    (
+        "relbranch table branch --pq 4,5 --a-range 4..1_0 --b-range 7/2..9/2",
+        "error: cannot parse half-integer from '1_0': Invalid literal for Fraction: '1_0'\n",
+    ),
 ]
 
 
 class _HashSink:
-    """A stdout that keeps only the sha256 of the text written to it."""
+    """A stdout that keeps only the sha256 and the length of the text
+    written to it."""
 
     def __init__(self):
         self.digest = hashlib.sha256()
+        self.size = 0
 
     def write(self, text):
         self.digest.update(text.encode())
+        self.size += len(text)
         return len(text)
 
     def flush(self):
         pass
 
 
-def check(line, expected):
-    """Run one command line in process: "" if it exits 0, writes nothing to
-    stderr and its stdout hashes to expected, else what differs."""
+def _run(line):
+    """Run one command line in process: its exit code, its stdout as a
+    _HashSink and its stderr."""
     sink, err = _HashSink(), io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(err):
         try:
@@ -161,10 +192,26 @@ def check(line, expected):
         except Exception:  # the command line would print a traceback and exit 1
             traceback.print_exc()
             code = 1
-    if (code, err.getvalue()) != (0, ""):
-        return f"exit {code}, stderr {err.getvalue()!r}"
+    return code, sink, err.getvalue()
+
+
+def check(line, expected):
+    """"" if the command line exits 0, writes nothing to stderr and its
+    stdout hashes to expected, else what differs."""
+    code, sink, err = _run(line)
+    if (code, err) != (0, ""):
+        return f"exit {code}, stderr {err!r}"
     got = sink.digest.hexdigest()
     return "" if got == expected else f"sha256 {got}, pinned {expected}"
+
+
+def check_refusal(line, expected):
+    """"" if the command line exits 2, writes nothing to stdout and exactly
+    expected to stderr, else what it did."""
+    code, sink, err = _run(line)
+    if (code, sink.size, err) == (2, 0, expected):
+        return ""
+    return f"exit {code}, {sink.size} characters on stdout, stderr {err!r}"
 
 
 def main(argv):
@@ -172,12 +219,13 @@ def main(argv):
         print("usage: tests/pins.py (it takes no arguments)", file=sys.stderr)
         return 2
     print(f"pins on Python {platform.python_version()}", flush=True)
+    rows = [(check, *row) for row in ROWS] + [(check_refusal, *row) for row in REFUSALS]
     failed = 0
-    for line, expected in ROWS:
-        problem = check(line, expected)
+    for verify, line, expected in rows:
+        problem = verify(line, expected)
         failed += bool(problem)
         print(f"FAIL {line}: {problem}" if problem else f"PASS {line}", flush=True)
-    print(f"{len(ROWS) - failed} of {len(ROWS)} rows pass")
+    print(f"{len(rows) - failed} of {len(rows)} rows pass")
     return 1 if failed else 0
 
 

@@ -11,6 +11,7 @@ from relbranch.branching import (
     SignatureMismatchError,
     TieError,
     classify_interlacing,
+    coupling_check,
     coupling_summary,
     exhaustion_check,
     fj_label_to_a,
@@ -107,8 +108,7 @@ def test_pattern_characters_match_fraction_reference():
         for tb in range(1, 201):
             if ta == tb:
                 continue
-            first, second = pattern_characters(classify_interlacing(HalfInt(ta), HalfInt(tb)))
-            got = ((first.on_E1, first.on_E2), (second.on_E1, second.on_E2))
+            got = pattern_characters(classify_interlacing(HalfInt(ta), HalfInt(tb)))
             assert got == _reference_characters(Fraction(ta, 2), Fraction(tb, 2)), (ta, tb)
 
 
@@ -116,8 +116,7 @@ def test_pattern_characters_counts_explicitly():
     # (a, b) = (7/2, 2): counts are 0 and 2 above the a-entries, 1 and 1
     # above the b-entries, giving signs ((+,-), (+,-))
     chars = pattern_characters(classify_interlacing(h("7/2"), 2))
-    assert chars == (EPSILON_1, EPSILON_1)
-    assert (chars[0].on_E1, chars[0].on_E2) == (1, -1)
+    assert chars == (EPSILON_1, EPSILON_1) == ((1, -1), (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +204,29 @@ def test_coupling_summary_record():
     assert summary["pattern"] == P1
 
 
+def _leaf_types(value) -> set:
+    """The types of value's leaves, where only a tuple (not a subclass)
+    counts as nesting."""
+    if type(value) is tuple:
+        return set().union(*map(_leaf_types, value))
+    return {type(value)}
+
+
+def test_coupling_check_returns_plain_data():
+    # the benchmark grid, (4,5) with a in 4..60 and b in 7/2..121/2: every
+    # leaf of each result is an int or a str, nested only in tuples, so a
+    # `table branch` grid keys its texts on the result with no Python-level
+    # __hash__
+    sig = Signature(4, 5)
+    a_pairs = [param_pair(sig, GroupLevel.G, HalfInt(twice)) for twice in range(8, 121, 2)]
+    b_pairs = [param_pair(sig, GroupLevel.GPRIME, HalfInt(twice)) for twice in range(7, 122, 2)]
+    assert (len(a_pairs), len(b_pairs)) == (57, 58)
+    for Pa in a_pairs:
+        for Pb in b_pairs:
+            values = coupling_check(Pa, Pb)
+            assert _leaf_types(values) <= {int, str}, (str(Pa[0].a), str(Pb[0].a))
+
+
 def _reference_summary(a, b, sig):
     """coupling_summary along the route that builds four fresh parameters
     per (a, b) and keys the hom dimensions by side pair."""
@@ -221,12 +243,14 @@ def _reference_summary(a, b, sig):
             "result computed anyway"
         )
     merged = (a, b, -b, -a) if pattern.kind == P1 else (b, a, -a, -b)
+    characters = [*pattern_characters(pattern), epsilon_of(params_G[witness[0]])]
+    texts = [f"({e1:+d},{e2:+d})" for e1, e2 in characters]
     return {
         "pattern": pattern.kind,
         "merged": [str(v) for v in merged],
-        "characters": [str(c) for c in pattern_characters(pattern)],
+        "characters": texts[:2],
         "witness": f"({witness[0].value},{witness[1].value})",
-        "witness_character": str(epsilon_of(params_G[witness[0]])),
+        "witness_character": texts[2],
         "dims": {f"({sG.value},{sGp.value})": dim for (sG, sGp), dim in dims.items()},
         "total": sum(dims.values()),
         "hypothesis_warning": warning,

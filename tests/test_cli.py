@@ -1132,9 +1132,12 @@ def test_broken_pipe_inside_a_streamed_record_exits_quietly():
     assert _read_then_close(args, 64) == (0, b"")
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def _readme_commands():
     """The argv of every `relbranch ...` line in the README's bash blocks."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     return [
         shlex.split(line)[1:]
         for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
@@ -1153,6 +1156,29 @@ def test_readme_commands_emit_records(capsys):
         assert lines and all(json.loads(line)["schema"] == cli.SCHEMA for line in lines), argv
 
 
+def test_readme_module_names_resolve():
+    # every backticked `module.name` in the README, where module is a
+    # relbranch module, names an attribute that module has
+    import importlib
+    import pkgutil
+
+    import relbranch
+
+    modules = {info.name for info in pkgutil.iter_modules(relbranch.__path__)}
+    names = {
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+        if module in modules
+    }
+    assert names
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(names)
+        if not hasattr(importlib.import_module(f"relbranch.{module}"), name)
+    ]
+    assert missing == []
+
+
 def test_every_readme_command_is_pinned():
     # a new README example needs a row in tests/pins.py
     import pins
@@ -1162,9 +1188,9 @@ def test_every_readme_command_is_pinned():
 
 
 def test_pinned_bytes():
-    # every row of tests/pins.py, run by its script in two interpreters at
-    # once, under hash seeds 0 and 1: no record depends on set or dict
-    # iteration order
+    # every row of tests/pins.py, its refusals included, run by its script
+    # in two interpreters at once, under hash seeds 0 and 1: no record
+    # depends on set or dict iteration order
     import os
     import subprocess
     import sys
@@ -1179,7 +1205,7 @@ def test_pinned_bytes():
         ))
         for seed in ("0", "1")
     ]
-    expected = [f"PASS {line}" for line, _ in pins.ROWS]
+    expected = [f"PASS {line}" for line, _ in pins.ROWS + pins.REFUSALS]
     for seed, child in children:
         out, err = child.communicate(timeout=120)
         lines = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]

@@ -34,6 +34,13 @@ def test_parse_forms():
         HalfInt.parse("1/3")
     with pytest.raises(ValueError):
         HalfInt.parse("x")
+    # Python 3.11's Fraction takes "_" between digits, and 3.12's spaces
+    # around "/": every interpreter refuses both, as 3.10 does
+    for text in ("1_1/2", "11/2_0", "1.5_0", "1e1_0", "7 / 2", "7/ 2", "7 /2"):
+        with pytest.raises(ValueError) as info:
+            HalfInt.parse(text)
+        message = f"cannot parse half-integer from {text!r}: Invalid literal for Fraction: {text!r}"
+        assert str(info.value) == message
 
 
 def test_arithmetic_and_ordering():

@@ -5,10 +5,10 @@ import pytest
 from relbranch.halfint import HalfInt
 from relbranch.oracle import HighestWeight
 from relbranch.reps import (
+    CHARACTER_TEXTS,
     EPSILON_1,
     EPSILON_2,
     DiscreteSeriesParam,
-    EpsilonCharacter,
     GoodRangeError,
     GroupLevel,
     ParamError,
@@ -223,16 +223,18 @@ def test_epsilon_of():
     sig = Signature(3, 3)
     plus = make_param(sig, Side.PLUS, GroupLevel.G, h("5/2"))
     minus = make_param(sig, Side.MINUS, GroupLevel.G, h("5/2"))
-    assert epsilon_of(plus) == EPSILON_1 == EpsilonCharacter(1, -1)
-    assert epsilon_of(minus) == EPSILON_2 == EpsilonCharacter(-1, 1)
+    assert epsilon_of(plus) == EPSILON_1 == (1, -1)
+    assert epsilon_of(minus) == EPSILON_2 == (-1, 1)
     assert epsilon_of(plus) != epsilon_of(minus)
 
 
 def test_epsilon_character_validation():
-    texts = [str(EpsilonCharacter(e1, e2)) for e1 in (1, -1) for e2 in (1, -1)]
+    # the four sign pairs have a text each, and nothing else has one
+    texts = [CHARACTER_TEXTS[e1, e2] for e1 in (1, -1) for e2 in (1, -1)]
     assert texts == ["(+1,+1)", "(+1,-1)", "(-1,+1)", "(-1,-1)"]
-    with pytest.raises(ValueError):
-        EpsilonCharacter(0, 1)
+    assert len(CHARACTER_TEXTS) == 4
+    with pytest.raises(KeyError):
+        CHARACTER_TEXTS[0, 1]
 
 
 def test_center_lift_check():
@@ -278,7 +280,7 @@ def test_parse_param_rejects_garbage():
 def test_remaining_packet_characters_have_no_parameter():
     # the other two characters of the four-group exist as values but are
     # never attached to a side
-    others = {EpsilonCharacter(1, 1), EpsilonCharacter(-1, -1)}
+    others = {(1, 1), (-1, -1)}
     assert EPSILON_1 not in others and EPSILON_2 not in others
     sig = Signature(3, 3)
     attached = {

@@ -12,7 +12,6 @@ from relbranch.halfint import HalfInt
 from relbranch.hepattern import u2n_case_report
 from relbranch.oracle import HighestWeight
 from relbranch.reps import (
-    EpsilonCharacter,
     GroupLevel,
     ParamError,
     Side,
@@ -28,7 +27,6 @@ SIG = Signature(3, 3)
 RECORDS = {
     "HalfInt": (lambda: HalfInt(7), HalfInt(5), "twice"),
     "Signature": (lambda: Signature(3, 3), Signature(3, 4), "p"),
-    "EpsilonCharacter": (lambda: EpsilonCharacter(1, -1), EpsilonCharacter(-1, 1), "on_E1"),
     "HighestWeight": (lambda: HighestWeight.of(2, 0, -2), HighestWeight.of(1, 0, -1), "entries"),
     "DiscreteSeriesParam": (
         lambda: make_param(Signature(3, 3), Side.PLUS, GroupLevel.G, HalfInt(7)),
@@ -94,8 +92,6 @@ def test_repr_names_the_fields():
     [
         (lambda: Signature(0, 3), ParamError, "signature entries must be positive, got (0, 3)"),
         (lambda: Signature(3, -1), ParamError, "signature entries must be positive, got (3, -1)"),
-        (lambda: EpsilonCharacter(1, 0), ValueError, "character values must be +1 or -1"),
-        (lambda: EpsilonCharacter(2, 1), ValueError, "character values must be +1 or -1"),
         (
             lambda: HighestWeight.of(0, 1),
             ValueError,

@@ -17,6 +17,10 @@ the parser given it), 3 numerical non-convergence.  Every
 table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 
+Before its first row, each table's grid is checked in _grid: its size, by
+the ends of its label ranges, against TABLE_CAP, then its last labels by
+the owning layer's per-row check.  _refuse_count writes every refused count.
+
 Each row of a `table branch` grid runs every check of its (a, b),
 branching.coupling_check, and looks the plain data they return up, as it
 is, in a table that lives for the grid.  A result not seen before is
@@ -63,6 +67,7 @@ def _lazy(name: str):
     return module
 
 
+# jacobi too, which no command calls directly: a tracer looks every layer up
 branching, halfint, hepattern, jacobi, periods, reps, specfun = map(
     _lazy, ("branching", "halfint", "hepattern", "jacobi", "periods", "reps", "specfun")
 )
@@ -79,10 +84,6 @@ FAMILIES = ("complex", "quaternionic")
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
-
-
-class CapExceededError(ValueError):
-    pass
 
 
 def _record(command: str, inputs: dict, result: dict, provenance: list[str]) -> dict:
@@ -196,8 +197,7 @@ def cmd_branch(args, out) -> int:
         a = halfint.HalfInt.parse(args.pi_minus)
         Pi = reps.make_param(sig, reps.Side.MINUS, reps.GroupLevel.G, a)
         max_k = DEFAULT_MAX_K if args.max_k is None else args.max_k
-        if max_k + 1 > TABLE_CAP:
-            raise CapExceededError(f"{max_k + 1} summands exceed the cap {TABLE_CAP}")
+        _refuse_count(max_k + 1, TABLE_CAP, "{} summands exceed")
         summands = branching.pi_minus_summands(Pi, max_k)
         record = _record(
             "branch",
@@ -286,16 +286,30 @@ _EXHAUSTION_RULES = ["two-stage restriction sequences against the radial-label p
 _HE_RULES = ["order-preserving interleaving under the eight-pair adjacency rule"]
 
 
+def _refuse_count(count: int, cap: int, what: str) -> None:
+    """Raise ValueError when count exceeds cap, naming it as what.format(count),
+    e.g. "{} summands exceed"; a count of hundreds of digits is not printed."""
+    if count > cap:
+        size = count if count <= 10**18 else "more than 10^18"
+        raise ValueError(f"{what.format(size)} the cap {cap}")
+
+
 def _size(values: range) -> int:
-    """len(values), by arithmetic on its ends: len() refuses a length
-    beyond sys.maxsize, which a huge range endpoint gives."""
+    """len(values) from its ends: len() refuses a length beyond sys.maxsize."""
     return max(0, -((values.start - values.stop) // values.step))
 
 
-def _cap(count: int) -> None:
-    if count > TABLE_CAP:  # a count of hundreds of digits is not printed
-        size = count if count <= 10**18 else "more than 10^18"
-        raise CapExceededError(f"grid of {size} records exceeds the cap {TABLE_CAP}")
+def _grid(*axes: range, check=None) -> bool:
+    """Whether the grid over axes has rows, once it is within TABLE_CAP and,
+    if it has rows, check (a layer's per-row cap) passes its last labels.
+    Without rows, one axis may still be too long to step through."""
+    count = 1
+    for values in axes:
+        count *= _size(values)
+    _refuse_count(count, TABLE_CAP, "grid of {} records exceeds")
+    if count and check is not None:
+        check(*(values[-1] for values in axes))
+    return count > 0
 
 
 def _row(kind: str, row: dict, compute, *args):
@@ -317,9 +331,7 @@ def _rows_branch(args):
     b_lo, b_hi = _parse_range(args.b_range, HalfInt.parse)
     a_twice = reps.valid_twice(sig, G, a_lo, a_hi)
     b_twice = reps.valid_twice(sig, GPRIME, b_lo, b_hi)
-    count = _size(a_twice) * _size(b_twice)
-    _cap(count)
-    if not count:  # the other range may still be too long to build
+    if not _grid(a_twice, b_twice):  # an empty range may leave the other too long to build
         return
     # each grid value's text and (plus, minus) parameters are built once
     # and serve every row
@@ -348,11 +360,8 @@ def _rows_period(args):
     p, q = _parse_pq(args.pq)
     periods.check_tol(args.tol)
     ns, ks = range(0, args.n_max + 1, 2), range(0, args.k_max + 1, 2)
-    _cap(_size(ns) * _size(ks))
-    if not (ns and ks):  # the other range may still be too long to step through
+    if not _grid(ns, ks, check=periods.check_labels):
         return
-    jacobi.check_degree(ks[-1])  # refuse a label above the cap before the first record, k first
-    jacobi.check_degree(ns[-1])
     shared = periods.SharedFactors()  # the grid's sweeps and radial factors, built once
     for n in ns:
         for k in ks:
@@ -366,9 +375,7 @@ def _rows_exhaustion(args):
     p, q = _parse_pq(args.pq)
     sig = reps.Signature(p, q)
     lo, hi = _parse_range(args.ell, int)
-    _cap(max(hi - lo + 1, 0))
-    if lo <= hi:  # refuse an ell above the cap before the first row
-        branching.check_ell(hi)
+    _grid(range(lo, hi + 1), check=branching.check_ell)
     for ell in range(lo, hi + 1):
         report = _row("exhaustion", {"ell": ell}, branching.exhaustion_check, sig, ell)
         inputs = {"p": p, "q": q, "ell": ell}
@@ -380,14 +387,13 @@ def _rows_he(args):
         raise reps.ParamError("--big and --small must be given together")
     if args.big is not None:
         big, small = args.big.strip(), args.small.strip()
-        found = hepattern.enumerate_alignments(big, small, cap=ALIGNMENT_CAP)
-        result = {"alignments": found, "count": len(found)}
+        found = hepattern.enumerate_alignments(big, small)
+        _refuse_count(found.count, ALIGNMENT_CAP, "{} alignments exceed")
+        result = {"alignments": found, "count": found.count}
         yield _record("table.he", {"big": big, "small": small}, result, _HE_RULES)
         return
     lo, hi = _parse_range(args.n, int)
-    _cap(max(hi - lo + 1, 0))
-    if lo <= hi:  # refuse an n above the cap before the first row
-        hepattern.check_u2n(hi)
+    _grid(range(lo, hi + 1), check=hepattern.check_u2n)
     for n in range(lo, hi + 1):
         report = _row("he", {"n": n}, hepattern.u2n_case_report, n)
         yield _record("table.he", {"n": n}, report.to_dict(), _HE_RULES)
@@ -401,7 +407,7 @@ def _flatten(record) -> dict:
         flat[f"in.{key}"] = value
     for key, value in record["result"].items():
         if key == "alignments" and isinstance(value, hepattern.Alignments):  # one CSV cell
-            flat[f"out.{key}"] = f"[{_quoted(value)}]" if len(value) else "[]"
+            flat[f"out.{key}"] = f"[{_quoted(value)}]" if value.count else "[]"
         elif isinstance(value, (list, dict)):
             flat[f"out.{key}"] = _ENCODER.encode(value)
         else:

@@ -8,10 +8,12 @@ checks and comparisons exact; floats never enter validation paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .frozen import Frozen
 
 
+@total_ordering
 class HalfInt(Frozen):
     """A number n/2 with n an integer, stored as ``twice = n``; it compares,
     hashes and prints as a number, not as a ``Frozen`` record."""
@@ -47,7 +49,9 @@ class HalfInt(Frozen):
             if "_" in literal or any(map(str.isspace, literal)):
                 raise ValueError(f"Invalid literal for Fraction: {literal!r}")
             return cls.from_fraction(Fraction(literal))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ValueError(f"cannot parse half-integer from {text!r}: zero denominator") from None
+        except ValueError as exc:
             raise ValueError(f"cannot parse half-integer from {text!r}: {exc}") from None
 
     @classmethod
@@ -129,32 +133,11 @@ class HalfInt(Frozen):
             return NotImplemented
         return self.twice == t
 
-    # each order operator compares twice the values directly, with no derived
-    # wrappers in between (the per-row checks of the enumeration commands
-    # compare ``.twice`` themselves and make no operator calls)
     def __lt__(self, other) -> bool:
         t = self._twice_of(other)
         if t is NotImplemented:
             return NotImplemented
         return self.twice < t
-
-    def __le__(self, other) -> bool:
-        t = self._twice_of(other)
-        if t is NotImplemented:
-            return NotImplemented
-        return self.twice <= t
-
-    def __gt__(self, other) -> bool:
-        t = self._twice_of(other)
-        if t is NotImplemented:
-            return NotImplemented
-        return self.twice > t
-
-    def __ge__(self, other) -> bool:
-        t = self._twice_of(other)
-        if t is NotImplemented:
-            return NotImplemented
-        return self.twice >= t
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())

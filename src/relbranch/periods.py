@@ -21,8 +21,8 @@ one closed-form connection coefficient times a squared norm
 (jacobi.jacobi_pairing) and decides vanishing; the radial factor is rational
 too (specfun.radial_integral_exact), so the period is one exact Fraction
 (period_integral_exact), zero exactly when the period vanishes and rounded
-once for the closed value (closed_value); a label above MAX_DEGREE is
-refused before either factor is built.  The quadrature oracle is
+once for the closed value (closed_value); check_labels refuses a label
+above MAX_DEGREE before either factor is built.  The quadrature oracle is
 independent of both exact factors.  On the period route both factors are
 polynomials: the radial one after v = tanh^2 t, the angular one as the
 product of the float three-term recurrence values at the rule's nodes
@@ -114,10 +114,15 @@ def _period_args(p: int, q: int, n: int, k: int, kind: str):
         raise PreconditionError(f"labels must be even and nonnegative, got n={n}, k={k}")
     if kind not in _EXPONENTS:
         raise ValueError(f"unknown family {kind!r}")
-    check_degree(k)  # k before n, as jacobi_pairing checks them
-    check_degree(n)
+    check_labels(n, k)
     radial, angular = _EXPONENTS[kind]
     return radial(p, q, n, k), angular(q)
+
+
+def check_labels(n: int, k: int) -> None:
+    """Refuse a label above MAX_DEGREE, k first, as jacobi_pairing does."""
+    check_degree(k)
+    check_degree(n)
 
 
 def check_tol(tol: float) -> None:
@@ -145,7 +150,7 @@ def period_integral_exact(
     try:
         return shared.factor(radial_integral_exact, *radial) * jacobi_pairing(n, k, *angular)
     except OverflowError as exc:
-        message = f"signature ({p}, {q}) is too large for exact factorials: {exc}"
+        message = f"signature ({p}, {q}) is too large for exact factorials"
         raise PreconditionError(message) from exc
 
 

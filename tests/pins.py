@@ -145,9 +145,10 @@ ROWS = [
     ),
 ]
 
-# Half-integer literals that some Python's Fraction reads and another
-# refuses: "_" between digits (3.11 on) and spaces around "/" (3.12 on).
 REFUSALS = [
+    # half-integer literals that some Python's Fraction reads and another
+    # refuses: "_" between digits (3.11 on) and spaces around "/" (3.12 on);
+    # and a zero denominator, whose ZeroDivisionError text is Fraction's own
     (
         "relbranch branch --pq 3,3 --plus-a 1_1/2 --plus-b 2",
         "error: cannot parse half-integer from '1_1/2': Invalid literal for Fraction: '1_1/2'\n",
@@ -159,6 +160,60 @@ REFUSALS = [
     (
         "relbranch table branch --pq 4,5 --a-range 4..1_0 --b-range 7/2..9/2",
         "error: cannot parse half-integer from '1_0': Invalid literal for Fraction: '1_0'\n",
+    ),
+    (
+        "relbranch branch --pq 3,3 --plus-a 1/0 --plus-b 2",
+        "error: cannot parse half-integer from '1/0': zero denominator\n",
+    ),
+    # every limit: the caps on output size (TABLE_CAP on a grid and on
+    # --max-k summands, ALIGNMENT_CAP), each count above 10^18 summarised,
+    # and the caps on one row's or record's work (jacobi.MAX_DEGREE,
+    # branching.MAX_ELL, hepattern.MAX_U2N, hepattern.MAX_POSITIONS), each
+    # refused before the first row; and a q too large for exact factorials
+    (
+        "relbranch table branch --pq 4,5 --a-range 4..20004 --b-range 7/2..9/2",
+        "error: grid of 40002 records exceeds the cap 10000\n",
+    ),
+    (
+        "relbranch table period --pq 1,2 --n-max 99999999999999999999 --k-max 99999999999999999999",
+        "error: grid of more than 10^18 records exceeds the cap 10000\n",
+    ),
+    (
+        "relbranch branch --pq 3,3 --pi-minus 5/2 --max-k 10000",
+        "error: 10001 summands exceed the cap 10000\n",
+    ),
+    (
+        "relbranch branch --pq 3,3 --pi-minus 5/2 --max-k 1000000000000000000000000000000",
+        "error: more than 10^18 summands exceed the cap 10000\n",
+    ),
+    (
+        "relbranch table he --big +-+-+-+-+-+-+-+-+-+-+-+- --small PMPMPMPMPMPMPMPMPMPMPMPM",
+        "error: 2704156 alignments exceed the cap 1000000\n",
+    ),
+    (
+        "relbranch period --pq 1,2 --n 66 --k 0",
+        "error: degree 66 exceeds the exact-coefficient cap 64\n",
+    ),
+    (
+        "relbranch table period --pq 1,2 --n-max 70 --k-max 66",
+        "error: degree 66 exceeds the exact-coefficient cap 64\n",
+    ),
+    (
+        "relbranch table exhaustion --pq 3,3 --ell 8..1025",
+        "error: ell = 1025 exceeds the per-row cap MAX_ELL = 1024\n",
+    ),
+    (
+        "relbranch table he --n 4..257",
+        "error: n = 257 exceeds the per-row cap MAX_U2N = 256\n",
+    ),
+    (
+        "relbranch table he --big " + "+-" * 181 + " --small " + "PM" * 181,
+        "error: (362 + 1) * (362 + 1) position pairs exceed the per-record cap "
+        "MAX_POSITIONS = 131072\n",
+    ),
+    (
+        "relbranch period --pq 1,100000000000000000000 --n 0 --k 0",
+        "error: signature (1, 100000000000000000000) is too large for exact factorials\n",
     ),
 ]
 

@@ -8,7 +8,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbranch import cli
@@ -505,6 +505,11 @@ def test_table_he_raw_sequences(capsys):
     assert code == 0
     (record,) = parse_records(out)
     assert record["result"]["alignments"] == ["+PM-M-+"]
+    # a long big sequence against an empty small one stays under MAX_POSITIONS
+    code, out, err = run_cli(capsys, "table", "he", "--big", "+-" * 5000, "--small", "")
+    assert (code, err) == (0, "")
+    (record,) = parse_records(out)
+    assert record["result"] == {"alignments": ["+-" * 5000], "count": 1}
 
 
 def test_table_he_rejects_bad_sequences(capsys):
@@ -531,12 +536,12 @@ def test_table_he_alignment_cap(capsys):
 
 
 def test_table_he_refuses_a_huge_count_without_printing_it():
-    # (+-)^200 against (PM)^200 has a count of about 120 digits; above 10^18
-    # the refusal says "more than 10^18", as a grid over the table cap does
+    # (+-)^100 against (PM)^100 has a count of 59 digits; above 10^18 the
+    # refusal says "more than 10^18", as a grid over the table cap does
     import subprocess
     import sys
 
-    argv = ["table", "he", "--big", "+-" * 200, "--small", "PM" * 200]
+    argv = ["table", "he", "--big", "+-" * 100, "--small", "PM" * 100]
     proc = subprocess.run(
         [sys.executable, "-m", "relbranch.cli", *argv], capture_output=True, text=True, timeout=30
     )
@@ -545,6 +550,34 @@ def test_table_he_refuses_a_huge_count_without_printing_it():
     assert proc.stderr == (
         f"error: more than 10^18 alignments exceed the cap {cli.ALIGNMENT_CAP}\n"
     )
+
+
+def test_cap_refuses_only_larger_counts(capsys, monkeypatch):
+    # the CLI compares the count of the lazy alignments with ALIGNMENT_CAP:
+    # (+-)^3 against (PM)^3 has 20
+    argv = ("table", "he", "--big", "+-" * 3, "--small", "PM" * 3)
+    monkeypatch.setattr(cli, "ALIGNMENT_CAP", 20)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert parse_records(out)[0]["result"]["count"] == 20
+    monkeypatch.setattr(cli, "ALIGNMENT_CAP", 19)
+    refused = (cli.EXIT_VALIDATION, "", "error: 20 alignments exceed the cap 19\n")
+    assert run_cli(capsys, *argv) == refused
+
+
+def test_table_he_refuses_a_long_input_before_counting():
+    # (+-)^1000 against (PM)^1000 was counted in full before it was refused
+    # (22 s); hepattern.MAX_POSITIONS refuses it before the count starts
+    import subprocess
+    import sys
+
+    argv = ["table", "he", "--big", "+-" * 1000, "--small", "PM" * 1000]
+    proc = subprocess.run(
+        [sys.executable, "-m", "relbranch.cli", *argv], capture_output=True, text=True, timeout=5
+    )
+    cap = f"the per-record cap MAX_POSITIONS = {cli.hepattern.MAX_POSITIONS}"
+    message = f"error: (2000 + 1) * (2000 + 1) position pairs exceed {cap}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_VALIDATION, "", message)
 
 
 def run_to_sink(*argv):
@@ -1402,3 +1435,75 @@ def test_table_period_sizes_a_huge_label_range_by_its_ends():
     for labels in (["--n-max", huge, "--k-max", "-1"], ["--n-max", "-1", "--k-max", huge]):
         proc = subprocess.run([*table, *labels], capture_output=True, text=True, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", ""), labels
+
+
+# Option values that no command may answer with a traceback, and a valid
+# invocation of every command and table kind.  The property test below draws
+# each option value of an invocation from its own value or from these, and,
+# for a range, also a range with one adversarial end.
+_ADVERSARIAL = ["--", "1e400", "9" * 400, "nan", "inf", "1/3", "-0", "", "é→"]
+_INVOCATIONS = [
+    ["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2"],
+    ["branch", "--pq", "3,3", "--minus-a", "7/2", "--minus-b", "2"],
+    ["branch", "--pq", "3,3", "--gp", "9/2", "3"],
+    ["branch", "--pq", "3,3", "--pi-minus", "5/2", "--max-k", "2"],
+    ["period", "--pq", "1,2", "--n", "4", "--k", "2", "--family", "complex", "--tol", "1e-10"],
+    ["table", "branch", "--pq", "4,5", "--a-range", "4..5", "--b-range", "7/2..9/2", "--csv"],
+    ["table", "period", "--pq", "1,2", "--n-max", "2", "--k-max", "2", "--family",
+     "quaternionic", "--tol", "1e-8"],
+    ["table", "exhaustion", "--pq", "3,3", "--ell", "8..9"],
+    ["table", "he", "--n", "4..5"],
+    ["table", "he", "--big", "+-", "--small", "PM", "--csv"],
+]
+
+
+@st.composite
+def _invocations(draw):
+    argv = draw(st.sampled_from(_INVOCATIONS))
+    first = next(i for i, token in enumerate(argv) if token.startswith("--"))
+    drawn = argv[:first]
+    for token in argv[first:]:
+        values = [token] if token.startswith("--") else [token, *_ADVERSARIAL]
+        if ".." in token:
+            lo, hi = token.split("..")
+            values += [f"{lo}..{bad}" for bad in _ADVERSARIAL]
+            values += [f"{bad}..{hi}" for bad in _ADVERSARIAL]
+        drawn.append(draw(st.sampled_from(values)))
+    return drawn
+
+
+def _written_digits(argv):
+    """Every run of digits the command line writes, as it stands and as the
+    numerator and denominator of the literal's exact value, the form a
+    refusal echoes it in (1e400 as the 401 digits of 10^400)."""
+    from fractions import Fraction
+
+    runs = set()
+    for literal in re.findall(r"[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?", " ".join(argv)):
+        value = Fraction(literal)
+        runs |= {literal, str(value.numerator), str(value.denominator)}
+    return runs
+
+
+@settings(deadline=None)
+@given(_invocations())
+@example(["branch", "--pq", "3,3", "--pi-minus", "5/2", "--max-k", "9" * 400])
+def test_no_command_line_escapes_the_exit_codes(argv):
+    # exit 0, 2 or 3, with nothing but an argparse SystemExit out of main;
+    # nothing on stderr on success; and no refusal prints a number of 20 or
+    # more digits that the command line does not write, such as a count
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == "", argv
+    written = _written_digits(argv)
+    for run in re.findall(r"[0-9]{20,}", err.getvalue()):
+        assert any(run in digits for digits in written), (argv, err.getvalue())

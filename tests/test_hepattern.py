@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from relbranch.hepattern import (
     ALLOWED_PAIRS,
     CIRCLED,
+    MAX_POSITIONS,
+    MAX_U2N,
     PLAIN,
     enumerate_alignments,
     u1n_end_candidates,
@@ -129,12 +132,6 @@ def test_alternating_count_is_central_binomial():
     assert digest == "e3449cd3e3ad4c0f20e018ee3063d10b633de9221d26fd39a78f3e298f59e866"
 
 
-def test_cap_refuses_only_larger_counts():
-    assert len(enumerate_alignments("+-" * 3, "PM" * 3, cap=20)) == 20
-    with pytest.raises(ValueError, match="^20 alignments exceed the cap 19$"):
-        enumerate_alignments("+-" * 3, "PM" * 3, cap=19)
-
-
 def _traced_peak(call):
     """call()'s result and the peak of the memory traced while it ran."""
     tracemalloc.start()
@@ -146,14 +143,27 @@ def _traced_peak(call):
 
 
 def test_over_cap_input_refused_in_bounded_memory():
-    # the paths are counted one level at a time, and no move is stored for
-    # an input whose alignments exceed the cap
-    def refused():
-        with pytest.raises(ValueError, match="alignments exceed the cap 10$"):
-            enumerate_alignments("+-" * 100, "PM" * 100, cap=10)
-
-    _, peak = _traced_peak(refused)
+    # the paths are counted one level at a time, and no move is stored: an
+    # input whose alignments exceed any cap is counted in bounded memory, and
+    # its count, past sys.maxsize, which len() cannot return, is exact
+    found, peak = _traced_peak(lambda: enumerate_alignments("+-" * 100, "PM" * 100))
     assert peak < 2**20
+    assert found.count == math.comb(200, 100) > sys.maxsize
+    with pytest.raises(OverflowError):
+        len(found)
+
+
+def test_position_pairs_are_capped_before_counting():
+    # (len(big) + 1) * (len(small) + 1) up to MAX_POSITIONS is counted, one
+    # more is refused before any level is visited
+    cap = MAX_POSITIONS
+    assert enumerate_alignments("+" * (cap - 1), "").count == 0
+    assert enumerate_alignments("+-" * 5000, "").count == 1
+    message = re.escape(f"({cap} + 1) * (0 + 1) position pairs exceed the per-record cap")
+    with pytest.raises(ValueError, match=f"^{message} MAX_POSITIONS = {cap}$"):
+        enumerate_alignments("+" * cap, "")
+    # every `table he --n` row up to MAX_U2N is admitted
+    assert (MAX_U2N + 3) * (MAX_U2N + 2) <= cap
 
 
 def test_alignment_memory_stays_near_output_size():

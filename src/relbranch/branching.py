@@ -7,16 +7,17 @@ couple.  Everything else in this module is bookkeeping that re-derives the
 same answer along independent routes (pattern characters, radial labels,
 stage enumerations) so the routes can be checked against each other.  A
 character is its sign pair (on_E1, on_E2), written by reps.CHARACTER_TEXTS.
-One function, coupling_check, runs every check of a packet sum over the
-four side pairs and returns plain data (strs and ints in tuples); one
-renderer, coupling_record, turns it into the packet-sum record, with a and
-b as given texts, and coupling_summary is the two in a row.  The good-range
-bound is read from reps.bound_twice.
+Each check returns plain data, which its caller reads as it is:
+classify_interlacing the pattern's kind, pattern_characters a sign pair per
+character, and exhaustion_check the `table exhaustion` result itself.  One
+function, coupling_check, runs every check of a packet sum over the four
+side pairs and returns strs and ints in tuples; one renderer,
+coupling_record, turns it into the packet-sum record, with a and b as given
+texts, and coupling_summary is the two in a row.  The good-range bound is
+read from reps.bound_twice.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .halfint import HALF, HalfInt
 from .reps import (
@@ -54,15 +55,6 @@ P1 = "P1"
 P2 = "P2"
 
 
-class InterlacingPattern(NamedTuple):
-    """The decreasing arrangement of (a, -a, b, -b) for positive a != b:
-    P1 = (a, b, -b, -a) when a > b, P2 = (b, a, -a, -b) when b > a."""
-
-    kind: str
-    a: HalfInt
-    b: HalfInt
-
-
 def merged_texts(kind: str, a_text: str, b_text: str) -> list[str]:
     """The merged order of a pattern of this kind, P1 = (a, b, -b, -a) or
     P2 = (b, a, -a, -b), written from the texts of a and b: both are
@@ -72,7 +64,9 @@ def merged_texts(kind: str, a_text: str, b_text: str) -> list[str]:
     return [b_text, a_text, "-" + a_text, "-" + b_text]
 
 
-def classify_interlacing(a, b) -> InterlacingPattern:
+def classify_interlacing(a, b) -> str:
+    """The kind of the decreasing arrangement of (a, -a, b, -b) for positive
+    a != b: P1 = (a, b, -b, -a) when a > b, P2 = (b, a, -a, -b) when b > a."""
     a = HalfInt.coerce(a)
     b = HalfInt.coerce(b)
     ta, tb = a.twice, b.twice
@@ -80,7 +74,7 @@ def classify_interlacing(a, b) -> InterlacingPattern:
         raise ValueError(f"interlacing is defined for positive parameters, got ({a}, {b})")
     if ta == tb:
         raise TieError(f"a = b = {a}: no interlacing pattern (parity rules this out)")
-    return InterlacingPattern(P1 if ta > tb else P2, a, b)
+    return P1 if ta > tb else P2
 
 
 # The sign pairs of the four characters of Z2 x Z2, keyed by the parities of
@@ -88,9 +82,10 @@ def classify_interlacing(a, b) -> InterlacingPattern:
 _CHARACTERS = {(e1, e2): (1 - 2 * e1, 1 - 2 * e2) for e1 in (0, 1) for e2 in (0, 1)}
 
 
-def pattern_characters(pat: InterlacingPattern) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The character pair read off a pattern by counting majorizations, each
-    as its sign pair (on_E1, on_E2).
+def pattern_characters(a: HalfInt, b: HalfInt) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The character pair read off the pattern of a and b (a pair that
+    classify_interlacing accepts) by counting majorizations, each as its
+    sign pair (on_E1, on_E2).
 
     With a-entries (a, -a) indexed by i and b-entries (b, -b) indexed by j,
     the first character takes E_i to (-1)^(i+1+#{b-entries > a_i}) and the
@@ -98,7 +93,7 @@ def pattern_characters(pat: InterlacingPattern) -> tuple[tuple[int, int], tuple[
     (eps1, eps1), P2 the pair (eps2, eps2).  Entries are compared as twice
     their values.
     """
-    a1, b1 = pat.a.twice, pat.b.twice  # twice the entries a_1 = a and b_1 = b
+    a1, b1 = a.twice, b.twice  # twice the entries a_1 = a and b_1 = b
     a2, b2 = -a1, -b1  # a_2 = -a and b_2 = -b
     first = ((1 + 1 + (b1 > a1) + (b2 > a1)) % 2, (2 + 1 + (b1 > a2) + (b2 > a2)) % 2)
     second = ((1 + (a1 > b1) + (a2 > b1)) % 2, (2 + (a1 > b2) + (a2 > b2)) % 2)
@@ -164,7 +159,8 @@ def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
     order, the witness's index there, the witness's level-G character), each
     character as its sign pair: plain strs and ints in tuples, which a grid
     keys its texts on as they are."""
-    pattern = classify_interlacing(params_G[0].a, params_Gp[0].a)
+    a, b = params_G[0].a, params_Gp[0].a
+    kind = classify_interlacing(a, b)
     for plus, minus in (params_G, params_Gp):
         if (
             plus.side is not _PLUS
@@ -185,8 +181,8 @@ def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
         raise ValueError(f"expected exactly one contributing pair, got {winners}")
     witness = dims.index(1)
     return (
-        pattern.kind,
-        pattern_characters(pattern),
+        kind,
+        pattern_characters(a, b),
         dims,
         witness,
         epsilon_of(params_G[witness // 2]),  # its level-G side
@@ -276,31 +272,7 @@ def check_ell(ell: int) -> None:
         raise ValueError(f"ell = {ell} exceeds the per-row cap MAX_ELL = {MAX_ELL}")
 
 
-class ExhaustionReport(NamedTuple):
-    sig: Signature
-    ell: int
-    a: HalfInt | None
-    first_sequence: tuple[HalfInt, ...]
-    second_sequence: tuple[HalfInt, ...]
-    period_prediction: tuple[HalfInt, ...]
-    agreement: bool
-    mismatches: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.sig.p,
-            "q": self.sig.q,
-            "ell": self.ell,
-            "a": str(self.a) if self.a is not None else None,
-            "first_sequence": [str(b) for b in self.first_sequence],
-            "second_sequence": [str(b) for b in self.second_sequence],
-            "period_prediction": [str(b) for b in self.period_prediction],
-            "agreement": self.agreement,
-            "mismatches": list(self.mismatches),
-        }
-
-
-def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
+def exhaustion_check(sig: Signature, ell: int) -> dict:
     """Cross-check the relative spectrum along the two restriction sequences
     against the radial-label prediction.
 
@@ -318,38 +290,49 @@ def exhaustion_check(sig: Signature, ell: int) -> ExhaustionReport:
     b < a.  The tests enumerate both whole stages as the reference.
     The prediction lists b over even labels k up to the dictionary image of
     a.  All three sets must coincide.
+
+    Returns the `table exhaustion` result: p, q, ell, a, the three
+    sequences as texts, agreement and the mismatches found.
     """
     top, sub = bound_twice(sig, _G), bound_twice(sig, _GPRIME)
     if ell <= top:
         raise ValueError(f"need ell > {top} for {sig}, got {ell}")
     check_ell(ell)
-    # the three sequences are compared as twice their values, and their
-    # HalfInts are built for the report only
-    first_twice = []
+    # the three sequences are compared as twice their values, and each is
+    # written as texts once
+    first_twice = []  # ascending: lam or lam - 1 for ascending odd lam
     for lam in range(2 - (ell - 1) % 2, ell, 2):
         if lam % 2 == 0:
             continue
         twice = lam if (lam - sub) % 2 == 0 else lam - 1  # 2b has the subgroup parity
         if twice >= sub:
             first_twice.append(twice)
-    first_twice.sort()
     if ell % 2 == 0:  # the second stage's relative member x = y = ell/2
-        a = HalfInt(ell)  # ell/2
+        a = str(HalfInt(ell))  # ell/2
         second_twice = list(range(sub, ell, 2))
         # ascending, since fj_label_to_b is increasing in k
-        period = tuple(fj_label_to_b(sig, k) for k in range(0, max(ell - top, -1) + 1, 2))
+        predicted = [fj_label_to_b(sig, k) for k in range(0, max(ell - top, -1) + 1, 2)]
     else:
         a = None
         second_twice = []
-        period = ()
-    period_twice = [b.twice for b in period]
-    first = tuple(map(HalfInt, first_twice))
-    second = tuple(map(HalfInt, second_twice))
+        predicted = []
+    period_twice = [b.twice for b in predicted]
+    first = [str(HalfInt(twice)) for twice in first_twice]
+    second = [str(HalfInt(twice)) for twice in second_twice]
+    period = [str(b) for b in predicted]
     mismatches = []
     if first_twice != second_twice:
-        mismatches.append(f"first vs second: {list(map(str, first))} != {list(map(str, second))}")
+        mismatches.append(f"first vs second: {first} != {second}")
     if second_twice != period_twice:
-        mismatches.append(
-            f"second vs period: {list(map(str, second))} != {list(map(str, period))}"
-        )
-    return ExhaustionReport(sig, ell, a, first, second, period, not mismatches, tuple(mismatches))
+        mismatches.append(f"second vs period: {second} != {period}")
+    return {
+        "p": sig.p,
+        "q": sig.q,
+        "ell": ell,
+        "a": a,
+        "first_sequence": first,
+        "second_sequence": second,
+        "period_prediction": period,
+        "agreement": not mismatches,
+        "mismatches": mismatches,
+    }

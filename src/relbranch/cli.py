@@ -179,12 +179,12 @@ def cmd_branch(args, out) -> int:
         raise reps.ParamError("--max-k applies only with --pi-minus")
     p, q = _parse_pq(args.pq)
     sig = reps.Signature(p, q)
+    # each value goes to make_param as written, so that a refusal echoes it
     if args.gp is not None:
-        a, b = (halfint.HalfInt.parse(v) for v in args.gp)
-        summary = branching.coupling_summary(
-            branching.param_pair(sig, reps.GroupLevel.G, a),
-            branching.param_pair(sig, reps.GroupLevel.GPRIME, b),
-        )
+        params_G = branching.param_pair(sig, reps.GroupLevel.G, args.gp[0])
+        params_Gp = branching.param_pair(sig, reps.GroupLevel.GPRIME, args.gp[1])
+        summary = branching.coupling_summary(params_G, params_Gp)
+        a, b = params_G[0].a, params_Gp[0].a
         record = _record(
             "branch",
             {"p": p, "q": q, "mode": "packet-sum", "a": str(a), "b": str(b)},
@@ -194,14 +194,13 @@ def cmd_branch(args, out) -> int:
         _emit(record, out)
         return EXIT_OK
     if args.pi_minus is not None:
-        a = halfint.HalfInt.parse(args.pi_minus)
-        Pi = reps.make_param(sig, reps.Side.MINUS, reps.GroupLevel.G, a)
+        Pi = reps.make_param(sig, reps.Side.MINUS, reps.GroupLevel.G, args.pi_minus)
         max_k = DEFAULT_MAX_K if args.max_k is None else args.max_k
         _refuse_count(max_k + 1, TABLE_CAP, "{} summands exceed")
         summands = branching.pi_minus_summands(Pi, max_k)
         record = _record(
             "branch",
-            {"p": p, "q": q, "mode": "pi-minus-summands", "a": str(a), "max_k": max_k},
+            {"p": p, "q": q, "mode": "pi-minus-summands", "a": str(Pi.a), "max_k": max_k},
             {
                 "summands": [str(s.a) for s in summands],
                 "count": len(summands),
@@ -214,19 +213,20 @@ def cmd_branch(args, out) -> int:
     # single hom-dim query
     side_G = reps.Side.PLUS if args.plus_a is not None else reps.Side.MINUS
     side_Gp = reps.Side.PLUS if args.plus_b is not None else reps.Side.MINUS
-    a = halfint.HalfInt.parse(args.plus_a if args.plus_a is not None else args.minus_a)
-    b = halfint.HalfInt.parse(args.plus_b if args.plus_b is not None else args.minus_b)
+    a = args.plus_a if args.plus_a is not None else args.minus_a
+    b = args.plus_b if args.plus_b is not None else args.minus_b
     Pi = reps.make_param(sig, side_G, reps.GroupLevel.G, a)
     pi = reps.make_param(sig, side_Gp, reps.GroupLevel.GPRIME, b)
+    a, b = Pi.a, pi.a
     dim = branching.hom_dim(Pi, pi)
-    pattern = branching.classify_interlacing(a, b)
+    kind = branching.classify_interlacing(a, b)
     result = {
         "dim": dim,
         "pair": f"({side_G.value},{side_Gp.value})",
         "Pi": str(Pi),
         "pi": str(pi),
-        "pattern": pattern.kind,
-        "merged": branching.merged_texts(pattern.kind, str(a), str(b)),
+        "pattern": kind,
+        "merged": branching.merged_texts(kind, str(a), str(b)),
     }
     _emit(_record("branch", {"p": p, "q": q, "a": str(a), "b": str(b)}, result, _BRANCH_RULES), out)
     return EXIT_OK
@@ -377,9 +377,9 @@ def _rows_exhaustion(args):
     lo, hi = _parse_range(args.ell, int)
     _grid(range(lo, hi + 1), check=branching.check_ell)
     for ell in range(lo, hi + 1):
-        report = _row("exhaustion", {"ell": ell}, branching.exhaustion_check, sig, ell)
+        result = _row("exhaustion", {"ell": ell}, branching.exhaustion_check, sig, ell)
         inputs = {"p": p, "q": q, "ell": ell}
-        yield _record("table.exhaustion", inputs, report.to_dict(), _EXHAUSTION_RULES)
+        yield _record("table.exhaustion", inputs, result, _EXHAUSTION_RULES)
 
 
 def _rows_he(args):
@@ -395,8 +395,8 @@ def _rows_he(args):
     lo, hi = _parse_range(args.n, int)
     _grid(range(lo, hi + 1), check=hepattern.check_u2n)
     for n in range(lo, hi + 1):
-        report = _row("he", {"n": n}, hepattern.u2n_case_report, n)
-        yield _record("table.he", {"n": n}, report.to_dict(), _HE_RULES)
+        result = _row("he", {"n": n}, hepattern.u2n_case_report, n)
+        yield _record("table.he", {"n": n}, result, _HE_RULES)
 
 
 def _flatten(record) -> dict:

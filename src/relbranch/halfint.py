@@ -43,12 +43,16 @@ class HalfInt(Frozen):
         """Parse an exact literal: an optional sign, then digits with an
         optional ``/denominator`` (``"7/2"``, ``"-3"``) or a decimal with an
         optional exponent (``"3.5"``).  ``_`` (which Fraction takes from 3.11)
-        and inner spaces (from 3.12) are refused, so every Python agrees."""
+        and inner spaces (from 3.12) are refused, so every Python agrees.  A
+        refusal names the literal, never its exact value."""
         try:
             literal = text.strip()
             if "_" in literal or any(map(str.isspace, literal)):
                 raise ValueError(f"Invalid literal for Fraction: {literal!r}")
-            return cls.from_fraction(Fraction(literal))
+            value = Fraction(literal)
+            if value.denominator > 2:
+                raise ValueError(f"{literal} is not a half-integer")
+            return cls.from_fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"cannot parse half-integer from {text!r}: zero denominator") from None
         except ValueError as exc:

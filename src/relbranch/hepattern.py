@@ -8,12 +8,13 @@ the allowed set.  Alignments meet in the middle: each is one shared prefix
 plus one shared suffix, and the output order is that of a depth-first
 search trying the big sequence's symbol before the small one's.  They are
 counted when asked for and built one at a time as they are read, so a
-caller that writes them out never holds them all.
+caller that writes them out never holds them all.  u2n_case_report returns
+the `table he --n` result of the U(2,n) configuration, in lists and texts.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 PLUS = "+"
 MINUS = "-"
@@ -140,30 +141,6 @@ def u1n_end_candidates(n: int) -> tuple[str, str]:
     return CIRCLED_PLUS + CIRCLED_MINUS * n, CIRCLED_MINUS * n + CIRCLED_PLUS
 
 
-class U2nReport(NamedTuple):
-    n: int
-    big: str
-    candidates: tuple[str, str]
-    alignments: tuple[tuple[str, ...], tuple[str, ...]]
-    character_screen_applied: bool
-    note: str
-
-    @property
-    def total_alignments(self) -> int:
-        return sum(len(group) for group in self.alignments)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "big": self.big,
-            "candidates": list(self.candidates),
-            "alignments": [list(group) for group in self.alignments],
-            "total_alignments": self.total_alignments,
-            "character_screen_applied": self.character_screen_applied,
-            "note": self.note,
-        }
-
-
 # The largest n that u2n_case_report takes.  A row's work and its record
 # grow linearly in n (sequences of 2+n and 1+n signs, two alignments of
 # 2n+3 symbols), so the cap bounds one row of `table he --n` as
@@ -183,9 +160,9 @@ def check_u2n(n: int) -> None:
         raise ValueError(f"n = {n} exceeds the per-row cap MAX_U2N = {MAX_U2N}")
 
 
-def u2n_case_report(n: int) -> U2nReport:
+def u2n_case_report(n: int) -> dict:
     """Enumerate alignments of the U(2,n) big sequence against the two
-    end-circled-plus subgroup candidates.
+    end-circled-plus subgroup candidates, as the `table he --n` result.
 
     The report is alignment-level only: the subsequent screen on the
     infinitesimal-character interlacing (which rejects both candidates) has
@@ -195,16 +172,17 @@ def u2n_case_report(n: int) -> U2nReport:
         raise ValueError("the configuration is set up for n >= 4")
     check_u2n(n)
     big = u2n_plus_sequence(n)
-    candidates = u1n_end_candidates(n)
-    alignments = tuple(tuple(enumerate_alignments(big, c)) for c in candidates)
-    return U2nReport(
-        n=n,
-        big=big,
-        candidates=candidates,
-        alignments=alignments,
-        character_screen_applied=False,
-        note=(
+    candidates = list(u1n_end_candidates(n))
+    alignments = [list(enumerate_alignments(big, c)) for c in candidates]
+    return {
+        "n": n,
+        "big": big,
+        "candidates": candidates,
+        "alignments": alignments,
+        "total_alignments": sum(map(len, alignments)),
+        "character_screen_applied": False,
+        "note": (
             "alignment-level result only; the infinitesimal-character "
             "interlacing screen is a separate manual step and is not applied"
         ),
-    )
+    }

@@ -119,22 +119,23 @@ def valid_twice(sig: Signature, level: GroupLevel, lo: HalfInt, hi: HalfInt) -> 
 
 
 def make_param(sig: Signature, side: Side, level: GroupLevel, a) -> DiscreteSeriesParam:
-    """Validate and build a parameter; errors name the violated clause."""
-    a = HalfInt.coerce(a)
+    """Validate and build a parameter from a or its text; errors name the
+    violated clause and echo a as given."""
+    value = HalfInt.coerce(a)
     bound = bound_twice(sig, level)
     # 2a must have the parity of twice the bound
     want_odd = bound % 2 == 1
-    if (a.twice % 2 == 1) != want_odd:
+    if (value.twice % 2 == 1) != want_odd:
         raise ParityError(
             f"parity: 2a must be {'odd' if want_odd else 'even'} for {sig} at level "
             f"{level.value}, got a = {a}"
         )
-    if a.twice < bound:
+    if value.twice < bound:
         raise GoodRangeError(
             f"good range: need a >= {HalfInt(bound)} for {sig} at level "
             f"{level.value}, got a = {a}"
         )
-    return DiscreteSeriesParam(sig, side, level, a)
+    return DiscreteSeriesParam(sig, side, level, value)
 
 
 def epsilon_of(param: DiscreteSeriesParam) -> tuple[int, int]:

@@ -120,7 +120,13 @@ ROWS = [
         "relbranch table period --pq 1,3 --n-max 4 --k-max 4",
         "c2dbe171dfce371a2c569b9fee9ed52726e9b469bff0eeec622523078c0e52fd",
     ),
-    # CSV projections: the alignment, branch-grid and period-grid tables
+    # an exhaustion grid at a second signature that starts at an odd ell
+    (
+        "relbranch table exhaustion --pq 3,4 --ell 7..20",
+        "fd189f278b2a465086bd14797636adcb62f3406b47b66c525e0cf727df1e39c6",
+    ),
+    # CSV projections: the alignment, branch-grid, period-grid, exhaustion
+    # and U(2,n) tables
     (
         "relbranch table he --big +-+-+-+-+-+-+-+-+- --small PMPMPMPMPMPMPMPMPM --csv",
         "db38f8cb8787cafad1d7185c2d2ceb0d9ccd21dcfba7d9d6c84b88d02bf60b2c",
@@ -132,6 +138,14 @@ ROWS = [
     (
         "relbranch table period --pq 1,2 --n-max 8 --k-max 8 --csv",
         "6b7d98781dea30f84f96d340ab7ca55bfa895e2a99b86626620c1dde09d9aead",
+    ),
+    (
+        "relbranch table exhaustion --pq 3,3 --ell 8..16 --csv",
+        "b15a6d0221772956641e6fce9991d1552d1551358521ecb05ada2aa78001bf41",
+    ),
+    (
+        "relbranch table he --n 4..10 --csv",
+        "925b0fdb80f5fc7d9710bdcc010f476bcc9687e7c54b1f044033c37860d1635a",
     ),
     # a branch grid outside the hypothesis p, q > 3 and p != q, whose 81
     # records all carry the warning, as JSON lines and as CSV
@@ -164,6 +178,26 @@ REFUSALS = [
     (
         "relbranch branch --pq 3,3 --plus-a 1/0 --plus-b 2",
         "error: cannot parse half-integer from '1/0': zero denominator\n",
+    ),
+    # a refusal names a value as the command line wrote it, not its exact
+    # value: 1e400 is not echoed as the 401 digits of 10^400, nor a long
+    # decimal as a fraction of two long integers
+    (
+        "relbranch branch --pq 3,3 --plus-a 1e400 --plus-b 2",
+        "error: parity: 2a must be odd for U(3,3) at level G, got a = 1e400\n",
+    ),
+    (
+        "relbranch branch --pq 3,3 --gp 1e400 3",
+        "error: parity: 2a must be odd for U(3,3) at level G, got a = 1e400\n",
+    ),
+    (
+        "relbranch branch --pq 3,3 --pi-minus 1e400",
+        "error: parity: 2a must be odd for U(3,3) at level G, got a = 1e400\n",
+    ),
+    (
+        "relbranch branch --pq 3,3 --plus-a 0.3333333333333333333333 --plus-b 2",
+        "error: cannot parse half-integer from '0.3333333333333333333333': "
+        "0.3333333333333333333333 is not a half-integer\n",
     ),
     # every limit: the caps on output size (TABLE_CAP on a grid and on
     # --max-k summands, ALIGNMENT_CAP), each count above 10^18 summarised,

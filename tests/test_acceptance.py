@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from relbranch.branching import (
+    P1,
+    P2,
     classify_interlacing,
     exhaustion_check,
     fj_label_to_a,
@@ -154,7 +156,8 @@ def test_criterion_05_branching_truth_table():
                 assert dims[Side.MINUS, Side.PLUS] == 0
                 assert sum(dims.values()) == 1
                 expected = (EPSILON_1, EPSILON_1) if a > b else (EPSILON_2, EPSILON_2)
-                assert pattern_characters(classify_interlacing(a, b)) == expected
+                assert classify_interlacing(a, b) == (P1 if a > b else P2)
+                assert pattern_characters(a, b) == expected
 
     _criterion(5, "branching truth table, packet sums, pattern characters", 1.0, check)
 
@@ -213,13 +216,13 @@ def test_criterion_09_exhaustion_cross_check():
         sig = Signature(3, 3)
         for ell in range(8, 17, 2):
             report = exhaustion_check(sig, ell)
-            assert report.agreement, report.mismatches
+            assert report["agreement"], report["mismatches"]
             assert (
-                report.first_sequence
-                == report.second_sequence
-                == report.period_prediction
+                report["first_sequence"]
+                == report["second_sequence"]
+                == report["period_prediction"]
             )
-            assert report.first_sequence  # nonempty in this range
+            assert report["first_sequence"]  # nonempty in this range
 
     _criterion(9, "two-stage pipelines match the coupling prediction", 5.0, check)
 

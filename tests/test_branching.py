@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from relbranch.branching import (
-    ExhaustionReport,
     P1,
     P2,
     SignatureMismatchError,
@@ -51,8 +50,8 @@ def rb_pairs(sig, a_count=5, b_count=5):
 
 
 def test_classify_examples():
-    assert classify_interlacing(h("7/2"), 2).kind == P1
-    assert classify_interlacing(h("5/2"), 3).kind == P2
+    assert classify_interlacing(h("7/2"), 2) == P1
+    assert classify_interlacing(h("5/2"), 3) == P2
     with pytest.raises(TieError):
         classify_interlacing(3, 3)
     with pytest.raises(ValueError):
@@ -60,18 +59,16 @@ def test_classify_examples():
 
 
 def test_pattern_merged_texts():
-    pat = classify_interlacing(h("7/2"), 2)
-    assert merged_texts(pat.kind, "7/2", "2") == ["7/2", "2", "-2", "-7/2"]
-    pat = classify_interlacing(h("5/2"), 3)
-    assert merged_texts(pat.kind, "5/2", "3") == ["3", "5/2", "-5/2", "-3"]
+    kind = classify_interlacing(h("7/2"), 2)
+    assert merged_texts(kind, "7/2", "2") == ["7/2", "2", "-2", "-7/2"]
+    kind = classify_interlacing(h("5/2"), 3)
+    assert merged_texts(kind, "5/2", "3") == ["3", "5/2", "-5/2", "-3"]
 
 
 def test_pattern_characters_dictionary():
     for a, b in [(h("7/2"), h("2")), (h("9/2"), h("4")), (h("5"), h("9/2"))]:
-        pat = classify_interlacing(a, b)
-        chars = pattern_characters(pat)
-        expected = (EPSILON_1, EPSILON_1) if pat.kind == P1 else (EPSILON_2, EPSILON_2)
-        assert chars == expected
+        epsilon = EPSILON_1 if classify_interlacing(a, b) == P1 else EPSILON_2
+        assert pattern_characters(a, b) == (epsilon, epsilon)
 
 
 def test_classify_error_text():
@@ -108,14 +105,14 @@ def test_pattern_characters_match_fraction_reference():
         for tb in range(1, 201):
             if ta == tb:
                 continue
-            got = pattern_characters(classify_interlacing(HalfInt(ta), HalfInt(tb)))
+            got = pattern_characters(HalfInt(ta), HalfInt(tb))
             assert got == _reference_characters(Fraction(ta, 2), Fraction(tb, 2)), (ta, tb)
 
 
 def test_pattern_characters_counts_explicitly():
     # (a, b) = (7/2, 2): counts are 0 and 2 above the a-entries, 1 and 1
     # above the b-entries, giving signs ((+,-), (+,-))
-    chars = pattern_characters(classify_interlacing(h("7/2"), 2))
+    chars = pattern_characters(h("7/2"), h("2"))
     assert chars == (EPSILON_1, EPSILON_1) == ((1, -1), (1, -1))
 
 
@@ -186,7 +183,7 @@ def test_character_coherence():
     # coupling pair
     for sig in (Signature(4, 5), Signature(4, 6)):
         for a, b in rb_pairs(sig):
-            pat_chars = pattern_characters(classify_interlacing(a, b))
+            pat_chars = pattern_characters(a, b)
             side_G, side_Gp = packet_sum(a, b, sig)["witness"][1:-1].split(",")
             Pi = make_param(sig, Side(side_G), GroupLevel.G, a)
             pi = make_param(sig, Side(side_Gp), GroupLevel.GPRIME, b)
@@ -230,7 +227,7 @@ def test_coupling_check_returns_plain_data():
 def _reference_summary(a, b, sig):
     """coupling_summary along the route that builds four fresh parameters
     per (a, b) and keys the hom dimensions by side pair."""
-    pattern = classify_interlacing(a, b)
+    kind = classify_interlacing(a, b)
     sides = (Side.PLUS, Side.MINUS)
     params_G = {side: make_param(sig, side, GroupLevel.G, a) for side in sides}
     params_Gp = {side: make_param(sig, side, GroupLevel.GPRIME, b) for side in sides}
@@ -242,11 +239,11 @@ def _reference_summary(a, b, sig):
             f"signature {sig} is outside the hypothesis p, q > 3 and p != q; "
             "result computed anyway"
         )
-    merged = (a, b, -b, -a) if pattern.kind == P1 else (b, a, -a, -b)
-    characters = [*pattern_characters(pattern), epsilon_of(params_G[witness[0]])]
+    merged = (a, b, -b, -a) if kind == P1 else (b, a, -a, -b)
+    characters = [*pattern_characters(a, b), epsilon_of(params_G[witness[0]])]
     texts = [f"({e1:+d},{e2:+d})" for e1, e2 in characters]
     return {
-        "pattern": pattern.kind,
+        "pattern": kind,
         "merged": [str(v) for v in merged],
         "characters": texts[:2],
         "witness": f"({witness[0].value},{witness[1].value})",
@@ -501,39 +498,52 @@ def test_stage2_relative_members():
     assert not [p for p in stage2_enumerate(sig, 11) if p.relative]
 
 
+# the fields of a `table exhaustion` result, in the order a record writes them
+EXHAUSTION_KEYS = [
+    "p",
+    "q",
+    "ell",
+    "a",
+    "first_sequence",
+    "second_sequence",
+    "period_prediction",
+    "agreement",
+    "mismatches",
+]
+
+
 def test_exhaustion_agreement_even_ell():
     sig = Signature(3, 3)
     for ell in range(8, 17, 2):
         report = exhaustion_check(sig, ell)
-        assert isinstance(report, ExhaustionReport)
-        assert report.agreement, report.mismatches
-        assert report.a == HalfInt(ell)
-        assert report.first_sequence == report.second_sequence == report.period_prediction
-        want = tuple(HalfInt.from_int(b) for b in range(2, ell // 2))
-        assert report.first_sequence == want
+        assert list(report) == EXHAUSTION_KEYS
+        assert report["agreement"], report["mismatches"]
+        assert report["a"] == str(HalfInt(ell))
+        assert report["first_sequence"] == report["second_sequence"] == report["period_prediction"]
+        want = [str(HalfInt.from_int(b)) for b in range(2, ell // 2)]
+        assert report["first_sequence"] == want
 
 
 def test_exhaustion_odd_ell_all_empty():
     sig = Signature(3, 3)
     for ell in range(9, 16, 2):
         report = exhaustion_check(sig, ell)
-        assert report.agreement
-        assert report.a is None
-        assert report.first_sequence == ()
-        assert report.second_sequence == ()
-        assert report.period_prediction == ()
+        assert report["agreement"]
+        assert report["a"] is None
+        assert report["first_sequence"] == []
+        assert report["second_sequence"] == []
+        assert report["period_prediction"] == []
 
 
 def test_exhaustion_other_signatures():
     for sig, ells in [(Signature(3, 4), range(8, 17)), (Signature(4, 4), range(9, 16))]:
         for ell in ells:
             report = exhaustion_check(sig, ell)
-            assert report.agreement, (sig, ell, report.mismatches)
+            assert report["agreement"], (sig, ell, report["mismatches"])
 
 
 def test_exhaustion_report_serializes():
-    report = exhaustion_check(Signature(3, 3), 12)
-    data = report.to_dict()
+    data = exhaustion_check(Signature(3, 3), 12)
     assert data["agreement"] is True
     assert data["first_sequence"] == ["2", "3", "4", "5"]
     assert data["a"] == "6"
@@ -571,7 +581,8 @@ def test_exhaustion_first_sequence_equals_filtered_stage1():
             offset = b.twice - (sig.n - 2)
             if offset >= 0 and offset % 2 == 0:
                 want.append(b)
-        assert exhaustion_check(sig, ell).first_sequence == tuple(sorted(want)), (sig, ell)
+        got = exhaustion_check(sig, ell)["first_sequence"]
+        assert got == [str(b) for b in sorted(want)], (sig, ell)
 
 
 def test_exhaustion_relative_member_equals_filtered_stage2():
@@ -582,11 +593,11 @@ def test_exhaustion_relative_member_equals_filtered_stage2():
             report = exhaustion_check(sig, ell)
             if relative:
                 (pair,) = relative
-                assert report.a == HalfInt.from_int(pair.x), (sig, ell)
-                assert report.second_sequence, (sig, ell)
+                assert report["a"] == str(HalfInt.from_int(pair.x)), (sig, ell)
+                assert report["second_sequence"], (sig, ell)
             else:
-                assert report.a is None, (sig, ell)
-                assert report.second_sequence == report.period_prediction == (), (sig, ell)
+                assert report["a"] is None, (sig, ell)
+                assert report["second_sequence"] == report["period_prediction"] == [], (sig, ell)
 
 
 def test_stage_params_invariant_enforced():

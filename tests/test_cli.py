@@ -79,7 +79,7 @@ def test_half_integer_is_any_exact_literal(capsys):
     assert (code, err) == (0, "") and '"a":"7/2"' in out
     code, out, err = run_cli(capsys, *argv, "0.3")
     assert (code, out) == (cli.EXIT_VALIDATION, "")
-    assert err == "error: cannot parse half-integer from '0.3': 3/10 is not a half-integer\n"
+    assert err == "error: cannot parse half-integer from '0.3': 0.3 is not a half-integer\n"
 
 
 def test_branch_validation_exit_code(capsys):
@@ -481,7 +481,7 @@ def test_table_he_reaches_the_cap():
         ),
         (
             ("branch", "--pq", "3,3", "--a-range", "9/2..0.3", "--b-range", "1..2"),
-            "cannot parse half-integer from '0.3': 3/10 is not a half-integer",
+            "cannot parse half-integer from '0.3': 0.3 is not a half-integer",
         ),
         (
             ("exhaustion", "--pq", "3,3", "--ell", "8..x"),
@@ -1473,16 +1473,9 @@ def _invocations(draw):
 
 
 def _written_digits(argv):
-    """Every run of digits the command line writes, as it stands and as the
-    numerator and denominator of the literal's exact value, the form a
-    refusal echoes it in (1e400 as the 401 digits of 10^400)."""
-    from fractions import Fraction
-
-    runs = set()
-    for literal in re.findall(r"[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?", " ".join(argv)):
-        value = Fraction(literal)
-        runs |= {literal, str(value.numerator), str(value.denominator)}
-    return runs
+    """Every run of digits the command line writes, as it stands: a refusal
+    echoes a value as it was written (1e400, not the 401 digits of 10^400)."""
+    return set(re.findall(r"[0-9]+", " ".join(argv)))
 
 
 @settings(deadline=None)

@@ -187,15 +187,22 @@ def test_printed_patterns_reproduced():
 
 def test_u2n_report():
     report = u2n_case_report(4)
-    assert report.total_alignments == 2
-    assert report.big == "+----+"
-    assert list(report.candidates) == ["PMMMM", "MMMMP"]
-    assert not report.character_screen_applied
-    data = report.to_dict()
-    assert data["total_alignments"] == 2
-    assert data["alignments"][0] == ["+PM-M-M-M-+"]
+    assert list(report) == [
+        "n",
+        "big",
+        "candidates",
+        "alignments",
+        "total_alignments",
+        "character_screen_applied",
+        "note",
+    ]
+    assert report["total_alignments"] == 2
+    assert report["big"] == "+----+"
+    assert report["candidates"] == ["PMMMM", "MMMMP"]
+    assert report["character_screen_applied"] is False
+    assert report["alignments"][0] == ["+PM-M-M-M-+"]
     report5 = u2n_case_report(5)
-    assert report5.total_alignments == 2
+    assert report5["total_alignments"] == 2
     with pytest.raises(ValueError):
         u2n_case_report(3)
 
@@ -203,7 +210,7 @@ def test_u2n_report():
 def test_exactly_one_alignment_per_candidate():
     for n in range(4, 11):
         report = u2n_case_report(n)
-        assert [len(group) for group in report.alignments] == [1, 1]
+        assert [len(group) for group in report["alignments"]] == [1, 1]
 
 
 def test_outputs_satisfy_adjacency_and_order():

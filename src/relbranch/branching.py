@@ -299,7 +299,7 @@ def exhaustion_check(sig: Signature, ell: int) -> dict:
         raise ValueError(f"need ell > {top} for {sig}, got {ell}")
     check_ell(ell)
     # the three sequences are compared as twice their values, and each is
-    # written as texts once
+    # written as texts once, or not at all when it equals the one before
     first_twice = []  # ascending: lam or lam - 1 for ascending odd lam
     for lam in range(2 - (ell - 1) % 2, ell, 2):
         if lam % 2 == 0:
@@ -318,12 +318,16 @@ def exhaustion_check(sig: Signature, ell: int) -> dict:
         predicted = []
     period_twice = [b.twice for b in predicted]
     first = [str(HalfInt(twice)) for twice in first_twice]
-    second = [str(HalfInt(twice)) for twice in second_twice]
-    period = [str(b) for b in predicted]
     mismatches = []
-    if first_twice != second_twice:
+    if first_twice == second_twice:
+        second = first
+    else:
+        second = [str(HalfInt(twice)) for twice in second_twice]
         mismatches.append(f"first vs second: {first} != {second}")
-    if second_twice != period_twice:
+    if second_twice == period_twice:
+        period = second
+    else:
+        period = [str(b) for b in predicted]
         mismatches.append(f"second vs period: {second} != {period}")
     return {
         "p": sig.p,

@@ -17,6 +17,22 @@ the parser given it), 3 numerical non-convergence.  Every
 table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
 
+main(argv) is the in-process API and leaves the interpreter as it found
+it.  The process entry is run(), which both `python -m relbranch.cli` and
+the installed `relbranch` script call: main() on the command line, then,
+outside dev mode, gc.freeze(), so the interpreter's exit skips the
+collections that would walk the whole heap (most of a short run's time
+after its answer).  Exit still flushes the streams, runs atexit and frees
+objects by reference count; only cyclic garbage is left to the OS.  Dev
+mode (-X dev) keeps the full collection, which reports, for example, a
+file reachable only through a cycle as unclosed.
+
+Output goes out through _write, which joins the texts of records (or of
+one record that is built as it is written) into writes of up to
+WRITE_BATCH characters, so an unbuffered stdout (PYTHONUNBUFFERED) takes a
+few dozen writes for a table, not one per line.  A failing row's earlier
+rows are written before its error.
+
 Before its first row, each table's grid is checked in _grid: its size, by
 the ends of its label ranges, against TABLE_CAP, then its last labels by
 the owning layer's per-row check.  _refuse_count writes every refused count.
@@ -25,10 +41,15 @@ Each row of a `table branch` grid runs every check of its (a, b),
 branching.coupling_check, and looks the plain data they return up, as it
 is, in a table that lives for the grid.  A result not seen before is
 rendered once, by branching.coupling_record with a slot for a and one for
-b, and encoded once into a record text; the row fills in only its a and b.
+b, and encoded once into a record text, split at b's slot.  Each a is put
+into those parts once per result, and a row's line is its b joining them.
 So a line holds the bytes a full encoding of the row's record would give,
 and the CLI knows none of the record's fields.  Its CSV projection reads
 each line back as a record.
+
+A `table he --big/--small` record is written as it is built: the
+alignments come one group per shared prefix (hepattern.Alignments.groups),
+and up to ALIGNMENT_BATCH alignments of a group are joined in one step.
 
 A command loads only the layer modules it reaches.  Each layer is
 registered in sys.modules at import, through importlib.util.LazyLoader, and
@@ -43,11 +64,12 @@ sys.modules before any command has run.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
 import sys
-from itertools import islice
+from types import SimpleNamespace
 
 
 def _lazy(name: str):
@@ -76,7 +98,8 @@ SCHEMA = "relbranch.record.v1"
 TABLE_CAP = 10000
 DEFAULT_MAX_K = 10
 ALIGNMENT_CAP = 1_000_000
-ALIGNMENT_BATCH = 4096  # alignments joined per write of a table he record
+ALIGNMENT_BATCH = 4096  # alignments of one prefix joined in one step
+WRITE_BATCH = 1 << 16  # characters of output joined per write
 # periods.FIELD_KINDS, the default first, spelled out so that building the
 # parser loads no layer module
 FAMILIES = ("complex", "quaternionic")
@@ -100,47 +123,69 @@ def _record(command: str, inputs: dict, result: dict, provenance: list[str]) -> 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _skeleton(record: dict) -> str:
-    """_ENCODER's line for a record whose a is written "\\0" and b "\\1", as a
-    %-format: their encoded forms, which no constant text of a record holds,
-    become %(a)s and %(b)s, and every other % is doubled."""
-    text = _ENCODER.encode(record).replace("%", "%%")
-    return text.replace("\\u0000", "%(a)s").replace("\\u0001", "%(b)s") + "\n"
+def _skeleton(record: dict) -> list[str]:
+    """_ENCODER's line for a record whose a is written "\\0" and b "\\1",
+    split at b: their encoded forms, which no constant text of a record
+    holds, mark the slots, so the line of one (a, b) is b joining the parts
+    with a put in."""
+    return (_ENCODER.encode(record) + "\n").split("\\u0001")
 
 
-def _quoted(alignments) -> str:
-    """The JSON items of nonempty alignments, joined as they are:
-    enumerate_alignments admits only the alphabet + - P M, which never
-    needs escaping."""
-    return '"' + '","'.join(alignments) + '"'
+def _alignment_items(found):
+    """The JSON list items of found's alignments, written one group
+    (hepattern.Alignments.groups) at a time: each text is up to
+    ALIGNMENT_BATCH alignments of one prefix, joined in one step with no
+    escaping, as enumerate_alignments admits only + - P M."""
+    for head, tails in found.groups():
+        between = '","' + head
+        for start in range(0, len(tails), ALIGNMENT_BATCH):
+            yield '"' + head + between.join(tails[start : start + ALIGNMENT_BATCH]) + '"'
 
 
-def _emit(record, out) -> None:
-    """Write one record as one line; a `table branch` line, which its grid
-    has already encoded (a str, newline included), is written as it is.  A
-    record whose alignments are a lazy hepattern.Alignments is written as it
-    is built: its text around an empty list, and the list between, one batch
-    of alignments at a time, so neither the alignments nor the line are ever
-    held whole."""
-    if isinstance(record, str):
-        out.write(record)
-        return
-    result = record["result"]
-    found = result.get("alignments")
-    # only a table he record has alignments, so no other command loads hepattern
-    if found is None or not isinstance(found, hepattern.Alignments):
-        out.write(_ENCODER.encode(record) + "\n")
-        return
-    # the key occurs once: the inputs are sign strings over + - P M
-    text = _ENCODER.encode({**record, "result": {**result, "alignments": []}})
-    before, opening, after = text.partition('"alignments":[')
-    out.write(before + opening)
-    items = iter(found)
-    separator = ""
-    while batch := list(islice(items, ALIGNMENT_BATCH)):
-        out.write(separator + _quoted(batch))
-        separator = ","
-    out.write(after + "\n")
+def _emit(records):
+    """The texts of the records' lines, newlines included, in order; a
+    `table branch` line, which its grid has already encoded (a str), is
+    yielded as it is.  A record whose alignments are a lazy
+    hepattern.Alignments is yielded as it is built: its text around an
+    empty list, and the list between, one text of _alignment_items at a
+    time, so neither the alignments nor the line are ever held whole."""
+    for record in records:
+        if isinstance(record, str):
+            yield record
+            continue
+        result = record["result"]
+        found = result.get("alignments")
+        # only a table he record has alignments, so no other command loads hepattern
+        if found is None or not isinstance(found, hepattern.Alignments):
+            yield _ENCODER.encode(record) + "\n"
+            continue
+        # the key occurs once: the inputs are sign strings over + - P M
+        text = _ENCODER.encode({**record, "result": {**result, "alignments": []}})
+        before, opening, after = text.partition('"alignments":[')
+        yield before + opening
+        separator = ""
+        for item in _alignment_items(found):
+            yield separator + item
+            separator = ","
+        yield after + "\n"
+
+
+def _write(texts, out) -> None:
+    """Write texts to out joined, up to WRITE_BATCH characters per write, so
+    an unbuffered stdout takes few writes; a longer text is written alone,
+    as it is, not copied.  The texts before one whose building raises are
+    still written before the error leaves."""
+    batch, size = [], 0
+    try:
+        for text in texts:
+            if size + len(text) > WRITE_BATCH and batch:
+                joined, batch, size = "".join(batch), [], 0
+                out.write(joined)
+            batch.append(text)
+            size += len(text)
+    finally:
+        if batch:
+            out.write("".join(batch))
 
 
 def _parse_pq(text: str) -> tuple[int, int]:
@@ -191,7 +236,7 @@ def cmd_branch(args, out) -> int:
             summary,
             _BRANCH_RULES + ["packet sum: exactly one same-side pair contributes"],
         )
-        _emit(record, out)
+        _write(_emit([record]), out)
         return EXIT_OK
     if args.pi_minus is not None:
         Pi = reps.make_param(sig, reps.Side.MINUS, reps.GroupLevel.G, args.pi_minus)
@@ -208,7 +253,7 @@ def cmd_branch(args, out) -> int:
             },
             ["minus-side summands: b = a + 1/2 + k for k = 0..max_k, all coupling"],
         )
-        _emit(record, out)
+        _write(_emit([record]), out)
         return EXIT_OK
     # single hom-dim query
     side_G = reps.Side.PLUS if args.plus_a is not None else reps.Side.MINUS
@@ -228,7 +273,8 @@ def cmd_branch(args, out) -> int:
         "pattern": kind,
         "merged": branching.merged_texts(kind, str(a), str(b)),
     }
-    _emit(_record("branch", {"p": p, "q": q, "a": str(a), "b": str(b)}, result, _BRANCH_RULES), out)
+    record = _record("branch", {"p": p, "q": q, "a": str(a), "b": str(b)}, result, _BRANCH_RULES)
+    _write(_emit([record]), out)
     return EXIT_OK
 
 
@@ -273,7 +319,7 @@ def cmd_period(args, out) -> int:
         result,
         _PERIOD_RULES,
     )
-    _emit(record, out)
+    _write(_emit([record]), out)
     return EXIT_OK
 
 
@@ -339,18 +385,22 @@ def _rows_branch(args):
     b_values = [(str(b), branching.param_pair(sig, GPRIME, b)) for b in map(HalfInt, b_twice)]
     warning = branching.hypothesis_warning(sig)
     check = branching.coupling_check
-    texts = {}  # a record text per check result
+    skeletons = {}  # a record text per check result, split at b
     try:
         for a, Pa in a_values:
+            filled = {}  # the same with this a put in
             for b, Pb in b_values:
                 values = check(Pa, Pb)
-                text = texts.get(values)
-                if text is None:  # a and b go in as the slots _skeleton names
-                    result = branching.coupling_record(values, "\0", "\1", warning)
-                    inputs = {"p": p, "q": q, "a": "\0", "b": "\1"}
-                    text = _skeleton(_record("table.branch", inputs, result, _BRANCH_RULES))
-                    texts[values] = text
-                yield text % {"a": a, "b": b}
+                parts = filled.get(values)
+                if parts is None:
+                    skeleton = skeletons.get(values)
+                    if skeleton is None:  # a and b go in as the slots _skeleton names
+                        result = branching.coupling_record(values, "\0", "\1", warning)
+                        inputs = {"p": p, "q": q, "a": "\0", "b": "\1"}
+                        skeleton = _skeleton(_record("table.branch", inputs, result, _BRANCH_RULES))
+                        skeletons[values] = skeleton
+                    parts = filled[values] = [part.replace("\\u0000", a) for part in skeleton]
+                yield b.join(parts)
     except ValueError as exc:
         exc.args = (f"table branch row a={a} b={b}: {exc}",)
         raise
@@ -407,7 +457,7 @@ def _flatten(record) -> dict:
         flat[f"in.{key}"] = value
     for key, value in record["result"].items():
         if key == "alignments" and isinstance(value, hepattern.Alignments):  # one CSV cell
-            flat[f"out.{key}"] = f"[{_quoted(value)}]" if value.count else "[]"
+            flat[f"out.{key}"] = f"[{','.join(_alignment_items(value))}]"
         elif isinstance(value, (list, dict)):
             flat[f"out.{key}"] = _ENCODER.encode(value)
         else:
@@ -415,23 +465,26 @@ def _flatten(record) -> dict:
     return flat
 
 
+def _csv_lines(rows):
+    """The CSV projection of rows, each line yielded as its record arrives,
+    as a JSON line would be; the header comes from the first record."""
+    import csv  # only the CSV projection reads it
+
+    line = []
+    writer = None
+    for record in rows:
+        flat = _flatten(record)
+        if writer is None:
+            writer = csv.DictWriter(SimpleNamespace(write=line.append), fieldnames=list(flat))
+            writer.writeheader()
+        writer.writerow(flat)
+        yield from line
+        line.clear()
+
+
 def cmd_table(args, out) -> int:
     rows = args.rows(args)
-    if args.csv:
-        import csv  # only the CSV projection reads it
-
-        # the header comes from the first record, and each row is written as
-        # it arrives, as a JSON line would be
-        writer = None
-        for record in rows:
-            flat = _flatten(record)
-            if writer is None:
-                writer = csv.DictWriter(out, fieldnames=list(flat))
-                writer.writeheader()
-            writer.writerow(flat)
-        return EXIT_OK
-    for record in rows:
-        _emit(record, out)
+    _write(_csv_lines(rows) if args.csv else _emit(rows), out)
     return EXIT_OK
 
 
@@ -554,5 +607,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NONCONVERGENCE
 
 
+def run() -> int:
+    """The `relbranch` process: main() on the command line, then, outside
+    dev mode, the heap frozen (gc.freeze), so that exit does not walk it
+    (see the module docstring)."""
+    try:
+        return main()
+    finally:
+        if not sys.flags.dev_mode:
+            gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

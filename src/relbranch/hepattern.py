@@ -7,7 +7,8 @@ interleaving of the two in which every adjacent pair of symbols belongs to
 the allowed set.  Alignments meet in the middle: each is one shared prefix
 plus one shared suffix, and the output order is that of a depth-first
 search trying the big sequence's symbol before the small one's.  They are
-counted when asked for and built one at a time as they are read, so a
+counted when asked for and read lazily, one at a time or one group per
+shared prefix (Alignments.groups, which a writer joins in one step), so a
 caller that writes them out never holds them all.  u2n_case_report returns
 the `table he --n` result of the U(2,n) configuration, in lists and texts.
 """
@@ -60,8 +61,9 @@ def _levels(big: str, small: str):
 
 class Alignments:
     """The alignments of big against small in depth-first, big-first order,
-    read lazily: count is their number (len() too, up to sys.maxsize), and
-    each iteration builds the meet-in-the-middle tables again and yields
+    read lazily: count is their number (len() too, up to sys.maxsize).
+    Each reading builds the meet-in-the-middle tables again: groups()
+    yields each prefix with the list of suffixes it takes, and iteration
     one prefix + suffix at a time."""
 
     __slots__ = ("big", "small", "count")
@@ -73,6 +75,16 @@ class Alignments:
         return self.count
 
     def __iter__(self) -> Iterator[str]:
+        for head, tails in self.groups():
+            for tail in tails:
+                yield head + tail
+
+    def groups(self) -> Iterator[tuple[str, list[str]]]:
+        """(prefix, suffixes) for each prefix, in the alignments' order:
+        each alignment is its prefix + one of the suffixes, and no list is
+        empty.  The lists are the suffix table's own, shared between
+        prefixes that end in one middle state, so a reader must not change
+        them."""
         levels = [level for _, level in _levels(self.big, self.small)]
         middle = len(levels) // 2
         tails = dict.fromkeys(levels[-1], [""])
@@ -89,8 +101,7 @@ class Alignments:
             }
         del levels  # only the two tables are held while alignments are yielded
         for head, mid in heads[(0, 0, "")]:
-            for tail in tails[mid]:
-                yield head + tail
+            yield head, tails[mid]
 
 
 def enumerate_alignments(big: str, small: str) -> Alignments:
@@ -104,8 +115,10 @@ def enumerate_alignments(big: str, small: str) -> Alignments:
     any move is stored or any alignment built.  Iterating the result then
     builds, for each state from the end back to the middle level, its
     suffixes, and for each state from there back to the start its (prefix,
-    middle state) pairs; those two tables are what is held, and each
-    alignment is one prefix + suffix, yielded as it is built.
+    middle state) pairs; those two tables are what is held.  Each prefix
+    comes with its middle state's suffixes (Alignments.groups), so a writer
+    can join a whole group at once, and each alignment is one prefix +
+    suffix, built as it is read.
     """
     for seq in (big, small):
         bad = [s for s in seq if s not in ALPHABET]

@@ -549,6 +549,21 @@ def test_exhaustion_report_serializes():
     assert data["a"] == "6"
 
 
+def test_exhaustion_mismatch_writes_each_sequence(monkeypatch):
+    # a prediction off by one is a mismatch whose text writes both sequences
+    from relbranch import branching
+
+    real = branching.fj_label_to_b
+    monkeypatch.setattr(branching, "fj_label_to_b", lambda sig, k: real(sig, k) + 1)
+    data = exhaustion_check(Signature(3, 3), 12)
+    assert data["agreement"] is False
+    assert data["first_sequence"] == data["second_sequence"] == ["2", "3", "4", "5"]
+    assert data["period_prediction"] == ["3", "4", "5", "6"]
+    assert data["mismatches"] == [
+        "second vs period: ['2', '3', '4', '5'] != ['3', '4', '5', '6']"
+    ]
+
+
 def stage1_slice(ell):
     """The lambda' = 0 terms of the first stage, found by trying every
     lambda'' in 1..ell-1 against the StageParams split: O(ell), and

@@ -619,12 +619,14 @@ def test_table_he_record_is_written_as_it_is_built():
     st.text(alphabet="+-", min_size=0, max_size=6),
     st.text(alphabet="PM", min_size=0, max_size=6),
 )
-@example("+-" * 3, "PM" * 3)  # 20 alignments, ten batches
+@example("+-" * 3, "PM" * 3)  # 20 alignments in 14 groups of one or two
+@example("-+" * 3, "PM" * 3)  # groups of up to three, so one is split
 def test_table_he_joined_alignments_match_the_generic_encoder(big, small):
-    # the alignments are joined without escaping, in batches (of two here);
-    # the JSON line and the CSV cell must be what the generic encoder writes
-    # for the listed alignments.  The command runs past argparse, which
-    # reads --big=-- as an empty list before Python 3.13.
+    # the alignments are joined without escaping, one group of a shared
+    # prefix at a time, in slices (of two here); the JSON line and the CSV
+    # cell must be what the generic encoder writes for the listed
+    # alignments.  The command runs past argparse, which reads --big=-- as
+    # an empty list before Python 3.13.
     import csv
     import io
     from unittest import mock
@@ -1102,6 +1104,37 @@ def test_table_branch_names_failing_row(capsys, monkeypatch, form):
     )
 
 
+@pytest.mark.parametrize("form", ["json", "csv"])
+def test_rows_before_a_failing_row_are_written_after_many_batches(monkeypatch, form):
+    # the failing row is far into the benchmark grid: every row before it
+    # reaches out, in writes of up to WRITE_BATCH characters, each of which
+    # took all the rows that fit
+    import io
+    from types import SimpleNamespace
+
+    argv = ["table", "branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2"]
+    args = cli.build_parser().parse_args(argv + (["--csv"] if form == "csv" else []))
+    whole = io.StringIO()
+    assert cli.cmd_table(args, whole) == 0
+    lines = whole.getvalue().splitlines(keepends=True)
+    key = ",4,5,50,7/2," if form == "csv" else '"a":"50","b":"7/2"'
+    (failing,) = [index for index, line in enumerate(lines) if key in line]
+    real = cli.branching.hom_dim
+
+    def couples_mixed_sides(Pi, pi):
+        if (str(Pi.a), str(pi.a)) == ("50", "7/2") and Pi.side is not pi.side:
+            return 1
+        return real(Pi, pi)
+
+    monkeypatch.setattr(cli.branching, "hom_dim", couples_mixed_sides)
+    writes = []
+    with pytest.raises(ValueError, match="^table branch row a=50 b=7/2: expected exactly one"):
+        cli.cmd_table(args, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == "".join(lines[:failing])
+    assert len(writes) > 2 and max(map(len, writes)) <= cli.WRITE_BATCH
+    assert all(len(text) + len(after) > cli.WRITE_BATCH for text, after in zip(writes, writes[1:]))
+
+
 def test_subgroup_level_of_u11_is_refused(capsys):
     # the good range at U(1,1)'s subgroup level would admit only b >= 0, and
     # interlacing needs b > 0: every command that reaches it exits 2 on one message
@@ -1163,6 +1196,76 @@ def test_broken_pipe_inside_a_streamed_record_exits_quietly():
     # one 7.9 MB record, written in batches: the reader leaves mid-record
     args = ["table", "he", "--big", "+-" * 10, "--small", "PM" * 10]
     assert _read_then_close(args, 64) == (0, b"")
+
+
+def _without(env, *names):
+    return {key: value for key, value in env.items() if key not in names}
+
+
+@pytest.mark.parametrize("dev", [False, True])
+def test_process_entry_freezes_the_heap_outside_dev_mode(dev):
+    # `python -m relbranch.cli` ends with the heap frozen, so exit walks no
+    # collection over it; dev mode keeps exit's full collection.  The count
+    # is taken against its value at start-up, which is not 0 on 3.12.
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "start = gc.get_freeze_count()\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() - start, file=sys.stderr))\n"
+        "sys.argv[1:] = ['table', 'he', '--n', '4..5']\n"
+        "runpy.run_module('relbranch.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    flags = ["-X", "dev"] if dev else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", probe], capture_output=True, text=True, timeout=30,
+        env=_without(os.environ, "PYTHONDEVMODE"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2
+    frozen = int(proc.stderr.strip().splitlines()[-1])
+    assert frozen == 0 if dev else frozen > 0, frozen
+
+
+def test_console_script_runs_the_module_entry():
+    # the installed `relbranch` script and `python -m relbranch.cli` call the
+    # same function (pyproject is read as text: 3.10 has no tomllib)
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    (target,) = re.findall(r'^relbranch = "relbranch\.cli:(\w+)"$', pyproject, re.M)
+    (block,) = [
+        node
+        for node in ast.parse(inspect.getsource(cli)).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(statement) for statement in block.body] == [f"sys.exit({target}())"]
+    assert target != "main" and callable(getattr(cli, target))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2"),
+        ("table", "branch", "--pq", "4,5", "--a-range", "4..40", "--b-range", "7/2..81/2", "--csv"),
+        ("table", "he", "--big", "+-" * 9, "--small", "PM" * 9),
+    ],
+)
+def test_output_does_not_depend_on_stdout_buffering(argv):
+    # batched writes to an unbuffered stdout give the bytes a buffered one does
+    import os
+    import subprocess
+    import sys
+
+    cmd = [sys.executable, "-m", "relbranch.cli", *argv]
+    env = _without(os.environ, "PYTHONUNBUFFERED")
+    runs = [
+        subprocess.run(cmd, capture_output=True, timeout=60, env=child_env)
+        for child_env in (env, {**env, "PYTHONUNBUFFERED": "1"})
+    ]
+    buffered, unbuffered = [(run.returncode, run.stdout, run.stderr) for run in runs]
+    assert buffered == unbuffered
+    assert buffered[0] == 0 and len(buffered[1]) > cli.WRITE_BATCH and buffered[2] == b""
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -36,6 +36,9 @@ rows are written before its error.
 Before its first row, each table's grid is checked in _grid: its size, by
 the ends of its label ranges, against TABLE_CAP, then its last labels by
 the owning layer's per-row check.  _refuse_count writes every refused count.
+A period command first builds its periods.PeriodGrid, which checks the
+tolerance, the signature and the family, so a command with several faults
+is refused for the first of: tol, signature, family, grid size, labels.
 
 Each row of a `table branch` grid runs every check of its (a, b),
 branching.coupling_check, and looks the plain data they return up, as it
@@ -288,31 +291,9 @@ _PERIOD_RULES = [
 ]
 
 
-def _period_result(
-    p: int, q: int, n: int, k: int, family: str, tol: float, shared: periods.SharedFactors
-) -> dict:
-    """One period record from one exact period: the closed form (that value
-    rounded once), the quadrature, their difference and the vanishing flag
-    (exact, since the radial factor is positive).  shared holds the factors
-    the record's grid builds once."""
-    exact = periods.period_integral_exact(p, q, n, k, kind=family, shared=shared)
-    closed = periods.closed_value(exact)
-    quad = periods.period_integral_quadrature(p, q, n, k, tol, kind=family, shared=shared)
-    return {
-        "family": family,
-        "closed": closed,
-        "quadrature": quad.value,
-        "quadrature_error": quad.abs_error_estimate,
-        "abs_difference": abs(closed - quad.value),
-        "nonvanishing": exact != 0,
-    }
-
-
 def cmd_period(args, out) -> int:
     p, q = _parse_pq(args.pq)
-    periods.check_tol(args.tol)
-    shared = periods.SharedFactors()
-    result = _period_result(p, q, args.n, args.k, args.family, args.tol, shared)
+    result = periods.PeriodGrid(p, q, args.family, args.tol).record(args.n, args.k)
     record = _record(
         "period",
         {"p": p, "q": q, "n": args.n, "k": args.k, "family": args.family, "tol": args.tol},
@@ -408,15 +389,14 @@ def _rows_branch(args):
 
 def _rows_period(args):
     p, q = _parse_pq(args.pq)
-    periods.check_tol(args.tol)
+    # tol, signature and family are refused before the grid's size and labels
+    grid = periods.PeriodGrid(p, q, args.family, args.tol)
     ns, ks = range(0, args.n_max + 1, 2), range(0, args.k_max + 1, 2)
     if not _grid(ns, ks, check=periods.check_labels):
         return
-    shared = periods.SharedFactors()  # the grid's sweeps and radial factors, built once
     for n in ns:
         for k in ks:
-            row = {"n": n, "k": k}
-            result = _row("period", row, _period_result, p, q, n, k, args.family, args.tol, shared)
+            result = _row("period", {"n": n, "k": k}, grid.record, n, k)
             inputs = {"p": p, "q": q, "n": n, "k": k, "family": args.family}
             yield _record("table.period", inputs, result, _PERIOD_RULES)
 

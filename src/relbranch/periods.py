@@ -20,7 +20,7 @@ weight, shifted by the difference of the two alphas.  The exact pairing is
 one closed-form connection coefficient times a squared norm
 (jacobi.jacobi_pairing) and decides vanishing; the radial factor is rational
 too (specfun.radial_integral_exact), so the period is one exact Fraction
-(period_integral_exact), zero exactly when the period vanishes and rounded
+(PeriodGrid.exact), zero exactly when the period vanishes and rounded
 once for the closed value (closed_value); check_labels refuses a label
 above MAX_DEGREE before either factor is built.  The quadrature oracle is
 independent of both exact factors.  On the period route both factors are
@@ -36,13 +36,17 @@ tolerance and floors the roundoff bound, reads the two squared norms, each
 one exact closed form (jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq)
 rounded once.
 
-Records of one grid share inputs, and a SharedFactors table, passed as
-shared=, builds each once: every record with the same n + k has the same
-rule and the same two radial factors, so each (rule, alpha, beta) is one
+A period grid is one PeriodGrid(p, q, kind, tol), which checks the
+tolerance, the signature and the family once, when it is built, and whose
+record(n, k) is the result a period command prints.  Its records share
+inputs, each built once: every record with the same n + k has the same rule
+and the same two radial factors, so each (rule, alpha, beta) is one
 recurrence sweep, extended only as far as a record asks, and one row of node
-weights, and each n + k one exact and one quadrature radial factor.  A
-record's floats are the same with or without the table, and each record
-still builds its own exact pairing and gates its own factors.
+weights, and each n + k one exact and one quadrature radial factor.
+period_integral_exact and period_integral_quadrature compute one period on
+a grid of its own.  A record's floats do not depend on the grid that
+computes it, and each record still builds its own exact pairing and gates
+its own factors.
 """
 
 from __future__ import annotations
@@ -78,80 +82,10 @@ class PreconditionError(ValueError):
     """Period-integral arguments outside the supported range."""
 
 
-class SharedFactors:
-    """The inputs that the records of one period grid share, each built
-    once: the Jacobi sweep of each (rule, alpha, beta), extended only as far
-    as a record asks, the angular weight at that rule's nodes, and each
-    radial factor, exact and by quadrature, which depends on n + k only.  One
-    `table period` run owns one, and a period computed alone gets its own, so
-    nothing outlives the grid it serves."""
-
-    def __init__(self) -> None:
-        self._sweeps: dict = {}
-        self._factors: dict = {}
-
-    def jacobi_row(self, n: int, alpha: int, beta_param: int, nodes) -> Sequence[float]:
-        """P_n^(alpha,beta) at the nodes of one Gauss-Legendre rule, which
-        their count names: row n of that rule's sweep."""
-        rows = self._sweeps.setdefault((len(nodes), alpha, beta_param), [])
-        return jacobi_rows(n, alpha, beta_param, nodes, rows)[n]
-
-    def factor(self, build, *args):
-        """build(*args), built the first time build is asked for args."""
-        key = (build, args)
-        if key not in self._factors:
-            self._factors[key] = build(*args)
-        return self._factors[key]
-
-
-def _period_args(p: int, q: int, n: int, k: int, kind: str):
-    """The radial (sinh power, cosh decay) and angular (alpha, beta, shift)
-    of one period, once its arguments are checked; labels above MAX_DEGREE
-    are refused here, since the radial factor has no cap of its own."""
-    if not (isinstance(p, int) and isinstance(q, int) and q > p > 0):
-        raise PreconditionError(f"need integer signature with q > p > 0, got ({p}, {q})")
-    if n < 0 or k < 0 or n % 2 or k % 2:
-        raise PreconditionError(f"labels must be even and nonnegative, got n={n}, k={k}")
-    if kind not in _EXPONENTS:
-        raise ValueError(f"unknown family {kind!r}")
-    check_labels(n, k)
-    radial, angular = _EXPONENTS[kind]
-    return radial(p, q, n, k), angular(q)
-
-
 def check_labels(n: int, k: int) -> None:
     """Refuse a label above MAX_DEGREE, k first, as jacobi_pairing does."""
     check_degree(k)
     check_degree(n)
-
-
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless the quadrature tolerance is positive and finite."""
-    if not 0 < tol < inf:
-        raise ValueError("tol must be positive and finite")
-
-
-def period_integral_exact(
-    p: int, q: int, n: int, k: int, kind: str = COMPLEX, *, shared: SharedFactors | None = None
-) -> Fraction:
-    """Exact period integral: the rational radial factor A(sinh power, cosh
-    decay) times the exact angular factor, int P_n^(alpha+shift,beta)
-    P_k^(alpha,beta) (1-x)^alpha (1+x)^beta dx with P_n the big family's
-    polynomial and (alpha, beta) the embedded family's exponents.
-
-    Nonzero exactly when k <= n: the radial factor is a convergent integral
-    of a positive function, and the angular pairing vanishes exactly when
-    k > n.  shared, when given, holds the grid's radial factors.  Raises
-    PreconditionError when q is so large that a factorial argument passes
-    sys.maxsize."""
-    radial, angular = _period_args(p, q, n, k, kind)
-    shared = SharedFactors() if shared is None else shared
-    # convergence: the cosh decay exceeds the sinh power automatically for q > p
-    try:
-        return shared.factor(radial_integral_exact, *radial) * jacobi_pairing(n, k, *angular)
-    except OverflowError as exc:
-        message = f"signature ({p}, {q}) is too large for exact factorials"
-        raise PreconditionError(message) from exc
 
 
 def closed_value(exact: Fraction) -> float:
@@ -198,61 +132,137 @@ def _node_weights(nodes: Sequence[float], alpha: int, beta_param: int) -> list:
     return [((1.0 - x) ** alpha, (1.0 + x) ** beta_param) for x in nodes]
 
 
-def _angular_quadrature(
-    n: int, k: int, alpha: int, beta_param: int, shift: int, tol: float, shared: SharedFactors
-) -> QuadratureResult:
-    """jacobi_pairing(n, k, alpha, beta, shift) by quadrature of the float
-    recurrence values, to tol times the Cauchy-Schwarz scale (at least 1); the
-    integrand has degree n + k + alpha + beta, and the scale also floors the
-    roundoff bound, since all node values are roundoff when the nodes are the
-    zeros of P_k (alpha = beta = 0, k = n + 2)."""
-    scale = _angular_scale(n, k, alpha, beta_param, shift)
-    if not scale < inf:
-        raise ConvergenceError(f"angular Cauchy-Schwarz scale {scale} is not finite")
+class PeriodGrid:
+    """The periods of one signature (p, q) and family at one quadrature
+    tolerance, checked once, with the inputs its records share (see the
+    module docstring); a grid lives as long as the command that owns it."""
 
-    def integrand(xs):
-        big = shared.jacobi_row(n, alpha + shift, beta_param, xs)
-        small = shared.jacobi_row(k, alpha, beta_param, xs)
-        weights = shared.factor(_node_weights, xs, alpha, beta_param)
-        # the order of u * v * (1 - x)^alpha * (1 + x)^beta, so each term keeps its bits
-        return [u * v * wa * wb for u, v, (wa, wb) in zip(big, small, weights)]
+    def __init__(self, p: int, q: int, kind: str = COMPLEX, tol: float = 1e-10) -> None:
+        if not 0 < tol < inf:
+            raise ValueError("tol must be positive and finite")
+        if not (isinstance(p, int) and isinstance(q, int) and q > p > 0):
+            raise PreconditionError(f"need integer signature with q > p > 0, got ({p}, {q})")
+        if kind not in _EXPONENTS:
+            raise ValueError(f"unknown family {kind!r}")
+        self.p, self.q, self.kind, self.tol = p, q, kind, tol
+        self._sweeps: dict = {}
+        self._factors: dict = {}
 
-    result = gauss_legendre_quadrature(integrand, n + k + alpha + beta_param, scale)
-    return _gated(result, scale, tol, "angular")
+    def args(self, n: int, k: int):
+        """The radial (sinh power, cosh decay) and angular (alpha, beta,
+        shift) of the period at n, k, once the labels are checked; a label
+        above MAX_DEGREE is refused here, since the radial factor has no cap
+        of its own."""
+        if n < 0 or k < 0 or n % 2 or k % 2:
+            raise PreconditionError(f"labels must be even and nonnegative, got n={n}, k={k}")
+        check_labels(n, k)
+        radial, angular = _EXPONENTS[self.kind]
+        return radial(self.p, self.q, n, k), angular(self.q)
+
+    def _factor(self, build, *args):
+        """build(*args), built the first time build is asked for args."""
+        key = (build, args)
+        if key not in self._factors:
+            self._factors[key] = build(*args)
+        return self._factors[key]
+
+    def _jacobi_row(self, n: int, alpha: int, beta_param: int, nodes) -> Sequence[float]:
+        """P_n^(alpha,beta) at the nodes of one Gauss-Legendre rule, which
+        their count names: row n of that rule's sweep, extended only as far
+        as a record asks."""
+        rows = self._sweeps.setdefault((len(nodes), alpha, beta_param), [])
+        return jacobi_rows(n, alpha, beta_param, nodes, rows)[n]
+
+    def exact(self, n: int, k: int) -> Fraction:
+        """Exact period integral: the rational radial factor A(sinh power,
+        cosh decay) times the exact angular factor, int P_n^(alpha+shift,beta)
+        P_k^(alpha,beta) (1-x)^alpha (1+x)^beta dx with P_n the big family's
+        polynomial and (alpha, beta) the embedded family's exponents.
+
+        Nonzero exactly when k <= n: the radial factor is a convergent
+        integral of a positive function, and the angular pairing vanishes
+        exactly when k > n.  Raises PreconditionError when q is so large
+        that a factorial argument passes sys.maxsize."""
+        radial, angular = self.args(n, k)
+        # convergence: the cosh decay exceeds the sinh power automatically for q > p
+        try:
+            return self._factor(radial_integral_exact, *radial) * jacobi_pairing(n, k, *angular)
+        except OverflowError as exc:
+            message = f"signature ({self.p}, {self.q}) is too large for exact factorials"
+            raise PreconditionError(message) from exc
+
+    def _angular_quadrature(
+        self, n: int, k: int, alpha: int, beta_param: int, shift: int
+    ) -> QuadratureResult:
+        """jacobi_pairing(n, k, alpha, beta, shift) by quadrature of the float
+        recurrence values, to tol times the Cauchy-Schwarz scale (at least 1); the
+        integrand has degree n + k + alpha + beta, and the scale also floors the
+        roundoff bound, since all node values are roundoff when the nodes are the
+        zeros of P_k (alpha = beta = 0, k = n + 2)."""
+        scale = _angular_scale(n, k, alpha, beta_param, shift)
+        if not scale < inf:
+            raise ConvergenceError(f"angular Cauchy-Schwarz scale {scale} is not finite")
+
+        def integrand(xs):
+            big = self._jacobi_row(n, alpha + shift, beta_param, xs)
+            small = self._jacobi_row(k, alpha, beta_param, xs)
+            weights = self._factor(_node_weights, xs, alpha, beta_param)
+            # the order of u * v * (1 - x)^alpha * (1 + x)^beta, so each term keeps its bits
+            return [u * v * wa * wb for u, v, (wa, wb) in zip(big, small, weights)]
+
+        result = gauss_legendre_quadrature(integrand, n + k + alpha + beta_param, scale)
+        return _gated(result, scale, self.tol, "angular")
+
+    def quadrature(self, n: int, k: int) -> QuadratureResult:
+        """Independent two-factor quadrature oracle for the closed form: the
+        radial and the angular factor each by one degree-exact Gauss-Legendre
+        rule, with the first-order error of their product.
+
+        Raises ConvergenceError when a factor's roundoff bound exceeds tol
+        times its scale, or when a value, bound or scale is not finite
+        (overflow included); each record gates its own factors."""
+        radial_args, angular_args = self.args(n, k)
+        try:
+            radial = self._factor(_radial_quadrature, *radial_args)
+            radial = _gated(radial, abs(radial.value), self.tol, "radial")
+            angular = self._angular_quadrature(n, k, *angular_args)
+        except OverflowError as exc:
+            raise ConvergenceError(f"quadrature overflowed: {exc}") from exc
+        value = radial.value * angular.value
+        err = (
+            radial.abs_error_estimate * abs(angular.value)
+            + angular.abs_error_estimate * abs(radial.value)
+        )
+        if not (abs(value) < inf and err < inf):
+            raise ConvergenceError(f"period quadrature {value} (bound {err}) is not finite")
+        return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
+
+    def record(self, n: int, k: int) -> dict:
+        """The result of the period at n, k as a command prints it: the
+        closed form (the exact period rounded once), the quadrature, their
+        difference and the vanishing flag (exact, since the radial factor is
+        positive)."""
+        exact = self.exact(n, k)
+        closed = closed_value(exact)
+        quad = self.quadrature(n, k)
+        return {
+            "family": self.kind,
+            "closed": closed,
+            "quadrature": quad.value,
+            "quadrature_error": quad.abs_error_estimate,
+            "abs_difference": abs(closed - quad.value),
+            "nonvanishing": exact != 0,
+        }
+
+
+def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
+    """PeriodGrid(p, q, kind).exact(n, k): one exact period on a grid of its own."""
+    return PeriodGrid(p, q, kind).exact(n, k)
 
 
 def period_integral_quadrature(
-    p: int,
-    q: int,
-    n: int,
-    k: int,
-    tol: float = 1e-10,
-    kind: str = COMPLEX,
-    *,
-    shared: SharedFactors | None = None,
+    p: int, q: int, n: int, k: int, tol: float = 1e-10, kind: str = COMPLEX
 ) -> QuadratureResult:
-    """Independent two-factor quadrature oracle for the closed form: the
-    radial and the angular factor each by one degree-exact Gauss-Legendre
-    rule, with the first-order error of their product.
-
-    Raises ConvergenceError when a factor's roundoff bound exceeds tol times
-    its scale, or when a value, bound or scale is not finite (overflow
-    included).  shared, when given, holds the grid's sweeps and radial
-    factors; each record gates its own."""
-    radial_args, angular_args = _period_args(p, q, n, k, kind)
-    check_tol(tol)
-    shared = SharedFactors() if shared is None else shared
-    try:
-        radial = shared.factor(_radial_quadrature, *radial_args)
-        radial = _gated(radial, abs(radial.value), tol, "radial")
-        angular = _angular_quadrature(n, k, *angular_args, tol, shared)
-    except OverflowError as exc:
-        raise ConvergenceError(f"quadrature overflowed: {exc}") from exc
-    value = radial.value * angular.value
-    err = (
-        radial.abs_error_estimate * abs(angular.value)
-        + angular.abs_error_estimate * abs(radial.value)
-    )
-    if not (abs(value) < inf and err < inf):
-        raise ConvergenceError(f"period quadrature {value} (bound {err}) is not finite")
-    return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
+    """PeriodGrid(p, q, kind, tol).quadrature(n, k): one period by quadrature
+    on a grid of its own."""
+    return PeriodGrid(p, q, kind, tol).quadrature(n, k)

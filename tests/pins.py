@@ -249,6 +249,16 @@ REFUSALS = [
         "relbranch period --pq 1,100000000000000000000 --n 0 --k 0",
         "error: signature (1, 100000000000000000000) is too large for exact factorials\n",
     ),
+    # a period table's tolerance and signature, refused before its first row
+    # with no row named, as the other tables refuse theirs
+    (
+        "relbranch table period --pq 2,2 --n-max 4",
+        "error: need integer signature with q > p > 0, got (2, 2)\n",
+    ),
+    (
+        "relbranch table period --pq 1,2 --tol 0",
+        "error: tol must be positive and finite\n",
+    ),
 ]
 
 

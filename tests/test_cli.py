@@ -961,7 +961,7 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("refinement budget exhausted")
 
-    monkeypatch.setattr(cli.periods, "period_integral_quadrature", explode)
+    monkeypatch.setattr(cli.periods.PeriodGrid, "quadrature", explode)
     code, _, err = run_cli(capsys, "period", "--pq", "1,2", "--n", "0", "--k", "0")
     assert code == 3
     assert "budget" in err
@@ -1037,10 +1037,26 @@ def test_table_period_refuses_label_above_cap_before_any_record(capsys):
     )
     assert (code, err) == (0, "")
     assert [r["inputs"]["n"] for r in parse_records(out)] == list(range(0, 65, 2))
-    # a signature error still names its row
+    # a signature error is refused before the first row too, so it names no row
     code, out, err = run_cli(capsys, "table", "period", "--pq", "2,2", "--n-max", "4")
     assert (code, out) == (cli.EXIT_VALIDATION, "")
-    assert err.startswith("error: table period row n=0 k=0: need integer signature")
+    assert err == "error: need integer signature with q > p > 0, got (2, 2)\n"
+
+
+def test_table_period_refuses_the_first_of_several_faults(capsys):
+    # the order is tol, signature, family (argparse refuses an unknown one),
+    # grid size, labels: everything the grid is built with comes first
+    huge = "99999999999999999999"
+    cases = [
+        (("--pq", "2,2", "--tol", "0", "--n-max", huge), "tol must be positive and finite"),
+        (("--pq", "2,2", "--n-max", huge), "need integer signature with q > p > 0, got (2, 2)"),
+        (("--pq", "1,2", "--n-max", "200", "--k-max", "200"), "grid of 10201 records exceeds"),
+        (("--pq", "1,2", "--n-max", "70", "--k-max", "66"), "degree 66 exceeds"),
+    ]
+    for argv, text in cases:
+        code, out, err = run_cli(capsys, "table", "period", *argv)
+        assert (code, out) == (cli.EXIT_VALIDATION, ""), argv
+        assert err.startswith(f"error: {text}") and err.count("\n") == 1, (argv, err)
 
 
 def test_period_quaternionic_record_keys(capsys):
@@ -1056,18 +1072,18 @@ def test_period_quaternionic_record_keys(capsys):
 
 
 def _explode_at(n_bad, k_bad, exc_type, real):
-    def patched(p, q, n, k, *args, **kwargs):
+    def patched(grid, n, k):
         if (n, k) == (n_bad, k_bad):
             raise exc_type("refinement budget exhausted")
-        return real(p, q, n, k, *args, **kwargs)
+        return real(grid, n, k)
 
     return patched
 
 
 def test_table_nonconvergence_names_row(capsys, monkeypatch):
-    real = cli.periods.period_integral_quadrature
+    real = cli.periods.PeriodGrid.quadrature
     monkeypatch.setattr(
-        cli.periods, "period_integral_quadrature", _explode_at(4, 2, ConvergenceError, real)
+        cli.periods.PeriodGrid, "quadrature", _explode_at(4, 2, ConvergenceError, real)
     )
     code, out, err = run_cli(capsys, "table", "period", "--pq", "1,2", "--n-max", "6")
     assert code == 3
@@ -1160,10 +1176,8 @@ def test_subgroup_level_of_u11_is_refused(capsys):
 
 
 def test_table_validation_error_names_row(capsys, monkeypatch):
-    real = cli.periods.period_integral_quadrature
-    monkeypatch.setattr(
-        cli.periods, "period_integral_quadrature", _explode_at(2, 0, ValueError, real)
-    )
+    real = cli.periods.PeriodGrid.quadrature
+    monkeypatch.setattr(cli.periods.PeriodGrid, "quadrature", _explode_at(2, 0, ValueError, real))
     code, _, err = run_cli(
         capsys, "table", "period", "--pq", "1,2", "--family", "quaternionic", "--n-max", "2"
     )

@@ -1,6 +1,7 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, nan
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,8 @@ from relbranch.oracle import jacobi_coeffs, radial_integral_monomial, weighted_p
 from relbranch.periods import (
     COMPLEX,
     QUATERNIONIC,
+    PeriodGrid,
     PreconditionError,
-    SharedFactors,
-    _period_args,
     closed_value,
     period_integral_exact,
     period_integral_quadrature,
@@ -205,7 +205,7 @@ def test_period_route_matches_family_literals():
                 for k in labels:
                     for p in range(1, q):
                         args = (radial_args(p, q, n, k), angular_args(q))
-                        assert _period_args(p, q, n, k, kind) == args, (kind, p, q, n, k)
+                        assert PeriodGrid(p, q, kind).args(n, k) == args, (kind, p, q, n, k)
                         got = closed_value(period_integral_exact(p, q, n, k, kind=kind))
                         assert got == float(_exact_period(p, q, n, k, kind)), (kind, p, q, n, k)
 
@@ -258,14 +258,15 @@ def test_period_quadrature_error_bounds_exact_error_to_degree_cap():
     # every record of the full 64 grids, which hold both benchmark grids
     # ((1,2) complex to 24, (2,5) quaternionic to 20); at (1,2) the records
     # with k = n + 2 put the nodes on the zeros of P_k, so that every node
-    # value is roundoff and only the scale floor bounds the error; each grid
-    # shares one table of sweeps and radial factors, as `table period` does
+    # value is roundoff and only the scale floor bounds the error; each
+    # signature is one PeriodGrid, whose sweeps and radial factors its
+    # records share, as `table period` does
     labels = range(0, MAX_DEGREE + 1, 2)
     for p, q, kind in [(1, 2, COMPLEX), (3, 20, COMPLEX), (2, 5, QUATERNIONIC)]:
-        shared = SharedFactors()
+        grid = PeriodGrid(p, q, kind)
         for n in labels:
             for k in labels:
-                quad = period_integral_quadrature(p, q, n, k, kind=kind, shared=shared)
+                quad = grid.quadrature(n, k)
                 error = abs(Fraction(quad.value) - _exact_period(p, q, n, k, kind))
                 assert error <= Fraction(quad.abs_error_estimate), (p, q, kind, n, k)
 
@@ -293,3 +294,51 @@ def test_period_functions_reject_octonionic():
     for call in calls:
         with pytest.raises(ValueError, match="octonionic"):
             call()
+
+
+def test_period_records_do_not_depend_on_the_grid():
+    # every record of the two benchmark grids, once on one grid that shares
+    # its sweeps and radial factors across records and once on a grid of its
+    # own: a sweep or factor shared between records it does not serve would
+    # move a record's floats
+    fields = ("closed", "quadrature", "quadrature_error")
+    for p, q, kind, top in [(1, 2, COMPLEX, 24), (2, 5, QUATERNIONIC, 20)]:
+        grid = PeriodGrid(p, q, kind)
+        labels = range(0, top + 1, 2)
+        for n in labels:
+            for k in labels:
+                shared, alone = grid.record(n, k), PeriodGrid(p, q, kind).record(n, k)
+                assert [shared[f] for f in fields] == [alone[f] for f in fields], (kind, n, k)
+
+
+def test_period_grid_refuses_at_construction():
+    # each fault is refused when the grid is built, before any label is
+    # read, with the type and text the period functions give it
+    cases = [
+        (dict(tol=0.0), ValueError, "tol must be positive and finite"),
+        (dict(tol=nan), ValueError, "tol must be positive and finite"),
+        (dict(p=2), PreconditionError, "need integer signature with q > p > 0, got (2, 2)"),
+        (dict(p=0), PreconditionError, "need integer signature with q > p > 0, got (0, 2)"),
+        (dict(kind="octonionic"), ValueError, "unknown family 'octonionic'"),
+    ]
+    for fault, error, text in cases:
+        args = {"p": 1, "q": 2, "kind": COMPLEX, "tol": 1e-10, **fault}
+        with pytest.raises(error) as info:
+            PeriodGrid(**args)
+        assert type(info.value) is error and str(info.value) == text, fault
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            period_integral_quadrature(args["p"], args["q"], 0, 0, args["tol"], args["kind"])
+        if "tol" not in fault:
+            with pytest.raises(error, match=f"^{re.escape(text)}$"):
+                period_integral_exact(args["p"], args["q"], 0, 0, args["kind"])
+    # with several faults, the first of tol, signature, family is refused
+    with pytest.raises(ValueError, match="^tol must"):
+        PeriodGrid(2, 2, "octonionic", 0.0)
+    with pytest.raises(PreconditionError, match="^need integer signature"):
+        PeriodGrid(2, 2, "octonionic")
+    # and the labels only when a period is asked for
+    grid = PeriodGrid(1, 2)
+    with pytest.raises(PreconditionError, match="^labels must be even"):
+        grid.args(1, 0)
+    with pytest.raises(ValueError, match="^degree 66 exceeds"):
+        grid.exact(0, 66)

@@ -6,8 +6,8 @@ import pytest
 from relbranch.oracle import beta_argument_evidence, radial_integral_monomial
 from relbranch.periods import (
     COMPLEX,
+    PeriodGrid,
     PreconditionError,
-    _period_args,
     _radial_quadrature,
     period_integral_quadrature,
 )
@@ -123,7 +123,7 @@ def test_radial_quadrature_divergence():
 
 def test_radial_quadrature_first_example_pair():
     # the (2p-1, 2q+n+k-1) pair at (p,q,n,k) = (1,2,0,0) is (1,3)
-    radial_args, _ = _period_args(1, 2, 0, 0, COMPLEX)
+    radial_args, _ = PeriodGrid(1, 2, COMPLEX).args(0, 0)
     assert radial_args == (1, 3)
     closed = radial_integral_exact(*radial_args)
     assert radial_integral_monomial(*radial_args) == closed

@@ -47,8 +47,8 @@ rendered once, by branching.coupling_record with a slot for a and one for
 b, and encoded once into a record text, split at b's slot.  Each a is put
 into those parts once per result, and a row's line is its b joining them.
 So a line holds the bytes a full encoding of the row's record would give,
-and the CLI knows none of the record's fields.  Its CSV projection reads
-each line back as a record.
+and the CLI knows none of the record's fields.  Its CSV projection renders
+each row's record from the same check result instead, and flattens it.
 
 A `table he --big/--small` record is written as it is built: the
 alignments come one group per shared prefix (hepattern.Alignments.groups),
@@ -372,6 +372,11 @@ def _rows_branch(args):
             filled = {}  # the same with this a put in
             for b, Pb in b_values:
                 values = check(Pa, Pb)
+                if args.csv:  # the row's record, which the CSV projection flattens
+                    inputs = {"p": p, "q": q, "a": a, "b": b}
+                    result = branching.coupling_record(values, a, b, warning)
+                    yield _record("table.branch", inputs, result, _BRANCH_RULES)
+                    continue
                 parts = filled.get(values)
                 if parts is None:
                     skeleton = skeletons.get(values)
@@ -429,9 +434,7 @@ def _rows_he(args):
         yield _record("table.he", {"n": n}, result, _HE_RULES)
 
 
-def _flatten(record) -> dict:
-    if isinstance(record, str):  # a line a grid filled
-        record = json.loads(record)
+def _flatten(record: dict) -> dict:
     flat: dict = {"command": record["command"]}
     for key, value in record["inputs"].items():
         flat[f"in.{key}"] = value

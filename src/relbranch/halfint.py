@@ -3,11 +3,15 @@
 Every representation parameter in this package (a, b, weights, character
 entries) lives in (1/2)Z.  Storing twice the value as an int keeps parity
 checks and comparisons exact; floats never enter validation paths.
+
+fractions, which imports decimal, is imported only where a Fraction is read
+or built (parse, from_fraction, coerce of a value that is not a HalfInt,
+int or str, as_fraction and hashing), so a command that builds its
+half-integers from ints loads neither.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import total_ordering
 
 from .frozen import Frozen
@@ -33,6 +37,8 @@ class HalfInt(Frozen):
 
     @classmethod
     def from_fraction(cls, f: Fraction) -> "HalfInt":
+        from fractions import Fraction
+
         f = Fraction(f)
         if f.denominator not in (1, 2):
             raise ValueError(f"{f} is not a half-integer")
@@ -45,6 +51,8 @@ class HalfInt(Frozen):
         optional exponent (``"3.5"``).  ``_`` (which Fraction takes from 3.11)
         and inner spaces (from 3.12) are refused, so every Python agrees.  A
         refusal names the literal, never its exact value."""
+        from fractions import Fraction
+
         try:
             literal = text.strip()
             if "_" in literal or any(map(str.isspace, literal)):
@@ -64,10 +72,12 @@ class HalfInt(Frozen):
             return value
         if isinstance(value, int):
             return cls.from_int(value)
-        if isinstance(value, Fraction):
-            return cls.from_fraction(value)
         if isinstance(value, str):
             return cls.parse(value)
+        from fractions import Fraction
+
+        if isinstance(value, Fraction):
+            return cls.from_fraction(value)
         raise TypeError(f"cannot coerce {value!r} to HalfInt")
 
     # -- views ------------------------------------------------------------
@@ -77,6 +87,8 @@ class HalfInt(Frozen):
         return self.twice % 2 == 0
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.twice, 2)
 
     def __float__(self) -> float:

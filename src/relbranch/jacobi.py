@@ -1,5 +1,5 @@
-"""Jacobi polynomials: one stable float evaluator, the exact connection
-coefficients and exact weighted pairings.
+"""Jacobi polynomials: one stable float evaluator and exact weighted
+pairings and squared norms.
 
 Normalization: P_n^(alpha,beta)(1) = Gamma(n+alpha+1) / (Gamma(n+1) Gamma(alpha+1)).
 
@@ -10,16 +10,22 @@ array('d') row per degree (jacobi_rows), and a caller that keeps the rows
 extends the same sweep when it asks for a higher degree; monomial
 coefficients reach 1e30 by degree 64 and cancel catastrophically in float.
 
-Pairings of a shifted polynomial against an unshifted one come in closed form
-from the connection formula (DLMF 18.18(iv)): P_n^(alpha+shift,beta) expands
-in the orthogonal P_j^(alpha,beta) with positive rational coefficients, each
-one product of factorials (connection_coeff), so each pairing is one
-coefficient times a squared norm, nonzero exactly when the second degree is
-at most the first.  This exact dichotomy drives every non-vanishing claim
-downstream.  The squared norm of a shifted polynomial under the unshifted
-weight is one closed form too (jacobi_shifted_norm_sq), not a sum over the
-expansion.  Both squared norms are pure functions of small integers, so each
-is built once per argument tuple and kept.
+The pairing of a shifted polynomial against an unshifted one is one closed
+form (jacobi_pairing): by the connection formula (DLMF 18.18(iv)),
+P_n^(alpha+shift,beta) expands in the orthogonal P_j^(alpha,beta) with
+positive coefficients, so orthogonality leaves one coefficient times a
+squared norm, nonzero exactly when the second degree is at most the first.
+This exact dichotomy drives every non-vanishing claim downstream.  The
+squared norm of a shifted polynomial under the unshifted weight is one
+closed form too (jacobi_shifted_norm_sq), not a sum over the expansion.
+Each closed form is a quotient of factorials with its common factors
+cancelled: a power of two times rising products (specfun.rising) of at most
+n + beta + shift terms, however large alpha is.  Each is returned as an
+exact integer ratio (numerator, denominator), never reduced, so no gcd is
+taken: the numerator is zero exactly when the value is, and numerator /
+denominator is the value correctly rounded to a float.  Both squared norms
+are pure functions of small integers, so each is built once per argument
+tuple and kept.
 
 The exact monomial-coefficient oracle these are tested against lives in
 relbranch.oracle and shares no code with this module.
@@ -28,10 +34,11 @@ relbranch.oracle and shares no code with this module.
 from __future__ import annotations
 
 from array import array
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import comb
 from typing import Sequence
+
+from .specfun import rising
 
 # Exact coefficient growth is roughly factorial in the degree; beyond this cap
 # the rationals become unwieldy without any downstream use.
@@ -100,60 +107,32 @@ def jacobi_rows(
 # ---------------------------------------------------------------------------
 
 
-def connection_coeff(n: int, k: int, alpha: int, beta_param: int, shift: int) -> Fraction:
-    """d_k in P_n^(alpha+shift,beta) = sum_k d_k P_k^(alpha,beta), zero for k > n
-    (DLMF 18.18(iv); Askey, Orthogonal Polynomials and Special Functions,
-    Lecture 7).  With ab = alpha + beta:
-
-        (shift)_{n-k} / (n-k)!
-        * (n+beta)! (n+k+ab+shift)! (2k+ab+1) (k+ab)!
-        / ((n+ab+shift)! (k+beta)! (n+k+ab+1)!)
-
-    Every factor is positive once shift >= 1; shift 0 gives the identity.
-    """
-    check_degree(n)
-    if alpha < 0 or beta_param < 0 or shift < 0:
-        raise ValueError("requires integer alpha, beta, shift >= 0")
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
-    if k > n:
-        return Fraction(0)
-    ab = alpha + beta_param
-    rising = prod(range(shift, shift + n - k)) // factorial(n - k)  # (shift)_{n-k} / (n-k)!
-    return Fraction(
-        rising
-        * factorial(n + beta_param)
-        * factorial(n + k + ab + shift)
-        * (2 * k + ab + 1)
-        * factorial(k + ab),
-        factorial(n + ab + shift) * factorial(k + beta_param) * factorial(n + k + ab + 1),
-    )
-
-
 @lru_cache(maxsize=None)
-def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> Fraction:
+def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> tuple[int, int]:
     """Exact norm of P_k^(alpha,beta) against the bare weight
-    (1-x)^alpha (1+x)^beta:
+    (1-x)^alpha (1+x)^beta, as an unreduced integer ratio:
 
         2^(alpha+beta+1) (k+alpha)! (k+beta)! / ((2k+alpha+beta+1) (k+alpha+beta)! k!)
+        = 2^(alpha+beta+1) (k+1)_beta / ((2k+alpha+beta+1) (k+alpha+1)_beta)
 
     which is 2^(alpha+1) / (2k+alpha+1) when beta = 0.
     """
     if alpha < 0 or beta_param < 0:
         raise ValueError("requires integer alpha, beta >= 0")
     ab = alpha + beta_param
-    return Fraction(
-        2 ** (ab + 1) * factorial(k + alpha) * factorial(k + beta_param),
-        (2 * k + ab + 1) * factorial(k + ab) * factorial(k),
+    return (
+        rising(k + 1, beta_param) << (ab + 1),
+        (2 * k + ab + 1) * rising(k + alpha + 1, beta_param),
     )
 
 
 @lru_cache(maxsize=None)
-def jacobi_shifted_norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> Fraction:
+def jacobi_shifted_norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> tuple[int, int]:
     """Exact squared norm of P_n^(alpha+shift,beta) against the unshifted
-    weight (1-x)^alpha (1+x)^beta, for shift 1 or 2: the sum of d_j^2 h_j over
-    its connection coefficients d_j and the norms h_j, in closed form.  With
-    a = alpha + shift, b = beta and N = 2^(a+b) (n+a)! (n+b)! / (n! (n+a+b)!),
+    weight (1-x)^alpha (1+x)^beta, for shift 1 or 2, as an unreduced integer
+    ratio: the sum of d_j^2 h_j over its connection coefficients d_j and the
+    norms h_j, in closed form.  With a = alpha + shift, b = beta and
+    N = 2^(a+b) (n+a)! (n+b)! / (n! (n+a+b)!) = 2^(a+b) (n+1)_b / (n+a+1)_b,
     it is N / a for shift 1 and N (2n(n+a+b+1) + (a+b)(a+1)) / (2 (a-1) a (a+1))
     for shift 2.
     """
@@ -161,23 +140,39 @@ def jacobi_shifted_norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> F
     if alpha < 0 or beta_param < 0 or shift not in (1, 2):
         raise ValueError(f"requires integer alpha, beta >= 0 and shift 1 or 2, got {shift}")
     a, ab = alpha + shift, alpha + shift + beta_param
-    norm = Fraction(
-        2**ab * factorial(n + a) * factorial(n + beta_param), factorial(n) * factorial(n + ab)
-    )
+    num, den = rising(n + 1, beta_param) << ab, rising(n + a + 1, beta_param)
     if shift == 1:
-        return norm / a
-    return norm * (2 * n * (n + ab + 1) + ab * (a + 1)) / (2 * (a - 1) * a * (a + 1))
+        return num, den * a
+    return num * (2 * n * (n + ab + 1) + ab * (a + 1)), den * 2 * (a - 1) * a * (a + 1)
 
 
-def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> Fraction:
+def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> tuple[int, int]:
     """Exact integral of P_n^(alpha+shift,beta) P_k^(alpha,beta)
-    (1-x)^alpha (1+x)^beta over [-1, 1], for shift 1 or 2.
+    (1-x)^alpha (1+x)^beta over [-1, 1], for shift 1 or 2, as an unreduced
+    integer ratio; (0, 1) when k > n.
 
-    Orthogonality leaves one term of the connection expansion: d_k h_k, with
-    h_k the squared norm.  Both factors are positive, so the pairing is
-    nonzero exactly when k <= n.
+    Orthogonality leaves one term of the connection expansion: d_k h_k,
+    with d_k the connection coefficient (DLMF 18.18(iv); Askey, Orthogonal
+    Polynomials and Special Functions, Lecture 7) and h_k the squared norm
+    (jacobi_norm_sq).  Their product's factorials cancel, leaving, with
+    ab = alpha + beta and k <= n,
+
+        (shift)_{n-k} / (n-k)! * 2^(ab+1) * (k+1)_{n+beta-k}
+        * [n+k+ab+2 if shift = 2] / (k+alpha+1)_{n+beta-k+shift}
+
+    where (shift)_{n-k} / (n-k)! is the binomial C(n-k+shift-1, n-k).
+    Every factor is positive, so the pairing is nonzero exactly when k <= n.
     """
     check_degree(k)
     if shift not in (1, 2):
         raise ValueError(f"shift must be 1 or 2, got {shift}")
-    return connection_coeff(n, k, alpha, beta_param, shift) * jacobi_norm_sq(k, alpha, beta_param)
+    check_degree(n)
+    if alpha < 0 or beta_param < 0:
+        raise ValueError("requires integer alpha, beta >= 0")
+    if k > n:
+        return 0, 1
+    ab, span = alpha + beta_param, n + beta_param - k
+    num = comb(n - k + shift - 1, n - k) * rising(k + 1, span) << (ab + 1)
+    if shift == 2:
+        num *= n + k + ab + 2
+    return num, rising(k + alpha + 1, span + shift)

@@ -17,24 +17,25 @@ other kind raises ValueError).  The radial factor takes the density's sinh
 power and the total cosh decay; the angular factor pairs the big family's
 polynomial against the embedded family's (over (p, q-1)) under the embedded
 weight, shifted by the difference of the two alphas.  The exact pairing is
-one closed-form connection coefficient times a squared norm
-(jacobi.jacobi_pairing) and decides vanishing; the radial factor is rational
-too (specfun.radial_integral_exact), so the period is one exact Fraction
-(PeriodGrid.exact), zero exactly when the period vanishes and rounded
-once for the closed value (closed_value); check_labels refuses a label
-above MAX_DEGREE before either factor is built.  The quadrature oracle is
-independent of both exact factors.  On the period route both factors are
-polynomials: the radial one after v = tanh^2 t, the angular one as the
-product of the float three-term recurrence values at the rule's nodes
-(rows n and k of jacobi.jacobi_rows) and the weight.  So one Gauss-Legendre
-rule per factor, with degree // 2 + 1 nodes, is exact up to roundoff
+one closed form (jacobi.jacobi_pairing) and decides vanishing; the radial
+factor is rational too (specfun.radial_integral_exact).  Each is an exact
+integer ratio (numerator, denominator), never reduced, so the period is one
+such ratio (PeriodGrid.exact): its numerator is zero exactly when the period
+vanishes, and numerator / denominator, which Python rounds correctly, is the
+closed value (closed_value).  check_labels refuses a label above MAX_DEGREE
+before either factor is built.  The quadrature oracle is independent of both
+exact factors.  On the period route both factors are polynomials: the radial
+one after v = tanh^2 t, the angular one as the product of the float
+three-term recurrence values at the rule's nodes (rows n and k of
+jacobi.jacobi_rows) and the weight.  So one Gauss-Legendre rule per factor,
+with degree // 2 + 1 nodes, is exact up to roundoff
 (specfun.gauss_legendre_quadrature), and it reaches the full label range up
 to MAX_DEGREE.  The result carries its own roundoff bound, which is what a
 quadrature value is judged against; vanishing is read from the exact route
-only.  Only the angular scale, a Cauchy-Schwarz bound that gates the
-tolerance and floors the roundoff bound, reads the two squared norms, each
-one exact closed form (jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq)
-rounded once.
+only.  Only the angular scale, a Cauchy-Schwarz bound that gates the tolerance
+and floors the roundoff bound, reads the two squared norms, each one exact
+closed form (jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq) rounded
+once.
 
 A period grid is one PeriodGrid(p, q, kind, tol), which checks the
 tolerance, the signature and the family once, when it is built, and whose
@@ -51,7 +52,6 @@ its own factors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import inf, sqrt
 from typing import Sequence
 
@@ -88,11 +88,12 @@ def check_labels(n: int, k: int) -> None:
     check_degree(n)
 
 
-def closed_value(exact: Fraction) -> float:
-    """An exact period correctly rounded to a float.  Raises ConvergenceError
-    when it is too large for a float."""
+def closed_value(exact: tuple[int, int]) -> float:
+    """An exact period (numerator, denominator) correctly rounded to a
+    float.  Raises ConvergenceError when it is too large for a float."""
+    num, den = exact
     try:
-        return float(exact)
+        return num / den
     except OverflowError as exc:
         raise ConvergenceError(f"closed form overflowed: {exc}") from exc
 
@@ -100,8 +101,9 @@ def closed_value(exact: Fraction) -> float:
 def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> float:
     """Cauchy-Schwarz bound sqrt(||P_n||^2 ||P_k||^2) on jacobi_pairing(n, k, ...),
     each squared norm exact and rounded once."""
-    big = float(jacobi_shifted_norm_sq(n, alpha, beta_param, shift))
-    return sqrt(big * float(jacobi_norm_sq(k, alpha, beta_param)))
+    big_num, big_den = jacobi_shifted_norm_sq(n, alpha, beta_param, shift)
+    small_num, small_den = jacobi_norm_sq(k, alpha, beta_param)
+    return sqrt(big_num / big_den * (small_num / small_den))
 
 
 def _gated(result: QuadratureResult, scale: float, tol: float, factor: str) -> QuadratureResult:
@@ -173,23 +175,28 @@ class PeriodGrid:
         rows = self._sweeps.setdefault((len(nodes), alpha, beta_param), [])
         return jacobi_rows(n, alpha, beta_param, nodes, rows)[n]
 
-    def exact(self, n: int, k: int) -> Fraction:
-        """Exact period integral: the rational radial factor A(sinh power,
-        cosh decay) times the exact angular factor, int P_n^(alpha+shift,beta)
-        P_k^(alpha,beta) (1-x)^alpha (1+x)^beta dx with P_n the big family's
-        polynomial and (alpha, beta) the embedded family's exponents.
+    def exact(self, n: int, k: int) -> tuple[int, int]:
+        """Exact period integral, as an unreduced integer ratio: the radial
+        factor A(sinh power, cosh decay) times the exact angular factor,
+        int P_n^(alpha+shift,beta) P_k^(alpha,beta) (1-x)^alpha (1+x)^beta dx
+        with P_n the big family's polynomial and (alpha, beta) the embedded
+        family's exponents.
 
-        Nonzero exactly when k <= n: the radial factor is a convergent
-        integral of a positive function, and the angular pairing vanishes
-        exactly when k > n.  Raises PreconditionError when q is so large
-        that a factorial argument passes sys.maxsize."""
+        Its numerator is nonzero exactly when k <= n: the radial factor is a
+        convergent integral of a positive function, and the angular pairing
+        vanishes exactly when k > n.  Raises PreconditionError when q is so
+        large that an argument of the radial factor's factorial form passes
+        sys.maxsize; the radial factor is built first, so this holds for
+        every n and k."""
         radial, angular = self.args(n, k)
         # convergence: the cosh decay exceeds the sinh power automatically for q > p
         try:
-            return self._factor(radial_integral_exact, *radial) * jacobi_pairing(n, k, *angular)
+            radial_num, radial_den = self._factor(radial_integral_exact, *radial)
+            angular_num, angular_den = jacobi_pairing(n, k, *angular)
         except OverflowError as exc:
             message = f"signature ({self.p}, {self.q}) is too large for exact factorials"
             raise PreconditionError(message) from exc
+        return radial_num * angular_num, radial_den * angular_den
 
     def _angular_quadrature(
         self, n: int, k: int, alpha: int, beta_param: int, shift: int
@@ -251,11 +258,11 @@ class PeriodGrid:
             "quadrature": quad.value,
             "quadrature_error": quad.abs_error_estimate,
             "abs_difference": abs(closed - quad.value),
-            "nonvanishing": exact != 0,
+            "nonvanishing": exact[0] != 0,
         }
 
 
-def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> Fraction:
+def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> tuple[int, int]:
     """PeriodGrid(p, q, kind).exact(n, k): one exact period on a grid of its own."""
     return PeriodGrid(p, q, kind).exact(n, k)
 

@@ -10,7 +10,9 @@ convergent for alpha > -1 and beta > alpha.  It equals
 against an independent exact oracle, the term-by-term integral of the
 binomial expansion after u = tanh t, on integer pairs (see
 docs/radial_integral_calibration.md, built by relbranch.oracle).  On the
-period route both Beta arguments are positive integers, so A is rational.
+period route both Beta arguments are positive integers, so A is rational:
+an unreduced ratio of two ints, built from a factorial and a rising product
+(rising), with no Fraction and no gcd.
 
 The quadrature here integrates polynomials only: the m-point Gauss-Legendre
 rule is exact to degree 2m - 1 (DLMF 3.5(v)), so a polynomial of known
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,16 +43,33 @@ class QuadratureResult(NamedTuple):
     evaluations: int
 
 
-def radial_integral_exact(alpha: int, beta_exp: int) -> Fraction:
-    """A(alpha, beta) = (1/2) B(a, b) = (a-1)! (b-1)! / (2 (a+b-1)!) exactly,
-    with a = (alpha+1)/2 and b = (beta-alpha)/2 (DLMF 5.12.1); raises
-    ValueError unless a and b are positive integers."""
+def rising(x: int, m: int) -> int:
+    """The rising product (x)_m = x (x+1) ... (x+m-1) of integers x >= 1 and
+    m >= 0 (DLMF 5.2.5).  A short one, of at most 32 terms or of no more
+    terms than x, is a plain product; a longer one is the quotient
+    (x+m-1)! / (x-1)!, since math.factorial splits its product in halves.
+    Only where x is below m does that quotient pay: a factorial of x far
+    above m costs far more than the m terms."""
+    if m <= max(32, x):
+        return math.prod(range(x, x + m))
+    return math.factorial(x + m - 1) // math.factorial(x - 1)
+
+
+def radial_integral_exact(alpha: int, beta_exp: int) -> tuple[int, int]:
+    """A(alpha, beta) = (1/2) B(a, b) = (a-1)! / (2 (b)_a) exactly, as the
+    unreduced ratio (numerator, denominator), with a = (alpha+1)/2 and
+    b = (beta-alpha)/2 (DLMF 5.12.1): (b-1)! / (a+b-1)! is 1 / (b)_a.
+    Raises ValueError unless a and b are positive integers, and
+    OverflowError when a + b - 1, the largest argument of the factorial
+    form (a-1)! (b-1)! / (2 (a+b-1)!), passes sys.maxsize, as math.factorial
+    would."""
     ints = isinstance(alpha, int) and isinstance(beta_exp, int)
     if not (ints and alpha > 0 and alpha % 2 and beta_exp > alpha and (beta_exp - alpha) % 2 == 0):
         raise ValueError(f"A({alpha}, {beta_exp}): Beta arguments must be positive integers")
     a, b = (alpha + 1) // 2, (beta_exp - alpha) // 2
-    f = math.factorial
-    return Fraction(f(a - 1) * f(b - 1), 2 * f(a + b - 1))
+    if a + b - 1 > sys.maxsize:
+        raise OverflowError(f"A({alpha}, {beta_exp}): factorial argument exceeds sys.maxsize")
+    return math.factorial(a - 1), 2 * rising(b, a)
 
 
 # ---------------------------------------------------------------------------

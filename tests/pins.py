@@ -1,7 +1,8 @@
 """The pinned bytes of relbranch commands: one row per command line, with the
 sha256 of what it writes to stdout.  Each command exits 0 and writes nothing
 to stderr.  A second table, REFUSALS, pins commands that must be refused:
-each exits 2, writes nothing to stdout and exactly its row's text to stderr.
+each exits with its row's code (2 for a refused input, 3 for a numerical
+failure), writes nothing to stdout and exactly its row's text to stderr.
 
 Run as a script, it runs every row of both tables through
 ``relbranch.cli.main`` in the interpreter that runs it, prints one PASS or
@@ -165,18 +166,22 @@ REFUSALS = [
     # and a zero denominator, whose ZeroDivisionError text is Fraction's own
     (
         "relbranch branch --pq 3,3 --plus-a 1_1/2 --plus-b 2",
+        2,
         "error: cannot parse half-integer from '1_1/2': Invalid literal for Fraction: '1_1/2'\n",
     ),
     (
         'relbranch branch --pq 3,3 --plus-a "7 / 2" --plus-b 2',
+        2,
         "error: cannot parse half-integer from '7 / 2': Invalid literal for Fraction: '7 / 2'\n",
     ),
     (
         "relbranch table branch --pq 4,5 --a-range 4..1_0 --b-range 7/2..9/2",
+        2,
         "error: cannot parse half-integer from '1_0': Invalid literal for Fraction: '1_0'\n",
     ),
     (
         "relbranch branch --pq 3,3 --plus-a 1/0 --plus-b 2",
+        2,
         "error: cannot parse half-integer from '1/0': zero denominator\n",
     ),
     # a refusal names a value as the command line wrote it, not its exact
@@ -184,18 +189,22 @@ REFUSALS = [
     # decimal as a fraction of two long integers
     (
         "relbranch branch --pq 3,3 --plus-a 1e400 --plus-b 2",
+        2,
         "error: parity: 2a must be odd for U(3,3) at level G, got a = 1e400\n",
     ),
     (
         "relbranch branch --pq 3,3 --gp 1e400 3",
+        2,
         "error: parity: 2a must be odd for U(3,3) at level G, got a = 1e400\n",
     ),
     (
         "relbranch branch --pq 3,3 --pi-minus 1e400",
+        2,
         "error: parity: 2a must be odd for U(3,3) at level G, got a = 1e400\n",
     ),
     (
         "relbranch branch --pq 3,3 --plus-a 0.3333333333333333333333 --plus-b 2",
+        2,
         "error: cannot parse half-integer from '0.3333333333333333333333': "
         "0.3333333333333333333333 is not a half-integer\n",
     ),
@@ -206,58 +215,101 @@ REFUSALS = [
     # refused before the first row; and a q too large for exact factorials
     (
         "relbranch table branch --pq 4,5 --a-range 4..20004 --b-range 7/2..9/2",
+        2,
         "error: grid of 40002 records exceeds the cap 10000\n",
     ),
     (
         "relbranch table period --pq 1,2 --n-max 99999999999999999999 --k-max 99999999999999999999",
+        2,
         "error: grid of more than 10^18 records exceeds the cap 10000\n",
     ),
     (
         "relbranch branch --pq 3,3 --pi-minus 5/2 --max-k 10000",
+        2,
         "error: 10001 summands exceed the cap 10000\n",
     ),
     (
         "relbranch branch --pq 3,3 --pi-minus 5/2 --max-k 1000000000000000000000000000000",
+        2,
         "error: more than 10^18 summands exceed the cap 10000\n",
     ),
     (
         "relbranch table he --big +-+-+-+-+-+-+-+-+-+-+-+- --small PMPMPMPMPMPMPMPMPMPMPMPM",
+        2,
         "error: 2704156 alignments exceed the cap 1000000\n",
     ),
     (
         "relbranch period --pq 1,2 --n 66 --k 0",
+        2,
         "error: degree 66 exceeds the exact-coefficient cap 64\n",
     ),
     (
         "relbranch table period --pq 1,2 --n-max 70 --k-max 66",
+        2,
         "error: degree 66 exceeds the exact-coefficient cap 64\n",
     ),
     (
         "relbranch table exhaustion --pq 3,3 --ell 8..1025",
+        2,
         "error: ell = 1025 exceeds the per-row cap MAX_ELL = 1024\n",
     ),
     (
         "relbranch table he --n 4..257",
+        2,
         "error: n = 257 exceeds the per-row cap MAX_U2N = 256\n",
     ),
     (
         "relbranch table he --big " + "+-" * 181 + " --small " + "PM" * 181,
+        2,
         "error: (362 + 1) * (362 + 1) position pairs exceed the per-record cap "
         "MAX_POSITIONS = 131072\n",
     ),
     (
         "relbranch period --pq 1,100000000000000000000 --n 0 --k 0",
+        2,
         "error: signature (1, 100000000000000000000) is too large for exact factorials\n",
     ),
     # a period table's tolerance and signature, refused before its first row
     # with no row named, as the other tables refuse theirs
     (
         "relbranch table period --pq 2,2 --n-max 4",
+        2,
         "error: need integer signature with q > p > 0, got (2, 2)\n",
     ),
     (
         "relbranch table period --pq 1,2 --tol 0",
+        2,
         "error: tol must be positive and finite\n",
+    ),
+    # a signature too large for exact factorials is refused (exit 2) however
+    # the labels stand, k > n included, where the pairing is 0 and builds no
+    # factorial: the radial factor's factorial form is checked first
+    (
+        "relbranch period --pq 1,100000000000000000000 --n 0 --k 2",
+        2,
+        "error: signature (1, 100000000000000000000) is too large for exact factorials\n",
+    ),
+    (
+        "relbranch period --pq 1,100000000000000000000 --family quaternionic --n 0 --k 2",
+        2,
+        "error: signature (1, 100000000000000000000) is too large for exact factorials\n",
+    ),
+    # numerical failures (exit 3) past the float range at large q: a squared
+    # norm of the Cauchy-Schwarz scale, their product, and the closed value
+    (
+        "relbranch period --pq 1,3000 --n 0 --k 2",
+        3,
+        "error: quadrature overflowed: integer division result too large for a float\n",
+    ),
+    (
+        "relbranch period --pq 1,600 --n 0 --k 0",
+        3,
+        "error: angular Cauchy-Schwarz scale inf is not finite\n",
+    ),
+    (
+        "relbranch period --pq 1,1100 --n 0 --k 0",
+        3,
+        "error: closed form overflowed: integer division result too large for a float\n",
     ),
 ]
 
@@ -304,11 +356,11 @@ def check(line, expected):
     return "" if got == expected else f"sha256 {got}, pinned {expected}"
 
 
-def check_refusal(line, expected):
-    """"" if the command line exits 2, writes nothing to stdout and exactly
-    expected to stderr, else what it did."""
+def check_refusal(line, expected_code, expected):
+    """"" if the command line exits expected_code, writes nothing to stdout
+    and exactly expected to stderr, else what it did."""
     code, sink, err = _run(line)
-    if (code, sink.size, err) == (2, 0, expected):
+    if (code, sink.size, err) == (expected_code, 0, expected):
         return ""
     return f"exit {code}, {sink.size} characters on stdout, stderr {err!r}"
 
@@ -320,8 +372,8 @@ def main(argv):
     print(f"pins on Python {platform.python_version()}", flush=True)
     rows = [(check, *row) for row in ROWS] + [(check_refusal, *row) for row in REFUSALS]
     failed = 0
-    for verify, line, expected in rows:
-        problem = verify(line, expected)
+    for verify, line, *expected in rows:
+        problem = verify(line, *expected)
         failed += bool(problem)
         print(f"FAIL {line}: {problem}" if problem else f"PASS {line}", flush=True)
     print(f"{len(rows) - failed} of {len(rows)} rows pass")

@@ -23,7 +23,7 @@ from relbranch.branching import (
 )
 from relbranch.halfint import HalfInt
 from relbranch.hepattern import enumerate_alignments, u1n_end_candidates, u2n_plus_sequence
-from relbranch.jacobi import connection_coeff, jacobi_rows
+from relbranch.jacobi import jacobi_rows
 from relbranch.oracle import (
     beta_argument_evidence,
     compact_relative_mult,
@@ -41,6 +41,8 @@ from relbranch.periods import (
 )
 from relbranch.reps import EPSILON_1, EPSILON_2, GroupLevel, Side, Signature, make_param
 from relbranch.specfun import radial_integral_exact
+
+from factorial_forms import connection_coeff
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,7 +99,7 @@ def test_criterion_03_period_dichotomy():
                         else:
                             assert abs(closed - quad.value) <= 1e-8 * abs(closed)
                         assert (closed != 0.0) == (0 <= k <= n)
-                        assert (period_integral_exact(p, q, n, k) != 0) == (0 <= k <= n)
+                        assert (period_integral_exact(p, q, n, k)[0] != 0) == (0 <= k <= n)
 
     _criterion(3, "period integral: closed form vs quadrature, vanishing iff k > n",
                120.0, check)
@@ -113,7 +115,7 @@ def test_criterion_04_beta_argument_calibration():
             closed = Fraction(row["variant_plus"])
             assert closed == Fraction(row["oracle"])
             if alpha % 2:  # and so does the period route's factorial form
-                assert radial_integral_exact(alpha, beta_exp) == closed
+                assert Fraction(*radial_integral_exact(alpha, beta_exp)) == closed
             if (alpha, beta_exp) in exact:
                 assert closed == exact[alpha, beta_exp]
         doc = REPO_ROOT / "docs" / "radial_integral_calibration.md"
@@ -174,7 +176,7 @@ def test_criterion_06_period_branching_agreement():
                             sig, Side.PLUS, GroupLevel.GPRIME, fj_label_to_b(sig, k)
                         )
                         assert hom_dim(Pi, pi) == (
-                            1 if period_integral_exact(p, q, n, k) != 0 else 0
+                            1 if period_integral_exact(p, q, n, k)[0] != 0 else 0
                         )
 
     _criterion(6, "label dictionary aligns period vanishing with coupling", 10.0, check)

@@ -388,7 +388,7 @@ def test_period_branching_agreement():
             for k in range(0, 13, 2):
                 b = fj_label_to_b(sig, k)
                 pi = make_param(sig, Side.PLUS, GroupLevel.GPRIME, b)
-                assert hom_dim(Pi, pi) == (1 if period_integral_exact(p, q, n, k) != 0 else 0)
+                assert hom_dim(Pi, pi) == (1 if period_integral_exact(p, q, n, k)[0] != 0 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from relbranch.jacobi import (
     MAX_DEGREE,
     _recurrence_ratios,
-    connection_coeff,
     jacobi_norm_sq,
     jacobi_pairing,
     jacobi_rows,
@@ -16,8 +15,16 @@ from relbranch.jacobi import (
 )
 from relbranch.oracle import jacobi_coeffs, normalization_at_one, weighted_pairing
 
+import factorial_forms as forms
+from factorial_forms import connection_coeff
+
 # exact oracle polynomials, each built once
 _coeffs = lru_cache(maxsize=None)(jacobi_coeffs)
+
+
+def _norm_sq(k, alpha, beta=0):
+    """jacobi_norm_sq as a Fraction."""
+    return Fraction(*jacobi_norm_sq(k, alpha, beta))
 
 
 def _expansion(n, alpha, beta, shift):
@@ -195,7 +202,7 @@ def test_weighted_inner_product_dichotomy_and_value():
                 if k > m:
                     assert got == 0, (m, k, alpha)
                 else:
-                    assert got == cs[k] * jacobi_norm_sq(k, alpha), (m, k, alpha)
+                    assert got == cs[k] * _norm_sq(k, alpha), (m, k, alpha)
                     assert got != 0
 
 
@@ -209,7 +216,7 @@ def test_same_family_orthogonality():
                 if m != k:
                     assert val == 0, (m, k, alpha)
                 else:
-                    assert val == jacobi_norm_sq(m, alpha)
+                    assert val == _norm_sq(m, alpha)
 
 
 def test_integrate_with_weight_validation():
@@ -227,7 +234,7 @@ def test_norm_sq_general_beta_matches_expansion():
     for alpha in range(0, 4):
         for beta in (0, 1, 3):
             for k in range(0, 7):
-                assert jacobi_norm_sq(k, alpha, beta) == _expanded_pairing(k, k, alpha, beta, 0)
+                assert _norm_sq(k, alpha, beta) == _expanded_pairing(k, k, alpha, beta, 0)
 
 
 def test_shifted_norm_sq_closed_form_to_degree_cap():
@@ -238,10 +245,11 @@ def test_shifted_norm_sq_closed_form_to_degree_cap():
             for alpha in (0, 3, 18, 125):
                 for n in range(0, MAX_DEGREE + 1):
                     expanded = sum(
-                        d * d * jacobi_norm_sq(j, alpha, beta)
+                        d * d * _norm_sq(j, alpha, beta)
                         for j, d in enumerate(_expansion(n, alpha, beta, shift))
                     )
-                    assert jacobi_shifted_norm_sq(n, alpha, beta, shift) == expanded, (
+                    got = Fraction(*jacobi_shifted_norm_sq(n, alpha, beta, shift))
+                    assert got == expanded, (
                         n, alpha, beta, shift,
                     )
 
@@ -252,7 +260,8 @@ def test_shifted_norm_sq_matches_oracle_and_validates():
             for n in range(0, 7):
                 big = _coeffs(n, alpha + shift, beta)
                 want = weighted_pairing(big, big, alpha, beta)
-                assert jacobi_shifted_norm_sq(n, alpha, beta, shift) == want, (n, alpha, shift)
+                got = Fraction(*jacobi_shifted_norm_sq(n, alpha, beta, shift))
+                assert got == want, (n, alpha, shift)
     with pytest.raises(ValueError, match="cap"):
         jacobi_shifted_norm_sq(MAX_DEGREE + 1, 0, 0, 1)
     with pytest.raises(ValueError, match="shift"):
@@ -267,11 +276,11 @@ def test_jacobi_pairing_matches_expansion_small_grid():
             for shift in (1, 2):
                 for n in range(0, 7):
                     for k in range(0, 7):
-                        got = jacobi_pairing(n, k, alpha, beta, shift)
-                        assert got == _expanded_pairing(n, k, alpha, beta, shift), (
+                        num, den = jacobi_pairing(n, k, alpha, beta, shift)
+                        assert Fraction(num, den) == _expanded_pairing(n, k, alpha, beta, shift), (
                             n, k, alpha, beta, shift,
                         )
-                        assert (got != 0) == (k <= n)
+                        assert (num != 0) == (k <= n)
 
 
 def test_jacobi_pairing_shift_one_beta_zero_is_connection_times_norm():
@@ -279,7 +288,8 @@ def test_jacobi_pairing_shift_one_beta_zero_is_connection_times_norm():
         for n in range(0, 11):
             cs = _expansion(n, alpha, 0, 1)
             for k in range(0, n + 1):
-                assert jacobi_pairing(n, k, alpha, 0, 1) == cs[k] * jacobi_norm_sq(k, alpha)
+                got = Fraction(*jacobi_pairing(n, k, alpha, 0, 1))
+                assert got == cs[k] * _norm_sq(k, alpha)
 
 
 def test_connection_expansion_identity_exact():
@@ -338,7 +348,7 @@ def test_jacobi_pairing_validation():
         jacobi_pairing(2, 0, 0, -1, 1)
     with pytest.raises(ValueError):
         jacobi_pairing(2, 0, 0, 0, 3)
-    assert jacobi_pairing(MAX_DEGREE, MAX_DEGREE, 0, 0, 2) > 0
+    assert jacobi_pairing(MAX_DEGREE, MAX_DEGREE, 0, 0, 2)[0] > 0
 
 
 def _fraction_ratios(alpha, beta):
@@ -364,3 +374,40 @@ def test_recurrence_ratios_are_the_exact_ratios_rounded_once():
         assert len(rows) == MAX_DEGREE
         assert all(type(r) is float for row in rows for r in row), (alpha, beta)
         assert rows == _fraction_ratios(alpha, beta), (alpha, beta)
+
+
+# alphas of both families' angular pairings, complex q - 2 and quaternionic
+# 2q - 3, up to quaternionic q = 530
+_ALPHAS = (0, 1, 7, 18, 37, 521, 1057)
+
+
+def test_pairing_is_the_factorial_form_to_quaternionic_q_530():
+    # the cancelled closed form against the connection coefficient times the
+    # squared norm, both in factorial form, at every pair of even labels up
+    # to the cap; it is (0, 1) above the diagonal
+    labels = range(0, MAX_DEGREE + 1, 2)
+    for alpha in _ALPHAS:
+        for beta in (0, 1):
+            norms = [forms.norm_sq(k, alpha, beta) for k in labels]
+            for shift in (1, 2):
+                for n in labels:
+                    for k, norm in zip(labels, norms):
+                        case = (n, k, alpha, beta, shift)
+                        got = jacobi_pairing(n, k, alpha, beta, shift)
+                        if k > n:
+                            assert got == (0, 1), case
+                        else:
+                            assert Fraction(*got) == connection_coeff(*case) * norm, case
+
+
+def test_norms_are_the_factorial_forms_to_quaternionic_q_530():
+    # both squared norms of the Cauchy-Schwarz scale, at every degree up to
+    # the cap, against their factorial forms
+    for alpha in _ALPHAS:
+        for beta in (0, 1):
+            for k in range(0, MAX_DEGREE + 1):
+                assert _norm_sq(k, alpha, beta) == forms.norm_sq(k, alpha, beta), (k, alpha, beta)
+                for shift in (1, 2):
+                    got = Fraction(*jacobi_shifted_norm_sq(k, alpha, beta, shift))
+                    want = forms.shifted_norm_sq(k, alpha, beta, shift)
+                    assert got == want, (k, alpha, beta, shift)

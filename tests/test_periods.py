@@ -1,7 +1,7 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, nan
+from math import nan, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,14 @@ from relbranch.periods import (
     QUATERNIONIC,
     PeriodGrid,
     PreconditionError,
+    _angular_scale,
     closed_value,
     period_integral_exact,
     period_integral_quadrature,
 )
-from relbranch.specfun import radial_integral_exact
+from relbranch.specfun import QuadratureResult, radial_integral_exact
+
+import factorial_forms as forms
 
 # The exponents of each family, written out apart from periods: the radial
 # sinh power and cosh decay, and the angular (alpha, beta, shift).
@@ -35,9 +38,10 @@ _FAMILY_LITERALS = {
 
 
 def _angular_exact(q, n, k, kind=COMPLEX):
-    """The exact angular factor of a period: the Jacobi pairing at the
-    family's literal angular exponents.  Nonzero exactly when k <= n."""
-    return jacobi_pairing(n, k, *_FAMILY_LITERALS[kind][1](q))
+    """The exact angular factor of a period, as a Fraction: the Jacobi
+    pairing at the family's literal angular exponents.  Nonzero exactly when
+    k <= n."""
+    return Fraction(*jacobi_pairing(n, k, *_FAMILY_LITERALS[kind][1](q)))
 
 
 def test_period_preconditions():
@@ -58,13 +62,14 @@ def test_period_closed_base_case():
 
 def test_period_closed_vanishing_case():
     assert closed_value(period_integral_exact(1, 2, 0, 2)) == 0.0
-    assert _angular_exact(2, 0, 2) == Fraction(0)
+    assert jacobi_pairing(0, 2, *_FAMILY_LITERALS[COMPLEX][1](2)) == (0, 1)
 
 
 def test_period_nonvanishing_examples():
-    assert period_integral_exact(1, 2, 4, 2) != 0
-    assert not period_integral_exact(1, 2, 2, 4) != 0
-    assert period_integral_exact(1, 2, 0, 0) != 0
+    # the numerator of the exact period decides
+    assert period_integral_exact(1, 2, 4, 2)[0] != 0
+    assert period_integral_exact(1, 2, 2, 4)[0] == 0
+    assert period_integral_exact(1, 2, 0, 0)[0] != 0
 
 
 def test_period_quadrature_examples():
@@ -90,7 +95,7 @@ def test_period_dichotomy_small_grid():
             for k in range(0, 7, 2):
                 closed = closed_value(period_integral_exact(p, q, n, k))
                 assert (closed != 0) == (k <= n)
-                assert (period_integral_exact(p, q, n, k) != 0) == (k <= n)
+                assert (period_integral_exact(p, q, n, k)[0] != 0) == (k <= n)
 
 
 def test_period_quadrature_determinism():
@@ -211,13 +216,11 @@ def test_period_route_matches_family_literals():
 
 
 def _exact_period(p, q, n, k, kind):
-    """The exact period: the radial factor A = (a-1)! (b-1)! / (2 (a+b-1)!)
-    with a = (alpha+1)/2, b = (beta-alpha)/2 (DLMF 5.12.1), times the pairing."""
+    """The exact period as a Fraction: the radial factor in its factorial
+    form (DLMF 5.12.1) times the pairing."""
     radial_args, angular_args = _FAMILY_LITERALS[kind]
-    alpha, beta = radial_args(p, q, n, k)
-    a, b = (alpha + 1) // 2, (beta - alpha) // 2
-    radial = Fraction(factorial(a - 1) * factorial(b - 1), 2 * factorial(a + b - 1))
-    return radial * jacobi_pairing(n, k, *angular_args(q))
+    angular = Fraction(*jacobi_pairing(n, k, *angular_args(q)))
+    return forms.radial(*radial_args(p, q, n, k)) * angular
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,7 +243,7 @@ def test_period_exact_matches_the_oracle_product(kind, pq, n, k):
         jacobi_coeffs(n, alpha + shift, beta), jacobi_coeffs(k, alpha, beta), alpha, beta
     )
     want = radial_integral_monomial(*radial_args(p, q, n, k)) * angular
-    assert period_integral_exact(p, q, n, k, kind=kind) == want
+    assert Fraction(*period_integral_exact(p, q, n, k, kind=kind)) == want
 
 
 def test_period_exact_and_closed_match_literals_to_degree_cap():
@@ -250,8 +253,46 @@ def test_period_exact_and_closed_match_literals_to_degree_cap():
         for n in labels:
             for k in labels:
                 exact = period_integral_exact(p, q, n, k, kind=kind)
-                assert exact == _exact_period(p, q, n, k, kind), (p, q, kind, n, k)
-                assert closed_value(exact) == float(exact)
+                assert Fraction(*exact) == _exact_period(p, q, n, k, kind), (p, q, kind, n, k)
+                assert closed_value(exact) == float(Fraction(*exact))
+
+
+# the six 64x64 grids whose quadrature resolution ROADMAP item 2 counts
+_SIX_GRIDS = [
+    (1, 2, COMPLEX), (2, 5, QUATERNIONIC), (3, 20, COMPLEX),
+    (3, 20, QUATERNIONIC), (1, 262, QUATERNIONIC), (1, 522, COMPLEX),
+]
+
+
+def test_record_reads_the_exact_ratio_on_the_six_grids():
+    # a record's closed value is the exact ratio rounded once, as a Fraction
+    # would round it, and its vanishing flag is whether the numerator is
+    # nonzero, which is k <= n; the quadrature is left out, as it reads
+    # neither
+    labels = range(0, MAX_DEGREE + 1, 2)
+    for p, q, kind in _SIX_GRIDS:
+        grid = PeriodGrid(p, q, kind)
+        grid.quadrature = lambda n, k: QuadratureResult(0.0, 0.0, 0)
+        for n in labels:
+            for k in labels:
+                num, den = grid.exact(n, k)
+                record = grid.record(n, k)
+                assert record["closed"] == float(Fraction(num, den)), (p, q, kind, n, k)
+                assert record["nonvanishing"] is (num != 0) is (k <= n), (p, q, kind, n, k)
+
+
+def test_angular_scale_is_the_cauchy_schwarz_bound():
+    # sqrt(||P_n^(alpha+shift,beta)||^2 ||P_k^(alpha,beta)||^2) under the
+    # unshifted weight, each squared norm from the oracle's coefficients and
+    # rounded once: the big polynomial's norm is the shifted one
+    for alpha, beta, shift in [(0, 0, 1), (3, 0, 1), (1, 1, 2), (7, 1, 2)]:
+        for n, k in [(0, 0), (4, 2), (2, 4), (6, 0), (0, 6)]:
+            big = _coeffs(n, alpha + shift, beta)
+            small = _coeffs(k, alpha, beta)
+            big_sq = weighted_pairing(big, big, alpha, beta)
+            small_sq = weighted_pairing(small, small, alpha, beta)
+            want = sqrt(float(big_sq) * float(small_sq))
+            assert _angular_scale(n, k, alpha, beta, shift) == want, (n, k, alpha, beta, shift)
 
 
 def test_period_quadrature_error_bounds_exact_error_to_degree_cap():
@@ -281,7 +322,7 @@ def test_oracle_radial_quadrature_matches_closed_form():
     radial_args = _FAMILY_LITERALS[QUATERNIONIC][0]
     for p, q, n, k in cases:
         alpha, beta = radial_args(p, q, n, k)
-        exact = radial_integral_exact(alpha, beta)
+        exact = Fraction(*radial_integral_exact(alpha, beta))
         assert radial_integral_monomial(alpha, beta) == exact, (p, q, n, k)
 
 

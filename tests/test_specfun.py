@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,15 @@ from relbranch.specfun import (
     gauss_legendre,
     gauss_legendre_quadrature,
     radial_integral_exact,
+    rising,
 )
+
+import factorial_forms as forms
+
+
+def _radial(alpha, beta_exp):
+    """radial_integral_exact as a Fraction."""
+    return Fraction(*radial_integral_exact(alpha, beta_exp))
 
 
 def test_gauss_legendre_rule_symmetry_and_moments():
@@ -73,7 +82,7 @@ def _within_bound(result, exact: Fraction) -> bool:
 def test_radial_closed_antiderivative_cases():
     # d/dt [-cosh^-2 t / 2] = sinh cosh^-3  =>  A(1,3) = 1/2
     # w = cosh t: A(3,7) = int_1^inf (w^-5 - w^-7) dw = 1/4 - 1/6 = 1/12
-    for route in (radial_integral_exact, radial_integral_monomial):
+    for route in (_radial, radial_integral_monomial):
         assert route(1, 3) == Fraction(1, 2)
         assert route(3, 7) == Fraction(1, 12)
 
@@ -89,7 +98,7 @@ def test_radial_exact_values_domain_and_float_form():
     # the float form: the quadrature value is within its bound of the exact one
     for alpha in range(1, 20, 2):
         for gap in range(2, 21, 2):
-            exact = radial_integral_exact(alpha, alpha + gap)
+            exact = _radial(alpha, alpha + gap)
             assert _within_bound(_radial_quadrature(alpha, alpha + gap), exact), (alpha, gap)
 
 
@@ -125,7 +134,7 @@ def test_radial_quadrature_first_example_pair():
     # the (2p-1, 2q+n+k-1) pair at (p,q,n,k) = (1,2,0,0) is (1,3)
     radial_args, _ = PeriodGrid(1, 2, COMPLEX).args(0, 0)
     assert radial_args == (1, 3)
-    closed = radial_integral_exact(*radial_args)
+    closed = _radial(*radial_args)
     assert radial_integral_monomial(*radial_args) == closed
     quad = _radial_quadrature(*radial_args)
     assert abs(Fraction(quad.value) - closed) <= Fraction(1, 10**10) * closed
@@ -136,15 +145,58 @@ def test_closed_vs_quadrature_grid():
     # the oracle equals the factorial form exactly on odd alpha < 80, even gap < 80
     for alpha in range(1, 80, 2):
         for gap in range(2, 80, 2):
-            exact = radial_integral_exact(alpha, alpha + gap)
+            exact = _radial(alpha, alpha + gap)
             assert radial_integral_monomial(alpha, alpha + gap) == exact, (alpha, gap)
     # and the float quadrature is within its bound and 1e-9 relative of it
     for alpha in range(1, 10, 2):
         for gap in range(2, 11, 2):
-            exact = radial_integral_exact(alpha, alpha + gap)
+            exact = _radial(alpha, alpha + gap)
             quad = _radial_quadrature(alpha, alpha + gap)
             assert _within_bound(quad, exact), (alpha, gap)
             assert abs(quad.value - float(exact)) <= 1e-9 * float(exact), (alpha, gap)
+
+
+def test_rising_product_on_both_branches():
+    # a plain product when short, a factorial quotient when longer than 32
+    # terms and than its start; the same integer either way
+    for x in (1, 2, 5, 31, 32, 33, 100, 10**6, 10**30):
+        for m in (0, 1, 2, 31, 32, 33, 64, 101, 500):
+            want = 1
+            for term in range(x, x + m):
+                want *= term
+            assert rising(x, m) == want, (x, m)
+
+
+# the radial (sinh power, cosh decay) of both families, complex
+# (2p - 1, 2q + n + k - 1) and quaternionic (4p - 1, 4q + n + k - 3), at the
+# signatures whose angular alphas the pairing tests cover, up to quaternionic
+# q = 530, and at p = 40 and 20, where (b)_a is longer than 32 terms and its
+# start, so a factorial quotient
+_RADIAL_GRIDS = [
+    *[(lambda p, q, s: (2 * p - 1, 2 * q + s - 1), p, q) for p, q in
+      ((1, 2), (1, 3), (3, 20), (1, 522), (40, 41))],
+    *[(lambda p, q, s: (4 * p - 1, 4 * q + s - 3), p, q) for p, q in
+      ((1, 2), (2, 5), (3, 20), (1, 262), (1, 530), (20, 21))],
+]
+
+
+def test_radial_factor_is_the_factorial_form_over_the_period_grids():
+    # (a-1)! / (2 (b)_a) against (a-1)! (b-1)! / (2 (a+b-1)!) at every
+    # n + k up to twice the label cap
+    for radial_args, p, q in _RADIAL_GRIDS:
+        for labels in range(0, 2 * 64 + 1, 2):
+            alpha, beta_exp = radial_args(p, q, labels)
+            assert _radial(alpha, beta_exp) == forms.radial(alpha, beta_exp), (p, q, labels)
+
+
+def test_radial_factor_refuses_a_factorial_argument_past_maxsize():
+    # a + b - 1 = (beta - 1) / 2, the largest argument of the factorial form,
+    # may reach sys.maxsize but not pass it; the exact refusal bytes of the
+    # period commands rest on this (tests/pins.py REFUSALS)
+    top = 2 * sys.maxsize + 1  # alpha = 1: a = 1 and b = (top - 1) / 2 = sys.maxsize
+    assert radial_integral_exact(1, top) == (1, 2 * sys.maxsize)
+    with pytest.raises(OverflowError):
+        radial_integral_exact(1, top + 2)
 
 
 def test_beta_argument_evidence_table():

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 from .specfun import rising
@@ -160,7 +159,7 @@ def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> t
         (shift)_{n-k} / (n-k)! * 2^(ab+1) * (k+1)_{n+beta-k}
         * [n+k+ab+2 if shift = 2] / (k+alpha+1)_{n+beta-k+shift}
 
-    where (shift)_{n-k} / (n-k)! is the binomial C(n-k+shift-1, n-k).
+    where (shift)_{n-k} / (n-k)! is 1 for shift 1 and n-k+1 for shift 2.
     Every factor is positive, so the pairing is nonzero exactly when k <= n.
     """
     check_degree(k)
@@ -172,7 +171,7 @@ def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> t
     if k > n:
         return 0, 1
     ab, span = alpha + beta_param, n + beta_param - k
-    num = comb(n - k + shift - 1, n - k) * rising(k + 1, span) << (ab + 1)
+    num = rising(k + 1, span) << (ab + 1)
     if shift == 2:
-        num *= n + k + ab + 2
+        num *= (n - k + 1) * (n + k + ab + 2)
     return num, rising(k + alpha + 1, span + shift)

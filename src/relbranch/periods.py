@@ -186,14 +186,14 @@ class PeriodGrid:
         convergent integral of a positive function, and the angular pairing
         vanishes exactly when k > n.  Raises PreconditionError when q is so
         large that an argument of the radial factor's factorial form passes
-        sys.maxsize; the radial factor is built first, so this holds for
-        every n and k."""
+        sys.maxsize (the radial factor is built first, so this holds for
+        every n and k), or that a factor's power of two cannot be allocated."""
         radial, angular = self.args(n, k)
         # convergence: the cosh decay exceeds the sinh power automatically for q > p
         try:
             radial_num, radial_den = self._factor(radial_integral_exact, *radial)
             angular_num, angular_den = jacobi_pairing(n, k, *angular)
-        except OverflowError as exc:
+        except (OverflowError, MemoryError) as exc:
             message = f"signature ({self.p}, {self.q}) is too large for exact factorials"
             raise PreconditionError(message) from exc
         return radial_num * angular_num, radial_den * angular_den

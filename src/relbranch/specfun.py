@@ -45,12 +45,11 @@ class QuadratureResult(NamedTuple):
 
 def rising(x: int, m: int) -> int:
     """The rising product (x)_m = x (x+1) ... (x+m-1) of integers x >= 1 and
-    m >= 0 (DLMF 5.2.5).  A short one, of at most 32 terms or of no more
-    terms than x, is a plain product; a longer one is the quotient
-    (x+m-1)! / (x-1)!, since math.factorial splits its product in halves.
-    Only where x is below m does that quotient pay: a factorial of x far
-    above m costs far more than the m terms."""
-    if m <= max(32, x):
+    m >= 0 (DLMF 5.2.5): a plain product when it has no more terms than x,
+    else the quotient (x+m-1)! / (x-1)!, since math.factorial splits its
+    product in halves.  Only where x is below m does that quotient pay: a
+    factorial of x far above m costs far more than the m terms."""
+    if m <= x:
         return math.prod(range(x, x + m))
     return math.factorial(x + m - 1) // math.factorial(x - 1)
 

@@ -294,6 +294,19 @@ REFUSALS = [
         2,
         "error: signature (1, 100000000000000000000) is too large for exact factorials\n",
     ),
+    # below sys.maxsize the radial factor is built, and the pairing's power
+    # of two, about q bits wide (2q on the quaternionic family), is refused
+    # when it cannot be allocated: at q = 10^18 it passes any address space
+    (
+        "relbranch period --pq 1,1000000000000000000 --n 0 --k 0",
+        2,
+        "error: signature (1, 1000000000000000000) is too large for exact factorials\n",
+    ),
+    (
+        "relbranch period --pq 1,1000000000000000000 --family quaternionic --n 0 --k 0",
+        2,
+        "error: signature (1, 1000000000000000000) is too large for exact factorials\n",
+    ),
     # numerical failures (exit 3) past the float range at large q: a squared
     # norm of the Cauchy-Schwarz scale, their product, and the closed value
     (

@@ -157,10 +157,10 @@ def test_closed_vs_quadrature_grid():
 
 
 def test_rising_product_on_both_branches():
-    # a plain product when short, a factorial quotient when longer than 32
-    # terms and than its start; the same integer either way
+    # a plain product when no longer than its start, a factorial quotient
+    # when longer; the same integer either way, on both sides of m = x
     for x in (1, 2, 5, 31, 32, 33, 100, 10**6, 10**30):
-        for m in (0, 1, 2, 31, 32, 33, 64, 101, 500):
+        for m in (0, 1, 2, 4, 5, 6, 31, 32, 33, 64, 101, 500):
             want = 1
             for term in range(x, x + m):
                 want *= term
@@ -170,8 +170,8 @@ def test_rising_product_on_both_branches():
 # the radial (sinh power, cosh decay) of both families, complex
 # (2p - 1, 2q + n + k - 1) and quaternionic (4p - 1, 4q + n + k - 3), at the
 # signatures whose angular alphas the pairing tests cover, up to quaternionic
-# q = 530, and at p = 40 and 20, where (b)_a is longer than 32 terms and its
-# start, so a factorial quotient
+# q = 530, and at p = 40 and 20, where (b)_a is longer than its start, so
+# a factorial quotient
 _RADIAL_GRIDS = [
     *[(lambda p, q, s: (2 * p - 1, 2 * q + s - 1), p, q) for p, q in
       ((1, 2), (1, 3), (3, 20), (1, 522), (40, 41))],

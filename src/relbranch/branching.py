@@ -14,7 +14,9 @@ function, coupling_check, runs every check of a packet sum over the four
 side pairs and returns strs and ints in tuples; one renderer,
 coupling_record, turns it into the packet-sum record, with a and b as given
 texts, and coupling_summary is the two in a row.  The good-range bound is
-read from reps.bound_twice.
+read from reps.bound_twice.  The validated first-stage term (StageParams),
+the whole-stage enumerations that exhaustion_check's slice is checked
+against and the label dictionary's inverses live in tests/test_branching.py.
 """
 
 from __future__ import annotations

@@ -28,7 +28,9 @@ are pure functions of small integers, so each is built once per argument
 tuple and kept.
 
 The exact monomial-coefficient oracle these are tested against lives in
-relbranch.oracle and shares no code with this module.
+relbranch.oracle and shares no code with this module.  The factorial forms
+the closed forms cancel, the connection coefficient among them, live in
+tests/factorial_forms.py, where the tests check the ratios against them.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from typing import Sequence
 
 from .specfun import rising
 
-# Exact coefficient growth is roughly factorial in the degree; beyond this cap
-# the rationals become unwieldy without any downstream use.
+# The largest degree, so the largest period label: it bounds the rows of a
+# quadrature sweep (jacobi_rows) and the step table that _recurrence_ratios
+# builds per (alpha, beta).  It does not bound the exact algebra, whose closed
+# forms are products of at most n + beta + shift terms at any degree.
 MAX_DEGREE = 64
 
 

@@ -187,7 +187,9 @@ class PeriodGrid:
         vanishes exactly when k > n.  Raises PreconditionError when q is so
         large that an argument of the radial factor's factorial form passes
         sys.maxsize (the radial factor is built first, so this holds for
-        every n and k), or that a factor's power of two cannot be allocated."""
+        every n and k), or that a factor's power of two cannot be allocated.
+        Below that there is no signature cap: the pairing's power of two has
+        about q bits (2q quaternionic), 1.25 GB at complex q = 10^10."""
         radial, angular = self.args(n, k)
         # convergence: the cosh decay exceeds the sinh power automatically for q > p
         try:
@@ -227,12 +229,15 @@ class PeriodGrid:
 
         Raises ConvergenceError when a factor's roundoff bound exceeds tol
         times its scale, or when a value, bound or scale is not finite
-        (overflow included); each record gates its own factors."""
+        (overflow included); each record gates its own factors.  The angular
+        factor comes first, since its Cauchy-Schwarz scale is what overflows
+        at large q, so such a record builds no radial rule, and a record
+        whose two factors both fail names the angular one."""
         radial_args, angular_args = self.args(n, k)
         try:
+            angular = self._angular_quadrature(n, k, *angular_args)
             radial = self._factor(_radial_quadrature, *radial_args)
             radial = _gated(radial, abs(radial.value), self.tol, "radial")
-            angular = self._angular_quadrature(n, k, *angular_args)
         except OverflowError as exc:
             raise ConvergenceError(f"quadrature overflowed: {exc}") from exc
         value = radial.value * angular.value

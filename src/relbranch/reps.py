@@ -18,8 +18,9 @@ A packet character, a character of Z2 x Z2, is its sign pair
 (on_E1, on_E2) on the two generators: epsilon_of gives the one attached to a
 side, and CHARACTER_TEXTS writes the text of each.
 
-The commands read all of this module.  The minimal K-type checks, which
-none reads, live beside their tests in tests/test_reps.py.
+The commands read all of this module.  The parser of format_param's text
+and the minimal K-type checks, which none reads, live beside their tests in
+tests/test_reps.py.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ binomial expansion after u = tanh t, on integer pairs (see
 docs/radial_integral_calibration.md, built by relbranch.oracle).  On the
 period route both Beta arguments are positive integers, so A is rational:
 an unreduced ratio of two ints, built from a factorial and a rising product
-(rising), with no Fraction and no gcd.
+(rising), with no Fraction and no gcd.  No module evaluates a float Beta
+function or lgamma.
 
 The quadrature here integrates polynomials only: the m-point Gauss-Legendre
 rule is exact to degree 2m - 1 (DLMF 3.5(v)), so a polynomial of known

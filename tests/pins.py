@@ -324,6 +324,13 @@ REFUSALS = [
         3,
         "error: closed form overflowed: integer division result too large for a float\n",
     ),
+    # the angular factor is gated first: a record whose two factors both
+    # exceed the tolerance names the angular one
+    (
+        "relbranch period --pq 1,2 --n 4 --k 2 --tol 1e-300",
+        3,
+        "error: angular quadrature bound 3.18e-14 exceeds tol 1e-300 times max(1, scale 0.894)\n",
+    ),
 ]
 
 

@@ -1309,9 +1309,36 @@ def test_readme_commands_emit_records(capsys):
         assert lines and all(json.loads(line)["schema"] == cli.SCHEMA for line in lines), argv
 
 
+def _readme_rows(header):
+    """The cells of each row of the README table whose header row starts
+    with header, e.g. "| module |"."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _public_names(module):
+    """The module's public top-level functions and classes: each callable
+    with no leading _ that the module defines itself; callables, not only
+    functions, so that an lru_cache-wrapped function counts."""
+    return sorted(
+        name
+        for name, value in vars(module).items()
+        if not name.startswith("_")
+        and callable(value)
+        and getattr(value, "__module__", None) == module.__name__
+    )
+
+
 def test_readme_module_names_resolve():
     # every backticked `module.name` in the README, where module is a
-    # relbranch module, names an attribute that module has
+    # relbranch module, names an attribute that module has; and the layout
+    # table has one row per module, naming exactly its public names
     import importlib
     import pkgutil
 
@@ -1330,6 +1357,43 @@ def test_readme_module_names_resolve():
         if not hasattr(importlib.import_module(f"relbranch.{module}"), name)
     ]
     assert missing == []
+    rows = {}
+    for module_cell, _, names_cell in _readme_rows("| module |"):
+        (module,) = re.fullmatch(r"`relbranch\.(\w+)`", module_cell).groups()
+        assert module not in rows, module
+        rows[module] = sorted(re.findall(r"`(\w+)`", names_cell))
+    assert sorted(rows) == sorted(modules)
+    for module, listed in rows.items():
+        assert listed == _public_names(importlib.import_module(f"relbranch.{module}")), module
+
+
+def test_limits_match_the_code():
+    # each row of the README's Limits table: its NAME = value is the named
+    # module's, and its refusal is the stderr of a tests/pins.py refusal
+    import importlib
+
+    import pins
+
+    pinned = {stderr for _, _, stderr in pins.REFUSALS}
+    rows = _readme_rows("| limit |")
+    assert rows
+    for limit, module_cell, _, refusal in rows:
+        name, value = re.fullmatch(r"`(\w+) = (\d+)`", limit).groups()
+        (module,) = re.fullmatch(r"`(\w+)`", module_cell).groups()
+        assert getattr(importlib.import_module(f"relbranch.{module}"), name) == int(value), limit
+        (text,) = re.fullmatch(r"`(error: .*)`", refusal).groups()
+        assert text + "\n" in pinned, text
+
+
+def test_table_options_match_the_parser():
+    # each row of the README's options table names exactly the options the
+    # parser gives that command or table kind, -h aside
+    rows = _readme_rows("| command |")
+    leaves = list(_leaf_parsers())
+    assert [cell.strip("`") for cell, _ in rows] == [name for name, _, _ in leaves]
+    for (_, cell), (name, parser, _) in zip(rows, leaves):
+        options = {option for action in parser._actions for option in action.option_strings}
+        assert set(re.findall(r"--[a-z][a-z-]*", cell)) == options - {"-h", "--help"}, name
 
 
 def test_every_readme_command_is_pinned():

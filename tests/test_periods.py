@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relbranch import periods
 from relbranch.jacobi import MAX_DEGREE, jacobi_pairing
 from relbranch.oracle import jacobi_coeffs, radial_integral_monomial, weighted_pairing
 from relbranch.periods import (
@@ -19,7 +20,7 @@ from relbranch.periods import (
     period_integral_exact,
     period_integral_quadrature,
 )
-from relbranch.specfun import QuadratureResult, radial_integral_exact
+from relbranch.specfun import ConvergenceError, QuadratureResult, radial_integral_exact
 
 import factorial_forms as forms
 
@@ -293,6 +294,19 @@ def test_angular_scale_is_the_cauchy_schwarz_bound():
             small_sq = weighted_pairing(small, small, alpha, beta)
             want = sqrt(float(big_sq) * float(small_sq))
             assert _angular_scale(n, k, alpha, beta, shift) == want, (n, k, alpha, beta, shift)
+
+
+def test_angular_factor_is_gated_before_the_radial_rule_is_built(monkeypatch):
+    # at (1, 3000) a squared norm of the angular scale overflows a float, and
+    # at tol 1e-300 both factors fail their gates: either way the record is
+    # refused by its angular factor, before the radial factor is built
+    built = []
+    monkeypatch.setattr(periods, "_radial_quadrature", lambda *args: built.append(args))
+    with pytest.raises(ConvergenceError, match="^quadrature overflowed"):
+        PeriodGrid(1, 3000).quadrature(0, 2)
+    with pytest.raises(ConvergenceError, match="^angular quadrature bound"):
+        PeriodGrid(1, 2, tol=1e-300).quadrature(4, 2)
+    assert built == []
 
 
 def test_period_quadrature_error_bounds_exact_error_to_degree_cap():

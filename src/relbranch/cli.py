@@ -10,12 +10,23 @@ inside on any Python.  It is parsed exactly because parity validation must
 be exact, and printed as a fraction ("7/2").
 
 Each table kind is its own subcommand and takes only the options its sweep
-reads; an option shared by several commands is defined once, in a parent
-parser.  Exit codes: 0 success, 2 validation error or argparse usage error
-(a missing, unknown or conflicting option, reported with the usage line of
-the parser given it), 3 numerical non-convergence.  Every
+reads; an option shared by several commands is defined once, in the option
+table _COMMANDS.  Exit codes: 0 success, 2 validation error or argparse
+usage error (a missing, unknown or conflicting option, reported with the
+usage line of the parser given it), 3 numerical non-convergence.  Every
 table kind names a failing row on stderr; a reader that closes stdout early
 (`| head`) ends the run quietly with exit code 0.
+
+Command lines are read from _COMMANDS by one of two readers that agree.
+_parse_direct reads a line of the one form every example and script
+writes: the command's name (and its kind's), then options named in full,
+each at most once and followed by its values, none of which starts with
+"-", with the required ones given and every value accepted.  It returns
+the namespace argparse would, without importing argparse, which with the
+gettext and locale modules it pulls in costs a short run about 5 ms.  Any
+other line (a prefix such as `table period --n 4`, `--pq=1,2`, `-h`, a
+value such as `-3`, or a usage error) goes to build_parser's argparse
+parser, so every help text and usage error is argparse's own.
 
 main(argv) is the in-process API and leaves the interpreter as it found
 it.  The process entry is run(), which both `python -m relbranch.cli` and
@@ -47,12 +58,13 @@ rendered once, by branching.coupling_record with a slot for a and one for
 b, and encoded once into a record text, split at b's slot.  Each a is put
 into those parts once per result, and a row's line is its b joining them.
 So a line holds the bytes a full encoding of the row's record would give,
-and the CLI knows none of the record's fields.  Its CSV projection renders
-each row's record from the same check result instead, and flattens it.
+and the CLI knows none of the record's fields.  Its CSV projection is built
+the same way, from each result's CSV row, which csv writes once.
 
-A `table he --big/--small` record is written as it is built: the
-alignments come one group per shared prefix (hepattern.Alignments.groups),
-and up to ALIGNMENT_BATCH alignments of a group are joined in one step.
+A `table he --big/--small` record is written as it is built, as a JSON
+line or a CSV row: the alignments come one group per shared prefix
+(hepattern.Alignments.groups), and up to ALIGNMENT_BATCH alignments of a
+group are joined in one step.
 
 A command loads only the layer modules it reaches.  Each layer is
 registered in sys.modules at import, through importlib.util.LazyLoader, and
@@ -66,7 +78,6 @@ sys.modules before any command has run.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import importlib.util
 import json
@@ -126,32 +137,37 @@ def _record(command: str, inputs: dict, result: dict, provenance: list[str]) -> 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _skeleton(record: dict) -> list[str]:
-    """_ENCODER's line for a record whose a is written "\\0" and b "\\1",
-    split at b: their encoded forms, which no constant text of a record
-    holds, mark the slots, so the line of one (a, b) is b joining the parts
-    with a put in."""
-    return (_ENCODER.encode(record) + "\n").split("\\u0001")
+def _skeleton(text: str) -> list[str]:
+    """The line of a record whose a is written "\\1" and b "\\2", split at
+    b: a JSON line, which escapes them (\\u0001), or a CSV row, which holds
+    them as they are in its input cells and escaped in its JSON cells.  No
+    constant text of a record holds either, so the line of one (a, b) is b
+    joining the parts with a put in for "\\1".  (csv before 3.11 cannot
+    write "\\0".)"""
+    return text.replace("\\u0001", "\1").replace("\\u0002", "\2").split("\2")
 
 
-def _alignment_items(found):
-    """The JSON list items of found's alignments, written one group
+def _alignment_list(found):
+    """The JSON list of found's alignments, written one group
     (hepattern.Alignments.groups) at a time: each text is up to
     ALIGNMENT_BATCH alignments of one prefix, joined in one step with no
     escaping, as enumerate_alignments admits only + - P M."""
+    separator = "["
     for head, tails in found.groups():
         between = '","' + head
         for start in range(0, len(tails), ALIGNMENT_BATCH):
-            yield '"' + head + between.join(tails[start : start + ALIGNMENT_BATCH]) + '"'
+            yield separator + '"' + head + between.join(tails[start : start + ALIGNMENT_BATCH]) + '"'
+            separator = ","
+    yield "[]" if separator == "[" else "]"
 
 
 def _emit(records):
     """The texts of the records' lines, newlines included, in order; a
     `table branch` line, which its grid has already encoded (a str), is
     yielded as it is.  A record whose alignments are a lazy
-    hepattern.Alignments is yielded as it is built: its text around an
-    empty list, and the list between, one text of _alignment_items at a
-    time, so neither the alignments nor the line are ever held whole."""
+    hepattern.Alignments is yielded as it is built: its text around the
+    list, and the list between, one text of _alignment_list at a time, so
+    neither the alignments nor the line are ever held whole."""
     for record in records:
         if isinstance(record, str):
             yield record
@@ -163,13 +179,10 @@ def _emit(records):
             yield _ENCODER.encode(record) + "\n"
             continue
         # the key occurs once: the inputs are sign strings over + - P M
-        text = _ENCODER.encode({**record, "result": {**result, "alignments": []}})
-        before, opening, after = text.partition('"alignments":[')
-        yield before + opening
-        separator = ""
-        for item in _alignment_items(found):
-            yield separator + item
-            separator = ","
+        text = _ENCODER.encode({**record, "result": {**result, "alignments": None}})
+        before, after = text.split('"alignments":null')
+        yield before + '"alignments":'
+        yield from _alignment_list(found)
         yield after + "\n"
 
 
@@ -366,26 +379,29 @@ def _rows_branch(args):
     b_values = [(str(b), branching.param_pair(sig, GPRIME, b)) for b in map(HalfInt, b_twice)]
     warning = branching.hypothesis_warning(sig)
     check = branching.coupling_check
-    skeletons = {}  # a record text per check result, split at b
+    csv_row = _csv_writer().writerow if args.csv else None
+    skeletons = {}  # a line per check result, split at b
     try:
         for a, Pa in a_values:
             filled = {}  # the same with this a put in
             for b, Pb in b_values:
                 values = check(Pa, Pb)
-                if args.csv:  # the row's record, which the CSV projection flattens
-                    inputs = {"p": p, "q": q, "a": a, "b": b}
-                    result = branching.coupling_record(values, a, b, warning)
-                    yield _record("table.branch", inputs, result, _BRANCH_RULES)
-                    continue
                 parts = filled.get(values)
                 if parts is None:
                     skeleton = skeletons.get(values)
                     if skeleton is None:  # a and b go in as the slots _skeleton names
-                        result = branching.coupling_record(values, "\0", "\1", warning)
-                        inputs = {"p": p, "q": q, "a": "\0", "b": "\1"}
-                        skeleton = _skeleton(_record("table.branch", inputs, result, _BRANCH_RULES))
-                        skeletons[values] = skeleton
-                    parts = filled[values] = [part.replace("\\u0000", a) for part in skeleton]
+                        result = branching.coupling_record(values, "\1", "\2", warning)
+                        inputs = {"p": p, "q": q, "a": "\1", "b": "\2"}
+                        record = _record("table.branch", inputs, result, _BRANCH_RULES)
+                        if csv_row is None:
+                            line = _ENCODER.encode(record) + "\n"
+                        else:
+                            flat = _flatten(record)
+                            if not skeletons:  # the header, before the first row
+                                yield csv_row(flat)
+                            line = csv_row(flat.values())
+                        skeleton = skeletons[values] = _skeleton(line)
+                    parts = filled[values] = [part.replace("\1", a) for part in skeleton]
                 yield b.join(parts)
     except ValueError as exc:
         exc.args = (f"table branch row a={a} b={b}: {exc}",)
@@ -439,30 +455,52 @@ def _flatten(record: dict) -> dict:
     for key, value in record["inputs"].items():
         flat[f"in.{key}"] = value
     for key, value in record["result"].items():
-        if key == "alignments" and isinstance(value, hepattern.Alignments):  # one CSV cell
-            flat[f"out.{key}"] = f"[{','.join(_alignment_items(value))}]"
-        elif isinstance(value, (list, dict)):
+        if isinstance(value, (list, dict)):
             flat[f"out.{key}"] = _ENCODER.encode(value)
         else:
             flat[f"out.{key}"] = value
     return flat
 
 
-def _csv_lines(rows):
-    """The CSV projection of rows, each line yielded as its record arrives,
-    as a JSON line would be; the header comes from the first record."""
+def _csv_writer():
+    """A csv.writer whose writerow(cells) returns the line it writes: the
+    write it calls is str, which returns its str argument."""
     import csv  # only the CSV projection reads it
 
-    line = []
-    writer = None
+    return csv.writer(SimpleNamespace(write=str))
+
+
+def _csv_lines(rows):
+    """The CSV projection of rows, each line yielded as its record arrives,
+    as a JSON line would be; the header comes from the first record.  A
+    `table branch` line, which its grid has already written (a str, its
+    header included), is yielded as it is.  A record whose alignments are a
+    lazy hepattern.Alignments is yielded as it is built, as _emit yields
+    it: its row around the alignments cell, and the cell between."""
+    row = _csv_writer().writerow
+    header = False
     for record in rows:
+        if isinstance(record, str):
+            yield record
+            continue
         flat = _flatten(record)
-        if writer is None:
-            writer = csv.DictWriter(SimpleNamespace(write=line.append), fieldnames=list(flat))
-            writer.writeheader()
-        writer.writerow(flat)
-        yield from line
-        line.clear()
+        if not header:
+            yield row(flat)
+            header = True
+        found = flat.get("out.alignments")
+        # only a table he record has alignments, so no other command loads hepattern
+        if found is None or not isinstance(found, hepattern.Alignments):
+            yield row(flat.values())
+            continue
+        flat["out.alignments"] = "\1"  # a slot csv writes as it is, as _skeleton's
+        before, after = row(flat.values()).split("\1")
+        # the cell as csv writes the JSON list: quoted, each quote doubled,
+        # once it holds one
+        quote = '"' if found.count else ""
+        yield before + quote
+        for text in _alignment_list(found):
+            yield text.replace('"', '""')
+        yield quote + after
 
 
 def cmd_table(args, out) -> int:
@@ -476,27 +514,122 @@ def cmd_table(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser that reports the unknown options it was given itself, with
-    its own usage line: argparse would hand a command's unknown options back
-    to the parser above it, mixed with that parser's own.  add_subparsers
-    builds command parsers of its parser's class, so every level is one.
+# The options of each command, declared once: build_parser hands them to
+# argparse and _parse_direct reads them itself.  An option is its flag and
+# the keyword arguments argparse's add_argument takes; a pair of a bool and
+# options is a mutually exclusive group, required if the bool is True.  The
+# options are listed in the order of the command's help.
+_PQ = ("--pq", {"required": True, "help": "signature p,q, e.g. 3,3 (periods need q > p > 0)"})
+_FAMILY = ("--family", {"choices": FAMILIES, "default": FAMILIES[0]})
+_TOL = ("--tol", {"type": float, "default": 1e-10, "help": "quadrature tolerance"})
+_CSV = ("--csv", {"action": "store_true", "help": "CSV projection instead of JSON lines"})
 
-    It also refuses an option value of exactly `--` (`--pq=--`), which no
-    option reads: argparse before 3.13 drops that `--` and stores an empty
-    list where one value is expected, and 3.13 stores the string."""
+# Each command by name: its help, the defaults its parser sets and its
+# options; a command with kinds (table) has them in place of its options, by
+# name, in the same form.  _COMMAND_DESTS names the namespace attribute that
+# holds the command's name, then its kind's.
+_COMMANDS = {
+    "branch": ("coupling dimensions and packet sums", {"func": cmd_branch}, (
+        _PQ,
+        (True, (
+            ("--plus-a", {"help": "plus-side parameter a (level G)"}),
+            ("--minus-a", {"help": "minus-side parameter a (level G)"}),
+            ("--gp", {"nargs": 2, "metavar": ("A", "B"), "help": "packet-sum query for (a, b)"}),
+            ("--pi-minus", {"metavar": "A", "help": "enumerate minus-side summands of a"}),
+        )),
+        (False, (
+            ("--plus-b", {"help": "plus-side parameter b (subgroup level)"}),
+            ("--minus-b", {"help": "minus-side parameter b (subgroup level)"}),
+        )),
+        ("--max-k", {
+            "type": int,
+            "help": f"summand cutoff, with --pi-minus only (default {DEFAULT_MAX_K})",
+        }),
+    )),
+    "period": ("period integral, closed form vs quadrature", {"func": cmd_period}, (
+        _PQ,
+        _FAMILY,
+        _TOL,
+        ("--n", {"type": int, "required": True, "help": "even label on the big space"}),
+        ("--k", {"type": int, "required": True, "help": "even label on the subspace"}),
+    )),
+    "table": ("grid sweeps, one record per line", {"func": cmd_table}, {
+        "branch": ("coupling grid over a and b", {"rows": _rows_branch}, (
+            _PQ,
+            _CSV,
+            ("--a-range", {"required": True, "help": "range lo..hi for a, e.g. 9/2..17/2"}),
+            ("--b-range", {"required": True, "help": "range lo..hi for b"}),
+        )),
+        "period": ("period grid over n, k", {"rows": _rows_period}, (
+            _PQ,
+            _FAMILY,
+            _TOL,
+            _CSV,
+            ("--n-max", {"type": int, "default": 8, "help": "even-label cap for n (default 8)"}),
+            ("--k-max", {"type": int, "default": 8, "help": "even-label cap for k (default 8)"}),
+        )),
+        "exhaustion": ("exhaustion cross-check", {"rows": _rows_exhaustion}, (
+            _PQ,
+            _CSV,
+            ("--ell", {"required": True, "help": "range lo..hi of radial labels, e.g. 8..16"}),
+        )),
+        "he": ("sign-sequence alignments", {"rows": _rows_he}, (
+            _CSV,
+            (True, (
+                ("--n", {"help": "range lo..hi for the U(2,n) configuration, e.g. 4..10"}),
+                ("--big", {"help": "raw plain sign sequence, e.g. +--+ (with --small)"}),
+            )),
+            ("--small", {"help": "raw circled sign sequence, e.g. PMM"}),
+        )),
+    }),
+}
+_COMMAND_DESTS = ("subcommand", "kind")
 
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, unknown = super().parse_known_args(args, namespace)
-        if unknown:
-            self.error(f"unrecognized arguments: {' '.join(unknown)}")
-        for action in self._actions:
-            if action.nargs is None and getattr(namespace, action.dest, None) in ([], "--"):
-                self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
-        return namespace, unknown
 
+def build_parser():
+    """The argparse parser of _COMMANDS, which reads every command line
+    main is given that _parse_direct does not, and writes every help text
+    and usage error."""
+    import argparse  # only here: most command lines never need it
 
-def build_parser() -> argparse.ArgumentParser:
+    class _Parser(argparse.ArgumentParser):
+        """A parser that reports the unknown options it was given itself,
+        with its own usage line: argparse would hand a command's unknown
+        options back to the parser above it, mixed with that parser's own.
+        add_subparsers builds command parsers of its parser's class, so
+        every level is one.
+
+        It also refuses an option value of exactly `--` (`--pq=--`), which
+        no option reads: argparse before 3.13 drops that `--` and stores an
+        empty list where one value is expected, and 3.13 stores the string."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, unknown = super().parse_known_args(args, namespace)
+            if unknown:
+                self.error(f"unrecognized arguments: {' '.join(unknown)}")
+            for action in self._actions:
+                if action.nargs is None and getattr(namespace, action.dest, None) in ([], "--"):
+                    self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+            return namespace, unknown
+
+    def add_commands(parser, commands, depth):
+        sub = parser.add_subparsers(dest=_COMMAND_DESTS[depth], required=True)
+        for name, (help_text, defaults, options) in commands.items():
+            command = sub.add_parser(name, help=help_text)
+            command.set_defaults(**defaults)
+            if isinstance(options, dict):
+                add_commands(command, options, depth + 1)
+                continue
+            for option in options:
+                if isinstance(option[0], bool):
+                    required, members = option
+                    group = command.add_mutually_exclusive_group(required=required)
+                    for flag, kwargs in members:
+                        group.add_argument(flag, **kwargs)
+                else:
+                    flag, kwargs = option
+                    command.add_argument(flag, **kwargs)
+
     parser = _Parser(
         prog="relbranch",
         description=(
@@ -509,68 +642,84 @@ def build_parser() -> argparse.ArgumentParser:
             "plus/minus of the subgroup)."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    # options read by several commands, each defined once
-    pq = argparse.ArgumentParser(add_help=False)
-    pq.add_argument("--pq", required=True, help="signature p,q, e.g. 3,3 (periods need q > p > 0)")
-    family = argparse.ArgumentParser(add_help=False)
-    family.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
-    family.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-    as_csv = argparse.ArgumentParser(add_help=False)
-    as_csv.add_argument("--csv", action="store_true", help="CSV projection instead of JSON lines")
-
-    b = sub.add_parser("branch", parents=[pq], help="coupling dimensions and packet sums")
-    a_side = b.add_mutually_exclusive_group(required=True)
-    a_side.add_argument("--plus-a", help="plus-side parameter a (level G)")
-    a_side.add_argument("--minus-a", help="minus-side parameter a (level G)")
-    a_side.add_argument("--gp", nargs=2, metavar=("A", "B"), help="packet-sum query for (a, b)")
-    a_side.add_argument("--pi-minus", metavar="A", help="enumerate minus-side summands of a")
-    b_side = b.add_mutually_exclusive_group()
-    b_side.add_argument("--plus-b", help="plus-side parameter b (subgroup level)")
-    b_side.add_argument("--minus-b", help="minus-side parameter b (subgroup level)")
-    b.add_argument(
-        "--max-k", type=int, help=f"summand cutoff, with --pi-minus only (default {DEFAULT_MAX_K})"
-    )
-    b.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser(
-        "period", parents=[pq, family], help="period integral, closed form vs quadrature"
-    )
-    p.add_argument("--n", type=int, required=True, help="even label on the big space")
-    p.add_argument("--k", type=int, required=True, help="even label on the subspace")
-    p.set_defaults(func=cmd_period)
-
-    t = sub.add_parser("table", help="grid sweeps, one record per line")
-    t.set_defaults(func=cmd_table)
-    kinds = t.add_subparsers(dest="kind", required=True)
-
-    k = kinds.add_parser("branch", parents=[pq, as_csv], help="coupling grid over a and b")
-    k.add_argument("--a-range", required=True, help="range lo..hi for a, e.g. 9/2..17/2")
-    k.add_argument("--b-range", required=True, help="range lo..hi for b")
-    k.set_defaults(rows=_rows_branch)
-
-    k = kinds.add_parser("period", parents=[pq, family, as_csv], help="period grid over n, k")
-    k.add_argument("--n-max", type=int, default=8, help="even-label cap for n (default 8)")
-    k.add_argument("--k-max", type=int, default=8, help="even-label cap for k (default 8)")
-    k.set_defaults(rows=_rows_period)
-
-    k = kinds.add_parser("exhaustion", parents=[pq, as_csv], help="exhaustion cross-check")
-    k.add_argument("--ell", required=True, help="range lo..hi of radial labels, e.g. 8..16")
-    k.set_defaults(rows=_rows_exhaustion)
-
-    k = kinds.add_parser("he", parents=[as_csv], help="sign-sequence alignments")
-    mode = k.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--n", help="range lo..hi for the U(2,n) configuration, e.g. 4..10")
-    mode.add_argument("--big", help="raw plain sign sequence, e.g. +--+ (with --small)")
-    k.add_argument("--small", help="raw circled sign sequence, e.g. PMM")
-    k.set_defaults(rows=_rows_he)
-
+    add_commands(parser, _COMMANDS, 0)
     return parser
 
 
+def _dest(flag: str) -> str:
+    """The namespace attribute argparse stores an option in: --plus-a in plus_a."""
+    return flag[2:].replace("-", "_")
+
+
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read from
+    _COMMANDS without argparse, for a command line of one exact form: the
+    command's name (and its kind's), then options, each named in full at
+    most once and followed by its values, none of which starts with "-",
+    with every required option and exclusive group satisfied and every
+    value of the option's type and among its choices.  Any other line
+    (a prefix, --opt=value, -h, a usage error) gives None."""
+    values, commands, index = {}, _COMMANDS, 0
+    while isinstance(commands, dict):
+        if index == len(argv) or argv[index] not in commands:
+            return None
+        values[_COMMAND_DESTS[index]] = argv[index]
+        _, defaults, commands = commands[argv[index]]
+        values.update(defaults)
+        index += 1
+    options, groups = {}, []
+    for option in commands:
+        if isinstance(option[0], bool):
+            groups.append(option)
+            options.update(option[1])
+        else:
+            options[option[0]] = option[1]
+    for flag, kwargs in options.items():
+        values[_dest(flag)] = kwargs.get("default", False if "action" in kwargs else None)
+    given = set()
+    while index < len(argv):
+        flag = argv[index]
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        given.add(flag)
+        index += 1
+        value = True  # the only action is store_true
+        if "action" not in kwargs:
+            count = kwargs.get("nargs", 1)
+            value = []
+            for text in argv[index : index + count]:
+                if text.startswith("-"):
+                    return None
+                try:
+                    text = kwargs.get("type", str)(text)
+                except ValueError:
+                    return None
+                if text not in kwargs.get("choices", (text,)):
+                    return None
+                value.append(text)
+            if len(value) < count:
+                return None
+            index += count
+            if "nargs" not in kwargs:
+                (value,) = value
+        values[_dest(flag)] = value
+    for flag, kwargs in options.items():
+        if kwargs.get("required") and flag not in given:
+            return None
+    for required, members in groups:
+        count = sum(flag in given for flag, _ in members)
+        if count > 1 or (required and not count):
+            return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_direct(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args, sys.stdout)
         sys.stdout.flush()

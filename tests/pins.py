@@ -158,6 +158,16 @@ ROWS = [
         "relbranch table branch --pq 3,3 --a-range 5/2..21/2 --b-range 2..10 --csv",
         "9b6cb63e8f17c5f262d919a199e9ff6a848d748a93a60ab8c6a1ec104b2ee234",
     ),
+    # spellings only argparse reads, an --opt=value and a prefix (--n is
+    # --n-max here), pin the bytes of the spelled-out line below them
+    (
+        "relbranch table period --pq=1,2 --n 4 --k-max 2",
+        "e7151d5eb0aeb4748df060fd97a7aa6517268b7bc8190dbc47f870cd5a00a31a",
+    ),
+    (
+        "relbranch table period --pq 1,2 --n-max 4 --k-max 2",
+        "e7151d5eb0aeb4748df060fd97a7aa6517268b7bc8190dbc47f870cd5a00a31a",
+    ),
 ]
 
 REFUSALS = [

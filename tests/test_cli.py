@@ -609,10 +609,14 @@ def run_to_sink(*argv):
 def test_table_he_record_is_written_as_it_is_built():
     # the 184,756 alignments of (+-)^10 against (PM)^10 are 7.9 MB of output;
     # written to a sink that keeps nothing, the run holds the meet-in-the-middle
-    # tables and one batch, not the alignments or the record's text
-    code, written, peak = run_to_sink("table", "he", "--big", "+-" * 10, "--small", "PM" * 10)
-    assert (code, written) == (0, 7_944_757)
-    assert peak < 3 * 2**20, peak
+    # tables and one batch, not the alignments or the record's text, as a
+    # JSON line and as a CSV row (whose one cell peaked at 50 MB when csv
+    # wrote it whole)
+    for form, size in (([], 7_944_757), (["--csv"], 8_314_133)):
+        argv = ("table", "he", "--big", "+-" * 10, "--small", "PM" * 10, *form)
+        code, written, peak = run_to_sink(*argv)
+        assert (code, written) == (0, size), form
+        assert peak < 3 * 2**20, (form, peak)
 
 
 @given(
@@ -621,12 +625,13 @@ def test_table_he_record_is_written_as_it_is_built():
 )
 @example("+-" * 3, "PM" * 3)  # 20 alignments in 14 groups of one or two
 @example("-+" * 3, "PM" * 3)  # groups of up to three, so one is split
+@example("", "PP")  # no alignment: an empty list
 def test_table_he_joined_alignments_match_the_generic_encoder(big, small):
     # the alignments are joined without escaping, one group of a shared
     # prefix at a time, in slices (of two here); the JSON line and the CSV
-    # cell must be what the generic encoder writes for the listed
-    # alignments.  The command runs past argparse, which reads --big=-- as
-    # an empty list before Python 3.13.
+    # lines must be what the generic encoder and csv write for the listed
+    # alignments, an empty list included.  The command runs past argparse,
+    # which reads --big=-- as an empty list before Python 3.13.
     import csv
     import io
     from unittest import mock
@@ -642,8 +647,13 @@ def test_table_he_joined_alignments_match_the_generic_encoder(big, small):
     found = list(record["result"]["alignments"])
     listed = {**record, "result": {**record["result"], "alignments": found}}
     assert run(False) == cli._ENCODER.encode(listed) + "\n"
-    (row,) = csv.DictReader(io.StringIO(run(True)))
-    assert row["out.alignments"] == cli._ENCODER.encode(found)
+    flat = {"command": "table.he", "in.big": big, "in.small": small,
+            "out.alignments": cli._ENCODER.encode(found), "out.count": len(found)}
+    want = io.StringIO()
+    writer = csv.DictWriter(want, fieldnames=list(flat))
+    writer.writeheader()
+    writer.writerow(flat)
+    assert run(True) == want.getvalue()
 
 
 def test_table_period_sweeps_are_held_as_arrays(capsys, monkeypatch):
@@ -1691,3 +1701,206 @@ def test_no_command_line_escapes_the_exit_codes(argv):
     written = _written_digits(argv)
     for run in re.findall(r"[0-9]{20,}", err.getvalue()):
         assert any(run in digits for digits in written), (argv, err.getvalue())
+
+
+def test_a_value_starting_with_dash_is_left_to_argparse():
+    # argparse reads -7/2 as an option, not as --minus-a's value, and
+    # refuses the line; the direct reader leaves every such line to it
+    import contextlib
+    import io
+
+    argv = ["branch", "--pq", "3,3", "--minus-a", "-7/2", "--minus-b", "2"]
+    assert cli._parse_direct(argv) is None
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == cli.EXIT_VALIDATION
+    assert err.getvalue().endswith(
+        "relbranch branch: error: argument --minus-a: expected one argument\n"
+    )
+
+
+def _comparable(namespace):
+    """vars(namespace) with a NaN written "nan", so that equal namespaces
+    compare equal."""
+    import math
+
+    return {
+        key: "nan" if isinstance(value, float) and math.isnan(value) else value
+        for key, value in vars(namespace).items()
+    }
+
+
+def _assert_direct_agrees(parser, argv):
+    """Whether _parse_direct reads argv; if it does, it gives the namespace
+    parser gives, and parser does not refuse the line."""
+    import contextlib
+    import io
+
+    direct = cli._parse_direct(argv)
+    if direct is None:
+        return False
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"argparse refuses {argv}") from None
+    assert _comparable(direct) == _comparable(namespace), argv
+    return True
+
+
+def _option_groups(argv):
+    """argv split into its command names and its options, each an option
+    name with the values that follow it."""
+    first = next((i for i, token in enumerate(argv) if token.startswith("-")), len(argv))
+    groups = []
+    for token in argv[first:]:
+        if token.startswith("--") or not groups:
+            groups.append([token])
+        else:
+            groups[-1].append(token)
+    return argv[:first], groups
+
+
+def _variants(argv):
+    """argv and command lines near it: its options reversed, each dropped
+    or given twice, each named by a prefix or as --opt=value, and each value
+    replaced by -3, --, "" or nan."""
+    names, groups = _option_groups(argv)
+    yield argv
+    yield names + [token for group in reversed(groups) for token in group]
+    for i, group in enumerate(groups):
+        rest = groups[:i] + groups[i + 1 :]
+        yield names + [token for other in rest for token in other]
+        yield names + [token for other in groups + [group] for token in other]
+        for spelling in [[group[0][:-1], *group[1:]], ["=".join(group[:2]), *group[2:]]]:
+            yield names + [token for other in rest[:i] + [spelling] + rest[i:] for token in other]
+        for j in range(1, len(group)):
+            for value in ("-3", "--", "", "nan"):
+                changed = group[:j] + [value] + group[j + 1 :]
+                yield names + [token for other in rest[:i] + [changed] + rest[i:] for token in other]
+
+
+def _parser_inputs():
+    """The command lines the direct reader is checked on: every tests/pins.py
+    line, the README's commands, the property test's invocations and lines
+    that give two options of one exclusive group."""
+    import pins
+
+    lines = [shlex.split(line)[1:] for line, *_ in pins.ROWS + pins.REFUSALS]
+    conflicts = [
+        ["branch", "--pq", "3,3", "--gp", "9/2", "3", "--pi-minus", "5/2"],
+        ["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2", "--minus-b", "2"],
+        ["table", "he", "--n", "4..5", "--big", "+-", "--small", "PM"],
+    ]
+    return lines + _readme_commands() + _INVOCATIONS + conflicts
+
+
+def test_direct_parse_is_argparse_or_nothing():
+    # every line and its variants: the direct reader gives argparse's own
+    # namespace or leaves the line to argparse, and it reads every pinned
+    # line that names each option in full
+    import pins
+
+    parser = cli.build_parser()
+    read = left = 0
+    for argv in _parser_inputs():
+        for variant in _variants(argv):
+            if _assert_direct_agrees(parser, variant):
+                read += 1
+            else:
+                left += 1
+    for line, _ in pins.ROWS:  # all spelled out but the one pinning --pq=1,2 --n 4
+        assert (cli._parse_direct(shlex.split(line)[1:]) is None) == ("=" in line), line
+    assert read > 100 and left > 1000, (read, left)
+
+
+# Tokens for the sweep below: the command names, every option name of the
+# table and some prefixes, -h and --, =-forms, and values of each kind.
+_SWEEP_TOKENS = sorted(
+    {"branch", "period", "table", "exhaustion", "he", "-h", "--help", "--", "-", "--n", "--k",
+     "--plus", "--a", "--fam", "--pq=3,3", "--n=4", "--csv=1", "3,3", "1,2", "4,5", "7/2", "2",
+     "4", "0", "-3", "nan", "inf", "1e-8", "", "4..9", "8..9", "+-", "PM", "complex",
+     "quaternionic", "9" * 30}
+    | {option for argv in _INVOCATIONS for option in argv if option.startswith("--")}
+)
+
+
+@st.composite
+def _edited_invocations(draw):
+    argv = list(draw(st.sampled_from(_INVOCATIONS)))
+    for _ in range(draw(st.integers(0, 4))):
+        where = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "swap"]))
+        if edit == "insert" or where == len(argv):
+            argv.insert(where, draw(st.sampled_from(_SWEEP_TOKENS)))
+        elif edit == "replace":
+            argv[where] = draw(st.sampled_from(_SWEEP_TOKENS))
+        elif edit == "delete":
+            del argv[where]
+        else:
+            other = draw(st.integers(0, len(argv) - 1))
+            argv[where], argv[other] = argv[other], argv[where]
+    return argv
+
+
+_SWEEP_PARSER = cli.build_parser()
+
+
+@settings(deadline=None)
+@given(_edited_invocations())
+def test_direct_parse_agrees_on_edited_command_lines(argv):
+    _assert_direct_agrees(_SWEEP_PARSER, argv)
+
+
+def test_well_formed_command_lines_never_import_argparse():
+    # a fresh child runs every README command and every benchmark
+    # invocation (read from perfbench/run.py in a child of its own, as the
+    # test process never imports the benchmark) without importing argparse,
+    # or gettext and locale with it; -h and a usage error still come from it
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    workloads = subprocess.run(
+        [sys.executable, "-c", _BENCHMARK_ARGV, str(root / "perfbench" / "run.py")],
+        capture_output=True, text=True, check=True,
+    )
+    commands = _readme_commands() + json.loads(workloads.stdout)
+    assert len(commands) > len(_readme_commands())
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_ARGPARSE, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(child.stdout) == {"codes": [0] * len(commands), "loaded": []}
+    entry = [sys.executable, "-m", "relbranch.cli"]
+    proc = subprocess.run([*entry, "-h"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, cli.build_parser().format_help(), "")
+    proc = subprocess.run([*entry, "table", "he", "--n", "4..5", "--bogus"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, "")
+    assert proc.stderr.startswith("usage: relbranch table he [-h] "), proc.stderr
+    assert proc.stderr.endswith("error: unrecognized arguments: --bogus\n"), proc.stderr
+
+
+# Prints the relbranch argv of each benchmark invocation as JSON: argv[1]
+# is perfbench/run.py.
+_BENCHMARK_ARGV = """
+import json, runpy, sys
+workloads = runpy.run_path(sys.argv[1], run_name="benchmark")["WORKLOADS"]
+print(json.dumps([invocation.argv for runs in workloads.values() for invocation in runs]))
+"""
+
+# Runs each argv list of its JSON argument through cli.main, output
+# discarded, and prints the exit codes and which of argparse, gettext and
+# locale the runs imported.
+_NO_ARGPARSE = """
+import contextlib, io, json, sys
+watched = {"argparse", "gettext", "locale"} - set(sys.modules)
+from relbranch import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "loaded": sorted(watched & set(sys.modules))}))
+"""

@@ -221,6 +221,22 @@ def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
     )
 
 
+def pair_record(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> dict:
+    """The record of one pair, Pi (level G) and pi (subgroup level): the hom
+    dimension, the side pair, both parameters' texts, the interlacing
+    pattern and its merged order."""
+    dim = hom_dim(Pi, pi)
+    kind = classify_interlacing(Pi.a, pi.a)
+    return {
+        "dim": dim,
+        "pair": f"({Pi.side.value},{pi.side.value})",
+        "Pi": str(Pi),
+        "pi": str(pi),
+        "pattern": kind,
+        "merged": merged_texts(kind, str(Pi.a), str(pi.a)),
+    }
+
+
 def pi_minus_summands(Pi: DiscreteSeriesParam, max_k: int) -> list[DiscreteSeriesParam]:
     """The subgroup-level minus parameters b = a + 1/2 + k, k = 0..max_k.
 
@@ -235,6 +251,18 @@ def pi_minus_summands(Pi: DiscreteSeriesParam, max_k: int) -> list[DiscreteSerie
         make_param(Pi.sig, Side.MINUS, GroupLevel.GPRIME, Pi.a + HALF + k)
         for k in range(max_k + 1)
     ]
+
+
+def pi_minus_record(Pi: DiscreteSeriesParam, max_k: int) -> dict:
+    """The record of the summands of a level-G minus parameter Pi up to
+    max_k (pi_minus_summands): their texts, their count and whether every
+    one has hom_dim 1 against Pi."""
+    summands = pi_minus_summands(Pi, max_k)
+    return {
+        "summands": [str(s.a) for s in summands],
+        "count": len(summands),
+        "all_hom_dim_one": all(hom_dim(Pi, s) == 1 for s in summands),
+    }
 
 
 # ---------------------------------------------------------------------------

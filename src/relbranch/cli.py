@@ -10,12 +10,13 @@ inside on any Python.  It is parsed exactly because parity validation must
 be exact, and printed as a fraction ("7/2").
 
 Each table kind is its own subcommand and takes only the options its sweep
-reads; an option shared by several commands is defined once, in the option
-table _COMMANDS.  Exit codes: 0 success, 2 validation error or argparse
-usage error (a missing, unknown or conflicting option, reported with the
-usage line of the parser given it), 3 numerical non-convergence.  Every
-table kind names a failing row on stderr; a reader that closes stdout early
-(`| head`) ends the run quietly with exit code 0.
+reads, and --csv, which the writer reads; an option shared by several
+commands is defined once, in the option table _COMMANDS.  Exit codes: 0
+success, 2 validation error or argparse usage error (a missing, unknown or
+conflicting option, reported with the usage line of the parser given it),
+3 numerical non-convergence (a period whose quadrature does not resolve it
+included).  Every table kind names a failing row on stderr; a reader that
+closes stdout early (`| head`) ends the run quietly with exit code 0.
 
 Command lines are read from _COMMANDS by one of two readers that agree.
 _parse_direct reads a line of the one form every example and script
@@ -38,11 +39,26 @@ objects by reference count; only cyclic garbage is left to the OS.  Dev
 mode (-X dev) keeps the full collection, which reports, for example, a
 file reachable only through a cycle as unclosed.
 
-Output goes out through _write, which joins the texts of records (or of
-one record that is built as it is written) into writes of up to
-WRITE_BATCH characters, so an unbuffered stdout (PYTHONUNBUFFERED) takes a
-few dozen writes for a table, not one per line.  A failing row's earlier
-rows are written before its error.
+Every command, and each table kind, is a generator of records, set as its
+parser's func; main runs it and writes what it yields through one writer,
+_lines with its line function _line, the only code that tells a JSON line
+from a CSV row (--csv, after a header taken from the first record), and
+_write, which joins the texts into writes of up to WRITE_BATCH characters,
+so an unbuffered stdout (PYTHONUNBUFFERED) takes a few dozen writes for a
+table, not one per line.  A failing row's earlier rows are written before
+its error.  Each row of a `table branch` grid runs every check of its
+(a, b), branching.coupling_check, and looks the plain data they return up,
+as it is, in a table that lives for the grid: a result not seen before is
+rendered once, by branching.coupling_record, with a and b as slots, and
+the row reaches the writer as (record, a, b).  The writer encodes each such
+record once, splits its line at b's slot, puts each a into the parts once
+per run of rows, and a row's line is its b joining them, the bytes a full
+encoding of the row's record would give.  A `table he --big/--small`
+record's lazy hepattern.Alignments goes through the same slot, so the
+record is written as it is built: up to ALIGNMENT_BATCH alignments of one
+shared prefix (hepattern.Alignments.groups) are joined in one step.  The
+CLI knows the envelope of a record and the caps, and none of the result's
+fields but that one lazy list.
 
 Before its first row, each table's grid is checked in _grid: its size, by
 the ends of its label ranges, against TABLE_CAP, then its last labels by
@@ -50,21 +66,6 @@ the owning layer's per-row check.  _refuse_count writes every refused count.
 A period command first builds its periods.PeriodGrid, which checks the
 tolerance, the signature and the family, so a command with several faults
 is refused for the first of: tol, signature, family, grid size, labels.
-
-Each row of a `table branch` grid runs every check of its (a, b),
-branching.coupling_check, and looks the plain data they return up, as it
-is, in a table that lives for the grid.  A result not seen before is
-rendered once, by branching.coupling_record with a slot for a and one for
-b, and encoded once into a record text, split at b's slot.  Each a is put
-into those parts once per result, and a row's line is its b joining them.
-So a line holds the bytes a full encoding of the row's record would give,
-and the CLI knows none of the record's fields.  Its CSV projection is built
-the same way, from each result's CSV row, which csv writes once.
-
-A `table he --big/--small` record is written as it is built, as a JSON
-line or a CSV row: the alignments come one group per shared prefix
-(hepattern.Alignments.groups), and up to ALIGNMENT_BATCH alignments of a
-group are joined in one step.
 
 A command loads only the layer modules it reaches.  Each layer is
 registered in sys.modules at import, through importlib.util.LazyLoader, and
@@ -138,52 +139,105 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _skeleton(text: str) -> list[str]:
-    """The line of a record whose a is written "\\1" and b "\\2", split at
-    b: a JSON line, which escapes them (\\u0001), or a CSV row, which holds
-    them as they are in its input cells and escaped in its JSON cells.  No
-    constant text of a record holds either, so the line of one (a, b) is b
-    joining the parts with a put in for "\\1".  (csv before 3.11 cannot
-    write "\\0".)"""
+    """The line of a record that holds the slots "\\1" and "\\2" (a and b
+    of a `table branch` row, or "\\2" alone in place of a list's items),
+    split at "\\2": a JSON line, which escapes them (\\u0001), or a CSV
+    row, which holds them as they are in its plain cells and escaped in its
+    JSON cells.  No constant text of a record holds either, so the line of
+    one (a, b) is b joining the parts with a put in for "\\1".  (csv before
+    3.11 cannot write "\\0".)"""
     return text.replace("\\u0001", "\1").replace("\\u0002", "\2").split("\2")
 
 
-def _alignment_list(found):
-    """The JSON list of found's alignments, written one group
-    (hepattern.Alignments.groups) at a time: each text is up to
-    ALIGNMENT_BATCH alignments of one prefix, joined in one step with no
-    escaping, as enumerate_alignments admits only + - P M."""
-    separator = "["
+def _alignment_texts(found):
+    """The alignments of found between the brackets and outer quotes of
+    their JSON list, one group (hepattern.Alignments.groups) at a time: each
+    text is up to ALIGNMENT_BATCH alignments of one prefix, joined in one
+    step with no escaping, as enumerate_alignments admits only + - P M."""
+    separator = ""
     for head, tails in found.groups():
         between = '","' + head
         for start in range(0, len(tails), ALIGNMENT_BATCH):
-            yield separator + '"' + head + between.join(tails[start : start + ALIGNMENT_BATCH]) + '"'
-            separator = ","
-    yield "[]" if separator == "[" else "]"
+            yield separator + head + between.join(tails[start : start + ALIGNMENT_BATCH])
+            separator = '","'
 
 
-def _emit(records):
-    """The texts of the records' lines, newlines included, in order; a
-    `table branch` line, which its grid has already encoded (a str), is
-    yielded as it is.  A record whose alignments are a lazy
-    hepattern.Alignments is yielded as it is built: its text around the
-    list, and the list between, one text of _alignment_list at a time, so
-    neither the alignments nor the line are ever held whole."""
-    for record in records:
-        if isinstance(record, str):
-            yield record
+def _flatten(record: dict) -> dict:
+    flat: dict = {"command": record["command"]}
+    for key, value in record["inputs"].items():
+        flat[f"in.{key}"] = value
+    for key, value in record["result"].items():
+        if isinstance(value, (list, dict)):
+            flat[f"out.{key}"] = _ENCODER.encode(value)
+        else:
+            flat[f"out.{key}"] = value
+    return flat
+
+
+def _csv_writer():
+    """A csv.writer whose writerow(cells) returns the line it writes: the
+    write it calls is str, which returns its str argument."""
+    import csv  # only the CSV projection reads it
+
+    return csv.writer(SimpleNamespace(write=str))
+
+
+def _line(record: dict, cells) -> str:
+    """The record's line: its JSON line, or, given cells (a _csv_writer's
+    writerow), its CSV row."""
+    if cells is None:
+        return _ENCODER.encode(record) + "\n"
+    return cells(_flatten(record).values())
+
+
+def _lines(records, csv: bool):
+    """The texts of the records' lines, newlines included, in order: JSON
+    lines, or (csv) CSV rows after a header taken from the first record.
+
+    An item is a record, or a `table branch` row (record, a, b), whose
+    record holds a and b as the slots _skeleton names and is the same dict
+    for every row of one result.  That record's line is encoded once and
+    split at b, a is put into the parts once per run of rows that share the
+    record and a, and a row's line is its b joining them.  A record whose
+    alignments are a lazy hepattern.Alignments goes through the same slot,
+    as a list of one: its line is written around it, and the list's items
+    between, one text of _alignment_texts at a time (each quote doubled in
+    CSV, as csv writes a quoted cell), so neither the alignments nor the
+    line are ever held whole."""
+    cells = _csv_writer().writerow if csv else None
+    header = csv  # the CSV header is still to be written
+    skeletons = {}  # id(record): (record, its split line); the record kept keeps its id
+    run = run_a = parts = None  # the record and a of the last row, and its filled parts
+    for item in records:
+        if type(item) is tuple:  # a `table branch` row
+            record, a, b = item
+            if record is run and a is run_a:
+                yield b.join(parts)
+                continue
+        else:
+            record, a = item, None
+        if header:
+            header = False
+            yield cells(_flatten(record))
+        if a is not None:  # the first row of a run
+            kept = skeletons.get(id(record))
+            if kept is None:
+                kept = skeletons[id(record)] = record, _skeleton(_line(record, cells))
+            run, run_a = record, a
+            parts = [part.replace("\1", a) for part in kept[1]]
+            yield b.join(parts)
             continue
-        result = record["result"]
-        found = result.get("alignments")
+        found = record["result"].get("alignments")
         # only a table he record has alignments, so no other command loads hepattern
         if found is None or not isinstance(found, hepattern.Alignments):
-            yield _ENCODER.encode(record) + "\n"
+            yield _line(record, cells)
             continue
-        # the key occurs once: the inputs are sign strings over + - P M
-        text = _ENCODER.encode({**record, "result": {**result, "alignments": None}})
-        before, after = text.split('"alignments":null')
-        yield before + '"alignments":'
-        yield from _alignment_list(found)
-        yield after + "\n"
+        result = {**record["result"], "alignments": ["\2"] if found.count else []}
+        before, *after = _skeleton(_line({**record, "result": result}, cells))
+        yield before
+        for text in _alignment_texts(found):
+            yield text if cells is None else text.replace('"', '""')
+        yield from after
 
 
 def _write(texts, out) -> None:
@@ -231,7 +285,7 @@ _BRANCH_RULES = [
 ]
 
 
-def cmd_branch(args, out) -> int:
+def cmd_branch(args):
     # the parser admits one a-side mode and at most one b-side option
     single = args.plus_a is not None or args.minus_a is not None
     if single != (args.plus_b is not None or args.minus_b is not None):
@@ -244,33 +298,25 @@ def cmd_branch(args, out) -> int:
     if args.gp is not None:
         params_G = branching.param_pair(sig, reps.GroupLevel.G, args.gp[0])
         params_Gp = branching.param_pair(sig, reps.GroupLevel.GPRIME, args.gp[1])
-        summary = branching.coupling_summary(params_G, params_Gp)
         a, b = params_G[0].a, params_Gp[0].a
-        record = _record(
+        yield _record(
             "branch",
             {"p": p, "q": q, "mode": "packet-sum", "a": str(a), "b": str(b)},
-            summary,
+            branching.coupling_summary(params_G, params_Gp),
             _BRANCH_RULES + ["packet sum: exactly one same-side pair contributes"],
         )
-        _write(_emit([record]), out)
-        return EXIT_OK
+        return
     if args.pi_minus is not None:
         Pi = reps.make_param(sig, reps.Side.MINUS, reps.GroupLevel.G, args.pi_minus)
         max_k = DEFAULT_MAX_K if args.max_k is None else args.max_k
         _refuse_count(max_k + 1, TABLE_CAP, "{} summands exceed")
-        summands = branching.pi_minus_summands(Pi, max_k)
-        record = _record(
+        yield _record(
             "branch",
             {"p": p, "q": q, "mode": "pi-minus-summands", "a": str(Pi.a), "max_k": max_k},
-            {
-                "summands": [str(s.a) for s in summands],
-                "count": len(summands),
-                "all_hom_dim_one": all(branching.hom_dim(Pi, s) == 1 for s in summands),
-            },
+            branching.pi_minus_record(Pi, max_k),
             ["minus-side summands: b = a + 1/2 + k for k = 0..max_k, all coupling"],
         )
-        _write(_emit([record]), out)
-        return EXIT_OK
+        return
     # single hom-dim query
     side_G = reps.Side.PLUS if args.plus_a is not None else reps.Side.MINUS
     side_Gp = reps.Side.PLUS if args.plus_b is not None else reps.Side.MINUS
@@ -278,20 +324,8 @@ def cmd_branch(args, out) -> int:
     b = args.plus_b if args.plus_b is not None else args.minus_b
     Pi = reps.make_param(sig, side_G, reps.GroupLevel.G, a)
     pi = reps.make_param(sig, side_Gp, reps.GroupLevel.GPRIME, b)
-    a, b = Pi.a, pi.a
-    dim = branching.hom_dim(Pi, pi)
-    kind = branching.classify_interlacing(a, b)
-    result = {
-        "dim": dim,
-        "pair": f"({side_G.value},{side_Gp.value})",
-        "Pi": str(Pi),
-        "pi": str(pi),
-        "pattern": kind,
-        "merged": branching.merged_texts(kind, str(a), str(b)),
-    }
-    record = _record("branch", {"p": p, "q": q, "a": str(a), "b": str(b)}, result, _BRANCH_RULES)
-    _write(_emit([record]), out)
-    return EXIT_OK
+    inputs = {"p": p, "q": q, "a": str(Pi.a), "b": str(pi.a)}
+    yield _record("branch", inputs, branching.pair_record(Pi, pi), _BRANCH_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +338,11 @@ _PERIOD_RULES = [
 ]
 
 
-def cmd_period(args, out) -> int:
+def cmd_period(args):
     p, q = _parse_pq(args.pq)
     result = periods.PeriodGrid(p, q, args.family, args.tol).record(args.n, args.k)
-    record = _record(
-        "period",
-        {"p": p, "q": q, "n": args.n, "k": args.k, "family": args.family, "tol": args.tol},
-        result,
-        _PERIOD_RULES,
-    )
-    _write(_emit([record]), out)
-    return EXIT_OK
+    inputs = {"p": p, "q": q, "n": args.n, "k": args.k, "family": args.family, "tol": args.tol}
+    yield _record("period", inputs, result, _PERIOD_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -379,30 +407,18 @@ def _rows_branch(args):
     b_values = [(str(b), branching.param_pair(sig, GPRIME, b)) for b in map(HalfInt, b_twice)]
     warning = branching.hypothesis_warning(sig)
     check = branching.coupling_check
-    csv_row = _csv_writer().writerow if args.csv else None
-    skeletons = {}  # a line per check result, split at b
+    records = {}  # a record per check result, with a and b the slots _skeleton names
     try:
         for a, Pa in a_values:
-            filled = {}  # the same with this a put in
             for b, Pb in b_values:
                 values = check(Pa, Pb)
-                parts = filled.get(values)
-                if parts is None:
-                    skeleton = skeletons.get(values)
-                    if skeleton is None:  # a and b go in as the slots _skeleton names
-                        result = branching.coupling_record(values, "\1", "\2", warning)
-                        inputs = {"p": p, "q": q, "a": "\1", "b": "\2"}
-                        record = _record("table.branch", inputs, result, _BRANCH_RULES)
-                        if csv_row is None:
-                            line = _ENCODER.encode(record) + "\n"
-                        else:
-                            flat = _flatten(record)
-                            if not skeletons:  # the header, before the first row
-                                yield csv_row(flat)
-                            line = csv_row(flat.values())
-                        skeleton = skeletons[values] = _skeleton(line)
-                    parts = filled[values] = [part.replace("\1", a) for part in skeleton]
-                yield b.join(parts)
+                record = records.get(values)
+                if record is None:
+                    result = branching.coupling_record(values, "\1", "\2", warning)
+                    inputs = {"p": p, "q": q, "a": "\1", "b": "\2"}
+                    record = _record("table.branch", inputs, result, _BRANCH_RULES)
+                    records[values] = record
+                yield record, a, b
     except ValueError as exc:
         exc.args = (f"table branch row a={a} b={b}: {exc}",)
         raise
@@ -440,7 +456,7 @@ def _rows_he(args):
         big, small = args.big.strip(), args.small.strip()
         found = hepattern.enumerate_alignments(big, small)
         _refuse_count(found.count, ALIGNMENT_CAP, "{} alignments exceed")
-        result = {"alignments": found, "count": found.count}
+        result = hepattern.alignment_report(found)
         yield _record("table.he", {"big": big, "small": small}, result, _HE_RULES)
         return
     lo, hi = _parse_range(args.n, int)
@@ -448,65 +464,6 @@ def _rows_he(args):
     for n in range(lo, hi + 1):
         result = _row("he", {"n": n}, hepattern.u2n_case_report, n)
         yield _record("table.he", {"n": n}, result, _HE_RULES)
-
-
-def _flatten(record: dict) -> dict:
-    flat: dict = {"command": record["command"]}
-    for key, value in record["inputs"].items():
-        flat[f"in.{key}"] = value
-    for key, value in record["result"].items():
-        if isinstance(value, (list, dict)):
-            flat[f"out.{key}"] = _ENCODER.encode(value)
-        else:
-            flat[f"out.{key}"] = value
-    return flat
-
-
-def _csv_writer():
-    """A csv.writer whose writerow(cells) returns the line it writes: the
-    write it calls is str, which returns its str argument."""
-    import csv  # only the CSV projection reads it
-
-    return csv.writer(SimpleNamespace(write=str))
-
-
-def _csv_lines(rows):
-    """The CSV projection of rows, each line yielded as its record arrives,
-    as a JSON line would be; the header comes from the first record.  A
-    `table branch` line, which its grid has already written (a str, its
-    header included), is yielded as it is.  A record whose alignments are a
-    lazy hepattern.Alignments is yielded as it is built, as _emit yields
-    it: its row around the alignments cell, and the cell between."""
-    row = _csv_writer().writerow
-    header = False
-    for record in rows:
-        if isinstance(record, str):
-            yield record
-            continue
-        flat = _flatten(record)
-        if not header:
-            yield row(flat)
-            header = True
-        found = flat.get("out.alignments")
-        # only a table he record has alignments, so no other command loads hepattern
-        if found is None or not isinstance(found, hepattern.Alignments):
-            yield row(flat.values())
-            continue
-        flat["out.alignments"] = "\1"  # a slot csv writes as it is, as _skeleton's
-        before, after = row(flat.values()).split("\1")
-        # the cell as csv writes the JSON list: quoted, each quote doubled,
-        # once it holds one
-        quote = '"' if found.count else ""
-        yield before + quote
-        for text in _alignment_list(found):
-            yield text.replace('"', '""')
-        yield quote + after
-
-
-def cmd_table(args, out) -> int:
-    rows = args.rows(args)
-    _write(_csv_lines(rows) if args.csv else _emit(rows), out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +510,14 @@ _COMMANDS = {
         ("--n", {"type": int, "required": True, "help": "even label on the big space"}),
         ("--k", {"type": int, "required": True, "help": "even label on the subspace"}),
     )),
-    "table": ("grid sweeps, one record per line", {"func": cmd_table}, {
-        "branch": ("coupling grid over a and b", {"rows": _rows_branch}, (
+    "table": ("grid sweeps, one record per line", {}, {
+        "branch": ("coupling grid over a and b", {"func": _rows_branch}, (
             _PQ,
             _CSV,
             ("--a-range", {"required": True, "help": "range lo..hi for a, e.g. 9/2..17/2"}),
             ("--b-range", {"required": True, "help": "range lo..hi for b"}),
         )),
-        "period": ("period grid over n, k", {"rows": _rows_period}, (
+        "period": ("period grid over n, k", {"func": _rows_period}, (
             _PQ,
             _FAMILY,
             _TOL,
@@ -568,12 +525,12 @@ _COMMANDS = {
             ("--n-max", {"type": int, "default": 8, "help": "even-label cap for n (default 8)"}),
             ("--k-max", {"type": int, "default": 8, "help": "even-label cap for k (default 8)"}),
         )),
-        "exhaustion": ("exhaustion cross-check", {"rows": _rows_exhaustion}, (
+        "exhaustion": ("exhaustion cross-check", {"func": _rows_exhaustion}, (
             _PQ,
             _CSV,
             ("--ell", {"required": True, "help": "range lo..hi of radial labels, e.g. 8..16"}),
         )),
-        "he": ("sign-sequence alignments", {"rows": _rows_he}, (
+        "he": ("sign-sequence alignments", {"func": _rows_he}, (
             _CSV,
             (True, (
                 ("--n", {"help": "range lo..hi for the U(2,n) configuration, e.g. 4..10"}),
@@ -721,9 +678,9 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        code = args.func(args, sys.stdout)
+        _write(_lines(args.func(args), getattr(args, "csv", False)), sys.stdout)
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # the reader went away (e.g. `| head`): stop quietly, and point stdout
         # at devnull so the interpreter's shutdown flush cannot fail again

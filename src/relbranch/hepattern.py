@@ -9,8 +9,9 @@ plus one shared suffix, and the output order is that of a depth-first
 search trying the big sequence's symbol before the small one's.  They are
 counted when asked for and read lazily, one at a time or one group per
 shared prefix (Alignments.groups, which a writer joins in one step), so a
-caller that writes them out never holds them all.  u2n_case_report returns
-the `table he --n` result of the U(2,n) configuration, in lists and texts.
+caller that writes them out never holds them all.  alignment_report returns
+the `table he --big/--small` result, and u2n_case_report the `table he --n`
+result of the U(2,n) configuration, in lists and texts.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def enumerate_alignments(big: str, small: str) -> Alignments:
     for ways, _ in _levels(big, small):
         pass
     return Alignments(big, small, sum(ways.values()))
+
+
+def alignment_report(found: Alignments) -> dict:
+    """The `table he --big/--small` result of found: the lazy alignments
+    themselves, which a writer reads one group at a time, and their count."""
+    return {"alignments": found, "count": found.count}
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ P_n^(alpha+shift,beta) expands in the orthogonal P_j^(alpha,beta) with
 positive coefficients, so orthogonality leaves one coefficient times a
 squared norm, nonzero exactly when the second degree is at most the first.
 This exact dichotomy drives every non-vanishing claim downstream.  The
-squared norm of a shifted polynomial under the unshifted weight is one
-closed form too (jacobi_shifted_norm_sq), not a sum over the expansion.
+squared norm of a polynomial, shifted or not, under the unshifted weight is
+one closed form too (jacobi_shifted_norm_sq), not a sum over the expansion.
 Each closed form is a quotient of factorials with its common factors
 cancelled: a power of two times rising products (specfun.rising) of at most
 n + beta + shift terms, however large alpha is.  Each is returned as an
 exact integer ratio (numerator, denominator), never reduced, so no gcd is
 taken: the numerator is zero exactly when the value is, and numerator /
-denominator is the value correctly rounded to a float.  Both squared norms
-are pure functions of small integers, so each is built once per argument
-tuple and kept.
+denominator is the value correctly rounded to a float.  A squared norm is a
+pure function of small integers, so each is built once per argument tuple
+and kept.
 
 The exact monomial-coefficient oracle these are tested against lives in
 relbranch.oracle and shares no code with this module.  The factorial forms
@@ -111,39 +111,24 @@ def jacobi_rows(
 
 
 @lru_cache(maxsize=None)
-def jacobi_norm_sq(k: int, alpha: int, beta_param: int = 0) -> tuple[int, int]:
-    """Exact norm of P_k^(alpha,beta) against the bare weight
-    (1-x)^alpha (1+x)^beta, as an unreduced integer ratio:
-
-        2^(alpha+beta+1) (k+alpha)! (k+beta)! / ((2k+alpha+beta+1) (k+alpha+beta)! k!)
-        = 2^(alpha+beta+1) (k+1)_beta / ((2k+alpha+beta+1) (k+alpha+1)_beta)
-
-    which is 2^(alpha+1) / (2k+alpha+1) when beta = 0.
-    """
-    if alpha < 0 or beta_param < 0:
-        raise ValueError("requires integer alpha, beta >= 0")
-    ab = alpha + beta_param
-    return (
-        rising(k + 1, beta_param) << (ab + 1),
-        (2 * k + ab + 1) * rising(k + alpha + 1, beta_param),
-    )
-
-
-@lru_cache(maxsize=None)
 def jacobi_shifted_norm_sq(n: int, alpha: int, beta_param: int, shift: int) -> tuple[int, int]:
     """Exact squared norm of P_n^(alpha+shift,beta) against the unshifted
-    weight (1-x)^alpha (1+x)^beta, for shift 1 or 2, as an unreduced integer
-    ratio: the sum of d_j^2 h_j over its connection coefficients d_j and the
-    norms h_j, in closed form.  With a = alpha + shift, b = beta and
+    weight (1-x)^alpha (1+x)^beta, for shift 0, 1 or 2, as an unreduced
+    integer ratio: for shift 1 or 2 the sum of d_j^2 h_j over its connection
+    coefficients d_j and the norms h_j, in closed form.  With a = alpha +
+    shift, b = beta and
     N = 2^(a+b) (n+a)! (n+b)! / (n! (n+a+b)!) = 2^(a+b) (n+1)_b / (n+a+1)_b,
-    it is N / a for shift 1 and N (2n(n+a+b+1) + (a+b)(a+1)) / (2 (a-1) a (a+1))
-    for shift 2.
+    it is 2N / (2n+a+b+1) for shift 0 (the norm h_n of P_n^(alpha,beta)
+    itself, 2^(alpha+1) / (2n+alpha+1) when beta = 0), N / a for shift 1 and
+    N (2n(n+a+b+1) + (a+b)(a+1)) / (2 (a-1) a (a+1)) for shift 2.
     """
     check_degree(n)
-    if alpha < 0 or beta_param < 0 or shift not in (1, 2):
-        raise ValueError(f"requires integer alpha, beta >= 0 and shift 1 or 2, got {shift}")
+    if alpha < 0 or beta_param < 0 or shift not in (0, 1, 2):
+        raise ValueError(f"requires integer alpha, beta >= 0 and shift 0, 1 or 2, got {shift}")
     a, ab = alpha + shift, alpha + shift + beta_param
     num, den = rising(n + 1, beta_param) << ab, rising(n + a + 1, beta_param)
+    if shift == 0:
+        return num << 1, den * (2 * n + ab + 1)
     if shift == 1:
         return num, den * a
     return num * (2 * n * (n + ab + 1) + ab * (a + 1)), den * 2 * (a - 1) * a * (a + 1)
@@ -157,8 +142,8 @@ def jacobi_pairing(n: int, k: int, alpha: int, beta_param: int, shift: int) -> t
     Orthogonality leaves one term of the connection expansion: d_k h_k,
     with d_k the connection coefficient (DLMF 18.18(iv); Askey, Orthogonal
     Polynomials and Special Functions, Lecture 7) and h_k the squared norm
-    (jacobi_norm_sq).  Their product's factorials cancel, leaving, with
-    ab = alpha + beta and k <= n,
+    (jacobi_shifted_norm_sq with shift 0).  Their product's factorials
+    cancel, leaving, with ab = alpha + beta and k <= n,
 
         (shift)_{n-k} / (n-k)! * 2^(ab+1) * (k+1)_{n+beta-k}
         * [n+k+ab+2 if shift = 2] / (k+alpha+1)_{n+beta-k+shift}

@@ -32,10 +32,11 @@ with degree // 2 + 1 nodes, is exact up to roundoff
 (specfun.gauss_legendre_quadrature), and it reaches the full label range up
 to MAX_DEGREE.  The result carries its own roundoff bound, which is what a
 quadrature value is judged against; vanishing is read from the exact route
-only.  Only the angular scale, a Cauchy-Schwarz bound that gates the tolerance
-and floors the roundoff bound, reads the two squared norms, each one exact
-closed form (jacobi.jacobi_norm_sq, jacobi.jacobi_shifted_norm_sq) rounded
-once.
+only, and a record of a nonzero period is refused unless its quadrature
+resolves the value (PeriodGrid.record).  Only the angular scale, a
+Cauchy-Schwarz bound that gates the tolerance and floors the roundoff
+bound, reads the two squared norms, each one exact closed form
+(jacobi.jacobi_shifted_norm_sq, shifted and not) rounded once.
 
 A period grid is one PeriodGrid(p, q, kind, tol), which checks the
 tolerance, the signature and the family once, when it is built, and whose
@@ -52,11 +53,10 @@ its own factors.
 
 from __future__ import annotations
 
-from math import inf, sqrt
+from math import inf, sqrt, ulp
 from typing import Sequence
 
-from .jacobi import check_degree, jacobi_norm_sq, jacobi_pairing, jacobi_rows
-from .jacobi import jacobi_shifted_norm_sq
+from .jacobi import check_degree, jacobi_pairing, jacobi_rows, jacobi_shifted_norm_sq
 from .specfun import ConvergenceError, QuadratureResult, gauss_legendre_quadrature
 from .specfun import radial_integral_exact
 
@@ -102,7 +102,7 @@ def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> f
     """Cauchy-Schwarz bound sqrt(||P_n||^2 ||P_k||^2) on jacobi_pairing(n, k, ...),
     each squared norm exact and rounded once."""
     big_num, big_den = jacobi_shifted_norm_sq(n, alpha, beta_param, shift)
-    small_num, small_den = jacobi_norm_sq(k, alpha, beta_param)
+    small_num, small_den = jacobi_shifted_norm_sq(k, alpha, beta_param, 0)
     return sqrt(big_num / big_den * (small_num / small_den))
 
 
@@ -253,16 +253,28 @@ class PeriodGrid:
         """The result of the period at n, k as a command prints it: the
         closed form (the exact period rounded once), the quadrature, their
         difference and the vanishing flag (exact, since the radial factor is
-        positive)."""
+        positive).
+
+        A nonzero period's quadrature must resolve it: its bound below its
+        magnitude, and the closed value within the bound (and one ulp of
+        the closed value), or ConvergenceError is raised.  The exact verdict
+        only picks this gate; the quadrature never reads the exact route."""
         exact = self.exact(n, k)
         closed = closed_value(exact)
         quad = self.quadrature(n, k)
+        value, err = quad.value, quad.abs_error_estimate
+        difference = abs(closed - value)
+        if exact[0] and not (err < abs(value) and difference <= err + ulp(closed)):
+            raise ConvergenceError(
+                f"quadrature {value:.3g} (bound {err:.3g}) does not resolve "
+                f"the closed value {closed:.3g}"
+            )
         return {
             "family": self.kind,
             "closed": closed,
-            "quadrature": quad.value,
-            "quadrature_error": quad.abs_error_estimate,
-            "abs_difference": abs(closed - quad.value),
+            "quadrature": value,
+            "quadrature_error": err,
+            "abs_difference": difference,
             "nonvanishing": exact[0] != 0,
         }
 

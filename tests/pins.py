@@ -2,9 +2,12 @@
 sha256 of what it writes to stdout.  Each command exits 0 and writes nothing
 to stderr.  A second table, REFUSALS, pins commands that must be refused:
 each exits with its row's code (2 for a refused input, 3 for a numerical
-failure), writes nothing to stdout and exactly its row's text to stderr.
+failure), writes nothing to stdout and exactly its row's text to stderr.  A
+third, PARTIALS, pins tables that fail at a row: each exits with its row's
+code, writes exactly its row's text to stderr, and its stdout, the rows
+before the failing one, hashes to its row's sha256.
 
-Run as a script, it runs every row of both tables through
+Run as a script, it runs every row of the three tables through
 ``relbranch.cli.main`` in the interpreter that runs it, prints one PASS or
 FAIL line per row and exits 1 if any row fails; it takes no arguments:
 
@@ -98,23 +101,15 @@ ROWS = [
         "relbranch table he --big +-+-+-+-+-+-+-+-+-+- --small PMPMPMPMPMPMPMPMPMP",
         "5dd2230d9eb6cc8f9fe82a30a63dc4266defdbe9c7abf1cb7549226989296514",
     ),
-    # four grids over every label up to MAX_DEGREE, where records share
-    # rules, sweeps and radial factors most
+    # two grids over every label up to MAX_DEGREE, where records share
+    # rules, sweeps and radial factors most (PARTIALS holds two more)
     (
         "relbranch table period --pq 1,2 --n-max 64 --k-max 64",
         "2c0230fe90d60674f09ba8b654056f930e47cfa6f5cfff547a45b035145158b9",
     ),
     (
-        "relbranch table period --pq 3,20 --n-max 64 --k-max 64",
-        "a92bce62721d6b0b08186c51da94480db8402621b5aedadc2854bb9d124794e2",
-    ),
-    (
         "relbranch table period --pq 2,5 --family quaternionic --n-max 64 --k-max 64",
         "b1ed1e44d81455b941ce7956739b09c514f5b04e86ca6d69938d54673701ad14",
-    ),
-    (
-        "relbranch table period --pq 3,20 --family quaternionic --n-max 64 --k-max 64",
-        "4be4cbc27e94c6bd918a86eaca57e6d987b7209cc859c0a984b6bff86682b829",
     ),
     # a small period grid at another signature
     (
@@ -341,6 +336,44 @@ REFUSALS = [
         3,
         "error: angular quadrature bound 3.18e-14 exceeds tol 1e-300 times max(1, scale 0.894)\n",
     ),
+    # a nonzero period whose quadrature does not resolve it: a bound above
+    # the value, a value off the closed one by more than its bound, or both
+    (
+        "relbranch period --pq 3,20 --n 64 --k 0",
+        3,
+        "error: quadrature 6.14e-17 (bound 9.73e-14) does not resolve the closed value 8.64e-20\n",
+    ),
+    (
+        "relbranch period --pq 3,20 --family quaternionic --n 18 --k 0",
+        3,
+        "error: quadrature 3.34e-12 (bound 4.8e-12) does not resolve the closed value 3.35e-12\n",
+    ),
+    (
+        "relbranch period --pq 1,400 --n 64 --k 0",
+        3,
+        "error: quadrature -6.45e+99 (bound 9.26e+102) does not resolve the closed value "
+        "1.16e+35\n",
+    ),
+]
+
+PARTIALS = [
+    # the two (3,20) grids over every label up to MAX_DEGREE end at their
+    # first record whose quadrature does not resolve it, after the rows
+    # before it: 462 of the complex grid's 1,089 and 297 of the quaternionic
+    (
+        "relbranch table period --pq 3,20 --n-max 64 --k-max 64",
+        3,
+        "error: table period row n=28 k=0: quadrature 1.2e-13 (bound 2.1e-13) does not resolve "
+        "the closed value 1.21e-13\n",
+        "a7c15e58f6b08a1ab76eaf1999fa444b3ca980fef55d3552247dc3801a5abdef",
+    ),
+    (
+        "relbranch table period --pq 3,20 --family quaternionic --n-max 64 --k-max 64",
+        3,
+        "error: table period row n=18 k=0: quadrature 3.34e-12 (bound 4.8e-12) does not resolve "
+        "the closed value 3.35e-12\n",
+        "516d18224850a9078d86ae2b9217e3bb0af78c2adfd42e857f80522131e3794b",
+    ),
 ]
 
 
@@ -395,12 +428,23 @@ def check_refusal(line, expected_code, expected):
     return f"exit {code}, {sink.size} characters on stdout, stderr {err!r}"
 
 
+def check_partial(line, expected_code, expected, digest):
+    """"" if the command line exits expected_code, writes exactly expected
+    to stderr and its stdout hashes to digest, else what it did."""
+    code, sink, err = _run(line)
+    got = sink.digest.hexdigest()
+    if (code, err, got) == (expected_code, expected, digest):
+        return ""
+    return f"exit {code}, sha256 {got}, stderr {err!r}"
+
+
 def main(argv):
     if argv:
         print("usage: tests/pins.py (it takes no arguments)", file=sys.stderr)
         return 2
     print(f"pins on Python {platform.python_version()}", flush=True)
     rows = [(check, *row) for row in ROWS] + [(check_refusal, *row) for row in REFUSALS]
+    rows += [(check_partial, *row) for row in PARTIALS]
     failed = 0
     for verify, line, *expected in rows:
         problem = verify(line, *expected)

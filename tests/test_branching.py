@@ -17,8 +17,10 @@ from relbranch.branching import (
     fj_label_to_b,
     hom_dim,
     merged_texts,
+    pair_record,
     param_pair,
     pattern_characters,
+    pi_minus_record,
     pi_minus_summands,
 )
 from relbranch.halfint import HALF, HalfInt
@@ -318,6 +320,32 @@ def test_pi_minus_summands_exactness():
         if hom_dim(Pi, pi) == 1:
             want.add(b)
     assert got == want
+
+
+def test_pair_and_summand_records():
+    # the `branch` results, keys in the printed order: a same-side pair of
+    # each pattern and a mixed one, and a summand ladder with its texts
+    sig = Signature(3, 3)
+    Pi = make_param(sig, Side.PLUS, GroupLevel.G, h("7/2"))
+    for side, b, dim, kind, merged in [
+        (Side.PLUS, 2, 1, P1, ["7/2", "2", "-2", "-7/2"]),
+        (Side.PLUS, 5, 0, P2, ["5", "7/2", "-7/2", "-5"]),
+        (Side.MINUS, 2, 0, P1, ["7/2", "2", "-2", "-7/2"]),
+    ]:
+        pi = make_param(sig, side, GroupLevel.GPRIME, b)
+        assert pair_record(Pi, pi) == {
+            "dim": dim,
+            "pair": f"(+,{side.value})",
+            "Pi": str(Pi),
+            "pi": str(pi),
+            "pattern": kind,
+            "merged": merged,
+        }
+        assert list(pair_record(Pi, pi)) == ["dim", "pair", "Pi", "pi", "pattern", "merged"]
+    minus = make_param(sig, Side.MINUS, GroupLevel.G, h("5/2"))
+    record = pi_minus_record(minus, 2)
+    assert record == {"summands": ["3", "4", "5"], "count": 3, "all_hom_dim_one": True}
+    assert list(record) == ["summands", "count", "all_hom_dim_one"]
 
 
 def test_pi_minus_summands_validation():

@@ -630,17 +630,23 @@ def test_table_he_joined_alignments_match_the_generic_encoder(big, small):
     # the alignments are joined without escaping, one group of a shared
     # prefix at a time, in slices (of two here); the JSON line and the CSV
     # lines must be what the generic encoder and csv write for the listed
-    # alignments, an empty list included.  The command runs past argparse,
-    # which reads --big=-- as an empty list before Python 3.13.
+    # alignments, an empty list included.  The command runs through main
+    # past the parsers, as argparse reads --big=-- as an empty list before
+    # Python 3.13.
+    import contextlib
     import csv
     import io
     from unittest import mock
 
     def run(as_csv):
-        args = argparse.Namespace(big=big, small=small, n=None, csv=as_csv, rows=cli._rows_he)
+        args = argparse.Namespace(big=big, small=small, n=None, csv=as_csv, func=cli._rows_he)
         out = io.StringIO()
-        with mock.patch.object(cli, "ALIGNMENT_BATCH", 2):
-            assert cli.cmd_table(args, out) == 0
+        with (
+            mock.patch.object(cli, "ALIGNMENT_BATCH", 2),
+            mock.patch.object(cli, "_parse_direct", lambda argv: args),
+            contextlib.redirect_stdout(out),
+        ):
+            assert cli.main(["table", "he"]) == 0
         return out.getvalue()
 
     (record,) = cli._rows_he(argparse.Namespace(big=big, small=small))
@@ -787,14 +793,14 @@ def _leaf_parsers():
     top = choices(cli.build_parser())
     yield from ((name, top[name], top[name].get_default("func")) for name in ("branch", "period"))
     for kind, parser in choices(top["table"]).items():
-        yield f"table {kind}", parser, parser.get_default("rows")
+        yield f"table {kind}", parser, parser.get_default("func")
 
 
 def test_each_command_defines_exactly_the_options_it_reads():
     # an option the command's function never reads would be accepted and
-    # ignored; plumbing is read by the dispatch, and no function reads it
-    # but `table branch`, which builds its CSV rows as records
-    plumbing = {"help", "func", "rows", "kind", "subcommand", "csv"}
+    # ignored; plumbing is read by the dispatch (main hands --csv to the
+    # writer), and no command's function reads it
+    plumbing = {"help", "func", "kind", "subcommand", "csv"}
     leaves = list(_leaf_parsers())
     assert [name for name, _, _ in leaves] == [
         "branch", "period", "table branch", "table period", "table exhaustion", "table he"
@@ -809,8 +815,7 @@ def test_each_command_defines_exactly_the_options_it_reads():
             and isinstance(node.value, ast.Name)
             and node.value.id == "args"
         }
-        extra = {"csv"} if name == "table branch" else set()
-        assert dests == read - extra, (name, function.__name__)
+        assert dests == read, (name, function.__name__)
 
 
 def test_table_cap(capsys):
@@ -900,25 +905,30 @@ def test_table_branch_runs_every_check_per_row(capsys, monkeypatch):
 
 def test_table_branch_renders_each_distinct_result_once(capsys, monkeypatch):
     # the benchmark grid's 3,306 rows run every check, but hold two distinct
-    # check results, P1 and P2: each is rendered once, and every row fills
-    # in only its a and b
-    counts = {"coupling_check": 0, "coupling_record": 0}
+    # check results, P1 and P2: each is rendered once and its line encoded
+    # once, as a JSON line and as a CSV row, and every row fills in only its
+    # a and b
+    counts = {"coupling_check": 0, "coupling_record": 0, "_line": 0}
 
-    def counting(name):
-        real = getattr(cli.branching, name)
+    def counting(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(cli.branching, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    counting("coupling_check")
-    counting("coupling_record")
+    counting(cli.branching, "coupling_check")
+    counting(cli.branching, "coupling_record")
+    counting(cli, "_line")
     argv = ("table", "branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and len(parse_records(out)) == 57 * 58
-    assert counts == {"coupling_check": 57 * 58, "coupling_record": 2}
+    for form in ([], ["--csv"]):
+        counts.update(dict.fromkeys(counts, 0))
+        code, out, _ = run_cli(capsys, *argv, *form)
+        rows = out.splitlines()[1:] if form else parse_records(out)  # after the CSV header
+        assert code == 0 and len(rows) == 57 * 58, form
+        assert counts == {"coupling_check": 57 * 58, "coupling_record": 2, "_line": 2}, form
 
 
 def test_valid_parameter_range_matches_validation():
@@ -1138,13 +1148,15 @@ def test_rows_before_a_failing_row_are_written_after_many_batches(monkeypatch, f
     # the failing row is far into the benchmark grid: every row before it
     # reaches out, in writes of up to WRITE_BATCH characters, each of which
     # took all the rows that fit
+    import contextlib
     import io
     from types import SimpleNamespace
 
     argv = ["table", "branch", "--pq", "4,5", "--a-range", "4..60", "--b-range", "7/2..121/2"]
-    args = cli.build_parser().parse_args(argv + (["--csv"] if form == "csv" else []))
+    argv += ["--csv"] if form == "csv" else []
     whole = io.StringIO()
-    assert cli.cmd_table(args, whole) == 0
+    with contextlib.redirect_stdout(whole):
+        assert cli.main(argv) == 0
     lines = whole.getvalue().splitlines(keepends=True)
     key = ",4,5,50,7/2," if form == "csv" else '"a":"50","b":"7/2"'
     (failing,) = [index for index, line in enumerate(lines) if key in line]
@@ -1156,9 +1168,9 @@ def test_rows_before_a_failing_row_are_written_after_many_batches(monkeypatch, f
         return real(Pi, pi)
 
     monkeypatch.setattr(cli.branching, "hom_dim", couples_mixed_sides)
-    writes = []
+    args, writes = cli.build_parser().parse_args(argv), []
     with pytest.raises(ValueError, match="^table branch row a=50 b=7/2: expected exactly one"):
-        cli.cmd_table(args, SimpleNamespace(write=writes.append))
+        cli._write(cli._lines(args.func(args), args.csv), SimpleNamespace(write=writes.append))
     assert "".join(writes) == "".join(lines[:failing])
     assert len(writes) > 2 and max(map(len, writes)) <= cli.WRITE_BATCH
     assert all(len(text) + len(after) > cli.WRITE_BATCH for text, after in zip(writes, writes[1:]))
@@ -1415,9 +1427,9 @@ def test_every_readme_command_is_pinned():
 
 
 def test_pinned_bytes():
-    # every row of tests/pins.py, its refusals included, run by its script
-    # in two interpreters at once, under hash seeds 0 and 1: no record
-    # depends on set or dict iteration order
+    # every row of tests/pins.py, its refusals and partial outputs
+    # included, run by its script in two interpreters at once, under hash
+    # seeds 0 and 1: no record depends on set or dict iteration order
     import os
     import subprocess
     import sys
@@ -1432,7 +1444,7 @@ def test_pinned_bytes():
         ))
         for seed in ("0", "1")
     ]
-    expected = [f"PASS {line}" for line, *_ in pins.ROWS + pins.REFUSALS]
+    expected = [f"PASS {line}" for line, *_ in pins.ROWS + pins.REFUSALS + pins.PARTIALS]
     for seed, child in children:
         out, err = child.communicate(timeout=120)
         lines = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]

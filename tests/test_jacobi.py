@@ -8,7 +8,6 @@ import pytest
 from relbranch.jacobi import (
     MAX_DEGREE,
     _recurrence_ratios,
-    jacobi_norm_sq,
     jacobi_pairing,
     jacobi_rows,
     jacobi_shifted_norm_sq,
@@ -23,8 +22,9 @@ _coeffs = lru_cache(maxsize=None)(jacobi_coeffs)
 
 
 def _norm_sq(k, alpha, beta=0):
-    """jacobi_norm_sq as a Fraction."""
-    return Fraction(*jacobi_norm_sq(k, alpha, beta))
+    """The squared norm of P_k^(alpha,beta), jacobi_shifted_norm_sq with
+    shift 0, as a Fraction."""
+    return Fraction(*jacobi_shifted_norm_sq(k, alpha, beta, 0))
 
 
 def _expansion(n, alpha, beta, shift):
@@ -255,7 +255,7 @@ def test_shifted_norm_sq_closed_form_to_degree_cap():
 
 
 def test_shifted_norm_sq_matches_oracle_and_validates():
-    for shift in (1, 2):
+    for shift in (0, 1, 2):
         for alpha, beta in [(0, 0), (2, 1), (3, 0), (1, 3)]:
             for n in range(0, 7):
                 big = _coeffs(n, alpha + shift, beta)
@@ -266,8 +266,32 @@ def test_shifted_norm_sq_matches_oracle_and_validates():
         jacobi_shifted_norm_sq(MAX_DEGREE + 1, 0, 0, 1)
     with pytest.raises(ValueError, match="shift"):
         jacobi_shifted_norm_sq(2, 0, 0, 3)
-    with pytest.raises(ValueError):
-        jacobi_shifted_norm_sq(2, -1, 0, 1)
+    with pytest.raises(ValueError, match="shift"):
+        jacobi_shifted_norm_sq(2, 0, 0, -1)
+    for shift in (0, 1):
+        with pytest.raises(ValueError):
+            jacobi_shifted_norm_sq(2, -1, 0, shift)
+        with pytest.raises(ValueError):
+            jacobi_shifted_norm_sq(2, 0, -1, shift)
+
+
+def test_unshifted_norm_sq_is_one_integer_pair():
+    # shift 0 is the ratio 2^(alpha+beta+1) (k+1)_beta over
+    # (2k+alpha+beta+1) (k+alpha+1)_beta as these very integers, unreduced,
+    # so the angular scale that rounds it is the same float bit for bit
+    def rising(x, m):
+        product = 1
+        for i in range(m):
+            product *= x + i
+        return product
+
+    for alpha in _ALPHAS:
+        for beta in (0, 1, 3):
+            for k in range(0, MAX_DEGREE + 1):
+                ab = alpha + beta
+                num = rising(k + 1, beta) << (ab + 1)
+                want = (num, (2 * k + ab + 1) * rising(k + alpha + 1, beta))
+                assert jacobi_shifted_norm_sq(k, alpha, beta, 0) == want, (k, alpha, beta)
 
 
 def test_jacobi_pairing_matches_expansion_small_grid():

@@ -1,7 +1,7 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import nan, sqrt
+from math import inf, nan, nextafter, sqrt, ulp
 
 import pytest
 from hypothesis import given, settings
@@ -269,17 +269,49 @@ def test_record_reads_the_exact_ratio_on_the_six_grids():
     # a record's closed value is the exact ratio rounded once, as a Fraction
     # would round it, and its vanishing flag is whether the numerator is
     # nonzero, which is k <= n; the quadrature is left out, as it reads
-    # neither
+    # neither: it is stubbed as the closed value with a zero bound, which
+    # resolves every period
     labels = range(0, MAX_DEGREE + 1, 2)
     for p, q, kind in _SIX_GRIDS:
         grid = PeriodGrid(p, q, kind)
-        grid.quadrature = lambda n, k: QuadratureResult(0.0, 0.0, 0)
+        grid.quadrature = lambda n, k, grid=grid: QuadratureResult(
+            closed_value(grid.exact(n, k)), 0.0, 0
+        )
         for n in labels:
             for k in labels:
                 num, den = grid.exact(n, k)
                 record = grid.record(n, k)
                 assert record["closed"] == float(Fraction(num, den)), (p, q, kind, n, k)
                 assert record["nonvanishing"] is (num != 0) is (k <= n), (p, q, kind, n, k)
+
+
+def test_record_refuses_a_period_its_quadrature_does_not_resolve():
+    # a nonzero period needs its quadrature's bound below the quadrature's
+    # magnitude and the closed value within the bound plus one ulp of it:
+    # each clause refuses a quadrature that the other passes.  A zero period
+    # is not gated here, as the exact verdict only picks the gate
+    grid = PeriodGrid(1, 2)
+    closed = closed_value(grid.exact(4, 2))
+    up2 = nextafter(nextafter(closed, inf), inf)  # closed + 2 ulp
+    up3 = nextafter(up2, inf)
+    cases = [
+        (closed, 0.0, True),
+        (up2, ulp(closed), True),  # off by the bound plus one ulp, exactly
+        (up3, ulp(closed), False),  # off by one ulp more
+        (closed, closed, False),  # a bound as large as the value
+        (-closed, 2 * closed, False),  # both
+        (2 * closed, closed / 2, False),  # a small bound, off by the value
+    ]
+    for value, bound, resolved in cases:
+        grid.quadrature = lambda n, k, value=value, bound=bound: QuadratureResult(value, bound, 0)
+        if resolved:
+            record = grid.record(4, 2)
+            assert (record["quadrature"], record["quadrature_error"]) == (value, bound)
+            continue
+        with pytest.raises(ConvergenceError, match="^quadrature .* does not resolve the closed"):
+            grid.record(4, 2)
+    grid.quadrature = lambda n, k: QuadratureResult(1.0, 2.0, 0)
+    assert grid.record(2, 4)["nonvanishing"] is False
 
 
 def test_angular_scale_is_the_cauchy_schwarz_bound():

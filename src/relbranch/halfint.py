@@ -2,19 +2,24 @@
 
 Every representation parameter in this package (a, b, weights, character
 entries) lives in (1/2)Z.  Storing twice the value as an int keeps parity
-checks and comparisons exact; floats never enter validation paths.
-
-fractions, which imports decimal, is imported only where a Fraction is read
-or built (parse, from_fraction, coerce of a value that is not a HalfInt,
-int or str, as_fraction and hashing), so a command that builds its
-half-integers from ints loads neither.
+checks and comparisons exact; floats never enter validation paths, and
+neither does fractions: a literal is read with int arithmetic alone.
 """
 
 from __future__ import annotations
 
+import re
 from functools import total_ordering
 
 from .frozen import Frozen
+
+# The literals HalfInt.parse reads; \d is Unicode's, as it is for int.
+_LITERAL = re.compile(r"([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?\d+))?)")
+
+# The largest |exponent| of a literal: Python's default int digit limit, so
+# no literal names a value that a plain digit literal could not.  A larger one
+# is refused before any power of ten is built.
+MAX_EXPONENT = 4300
 
 
 @total_ordering
@@ -36,35 +41,35 @@ class HalfInt(Frozen):
         return cls(2 * n)
 
     @classmethod
-    def from_fraction(cls, f: Fraction) -> "HalfInt":
-        from fractions import Fraction
-
-        f = Fraction(f)
-        if f.denominator not in (1, 2):
-            raise ValueError(f"{f} is not a half-integer")
-        return cls(f.numerator * (2 // f.denominator))
-
-    @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        """Parse an exact literal: an optional sign, then digits with an
+        """Parse an exact literal in Fraction's grammar of Python 3.10, with
+        no ``_`` or space inside it: an optional sign, then digits with an
         optional ``/denominator`` (``"7/2"``, ``"-3"``) or a decimal with an
-        optional exponent (``"3.5"``).  ``_`` (which Fraction takes from 3.11)
-        and inner spaces (from 3.12) are refused, so every Python agrees.  A
-        refusal names the literal, never its exact value."""
-        from fractions import Fraction
-
+        optional exponent (``"3.5"``, ``"35e-1"``) of at most MAX_EXPONENT in
+        size.  Whitespace around the literal is stripped.  A refusal names
+        the literal, never its exact value, in Fraction's words where
+        Fraction refuses it too."""
+        literal = text.strip()
         try:
-            literal = text.strip()
-            if "_" in literal or any(map(str.isspace, literal)):
+            match = _LITERAL.fullmatch(literal)
+            if match is None:
                 raise ValueError(f"Invalid literal for Fraction: {literal!r}")
-            value = Fraction(literal)
-            if value.denominator > 2:
+            sign, digits, denominator, decimals, e = match.groups()
+            num, den = int(digits or "0"), int(denominator or "1")
+            if decimals:
+                den = 10 ** len(decimals)
+                num = num * den + int(decimals)
+            e = int(e or "0")
+            if abs(e) > MAX_EXPONENT:
+                raise ValueError(f"exponent {e} is beyond the cap MAX_EXPONENT = {MAX_EXPONENT}")
+            if not den:
+                raise ValueError("zero denominator")
+            twice, rest = divmod(2 * num * 10 ** max(e, 0), den * 10 ** max(-e, 0))
+            if rest:
                 raise ValueError(f"{literal} is not a half-integer")
-            return cls.from_fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"cannot parse half-integer from {text!r}: zero denominator") from None
         except ValueError as exc:
             raise ValueError(f"cannot parse half-integer from {text!r}: {exc}") from None
+        return cls(-twice if sign == "-" else twice)
 
     @classmethod
     def coerce(cls, value) -> "HalfInt":
@@ -74,10 +79,6 @@ class HalfInt(Frozen):
             return cls.from_int(value)
         if isinstance(value, str):
             return cls.parse(value)
-        from fractions import Fraction
-
-        if isinstance(value, Fraction):
-            return cls.from_fraction(value)
         raise TypeError(f"cannot coerce {value!r} to HalfInt")
 
     # -- views ------------------------------------------------------------
@@ -85,11 +86,6 @@ class HalfInt(Frozen):
     @property
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.twice, 2)
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -156,7 +152,8 @@ class HalfInt(Frozen):
         return self.twice < t
 
     def __hash__(self) -> int:
-        return hash(self.as_fraction())
+        # an integral value hashes as the int it equals
+        return hash(self.twice // 2 if self.is_integer else (self.twice, 2))
 
     # -- rendering ---------------------------------------------------------
 

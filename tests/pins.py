@@ -166,9 +166,9 @@ ROWS = [
 ]
 
 REFUSALS = [
-    # half-integer literals that some Python's Fraction reads and another
-    # refuses: "_" between digits (3.11 on) and spaces around "/" (3.12 on);
-    # and a zero denominator, whose ZeroDivisionError text is Fraction's own
+    # half-integer literals outside Fraction's 3.10 grammar that a later
+    # Fraction reads: "_" between digits (3.11 on) and spaces around "/"
+    # (3.12 on); and a zero denominator
     (
         "relbranch branch --pq 3,3 --plus-a 1_1/2 --plus-b 2",
         2,
@@ -188,6 +188,20 @@ REFUSALS = [
         "relbranch branch --pq 3,3 --plus-a 1/0 --plus-b 2",
         2,
         "error: cannot parse half-integer from '1/0': zero denominator\n",
+    ),
+    # a decimal part of "d", which the Fraction of 3.11 and 3.12 matches and
+    # then hands to int(): every Python refuses it in Fraction's 3.10 words
+    (
+        "relbranch branch --pq 3,3 --plus-a 3.d --plus-b 2",
+        2,
+        "error: cannot parse half-integer from '3.d': Invalid literal for Fraction: '3.d'\n",
+    ),
+    # an exponent past halfint.MAX_EXPONENT, refused before 10^(10^8) is built
+    (
+        "relbranch branch --pq 3,3 --plus-a 1e100000000 --plus-b 2",
+        2,
+        "error: cannot parse half-integer from '1e100000000': exponent 100000000 is beyond the "
+        "cap MAX_EXPONENT = 4300\n",
     ),
     # a refusal names a value as the command line wrote it, not its exact
     # value: 1e400 is not echoed as the 401 digits of 10^400, nor a long
@@ -326,6 +340,13 @@ REFUSALS = [
     ),
     (
         "relbranch period --pq 1,1100 --n 0 --k 0",
+        3,
+        "error: closed form overflowed: integer division result too large for a float\n",
+    ),
+    # the radial factor at a = 10^6, b = 1 is 0! / (2 (10^6)_1): the shorter
+    # Beta form builds no (10^6 - 1)!, and the closed value still overflows
+    (
+        "relbranch period --pq 1000000,1000001 --n 0 --k 0",
         3,
         "error: closed form overflowed: integer division result too large for a float\n",
     ),

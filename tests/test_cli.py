@@ -1522,10 +1522,12 @@ def test_exact_commands_never_import_numpy(capsys):
     # every layer module is in sys.modules with the CLI (registered lazily,
     # see test_commands_load_only_the_layers_they_reach), and no command loads numpy,
     # the period commands and their quadrature included; nor does any load
-    # dataclasses or inspect, and only the --csv run, the last, loads csv
+    # dataclasses, inspect, fractions, decimal or numbers, and only the --csv
+    # run, the last, loads csv
     layers = _traced_layers()
     assert {"periods", "jacobi", "specfun"} <= layers
     required = {f"relbranch.{layer}" for layer in layers}
+    unwanted = {"numpy", "dataclasses", "inspect", "fractions", "decimal", "numbers"}
     commands = [
         ["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2"],
         ["table", "exhaustion", "--pq", "3,3", "--ell", "8..10"],
@@ -1539,7 +1541,7 @@ def test_exact_commands_never_import_numpy(capsys):
     assert len(steps) == len(commands) + 1
     for argv, step in zip([["import"]] + commands, steps):
         modules = set(step["present"])
-        assert not {"numpy", "dataclasses", "inspect"} & modules, argv
+        assert not unwanted & modules, argv
         assert required <= modules, argv
         assert ("csv" in modules) == ("--csv" in argv), argv
     for argv, step in zip(commands, steps[1:]):
@@ -1556,10 +1558,9 @@ def test_commands_load_only_the_layers_they_reach():
     ] + ["decimal", "fractions", "numbers"]
     # building the parser runs no layer module; the period route never
     # reaches the branching, parameter or alignment layers, and table he
-    # --big/--small reaches only hepattern.  Only a command that reads a
-    # half-integer literal loads fractions, and with it decimal and numbers:
-    # the period route computes with int ratios, and an exhaustion grid
-    # builds its half-integers from ints
+    # --big/--small reaches only hepattern.  No command loads fractions, or
+    # decimal and numbers with it: the period route computes with int
+    # ratios, and a half-integer literal is read with int arithmetic
     period = ["relbranch.jacobi", "relbranch.periods", "relbranch.specfun"]
     exhaustion = ["relbranch.branching", "relbranch.frozen", "relbranch.halfint", "relbranch.reps"]
     for argv, loaded in (
@@ -1569,8 +1570,7 @@ def test_commands_load_only_the_layers_they_reach():
         (["table", "he", "--big", "+-+-", "--small", "PMPM"], ["relbranch.hepattern"]),
         (["table", "he", "--big", "+-+-", "--small", "PMPM", "--csv"], ["relbranch.hepattern"]),
         (["table", "exhaustion", "--pq", "3,3", "--ell", "8..140"], exhaustion),
-        (["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2"],
-         ["decimal", "fractions", "numbers", *exhaustion]),
+        (["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2"], exhaustion),
     ):
         before, after = _child([argv])["steps"]
         ran = [[m for m in step["ran"] if m in watched] for step in (before, after)]

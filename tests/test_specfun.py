@@ -157,8 +157,7 @@ def test_closed_vs_quadrature_grid():
 
 
 def test_rising_product_on_both_branches():
-    # a plain product when no longer than its start, a factorial quotient
-    # when longer; the same integer either way, on both sides of m = x
+    # one plain product, the same integer on both sides of m = x
     for x in (1, 2, 5, 31, 32, 33, 100, 10**6, 10**30):
         for m in (0, 1, 2, 4, 5, 6, 31, 32, 33, 64, 101, 500):
             want = 1
@@ -170,8 +169,8 @@ def test_rising_product_on_both_branches():
 # the radial (sinh power, cosh decay) of both families, complex
 # (2p - 1, 2q + n + k - 1) and quaternionic (4p - 1, 4q + n + k - 3), at the
 # signatures whose angular alphas the pairing tests cover, up to quaternionic
-# q = 530, and at p = 40 and 20, where (b)_a is longer than its start, so
-# a factorial quotient
+# q = 530, and at p = 40 and 20, where a > b, so the shorter form is
+# (b-1)! / (2 (a)_b)
 _RADIAL_GRIDS = [
     *[(lambda p, q, s: (2 * p - 1, 2 * q + s - 1), p, q) for p, q in
       ((1, 2), (1, 3), (3, 20), (1, 522), (40, 41))],
@@ -187,6 +186,18 @@ def test_radial_factor_is_the_factorial_form_over_the_period_grids():
         for labels in range(0, 2 * 64 + 1, 2):
             alpha, beta_exp = radial_args(p, q, labels)
             assert _radial(alpha, beta_exp) == forms.radial(alpha, beta_exp), (p, q, labels)
+
+
+def test_radial_factor_takes_the_shorter_beta_form():
+    # B(a, b) = B(b, a): at a = 10^6, b = 1 the factorial is 0!, not
+    # (10^6 - 1)!, and the rising product has one term, not 10^6
+    assert radial_integral_exact(2 * 10**6 - 1, 2 * 10**6 + 1) == (1, 2 * 10**6)
+    assert radial_integral_exact(1, 2 * 10**6 + 1) == (1, 2 * 10**6)
+    for alpha, beta_exp in ((9, 13), (3, 21), (41, 43)):
+        a, b = (alpha + 1) // 2, (beta_exp - alpha) // 2
+        num, den = radial_integral_exact(alpha, beta_exp)
+        assert num == math.factorial(min(a, b) - 1), (alpha, beta_exp)
+        assert Fraction(num, den) == forms.radial(alpha, beta_exp), (alpha, beta_exp)
 
 
 def test_radial_factor_refuses_a_factorial_argument_past_maxsize():

@@ -64,8 +64,9 @@ Before its first row, each table's grid is checked in _grid: its size, by
 the ends of its label ranges, against TABLE_CAP, then its last labels by
 the owning layer's per-row check.  _refuse_count writes every refused count.
 A period command first builds its periods.PeriodGrid, which checks the
-tolerance, the signature and the family, so a command with several faults
-is refused for the first of: tol, signature, family, grid size, labels.
+tolerance, the signature, the family and the family's cap on q, so a
+command with several faults is refused for the first of: tol, signature,
+family, signature cap, grid size, labels.
 
 A command loads only the layer modules it reaches.  Each layer is
 registered in sys.modules at import, through importlib.util.LazyLoader, and
@@ -426,7 +427,7 @@ def _rows_branch(args):
 
 def _rows_period(args):
     p, q = _parse_pq(args.pq)
-    # tol, signature and family are refused before the grid's size and labels
+    # tol, signature, family and cap are refused before the grid's size and labels
     grid = periods.PeriodGrid(p, q, args.family, args.tol)
     ns, ks = range(0, args.n_max + 1, 2), range(0, args.k_max + 1, 2)
     if not _grid(ns, ks, check=periods.check_labels):

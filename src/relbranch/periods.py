@@ -22,10 +22,10 @@ factor is rational too (specfun.radial_integral_exact).  Each is an exact
 integer ratio (numerator, denominator), never reduced, so the period is one
 such ratio (PeriodGrid.exact): its numerator is zero exactly when the period
 vanishes, and numerator / denominator, which Python rounds correctly, is the
-closed value (closed_value).  check_labels refuses a label above MAX_DEGREE
-before either factor is built.  The quadrature oracle is independent of both
-exact factors.  On the period route both factors are polynomials: the radial
-one after v = tanh^2 t, the angular one as the product of the float
+closed value.  check_labels refuses a label above MAX_DEGREE before either
+factor is built.  The quadrature oracle is independent of both exact
+factors.  On the period route both factors are polynomials: the radial one
+after v = tanh^2 t, the angular one as the product of the float
 three-term recurrence values at the rule's nodes (rows n and k of
 jacobi.jacobi_rows) and the weight.  So one Gauss-Legendre rule per factor,
 with degree // 2 + 1 nodes, is exact up to roundoff
@@ -39,16 +39,21 @@ bound, reads the two squared norms, each one exact closed form
 (jacobi.jacobi_shifted_norm_sq, shifted and not) rounded once.
 
 A period grid is one PeriodGrid(p, q, kind, tol), which checks the
-tolerance, the signature and the family once, when it is built, and whose
-record(n, k) is the result a period command prints.  Its records share
+tolerance, the signature, the family and the family's cap on q once, when
+it is built, and whose record(n, k) is the result a period command prints.
+The cap (MAX_Q_COMPLEX, MAX_Q_QUATERNIONIC) is the largest q at which the
+float angular scale at labels (0, 0) is finite; the scale does not depend on
+p, and one q above the cap it is not finite at any labels.  So a signature is
+admitted or refused once, before any factor is built, and below the cap
+every exact integer, closed value and squared norm of the route fits its
+type (see PeriodGrid.exact and PeriodGrid.quadrature).  Its records share
 inputs, each built once: every record with the same n + k has the same rule
 and the same two radial factors, so each (rule, alpha, beta) is one
 recurrence sweep, extended only as far as a record asks, and one row of node
 weights, and each n + k one exact and one quadrature radial factor.
-period_integral_exact and period_integral_quadrature compute one period on
-a grid of its own.  A record's floats do not depend on the grid that
-computes it, and each record still builds its own exact pairing and gates
-its own factors.
+period_integral_quadrature computes one period by quadrature on a grid of
+its own.  A record's floats do not depend on the grid that computes it, and
+each record still builds its own exact pairing and gates its own factors.
 """
 
 from __future__ import annotations
@@ -77,6 +82,14 @@ _EXPONENTS = {
     QUATERNIONIC: (lambda p, q, n, k: (4 * p - 1, 4 * q + n + k - 3), lambda q: (2 * q - 3, 1, 2)),
 }
 
+# The largest q per family: the largest q at which _angular_scale(0, 0, ...)
+# is finite.  One q above, the product of its two squared norms passes the
+# float range at every label pair, where it is smallest too ((0, 64) complex,
+# (0, 0) quaternionic).  An integer scale (ROADMAP item 2(b)) would raise both.
+MAX_Q_COMPLEX = 522
+MAX_Q_QUATERNIONIC = 265
+_MAX_Q = {COMPLEX: MAX_Q_COMPLEX, QUATERNIONIC: MAX_Q_QUATERNIONIC}
+
 
 class PreconditionError(ValueError):
     """Period-integral arguments outside the supported range."""
@@ -86,16 +99,6 @@ def check_labels(n: int, k: int) -> None:
     """Refuse a label above MAX_DEGREE, k first, as jacobi_pairing does."""
     check_degree(k)
     check_degree(n)
-
-
-def closed_value(exact: tuple[int, int]) -> float:
-    """An exact period (numerator, denominator) correctly rounded to a
-    float.  Raises ConvergenceError when it is too large for a float."""
-    num, den = exact
-    try:
-        return num / den
-    except OverflowError as exc:
-        raise ConvergenceError(f"closed form overflowed: {exc}") from exc
 
 
 def _angular_scale(n: int, k: int, alpha: int, beta_param: int, shift: int) -> float:
@@ -146,6 +149,9 @@ class PeriodGrid:
             raise PreconditionError(f"need integer signature with q > p > 0, got ({p}, {q})")
         if kind not in _EXPONENTS:
             raise ValueError(f"unknown family {kind!r}")
+        if q > _MAX_Q[kind]:
+            cap = f"MAX_Q_{kind.upper()} = {_MAX_Q[kind]}"
+            raise PreconditionError(f"q = {q} exceeds the signature cap {cap}")
         self.p, self.q, self.kind, self.tol = p, q, kind, tol
         self._sweeps: dict = {}
         self._factors: dict = {}
@@ -184,20 +190,15 @@ class PeriodGrid:
 
         Its numerator is nonzero exactly when k <= n: the radial factor is a
         convergent integral of a positive function, and the angular pairing
-        vanishes exactly when k > n.  Raises PreconditionError when q is so
-        large that an argument of the radial factor's factorial form passes
-        sys.maxsize (the radial factor is built first, so this holds for
-        every n and k), or that a factor's power of two cannot be allocated.
-        Below that there is no signature cap: the pairing's power of two has
-        about q bits (2q quaternionic), 1.25 GB at complex q = 10^10."""
+        vanishes exactly when k > n.  Its value is at most (n - k + 1)
+        2^(alpha+beta), below 2^(2q+5), so under the cap on q numerator /
+        denominator is a finite float: the radial factor (1/2) B(a, b) is at
+        most 1/2, and the pairing's rising products leave at most n - k + 1
+        times its power of two, 2^(alpha+beta+1) (jacobi.jacobi_pairing)."""
         radial, angular = self.args(n, k)
         # convergence: the cosh decay exceeds the sinh power automatically for q > p
-        try:
-            radial_num, radial_den = self._factor(radial_integral_exact, *radial)
-            angular_num, angular_den = jacobi_pairing(n, k, *angular)
-        except (OverflowError, MemoryError) as exc:
-            message = f"signature ({self.p}, {self.q}) is too large for exact factorials"
-            raise PreconditionError(message) from exc
+        radial_num, radial_den = self._factor(radial_integral_exact, *radial)
+        angular_num, angular_den = jacobi_pairing(n, k, *angular)
         return radial_num * angular_num, radial_den * angular_den
 
     def _angular_quadrature(
@@ -228,25 +229,28 @@ class PeriodGrid:
         rule, with the first-order error of their product.
 
         Raises ConvergenceError when a factor's roundoff bound exceeds tol
-        times its scale, or when a value, bound or scale is not finite
-        (overflow included); each record gates its own factors.  The angular
-        factor comes first, since its Cauchy-Schwarz scale is what overflows
-        at large q, so such a record builds no radial rule, and a record
-        whose two factors both fail names the angular one."""
+        times its scale, or when a factor's terms or the angular scale are
+        not finite; each record gates its own factors.  The angular factor
+        comes first, since its Cauchy-Schwarz scale is what is not finite at
+        the top of the quaternionic range (q = 263 to 265), so such a record
+        builds no radial rule, and a record whose two factors both fail names
+        the angular one.
+
+        Under the cap on q nothing here overflows: each squared norm of the
+        scale is at most 2^(alpha+beta+shift+8), below 2^540, so its int /
+        int is finite (the product of the two may not be, which the scale
+        check refuses); the weight (1 - x)^alpha is below 2^alpha; and the
+        radial value is at most 1/2 with a bound below 1e-11, so the
+        period's value and bound are finite when the angular ones are."""
         radial_args, angular_args = self.args(n, k)
-        try:
-            angular = self._angular_quadrature(n, k, *angular_args)
-            radial = self._factor(_radial_quadrature, *radial_args)
-            radial = _gated(radial, abs(radial.value), self.tol, "radial")
-        except OverflowError as exc:
-            raise ConvergenceError(f"quadrature overflowed: {exc}") from exc
+        angular = self._angular_quadrature(n, k, *angular_args)
+        radial = self._factor(_radial_quadrature, *radial_args)
+        radial = _gated(radial, abs(radial.value), self.tol, "radial")
         value = radial.value * angular.value
         err = (
             radial.abs_error_estimate * abs(angular.value)
             + angular.abs_error_estimate * abs(radial.value)
         )
-        if not (abs(value) < inf and err < inf):
-            raise ConvergenceError(f"period quadrature {value} (bound {err}) is not finite")
         return QuadratureResult(value, err, radial.evaluations + angular.evaluations)
 
     def record(self, n: int, k: int) -> dict:
@@ -260,7 +264,7 @@ class PeriodGrid:
         the closed value), or ConvergenceError is raised.  The exact verdict
         only picks this gate; the quadrature never reads the exact route."""
         exact = self.exact(n, k)
-        closed = closed_value(exact)
+        closed = exact[0] / exact[1]
         quad = self.quadrature(n, k)
         value, err = quad.value, quad.abs_error_estimate
         difference = abs(closed - value)
@@ -277,11 +281,6 @@ class PeriodGrid:
             "abs_difference": difference,
             "nonvanishing": exact[0] != 0,
         }
-
-
-def period_integral_exact(p: int, q: int, n: int, k: int, kind: str = COMPLEX) -> tuple[int, int]:
-    """PeriodGrid(p, q, kind).exact(n, k): one exact period on a grid of its own."""
-    return PeriodGrid(p, q, kind).exact(n, k)
 
 
 def period_integral_quadrature(

@@ -33,12 +33,7 @@ from relbranch.oracle import (
     su2_spherical_coefficient,
     un_branch_mult,
 )
-from relbranch.periods import (
-    QUATERNIONIC,
-    closed_value,
-    period_integral_exact,
-    period_integral_quadrature,
-)
+from relbranch.periods import QUATERNIONIC, PeriodGrid, period_integral_quadrature
 from relbranch.reps import EPSILON_1, EPSILON_2, GroupLevel, Side, Signature, make_param
 from relbranch.specfun import radial_integral_exact
 
@@ -92,14 +87,15 @@ def test_criterion_03_period_dichotomy():
             for q in range(p + 1, 5):
                 for n in range(0, 9, 2):
                     for k in range(0, 9, 2):
-                        closed = closed_value(period_integral_exact(p, q, n, k))
+                        num, den = PeriodGrid(p, q).exact(n, k)
+                        closed = num / den
                         quad = period_integral_quadrature(p, q, n, k, 1e-10)
                         if closed == 0.0:
                             assert abs(quad.value) <= 1e-8
                         else:
                             assert abs(closed - quad.value) <= 1e-8 * abs(closed)
                         assert (closed != 0.0) == (0 <= k <= n)
-                        assert (period_integral_exact(p, q, n, k)[0] != 0) == (0 <= k <= n)
+                        assert (num != 0) == (0 <= k <= n)
 
     _criterion(3, "period integral: closed form vs quadrature, vanishing iff k > n",
                120.0, check)
@@ -176,7 +172,7 @@ def test_criterion_06_period_branching_agreement():
                             sig, Side.PLUS, GroupLevel.GPRIME, fj_label_to_b(sig, k)
                         )
                         assert hom_dim(Pi, pi) == (
-                            1 if period_integral_exact(p, q, n, k)[0] != 0 else 0
+                            1 if PeriodGrid(p, q).exact(n, k)[0] != 0 else 0
                         )
 
     _criterion(6, "label dictionary aligns period vanishing with coupling", 10.0, check)

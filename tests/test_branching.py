@@ -24,7 +24,7 @@ from relbranch.branching import (
     pi_minus_summands,
 )
 from relbranch.halfint import HALF, HalfInt
-from relbranch.periods import period_integral_exact
+from relbranch.periods import PeriodGrid
 from relbranch.reps import (
     EPSILON_1,
     EPSILON_2,
@@ -416,7 +416,7 @@ def test_period_branching_agreement():
             for k in range(0, 13, 2):
                 b = fj_label_to_b(sig, k)
                 pi = make_param(sig, Side.PLUS, GroupLevel.GPRIME, b)
-                assert hom_dim(Pi, pi) == (1 if period_integral_exact(p, q, n, k)[0] != 0 else 0)
+                assert hom_dim(Pi, pi) == (1 if PeriodGrid(p, q).exact(n, k)[0] != 0 else 0)
 
 
 # ---------------------------------------------------------------------------

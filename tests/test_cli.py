@@ -161,9 +161,8 @@ def test_period_precondition_exit(capsys):
 @pytest.mark.parametrize("family", cli.FAMILIES)
 @pytest.mark.parametrize("command", [("period", "--n", "0", "--k", "0"), ("table", "period")])
 def test_period_of_a_huge_q_exits_2(command, family):
-    # at q = 10^20 a factorial argument passes sys.maxsize at once: the run
-    # exits 2 naming the signature, with no traceback.  A q between about
-    # 10^6 and 2^63 is never run here: it computes factorials for minutes.
+    # q = 10^20 is far above either family's cap: the run exits 2 naming the
+    # cap, with no traceback
     import subprocess
     import sys
 
@@ -173,7 +172,49 @@ def test_period_of_a_huge_q_exits_2(command, family):
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, ""), proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert f"signature (1, {q}) is too large for exact factorials" in proc.stderr
+    assert f"q = {q} exceeds the signature cap MAX_Q_{family.upper()} = " in proc.stderr
+
+
+def test_period_at_the_cap_exits_0_and_above_it_builds_nothing(capsys, monkeypatch):
+    # at each family's cap the record at (0, 0) is written; one above, the
+    # command is refused before any exact factor or quadrature rule is built
+    periods = cli.periods
+    caps = [("complex", periods.MAX_Q_COMPLEX), ("quaternionic", periods.MAX_Q_QUATERNIONIC)]
+    for family, cap in caps:
+        argv = ("period", "--pq", f"1,{cap}", "--family", family, "--n", "0", "--k", "0")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, len(parse_records(out))) == (0, "", 1), argv
+    built = []
+    for name in ("jacobi_pairing", "radial_integral_exact", "gauss_legendre_quadrature"):
+        monkeypatch.setattr(periods, name, lambda *args, name=name: built.append(name))
+    for family, cap in caps:
+        for command in (("period", "--n", "0", "--k", "0"), ("table", "period")):
+            argv = (*command, "--pq", f"1,{cap + 1}", "--family", family)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (cli.EXIT_VALIDATION, ""), argv
+            cap_name = f"MAX_Q_{family.upper()} = {cap}"
+            assert err == f"error: q = {cap + 1} exceeds the signature cap {cap_name}\n"
+    assert built == []
+
+
+def test_period_above_the_cap_is_refused_at_once(capsys):
+    # both p and q - p large took seconds of exact products, and complex
+    # q = 10^10 would have built a 1.25 GB power of two before its refusal:
+    # each is now refused in well under 0.2 s, allocating under 1 MiB
+    import time
+    import tracemalloc
+
+    cli.periods.PeriodGrid  # load the layer outside the measurement
+    for pq in ("100000,200000", "1,10000000000"):
+        tracemalloc.start()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "period", "--pq", pq, "--n", "0", "--k", "0")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (code, out) == (cli.EXIT_VALIDATION, ""), pq
+        assert "exceeds the signature cap MAX_Q_COMPLEX = 522" in err, pq
+        assert elapsed < 0.2 and peak < 1 << 20, (pq, elapsed, peak)
 
 
 def test_period_rejects_nonfinite_tol(capsys):
@@ -182,8 +223,8 @@ def test_period_rejects_nonfinite_tol(capsys):
         ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "inf"),
         ("period", "--pq", "1,2", "--n", "2", "--k", "0", "--tol", "0"),
         ("table", "period", "--pq", "1,2", "--tol", "nan"),
-        # the tolerance is checked before any record, so a closed form that
-        # would overflow cannot turn the validation error into exit 3
+        # the tolerance is checked first, so a q above the cap cannot turn
+        # the tolerance's refusal into the cap's
         ("period", "--pq", "1,1100", "--n", "0", "--k", "0", "--tol", "nan"),
         ("table", "period", "--pq", "1,1100", "--n-max", "0", "--k-max", "0", "--tol", "nan"),
     ]
@@ -991,24 +1032,22 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
 
 
 def test_period_quadrature_failures_exit_3(capsys):
-    # a bound above tol times the scale; a scale that overflows to inf (it
-    # was reported as the validation error "abs_tol must be positive"); an
-    # OverflowError inside the oracle or in rounding the exact closed form
-    quaternionic = ("--family", "quaternionic", "--n", "0", "--k", "0")
+    # a bound above tol times the scale; a scale that is not finite, which
+    # the quaternionic band q = 263 to 265 reaches below its cap (it was
+    # reported as the validation error "abs_tol must be positive"); and a
+    # quadrature that does not resolve the closed value at the complex cap;
+    # a table writes the rows before the failing one
+    quaternionic = ("--pq", "1,265", "--family", "quaternionic")
     cases = [
-        (("period", "--pq", "1,2", "--n", "4", "--k", "2", "--tol", "1e-20"), "exceeds tol"),
-        (("period", "--pq", "1,600", "--n", "64", "--k", "64"), "not finite"),
-        (("table", "period", "--pq", "1,600", "--n-max", "2", "--k-max", "0"), "not finite"),
-        (("period", "--pq", "1,600", *quaternionic), "overflowed"),
-        (("period", "--pq", "1,1100", "--n", "0", "--k", "0"), "closed form overflowed"),
-        (
-            ("table", "period", "--pq", "1,1100", "--n-max", "0", "--k-max", "0"),
-            "closed form overflowed",
-        ),
+        (("period", "--pq", "1,2", "--n", "4", "--k", "2", "--tol", "1e-20"), "exceeds tol", 0),
+        (("period", *quaternionic, "--n", "64", "--k", "64"), "scale inf is not finite", 0),
+        (("table", "period", *quaternionic, "--n-max", "0", "--k-max", "4"), "row n=0 k=4", 2),
+        (("period", "--pq", "1,522", "--n", "6", "--k", "0"), "does not resolve", 0),
+        (("table", "period", "--pq", "1,522", "--n-max", "6", "--k-max", "0"), "row n=6 k=0", 3),
     ]
-    for argv, reason in cases:
+    for argv, reason, written in cases:
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (cli.EXIT_NONCONVERGENCE, ""), argv
+        assert (code, len(parse_records(out))) == (cli.EXIT_NONCONVERGENCE, written), argv
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert reason in err, (argv, err)
 
@@ -1068,11 +1107,20 @@ def test_table_period_refuses_label_above_cap_before_any_record(capsys):
 
 def test_table_period_refuses_the_first_of_several_faults(capsys):
     # the order is tol, signature, family (argparse refuses an unknown one),
-    # grid size, labels: everything the grid is built with comes first
+    # signature cap, grid size, labels: everything the grid is built with
+    # comes first, so an empty grid is refused for its signature too (above
+    # the cap it exited 0 and wrote nothing before the cap was checked)
     huge = "99999999999999999999"
+    cap = "q = 600 exceeds the signature cap MAX_Q_COMPLEX = 522"
     cases = [
         (("--pq", "2,2", "--tol", "0", "--n-max", huge), "tol must be positive and finite"),
+        (("--pq", "1,600", "--tol", "0"), "tol must be positive and finite"),
         (("--pq", "2,2", "--n-max", huge), "need integer signature with q > p > 0, got (2, 2)"),
+        (("--pq", "600,600"), "need integer signature with q > p > 0, got (600, 600)"),
+        (("--pq", "1,600", "--n-max", huge, "--k-max", huge), cap),
+        (("--pq", "1,600", "--n-max", "70", "--k-max", "66"), cap),
+        (("--pq", "2,2", "--n-max", "-2"), "need integer signature with q > p > 0, got (2, 2)"),
+        (("--pq", "1,600", "--n-max", "-2"), cap),
         (("--pq", "1,2", "--n-max", "200", "--k-max", "200"), "grid of 10201 records exceeds"),
         (("--pq", "1,2", "--n-max", "70", "--k-max", "66"), "degree 66 exceeds"),
     ]
@@ -1396,7 +1444,7 @@ def test_limits_match_the_code():
 
     import pins
 
-    pinned = {stderr for _, _, stderr in pins.REFUSALS}
+    pinned = {stderr for _, _, stderr, _ in pins.ROWS}
     rows = _readme_rows("| limit |")
     assert rows
     for limit, module_cell, _, refusal in rows:
@@ -1422,7 +1470,7 @@ def test_every_readme_command_is_pinned():
     # a new README example needs a row in tests/pins.py
     import pins
 
-    pinned = [shlex.split(line)[1:] for line, _ in pins.ROWS]
+    pinned = [shlex.split(line)[1:] for line, *_ in pins.ROWS]
     assert [shlex.join(argv) for argv in _readme_commands() if argv not in pinned] == []
 
 
@@ -1444,7 +1492,7 @@ def test_pinned_bytes():
         ))
         for seed in ("0", "1")
     ]
-    expected = [f"PASS {line}" for line, *_ in pins.ROWS + pins.REFUSALS + pins.PARTIALS]
+    expected = [f"PASS {line}" for line, *_ in pins.ROWS]
     for seed, child in children:
         out, err = child.communicate(timeout=120)
         lines = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
@@ -1799,7 +1847,7 @@ def _parser_inputs():
     that give two options of one exclusive group."""
     import pins
 
-    lines = [shlex.split(line)[1:] for line, *_ in pins.ROWS + pins.REFUSALS]
+    lines = [shlex.split(line)[1:] for line, *_ in pins.ROWS]
     conflicts = [
         ["branch", "--pq", "3,3", "--gp", "9/2", "3", "--pi-minus", "5/2"],
         ["branch", "--pq", "3,3", "--plus-a", "7/2", "--plus-b", "2", "--minus-b", "2"],
@@ -1822,7 +1870,10 @@ def test_direct_parse_is_argparse_or_nothing():
                 read += 1
             else:
                 left += 1
-    for line, _ in pins.ROWS:  # all spelled out but the one pinning --pq=1,2 --n 4
+    for line, code, *_ in pins.ROWS:
+        if code:
+            continue
+        # every successful line is spelled out but the one pinning --pq=1,2 --n 4
         assert (cli._parse_direct(shlex.split(line)[1:]) is None) == ("=" in line), line
     assert read > 100 and left > 1000, (read, left)
 

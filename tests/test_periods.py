@@ -1,14 +1,14 @@
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, nan, nextafter, sqrt, ulp
+from math import inf, isfinite, nan, nextafter, sqrt, ulp
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbranch import periods
-from relbranch.jacobi import MAX_DEGREE, jacobi_pairing
+from relbranch.jacobi import MAX_DEGREE, jacobi_pairing, jacobi_shifted_norm_sq
 from relbranch.oracle import jacobi_coeffs, radial_integral_monomial, weighted_pairing
 from relbranch.periods import (
     COMPLEX,
@@ -16,8 +16,6 @@ from relbranch.periods import (
     PeriodGrid,
     PreconditionError,
     _angular_scale,
-    closed_value,
-    period_integral_exact,
     period_integral_quadrature,
 )
 from relbranch.specfun import ConvergenceError, QuadratureResult, radial_integral_exact
@@ -45,32 +43,39 @@ def _angular_exact(q, n, k, kind=COMPLEX):
     return Fraction(*jacobi_pairing(n, k, *_FAMILY_LITERALS[kind][1](q)))
 
 
+def _closed(exact):
+    """An exact period (numerator, denominator) rounded once, as a record's
+    closed value is."""
+    num, den = exact
+    return num / den
+
+
 def test_period_preconditions():
     with pytest.raises(PreconditionError):
-        closed_value(period_integral_exact(2, 2, 0, 0))
+        PeriodGrid(2, 2).exact(0, 0)
     with pytest.raises(PreconditionError):
-        closed_value(period_integral_exact(2, 1, 0, 0))
+        PeriodGrid(2, 1).exact(0, 0)
     with pytest.raises(PreconditionError):
-        closed_value(period_integral_exact(1, 2, 1, 0))
+        PeriodGrid(1, 2).exact(1, 0)
     with pytest.raises(PreconditionError):
-        period_integral_exact(1, 2, 0, -2)
+        PeriodGrid(1, 2).exact(0, -2)
 
 
 def test_period_closed_base_case():
     # A(1,3) * int 1 d(mu) = (1/2) * 2 = 1 in the module normalization
-    assert closed_value(period_integral_exact(1, 2, 0, 0)) == pytest.approx(1.0, rel=1e-13)
+    assert _closed(PeriodGrid(1, 2).exact(0, 0)) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_period_closed_vanishing_case():
-    assert closed_value(period_integral_exact(1, 2, 0, 2)) == 0.0
+    assert _closed(PeriodGrid(1, 2).exact(0, 2)) == 0.0
     assert jacobi_pairing(0, 2, *_FAMILY_LITERALS[COMPLEX][1](2)) == (0, 1)
 
 
 def test_period_nonvanishing_examples():
     # the numerator of the exact period decides
-    assert period_integral_exact(1, 2, 4, 2)[0] != 0
-    assert period_integral_exact(1, 2, 2, 4)[0] == 0
-    assert period_integral_exact(1, 2, 0, 0)[0] != 0
+    assert PeriodGrid(1, 2).exact(4, 2)[0] != 0
+    assert PeriodGrid(1, 2).exact(2, 4)[0] == 0
+    assert PeriodGrid(1, 2).exact(0, 0)[0] != 0
 
 
 def test_period_quadrature_examples():
@@ -78,13 +83,13 @@ def test_period_quadrature_examples():
     assert abs(r.value - 1.0) <= 1e-10
     r = period_integral_quadrature(1, 2, 2, 4, 1e-10)
     assert abs(r.value) <= 1e-10
-    closed = closed_value(period_integral_exact(2, 3, 2, 2))
+    closed = _closed(PeriodGrid(2, 3).exact(2, 2))
     r = period_integral_quadrature(2, 3, 2, 2, 1e-10)
     assert r.value == pytest.approx(closed, rel=1e-10)
 
 
 def test_period_closed_vs_quadrature_spot():
-    closed = closed_value(period_integral_exact(2, 3, 4, 2))
+    closed = _closed(PeriodGrid(2, 3).exact(4, 2))
     quad = period_integral_quadrature(2, 3, 4, 2, 1e-10)
     assert closed != 0
     assert abs(closed - quad.value) <= 1e-8 * abs(closed)
@@ -94,9 +99,9 @@ def test_period_dichotomy_small_grid():
     for p, q in [(1, 2), (2, 3)]:
         for n in range(0, 7, 2):
             for k in range(0, 7, 2):
-                closed = closed_value(period_integral_exact(p, q, n, k))
+                closed = _closed(PeriodGrid(p, q).exact(n, k))
                 assert (closed != 0) == (k <= n)
-                assert (period_integral_exact(p, q, n, k)[0] != 0) == (k <= n)
+                assert (PeriodGrid(p, q).exact(n, k)[0] != 0) == (k <= n)
 
 
 def test_period_quadrature_determinism():
@@ -127,7 +132,7 @@ def test_quaternionic_dichotomy_small_grid():
 
 def test_period_quadrature_matches_closed_to_degree_cap():
     for p, q, n, k in [(1, 2, 26, 0), (1, 2, MAX_DEGREE, MAX_DEGREE), (3, 20, 14, 14)]:
-        closed = closed_value(period_integral_exact(p, q, n, k))
+        closed = _closed(PeriodGrid(p, q).exact(n, k))
         quad = period_integral_quadrature(p, q, n, k, 1e-10)
         assert quad.value == pytest.approx(closed, rel=1e-10), (p, q, n, k)
 
@@ -135,14 +140,14 @@ def test_period_quadrature_matches_closed_to_degree_cap():
 def test_quaternionic_quadrature_converges_to_degree_cap():
     for n, k in [(30, 30), (MAX_DEGREE, 0)]:
         r = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC)
-        error = abs(r.value - closed_value(period_integral_exact(2, 5, n, k, kind=QUATERNIONIC)))
+        error = abs(r.value - _closed(PeriodGrid(2, 5, QUATERNIONIC).exact(n, k)))
         assert error <= r.abs_error_estimate, (n, k)
 
 
 def test_quaternionic_quadrature_matches_closed_grid():
     for n in range(0, 21, 2):
         for k in range(0, n + 1, 2):
-            closed = closed_value(period_integral_exact(2, 5, n, k, kind=QUATERNIONIC))
+            closed = _closed(PeriodGrid(2, 5, QUATERNIONIC).exact(n, k))
             quad = period_integral_quadrature(2, 5, n, k, 1e-10, kind=QUATERNIONIC)
             assert quad.value == pytest.approx(closed, rel=1e-9), (n, k)
 
@@ -212,7 +217,7 @@ def test_period_route_matches_family_literals():
                     for p in range(1, q):
                         args = (radial_args(p, q, n, k), angular_args(q))
                         assert PeriodGrid(p, q, kind).args(n, k) == args, (kind, p, q, n, k)
-                        got = closed_value(period_integral_exact(p, q, n, k, kind=kind))
+                        got = _closed(PeriodGrid(p, q, kind).exact(n, k))
                         assert got == float(_exact_period(p, q, n, k, kind)), (kind, p, q, n, k)
 
 
@@ -244,7 +249,7 @@ def test_period_exact_matches_the_oracle_product(kind, pq, n, k):
         jacobi_coeffs(n, alpha + shift, beta), jacobi_coeffs(k, alpha, beta), alpha, beta
     )
     want = radial_integral_monomial(*radial_args(p, q, n, k)) * angular
-    assert Fraction(*period_integral_exact(p, q, n, k, kind=kind)) == want
+    assert Fraction(*PeriodGrid(p, q, kind).exact(n, k)) == want
 
 
 def test_period_exact_and_closed_match_literals_to_degree_cap():
@@ -253,9 +258,9 @@ def test_period_exact_and_closed_match_literals_to_degree_cap():
     for p, q, kind in [(1, 2, COMPLEX), (3, 20, COMPLEX), (2, 5, QUATERNIONIC)]:
         for n in labels:
             for k in labels:
-                exact = period_integral_exact(p, q, n, k, kind=kind)
+                exact = PeriodGrid(p, q, kind).exact(n, k)
                 assert Fraction(*exact) == _exact_period(p, q, n, k, kind), (p, q, kind, n, k)
-                assert closed_value(exact) == float(Fraction(*exact))
+                assert _closed(exact) == float(Fraction(*exact))
 
 
 # the six 64x64 grids whose quadrature resolution ROADMAP item 2 counts
@@ -275,7 +280,7 @@ def test_record_reads_the_exact_ratio_on_the_six_grids():
     for p, q, kind in _SIX_GRIDS:
         grid = PeriodGrid(p, q, kind)
         grid.quadrature = lambda n, k, grid=grid: QuadratureResult(
-            closed_value(grid.exact(n, k)), 0.0, 0
+            _closed(grid.exact(n, k)), 0.0, 0
         )
         for n in labels:
             for k in labels:
@@ -291,7 +296,7 @@ def test_record_refuses_a_period_its_quadrature_does_not_resolve():
     # each clause refuses a quadrature that the other passes.  A zero period
     # is not gated here, as the exact verdict only picks the gate
     grid = PeriodGrid(1, 2)
-    closed = closed_value(grid.exact(4, 2))
+    closed = _closed(grid.exact(4, 2))
     up2 = nextafter(nextafter(closed, inf), inf)  # closed + 2 ulp
     up3 = nextafter(up2, inf)
     cases = [
@@ -329,13 +334,13 @@ def test_angular_scale_is_the_cauchy_schwarz_bound():
 
 
 def test_angular_factor_is_gated_before_the_radial_rule_is_built(monkeypatch):
-    # at (1, 3000) a squared norm of the angular scale overflows a float, and
-    # at tol 1e-300 both factors fail their gates: either way the record is
-    # refused by its angular factor, before the radial factor is built
+    # at the quaternionic cap the angular scale at n = k = 64 is not finite,
+    # and at tol 1e-300 both factors fail their gates: either way the record
+    # is refused by its angular factor, before the radial factor is built
     built = []
     monkeypatch.setattr(periods, "_radial_quadrature", lambda *args: built.append(args))
-    with pytest.raises(ConvergenceError, match="^quadrature overflowed"):
-        PeriodGrid(1, 3000).quadrature(0, 2)
+    with pytest.raises(ConvergenceError, match="^angular Cauchy-Schwarz scale inf is not finite$"):
+        PeriodGrid(1, periods.MAX_Q_QUATERNIONIC, QUATERNIONIC).quadrature(64, 64)
     with pytest.raises(ConvergenceError, match="^angular quadrature bound"):
         PeriodGrid(1, 2, tol=1e-300).quadrature(4, 2)
     assert built == []
@@ -375,7 +380,7 @@ def test_oracle_radial_quadrature_matches_closed_form():
 def test_period_functions_reject_octonionic():
     kind = "octonionic"
     calls = [
-        lambda: period_integral_exact(1, 2, 0, 0, kind=kind),
+        lambda: PeriodGrid(1, 2, kind).exact(0, 0),
         lambda: period_integral_quadrature(1, 2, 0, 0, kind=kind),
     ]
     for call in calls:
@@ -407,6 +412,12 @@ def test_period_grid_refuses_at_construction():
         (dict(p=2), PreconditionError, "need integer signature with q > p > 0, got (2, 2)"),
         (dict(p=0), PreconditionError, "need integer signature with q > p > 0, got (0, 2)"),
         (dict(kind="octonionic"), ValueError, "unknown family 'octonionic'"),
+        (dict(q=523), PreconditionError, "q = 523 exceeds the signature cap MAX_Q_COMPLEX = 522"),
+        (
+            dict(q=266, kind=QUATERNIONIC),
+            PreconditionError,
+            "q = 266 exceeds the signature cap MAX_Q_QUATERNIONIC = 265",
+        ),
     ]
     for fault, error, text in cases:
         args = {"p": 1, "q": 2, "kind": COMPLEX, "tol": 1e-10, **fault}
@@ -415,17 +426,71 @@ def test_period_grid_refuses_at_construction():
         assert type(info.value) is error and str(info.value) == text, fault
         with pytest.raises(error, match=f"^{re.escape(text)}$"):
             period_integral_quadrature(args["p"], args["q"], 0, 0, args["tol"], args["kind"])
-        if "tol" not in fault:
-            with pytest.raises(error, match=f"^{re.escape(text)}$"):
-                period_integral_exact(args["p"], args["q"], 0, 0, args["kind"])
-    # with several faults, the first of tol, signature, family is refused
+    # with several faults, the first of tol, signature, family, cap is refused
     with pytest.raises(ValueError, match="^tol must"):
-        PeriodGrid(2, 2, "octonionic", 0.0)
+        PeriodGrid(600, 600, "octonionic", 0.0)
     with pytest.raises(PreconditionError, match="^need integer signature"):
-        PeriodGrid(2, 2, "octonionic")
+        PeriodGrid(600, 600, "octonionic")
+    with pytest.raises(ValueError, match="^unknown family"):
+        PeriodGrid(1, 600, "octonionic")
     # and the labels only when a period is asked for
     grid = PeriodGrid(1, 2)
     with pytest.raises(PreconditionError, match="^labels must be even"):
         grid.args(1, 0)
     with pytest.raises(ValueError, match="^degree 66 exceeds"):
         grid.exact(0, 66)
+
+
+def _exact_scale_sq(q, n, k, kind):
+    """The angular scale's square at q, n, k as a Fraction: the product of
+    the two exact squared norms it rounds."""
+    alpha, beta, shift = _FAMILY_LITERALS[kind][1](q)
+    big = Fraction(*jacobi_shifted_norm_sq(n, alpha, beta, shift))
+    return big * Fraction(*jacobi_shifted_norm_sq(k, alpha, beta, 0))
+
+
+def test_each_cap_is_the_float_scale_boundary():
+    # the scale does not depend on p: at the cap it is finite at labels
+    # (0, 0), and one above the cap it is not finite, or its int / int
+    # raises, even at the labels where it is smallest, so at any labels
+    caps = {COMPLEX: periods.MAX_Q_COMPLEX, QUATERNIONIC: periods.MAX_Q_QUATERNIONIC}
+    smallest = {COMPLEX: (0, MAX_DEGREE), QUATERNIONIC: (0, 0)}
+    labels = [(n, k) for n in range(0, MAX_DEGREE + 1, 2) for k in range(0, MAX_DEGREE + 1, 2)]
+    for kind, cap in caps.items():
+        angular_args = _FAMILY_LITERALS[kind][1]
+        assert _angular_scale(0, 0, *angular_args(cap)) < inf, kind
+        lowest = min(labels, key=lambda nk: _exact_scale_sq(cap + 1, *nk, kind))
+        assert lowest == smallest[kind], kind
+        try:
+            scale = _angular_scale(*lowest, *angular_args(cap + 1))
+        except OverflowError:
+            scale = inf
+        assert not scale < inf, kind
+
+
+def test_records_at_the_cap_meet_only_the_two_known_refusals():
+    # at each cap, for p = 1, q // 2 and q - 1 and label pairs from (0, 0) to
+    # (64, 64), a record is finite (valid JSON) or refused by one of two
+    # gates: the record's own resolution gate, or the angular scale check,
+    # which the quaternionic band q = 263 to 265 reaches; no overflow or
+    # allocation failure is left below the cap
+    gates = [
+        r"quadrature \S+ \(bound \S+\) does not resolve the closed value \S+",
+        r"angular Cauchy-Schwarz scale inf is not finite",
+    ]
+    labels = [(0, 0), (2, 0), (8, 2), (24, 24), (64, 0), (0, 64), (64, 64), (32, 16)]
+    seen = set()
+    for kind, q in [(COMPLEX, periods.MAX_Q_COMPLEX), (QUATERNIONIC, periods.MAX_Q_QUATERNIONIC)]:
+        for p in (1, q // 2, q - 1):
+            grid = PeriodGrid(p, q, kind)
+            for n, k in labels:
+                try:
+                    record = grid.record(n, k)
+                except ConvergenceError as exc:
+                    matched = [gate for gate in gates if re.fullmatch(gate, str(exc))]
+                    assert matched, (kind, p, n, k, str(exc))
+                    seen.update(matched)
+                    continue
+                values = [record[f] for f in ("closed", "quadrature", "quadrature_error")]
+                assert all(map(isfinite, values)), (kind, p, n, k, record)
+    assert seen == set(gates)

@@ -202,8 +202,9 @@ def test_radial_factor_takes_the_shorter_beta_form():
 
 def test_radial_factor_refuses_a_factorial_argument_past_maxsize():
     # a + b - 1 = (beta - 1) / 2, the largest argument of the factorial form,
-    # may reach sys.maxsize but not pass it; the exact refusal bytes of the
-    # period commands rest on this (tests/pins.py REFUSALS)
+    # may reach sys.maxsize but not pass it: the factor's own guard on its
+    # inputs (the period commands refuse such a q earlier, at the signature
+    # cap)
     top = 2 * sys.maxsize + 1  # alpha = 1: a = 1 and b = (top - 1) / 2 = sys.maxsize
     assert radial_integral_exact(1, top) == (1, 2 * sys.maxsize)
     with pytest.raises(OverflowError):

@@ -13,15 +13,17 @@ character, and exhaustion_check the `table exhaustion` result itself.  One
 function, coupling_check, runs every check of a packet sum over the four
 side pairs and returns strs and ints in tuples; one renderer,
 coupling_record, turns it into the packet-sum record, with a and b as given
-texts, and coupling_summary is the two in a row.  The good-range bound is
-read from reps.bound_twice.  The validated first-stage term (StageParams),
-the whole-stage enumerations that exhaustion_check's slice is checked
-against and the label dictionary's inverses live in tests/test_branching.py.
+texts, and coupling_summary is the two in a row.  Every a and b here is the
+int twice its value, as reps holds it, and halfint.format_twice writes it.
+The good-range bound is read from reps.bound_twice.  The validated
+first-stage term (StageParams), the whole-stage enumerations that
+exhaustion_check's slice is checked against and the label dictionary's
+inverses live in tests/test_branching.py.
 """
 
 from __future__ import annotations
 
-from .halfint import HALF, HalfInt
+from .halfint import format_twice
 from .reps import (
     CHARACTER_TEXTS,
     DiscreteSeriesParam,
@@ -66,15 +68,15 @@ def merged_texts(kind: str, a_text: str, b_text: str) -> list[str]:
     return [b_text, a_text, "-" + a_text, "-" + b_text]
 
 
-def classify_interlacing(a, b) -> str:
+def classify_interlacing(ta: int, tb: int) -> str:
     """The kind of the decreasing arrangement of (a, -a, b, -b) for positive
-    a != b: P1 = (a, b, -b, -a) when a > b, P2 = (b, a, -a, -b) when b > a."""
-    a = HalfInt.coerce(a)
-    b = HalfInt.coerce(b)
-    ta, tb = a.twice, b.twice
+    a != b, given as twice their values: P1 = (a, b, -b, -a) when a > b,
+    P2 = (b, a, -a, -b) when b > a."""
     if ta <= 0 or tb <= 0:
+        a, b = format_twice(ta), format_twice(tb)
         raise ValueError(f"interlacing is defined for positive parameters, got ({a}, {b})")
     if ta == tb:
+        a = format_twice(ta)
         raise TieError(f"a = b = {a}: no interlacing pattern (parity rules this out)")
     return P1 if ta > tb else P2
 
@@ -84,10 +86,10 @@ def classify_interlacing(a, b) -> str:
 _CHARACTERS = {(e1, e2): (1 - 2 * e1, 1 - 2 * e2) for e1 in (0, 1) for e2 in (0, 1)}
 
 
-def pattern_characters(a: HalfInt, b: HalfInt) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The character pair read off the pattern of a and b (a pair that
-    classify_interlacing accepts) by counting majorizations, each as its
-    sign pair (on_E1, on_E2).
+def pattern_characters(ta: int, tb: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The character pair read off the pattern of a and b, given as twice
+    their values (a pair that classify_interlacing accepts), by counting
+    majorizations, each as its sign pair (on_E1, on_E2).
 
     With a-entries (a, -a) indexed by i and b-entries (b, -b) indexed by j,
     the first character takes E_i to (-1)^(i+1+#{b-entries > a_i}) and the
@@ -95,7 +97,7 @@ def pattern_characters(a: HalfInt, b: HalfInt) -> tuple[tuple[int, int], tuple[i
     (eps1, eps1), P2 the pair (eps2, eps2).  Entries are compared as twice
     their values.
     """
-    a1, b1 = a.twice, b.twice  # twice the entries a_1 = a and b_1 = b
+    a1, b1 = ta, tb  # twice the entries a_1 = a and b_1 = b
     a2, b2 = -a1, -b1  # a_2 = -a and b_2 = -b
     first = ((1 + 1 + (b1 > a1) + (b2 > a1)) % 2, (2 + 1 + (b1 > a2) + (b2 > a2)) % 2)
     second = ((1 + (a1 > b1) + (a2 > b1)) % 2, (2 + (a1 > b2) + (a2 > b2)) % 2)
@@ -123,8 +125,8 @@ def hom_dim(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> int:
     if Pi.side is not pi.side:
         return 0
     if Pi.side is _PLUS:
-        return 1 if Pi.a.twice > pi.a.twice else 0
-    return 1 if pi.a.twice > Pi.a.twice else 0
+        return 1 if Pi.twice > pi.twice else 0
+    return 1 if pi.twice > Pi.twice else 0
 
 
 # The four side pairs (level G, subgroup level) in (+,+), (+,-), (-,+), (-,-)
@@ -161,13 +163,13 @@ def coupling_check(params_G: ParamPair, params_Gp: ParamPair) -> tuple:
     order, the witness's index there, the witness's level-G character), each
     character as its sign pair: plain strs and ints in tuples, which a grid
     keys its texts on as they are."""
-    a, b = params_G[0].a, params_Gp[0].a
+    a, b = params_G[0].twice, params_Gp[0].twice
     kind = classify_interlacing(a, b)
     for plus, minus in (params_G, params_Gp):
         if (
             plus.side is not _PLUS
             or minus.side is not _MINUS
-            or plus.a.twice != minus.a.twice
+            or plus.twice != minus.twice
         ):
             raise ParamError("expected the (plus, minus) pair of one value, as param_pair builds")
     G_plus, G_minus = params_G
@@ -215,8 +217,8 @@ def coupling_summary(params_G: ParamPair, params_Gp: ParamPair) -> dict:
     the hypothesis p, q > 3 and p != q it is computed but flagged."""
     return coupling_record(
         coupling_check(params_G, params_Gp),
-        str(params_G[0].a),
-        str(params_Gp[0].a),
+        format_twice(params_G[0].twice),
+        format_twice(params_Gp[0].twice),
         hypothesis_warning(params_G[0].sig),
     )
 
@@ -226,14 +228,14 @@ def pair_record(Pi: DiscreteSeriesParam, pi: DiscreteSeriesParam) -> dict:
     dimension, the side pair, both parameters' texts, the interlacing
     pattern and its merged order."""
     dim = hom_dim(Pi, pi)
-    kind = classify_interlacing(Pi.a, pi.a)
+    kind = classify_interlacing(Pi.twice, pi.twice)
     return {
         "dim": dim,
         "pair": f"({Pi.side.value},{pi.side.value})",
         "Pi": str(Pi),
         "pi": str(pi),
         "pattern": kind,
-        "merged": merged_texts(kind, str(Pi.a), str(pi.a)),
+        "merged": merged_texts(kind, format_twice(Pi.twice), format_twice(pi.twice)),
     }
 
 
@@ -248,7 +250,7 @@ def pi_minus_summands(Pi: DiscreteSeriesParam, max_k: int) -> list[DiscreteSerie
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
     return [
-        make_param(Pi.sig, Side.MINUS, GroupLevel.GPRIME, Pi.a + HALF + k)
+        make_param(Pi.sig, Side.MINUS, GroupLevel.GPRIME, Pi.twice + 1 + 2 * k)
         for k in range(max_k + 1)
     ]
 
@@ -259,7 +261,7 @@ def pi_minus_record(Pi: DiscreteSeriesParam, max_k: int) -> dict:
     one has hom_dim 1 against Pi."""
     summands = pi_minus_summands(Pi, max_k)
     return {
-        "summands": [str(s.a) for s in summands],
+        "summands": [format_twice(s.twice) for s in summands],
         "count": len(summands),
         "all_hom_dim_one": all(hom_dim(Pi, s) == 1 for s in summands),
     }
@@ -270,18 +272,20 @@ def pi_minus_record(Pi: DiscreteSeriesParam, max_k: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def fj_label_to_a(sig: Signature, n: int) -> HalfInt:
-    """Level-G parameter a = n/2 + (p+q-1)/2 for an even radial label n."""
+def fj_label_to_a(sig: Signature, n: int) -> int:
+    """Twice the level-G parameter a = n/2 + (p+q-1)/2 for an even radial
+    label n."""
     if n < 0 or n % 2:
         raise ValueError(f"label must be even and nonnegative, got {n}")
-    return HalfInt(n + bound_twice(sig, GroupLevel.G))
+    return n + bound_twice(sig, GroupLevel.G)
 
 
-def fj_label_to_b(sig: Signature, k: int) -> HalfInt:
-    """Subgroup-level parameter b = k/2 + (p+q-2)/2 for an even label k."""
+def fj_label_to_b(sig: Signature, k: int) -> int:
+    """Twice the subgroup-level parameter b = k/2 + (p+q-2)/2 for an even
+    label k."""
     if k < 0 or k % 2:
         raise ValueError(f"label must be even and nonnegative, got {k}")
-    return HalfInt(k + bound_twice(sig, _GPRIME))
+    return k + bound_twice(sig, _GPRIME)
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +342,25 @@ def exhaustion_check(sig: Signature, ell: int) -> dict:
         if twice >= sub:
             first_twice.append(twice)
     if ell % 2 == 0:  # the second stage's relative member x = y = ell/2
-        a = str(HalfInt(ell))  # ell/2
+        a = format_twice(ell)  # ell/2
         second_twice = list(range(sub, ell, 2))
         # ascending, since fj_label_to_b is increasing in k
-        predicted = [fj_label_to_b(sig, k) for k in range(0, max(ell - top, -1) + 1, 2)]
+        period_twice = [fj_label_to_b(sig, k) for k in range(0, max(ell - top, -1) + 1, 2)]
     else:
         a = None
         second_twice = []
-        predicted = []
-    period_twice = [b.twice for b in predicted]
-    first = [str(HalfInt(twice)) for twice in first_twice]
+        period_twice = []
+    first = [format_twice(twice) for twice in first_twice]
     mismatches = []
     if first_twice == second_twice:
         second = first
     else:
-        second = [str(HalfInt(twice)) for twice in second_twice]
+        second = [format_twice(twice) for twice in second_twice]
         mismatches.append(f"first vs second: {first} != {second}")
     if second_twice == period_twice:
         period = second
     else:
-        period = [str(b) for b in predicted]
+        period = [format_twice(twice) for twice in period_twice]
         mismatches.append(f"second vs period: {second} != {period}")
     return {
         "p": sig.p,

@@ -294,15 +294,15 @@ def cmd_branch(args):
     if args.max_k is not None and args.pi_minus is None:
         raise reps.ParamError("--max-k applies only with --pi-minus")
     p, q = _parse_pq(args.pq)
-    sig = reps.Signature(p, q)
+    sig, text = reps.Signature(p, q), halfint.format_twice
     # each value goes to make_param as written, so that a refusal echoes it
     if args.gp is not None:
         params_G = branching.param_pair(sig, reps.GroupLevel.G, args.gp[0])
         params_Gp = branching.param_pair(sig, reps.GroupLevel.GPRIME, args.gp[1])
-        a, b = params_G[0].a, params_Gp[0].a
+        a, b = text(params_G[0].twice), text(params_Gp[0].twice)
         yield _record(
             "branch",
-            {"p": p, "q": q, "mode": "packet-sum", "a": str(a), "b": str(b)},
+            {"p": p, "q": q, "mode": "packet-sum", "a": a, "b": b},
             branching.coupling_summary(params_G, params_Gp),
             _BRANCH_RULES + ["packet sum: exactly one same-side pair contributes"],
         )
@@ -313,7 +313,7 @@ def cmd_branch(args):
         _refuse_count(max_k + 1, TABLE_CAP, "{} summands exceed")
         yield _record(
             "branch",
-            {"p": p, "q": q, "mode": "pi-minus-summands", "a": str(Pi.a), "max_k": max_k},
+            {"p": p, "q": q, "mode": "pi-minus-summands", "a": text(Pi.twice), "max_k": max_k},
             branching.pi_minus_record(Pi, max_k),
             ["minus-side summands: b = a + 1/2 + k for k = 0..max_k, all coupling"],
         )
@@ -325,7 +325,7 @@ def cmd_branch(args):
     b = args.plus_b if args.plus_b is not None else args.minus_b
     Pi = reps.make_param(sig, side_G, reps.GroupLevel.G, a)
     pi = reps.make_param(sig, side_Gp, reps.GroupLevel.GPRIME, b)
-    inputs = {"p": p, "q": q, "a": str(Pi.a), "b": str(pi.a)}
+    inputs = {"p": p, "q": q, "a": text(Pi.twice), "b": text(pi.twice)}
     yield _record("branch", inputs, branching.pair_record(Pi, pi), _BRANCH_RULES)
 
 
@@ -395,17 +395,17 @@ def _row(kind: str, row: dict, compute, *args):
 def _rows_branch(args):
     p, q = _parse_pq(args.pq)
     sig = reps.Signature(p, q)
-    G, GPRIME, HalfInt = reps.GroupLevel.G, reps.GroupLevel.GPRIME, halfint.HalfInt
-    a_lo, a_hi = _parse_range(args.a_range, HalfInt.parse)
-    b_lo, b_hi = _parse_range(args.b_range, HalfInt.parse)
+    G, GPRIME, text = reps.GroupLevel.G, reps.GroupLevel.GPRIME, halfint.format_twice
+    a_lo, a_hi = _parse_range(args.a_range, halfint.parse_twice)
+    b_lo, b_hi = _parse_range(args.b_range, halfint.parse_twice)
     a_twice = reps.valid_twice(sig, G, a_lo, a_hi)
     b_twice = reps.valid_twice(sig, GPRIME, b_lo, b_hi)
     if not _grid(a_twice, b_twice):  # an empty range may leave the other too long to build
         return
     # each grid value's text and (plus, minus) parameters are built once
     # and serve every row
-    a_values = [(str(a), branching.param_pair(sig, G, a)) for a in map(HalfInt, a_twice)]
-    b_values = [(str(b), branching.param_pair(sig, GPRIME, b)) for b in map(HalfInt, b_twice)]
+    a_values = [(text(a), branching.param_pair(sig, G, a)) for a in a_twice]
+    b_values = [(text(b), branching.param_pair(sig, GPRIME, b)) for b in b_twice]
     warning = branching.hypothesis_warning(sig)
     check = branching.coupling_check
     records = {}  # a record per check result, with a and b the slots _skeleton names

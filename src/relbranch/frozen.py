@@ -5,7 +5,6 @@ validates the values and passes them, in slot order, to ``Frozen.__init__``,
 which sets each one once.  Equality, hashing and repr read the fields in
 slot order, as a frozen dataclass's would, but no method is generated at
 import, so defining a record costs no more than defining any class.
-``halfint.HalfInt`` takes only immutability, copy and pickle from here.
 Records that validate nothing, such as ``specfun.QuadratureResult``, are
 ``typing.NamedTuple``s instead.
 """

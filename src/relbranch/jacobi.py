@@ -52,7 +52,7 @@ def check_degree(n: int) -> None:
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if n > MAX_DEGREE:
-        raise ValueError(f"degree {n} exceeds the exact-coefficient cap {MAX_DEGREE}")
+        raise ValueError(f"degree {n} exceeds the label cap MAX_DEGREE = {MAX_DEGREE}")
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,9 @@ pairings by monomial integration, and the radial integral as an exact sum
 of monomial integrals, which builds the Beta-argument calibration table of
 docs/radial_integral_calibration.md.  None of these share code with the
 modules they check: the highest weights the interlacing rule takes are
-defined here, on the value bases ``Frozen`` and ``HalfInt``, and nothing is
-imported from ``reps``, ``jacobi`` or ``specfun``.  No CLI path imports
-this module.
+defined here, on the value base ``Frozen`` with ``Fraction`` entries, and
+nothing is imported from ``halfint``, ``reps``, ``jacobi`` or ``specfun``.
+No CLI path imports this module.
 """
 
 from __future__ import annotations
@@ -22,29 +22,29 @@ from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from .frozen import Frozen
-from .halfint import HalfInt
 
 
 class HighestWeight(Frozen):
-    """A weakly decreasing weight vector with exact entries."""
+    """A weakly decreasing weight vector with exact half-integer entries."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[HalfInt, ...]):
+    def __init__(self, entries: tuple[Fraction, ...]):
         super().__init__(entries)
+        for e in entries:
+            if (2 * e).denominator != 1:
+                raise ValueError(f"weight entry {e} is not a half-integer")
         for a, b in zip(entries, entries[1:]):
             if a < b:
                 raise ValueError(f"weight entries must be weakly decreasing: {self}")
 
     @classmethod
     def of(cls, *values) -> "HighestWeight":
-        return cls(tuple(HalfInt.coerce(v) for v in values))
+        """The weight of entries given as ints, Fractions or their literals."""
+        return cls(tuple(map(Fraction, values)))
 
-    def entry_sum(self) -> HalfInt:
-        total = HalfInt(0)
-        for e in self.entries:
-            total = total + e
-        return total
+    def entry_sum(self) -> Fraction:
+        return sum(self.entries, Fraction(0))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -70,7 +70,7 @@ def un_branch_mult(lam: HighestWeight, mu: HighestWeight) -> GTBranchResult:
     if len(mu) != len(lam) - 1:
         raise ValueError(f"rank mismatch: |mu| = {len(mu)} must be |lam| - 1 = {len(lam) - 1}")
     for e in lam.entries + mu.entries:
-        if not e.is_integer:
+        if e.denominator != 1:
             raise ValueError("weights must be integral")
     checks = []
     ok = True
@@ -86,11 +86,11 @@ def is_spherical(lam: HighestWeight) -> bool:
     """True iff the weight has the form (a, 0, ..., 0, -a) with a >= 0."""
     entries = lam.entries
     if len(entries) == 1:
-        return entries[0].twice == 0
+        return entries[0] == 0
     first, last = entries[0], entries[-1]
-    if first.twice < 0 or first != -last:
+    if first < 0 or first != -last:
         return False
-    return all(e.twice == 0 for e in entries[1:-1])
+    return all(e == 0 for e in entries[1:-1])
 
 
 def compact_relative_mult(a: int, b: int, n: int) -> int:

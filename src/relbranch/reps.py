@@ -1,8 +1,8 @@
 """Discrete-series parameter bookkeeping for the two unitary families.
 
 A parameter is a signature (p, q), a side (+/-), a level (the group itself
-or its rank-one-smaller subgroup), and an exact half-integer a.  Validity
-means two things, checked in this order:
+or its rank-one-smaller subgroup), and an exact half-integer a, held as the
+int twice = 2a.  Validity means two things, checked in this order:
 
   parity      2a is odd iff p+q is even (level G); 2a is even iff p+q is
               even (subgroup level);
@@ -29,7 +29,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .frozen import Frozen
-from .halfint import HalfInt
+from .halfint import format_twice, parse_twice
 
 
 class ParamError(ValueError):
@@ -87,7 +87,7 @@ class DiscreteSeriesParam(NamedTuple):
     sig: Signature
     side: Side
     level: GroupLevel
-    a: HalfInt
+    twice: int  # 2a
 
     def __str__(self) -> str:
         return format_param(self)
@@ -112,31 +112,41 @@ def bound_twice(sig: Signature, level: GroupLevel) -> int:
     return sig.n - 2
 
 
-def valid_twice(sig: Signature, level: GroupLevel, lo: HalfInt, hi: HalfInt) -> range:
-    """2a for the valid parameters with lo <= a <= hi, ascending: a steps by 1
-    from the good-range bound, so they are counted without building any."""
+def valid_twice(sig: Signature, level: GroupLevel, lo_twice: int, hi_twice: int) -> range:
+    """2a for the valid parameters with lo <= a <= hi, from 2lo and 2hi,
+    ascending: a steps by 1 from the good-range bound, so they are counted
+    without building any."""
     bound = bound_twice(sig, level)
-    return range(bound + 2 * max(0, (lo.twice - bound + 1) // 2), hi.twice + 1, 2)
+    return range(bound + 2 * max(0, (lo_twice - bound + 1) // 2), hi_twice + 1, 2)
 
 
 def make_param(sig: Signature, side: Side, level: GroupLevel, a) -> DiscreteSeriesParam:
-    """Validate and build a parameter from a or its text; errors name the
-    violated clause and echo a as given."""
-    value = HalfInt.coerce(a)
+    """Validate and build a parameter from a's text as written (a str) or
+    from the int twice a; any other type, bool included, is a TypeError.
+    Errors name the violated clause and echo a as written, a twice int as
+    format_twice writes it."""
+    twice = parse_twice(a) if type(a) is str else a
+    if type(twice) is not int:
+        raise TypeError(f"a must be a str or the int 2a, got {type(a).__name__}")
     bound = bound_twice(sig, level)
     # 2a must have the parity of twice the bound
     want_odd = bound % 2 == 1
-    if (value.twice % 2 == 1) != want_odd:
+    if (twice % 2 == 1) != want_odd:
         raise ParityError(
             f"parity: 2a must be {'odd' if want_odd else 'even'} for {sig} at level "
-            f"{level.value}, got a = {a}"
+            f"{level.value}, got a = {_written(a)}"
         )
-    if value.twice < bound:
+    if twice < bound:
         raise GoodRangeError(
-            f"good range: need a >= {HalfInt(bound)} for {sig} at level "
-            f"{level.value}, got a = {a}"
+            f"good range: need a >= {format_twice(bound)} for {sig} at level "
+            f"{level.value}, got a = {_written(a)}"
         )
-    return DiscreteSeriesParam(sig, side, level, value)
+    return DiscreteSeriesParam(sig, side, level, twice)
+
+
+def _written(a) -> str:
+    """a as make_param's caller wrote it: its text, or the text of a twice int."""
+    return a if type(a) is str else format_twice(a)
 
 
 def epsilon_of(param: DiscreteSeriesParam) -> tuple[int, int]:
@@ -154,4 +164,4 @@ def format_param(param: DiscreteSeriesParam) -> str:
     """Canonical form ``U(p,q)[+|-]a=<rational>``, with a prime marking the
     subgroup level: ``U(3,3)'+a=2``."""
     prime = "'" if param.level is GroupLevel.GPRIME else ""
-    return f"U({param.sig.p},{param.sig.q}){prime}{param.side.value}a={param.a}"
+    return f"U({param.sig.p},{param.sig.q}){prime}{param.side.value}a={format_twice(param.twice)}"

@@ -331,13 +331,13 @@ ROWS = [
     (
         "relbranch period --pq 1,2 --n 66 --k 0",
         2,
-        "error: degree 66 exceeds the exact-coefficient cap 64\n",
+        "error: degree 66 exceeds the label cap MAX_DEGREE = 64\n",
         EMPTY,
     ),
     (
         "relbranch table period --pq 1,2 --n-max 70 --k-max 66",
         2,
-        "error: degree 66 exceeds the exact-coefficient cap 64\n",
+        "error: degree 66 exceeds the label cap MAX_DEGREE = 64\n",
         EMPTY,
     ),
     (

@@ -21,7 +21,6 @@ from relbranch.branching import (
     pattern_characters,
     pi_minus_summands,
 )
-from relbranch.halfint import HalfInt
 from relbranch.hepattern import enumerate_alignments, u1n_end_candidates, u2n_plus_sequence
 from relbranch.jacobi import jacobi_rows
 from relbranch.oracle import (
@@ -125,16 +124,10 @@ def test_criterion_04_beta_argument_calibration():
 
 
 def _rb_pairs(sig):
-    cap = HalfInt(sig.n + 9)  # (p+q+9)/2
-    a_vals, b_vals = [], []
-    a = HalfInt(sig.n - 1)
-    while a <= cap:
-        a_vals.append(a)
-        a = a + 1
-    b = HalfInt(sig.n - 2)
-    while b <= cap:
-        b_vals.append(b)
-        b = b + 1
+    """(2a, 2b) for every valid a and b up to (p+q+9)/2, a stepping by 1."""
+    cap = sig.n + 9  # twice (p+q+9)/2
+    a_vals = range(sig.n - 1, cap + 1, 2)
+    b_vals = range(sig.n - 2, cap + 1, 2)
     return [(a, b) for a in a_vals for b in b_vals]
 
 
@@ -228,13 +221,13 @@ def test_criterion_09_exhaustion_cross_check():
 def test_criterion_10_minus_side_summands():
     def check():
         for sig in (Signature(3, 3), Signature(3, 4), Signature(4, 6)):
-            a0 = HalfInt(sig.n - 1)
+            a0 = sig.n - 1  # twice the good-range bound
             for m in (0, 1, 3):
-                a = a0 + m
+                a = a0 + 2 * m
                 Pi = make_param(sig, Side.MINUS, GroupLevel.G, a)
                 summands = pi_minus_summands(Pi, 10)
-                expected = [a + HalfInt(1) + k for k in range(11)]
-                assert [s.a for s in summands] == expected
+                expected = [a + 1 + 2 * k for k in range(11)]  # b = a + 1/2 + k
+                assert [s.twice for s in summands] == expected
                 for s in summands:
                     assert hom_dim(Pi, s) == 1
 

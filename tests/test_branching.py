@@ -23,7 +23,7 @@ from relbranch.branching import (
     pi_minus_record,
     pi_minus_summands,
 )
-from relbranch.halfint import HALF, HalfInt
+from relbranch.halfint import format_twice, parse_twice
 from relbranch.periods import PeriodGrid
 from relbranch.reps import (
     EPSILON_1,
@@ -38,12 +38,14 @@ from relbranch.reps import (
 
 
 def h(text):
-    return HalfInt.parse(text)
+    """Twice the value of a literal, the form every parameter takes."""
+    return parse_twice(text)
 
 
 def rb_pairs(sig, a_count=5, b_count=5):
-    a_bound, b_bound = HalfInt(sig.n - 1), HalfInt(sig.n - 2)
-    return [(a_bound + i, b_bound + j) for i in range(a_count) for j in range(b_count)]
+    """(2a, 2b) over the first valid a and b at each level."""
+    a_bound, b_bound = sig.n - 1, sig.n - 2
+    return [(a_bound + 2 * i, b_bound + 2 * j) for i in range(a_count) for j in range(b_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -52,18 +54,18 @@ def rb_pairs(sig, a_count=5, b_count=5):
 
 
 def test_classify_examples():
-    assert classify_interlacing(h("7/2"), 2) == P1
-    assert classify_interlacing(h("5/2"), 3) == P2
+    assert classify_interlacing(h("7/2"), h("2")) == P1
+    assert classify_interlacing(h("5/2"), h("3")) == P2
     with pytest.raises(TieError):
-        classify_interlacing(3, 3)
+        classify_interlacing(h("3"), h("3"))
     with pytest.raises(ValueError):
-        classify_interlacing(-1, 2)
+        classify_interlacing(h("-1"), h("2"))
 
 
 def test_pattern_merged_texts():
-    kind = classify_interlacing(h("7/2"), 2)
+    kind = classify_interlacing(h("7/2"), h("2"))
     assert merged_texts(kind, "7/2", "2") == ["7/2", "2", "-2", "-7/2"]
-    kind = classify_interlacing(h("5/2"), 3)
+    kind = classify_interlacing(h("5/2"), h("3"))
     assert merged_texts(kind, "5/2", "3") == ["3", "5/2", "-5/2", "-3"]
 
 
@@ -76,7 +78,7 @@ def test_pattern_characters_dictionary():
 def test_classify_error_text():
     message = "interlacing is defined for positive parameters, got (0, 3)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        classify_interlacing(0, 3)
+        classify_interlacing(h("0"), h("3"))
     message = "interlacing is defined for positive parameters, got (7/2, -1/2)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         classify_interlacing(h("7/2"), h("-1/2"))
@@ -107,7 +109,7 @@ def test_pattern_characters_match_fraction_reference():
         for tb in range(1, 201):
             if ta == tb:
                 continue
-            got = pattern_characters(HalfInt(ta), HalfInt(tb))
+            got = pattern_characters(ta, tb)
             assert got == _reference_characters(Fraction(ta, 2), Fraction(tb, 2)), (ta, tb)
 
 
@@ -127,9 +129,9 @@ def test_hom_dim_examples():
     sig = Signature(3, 3)
     Pi_plus = make_param(sig, Side.PLUS, GroupLevel.G, h("7/2"))
     Pi_minus = make_param(sig, Side.MINUS, GroupLevel.G, h("7/2"))
-    pi_plus_2 = make_param(sig, Side.PLUS, GroupLevel.GPRIME, 2)
-    pi_minus_2 = make_param(sig, Side.MINUS, GroupLevel.GPRIME, 2)
-    pi_minus_5 = make_param(sig, Side.MINUS, GroupLevel.GPRIME, 5)
+    pi_plus_2 = make_param(sig, Side.PLUS, GroupLevel.GPRIME, "2")
+    pi_minus_2 = make_param(sig, Side.MINUS, GroupLevel.GPRIME, "2")
+    pi_minus_5 = make_param(sig, Side.MINUS, GroupLevel.GPRIME, "5")
     assert hom_dim(Pi_plus, pi_plus_2) == 1
     assert hom_dim(Pi_plus, pi_minus_2) == 0
     assert hom_dim(Pi_minus, pi_minus_5) == 1
@@ -154,17 +156,17 @@ def packet_sum(a, b, sig):
 
 
 def test_gp_sum_examples():
-    res = packet_sum(h("11/2"), 4, Signature(4, 6))
+    res = packet_sum(h("11/2"), h("4"), Signature(4, 6))
     assert res["total"] == 1 and res["witness"] == "(+,+)"
     assert res["hypothesis_warning"] is None
-    res = packet_sum(h("9/2"), 5, Signature(4, 6))
+    res = packet_sum(h("9/2"), h("5"), Signature(4, 6))
     assert res["witness"] == "(-,-)"
-    res = packet_sum(h("9/2"), 3, Signature(3, 3))
+    res = packet_sum(h("9/2"), h("3"), Signature(3, 3))
     assert res["total"] == 1 and res["hypothesis_warning"] is not None
-    res = packet_sum(4, h("9/2"), Signature(4, 5))
+    res = packet_sum(h("4"), h("9/2"), Signature(4, 5))
     assert res["witness"] == "(-,-)"
     assert res["hypothesis_warning"] is None  # (4,5) satisfies p, q > 3 and p != q
-    res = packet_sum(h("9/2"), 4, Signature(4, 4))
+    res = packet_sum(h("9/2"), h("4"), Signature(4, 4))
     assert res["hypothesis_warning"] is not None  # p = q is outside the hypothesis
 
 
@@ -177,7 +179,7 @@ def test_four_pair_sum_is_one():
                 for sGp in (Side.PLUS, Side.MINUS):
                     pi = make_param(sig, sGp, GroupLevel.GPRIME, b)
                     total += hom_dim(Pi, pi)
-            assert total == 1, (sig, str(a), str(b))
+            assert total == 1, (sig, format_twice(a), format_twice(b))
 
 
 def test_character_coherence():
@@ -195,7 +197,7 @@ def test_character_coherence():
 def test_coupling_summary_record():
     sig = Signature(3, 3)
     summary = coupling_summary(
-        param_pair(sig, GroupLevel.G, h("9/2")), param_pair(sig, GroupLevel.GPRIME, 3)
+        param_pair(sig, GroupLevel.G, h("9/2")), param_pair(sig, GroupLevel.GPRIME, h("3"))
     )
     assert summary["total"] == 1
     assert summary["witness"] == "(+,+)"
@@ -217,18 +219,19 @@ def test_coupling_check_returns_plain_data():
     # `table branch` grid keys its texts on the result with no Python-level
     # __hash__
     sig = Signature(4, 5)
-    a_pairs = [param_pair(sig, GroupLevel.G, HalfInt(twice)) for twice in range(8, 121, 2)]
-    b_pairs = [param_pair(sig, GroupLevel.GPRIME, HalfInt(twice)) for twice in range(7, 122, 2)]
+    a_pairs = [param_pair(sig, GroupLevel.G, twice) for twice in range(8, 121, 2)]
+    b_pairs = [param_pair(sig, GroupLevel.GPRIME, twice) for twice in range(7, 122, 2)]
     assert (len(a_pairs), len(b_pairs)) == (57, 58)
     for Pa in a_pairs:
         for Pb in b_pairs:
             values = coupling_check(Pa, Pb)
-            assert _leaf_types(values) <= {int, str}, (str(Pa[0].a), str(Pb[0].a))
+            assert _leaf_types(values) <= {int, str}, (str(Pa[0]), str(Pb[0]))
 
 
 def _reference_summary(a, b, sig):
     """coupling_summary along the route that builds four fresh parameters
-    per (a, b) and keys the hom dimensions by side pair."""
+    per (a, b), given as twice their values, and keys the hom dimensions by
+    side pair."""
     kind = classify_interlacing(a, b)
     sides = (Side.PLUS, Side.MINUS)
     params_G = {side: make_param(sig, side, GroupLevel.G, a) for side in sides}
@@ -246,7 +249,7 @@ def _reference_summary(a, b, sig):
     texts = [f"({e1:+d},{e2:+d})" for e1, e2 in characters]
     return {
         "pattern": kind,
-        "merged": [str(v) for v in merged],
+        "merged": [format_twice(v) for v in merged],
         "characters": texts[:2],
         "witness": f"({witness[0].value},{witness[1].value})",
         "witness_character": texts[2],
@@ -266,20 +269,20 @@ def test_coupling_summary_on_prebuilt_pairs_matches_fresh_parameters():
             for b, Pb in b_pairs.items():
                 got = coupling_summary(Pa, Pb)
                 want = _reference_summary(a, b, sig)
-                assert list(got.items()) == list(want.items()), (sig, str(a), str(b))
+                assert list(got.items()) == list(want.items()), (sig, a, b)
                 assert list(got["dims"]) == list(want["dims"])
 
 
 def test_param_pair_and_its_contract():
     sig = Signature(4, 5)
-    plus, minus = param_pair(sig, GroupLevel.G, 4)
-    assert (plus.side, minus.side, plus.a, minus.a) == (Side.PLUS, Side.MINUS, 4, 4)
+    plus, minus = param_pair(sig, GroupLevel.G, "4")
+    assert (plus.side, minus.side, plus.twice, minus.twice) == (Side.PLUS, Side.MINUS, 8, 8)
     assert plus.level is minus.level is GroupLevel.G
     with pytest.raises(ParamError, match="parity"):
-        param_pair(sig, GroupLevel.GPRIME, 4)
+        param_pair(sig, GroupLevel.GPRIME, "4")
     # pairs that param_pair cannot build are refused, not mislabelled
     Pb = param_pair(sig, GroupLevel.GPRIME, h("9/2"))
-    for bad in [(minus, plus), (plus, param_pair(sig, GroupLevel.G, 5)[1])]:
+    for bad in [(minus, plus), (plus, param_pair(sig, GroupLevel.G, "5")[1])]:
         with pytest.raises(ParamError, match="plus, minus"):
             coupling_summary(bad, Pb)
         with pytest.raises(ParamError, match="plus, minus"):
@@ -295,7 +298,7 @@ def test_pi_minus_summands_examples():
     sig = Signature(3, 3)
     Pi = make_param(sig, Side.MINUS, GroupLevel.G, h("5/2"))
     summands = pi_minus_summands(Pi, 2)
-    assert [s.a for s in summands] == [h("3"), h("4"), h("5")]
+    assert [s.twice for s in summands] == [h("3"), h("4"), h("5")]
     assert len(summands) == 3
     for s in summands:
         assert s.side is Side.MINUS and s.level is GroupLevel.GPRIME
@@ -305,16 +308,16 @@ def test_pi_minus_summands_examples():
 def test_pi_minus_summands_exactness():
     # output = every coupling subgroup minus-parameter up to the cutoff
     sig = Signature(3, 4)
-    Pi = make_param(sig, Side.MINUS, GroupLevel.G, 4)
+    Pi = make_param(sig, Side.MINUS, GroupLevel.G, "4")
     max_k = 6
-    got = {s.a for s in pi_minus_summands(Pi, max_k)}
-    b_bound = HalfInt(sig.n - 2)
+    got = {s.twice for s in pi_minus_summands(Pi, max_k)}
+    b_bound = sig.n - 2
     want = set()
     m = 0
     while True:
-        b = b_bound + m
+        b = b_bound + 2 * m
         m += 1
-        if b > Pi.a + HALF + max_k:
+        if b > Pi.twice + 1 + 2 * max_k:  # b > a + 1/2 + max_k
             break
         pi = make_param(sig, Side.MINUS, GroupLevel.GPRIME, b)
         if hom_dim(Pi, pi) == 1:
@@ -328,9 +331,9 @@ def test_pair_and_summand_records():
     sig = Signature(3, 3)
     Pi = make_param(sig, Side.PLUS, GroupLevel.G, h("7/2"))
     for side, b, dim, kind, merged in [
-        (Side.PLUS, 2, 1, P1, ["7/2", "2", "-2", "-7/2"]),
-        (Side.PLUS, 5, 0, P2, ["5", "7/2", "-7/2", "-5"]),
-        (Side.MINUS, 2, 0, P1, ["7/2", "2", "-2", "-7/2"]),
+        (Side.PLUS, "2", 1, P1, ["7/2", "2", "-2", "-7/2"]),
+        (Side.PLUS, "5", 0, P2, ["5", "7/2", "-7/2", "-5"]),
+        (Side.MINUS, "2", 0, P1, ["7/2", "2", "-2", "-7/2"]),
     ]:
         pi = make_param(sig, side, GroupLevel.GPRIME, b)
         assert pair_record(Pi, pi) == {
@@ -363,18 +366,20 @@ def test_pi_minus_summands_validation():
 # ---------------------------------------------------------------------------
 
 
-def a_to_fj_label(sig, a):
-    """Inverse of fj_label_to_a."""
-    n = HalfInt.coerce(a).twice - (sig.n - 1)
+def a_to_fj_label(sig, a_twice):
+    """Inverse of fj_label_to_a, from 2a."""
+    n = a_twice - (sig.n - 1)
     if n < 0 or n % 2:
+        a = format_twice(a_twice)
         raise ValueError(f"a = {a} is not in the image of the label dictionary for {sig}")
     return n
 
 
-def b_to_fj_label(sig, b):
-    """Inverse of fj_label_to_b."""
-    k = HalfInt.coerce(b).twice - (sig.n - 2)
+def b_to_fj_label(sig, b_twice):
+    """Inverse of fj_label_to_b, from 2b."""
+    k = b_twice - (sig.n - 2)
     if k < 0 or k % 2:
+        b = format_twice(b_twice)
         raise ValueError(f"b = {b} is not in the image of the label dictionary for {sig}")
     return k
 
@@ -383,9 +388,9 @@ def test_fj_label_examples():
     sig = Signature(3, 3)
     assert fj_label_to_a(sig, 0) == h("5/2")  # good-range boundary
     assert fj_label_to_a(sig, 2) == h("7/2")
-    assert fj_label_to_b(sig, 0) == 2
+    assert fj_label_to_b(sig, 0) == h("2")
     assert a_to_fj_label(sig, h("7/2")) == 2
-    assert b_to_fj_label(sig, 4) == 4
+    assert b_to_fj_label(sig, h("4")) == 4
 
 
 def test_fj_label_roundtrip_and_order():
@@ -403,7 +408,7 @@ def test_fj_label_validation():
     with pytest.raises(ValueError):
         fj_label_to_a(sig, 3)
     with pytest.raises(ValueError):
-        a_to_fj_label(sig, 3)  # wrong parity for this signature
+        a_to_fj_label(sig, h("3"))  # wrong parity for this signature
 
 
 def test_period_branching_agreement():
@@ -427,22 +432,23 @@ def test_period_branching_agreement():
 @dataclass(frozen=True)
 class StageParams:
     """One term of the first-stage restriction: an orthogonal-group label ell
-    split as ell - lambda' - lambda'' - 1 in 2N, checked on construction."""
+    split as ell - lambda' - lambda'' - 1 in 2N, checked on construction;
+    lambda'' is held as twice its value."""
 
     ell: int
     lambda_prime: int
-    lambda_dprime: HalfInt
+    dprime_twice: int
 
     def __post_init__(self):
         if self.lambda_prime < 0:
             raise ValueError("lambda' must be nonnegative")
-        dprime_twice = self.lambda_dprime.twice
+        dprime_twice = self.dprime_twice
         if dprime_twice <= 0:
             raise ValueError("lambda'' must be positive")
         gap_twice = 2 * (self.ell - self.lambda_prime - 1) - dprime_twice
         if gap_twice < 0 or gap_twice % 4 != 0:
             raise ValueError(
-                f"ell - lambda' - lambda'' - 1 = {HalfInt(gap_twice)} "
+                f"ell - lambda' - lambda'' - 1 = {format_twice(gap_twice)} "
                 "is not a nonnegative even integer"
             )
 
@@ -460,7 +466,7 @@ def stage1_enumerate(sig, ell):
         # lambda'' ranges over ell - lam' - 1, ell - lam' - 3, ... down to >= 1
         top = ell - lam_p - 1
         for lam_pp in range(2 - (top % 2), top + 1, 2):
-            out.append(StageParams(ell, lam_p, HalfInt.from_int(lam_pp)))
+            out.append(StageParams(ell, lam_p, 2 * lam_pp))
     return out
 
 
@@ -470,10 +476,10 @@ def test_stage1_membership_and_finiteness():
     assert items
     assert all(isinstance(it, StageParams) for it in items)
     for it in items:
-        lam2 = it.lambda_dprime
+        lam2, rest = divmod(it.dprime_twice, 2)
         assert it.lambda_prime >= 0
-        assert lam2 > HalfInt(0) and lam2.is_integer
-        gap = 10 - it.lambda_prime - int(lam2) - 1
+        assert lam2 > 0 and rest == 0
+        gap = 10 - it.lambda_prime - lam2 - 1
         assert gap >= 0 and gap % 2 == 0
     # exhaustive cross-check of the membership predicate
     want = {
@@ -482,7 +488,7 @@ def test_stage1_membership_and_finiteness():
         for lpp in range(1, 10)
         if (10 - lp - lpp - 1) >= 0 and (10 - lp - lpp - 1) % 2 == 0
     }
-    assert {(it.lambda_prime, int(it.lambda_dprime)) for it in items} == want
+    assert {(it.lambda_prime, it.dprime_twice // 2) for it in items} == want
 
 
 def test_stage1_list_grows_with_ell():
@@ -546,9 +552,9 @@ def test_exhaustion_agreement_even_ell():
         report = exhaustion_check(sig, ell)
         assert list(report) == EXHAUSTION_KEYS
         assert report["agreement"], report["mismatches"]
-        assert report["a"] == str(HalfInt(ell))
+        assert report["a"] == format_twice(ell)
         assert report["first_sequence"] == report["second_sequence"] == report["period_prediction"]
-        want = [str(HalfInt.from_int(b)) for b in range(2, ell // 2)]
+        want = [str(b) for b in range(2, ell // 2)]
         assert report["first_sequence"] == want
 
 
@@ -578,11 +584,12 @@ def test_exhaustion_report_serializes():
 
 
 def test_exhaustion_mismatch_writes_each_sequence(monkeypatch):
-    # a prediction off by one is a mismatch whose text writes both sequences
+    # a prediction off by one (2b off by 2) is a mismatch whose text writes
+    # both sequences
     from relbranch import branching
 
     real = branching.fj_label_to_b
-    monkeypatch.setattr(branching, "fj_label_to_b", lambda sig, k: real(sig, k) + 1)
+    monkeypatch.setattr(branching, "fj_label_to_b", lambda sig, k: real(sig, k) + 2)
     data = exhaustion_check(Signature(3, 3), 12)
     assert data["agreement"] is False
     assert data["first_sequence"] == data["second_sequence"] == ["2", "3", "4", "5"]
@@ -599,7 +606,7 @@ def stage1_slice(ell):
     terms = []
     for lam in range(1, ell):
         try:
-            terms.append(StageParams(ell, 0, HalfInt.from_int(lam)))
+            terms.append(StageParams(ell, 0, 2 * lam))
         except ValueError:
             continue
     return terms
@@ -617,15 +624,15 @@ def test_exhaustion_first_sequence_equals_filtered_stage1():
     for sig, ell, terms in cases:
         want = []
         for sp in terms(sig, ell):
-            lam = int(sp.lambda_dprime)
+            lam = sp.dprime_twice // 2
             if sp.lambda_prime != 0 or lam % 2 == 0:
                 continue
-            b = HalfInt(lam if (lam - sig.n) % 2 == 0 else lam - 1)
-            offset = b.twice - (sig.n - 2)
+            b = lam if (lam - sig.n) % 2 == 0 else lam - 1  # 2b
+            offset = b - (sig.n - 2)
             if offset >= 0 and offset % 2 == 0:
                 want.append(b)
         got = exhaustion_check(sig, ell)["first_sequence"]
-        assert got == [str(b) for b in sorted(want)], (sig, ell)
+        assert got == [format_twice(b) for b in sorted(want)], (sig, ell)
 
 
 def test_exhaustion_relative_member_equals_filtered_stage2():
@@ -636,7 +643,7 @@ def test_exhaustion_relative_member_equals_filtered_stage2():
             report = exhaustion_check(sig, ell)
             if relative:
                 (pair,) = relative
-                assert report["a"] == str(HalfInt.from_int(pair.x)), (sig, ell)
+                assert report["a"] == str(pair.x), (sig, ell)
                 assert report["second_sequence"], (sig, ell)
             else:
                 assert report["a"] is None, (sig, ell)
@@ -644,17 +651,17 @@ def test_exhaustion_relative_member_equals_filtered_stage2():
 
 
 def test_stage_params_invariant_enforced():
-    StageParams(10, 0, HalfInt.from_int(9))
+    StageParams(10, 0, h("9"))
     gap = "ell - lambda' - lambda'' - 1 = {} is not a nonnegative even integer"
     with pytest.raises(ValueError, match=f"^{re.escape(gap.format(1))}$"):
-        StageParams(10, 0, HalfInt.from_int(8))  # gap is odd
+        StageParams(10, 0, h("8"))  # gap is odd
     with pytest.raises(ValueError, match=f"^{re.escape(gap.format(-2))}$"):
-        StageParams(10, 0, HalfInt.from_int(11))  # gap is negative
+        StageParams(10, 0, h("11"))  # gap is negative
     with pytest.raises(ValueError, match=f"^{re.escape(gap.format('3/2'))}$"):
         StageParams(10, 0, h("15/2"))  # gap is not an integer
     with pytest.raises(ValueError, match="^lambda' must be nonnegative$"):
-        StageParams(10, -1, HalfInt.from_int(9))
+        StageParams(10, -1, h("9"))
     with pytest.raises(ValueError, match="^lambda'' must be positive$"):
-        StageParams(10, 0, HalfInt.from_int(0))
+        StageParams(10, 0, h("0"))
     with pytest.raises(ValueError, match="^lambda'' must be positive$"):
         StageParams(10, 0, h("-1/2"))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from relbranch import cli
 from relbranch.branching import coupling_summary, param_pair
-from relbranch.halfint import HalfInt
+from relbranch.halfint import format_twice, parse_twice
 from relbranch.reps import GroupLevel, ParamError, Side, Signature, make_param, valid_twice
 from relbranch.specfun import ConvergenceError
 
@@ -356,12 +356,12 @@ def _branch_grid_records(argv):
     options = dict(zip(argv[0::2], argv[1::2]))
     p, q = map(int, options["--pq"].split(","))
     sig = Signature(p, q)
-    a_lo, a_hi = map(HalfInt.parse, options["--a-range"].split(".."))
-    b_lo, b_hi = map(HalfInt.parse, options["--b-range"].split(".."))
+    a_lo, a_hi = map(parse_twice, options["--a-range"].split(".."))
+    b_lo, b_hi = map(parse_twice, options["--b-range"].split(".."))
     records = []
     for a_twice in valid_twice(sig, GroupLevel.G, a_lo, a_hi):
         for b_twice in valid_twice(sig, GroupLevel.GPRIME, b_lo, b_hi):
-            a, b = HalfInt(a_twice), HalfInt(b_twice)
+            a, b = format_twice(a_twice), format_twice(b_twice)
             summary = coupling_summary(
                 param_pair(sig, GroupLevel.G, a), param_pair(sig, GroupLevel.GPRIME, b)
             )
@@ -369,7 +369,7 @@ def _branch_grid_records(argv):
                 {
                     "schema": "relbranch.record.v1",
                     "command": "table.branch",
-                    "inputs": {"p": p, "q": q, "a": str(a), "b": str(b)},
+                    "inputs": {"p": p, "q": q, "a": a, "b": b},
                     "result": summary,
                     "provenance": cli._BRANCH_RULES,
                 }
@@ -436,8 +436,7 @@ def test_table_exhaustion_all_agree(capsys):
 
 def test_table_exhaustion_reports_a_disagreeing_prediction(capsys, monkeypatch):
     # a label dictionary one label step off: the sequences are compared as
-    # twice their values, and the report prints them as HalfInts, in the
-    # text the comparison of HalfInts printed
+    # twice their values, and the report writes each as its literal
     real = cli.branching.fj_label_to_b
     monkeypatch.setattr(cli.branching, "fj_label_to_b", lambda sig, k: real(sig, k + 2))
     code, out, err = run_cli(capsys, "table", "exhaustion", "--pq", "3,3", "--ell", "8..10")
@@ -979,11 +978,11 @@ def test_valid_parameter_range_matches_validation():
         for level in GroupLevel:
             for lo in range(-4, 16):
                 for hi in range(lo - 2, 20):
-                    got = valid_twice(sig, level, HalfInt(lo), HalfInt(hi))
+                    got = valid_twice(sig, level, lo, hi)
                     want = []
                     for twice in range(lo, hi + 1):
                         try:
-                            make_param(sig, Side.PLUS, level, HalfInt(twice))
+                            make_param(sig, Side.PLUS, level, twice)
                         except ParamError:
                             continue
                         want.append(twice)
@@ -1056,7 +1055,7 @@ def test_period_degree_cap_exit(capsys):
     code, out, err = run_cli(capsys, "period", "--pq", "1,2", "--n", "66", "--k", "0")
     assert code == 2
     assert not out
-    assert "exceeds the exact-coefficient cap 64" in err
+    assert "degree 66 exceeds the label cap MAX_DEGREE = 64" in err
 
 
 def test_label_above_cap_is_refused_before_any_factor(capsys, monkeypatch):
@@ -1067,11 +1066,11 @@ def test_label_above_cap_is_refused_before_any_factor(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.periods, "radial_integral_exact", refuse)
     monkeypatch.setattr(cli.periods, "gauss_legendre_quadrature", refuse)
-    line = "error: degree 2000000 exceeds the exact-coefficient cap 64\n"
+    line = "error: degree 2000000 exceeds the label cap MAX_DEGREE = 64\n"
     for labels in (("--n", "2000000", "--k", "0"), ("--n", "0", "--k", "2000000")):
         code, out, err = run_cli(capsys, "period", "--pq", "1,2", *labels)
         assert (code, out, err) == (cli.EXIT_VALIDATION, "", line), labels
-    with pytest.raises(ValueError, match="^degree 2000000 exceeds the exact-coefficient cap 64$"):
+    with pytest.raises(ValueError, match="^degree 2000000 exceeds the label cap MAX_DEGREE = 64$"):
         cli.periods.period_integral_quadrature(1, 2, 0, 2_000_000)
 
 
@@ -1087,7 +1086,7 @@ def test_table_period_reaches_past_degree_24(capsys):
 def test_table_period_refuses_label_above_cap_before_any_record(capsys):
     # the grid's largest k, then its largest n, is checked before the first
     # record, in the order `period` checks one record's labels
-    line = "error: degree {} exceeds the exact-coefficient cap 64\n"
+    line = "error: degree {} exceeds the label cap MAX_DEGREE = 64\n"
     cases = [("66", "0", 66), ("0", "66", 66), ("70", "66", 66), ("67", "64", 66)]
     for n_max, k_max, degree in cases:
         for family in ("complex", "quaternionic"):
@@ -1170,7 +1169,7 @@ def test_table_branch_names_failing_row(capsys, monkeypatch, form):
     real = cli.branching.hom_dim
 
     def couples_mixed_sides(Pi, pi):
-        if (str(Pi.a), str(pi.a)) == ("5", "7/2") and Pi.side is not pi.side:
+        if (Pi.twice, pi.twice) == (10, 7) and Pi.side is not pi.side:  # a = 5, b = 7/2
             return 1
         return real(Pi, pi)
 
@@ -1211,7 +1210,7 @@ def test_rows_before_a_failing_row_are_written_after_many_batches(monkeypatch, f
     real = cli.branching.hom_dim
 
     def couples_mixed_sides(Pi, pi):
-        if (str(Pi.a), str(pi.a)) == ("50", "7/2") and Pi.side is not pi.side:
+        if (Pi.twice, pi.twice) == (100, 7) and Pi.side is not pi.side:  # a = 50, b = 7/2
             return 1
         return real(Pi, pi)
 
@@ -1243,7 +1242,7 @@ def test_subgroup_level_of_u11_is_refused(capsys):
         assert (code, out, err) == (cli.EXIT_VALIDATION, "", f"error: {where}{message}"), argv
     # the level-G parameters of U(1,1) are unaffected
     sig = Signature(1, 1)
-    assert str(make_param(sig, Side.PLUS, GroupLevel.G, HalfInt(1))) == (
+    assert str(make_param(sig, Side.PLUS, GroupLevel.G, 1)) == (
         "U(1,1)+a=1/2"
     )
 

@@ -13,7 +13,6 @@ from math import isfinite
 from pathlib import Path
 
 from relbranch import hepattern, periods
-from relbranch.halfint import HalfInt
 from relbranch.jacobi import MAX_DEGREE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -106,7 +105,7 @@ def test_stage_params_hook_is_called_on_every_construction(monkeypatch):
         seen.append(sp)
 
     monkeypatch.setattr(StageParams, "__post_init__", counted)
-    built = [StageParams(8, 0, HalfInt(6)), StageParams(9, 2, HalfInt(4))]
+    built = [StageParams(8, 0, 6), StageParams(9, 2, 4)]
     assert seen == built
     assert [sp.lambda_prime == 0 for sp in seen] == [True, False]
 

@@ -9,7 +9,6 @@ import pickle
 import pytest
 
 from relbranch.branching import exhaustion_check
-from relbranch.halfint import HalfInt
 from relbranch.hepattern import u2n_case_report
 from relbranch.oracle import HighestWeight
 from relbranch.reps import (
@@ -26,13 +25,12 @@ SIG = Signature(3, 3)
 # (build, a different value of the same class, a field name): build() makes
 # a fresh record each call, so equal values are distinct objects
 RECORDS = {
-    "HalfInt": (lambda: HalfInt(7), HalfInt(5), "twice"),
     "Signature": (lambda: Signature(3, 3), Signature(3, 4), "p"),
     "HighestWeight": (lambda: HighestWeight.of(2, 0, -2), HighestWeight.of(1, 0, -1), "entries"),
     "DiscreteSeriesParam": (
-        lambda: make_param(Signature(3, 3), Side.PLUS, GroupLevel.G, HalfInt(7)),
-        make_param(SIG, Side.MINUS, GroupLevel.G, HalfInt(7)),
-        "a",
+        lambda: make_param(Signature(3, 3), Side.PLUS, GroupLevel.G, 7),
+        make_param(SIG, Side.MINUS, GroupLevel.G, 7),
+        "twice",
     ),
     "QuadratureResult": (
         lambda: QuadratureResult(0.5, 1e-16, 3), QuadratureResult(0.5, 1e-16, 4), "value"
